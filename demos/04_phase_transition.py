@@ -5,7 +5,7 @@ risk for xi > 1 and risk tending to 1 for xi < 1, in both the subgaussian
 and subpoissonian regimes.  The limits are asymptotic; what is reproducible
 at desk scale is the ordering, shown here two ways:
 
-* Monte Carlo risk of the implemented threshold test across a xi grid;
+* exact risk of the implemented threshold test across a xi grid;
 * exact lower bounds on the best achievable risk at xi = 0.5 (flattened
   spike-pair TV via the sufficient statistic, and the conditional
   chi-square certificate that works at any dimension).
@@ -24,7 +24,6 @@ from supgof.rates import sharp_constant_epsilon
 from supgof.risk import sweep_sharp_constant
 
 P = 10_000
-TRIALS = 4_000
 ALPHA = math.log(P)
 GRID = [0.5, 0.8, 1.0, 1.25, 2.0]
 
@@ -34,11 +33,12 @@ for label, mu in [
      RateVector(np.full(P, (1.0 + math.log(P)) ** 2))),
 ]:
     print(f"=== {label}, p = {P} ===")
-    sweep = sweep_sharp_constant(mu, GRID, ALPHA, TRIALS, seed=4)
+    # The Poisson sweep is exact: it draws nothing, so trials and seed are unused.
+    sweep = sweep_sharp_constant(mu, GRID, ALPHA, trials=0, seed=0)
     for row in sweep.rows():
         print(
             f"  xi = {row['xi']:4.2f}: eps = {row['epsilon']:8.3f}  "
-            f"risk = {row['total']:.4f} (+/- {row['ci']:.4f})"
+            f"exact risk = {row['total']:.4f}"
         )
     print()
 

@@ -118,6 +118,8 @@ def _load_null(spec: str | None):
         raise DataError(f"null spec not found: {spec}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"null spec is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError("null spec must be a JSON object")
     model = payload.get("model")
     try:
         if model == "poisson":
@@ -170,11 +172,17 @@ def _cmd_test(args) -> None:
     _emit("\n".join(lines) + "\n", args.out, f"test: {n_reject}/{len(table)} rejections at eta={args.eta}")
 
 
+def _poisson_spike_c(args) -> float:
+    if args.c is None:
+        raise ConfigError("missing required field: --c (spike scale for a poisson null)")
+    return args.c
+
+
 def _cmd_prior(args) -> None:
     model, null, n = _load_null(args.null)
     lines = []
     if model == "poisson":
-        prior = PoissonSpikePrior.build(null, args.c, args.big_c)
+        prior = PoissonSpikePrior.build(null, _poisson_spike_c(args), args.big_c)
         draws = draw_poisson_spike(prior, args.seed, trials=args.trials)
         for row in draws:
             lines.append(_dump_json({"rates": list(row)}))
@@ -220,7 +228,7 @@ def _load_alternative(args, model: str, null, n):
         return np.asarray(payload, dtype=float)
     # Default alternative: the relevant lower-bound prior.
     if model == "poisson":
-        return PoissonSpikePrior.build(null, args.c)
+        return PoissonSpikePrior.build(null, _poisson_spike_c(args))
     return MultinomialSimplexPrior.build(null, n, args.c if args.c is not None else certified_simplex_c(null, n))
 
 
@@ -306,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("prior", help="emit lower-bound prior draws as JSON lines")
     common(sp, with_eta=False)
-    sp.add_argument("--c", type=float, default=None, help="spike scale (default: certified)")
+    sp.add_argument(
+        "--c", type=float, default=None, help="spike scale (poisson: required; multinomial: defaults to certified)"
+    )
     sp.add_argument("--big-c", type=float, default=math.e, help="log constant C >= e")
     sp.add_argument("--trials", type=int, default=10)
 
@@ -320,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("risk", help="Monte Carlo risk of the implemented test")
     common(sp)
     sp.add_argument("--alt", help="alternative: JSON file or inline array")
-    sp.add_argument("--c", type=float, default=None, help="prior spike scale when no --alt")
+    sp.add_argument("--c", type=float, default=None, help="prior spike scale when no --alt (poisson: required)")
     sp.add_argument("--trials", type=int, default=10_000)
     sp.add_argument("--poissonized", action="store_true")
 
@@ -328,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--xi-grid", default="0.5,1.0,2.0")
     sp.add_argument("--alpha-rule", default="log_p", help='"log_p", "loglog_p", or a float')
-    sp.add_argument("--trials", type=int, default=10_000)
+    sp.add_argument(
+        "--trials", type=int, default=10_000, help="Monte Carlo trials per xi (multinomial only; the poisson sweep is exact)"
+    )
     sp.add_argument("--poissonized", action="store_true")
     return parser
 

@@ -23,6 +23,7 @@ __all__ = [
     "multinomial_rate",
     "prob_all_observed",
     "sharp_constant_epsilon",
+    "sharp_constant_epsilons",
     "multinomial_sharp_constant_epsilon",
     "SharpConstantEpsilon",
     "MultinomialSharpConstantEpsilon",
@@ -173,17 +174,29 @@ def sharp_constant_epsilon(
     ``L_j`` carries the slowly diverging ``alpha_p log^2(e j)`` inflation; the
     standing assumption of the asymptotic setup requires all rates >= 1.
     """
+    eps, j_star = sharp_constant_epsilons(mu, alpha_p, [xi])
+    return SharpConstantEpsilon(float(eps[0]), j_star)
+
+
+def sharp_constant_epsilons(
+    mu: RateVector, alpha_p: float, xi_grid
+) -> tuple[np.ndarray, int]:
+    """:func:`sharp_constant_epsilon` over a grid of ``xi``: ``(epsilons, j*)``.
+
+    The ``xi``-free objective and its critical index are computed once.
+    """
     if alpha_p <= 1.0:
         raise ValueError(f"alpha_p must exceed 1, got {alpha_p!r}")
-    if xi <= 0.0:
-        raise ValueError(f"xi must be positive, got {xi!r}")
+    xi_grid = np.asarray(xi_grid, dtype=float)
+    for xi in xi_grid:
+        if xi <= 0.0:
+            raise ValueError(f"xi must be positive, got {float(xi)!r}")
     rates = mu.rates
     if rates[-1] < 1.0:
         raise ValueError("the sharp-constant setup assumes all rates >= 1")
     js = np.arange(1, rates.size + 1, dtype=float)
     terms = rates * h_inverse(_inflated_log(js, alpha_p) / rates)
-    j_star = _argmax_smallest(terms)
-    return SharpConstantEpsilon(xi * float(terms.max()), j_star)
+    return xi_grid * float(terms.max()), _argmax_smallest(terms)
 
 
 def multinomial_sharp_constant_epsilon(

@@ -1,11 +1,12 @@
-"""Monte Carlo risk estimation and the sharp-constant sweep engine.
+"""Risk of the implemented tests: Monte Carlo estimators and the sharp-constant sweeps.
 
 "Risk" is always Type I plus Type II.  The Type II side is evaluated either
 at a fixed alternative or in the Bayes sense under one of the lower-bound
 priors; what is estimated is the risk of the *implemented* test, never a
 heuristic supremum over alternatives.
 
-Estimates are deterministic functions of ``(inputs, seed)``: each estimator
+The Poisson sharp-constant sweep is computed exactly.  Monte Carlo
+estimates are deterministic functions of ``(inputs, seed)``: each estimator
 derives dedicated substreams from the seed and consumes them in a fixed
 chunked order, so results do not depend on the execution schedule.
 """
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import pdtr, pdtrc
 
 from .maxtest import MultinomialTestConfig, PoissonTestConfig
 from .model import RateVector, SimplexVector, as_probability_vector, rng_stream
@@ -28,7 +30,7 @@ from .rates import (
     multinomial_rate,
     multinomial_sharp_constant_epsilon,
     poisson_rate,
-    sharp_constant_epsilon,
+    sharp_constant_epsilons,
 )
 
 __all__ = [
@@ -54,7 +56,12 @@ def wilson_halfwidth(p_hat: float, n: int, z: float = _Z95) -> float:
 
 @dataclass(frozen=True)
 class RiskEstimate:
-    """Monte Carlo estimate of Type I + Type II error."""
+    """Type I and Type II error of a test.
+
+    A Monte Carlo estimate carries its trial count and the sum of the two
+    Wilson half-widths; a result is exact when ``trials == 0`` and
+    ``ci_halfwidth == 0``.
+    """
 
     type1: float
     type2: float
@@ -271,6 +278,26 @@ class SweepResult:
         return out
 
 
+def _acceptance_box(center: np.ndarray, psi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integer bounds ``[lo, hi]`` of ``{x >= 0 : |x - center_j| < psi}``.
+
+    Each edge is settled by the float comparison the test itself makes, so
+    a count at an integral edge falls on the same side as in the test.
+    """
+    hi = np.floor(center + psi)
+    hi = np.where(np.abs(hi - center) < psi, hi, hi - 1.0)
+    hi = np.where(np.abs(hi + 1.0 - center) < psi, hi + 1.0, hi)
+    lo = np.ceil(center - psi)
+    lo = np.where(np.abs(lo - center) < psi, lo, lo + 1.0)
+    lo = np.where(np.abs(lo - 1.0 - center) < psi, lo - 1.0, lo)
+    return np.maximum(lo, 0.0), hi
+
+
+def _poisson_below(lo: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``P_lam(X < lo)`` for ``lo >= 0``."""
+    return np.where(lo >= 1.0, pdtr(np.maximum(lo - 1.0, 0.0), lam), 0.0)
+
+
 def sweep_sharp_constant(
     mu: RateVector,
     xi_grid,
@@ -278,37 +305,36 @@ def sweep_sharp_constant(
     trials: int,
     seed: int,
 ) -> SweepResult:
-    """Poisson sharp-constant sweep.
+    """Poisson sharp-constant sweep, computed exactly.
 
     At each ``xi`` the separation is the inflated-log level ``eps(xi)``, the
     test rejects when ``||X - mu||_inf >= eps(xi)/xi`` (the threshold is the
     ``xi``-free level), and Type II is Bayes risk under the uniform spike of
     magnitude ``eps(xi)`` on the first ``j*`` coordinates.
+
+    The test accepts exactly when every count lies in its acceptance box, so
+    with ``a_j = P_{mu_j}(box_j)`` and ``b_j = P_{mu_j + eps}(box_j)`` the
+    risk is ``type1 = 1 - prod_j a_j`` and
+    ``type2 = mean_{j <= j*} b_j prod_{i != j} a_i``, in O(p) per ``xi``.
+    ``trials`` and ``seed`` are not used: each row reports 0 trials, a zero
+    ``ci`` and ``seed`` as passed.
     """
     xi_grid = np.asarray(list(xi_grid), dtype=float)
+    epsilons, j_star = sharp_constant_epsilons(mu, alpha_p, xi_grid)
     rates = mu.rates
     estimates = []
-    epsilons = []
-    for idx, xi in enumerate(xi_grid):
-        eps, j_star = sharp_constant_epsilon(mu, alpha_p, float(xi))
-        psi = eps / xi
-        null_rng = rng_stream(seed, 2 * idx)
-        rejects = 0
-        for size in _chunks(trials):
-            x = null_rng.poisson(rates, size=(size, rates.size))
-            rejects += int(np.count_nonzero(np.abs(x - rates).max(axis=1) >= psi))
-        alt_rng = rng_stream(seed, 2 * idx + 1)
-        accepts = 0
-        for size in _chunks(trials):
-            x = alt_rng.poisson(rates, size=(size, rates.size)).astype(float)
-            js = alt_rng.integers(0, j_star, size=size)
-            x[np.arange(size), js] = alt_rng.poisson(rates[js] + eps)
-            accepts += int(np.count_nonzero(np.abs(x - rates).max(axis=1) < psi))
-        estimates.append(_make_estimate(rejects, accepts, trials, seed))
-        epsilons.append(eps)
+    for xi, eps in zip(xi_grid, epsilons):
+        lo, hi = _acceptance_box(rates, eps / xi)
+        # log a_j as log1p(-tail mass), so a small Type I keeps its relative accuracy.
+        log_a = np.log1p(-(_poisson_below(lo, rates) + pdtrc(hi, rates)))
+        log_accept_null = float(log_a.sum())
+        alt = rates[:j_star] + eps
+        b = pdtr(hi[:j_star], alt) - _poisson_below(lo[:j_star], alt)
+        type2 = float(np.mean(np.exp(log_accept_null - log_a[:j_star]) * b))
+        estimates.append(RiskEstimate(-math.expm1(log_accept_null), type2, 0, seed, 0.0))
     regime = poisson_rate(mu).regime
     return SweepResult(
-        xi_grid, np.asarray(epsilons), tuple(estimates), regime, mu.p, f"poisson(p={mu.p})"
+        xi_grid, epsilons, tuple(estimates), regime, mu.p, f"poisson(p={mu.p})"
     )
 
 

@@ -45,6 +45,13 @@ class TestRateCommand:
         leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert leftovers == []
 
+    def test_null_json_array_is_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "null.json"
+        spec.write_text("[1,2,3]")
+        code, _out, err = run_cli(capsys, "rate", "--null", str(spec))
+        assert code == 2
+        assert "JSON object" in err
+
     def test_17_digit_floats_round_trip(self, capsys):
         _code, out, _ = run_cli(capsys, "rate", "--null", POISSON_NULL)
         payload = json.loads(out)
@@ -101,6 +108,11 @@ class TestPriorCommand:
         assert len(rows) == 5
         assert all(len(r) == 3 for r in rows)
 
+    def test_poisson_without_c_is_config_error(self, capsys):
+        code, _out, err = run_cli(capsys, "prior", "--null", POISSON_NULL, "--trials", "5")
+        assert code == 1
+        assert "--c" in err
+
     def test_multinomial_draws_on_simplex(self, capsys):
         null = json.dumps(
             {"model": "multinomial", "probs": [0.025] * 40, "n": 50}
@@ -143,6 +155,11 @@ class TestRiskAndSweep:
         payload = json.loads(out)
         assert payload["total"] == payload["type1"] + payload["type2"]
         assert payload["trials"] == 400
+
+    def test_risk_poisson_prior_without_c_is_config_error(self, capsys):
+        code, _out, err = run_cli(capsys, "risk", "--null", POISSON_NULL, "--trials", "400")
+        assert code == 1
+        assert "--c" in err
 
     def test_sweep_csv_schema_and_determinism(self, tmp_path, capsys):
         null = json.dumps({"model": "poisson", "rates": [2.0] * 30})

@@ -6,10 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import pdtrc
+from scipy.stats import poisson
 
 from supgof.model import RateVector, SimplexVector, rng_stream
 from supgof.priors import MultinomialSimplexPrior, PoissonSpikePrior, certified_simplex_c
+from supgof.rates import sharp_constant_epsilon
 from supgof.risk import (
+    _acceptance_box,
     estimate_multinomial_risk,
     estimate_poisson_risk,
     sweep_multinomial_sharp_constant,
@@ -166,6 +170,86 @@ class TestSweeps:
         mu = RateVector(np.ones(10))
         with pytest.raises(ValueError):
             sweep_sharp_constant(mu, [1.0, 1.0], 3.0, 200, 0)
+
+
+def _poisson_cap(lam: float) -> int:
+    """Smallest k with P_lam(X > k) below 1e-17."""
+    k = math.ceil(lam)
+    while pdtrc(k, lam) > 1e-17:
+        k += 1
+    return k
+
+
+def _wilson_contains(hits: int, n: int, value: float, z: float) -> bool:
+    p_hat = hits / n
+    center = (p_hat + z * z / (2 * n)) / (1 + z * z / n)
+    return abs(value - center) <= wilson_halfwidth(p_hat, n, z)
+
+
+class TestExactPoissonSweep:
+    XI = [0.5, 0.8, 1.0, 1.25, 2.0]
+
+    def test_acceptance_box_integer_edges(self):
+        """Counts exactly psi away from the center are outside the box."""
+        centers = np.array([2.0, 3.0, 1.5, 0.3, 7.25, 1.0])
+        psis = [1.0, 2.0, 1.5, 2.0, 0.75, 3.0]
+        x = np.arange(0, 50)
+        for center, psi in zip(centers, psis):
+            lo, hi = _acceptance_box(np.array([center]), psi)
+            inside = x[np.abs(x - center) < psi]
+            assert (lo[0], hi[0]) == (inside.min(), inside.max())
+
+    @pytest.mark.parametrize(
+        "rates",
+        [[1.0, 1.0], [2.5, 2.5], [4.0, 3.0, 3.0], [6.3, 2.2, 1.0]],
+        ids=["flat-1", "flat-2.5", "integral", "decaying"],
+    )
+    def test_matches_brute_force_enumeration(self, rates):
+        """Exact sweep risk equals a sum of pmf products over all count vectors."""
+        mu = RateVector(rates)
+        res = sweep_sharp_constant(mu, self.XI, 3.0, 100, 0)
+        lam = mu.rates
+        for xi, eps, risk in zip(res.xi_grid, res.epsilons, res.risks):
+            j_star = sharp_constant_epsilon(mu, 3.0, float(xi)).j_star
+            caps = [_poisson_cap(v + eps) for v in lam]
+            grids = np.meshgrid(*[np.arange(c + 1) for c in caps], indexing="ij")
+            x = np.stack([g.ravel() for g in grids], axis=1)
+            reject = np.abs(x - lam).max(axis=1) >= eps / xi
+            type1 = np.prod(poisson.pmf(x, lam), axis=1)[reject].sum()
+            type2 = np.mean(
+                [
+                    np.prod(poisson.pmf(x, lam + eps * np.eye(lam.size)[j]), axis=1)[~reject].sum()
+                    for j in range(j_star)
+                ]
+            )
+            assert abs(risk.type1 - type1) <= 1e-12
+            assert abs(risk.type2 - type2) <= 1e-12
+            assert (risk.trials, risk.ci_halfwidth, risk.seed) == (0, 0.0, 0)
+
+    def test_inside_independent_monte_carlo_interval(self):
+        """At p = 300 the exact risk lies in the z = 4 Wilson interval of 20,000 draws."""
+        p, n, chunk = 300, 20_000, 2_000
+        rng = np.random.default_rng(20_240_913)
+        xi_grid = [0.5, 1.0, 2.0]
+        for rates in (np.ones(p), 1.0 + 10.0 / np.sqrt(np.arange(1, p + 1))):
+            mu = RateVector(rates)
+            res = sweep_sharp_constant(mu, xi_grid, math.log(p), 100, 0)
+            j_star = sharp_constant_epsilon(mu, math.log(p), 1.0).j_star
+            rejects = np.zeros(len(xi_grid), dtype=int)
+            accepts = np.zeros(len(xi_grid), dtype=int)
+            for _ in range(n // chunk):
+                dev = np.abs(rng.poisson(rates, size=(chunk, p)) - rates)
+                js = rng.integers(0, j_star, size=chunk)
+                rows = np.arange(chunk)
+                for k, (xi, eps) in enumerate(zip(res.xi_grid, res.epsilons)):
+                    psi = eps / xi
+                    rejects[k] += np.count_nonzero(dev.max(axis=1) >= psi)
+                    alt = dev.copy()
+                    alt[rows, js] = np.abs(rng.poisson(rates[js] + eps) - rates[js])
+                    accepts[k] += np.count_nonzero(alt.max(axis=1) < psi)
+            for k, risk in enumerate(res.risks):
+                assert _wilson_contains(int(rejects[k]), n, risk.type1, 4.0)
+                assert _wilson_contains(int(accepts[k]), n, risk.type2, 4.0)
 
 
 class TestRelationMultinomialPoissonized:
