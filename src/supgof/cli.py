@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ``rate``, ``test``, ``prior``, ``verify``, ``risk``, ``sweep``.
-Exit codes: 1 configuration error, 2 data error, 3 numeric failure.  Output
+Exit codes: 1 configuration error (a malformed command line included),
+2 data error, 3 numeric failure.  Output
 files are written atomically (temp file then rename) and floats are printed
 with 17 significant digits so a round trip is lossless.
 """
@@ -155,20 +156,20 @@ def _cmd_test(args) -> None:
         table = read_counts_csv(args.data, p_expected=null.p)
     except (OSError, ValueError) as exc:
         raise DataError(f"bad data file {args.data}: {exc}") from exc
-    lines = []
-    n_reject = 0
     if model == "poisson":
-        cfg = PoissonTestConfig.from_eta(null, args.eta)
-        for row in table:
-            d = poisson_max_test(row, null, cfg)
-            n_reject += d.reject
-            lines.append(_dump_json({"statistic": d.statistic, "threshold": d.threshold, "decision": d.label}))
+        d = poisson_max_test(table, null, PoissonTestConfig.from_eta(null, args.eta))
     else:
-        cfg = MultinomialTestConfig.from_eta(null, n, args.eta)
-        for row in table:
-            d = multinomial_combined_test(row, null, n, cfg)
-            n_reject += d.reject
-            lines.append(_dump_json({"statistic": d.statistic, "threshold": d.threshold, "decision": d.label}))
+        sums = table.sum(axis=1)
+        bad = np.flatnonzero(sums != n)
+        if bad.size:
+            row = int(bad[0])
+            raise DataError(f"bad data file {args.data}: data row {row + 1} sums to {sums[row]}, not n = {_fmt(n)}")
+        d = multinomial_combined_test(table, null, n, MultinomialTestConfig.from_eta(null, n, args.eta))
+    lines = [
+        _dump_json({"statistic": stat, "threshold": thr, "decision": label})
+        for stat, thr, label in zip(d.statistic, d.threshold, d.label)
+    ]
+    n_reject = int(np.count_nonzero(d.reject))
     _emit("\n".join(lines) + "\n", args.out, f"test: {n_reject}/{len(table)} rejections at eta={args.eta}")
 
 
@@ -292,28 +293,36 @@ def _cmd_sweep(args) -> None:
     _emit(text, args.out, f"sweep: totals [{totals}] over xi [{args.xi_grid}]")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are configuration errors: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="supgof", description=__doc__)
+    parser = _ArgumentParser(prog="supgof", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def common(sp, with_eta=True):
+    def common(sp, *, seed=False, eta=False):
         sp.add_argument("--null", help="null spec: JSON file path or inline JSON")
         sp.add_argument("--out", help="output path (atomic write); stdout if omitted")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--seed", type=int, default=0)
-        if with_eta:
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if eta:
             sp.add_argument("--eta", type=float, default=0.1)
 
     sp = sub.add_parser("rate", help="print the local separation-rate profile")
-    common(sp, with_eta=False)
+    common(sp)
 
     sp = sub.add_parser("test", help="run the goodness-of-fit test on CSV count rows")
-    common(sp)
+    common(sp, eta=True)
     sp.add_argument("--model", choices=["poisson", "multinomial"])
     sp.add_argument("--data", help="CSV of counts, one row per replicate")
 
     sp = sub.add_parser("prior", help="emit lower-bound prior draws as JSON lines")
-    common(sp, with_eta=False)
+    common(sp, seed=True)
     sp.add_argument(
         "--c", type=float, default=None, help="spike scale (poisson: required; multinomial: defaults to certified)"
     )
@@ -322,20 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="verify a structural inequality exactly")
     sp.add_argument("target", choices=["flattening"])
-    common(sp, with_eta=False)
+    common(sp)
     sp.add_argument("--c", type=float, default=0.2)
     sp.add_argument("--big-c", type=float, default=math.e)
     sp.add_argument("--k", type=int, default=None)
 
     sp = sub.add_parser("risk", help="Monte Carlo risk of the implemented test")
-    common(sp)
+    common(sp, seed=True, eta=True)
     sp.add_argument("--alt", help="alternative: JSON file or inline array")
     sp.add_argument("--c", type=float, default=None, help="prior spike scale when no --alt (poisson: required)")
     sp.add_argument("--trials", type=int, default=10_000)
     sp.add_argument("--poissonized", action="store_true")
 
     sp = sub.add_parser("sweep", help="sharp-constant risk sweep over xi")
-    common(sp)
+    common(sp, seed=True)
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--xi-grid", default="0.5,1.0,2.0")
     sp.add_argument("--alpha-rule", default="log_p", help='"log_p", "loglog_p", or a float')
     sp.add_argument(

@@ -507,7 +507,9 @@ def tv_poisson_uniform_spike(
     only through ``T = sum_j z^{X_j}`` with ``z = 1 + eps/nu``, so TV equals
     ``P(T <= t0) - Q(T <= t0)`` at ``t0 = k e^eps``; the law of ``T`` is
     computed exactly by dynamic programming over value levels, absorbing
-    partial sums that already exceed ``t0`` (no truncation error).
+    partial sums that already exceed ``t0`` (no truncation error).  A TV
+    below ``-1e-10`` means the DP lost accuracy and raises
+    ``FloatingPointError``.
     """
     if nu <= 0 or k < 1:
         raise ValueError("need nu > 0 and k >= 1")
@@ -585,5 +587,6 @@ def tv_poisson_uniform_spike(
         if idx >= 0:
             q_accept += float(spike_pmf[x1]) * float(cum[idx])
     tv = p_accept - q_accept
-    assert tv >= -1e-10, "optimal-event TV must be nonnegative"
+    if tv < -1e-10:
+        raise FloatingPointError(f"optimal-event TV came out negative ({tv!r}): the DP lost accuracy")
     return DivergenceResult(max(0.0, tv), 0.0)

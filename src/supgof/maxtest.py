@@ -6,6 +6,11 @@ constants come from summing the relevant series exactly: the union bound
 spends ``2/(C' j^2)`` per coordinate, so the smallest constant achieving
 level ``eta/2`` is ``C' = 2 pi^2 / (3 eta)``, and analogously for the tail
 test at level ``eta/4`` (clamped to at least ``e``).
+
+Each test has one vectorized body.  It takes one count vector or a
+``(rows, p)`` table: a table is decided row by row into a
+:class:`TestDecision` of arrays, and a single vector is decided as a table
+of one row into a decision of scalars.
 """
 
 from __future__ import annotations
@@ -34,14 +39,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestDecision:
-    """Outcome of one test evaluation."""
+    """Outcome of a test: scalars for one count vector, and arrays with one
+    entry per row for a ``(rows, p)`` table."""
 
-    reject: bool
-    statistic: float
-    threshold: float
+    reject: bool | np.ndarray
+    statistic: float | np.ndarray
+    threshold: float | np.ndarray
 
     @property
-    def label(self) -> str:
+    def label(self) -> str | np.ndarray:
+        if np.ndim(self.reject):
+            return np.where(self.reject, "reject", "accept")
         return "reject" if self.reject else "accept"
 
 
@@ -97,16 +105,29 @@ class PoissonTestConfig:
         return float(self.thresholds.max())
 
 
-def poisson_max_test(
-    x: CountVector, mu: RateVector, cfg: PoissonTestConfig
-) -> TestDecision:
+def _table(x, p: int) -> tuple[np.ndarray, bool]:
+    """Counts as a ``(rows, p)`` table, and whether ``x`` was a single vector."""
+    counts = np.asarray(x.counts if isinstance(x, CountVector) else x)
+    if counts.ndim not in (1, 2):
+        raise ValueError("data must be a count vector or a (rows, p) table")
+    table = np.atleast_2d(counts)
+    if table.shape[1] != p:
+        raise ValueError(f"data has {table.shape[1]} coordinates, null has {p}")
+    return table, counts.ndim == 1
+
+
+def _decision(reject, statistic, threshold, single: bool) -> TestDecision:
+    if single:
+        return TestDecision(bool(reject[0]), float(statistic[0]), float(threshold[0]))
+    return TestDecision(reject, statistic, threshold)
+
+
+def poisson_max_test(x, mu: RateVector, cfg: PoissonTestConfig) -> TestDecision:
     """Reject when ``||x - mu||_inf`` exceeds the largest per-coordinate threshold."""
-    counts = x.counts if isinstance(x, CountVector) else np.asarray(x)
-    if counts.size != mu.p:
-        raise ValueError(f"data has {counts.size} coordinates, null has {mu.p}")
-    stat = float(np.max(np.abs(counts - mu.rates)))
-    thr = cfg.max_threshold
-    return TestDecision(stat > thr, stat, thr)
+    table, single = _table(x, mu.p)
+    stat = np.abs(table - mu.rates).max(axis=1)
+    thr = np.full(stat.shape, cfg.max_threshold)
+    return _decision(stat > thr, stat, thr, single)
 
 
 @dataclass(frozen=True)
@@ -168,38 +189,35 @@ class MultinomialTestConfig:
         return float(self.tail_thresholds[self.tail_active].max())
 
 
-def _check_lengths(x, q0: SimplexVector) -> np.ndarray:
-    counts = x.counts if isinstance(x, CountVector) else np.asarray(x)
-    if counts.size != q0.p:
-        raise ValueError(f"data has {counts.size} coordinates, null has {q0.p}")
-    return counts
+def _n_value(n: SampleSize | float) -> float:
+    return n.n if isinstance(n, SampleSize) else float(n)
 
 
 def multinomial_head_test(
     x, q0: SimplexVector, n: SampleSize | float, cfg: MultinomialTestConfig
 ) -> TestDecision:
     """Reject when ``|x_1 - n q0(1)|`` reaches the Chebyshev threshold."""
-    counts = _check_lengths(x, q0)
-    n_val = n.n if isinstance(n, SampleSize) else float(n)
-    stat = float(abs(counts[0] - n_val * q0.head))
-    return TestDecision(stat >= cfg.head_threshold, stat, cfg.head_threshold)
+    table, single = _table(x, q0.p)
+    stat = np.abs(table[:, 0] - _n_value(n) * q0.head)
+    thr = np.full(stat.shape, cfg.head_threshold)
+    return _decision(stat >= thr, stat, thr, single)
 
 
 def multinomial_tail_test(
     x, q0: SimplexVector, n: SampleSize | float, cfg: MultinomialTestConfig
 ) -> TestDecision:
-    """Max test over categories ``2..p`` with Bennett-calibrated thresholds."""
-    counts = _check_lengths(x, q0)
-    n_val = n.n if isinstance(n, SampleSize) else float(n)
-    if q0.p == 1:
-        return TestDecision(False, 0.0, 0.0)
-    tail_counts = counts[1:]
-    zero_cells = q0.tail == 0.0
-    if np.any(tail_counts[zero_cells] > 0):
-        return TestDecision(True, math.inf, cfg.max_tail_threshold)
-    stat = float(np.max(np.abs(tail_counts - n_val * q0.tail)))
-    thr = cfg.max_tail_threshold
-    return TestDecision(stat > thr, stat, thr)
+    """Max test over categories ``2..p`` with Bennett-calibrated thresholds.
+
+    A positive count in a tail cell of null probability zero gives an
+    infinite statistic, so it rejects; with ``p = 1`` the statistic is 0 and
+    the test never rejects.
+    """
+    table, single = _table(x, q0.p)
+    tail_counts = table[:, 1:]
+    stat = np.abs(tail_counts - _n_value(n) * q0.tail).max(axis=1, initial=0.0)
+    stat[(tail_counts[:, q0.tail == 0.0] > 0).any(axis=1)] = math.inf
+    thr = np.full(stat.shape, cfg.max_tail_threshold)
+    return _decision(stat > thr, stat, thr, single)
 
 
 def multinomial_combined_test(
@@ -208,12 +226,17 @@ def multinomial_combined_test(
     """Disjunction of the head and tail tests.
 
     Reports the more extreme sub-test: the statistic/threshold pair shown is
-    the one with the larger exceedance ratio.
+    the one with the larger exceedance ratio, the head's on a tie.
     """
-    head = multinomial_head_test(x, q0, n, cfg)
-    tail = multinomial_tail_test(x, q0, n, cfg)
-    reject = head.reject or tail.reject
-    head_ratio = head.statistic / max(head.threshold, 1e-300)
-    tail_ratio = tail.statistic / max(tail.threshold, 1e-300)
-    winner = head if head_ratio >= tail_ratio else tail
-    return TestDecision(reject, winner.statistic, winner.threshold)
+    table, single = _table(x, q0.p)
+    head = multinomial_head_test(table, q0, n, cfg)
+    tail = multinomial_tail_test(table, q0, n, cfg)
+    head_ratio = head.statistic / np.maximum(head.threshold, 1e-300)
+    tail_ratio = tail.statistic / np.maximum(tail.threshold, 1e-300)
+    head_wins = head_ratio >= tail_ratio
+    return _decision(
+        head.reject | tail.reject,
+        np.where(head_wins, head.statistic, tail.statistic),
+        np.where(head_wins, head.threshold, tail.threshold),
+        single,
+    )

@@ -5,6 +5,9 @@ which every rate formula in :mod:`supgof.rates` is written.  Construction
 from unsorted user data goes through ``from_unsorted``, which records the
 sorting permutation so category labels survive.
 
+Each model has one sampler, a single numpy call: ``Generator.multinomial``
+for fixed ``n``, and independent ``Generator.poisson`` cells for the Poisson
+product and the Poissonized multinomial (rates ``n*q``, exact in law).
 Samplers are deterministic functions of ``(inputs, seed)``.  Streams are
 derived from a counter-based generator (Philox) keyed by the seed plus an
 arbitrary integer path, so parallel Monte Carlo trials can use disjoint
@@ -215,33 +218,16 @@ def sample_multinomial(n: int, q, rng_seed, trials: int | None = None):
 
 
 def sample_poissonized_multinomial(n: float, q, rng_seed, trials: int | None = None):
-    """Two-stage draw: ``N ~ Poisson(n)`` then ``Multinomial(N, q)``.
+    """Poissonized multinomial: ``N ~ Poisson(n)`` then ``Multinomial(N, q)``.
 
-    Marginally equals the independent-Poisson model with rates ``n*q(j)``.
+    Its counts are exactly independent ``Poisson(n q(j))``, so it is drawn
+    as the independent-Poisson model with rates ``n*q``.
     """
     if isinstance(n, SampleSize):
         n = n.n
     if not (np.isfinite(n) and n > 0):
         raise ValueError(f"n must be positive, got {n!r}")
-    pvals = as_probability_vector(q)
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else rng_stream(rng_seed)
-    if trials is None:
-        big_n = int(rng.poisson(n))
-        return CountVector(rng.multinomial(big_n, pvals))
-    # Batch path: sequential conditional binomials, vectorized across trials
-    # (exact; handles a different N per trial).
-    big_ns = rng.poisson(n, size=int(trials)).astype(np.int64)
-    out = np.empty((int(trials), pvals.size), dtype=np.int64)
-    remaining = big_ns
-    rem_mass = 1.0
-    for j in range(pvals.size - 1):
-        pj = float(np.clip(pvals[j] / rem_mass, 0.0, 1.0)) if rem_mass > 0 else 1.0
-        draws = rng.binomial(remaining, pj)
-        out[:, j] = draws
-        remaining = remaining - draws
-        rem_mass -= float(pvals[j])
-    out[:, -1] = remaining
-    return out
+    return sample_poisson_product(n * as_probability_vector(q), rng_seed, trials)
 
 
 def read_counts_csv(path, p_expected: int | None = None) -> np.ndarray:

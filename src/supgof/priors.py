@@ -87,21 +87,17 @@ class PoissonSpikePrior:
         rows[np.arange(self.j_star), np.arange(self.j_star)] += self.spike
         return np.full(self.j_star, 1.0 / self.j_star), rows
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        lam = self.base.rates.copy()
-        lam[int(rng.integers(0, self.j_star))] += self.spike
-        return lam
-
 
 def draw_poisson_spike(prior: PoissonSpikePrior, rng_seed, trials: int | None = None):
-    """Draw rate vectors from the spike prior; deterministic given the seed."""
+    """Draw rate vectors from the spike prior; deterministic given the seed.
+
+    Returns a ``(trials, p)`` array, or one vector when ``trials`` is None.
+    """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else rng_stream(rng_seed)
-    if trials is None:
-        return prior.draw(rng)
-    out = np.tile(prior.base.rates, (int(trials), 1))
-    js = rng.integers(0, prior.j_star, size=int(trials))
-    out[np.arange(int(trials)), js] += prior.spike
-    return out
+    t = 1 if trials is None else int(trials)
+    out = np.tile(prior.base.rates, (t, 1))
+    out[np.arange(t), rng.integers(0, prior.j_star, size=t)] += prior.spike
+    return out[0] if trials is None else out
 
 
 def certified_poisson_spike_c(
@@ -204,44 +200,29 @@ class MultinomialSimplexPrior:
                 )
         return cls(q0, n_val, j_star, psi, m, c, c_tilde)
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        q = self.base.probs.copy()
-        if self.m == 0:
-            return q
-        # 0-based indices 1..j_star hold categories 2..j_star+1.
-        spike_idx = int(rng.integers(1, self.j_star + 1))
-        pool = [i for i in range(1, self.j_star + 1) if i != spike_idx]
-        # Partial Fisher-Yates: the first m slots end up a uniform subset.
-        for i in range(self.m):
-            swap = int(rng.integers(i, len(pool)))
-            pool[i], pool[swap] = pool[swap], pool[i]
-        removal_idx = pool[: self.m]
-        q[spike_idx] += self.c * self.psi / self.n
-        q[removal_idx] -= self.c * self.psi / (self.n * self.m)
-        return q
-
 
 def draw_multinomial_simplex_prior(
     prior: MultinomialSimplexPrior, rng_seed, trials: int | None = None
 ):
-    """Draw probability vectors from the simplex prior."""
+    """Draw probability vectors from the simplex prior.
+
+    Returns a ``(trials, p)`` array, or one vector when ``trials`` is None.
+    """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else rng_stream(rng_seed)
-    if trials is None:
-        return prior.draw(rng)
-    t = int(trials)
+    t = 1 if trials is None else int(trials)
     out = np.tile(prior.base.probs, (t, 1))
-    if prior.m == 0:
-        return out
-    spike_idx = rng.integers(1, prior.j_star + 1, size=t)
-    # Uniform subsets via order statistics of iid uniforms, with the spiked
-    # position masked out; equivalent in law to partial Fisher-Yates.
-    noise = rng.random((t, prior.j_star))
-    noise[np.arange(t), spike_idx - 1] = np.inf
-    removal_pos = np.argpartition(noise, prior.m - 1, axis=1)[:, : prior.m]
-    rows = np.repeat(np.arange(t), prior.m)
-    out[np.arange(t), spike_idx] += prior.c * prior.psi / prior.n
-    out[rows, removal_pos.ravel() + 1] -= prior.c * prior.psi / (prior.n * prior.m)
-    return out
+    if prior.m > 0:
+        # 0-based indices 1..j_star hold categories 2..j_star+1.
+        spike_idx = rng.integers(1, prior.j_star + 1, size=t)
+        # Uniform subsets via order statistics of iid uniforms, with the
+        # spiked position masked out.
+        noise = rng.random((t, prior.j_star))
+        noise[np.arange(t), spike_idx - 1] = np.inf
+        removal_pos = np.argpartition(noise, prior.m - 1, axis=1)[:, : prior.m]
+        rows = np.repeat(np.arange(t), prior.m)
+        out[np.arange(t), spike_idx] += prior.c * prior.psi / prior.n
+        out[rows, removal_pos.ravel() + 1] -= prior.c * prior.psi / (prior.n * prior.m)
+    return out[0] if trials is None else out
 
 
 def certified_simplex_c(

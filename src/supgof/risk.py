@@ -19,12 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import pdtr, pdtrc
 
-from .maxtest import MultinomialTestConfig, PoissonTestConfig
+from .maxtest import (
+    MultinomialTestConfig,
+    PoissonTestConfig,
+    multinomial_combined_test,
+    poisson_max_test,
+)
 from .model import RateVector, SimplexVector, as_probability_vector, rng_stream
 from .priors import (
     MultinomialSimplexPrior,
     PoissonSpikePrior,
     draw_multinomial_simplex_prior,
+    draw_poisson_spike,
 )
 from .rates import (
     multinomial_rate,
@@ -92,6 +98,15 @@ def _chunks(trials: int) -> list[int]:
     return out
 
 
+def _rejections(trials: int, sample, reject) -> int:
+    """Rejections over ``trials`` draws taken in fixed chunks.
+
+    ``sample(size)`` draws one chunk as a ``(size, p)`` count table and
+    ``reject(x)`` decides its rows.
+    """
+    return sum(int(np.count_nonzero(reject(sample(size)))) for size in _chunks(trials))
+
+
 def estimate_poisson_risk(
     mu: RateVector,
     alternative,
@@ -112,86 +127,44 @@ def estimate_poisson_risk(
         if c_prime is None
         else PoissonTestConfig.from_null(mu, c_prime)
     )
-    thr = cfg.max_threshold
     rates = mu.rates
 
+    def reject(x):
+        return poisson_max_test(x, mu, cfg).reject
+
     null_rng = rng_stream(seed, 0)
-    rejects = 0
-    for size in _chunks(trials):
-        x = null_rng.poisson(rates, size=(size, rates.size))
-        rejects += int(np.count_nonzero(np.abs(x - rates).max(axis=1) > thr))
+    rejects = _rejections(trials, lambda size: null_rng.poisson(rates, size=(size, mu.p)), reject)
 
     alt_rng = rng_stream(seed, 1)
-    accepts = 0
     if isinstance(alternative, PoissonSpikePrior):
-        spike, j_star = alternative.spike, alternative.j_star
-        for size in _chunks(trials):
-            x = alt_rng.poisson(rates, size=(size, rates.size)).astype(float)
-            js = alt_rng.integers(0, j_star, size=size)
-            x[np.arange(size), js] = alt_rng.poisson(rates[js] + spike)
-            accepts += int(np.count_nonzero(np.abs(x - rates).max(axis=1) <= thr))
+        def sample_alt(size):
+            return alt_rng.poisson(draw_poisson_spike(alternative, alt_rng, trials=size))
     else:
         lam = alternative.rates if isinstance(alternative, RateVector) else np.asarray(alternative, dtype=float)
         if lam.size != rates.size:
             raise ValueError("alternative dimension mismatch")
-        for size in _chunks(trials):
-            x = alt_rng.poisson(lam, size=(size, lam.size))
-            accepts += int(np.count_nonzero(np.abs(x - rates).max(axis=1) <= thr))
+
+        def sample_alt(size):
+            return alt_rng.poisson(lam, size=(size, lam.size))
+    accepts = trials - _rejections(trials, sample_alt, reject)
     return _make_estimate(rejects, accepts, trials, seed)
-
-
-def _multinomial_rows(rng: np.random.Generator, n_per_row: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
-    """Sequential conditional binomials, vectorized over rows.
-
-    Handles a different total and a different probability row per trial,
-    which covers multinomial, Poissonized, and prior-randomized sampling.
-    """
-    t, p = q_rows.shape
-    out = np.empty((t, p), dtype=np.int64)
-    remaining = n_per_row.astype(np.int64).copy()
-    rem_mass = np.ones(t)
-    for j in range(p - 1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pj = np.where(rem_mass > 0, np.clip(q_rows[:, j] / rem_mass, 0.0, 1.0), 1.0)
-        draws = rng.binomial(remaining, pj)
-        out[:, j] = draws
-        remaining -= draws
-        rem_mass -= q_rows[:, j]
-    out[:, -1] = remaining
-    return out
 
 
 def _sample_counts(
     rng: np.random.Generator, n: float, q_rows: np.ndarray, poissonized: bool
 ) -> np.ndarray:
-    size = q_rows.shape[0]
+    """One count row per probability row: ``Multinomial(n, q)``, or, when
+    Poissonized, independent ``Poisson(n q_j)`` cells (exact in law).
+
+    Rows are clipped at 0 first: a prior draw may leave a cell a rounding
+    error below zero, which numpy rejects.
+    """
+    q_rows = np.clip(q_rows, 0.0, None)
     if poissonized:
-        totals = rng.poisson(n, size=size)
-    else:
-        if n != int(n):
-            raise ValueError("exact multinomial sampling needs an integer n")
-        totals = np.full(size, int(n))
-    return _multinomial_rows(rng, totals, q_rows)
-
-
-def _combined_reject(x: np.ndarray, q0: SimplexVector, n: float, cfg: MultinomialTestConfig) -> np.ndarray:
-    head = np.abs(x[:, 0] - n * q0.head) >= cfg.head_threshold
-    if q0.p == 1:
-        return head
-    tail_counts = x[:, 1:]
-    zero_cells = q0.tail == 0.0
-    guard = (
-        np.any(tail_counts[:, zero_cells] > 0, axis=1)
-        if np.any(zero_cells)
-        else np.zeros(x.shape[0], dtype=bool)
-    )
-    dev = np.abs(tail_counts - n * q0.tail)
-    if np.any(cfg.tail_active):
-        stat = dev[:, cfg.tail_active].max(axis=1)
-        tail = stat > cfg.max_tail_threshold
-    else:
-        tail = np.zeros(x.shape[0], dtype=bool)
-    return head | tail | guard
+        return rng.poisson(n * q_rows)
+    if n != int(n):
+        raise ValueError("exact multinomial sampling needs an integer n")
+    return rng.multinomial(int(n), q_rows)
 
 
 def estimate_multinomial_risk(
@@ -213,26 +186,26 @@ def estimate_multinomial_risk(
         raise ValueError("need at least 100 trials")
     cfg = MultinomialTestConfig.from_eta(q0, n, eta)
 
+    def reject(x):
+        return multinomial_combined_test(x, q0, n, cfg).reject
+
     null_rng = rng_stream(seed, 0)
-    rejects = 0
-    q0_rows = np.tile(q0.probs, (_CHUNK, 1))
-    for size in _chunks(trials):
-        x = _sample_counts(null_rng, n, q0_rows[:size], poissonized)
-        rejects += int(np.count_nonzero(_combined_reject(x, q0, n, cfg)))
+    rejects = _rejections(
+        trials, lambda size: _sample_counts(null_rng, n, np.tile(q0.probs, (size, 1)), poissonized), reject
+    )
 
     alt_rng = rng_stream(seed, 1)
-    accepts = 0
     if isinstance(alternative, MultinomialSimplexPrior):
-        for size in _chunks(trials):
-            q_rows = draw_multinomial_simplex_prior(alternative, alt_rng, trials=size)
-            x = _sample_counts(alt_rng, n, q_rows, poissonized)
-            accepts += int(np.count_nonzero(~_combined_reject(x, q0, n, cfg)))
+        def alt_rows(size):
+            return draw_multinomial_simplex_prior(alternative, alt_rng, trials=size)
     else:
         q_alt = as_probability_vector(alternative, "alternative")
-        alt_rows = np.tile(q_alt, (_CHUNK, 1))
-        for size in _chunks(trials):
-            x = _sample_counts(alt_rng, n, alt_rows[:size], poissonized)
-            accepts += int(np.count_nonzero(~_combined_reject(x, q0, n, cfg)))
+
+        def alt_rows(size):
+            return np.tile(q_alt, (size, 1))
+    accepts = trials - _rejections(
+        trials, lambda size: _sample_counts(alt_rng, n, alt_rows(size), poissonized), reject
+    )
     return _make_estimate(rejects, accepts, trials, seed)
 
 
@@ -317,7 +290,10 @@ def sweep_sharp_constant(
     risk is ``type1 = 1 - prod_j a_j`` and
     ``type2 = mean_{j <= j*} b_j prod_{i != j} a_i``, in O(p) per ``xi``.
     ``trials`` and ``seed`` are not used: each row reports 0 trials, a zero
-    ``ci`` and ``seed`` as passed.
+    ``ci`` and ``seed`` as passed.  A box among the first ``j*`` whose null
+    probability is zero in float64 (an empty box, or one a huge rate
+    collapses below its float spacing) raises ``FloatingPointError``: the
+    product is formed as ``exp(sum log a - log a_j)``, undefined at ``a_j = 0``.
     """
     xi_grid = np.asarray(list(xi_grid), dtype=float)
     epsilons, j_star = sharp_constant_epsilons(mu, alpha_p, xi_grid)
@@ -326,7 +302,15 @@ def sweep_sharp_constant(
     for xi, eps in zip(xi_grid, epsilons):
         lo, hi = _acceptance_box(rates, eps / xi)
         # log a_j as log1p(-tail mass), so a small Type I keeps its relative accuracy.
-        log_a = np.log1p(-(_poisson_below(lo, rates) + pdtrc(hi, rates)))
+        with np.errstate(divide="ignore"):
+            log_a = np.log1p(-(_poisson_below(lo, rates) + pdtrc(hi, rates)))
+        empty = np.flatnonzero(np.isneginf(log_a[:j_star]))
+        if empty.size:
+            j = int(empty[0])
+            raise FloatingPointError(
+                f"acceptance box of coordinate {j + 1} (rate {float(rates[j])!r}) has zero "
+                f"null probability at xi={float(xi)!r}; its leave-one-out Type II term is undefined"
+            )
         log_accept_null = float(log_a.sum())
         alt = rates[:j_star] + eps
         b = pdtr(hi[:j_star], alt) - _poisson_below(lo[:j_star], alt)
@@ -353,38 +337,38 @@ def sweep_multinomial_sharp_constant(
     alternative adds ``eps(xi)`` to one uniformly random tail coordinate
     among ``2..j*+1`` and removes ``eps(xi)/m`` from a random size-``m``
     subset of the remaining ones (``m`` is clamped to at least 2 when
-    positive).
+    positive).  That alternative is a :class:`MultinomialSimplexPrior` with
+    ``c psi / n = eps(xi)``.  It must stay on the simplex: a ``ValueError``
+    is raised when ``eps(xi)/m`` exceeds the smallest perturbed cell, or when
+    ``j* = 1`` leaves no cell (``m = 0``) to give up the added mass.
     """
     xi_grid = np.asarray(list(xi_grid), dtype=float)
     probs = q0.probs
     estimates = []
     epsilons = []
     for idx, xi in enumerate(xi_grid):
-        eps_obj = multinomial_sharp_constant_epsilon(q0, n, alpha_p, float(xi))
-        eps, j_star, n_prime, m = eps_obj
-        thr = n_prime * eps / xi
-        if m >= 1 and eps / m > probs[1 : j_star + 1].min() + 1e-15:
+        eps, j_star, n_prime, m = multinomial_sharp_constant_epsilon(q0, n, alpha_p, float(xi))
+        if m == 0:
+            raise ValueError("sweep alternative needs j* >= 2: no cell can give up the added mass")
+        if eps / m > probs[j_star] + 1e-15:
             raise ValueError("sweep alternative leaves the simplex; reduce xi or grow n")
+        prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0, c_tilde=math.e)
+        thr = n_prime * eps / xi
+
+        def reject(x):
+            return np.abs(x - n * probs).max(axis=1) >= thr
+
         null_rng = rng_stream(seed, 2 * idx)
-        rejects = 0
-        q0_rows = np.tile(probs, (_CHUNK, 1))
-        for size in _chunks(trials):
-            x = _sample_counts(null_rng, n, q0_rows[:size], poissonized)
-            rejects += int(np.count_nonzero(np.abs(x - n * probs).max(axis=1) >= thr))
+        rejects = _rejections(
+            trials, lambda size: _sample_counts(null_rng, n, np.tile(probs, (size, 1)), poissonized), reject
+        )
         alt_rng = rng_stream(seed, 2 * idx + 1)
-        accepts = 0
-        for size in _chunks(trials):
-            q_rows = np.tile(probs, (size, 1))
-            spike_idx = alt_rng.integers(1, j_star + 1, size=size)
-            if m >= 1:
-                noise = alt_rng.random((size, j_star))
-                noise[np.arange(size), spike_idx - 1] = np.inf
-                removal = np.argpartition(noise, m - 1, axis=1)[:, :m]
-                rows_rep = np.repeat(np.arange(size), m)
-                q_rows[rows_rep, removal.ravel() + 1] -= eps / m
-            q_rows[np.arange(size), spike_idx] += eps
-            x = _sample_counts(alt_rng, n, q_rows, poissonized)
-            accepts += int(np.count_nonzero(np.abs(x - n * probs).max(axis=1) < thr))
+
+        def sample_alt(size):
+            q_rows = draw_multinomial_simplex_prior(prior, alt_rng, trials=size)
+            return _sample_counts(alt_rng, n, q_rows, poissonized)
+
+        accepts = trials - _rejections(trials, sample_alt, reject)
         estimates.append(_make_estimate(rejects, accepts, trials, seed))
         epsilons.append(eps)
     regime = multinomial_rate(q0, n).regime

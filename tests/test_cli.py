@@ -6,6 +6,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from supgof.cli import main
 from supgof.model import RateVector
@@ -96,6 +97,15 @@ class TestTestCommand:
         data.write_text("1,2\n")
         code, _out, _err = run_cli(capsys, "test", "--null", POISSON_NULL, "--data", str(data))
         assert code == 2
+
+    def test_multinomial_row_sum_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        data.write_text("5,5\n3,3\n4,4\n")
+        null = '{"model":"multinomial","probs":[0.5,0.5],"n":10}'
+        code, out, err = run_cli(capsys, "test", "--null", null, "--data", str(data))
+        assert code == 2
+        assert "row 2 sums to 6, not n = 10" in err
+        assert out == ""
 
 
 class TestPriorCommand:
@@ -200,7 +210,40 @@ class TestRiskAndSweep:
         assert "model" in err
 
 
+class TestUsageErrors:
+    """Malformed command lines are configuration errors (exit 1); --help exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--bogus", "1"],
+            ["rate", "--null", POISSON_NULL, "--seed", "1"],
+            ["test", "--null", POISSON_NULL, "--format", "csv"],
+            ["test", "--eta", "abc"],
+            ["sweep", "--trials", "1.5"],
+        ],
+        ids=["unknown-flag", "rate-seed", "test-format", "eta-not-float", "trials-not-int"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--help"])
+        assert exc.value.code == 0
+
+
 class TestNumericFailureExit:
+    def test_sweep_zero_probability_box_is_exit_3(self, capsys):
+        null = '{"model":"poisson","rates":[1e300,1]}'
+        code, out, err = run_cli(capsys, "sweep", "--null", null)
+        assert code == 3
+        assert "acceptance box of coordinate 1" in err
+        assert out == ""
+
     def test_atom_budget_exceeded_is_exit_3(self, capsys):
         # Eight coordinates with mean 20 need ~40 support points each:
         # far beyond the enumeration budget for the flattening verifier.

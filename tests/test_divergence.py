@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -297,6 +298,15 @@ class TestSpikeMixtureTv:
     def test_monotone_in_spike(self):
         vals = [tv_poisson_uniform_spike(1.0, eps, 6).value for eps in (0.5, 1.0, 2.0, 4.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    def test_negative_tv_is_a_numeric_failure(self, monkeypatch):
+        """A DP that loses mass on the null side raises, also under ``python -O``."""
+        import supgof.divergence as divergence
+
+        lossy = types.SimpleNamespace(pmf=scipy.stats.poisson.pmf, sf=lambda x, mu: 0.9)
+        monkeypatch.setattr(divergence, "poisson", lossy)
+        with pytest.raises(FloatingPointError, match="negative"):
+            tv_poisson_uniform_spike(1.0, 1.0, 3)
 
 
 class TestSpikeRiskCertificate:

@@ -216,3 +216,125 @@ class TestCombinedTest:
             [multinomial_combined_test(row, q0, n, cfg).reject for row in draws[:500]]
         )
         assert combined.mean() <= head[:500].mean() + tail[:500].mean() + 1e-12
+
+
+def _reference_poisson(row, mu, cfg):
+    """Row-at-a-time reference for the Poisson max test."""
+    stat = max(abs(int(c) - r) for c, r in zip(row, mu.rates))
+    return stat > cfg.max_threshold, stat, cfg.max_threshold
+
+
+def _reference_combined(row, q0, n, cfg):
+    """Row-at-a-time reference for the head-or-tail test, head winning ties."""
+    head_stat = abs(int(row[0]) - n * q0.head)
+    head = (head_stat >= cfg.head_threshold, head_stat, cfg.head_threshold)
+    tail_thr = cfg.max_tail_threshold
+    tail_cells = list(zip((int(c) for c in row[1:]), q0.tail))
+    if not tail_cells:
+        tail = (False, 0.0, 0.0)
+    elif any(c > 0 for c, q in tail_cells if q == 0.0):
+        tail = (True, math.inf, tail_thr)
+    else:
+        tail_stat = max(abs(c - n * q) for c, q in tail_cells)
+        tail = (tail_stat > tail_thr, tail_stat, tail_thr)
+    head_ratio = head[1] / max(head[2], 1e-300)
+    tail_ratio = tail[1] / max(tail[2], 1e-300)
+    winner = head if head_ratio >= tail_ratio else tail
+    return head[0] or tail[0], winner[1], winner[2]
+
+
+def _assert_batch_matches(decision, expected):
+    reject, stat, thr = (np.asarray(v) for v in zip(*expected))
+    assert decision.reject.dtype == bool
+    np.testing.assert_array_equal(decision.reject, reject)
+    np.testing.assert_array_equal(decision.statistic, stat)
+    np.testing.assert_array_equal(decision.threshold, thr)
+
+
+class TestBatchKernel:
+    """A (rows, p) table is decided row by row, exactly as one vector at a time."""
+
+    def test_poisson_random_tables(self):
+        rng = rng_stream(41)
+        for p in (1, 2, 7, 40):
+            mu = RateVector(np.sort(rng.uniform(0.2, 30.0, p))[::-1])
+            cfg = PoissonTestConfig.from_eta(mu, 0.1)
+            table = rng.poisson(mu.rates * rng.uniform(0.2, 3.0, (200, 1)))
+            decision = poisson_max_test(table, mu, cfg)
+            _assert_batch_matches(decision, [_reference_poisson(row, mu, cfg) for row in table])
+            for row, rej, stat in zip(table[:20], decision.reject, decision.statistic):
+                single = poisson_max_test(row, mu, cfg)
+                assert (single.reject, single.statistic) == (rej, stat)
+
+    def test_multinomial_random_tables_with_zero_cells(self):
+        rng = rng_stream(43)
+        for p, zeros in ((1, 0), (2, 0), (2, 1), (6, 2), (30, 5)):
+            q = np.sort(rng.uniform(0.5, 2.0, p))[::-1]
+            q[p - zeros:] = 0.0
+            q0 = SimplexVector(q / q.sum())
+            n = int(rng.integers(20, 400))
+            cfg = MultinomialTestConfig.from_eta(q0, n, 0.2)
+            alt = q0.probs * rng.uniform(0.3, 2.0, (300, p)) + 0.02 * (rng.random((300, p)) < 0.05)
+            table = rng.multinomial(n, alt / alt.sum(axis=1, keepdims=True))
+            decision = multinomial_combined_test(table, q0, n, cfg)
+            _assert_batch_matches(decision, [_reference_combined(row, q0, n, cfg) for row in table])
+            for i, row in enumerate(table[:20]):
+                single = multinomial_combined_test(row, q0, n, cfg)
+                batch_row = (decision.reject[i], decision.statistic[i], decision.threshold[i])
+                assert (single.reject, single.statistic, single.threshold) == batch_row
+
+    def test_zero_cell_guard_in_a_table(self):
+        q0 = SimplexVector([0.6, 0.4, 0.0])
+        cfg = MultinomialTestConfig.from_eta(q0, 10, 0.2)
+        decision = multinomial_tail_test(np.array([[6, 4, 0], [6, 3, 1], [5, 5, 0]]), q0, 10, cfg)
+        assert decision.reject.tolist() == [False, True, False]
+        assert decision.statistic[1] == math.inf
+        assert np.all(decision.threshold == cfg.max_tail_threshold)
+
+    def test_single_category(self):
+        q0 = SimplexVector([1.0])
+        cfg = MultinomialTestConfig.from_eta(q0, 5, 0.2)
+        tail = multinomial_tail_test(np.array([[5], [5]]), q0, 5, cfg)
+        assert tail.reject.tolist() == [False, False]
+        assert tail.statistic.tolist() == [0.0, 0.0] and tail.threshold.tolist() == [0.0, 0.0]
+        single = multinomial_combined_test(CountVector([5]), q0, 5, cfg)
+        assert (single.reject, single.statistic, single.threshold) == (False, 0.0, cfg.head_threshold)
+
+    def test_head_wins_exceedance_ties(self):
+        """Equal exceedance ratios report the head's statistic and threshold."""
+        q0 = SimplexVector([0.5, 0.25, 0.25])
+        cfg = MultinomialTestConfig(1.0, math.e, 2.0, np.array([4.0, 4.0]), np.array([True, True]))
+        table = np.array([[11, 3, 6], [10, 9, 1]])  # ratios 1/2 vs 2/4, then 0/2 vs 4/4
+        decision = multinomial_combined_test(table, q0, 20, cfg)
+        assert decision.statistic.tolist() == [1.0, 4.0]
+        assert decision.threshold.tolist() == [2.0, 4.0]
+        _assert_batch_matches(decision, [_reference_combined(row, q0, 20, cfg) for row in table])
+
+    def test_integral_threshold_edges(self):
+        """Counts exactly on a threshold: the max tests accept, the head test rejects."""
+        mu = RateVector([3.0, 3.0])
+        pcfg = PoissonTestConfig(1.0, np.array([2.0, 2.0]))
+        decision = poisson_max_test(np.array([[5, 3], [6, 3], [1, 3], [0, 3]]), mu, pcfg)
+        assert decision.reject.tolist() == [False, True, False, True]
+        q0 = SimplexVector([0.5, 0.25, 0.25])
+        mcfg = MultinomialTestConfig(1.0, math.e, 2.0, np.array([2.0, 2.0]), np.array([True, True]))
+        table = np.array([[12, 4, 4], [11, 4, 5], [10, 7, 3], [10, 8, 2]])
+        assert multinomial_head_test(table, q0, 20, mcfg).reject.tolist() == [True, False, False, False]
+        assert multinomial_tail_test(table, q0, 20, mcfg).reject.tolist() == [False, False, False, True]
+        _assert_batch_matches(
+            multinomial_combined_test(table, q0, 20, mcfg),
+            [_reference_combined(row, q0, 20, mcfg) for row in table],
+        )
+
+    def test_single_vector_gives_scalars(self):
+        mu = RateVector([2.0, 1.0])
+        decision = poisson_max_test(CountVector([2, 9]), mu, PoissonTestConfig.from_eta(mu, 0.1))
+        assert type(decision.reject) is bool and decision.label == "reject"
+        assert type(decision.statistic) is float and type(decision.threshold) is float
+
+    def test_table_labels_and_width_check(self):
+        mu = RateVector([2.0, 1.0])
+        cfg = PoissonTestConfig.from_eta(mu, 0.1)
+        assert poisson_max_test(np.array([[2, 1], [2, 40]]), mu, cfg).label.tolist() == ["accept", "reject"]
+        with pytest.raises(ValueError):
+            poisson_max_test(np.zeros((3, 3), dtype=int), mu, cfg)

@@ -10,7 +10,12 @@ from scipy.special import pdtrc
 from scipy.stats import poisson
 
 from supgof.model import RateVector, SimplexVector, rng_stream
-from supgof.priors import MultinomialSimplexPrior, PoissonSpikePrior, certified_simplex_c
+from supgof.priors import (
+    MultinomialSimplexPrior,
+    PoissonSpikePrior,
+    certified_simplex_c,
+    draw_multinomial_simplex_prior,
+)
 from supgof.rates import sharp_constant_epsilon
 from supgof.risk import (
     _acceptance_box,
@@ -123,6 +128,17 @@ class TestMultinomialRisk:
         r = estimate_multinomial_risk(q0, 60, prior, 0.2, 500, 11)
         assert 0.0 <= r.total <= 2.0
 
+    def test_prior_removing_its_floor_cell_samples(self):
+        """Removal at the floor cell leaves rounding-level negative cells; sampling clips them."""
+        q0, n = SimplexVector(np.full(40, 1.0 / 40)), 60.0
+        base = MultinomialSimplexPrior.build(q0, n, certified_simplex_c(q0, n))
+        floor = float(q0.probs[base.j_star])
+        prior = MultinomialSimplexPrior.build(q0, n, (floor + 5e-16) * n * base.m / base.psi)
+        assert draw_multinomial_simplex_prior(prior, 0, trials=10).min() < 0.0
+        for poissonized in (False, True):
+            r = estimate_multinomial_risk(q0, 60, prior, 0.2, 200, 12, poissonized=poissonized)
+            assert 0.0 <= r.total <= 2.0
+
 
 class TestSweeps:
     def test_poisson_sweep_monotone_in_xi(self):
@@ -166,6 +182,11 @@ class TestSweeps:
         totals = [r.total for r in res.risks]
         assert totals[1] <= totals[0]
 
+    def test_multinomial_sweep_needs_a_cell_to_remove_from(self):
+        """j* = 1 leaves m = 0: the add-eps alternative would leave the simplex."""
+        with pytest.raises(ValueError, match="j\\* >= 2"):
+            sweep_multinomial_sharp_constant(SimplexVector([0.6, 0.4]), 100, [1.0], 3.0, 100, 0)
+
     def test_grid_must_increase(self):
         mu = RateVector(np.ones(10))
         with pytest.raises(ValueError):
@@ -198,6 +219,11 @@ class TestExactPoissonSweep:
             lo, hi = _acceptance_box(np.array([center]), psi)
             inside = x[np.abs(x - center) < psi]
             assert (lo[0], hi[0]) == (inside.min(), inside.max())
+
+    def test_zero_probability_box_is_a_numeric_failure(self):
+        """A rate of 1e300 collapses its box below the float spacing: no NaN risk."""
+        with pytest.raises(FloatingPointError, match="coordinate 1"):
+            sweep_sharp_constant(RateVector([1e300, 1.0]), [0.5], 3.0, 100, 0)
 
     @pytest.mark.parametrize(
         "rates",
