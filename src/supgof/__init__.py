@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`supgof.special` -- deviation exponent ``h``, its inverse, the rate
-  surrogate, Lambert W, and Bennett-type tail bounds.
+  surrogate, and Bennett-type tail bounds.
 * :mod:`supgof.model` -- null/data containers and exact samplers for the
   Poisson-product, multinomial, and Poissonized-multinomial models.
 * :mod:`supgof.rates` -- local separation rates, critical index, perturbation

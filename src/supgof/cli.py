@@ -26,7 +26,7 @@ from .maxtest import (
     multinomial_combined_test,
     poisson_max_test,
 )
-from .model import RateVector, SimplexVector, read_counts_csv
+from .model import RateVector, SimplexVector, read_counts_csv, sample_size_value
 from .priors import (
     MultinomialSimplexPrior,
     PoissonSpikePrior,
@@ -131,11 +131,11 @@ def _load_null(spec: str | None):
             return (
                 "multinomial",
                 SimplexVector(np.asarray(payload["probs"], dtype=float)),
-                float(payload["n"]),
+                sample_size_value(float(payload["n"])),  # float(): n may be a numeric string
             )
     except KeyError as exc:
         raise ConfigError(f"missing required field in null spec: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid null spec: {exc}") from exc
     raise ConfigError('null spec field "model" must be "poisson" or "multinomial"')
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CountVector, RateVector, SampleSize, SimplexVector
+from .model import CountVector, RateVector, SampleSize, SimplexVector, sample_size_value
 from .special import h_inverse
 
 __all__ = [
@@ -163,7 +163,7 @@ class MultinomialTestConfig:
     def from_null(
         cls, q0: SimplexVector, n: SampleSize | float, k1: float, k2: float
     ) -> "MultinomialTestConfig":
-        n_val = n.n if isinstance(n, SampleSize) else float(SampleSize(n).n)
+        n_val = sample_size_value(n)
         head_var = n_val * q0.head * (1.0 - q0.head)
         head_threshold = k1 * (1.0 + math.sqrt(head_var))
         tail = q0.tail
@@ -189,16 +189,12 @@ class MultinomialTestConfig:
         return float(self.tail_thresholds[self.tail_active].max())
 
 
-def _n_value(n: SampleSize | float) -> float:
-    return n.n if isinstance(n, SampleSize) else float(n)
-
-
 def multinomial_head_test(
     x, q0: SimplexVector, n: SampleSize | float, cfg: MultinomialTestConfig
 ) -> TestDecision:
     """Reject when ``|x_1 - n q0(1)|`` reaches the Chebyshev threshold."""
     table, single = _table(x, q0.p)
-    stat = np.abs(table[:, 0] - _n_value(n) * q0.head)
+    stat = np.abs(table[:, 0] - sample_size_value(n) * q0.head)
     thr = np.full(stat.shape, cfg.head_threshold)
     return _decision(stat >= thr, stat, thr, single)
 
@@ -214,7 +210,7 @@ def multinomial_tail_test(
     """
     table, single = _table(x, q0.p)
     tail_counts = table[:, 1:]
-    stat = np.abs(tail_counts - _n_value(n) * q0.tail).max(axis=1, initial=0.0)
+    stat = np.abs(tail_counts - sample_size_value(n) * q0.tail).max(axis=1, initial=0.0)
     stat[(tail_counts[:, q0.tail == 0.0] > 0).any(axis=1)] = math.inf
     thr = np.full(stat.shape, cfg.max_tail_threshold)
     return _decision(stat > thr, stat, thr, single)

@@ -28,6 +28,7 @@ __all__ = [
     "SimplexVector",
     "CountVector",
     "SampleSize",
+    "sample_size_value",
     "rng_stream",
     "sample_poisson_product",
     "sample_multinomial",
@@ -169,6 +170,11 @@ class SampleSize:
         if self.n != int(self.n):
             raise ValueError(f"multinomial sampling needs an integer n, got {self.n!r}")
         return int(self.n)
+
+
+def sample_size_value(n: SampleSize | float) -> float:
+    """``n`` as a float, validated as a :class:`SampleSize` (positive, finite)."""
+    return float((n if isinstance(n, SampleSize) else SampleSize(n)).n)
 
 
 def as_probability_vector(q, name: str = "q") -> np.ndarray:

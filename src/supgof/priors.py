@@ -22,7 +22,7 @@ from .divergence import (
     tv_distance,
     tv_poisson_uniform_spike,
 )
-from .model import RateVector, SampleSize, SimplexVector, rng_stream
+from .model import RateVector, SampleSize, SimplexVector, rng_stream, sample_size_value
 from .rates import multinomial_rate, poisson_rate
 from .special import h_inverse
 
@@ -132,7 +132,7 @@ def multinomial_one_over_n_alternative(
         raise ValueError("need at least two categories")
     if not 0.0 < c_eta < 0.5:
         raise ValueError(f"c_eta must lie in (0, 1/2), got {c_eta!r}")
-    n_val = n.n if isinstance(n, SampleSize) else float(SampleSize(n).n)
+    n_val = sample_size_value(n)
     if 2.0 * c_eta >= n_val:
         raise ValueError("need 2*c_eta < n")
     a = 2.0 * c_eta / n_val
@@ -152,7 +152,7 @@ def multinomial_parametric_alternative(
     """
     if not 0.0 <= c_eta <= 1.0:
         raise ValueError(f"c_eta must lie in [0, 1], got {c_eta!r}")
-    n_val = n.n if isinstance(n, SampleSize) else float(SampleSize(n).n)
+    n_val = sample_size_value(n)
     head = q0.head
     eps = min(head, math.sqrt(head * (1.0 - head) / n_val))
     if c_eta == 0.0 or eps == 0.0:
@@ -185,7 +185,7 @@ class MultinomialSimplexPrior:
     ) -> "MultinomialSimplexPrior":
         if c <= 0:
             raise ValueError(f"c must be positive, got {c!r}")
-        n_val = n.n if isinstance(n, SampleSize) else float(SampleSize(n).n)
+        n_val = sample_size_value(n)
         profile = multinomial_rate(q0, n_val, c_tilde)
         j_star, psi, m = profile.j_star, profile.psi, profile.m
         if q0.p < j_star + 1:
@@ -235,7 +235,7 @@ def certified_simplex_c(
     ``c = 0.9 * ceil(h^{-1}(log(e j*)/nu)) / h^{-1}(log(c_tilde j*)/nu)``
     at ``nu = n q0^{-max}(j*)``.
     """
-    n_val = n.n if isinstance(n, SampleSize) else float(SampleSize(n).n)
+    n_val = sample_size_value(n)
     profile = multinomial_rate(q0, n_val, c_tilde)
     if profile.m == 0:
         return 0.9

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import RateVector, SampleSize, SimplexVector
+from .model import RateVector, SampleSize, SimplexVector, sample_size_value
 from .special import gamma_rate, h_inverse
 
 __all__ = [
@@ -107,7 +107,7 @@ def multinomial_rate(
     """
     if c_tilde < math.e:
         raise ValueError(f"c_tilde must be >= e, got {c_tilde!r}")
-    n_val = n.n if isinstance(n, SampleSize) else float(SampleSize(n).n)
+    n_val = sample_size_value(n)
     head = q0.head
     tail = q0.tail
     parametric = 1.0 / n_val + math.sqrt(head * (1.0 - head) / n_val)
@@ -213,7 +213,7 @@ def multinomial_sharp_constant_epsilon(
         raise ValueError(f"alpha_p must exceed 1, got {alpha_p!r}")
     if xi <= 0.0:
         raise ValueError(f"xi must be positive, got {xi!r}")
-    n_val = n.n if isinstance(n, SampleSize) else float(SampleSize(n).n)
+    n_val = sample_size_value(n)
     if q0.probs[-1] < 1.0 / n_val:
         raise ValueError("the sharp-constant setup assumes q0(p) >= 1/n")
     n_prime = (1.0 + n_val ** (-1.0 / 3.0)) * n_val

@@ -86,6 +86,25 @@ class TestTestCommand:
         assert code == 1
         assert "--data" in err
 
+    @pytest.mark.parametrize(
+        "null",
+        [
+            '{"model":"multinomial","probs":[0.5,0.5],"n":0}',
+            '{"model":"multinomial","probs":[0.5,0.5],"n":-5}',
+            '{"model":"multinomial","probs":[0.5,0.5],"n":null}',
+            '{"model":"multinomial","probs":[0.5,0.5],"n":[10]}',
+            '{"model":"multinomial","probs":{"a":1},"n":10}',
+        ],
+        ids=["n-zero", "n-negative", "n-null", "n-list", "probs-object"],
+    )
+    def test_bad_null_field_is_config_error(self, tmp_path, capsys, null):
+        data = tmp_path / "counts.csv"
+        data.write_text("a,b\n5,5\n")
+        code, out, err = run_cli(capsys, "test", "--null", null, "--data", str(data))
+        assert code == 1
+        assert "invalid null spec" in err
+        assert out == ""
+
     def test_missing_file_is_data_error(self, capsys):
         code, _out, err = run_cli(
             capsys, "test", "--null", POISSON_NULL, "--data", "/nonexistent/file.csv"
@@ -242,6 +261,14 @@ class TestNumericFailureExit:
         code, out, err = run_cli(capsys, "sweep", "--null", null)
         assert code == 3
         assert "acceptance box of coordinate 1" in err
+        assert out == ""
+
+    def test_h_inverse_failure_is_exit_3(self, capsys):
+        # log(2e)/5e-324 overflows to inf, which no h_inverse output can meet.
+        null = '{"model":"poisson","rates":[1,5e-324]}'
+        code, out, err = run_cli(capsys, "rate", "--null", null)
+        assert code == 3
+        assert "h_inverse missed its tolerance" in err
         assert out == ""
 
     def test_atom_budget_exceeded_is_exit_3(self, capsys):

@@ -187,6 +187,17 @@ class TestCombinedTest:
         assert multinomial_tail_test(tail_x, q0, n, cfg).reject
         assert multinomial_combined_test(tail_x, q0, n, cfg).reject
 
+    @pytest.mark.parametrize(
+        "decide", [multinomial_head_test, multinomial_tail_test, multinomial_combined_test]
+    )
+    @pytest.mark.parametrize("bad_n", [0, -100.0, math.nan])
+    def test_invalid_sample_size_raises(self, decide, bad_n):
+        """The decisions validate n as a sample size, like the config builders."""
+        q0 = SimplexVector([0.5, 0.3, 0.2])
+        cfg = MultinomialTestConfig.from_eta(q0, 100, 0.2)
+        with pytest.raises(ValueError, match="sample size"):
+            decide(CountVector([50, 30, 20]), q0, bad_n, cfg)
+
     def test_monotone_in_deviation(self):
         """Growing every |x_j - n q(j)| never flips reject into accept."""
         q0 = SimplexVector([0.4, 0.3, 0.3])

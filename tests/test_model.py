@@ -19,6 +19,7 @@ from supgof.model import (
     sample_multinomial,
     sample_poisson_product,
     sample_poissonized_multinomial,
+    sample_size_value,
 )
 
 
@@ -68,6 +69,14 @@ class TestContainers:
             SampleSize(0.0)
         with pytest.raises(ValueError):
             SampleSize(2.5).as_integer()
+
+    def test_sample_size_value(self):
+        assert sample_size_value(SampleSize(4)) == 4.0
+        assert type(sample_size_value(SampleSize(4))) is float
+        assert sample_size_value(2.5) == 2.5
+        for bad in (0, -3.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sample_size_value(bad)
 
     def test_containers_immutable(self):
         rv = RateVector([2.0, 1.0])

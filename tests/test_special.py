@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supgof.special import (
     DEFAULT_TOL,
+    SolverError,
     ToleranceConfig,
     bennett_two_sided_bound,
     bennett_upper_tail_bound,
@@ -20,7 +21,6 @@ from supgof.special import (
     gamma_rate,
     h,
     h_inverse,
-    lambert_w,
 )
 
 # Equivalence constants measured once on dev grids and frozen (see the
@@ -28,8 +28,28 @@ from supgof.special import (
 # widening of the measured range is future-proof against grid changes.
 HINV_OVER_GAMMA_LO = 1.41
 HINV_OVER_GAMMA_HI = 2.40
-LAMBERT_OVER_LOG_LO = 0.499
-LAMBERT_OVER_LOG_HI = 0.808
+
+# Relative accuracy required of h and h_inverse against 50-digit references:
+# a few ulps, which an absolute-only tolerance near 0 would not give.
+REL_ACCURACY = 1e-14
+
+
+def _h_mp(x: float) -> mpmath.mpf:
+    x = mpmath.mpf(x)
+    return (1 + x) * mpmath.log1p(x) - x
+
+
+def _h_inverse_mp(y: float) -> mpmath.mpf:
+    """h^{-1}(y) = exp(1 + W((y-1)/e)) - 1 on the principal branch."""
+    y = mpmath.mpf(y)
+    return mpmath.expm1(1 + mpmath.lambertw((y - 1) / mpmath.e))
+
+
+def _max_relative_error(values, points, oracle) -> float:
+    with mpmath.workdps(50):
+        return max(
+            float(abs(mpmath.mpf(float(v)) / oracle(float(t)) - 1)) for v, t in zip(values, points)
+        )
 
 
 class TestH:
@@ -59,6 +79,18 @@ class TestH:
         xs = np.linspace(1e-5, 1e-3, 50)
         direct = (1.0 + xs) * np.log1p(xs) - xs
         np.testing.assert_allclose(h(xs), direct, rtol=1e-10)
+
+    def test_relative_accuracy_against_mpmath(self):
+        """Few-ulp relative accuracy, also just above the series cutoff, where h cancels."""
+        xs = np.logspace(-8, 1, 300)
+        assert _max_relative_error(h(xs), xs, _h_mp) <= REL_ACCURACY
+
+    def test_scalar_is_batch_of_one(self):
+        xs = np.array([-1.0, -0.3, 0.0, 1e-3, 0.05, 2.0])
+        out = h(xs)
+        for x, v in zip(xs, out):
+            assert type(h(float(x))) is float
+            assert h(float(x)) == v
 
 
 class TestHInverse:
@@ -99,6 +131,45 @@ class TestHInverse:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             h_inverse(-1e-9)
+        with pytest.raises(ValueError):
+            h_inverse(float("nan"))
+        with pytest.raises(ValueError):
+            h_inverse(np.array([1.0, float("nan")]))
+        with pytest.raises(ValueError):
+            h_inverse(np.array([[1.0, 2.0], [-3.0, 4.0]]))
+
+    def test_relative_accuracy_against_mpmath(self):
+        """Relative (not only absolute) accuracy from 1e-15 to 1e15."""
+        ys = np.logspace(-15, 15, 301)
+        assert _max_relative_error(h_inverse(ys), ys, _h_inverse_mp) <= REL_ACCURACY
+
+    def test_shape_contract(self):
+        """A scalar is a batch of one returning a float; arrays keep their shape."""
+        assert type(h_inverse(2.0)) is float
+        assert type(h_inverse(np.float64(2.0))) is float
+        assert type(h_inverse(np.array(2.0))) is float
+        assert type(h_inverse(3)) is float
+        assert h_inverse(np.array(2.0)) == h_inverse(np.array([2.0]))[0]
+        assert h_inverse(np.empty(0)).shape == (0,)
+        assert h_inverse(np.empty((0, 4))).shape == (0, 4)
+        grid = np.logspace(-3, 3, 12).reshape(3, 4)
+        out = h_inverse(grid)
+        assert out.shape == (3, 4)
+        np.testing.assert_array_equal(out.ravel(), h_inverse(grid.ravel()))
+        zeros = h_inverse(np.array([0.0, 1e-300, 0.0]))
+        assert zeros[0] == 0.0 and zeros[2] == 0.0 and zeros[1] > 0.0
+
+    def test_monotone_dense_grid(self):
+        """Strictly increasing on a dense grid, across the seed switch at y = 1e-3."""
+        ys = np.concatenate([np.linspace(0.0, 5e-3, 20001), np.logspace(-2.3, 12, 20001)])
+        assert np.all(np.diff(h_inverse(ys)) > 0.0)
+
+    def test_missed_tolerance_raises(self):
+        """The output check is live: an unattainable tolerance or y = inf raises."""
+        with pytest.raises(SolverError):
+            h_inverse(np.logspace(-3, 3, 50), ToleranceConfig(rel_tol=1e-30))
+        with pytest.raises(SolverError):
+            h_inverse(np.array([1.0, math.inf]))
 
     @given(st.floats(min_value=1e-10, max_value=1e10))
     @settings(max_examples=200, deadline=None)
@@ -121,36 +192,6 @@ class TestGammaRate:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             gamma_rate(-0.1)
-
-
-class TestLambertW:
-    def test_anchor_values(self):
-        assert lambert_w(0.0) == 0.0
-        assert lambert_w(math.e) == pytest.approx(1.0, rel=1e-12)
-        assert lambert_w(2.0 * math.e**2) == pytest.approx(2.0, rel=1e-12)
-
-    def test_defining_equation(self):
-        xs = np.logspace(-6, 10, 200)
-        ws = lambert_w(xs)
-        resid = np.abs(ws * np.exp(ws) - xs) / np.maximum(xs, 1.0)
-        assert resid.max() <= DEFAULT_TOL.rel_tol
-
-    def test_identity_exp_w_of_xlogx(self):
-        """exp(W(x log x)) = x for x >= 1."""
-        xs = np.logspace(0, 6, 50)
-        vals = np.exp(lambert_w(xs * np.log(xs)))
-        np.testing.assert_allclose(vals, xs, rtol=1e-10)
-
-    def test_against_scipy(self):
-        xs = np.logspace(-3, 8, 60)
-        np.testing.assert_allclose(lambert_w(xs), scipy.special.lambertw(xs).real, rtol=1e-10)
-
-    def test_order_frozen_constants(self):
-        """W(x)/log(ex) stays inside the frozen band on [1, 1e8]."""
-        xs = np.logspace(0, 8, 1001)
-        ratio = lambert_w(xs) / np.log(math.e * xs)
-        assert ratio.min() >= LAMBERT_OVER_LOG_LO
-        assert ratio.max() <= LAMBERT_OVER_LOG_HI
 
 
 class TestBennettBounds:
@@ -207,7 +248,3 @@ class TestToleranceConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ToleranceConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            ToleranceConfig(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            ToleranceConfig(max_iter=0)
