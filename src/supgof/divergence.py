@@ -14,6 +14,9 @@ against ``value + error_bar``.  Three computation routes coexist:
 The conditional chi-square bound evaluators used by the lower-bound
 machinery live here as well; they need only one-dimensional Poisson CDFs
 and the hypergeometric overlap law, so they work at any dimension.
+
+Poisson and binomial pmfs, CDFs and quantiles are ``scipy.special`` closed
+forms: the module needs nothing from ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
-from scipy.stats import binom, poisson
+from scipy.special import gammaln, logsumexp, pdtr, pdtrc, pdtrik, xlogy
 
 from .special import h
 
@@ -55,6 +57,34 @@ __all__ = [
 
 ATOM_BUDGET = 10**7
 DEFAULT_MASS_TOL = 1e-12
+
+
+def _poisson_pmf(ks: np.ndarray, lam: float) -> np.ndarray:
+    # scipy.stats.poisson's own order of operations, so tables stay bit-identical.
+    return np.exp(xlogy(ks, lam) - gammaln(ks + 1) - lam)
+
+
+def _poisson_logcdf(k: int, lam: float) -> float:
+    if k < 0:
+        return -math.inf
+    with np.errstate(divide="ignore"):
+        return float(np.log(pdtr(k, lam)))
+
+
+def _poisson_ppf(q: float, lam: float) -> int:
+    """Smallest ``k`` with ``P{Poisson(lam) <= k} >= q``, by scipy's one-step fix-up."""
+    if q >= 1.0:
+        raise OverflowError(f"quantile level {q!r} has no finite Poisson quantile")
+    k = math.ceil(pdtrik(q, lam))
+    k1 = max(k - 1, 0)
+    return k1 if pdtr(k1, lam) >= q else k
+
+
+def _binom_pmf(r: int, p: float) -> np.ndarray:
+    """``Binomial(r, p)`` pmf over ``0..r``; exact zeros off the atom at ``p = 0`` or ``1``."""
+    n = np.arange(r + 1)
+    log_choose = gammaln(r + 1) - gammaln(n + 1) - gammaln(r - n + 1)
+    return np.exp(log_choose + xlogy(n, p) + xlogy(r - n, 1.0 - p))
 
 
 class AtomBudgetError(RuntimeError):
@@ -100,12 +130,11 @@ def truncated_poisson_pmf(lam: float, mass_tol: float, min_len: int | None = Non
         probs = np.zeros(size)
         probs[0] = 1.0
         return PmfTable(probs, 0.0)
-    k_max = int(poisson.ppf(1.0 - mass_tol, lam))
+    k_max = _poisson_ppf(1.0 - mass_tol, lam)
     if min_len is not None:
         k_max = max(k_max, min_len - 1)
-    ks = np.arange(k_max + 1)
-    probs = poisson.pmf(ks, lam)
-    deficit = float(poisson.sf(k_max, lam))
+    probs = _poisson_pmf(np.arange(k_max + 1), lam)
+    deficit = float(pdtrc(k_max, lam))
     return PmfTable(probs, deficit)
 
 
@@ -214,7 +243,7 @@ def poisson_mixture(
         k = 0
         for r in rows:
             lam = float(r[j])
-            k = max(k, 1 if lam == 0.0 else int(poisson.ppf(1.0 - per_coord, lam)) + 1)
+            k = max(k, 1 if lam == 0.0 else _poisson_ppf(1.0 - per_coord, lam) + 1)
         lengths.append(k)
     comps = tuple(poisson_product_dist(r, mass_tol, lengths) for r in rows)
     return ProductMixture(np.asarray(weights, dtype=float), comps)
@@ -361,7 +390,7 @@ def _diagonal_mixture_term(mu: float, psi: float, c: float) -> float:
     if mu <= 0:
         raise ValueError("mu must be positive")
     rate = (mu + c * psi) ** 2 / mu
-    log_term = (c * psi) ** 2 / mu + poisson.logcdf(math.floor(mu + psi), rate)
+    log_term = (c * psi) ** 2 / mu + _poisson_logcdf(math.floor(mu + psi), rate)
     with np.errstate(over="ignore"):
         return float(np.exp(log_term))
 
@@ -468,9 +497,9 @@ def certified_spike_risk_bound(
     if j_star < 1 or nu <= 0 or eps < 0:
         raise ValueError("need j_star >= 1, nu > 0, eps >= 0")
     kcap = math.floor(cap)
-    log_f_null = float(poisson.logcdf(kcap, nu))
-    log_f_spike = float(poisson.logcdf(kcap, nu + eps))
-    log_f_sq = float(poisson.logcdf(kcap, (nu + eps) ** 2 / nu))
+    log_f_null = _poisson_logcdf(kcap, nu)
+    log_f_spike = _poisson_logcdf(kcap, nu + eps)
+    log_f_sq = _poisson_logcdf(kcap, (nu + eps) ** 2 / nu)
     log_p0 = j_star * log_f_null
     log_ppi = (j_star - 1) * log_f_null + log_f_spike
     log_prefactor = log_p0 - 2.0 * log_ppi
@@ -526,9 +555,9 @@ def tv_poisson_uniform_spike(
     x_max = int(math.floor(math.log(max(t0 - (k - 1), 1.0)) / log_z))
     values = z ** np.arange(x_max + 1)
 
-    pmf = poisson.pmf(np.arange(x_max + 1), nu)
+    pmf = _poisson_pmf(np.arange(x_max + 1), nu)
     cdf = np.cumsum(pmf)
-    overflow_prob = float(poisson.sf(x_max, nu))
+    overflow_prob = float(pdtrc(x_max, nu))
 
     def sum_distribution(n_coords: int, target: float) -> tuple[np.ndarray, np.ndarray]:
         """Exact law of sum of n_coords iid z^X (X ~ Poisson(nu)), kept below target.
@@ -545,7 +574,7 @@ def tv_poisson_uniform_spike(
             p_cond = min(1.0, float(pmf[x] / cdf[x]))
             vx = values[x]
             max_r = max(r for (r, _s) in frontier)
-            weights = [binom.pmf(np.arange(r + 1), r, p_cond) for r in range(max_r + 1)]
+            weights = [_binom_pmf(r, p_cond) for r in range(max_r + 1)]
             new: dict[tuple[int, float], float] = {}
             for (r, s), prob in frontier.items():
                 if r == 0:
@@ -579,7 +608,7 @@ def tv_poisson_uniform_spike(
     else:
         sums_rest, probs_rest = np.array([0.0]), np.array([1.0])
     cum = np.cumsum(probs_rest)
-    spike_pmf = poisson.pmf(np.arange(x_max + 1), nu + eps)
+    spike_pmf = _poisson_pmf(np.arange(x_max + 1), nu + eps)
     q_accept = 0.0
     for x1 in range(x_max + 1):
         budget = t0 - values[x1]

@@ -75,6 +75,8 @@ class PoissonSpikePrior:
         j_star = poisson_rate(mu).j_star
         mu_star = float(mu.rates[j_star - 1])
         psi = mu_star * h_inverse((math.log(big_c) + math.log(j_star)) / mu_star)
+        if not math.isfinite(float(mu.rates[0]) + c * psi):
+            raise ValueError(f"spike c * psi = {c!r} * {psi!r} makes a spiked rate infinite")
         return cls(mu, j_star, psi, c, big_c)
 
     @property

@@ -342,6 +342,8 @@ def sweep_multinomial_sharp_constant(
     is raised when ``eps(xi)/m`` exceeds the smallest perturbed cell, or when
     ``j* = 1`` leaves no cell (``m = 0``) to give up the added mass.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     xi_grid = np.asarray(list(xi_grid), dtype=float)
     probs = q0.probs
     estimates = []

@@ -142,6 +142,15 @@ class TestPriorCommand:
         assert code == 1
         assert "--c" in err
 
+    def test_poisson_infinite_spike_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "prior", "--null", '{"model":"poisson","rates":[3,2,1]}',
+            "--c", "1e308", "--trials", "2", "--seed", "1",
+        )
+        assert code == 1
+        assert "infinite" in err
+        assert out == ""
+
     def test_multinomial_draws_on_simplex(self, capsys):
         null = json.dumps(
             {"model": "multinomial", "probs": [0.025] * 40, "n": 50}
@@ -216,6 +225,13 @@ class TestRiskAndSweep:
         assert text.splitlines()[0] == "# schema=1"
         assert text.splitlines()[1].startswith("xi,epsilon,type1,type2,total,ci,trials,seed,regime")
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_multinomial_sweep_zero_trials_is_config_error(self, capsys):
+        null = '{"model":"multinomial","probs":[0.5,0.3,0.2],"n":100}'
+        code, out, err = run_cli(capsys, "sweep", "--null", null, "--trials", "0")
+        assert code == 1
+        assert "trials" in err
+        assert out == ""
 
     def test_bad_alpha_rule_is_config_error(self, capsys):
         code, _o, err = run_cli(

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import types
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import supgof.divergence as divergence
 from supgof.divergence import (
     AtomBudgetError,
     FiniteProductDist,
@@ -30,6 +31,60 @@ from supgof.divergence import (
     tv_distance,
     tv_poisson_uniform_spike,
 )
+
+
+# Rates over [1e-3, 1e4] and quantile levels with 1 - q over [1e-16, 1e-1].
+_RNG = np.random.default_rng(20240908)
+LAMS = 10.0 ** _RNG.uniform(-3.0, 4.0, 2_000)
+QS = 1.0 - 10.0 ** _RNG.uniform(-16.0, -1.0, 2_000)
+
+
+class TestSpecialClosedForms:
+    """The module's closed forms reproduce ``scipy.stats`` (kept here only as the oracle)."""
+
+    def test_ppf_matches_scipy_stats(self):
+        got = [divergence._poisson_ppf(float(q), float(lam)) for q, lam in zip(QS, LAMS)]
+        want = [int(scipy.stats.poisson.ppf(q, lam)) for q, lam in zip(QS, LAMS)]
+        assert got == want
+
+    def test_pmf_sf_logcdf_bit_equal_to_scipy_stats(self):
+        for lam, q in zip(LAMS[::10], QS[::10]):
+            ks = np.arange(int(scipy.stats.poisson.ppf(q, lam)) + 3)
+            np.testing.assert_array_equal(
+                divergence._poisson_pmf(ks, lam), scipy.stats.poisson.pmf(ks, lam)
+            )
+            np.testing.assert_array_equal(
+                divergence.pdtrc(ks, lam), scipy.stats.poisson.sf(ks, lam)
+            )
+            for k in (0, int(ks[-1] // 2), int(ks[-1])):
+                assert divergence._poisson_logcdf(k, lam) == scipy.stats.poisson.logcdf(k, lam)
+
+    def test_ppf_at_level_one_is_a_numeric_failure(self):
+        """``1 - mass_tol`` rounds to 1 below about 5.5e-17: no finite table exists."""
+        with pytest.raises(OverflowError):
+            truncated_poisson_pmf(1.0, 1e-17)
+
+    def test_logcdf_minus_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert divergence._poisson_logcdf(0, 1e4) == -math.inf
+            assert divergence._poisson_logcdf(-1, 1.0) == -math.inf
+            # The same -inf inside the diagonal term of the conditional bounds.
+            assert divergence._diagonal_mixture_term(1.0, 1.0, 1e3) == 0.0
+        assert scipy.stats.poisson.logcdf(0, 1e4) == -math.inf
+
+    @pytest.mark.parametrize("p", [0.0, 1e-12, 0.01, 0.37, 0.5, 0.99, 1.0 - 1e-12, 1.0])
+    def test_binomial_pmf_matches_scipy_stats(self, p):
+        for r in (0, 1, 2, 7, 40, 100):
+            got = divergence._binom_pmf(r, p)
+            want = scipy.stats.binom.pmf(np.arange(r + 1), r, p)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    def test_binomial_degenerate_rows(self):
+        """Exact zeros off the atom, as the spike DP needs at ``p_cond = 1``."""
+        assert divergence._binom_pmf(0, 0.3).tolist() == [1.0]
+        assert divergence._binom_pmf(5, 1.0).tolist() == [0.0] * 5 + [1.0]
+        assert divergence._binom_pmf(5, 0.0).tolist() == [1.0] + [0.0] * 5
 
 
 class TestTruncatedPmf:
@@ -301,10 +356,7 @@ class TestSpikeMixtureTv:
 
     def test_negative_tv_is_a_numeric_failure(self, monkeypatch):
         """A DP that loses mass on the null side raises, also under ``python -O``."""
-        import supgof.divergence as divergence
-
-        lossy = types.SimpleNamespace(pmf=scipy.stats.poisson.pmf, sf=lambda x, mu: 0.9)
-        monkeypatch.setattr(divergence, "poisson", lossy)
+        monkeypatch.setattr(divergence, "pdtrc", lambda k, lam: 0.9)
         with pytest.raises(FloatingPointError, match="negative"):
             tv_poisson_uniform_spike(1.0, 1.0, 3)
 

@@ -62,6 +62,11 @@ class TestPoissonSpikePrior:
         assert prior.j_star == poisson_rate(mu).j_star == 10
         assert prior.psi == pytest.approx(h_inverse(math.log(5.0 * 10)), rel=1e-12)
 
+    @pytest.mark.parametrize("c", [1e308, math.inf])
+    def test_infinite_spiked_rate_raises(self, c):
+        with pytest.raises(ValueError, match="infinite"):
+            PoissonSpikePrior.build(RateVector([3.0, 2.0, 1.0]), c)
+
     def test_singleton_support(self):
         """j*=1: the spike always lands on the only coordinate."""
         prior = PoissonSpikePrior.build(RateVector([1.0]), 0.5)

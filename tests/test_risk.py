@@ -187,6 +187,12 @@ class TestSweeps:
         with pytest.raises(ValueError, match="j\\* >= 2"):
             sweep_multinomial_sharp_constant(SimplexVector([0.6, 0.4]), 100, [1.0], 3.0, 100, 0)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_multinomial_sweep_needs_a_trial(self, trials):
+        q0 = SimplexVector([0.5, 0.3, 0.2])
+        with pytest.raises(ValueError, match="trials"):
+            sweep_multinomial_sharp_constant(q0, 100, [1.0], 3.0, trials, 0)
+
     def test_grid_must_increase(self):
         mu = RateVector(np.ones(10))
         with pytest.raises(ValueError):
