@@ -15,8 +15,9 @@ The conditional chi-square bound evaluators used by the lower-bound
 machinery live here as well; they need only one-dimensional Poisson CDFs
 and the hypergeometric overlap law, so they work at any dimension.
 
-Poisson and binomial pmfs, CDFs and quantiles are ``scipy.special`` closed
-forms: the module needs nothing from ``scipy.stats``.
+Poisson pmfs, CDFs and quantiles are ``scipy.special`` closed forms and
+binomial pmfs come from the Pascal recurrence: the module needs nothing from
+``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -80,11 +81,19 @@ def _poisson_ppf(q: float, lam: float) -> int:
     return k1 if pdtr(k1, lam) >= q else k
 
 
-def _binom_pmf(r: int, p: float) -> np.ndarray:
-    """``Binomial(r, p)`` pmf over ``0..r``; exact zeros off the atom at ``p = 0`` or ``1``."""
-    n = np.arange(r + 1)
-    log_choose = gammaln(r + 1) - gammaln(n + 1) - gammaln(r - n + 1)
-    return np.exp(log_choose + xlogy(n, p) + xlogy(r - n, 1.0 - p))
+def _binom_rows(size: int, p: float) -> np.ndarray:
+    """Row ``r < size`` is the ``Binomial(r, p)`` pmf over ``0..r``, zero-padded.
+
+    The Pascal recurrence adds only nonnegative terms, so entries keep a few
+    ulps of relative accuracy where ``exp(gammaln(...))`` loses about 1e-14
+    at ``r = 70``; exact zeros off the atom at ``p = 0`` or ``1``.
+    """
+    rows = np.zeros((size, size))
+    rows[0, 0] = 1.0
+    for r in range(1, size):
+        rows[r, :r] = rows[r - 1, :r] * (1.0 - p)
+        rows[r, 1 : r + 1] += rows[r - 1, :r] * p
+    return rows
 
 
 class AtomBudgetError(RuntimeError):
@@ -534,11 +543,18 @@ def tv_poisson_uniform_spike(
     The mixture puts the spike ``Poisson(nu + eps)`` at a uniformly random
     one of the ``k`` coordinates.  The likelihood ratio depends on the data
     only through ``T = sum_j z^{X_j}`` with ``z = 1 + eps/nu``, so TV equals
-    ``P(T <= t0) - Q(T <= t0)`` at ``t0 = k e^eps``; the law of ``T`` is
-    computed exactly by dynamic programming over value levels, absorbing
-    partial sums that already exceed ``t0`` (no truncation error).  A TV
+    ``P(T <= t0) - Q(T <= t0)`` at ``t0 = k e^eps``.  Conditioning on
+    coordinate 1 (the spiked one under ``Q``, by exchangeability) gives
+    ``TV = sum_x (pmf_nu(x) - pmf_{nu+eps}(x)) F(t0 - z^x)`` with ``F`` the
+    law of the sum over the other ``k - 1`` coordinates, so one dynamic
+    program serves both sides.  It assigns those coordinates to value levels
+    ``x >= 2`` from the top down (the count at each level is conditionally
+    binomial) and drops partial sums that cannot finish at or below
+    ``t0 - 1``; the rest of a state sits at levels 1 and 0, whose count is
+    binomial and closes in one table lookup.  Nothing is truncated.  A TV
     below ``-1e-10`` means the DP lost accuracy and raises
-    ``FloatingPointError``.
+    ``FloatingPointError``; more than ``max_states`` states at one level
+    raises ``AtomBudgetError``.
     """
     if nu <= 0 or k < 1:
         raise ValueError("need nu > 0 and k >= 1")
@@ -554,68 +570,34 @@ def tv_poisson_uniform_spike(
     # Largest level that does not force T > t0 on its own.
     x_max = int(math.floor(math.log(max(t0 - (k - 1), 1.0)) / log_z))
     values = z ** np.arange(x_max + 1)
-
     pmf = _poisson_pmf(np.arange(x_max + 1), nu)
     cdf = np.cumsum(pmf)
-    overflow_prob = float(pdtrc(x_max, nu))
 
-    def sum_distribution(n_coords: int, target: float) -> tuple[np.ndarray, np.ndarray]:
-        """Exact law of sum of n_coords iid z^X (X ~ Poisson(nu)), kept below target.
+    def fits(room: np.ndarray, step: float) -> np.ndarray:
+        """How many counts ``n = 0, 1, ...`` keep ``n * step <= room``."""
+        return np.searchsorted(np.arange(k) * step, room, side="right")
 
-        Coordinates are assigned to value levels from the top down; the
-        count at each level is conditionally binomial.  Partial states that
-        cannot finish at or below ``target`` are dropped (they all land in
-        the rejection region, whose mass we never need).
-        """
-        frontier: dict[tuple[int, float], float] = {
-            (n_coords, 0.0): (1.0 - overflow_prob) ** n_coords
-        }
-        for x in range(x_max, -1, -1):
-            p_cond = min(1.0, float(pmf[x] / cdf[x]))
-            vx = values[x]
-            max_r = max(r for (r, _s) in frontier)
-            weights = [_binom_pmf(r, p_cond) for r in range(max_r + 1)]
-            new: dict[tuple[int, float], float] = {}
-            for (r, s), prob in frontier.items():
-                if r == 0:
-                    new[(0, s)] = new.get((0, s), 0.0) + prob
-                    continue
-                row = weights[r]
-                for n in range(r + 1):
-                    w = row[n]
-                    if w == 0.0:
-                        continue
-                    s_new = s + n * vx
-                    r_new = r - n
-                    if s_new + r_new <= target:
-                        key = (r_new, s_new)
-                        new[key] = new.get(key, 0.0) + prob * w
-            if len(new) > max_states:
-                raise AtomBudgetError(f"{len(new)} DP states exceed the cap {max_states}")
-            frontier = new
-        sums = np.array([s for (_r, s) in frontier])
-        probs = np.array(list(frontier.values()))
-        order = np.argsort(sums)
-        return sums[order], probs[order]
+    # State i: r[i] of the other coordinates still unplaced, partial sum s[i].
+    r = np.array([k - 1])
+    s = np.zeros(1)
+    prob = np.array([(1.0 - float(pdtrc(x_max, nu))) ** (k - 1)])
+    for x in range(x_max, 1, -1):
+        # n more at level x keep s + r + n (z^x - 1) <= t0 - 1: coordinate 1 adds >= 1.
+        width = np.minimum(fits(t0 - 1.0 - s - r, values[x] - 1.0), r + 1)
+        total = int(width.sum())
+        if total > max_states:
+            raise AtomBudgetError(f"{total} DP states exceed the cap {max_states}")
+        parent = np.repeat(np.arange(r.size), width)
+        n = np.arange(total) - np.repeat(np.cumsum(width) - width, width)
+        prob = prob[parent] * _binom_rows(k, pmf[x] / cdf[x])[r[parent], n]
+        r, s = r[parent] - n, s[parent] + n * values[x]
 
-    # Null side: all k coordinates are Poisson(nu).
-    _sums, probs = sum_distribution(k, t0)
-    p_accept = float(probs.sum())
-
-    # Mixture side: by exchangeability, condition on the spiked coordinate.
-    if k > 1:
-        sums_rest, probs_rest = sum_distribution(k - 1, t0 - 1.0)
-    else:
-        sums_rest, probs_rest = np.array([0.0]), np.array([1.0])
-    cum = np.cumsum(probs_rest)
-    spike_pmf = _poisson_pmf(np.arange(x_max + 1), nu + eps)
-    q_accept = 0.0
-    for x1 in range(x_max + 1):
-        budget = t0 - values[x1]
-        idx = int(np.searchsorted(sums_rest, budget, side="right")) - 1
-        if idx >= 0:
-            q_accept += float(spike_pmf[x1]) * float(cum[idx])
-    tv = p_accept - q_accept
+    # The r coordinates left sit at level 1 with probability p1, else at 0.
+    p1 = pmf[1] / cdf[1] if x_max >= 1 else 0.0
+    cum = np.zeros((k, k + 1))  # cum[r, j] = P{Binomial(r, p1) <= j - 1}
+    np.cumsum(_binom_rows(k, p1), axis=1, out=cum[:, 1:])
+    f = np.array([prob @ cum[r, fits(t0 - v - s - r, z - 1.0)] for v in values])
+    tv = float((pmf - _poisson_pmf(np.arange(x_max + 1), nu + eps)) @ f)
     if tv < -1e-10:
         raise FloatingPointError(f"optimal-event TV came out negative ({tv!r}): the DP lost accuracy")
     return DivergenceResult(max(0.0, tv), 0.0)

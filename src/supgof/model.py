@@ -95,8 +95,8 @@ class SimplexVector:
         arr = _as_float_vector(self.probs, "probs")
         if np.any(np.diff(arr) > 0):
             raise ValueError("probs must be sorted non-increasing")
-        if arr[-1] < 0.0:
-            raise ValueError("probs must be nonnegative")
+        if arr[-1] < 0.0 or arr[0] > 1.0:
+            raise ValueError("probs must lie in [0, 1]")
         if abs(arr.sum() - 1.0) > SIMPLEX_SUM_TOL:
             raise ValueError(f"probs must sum to 1 within {SIMPLEX_SUM_TOL}, got {arr.sum()!r}")
         object.__setattr__(self, "probs", arr)

@@ -86,7 +86,8 @@ def poisson_rate(mu: RateVector) -> RateProfile:
     """
     rates = mu.rates
     js = np.arange(1, rates.size + 1, dtype=float)
-    args = _log_ej(js) / rates
+    with np.errstate(over="ignore"):  # an infinite argument fails h_inverse's own check
+        args = _log_ej(js) / rates
     terms = rates * h_inverse(args)
     j_star = _argmax_smallest(terms)
     epsilon_star = 1.0 + float(np.max(rates * gamma_rate(args)))
@@ -119,7 +120,8 @@ def multinomial_rate(
     gamma_terms = np.zeros(tail.size)
     pos = tail > 0.0
     mus = n_val * tail[pos]
-    args = _log_ej(js[pos]) / mus
+    with np.errstate(over="ignore", divide="ignore"):  # n * q_j may underflow to 0
+        args = _log_ej(js[pos]) / mus
     terms[pos] = mus * h_inverse(args)
     gamma_terms[pos] = tail[pos] * gamma_rate(args)
 

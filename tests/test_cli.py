@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supgof.cli import main
 from supgof.model import RateVector
@@ -294,3 +299,66 @@ class TestNumericFailureExit:
         code, _out, err = run_cli(capsys, "verify", "flattening", "--null", null, "--c", "0.2")
         assert code == 3
         assert "numeric failure" in err
+
+
+# Values a hand-written null spec can hold where a number is expected.
+_ODD_VALUES = st.sampled_from(
+    [0, -1, math.nan, math.inf, -math.inf, 5e-324, 1e308, "2", "x", None, True, [], {}]
+)
+_VALUES = st.integers(0, 3).flatmap(
+    lambda i: _ODD_VALUES if i == 0 else st.sampled_from([0.2, 0.5, 1, 3, 50])
+)
+_VECTORS = st.one_of(
+    st.sampled_from([[1, 1, 1], [0.5, 0.3, 0.2], [0.6, 0.4, 0.0], [1.0]]),
+    st.lists(_VALUES, max_size=4),
+    _ODD_VALUES,
+)
+
+
+@st.composite
+def _null_specs(draw) -> str:
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["[1, 2]", "3", "null", '"s"', "{"]))
+    model = draw(st.sampled_from(["poisson", "multinomial", "poisson", "multinomial", "gamma", None]))
+    spec = {"model": model}
+    for key, values in (("rates", _VECTORS), ("probs", _VECTORS), ("n", _VALUES)):
+        if draw(st.integers(0, 3)):
+            spec[key] = draw(values)
+    return json.dumps(spec)
+
+
+class TestExitCodeContract:
+    """Any null spec, however malformed, ends in exit 0 to 3 and never in a traceback.
+
+    The pytest configuration turns a ``RuntimeWarning`` into an error, so a
+    spec that warns on its way to an exit code fails here as well.
+    """
+
+    def test_fuzzed_null_specs(self, tmp_path):
+        data = tmp_path / "counts.csv"
+        data.write_text("1,1,1\n0,2,1\n")
+
+        @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+        # Inputs that once warned of an overflow or a division by zero before exiting.
+        @example("rate", '{"model": "poisson", "rates": [1, 5e-324]}', None)
+        @example("test", '{"model": "poisson", "rates": [50, 0.2, 5e-324]}', None)
+        @example("rate", '{"model": "multinomial", "probs": [0.5, 0.3, 0.2], "n": 5e-324}', None)
+        @example("test", '{"model": "multinomial", "probs": [1e308, 1e308, 1e308], "n": 3}', None)
+        @given(
+            command=st.sampled_from(["rate", "test", "prior"]),
+            spec=_null_specs(),
+            c=st.sampled_from([None, "0.5", "-1", "nan", "inf"]),
+        )
+        def run(command, spec, c):
+            argv = [command, "--null", spec]
+            if command == "test":
+                argv += ["--data", str(data)]
+            if command == "prior" and c is not None:
+                argv += ["--c", c]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+
+        run()

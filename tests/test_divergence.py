@@ -39,6 +39,37 @@ LAMS = 10.0 ** _RNG.uniform(-3.0, 4.0, 2_000)
 QS = 1.0 - 10.0 ** _RNG.uniform(-16.0, -1.0, 2_000)
 
 
+def _tv_by_level_counts(nu: float, eps: float, k: int) -> float:
+    """``TV = E0[(1 - L)+]`` summed over how many coordinates sit at each count.
+
+    Shares no code with ``supgof``.  ``L = mean_j e^{-eps} z^{X_j}`` with
+    ``z = 1 + eps/nu`` depends on the counts only through
+    ``T = sum_j z^{X_j} = t0 L`` at ``t0 = k e^eps``, so the sum runs over the
+    number ``c`` of coordinates at each count ``x`` (multinomial weights),
+    from the top count down, and leaves a branch once ``T`` reaches ``t0``.
+    """
+    log_z = math.log1p(eps / nu)
+    t0 = k * math.exp(eps)
+    top = int(math.log(t0) / log_z)
+    log_pmf = [x * math.log(nu) - nu - math.lgamma(x + 1) for x in range(top + 1)]
+    total = 0.0
+    stack = [(top, k, 0.0, math.lgamma(k + 1))]
+    while stack:
+        x, left, t, log_w = stack.pop()
+        if x == 0:
+            t += left
+            if t < t0:
+                log_w += left * log_pmf[0] - math.lgamma(left + 1)
+                total += math.exp(log_w) * (1.0 - t / t0)
+            continue
+        z_x = math.exp(x * log_z)
+        for c in range(left + 1):
+            if t + c * z_x + (left - c) >= t0:
+                break
+            stack.append((x - 1, left - c, t + c * z_x, log_w + c * log_pmf[x] - math.lgamma(c + 1)))
+    return total
+
+
 class TestSpecialClosedForms:
     """The module's closed forms reproduce ``scipy.stats`` (kept here only as the oracle)."""
 
@@ -75,16 +106,17 @@ class TestSpecialClosedForms:
 
     @pytest.mark.parametrize("p", [0.0, 1e-12, 0.01, 0.37, 0.5, 0.99, 1.0 - 1e-12, 1.0])
     def test_binomial_pmf_matches_scipy_stats(self, p):
+        rows = divergence._binom_rows(101, p)
         for r in (0, 1, 2, 7, 40, 100):
-            got = divergence._binom_pmf(r, p)
             want = scipy.stats.binom.pmf(np.arange(r + 1), r, p)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(rows[r, : r + 1], want, rtol=1e-12, atol=1e-300)
+            assert not rows[r, r + 1 :].any()
 
     def test_binomial_degenerate_rows(self):
         """Exact zeros off the atom, as the spike DP needs at ``p_cond = 1``."""
-        assert divergence._binom_pmf(0, 0.3).tolist() == [1.0]
-        assert divergence._binom_pmf(5, 1.0).tolist() == [0.0] * 5 + [1.0]
-        assert divergence._binom_pmf(5, 0.0).tolist() == [1.0] + [0.0] * 5
+        assert divergence._binom_rows(1, 0.3).tolist() == [[1.0]]
+        assert divergence._binom_rows(6, 1.0)[5].tolist() == [0.0] * 5 + [1.0]
+        assert divergence._binom_rows(6, 0.0)[5].tolist() == [1.0] + [0.0] * 5
 
 
 class TestTruncatedPmf:
@@ -355,10 +387,60 @@ class TestSpikeMixtureTv:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_negative_tv_is_a_numeric_failure(self, monkeypatch):
-        """A DP that loses mass on the null side raises, also under ``python -O``."""
-        monkeypatch.setattr(divergence, "pdtrc", lambda k, lam: 0.9)
+        """A spike side that outweighs the null raises, also under ``python -O``."""
+        pmf = divergence._poisson_pmf
+        monkeypatch.setattr(
+            divergence, "_poisson_pmf", lambda ks, lam: pmf(ks, lam) * (2.0 if lam > 1.0 else 1.0)
+        )
         with pytest.raises(FloatingPointError, match="negative"):
             tv_poisson_uniform_spike(1.0, 1.0, 3)
+
+    def test_matches_level_count_enumeration(self):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            nu = float(rng.uniform(0.3, 5.0))
+            eps = float(rng.uniform(0.25, 1.0)) * (nu + 1.0)
+            # The enumeration grows exponentially in k; k <= 40/nu keeps it under a second.
+            k = int(rng.integers(1, min(20, int(40.0 / nu)) + 1))
+            got = tv_poisson_uniform_spike(nu, eps, k)
+            assert got.value == pytest.approx(_tv_by_level_counts(nu, eps, k), abs=1e-12)
+            assert got.error_bar == 0.0
+
+    @pytest.mark.parametrize(
+        "nu, eps, k, x_max",
+        [
+            (1.0, 3.0, 1, 2),  # no other coordinates
+            (2.0, 0.9, 2, 3),
+            (0.3, 0.1, 2, 0),  # any count above 0 rejects on its own
+            (1.0, 1.3, 1, 1),  # x_max <= 1: the DP enumerates no level
+            (0.3, 4.0, 2, 1),
+        ],
+    )
+    def test_edge_designs(self, nu, eps, k, x_max):
+        assert math.floor(math.log(k * math.expm1(eps) + 1.0) / math.log1p(eps / nu)) == x_max
+        got = tv_poisson_uniform_spike(nu, eps, k).value
+        assert got > 0.0
+        assert got == pytest.approx(_tv_by_level_counts(nu, eps, k), abs=1e-12)
+
+    def test_state_budget(self):
+        with pytest.raises(AtomBudgetError):
+            tv_poisson_uniform_spike(1.0, 3.0, 30, max_states=10)
+
+    @pytest.mark.parametrize(
+        "k, eps, want",
+        [
+            (70, 3.589786155242682, "0.375006341431009234730338922032"),
+            (100, 3.724068023778403, "0.359957831488611513459861186665"),
+        ],
+    )
+    def test_matches_mpmath_at_large_k(self, k, eps, want):
+        """30-digit references: ``_tv_by_level_counts`` run in mpmath at 40 digits.
+
+        The designs are the sharp-constant spikes at ``nu = 1``, ``xi = 0.5``
+        and ``p = k``; the mpmath sum takes about 5 s at k = 70 and 20 s at
+        k = 100, so the values are inlined.
+        """
+        assert tv_poisson_uniform_spike(1.0, eps, k).value == pytest.approx(float(want), abs=1e-15)
 
 
 class TestSpikeRiskCertificate:
