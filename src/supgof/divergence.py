@@ -549,12 +549,12 @@ def tv_poisson_uniform_spike(
     law of the sum over the other ``k - 1`` coordinates, so one dynamic
     program serves both sides.  It assigns those coordinates to value levels
     ``x >= 2`` from the top down (the count at each level is conditionally
-    binomial) and drops partial sums that cannot finish at or below
-    ``t0 - 1``; the rest of a state sits at levels 1 and 0, whose count is
-    binomial and closes in one table lookup.  Nothing is truncated.  A TV
-    below ``-1e-10`` means the DP lost accuracy and raises
-    ``FloatingPointError``; more than ``max_states`` states at one level
-    raises ``AtomBudgetError``.
+    binomial), merges paths that reach the same state and drops partial
+    sums that cannot finish at or below ``t0 - 1``; the rest of a state sits
+    at levels 1 and 0, whose count is binomial and closes in one table
+    lookup.  Nothing is truncated.  A TV below ``-1e-10`` or NaN means the
+    DP lost accuracy and raises ``FloatingPointError``; more than
+    ``max_states`` states at one level raises ``AtomBudgetError``.
     """
     if nu <= 0 or k < 1:
         raise ValueError("need nu > 0 and k >= 1")
@@ -572,6 +572,8 @@ def tv_poisson_uniform_spike(
     values = z ** np.arange(x_max + 1)
     pmf = _poisson_pmf(np.arange(x_max + 1), nu)
     cdf = np.cumsum(pmf)
+    # P{X = x | X <= x}, or its limit 1 where both underflow (nu near 750 and up).
+    p_cond = np.divide(pmf, cdf, out=np.ones_like(pmf), where=cdf > 0.0)
 
     def fits(room: np.ndarray, step: float) -> np.ndarray:
         """How many counts ``n = 0, 1, ...`` keep ``n * step <= room``."""
@@ -582,22 +584,32 @@ def tv_poisson_uniform_spike(
     s = np.zeros(1)
     prob = np.array([(1.0 - float(pdtrc(x_max, nu))) ** (k - 1)])
     for x in range(x_max, 1, -1):
-        # n more at level x keep s + r + n (z^x - 1) <= t0 - 1: coordinate 1 adds >= 1.
-        width = np.minimum(fits(t0 - 1.0 - s - r, values[x] - 1.0), r + 1)
+        # Paths that reached the same (r, s) merge into one state before they expand.
+        order = np.lexsort((s, r))
+        r, s, prob = r[order], s[order], prob[order]
+        first = np.flatnonzero((np.diff(r, prepend=-1) != 0) | (np.diff(s, prepend=-1.0) != 0))
+        r, s, prob = r[first], s[first], np.add.reduceat(prob, first)
+        rows = _binom_rows(k, float(p_cond[x]))
+        # Counts n with a nonzero weight, lo[r] <= n <= hi[r], and
+        # s + r + n (z^x - 1) <= t0 - 1: coordinate 1 adds >= 1.
+        lo = np.argmax(rows > 0.0, axis=1)
+        hi = k - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+        top = np.minimum(fits(t0 - 1.0 - s - r, values[x] - 1.0) - 1, hi[r])
+        width = np.maximum(top - lo[r] + 1, 0)
         total = int(width.sum())
         if total > max_states:
             raise AtomBudgetError(f"{total} DP states exceed the cap {max_states}")
         parent = np.repeat(np.arange(r.size), width)
-        n = np.arange(total) - np.repeat(np.cumsum(width) - width, width)
-        prob = prob[parent] * _binom_rows(k, pmf[x] / cdf[x])[r[parent], n]
+        n = lo[r[parent]] + np.arange(total) - np.repeat(np.cumsum(width) - width, width)
+        prob = prob[parent] * rows[r[parent], n]
         r, s = r[parent] - n, s[parent] + n * values[x]
 
     # The r coordinates left sit at level 1 with probability p1, else at 0.
-    p1 = pmf[1] / cdf[1] if x_max >= 1 else 0.0
+    p1 = float(p_cond[1]) if x_max >= 1 else 0.0
     cum = np.zeros((k, k + 1))  # cum[r, j] = P{Binomial(r, p1) <= j - 1}
     np.cumsum(_binom_rows(k, p1), axis=1, out=cum[:, 1:])
     f = np.array([prob @ cum[r, fits(t0 - v - s - r, z - 1.0)] for v in values])
     tv = float((pmf - _poisson_pmf(np.arange(x_max + 1), nu + eps)) @ f)
-    if tv < -1e-10:
-        raise FloatingPointError(f"optimal-event TV came out negative ({tv!r}): the DP lost accuracy")
+    if not tv >= -1e-10:
+        raise FloatingPointError(f"optimal-event TV came out negative or NaN ({tv!r}): the DP lost accuracy")
     return DivergenceResult(max(0.0, tv), 0.0)

@@ -422,6 +422,35 @@ class TestSpikeMixtureTv:
         assert got > 0.0
         assert got == pytest.approx(_tv_by_level_counts(nu, eps, k), abs=1e-12)
 
+    def test_nan_tv_is_a_numeric_failure(self, monkeypatch):
+        pmf = divergence._poisson_pmf
+        monkeypatch.setattr(
+            divergence, "_poisson_pmf", lambda ks, lam: pmf(ks, lam) * (np.nan if lam > 1.0 else 1.0)
+        )
+        with pytest.raises(FloatingPointError, match="NaN"):
+            tv_poisson_uniform_spike(1.0, 1.0, 3)
+
+    def test_underflowing_low_levels(self):
+        """At ``nu = 800`` the pmf underflows at counts 0 and 1, so ``P{X = x | X <= x}`` is 0/0.
+
+        Its limit is 1.  The reference is the dense two-coordinate TV.
+        """
+        assert divergence._poisson_pmf(np.arange(2), 800.0).sum() == 0.0
+        xs = np.arange(1500)
+        p = scipy.stats.poisson.pmf(xs, 800.0)
+        q = scipy.stats.poisson.pmf(xs, 810.0)
+        want = 0.5 * np.abs(np.outer(p, p) - 0.5 * (np.outer(q, p) + np.outer(p, q))).sum()
+        assert tv_poisson_uniform_spike(800.0, 10.0, 2).value == pytest.approx(want, abs=1e-12)
+
+    def test_equal_sums_merge(self):
+        """``z`` rounds to 1 and ``x_max`` is about 1000, so every path at a level has sum ``s``
+        equal to its count; merged, the DP never holds more than 55 states (it held millions
+        path by path).  The TV of a 1e-15 spike is 0 to double precision.
+        """
+        assert 1.0 + 1e-15 / 100.0 == 1.0
+        got = tv_poisson_uniform_spike(100.0, 1e-15, 10, max_states=100)
+        assert got.value == pytest.approx(0.0, abs=1e-12)
+
     def test_state_budget(self):
         with pytest.raises(AtomBudgetError):
             tv_poisson_uniform_spike(1.0, 3.0, 30, max_states=10)
@@ -438,9 +467,10 @@ class TestSpikeMixtureTv:
 
         The designs are the sharp-constant spikes at ``nu = 1``, ``xi = 0.5``
         and ``p = k``; the mpmath sum takes about 5 s at k = 70 and 20 s at
-        k = 100, so the values are inlined.
+        k = 100, so the values are inlined.  The DP is within 3e-16 of both;
+        ``1e-14`` leaves room for a BLAS that sums the states in another order.
         """
-        assert tv_poisson_uniform_spike(1.0, eps, k).value == pytest.approx(float(want), abs=1e-15)
+        assert tv_poisson_uniform_spike(1.0, eps, k).value == pytest.approx(float(want), abs=1e-14)
 
 
 class TestSpikeRiskCertificate:
