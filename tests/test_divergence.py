@@ -467,7 +467,7 @@ class TestSpikeMixtureTv:
 
         The designs are the sharp-constant spikes at ``nu = 1``, ``xi = 0.5``
         and ``p = k``; the mpmath sum takes about 5 s at k = 70 and 20 s at
-        k = 100, so the values are inlined.  The DP is within 3e-16 of both;
+        k = 100, so the values are inlined.  The DP is within 5e-16 of both;
         ``1e-14`` leaves room for a BLAS that sums the states in another order.
         """
         assert tv_poisson_uniform_spike(1.0, eps, k).value == pytest.approx(float(want), abs=1e-14)
