@@ -226,7 +226,10 @@ def _load_alternative(args, model: str, null, n):
             raise DataError(f"alternative spec is not valid JSON: {exc}") from exc
         if isinstance(payload, dict):
             payload = payload.get("rates" if model == "poisson" else "probs")
-        return np.asarray(payload, dtype=float)
+        try:
+            return np.asarray(payload, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid alternative spec: {exc}") from exc
     # Default alternative: the relevant lower-bound prior.
     if model == "poisson":
         return PoissonSpikePrior.build(null, _poisson_spike_c(args))
@@ -247,7 +250,7 @@ def _cmd_risk(args) -> None:
         "type2": est.type2,
         "total": est.total,
         "ci": est.ci_halfwidth,
-        "trials": est.trials,
+        "trials": args.trials,  # as requested; an exact result (ci 0) draws none
         "seed": est.seed,
     }
     _emit(_dump_json(payload) + "\n", args.out, f"risk: total={_fmt(est.total)} +/- {_fmt(est.ci_halfwidth)}")
@@ -336,11 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--big-c", type=float, default=math.e)
     sp.add_argument("--k", type=int, default=None)
 
-    sp = sub.add_parser("risk", help="Monte Carlo risk of the implemented test")
+    sp = sub.add_parser(
+        "risk", help="risk of the implemented test: exact, Monte Carlo for the fixed-n multinomial"
+    )
     common(sp, seed=True, eta=True)
     sp.add_argument("--alt", help="alternative: JSON file or inline array")
     sp.add_argument("--c", type=float, default=None, help="prior spike scale when no --alt (poisson: required)")
-    sp.add_argument("--trials", type=int, default=10_000)
+    sp.add_argument(
+        "--trials", type=int, default=10_000, help="Monte Carlo trials, at least 100 (fixed-n multinomial only)"
+    )
     sp.add_argument("--poissonized", action="store_true")
 
     sp = sub.add_parser("sweep", help="sharp-constant risk sweep over xi")
@@ -349,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xi-grid", default="0.5,1.0,2.0")
     sp.add_argument("--alpha-rule", default="log_p", help='"log_p", "loglog_p", or a float')
     sp.add_argument(
-        "--trials", type=int, default=10_000, help="Monte Carlo trials per xi (multinomial only; the poisson sweep is exact)"
+        "--trials", type=int, default=10_000, help="Monte Carlo trials per xi (fixed-n multinomial only; the other sweeps are exact)"
     )
     sp.add_argument("--poissonized", action="store_true")
     return parser

@@ -1,7 +1,10 @@
 """Decision procedures: the Poisson max test and the multinomial head/tail pair.
 
 Threshold conventions follow the displays defining the tests: the max tests
-reject on strict ``>`` exceedance, the head test on ``>=``.  Calibration
+reject on strict ``>`` exceedance, the head test on ``>=``.  Every test
+accepts exactly when each count lies in an integer interval, its
+:class:`AcceptanceBox`; the box settles the float comparison at integral
+edges, and each kernel rejects when some count lies outside it.  Calibration
 constants come from summing the relevant series exactly: the union bound
 spends ``2/(C' j^2)`` per coordinate, so the smallest constant achieving
 level ``eta/2`` is ``C' = 2 pi^2 / (3 eta)``, and analogously for the tail
@@ -19,11 +22,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import pdtr, pdtrc
 
 from .model import CountVector, RateVector, SampleSize, SimplexVector, sample_size_value
 from .special import h_inverse
 
 __all__ = [
+    "AcceptanceBox",
     "TestDecision",
     "PoissonTestConfig",
     "MultinomialTestConfig",
@@ -51,6 +56,73 @@ class TestDecision:
         if np.ndim(self.reject):
             return np.where(self.reject, "reject", "accept")
         return "reject" if self.reject else "accept"
+
+
+def _poisson_below(lo: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``P_lam(X < lo)`` for ``lo >= 0``."""
+    return np.where(lo >= 1.0, pdtr(np.maximum(lo - 1.0, 0.0), lam), 0.0)
+
+
+@dataclass(frozen=True)
+class AcceptanceBox:
+    """The counts a test accepts: integers ``lo_j <= x_j <= hi_j`` in every cell.
+
+    An empty interval has ``hi_j < lo_j``.  Under independent Poisson cells
+    the acceptance probability is the product of the per-cell masses.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self):
+        lo = np.asarray(self.lo, dtype=float)
+        hi = np.asarray(self.hi, dtype=float)
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError("lo and hi must be 1-D arrays of one length")
+        for name, arr in (("lo", lo), ("hi", hi)):
+            object.__setattr__(self, name, arr)
+            arr.setflags(write=False)
+
+    @classmethod
+    def around(cls, center, half_width: float, strict: bool) -> "AcceptanceBox":
+        """Integers ``x >= 0`` with ``|x - center_j| < half_width`` if
+        ``strict``, else ``<= half_width``.
+
+        Each edge is settled by that same float comparison, so a count at an
+        integral edge falls on the side the test puts it.
+        """
+        center = np.asarray(center, dtype=float)
+        within = np.less if strict else np.less_equal
+
+        def inside(x):
+            return within(np.abs(x - center), half_width)
+
+        hi = np.floor(center + half_width)
+        hi = np.where(inside(hi), hi, hi - 1.0)
+        hi = np.where(inside(hi + 1.0), hi + 1.0, hi)
+        lo = np.ceil(center - half_width)
+        lo = np.where(inside(lo), lo, lo + 1.0)
+        lo = np.where(inside(lo - 1.0), lo - 1.0, lo)
+        return cls(np.maximum(lo, 0.0), hi)
+
+    def __getitem__(self, cells) -> "AcceptanceBox":
+        return AcceptanceBox(self.lo[cells], self.hi[cells])
+
+    def rejects(self, table: np.ndarray) -> np.ndarray:
+        """Per row of a ``(rows, p)`` table: some count lies outside its interval."""
+        return ((table < self.lo) | (table > self.hi)).any(axis=1)
+
+    def mass(self, lam) -> np.ndarray:
+        """``P(lo_j <= X_j <= hi_j)`` for ``X_j ~ Poisson(lam_j)``, as a CDF difference."""
+        return np.where(self.hi >= self.lo, pdtr(self.hi, lam) - _poisson_below(self.lo, lam), 0.0)
+
+    def log_mass(self, lam) -> np.ndarray:
+        """``log`` of :meth:`mass` as ``log1p(-mass outside)``, so a mass near 1
+        keeps its relative accuracy; ``-inf`` on an empty interval."""
+        outside = np.minimum(_poisson_below(self.lo, lam) + pdtrc(self.hi, lam), 1.0)
+        with np.errstate(divide="ignore"):
+            log_inside = np.log1p(-outside)
+        return np.where(self.hi >= self.lo, log_inside, -np.inf)
 
 
 def _check_eta(eta: float) -> None:
@@ -107,6 +179,10 @@ class PoissonTestConfig:
     def max_threshold(self) -> float:
         return float(self.thresholds.max())
 
+    def acceptance_box(self, mu: RateVector) -> AcceptanceBox:
+        """Counts the max test accepts: ``|x_j - mu_j| <= max_threshold`` in every cell."""
+        return AcceptanceBox.around(mu.rates, self.max_threshold, strict=False)
+
 
 def _table(x, p: int) -> tuple[np.ndarray, bool]:
     """Counts as a ``(rows, p)`` table, and whether ``x`` was a single vector."""
@@ -130,7 +206,7 @@ def poisson_max_test(x, mu: RateVector, cfg: PoissonTestConfig) -> TestDecision:
     table, single = _table(x, mu.p)
     stat = np.abs(table - mu.rates).max(axis=1)
     thr = np.full(stat.shape, cfg.max_threshold)
-    return _decision(stat > thr, stat, thr, single)
+    return _decision(cfg.acceptance_box(mu).rejects(table), stat, thr, single)
 
 
 @dataclass(frozen=True)
@@ -191,6 +267,21 @@ class MultinomialTestConfig:
             return 0.0
         return float(self.tail_thresholds[self.tail_active].max())
 
+    def acceptance_box(self, q0: SimplexVector, n: SampleSize | float) -> AcceptanceBox:
+        """Counts the head-or-tail test accepts.
+
+        The head cell lies strictly within ``head_threshold`` of ``n q0(1)``,
+        every tail cell within ``max_tail_threshold`` of ``n q0(j)``
+        (inclusive), and a tail cell of null probability zero at ``[0, 0]``.
+        """
+        center = sample_size_value(n) * q0.probs
+        head = AcceptanceBox.around(center[:1], self.head_threshold, strict=True)
+        tail = AcceptanceBox.around(center[1:], self.max_tail_threshold, strict=False)
+        zero = q0.tail == 0.0
+        return AcceptanceBox(
+            np.r_[head.lo, np.where(zero, 0.0, tail.lo)], np.r_[head.hi, np.where(zero, 0.0, tail.hi)]
+        )
+
 
 def multinomial_head_test(
     x, q0: SimplexVector, n: SampleSize | float, cfg: MultinomialTestConfig
@@ -199,7 +290,7 @@ def multinomial_head_test(
     table, single = _table(x, q0.p)
     stat = np.abs(table[:, 0] - sample_size_value(n) * q0.head)
     thr = np.full(stat.shape, cfg.head_threshold)
-    return _decision(stat >= thr, stat, thr, single)
+    return _decision(cfg.acceptance_box(q0, n)[:1].rejects(table[:, :1]), stat, thr, single)
 
 
 def multinomial_tail_test(
@@ -216,7 +307,7 @@ def multinomial_tail_test(
     stat = np.abs(tail_counts - sample_size_value(n) * q0.tail).max(axis=1, initial=0.0)
     stat[(tail_counts[:, q0.tail == 0.0] > 0).any(axis=1)] = math.inf
     thr = np.full(stat.shape, cfg.max_tail_threshold)
-    return _decision(stat > thr, stat, thr, single)
+    return _decision(cfg.acceptance_box(q0, n)[1:].rejects(tail_counts), stat, thr, single)
 
 
 def multinomial_combined_test(

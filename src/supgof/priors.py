@@ -185,7 +185,7 @@ class MultinomialSimplexPrior:
     def build(
         cls, q0: SimplexVector, n: SampleSize | float, c: float, c_tilde: float = math.e
     ) -> "MultinomialSimplexPrior":
-        if c <= 0:
+        if not c > 0:  # NaN included
             raise ValueError(f"c must be positive, got {c!r}")
         n_val = sample_size_value(n)
         profile = multinomial_rate(q0, n_val, c_tilde)

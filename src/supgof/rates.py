@@ -25,6 +25,7 @@ __all__ = [
     "sharp_constant_epsilon",
     "sharp_constant_epsilons",
     "multinomial_sharp_constant_epsilon",
+    "multinomial_sharp_constant_epsilons",
     "SharpConstantEpsilon",
     "MultinomialSharpConstantEpsilon",
 ]
@@ -168,6 +169,24 @@ def _inflated_log(js: np.ndarray, alpha_p: float) -> np.ndarray:
     return 1.0 + np.log(js) + math.log(alpha_p) + 2.0 * np.log1p(np.log(js))
 
 
+def _check_sharp_constant_grid(alpha_p: float, xi_grid) -> np.ndarray:
+    if alpha_p <= 1.0:
+        raise ValueError(f"alpha_p must exceed 1, got {alpha_p!r}")
+    xi_grid = np.asarray(xi_grid, dtype=float)
+    for xi in xi_grid:
+        if not 0.0 < xi < math.inf:
+            raise ValueError(f"xi must be positive and finite, got {float(xi)!r}")
+    return xi_grid
+
+
+def _scaled_by_grid(xi_grid: np.ndarray, level: float) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        epsilons = xi_grid * level
+    if not np.all(np.isfinite(epsilons)):
+        raise OverflowError(f"the separation xi * {level!r} overflows on xi grid {xi_grid.tolist()!r}")
+    return epsilons
+
+
 def sharp_constant_epsilon(
     mu: RateVector, alpha_p: float, xi: float
 ) -> SharpConstantEpsilon:
@@ -187,18 +206,13 @@ def sharp_constant_epsilons(
 
     The ``xi``-free objective and its critical index are computed once.
     """
-    if alpha_p <= 1.0:
-        raise ValueError(f"alpha_p must exceed 1, got {alpha_p!r}")
-    xi_grid = np.asarray(xi_grid, dtype=float)
-    for xi in xi_grid:
-        if xi <= 0.0:
-            raise ValueError(f"xi must be positive, got {float(xi)!r}")
+    xi_grid = _check_sharp_constant_grid(alpha_p, xi_grid)
     rates = mu.rates
     if rates[-1] < 1.0:
         raise ValueError("the sharp-constant setup assumes all rates >= 1")
     js = np.arange(1, rates.size + 1, dtype=float)
     terms = rates * h_inverse(_inflated_log(js, alpha_p) / rates)
-    return xi_grid * float(terms.max()), _argmax_smallest(terms)
+    return _scaled_by_grid(xi_grid, float(terms.max())), _argmax_smallest(terms)
 
 
 def multinomial_sharp_constant_epsilon(
@@ -211,10 +225,20 @@ def multinomial_sharp_constant_epsilon(
     ``q(1-q)`` of the tail cells.  The mass-removal count ``m`` is clamped
     to at least 2 whenever it is positive.
     """
-    if alpha_p <= 1.0:
-        raise ValueError(f"alpha_p must exceed 1, got {alpha_p!r}")
-    if xi <= 0.0:
-        raise ValueError(f"xi must be positive, got {xi!r}")
+    eps, j_star, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, alpha_p, [xi])
+    return MultinomialSharpConstantEpsilon(float(eps[0]), j_star, n_prime, m)
+
+
+def multinomial_sharp_constant_epsilons(
+    q0: SimplexVector, n: SampleSize | float, alpha_p: float, xi_grid
+) -> tuple[np.ndarray, int, float, int]:
+    """:func:`multinomial_sharp_constant_epsilon` over a grid of ``xi``:
+    ``(epsilons, j*, n', m)``.
+
+    The two ``xi``-free objectives, the critical index and ``m`` are
+    computed once.
+    """
+    xi_grid = _check_sharp_constant_grid(alpha_p, xi_grid)
     n_val = sample_size_value(n)
     if q0.probs[-1] < 1.0 / n_val:
         raise ValueError("the sharp-constant setup assumes q0(p) >= 1/n")
@@ -231,6 +255,4 @@ def multinomial_sharp_constant_epsilon(
     mu_star = n_prime * float(tail[j_star - 1])
     m_raw = max(2, math.ceil(h_inverse((1.0 + math.log(j_star)) / mu_star)))
     m = min(m_raw, j_star - 1)
-    return MultinomialSharpConstantEpsilon(
-        xi * float(value_terms.max()), j_star, n_prime, m
-    )
+    return _scaled_by_grid(xi_grid, float(value_terms.max())), j_star, n_prime, m

@@ -156,6 +156,14 @@ class TestPriorCommand:
         assert "infinite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [["prior"], ["risk", "--poissonized"]], ids=["prior", "risk"])
+    def test_multinomial_nan_spike_is_config_error(self, capsys, argv):
+        """A NaN spike scale once printed NaN draws (prior) or warned (Poissonized risk)."""
+        code, out, err = run_cli(capsys, *argv, "--null", MULT_NULL, "--c", "nan")
+        assert code == 1
+        assert "c must be positive" in err
+        assert out == ""
+
     def test_multinomial_draws_on_simplex(self, capsys):
         null = json.dumps(
             {"model": "multinomial", "probs": [0.025] * 40, "n": 50}
@@ -198,6 +206,12 @@ class TestRiskAndSweep:
         payload = json.loads(out)
         assert payload["total"] == payload["type1"] + payload["type2"]
         assert payload["trials"] == 400
+
+    def test_two_dimensional_alternative_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "risk", "--null", POISSON_NULL, "--alt", "[[6,1,1]]")
+        assert code == 1
+        assert "dimension mismatch" in err
+        assert out == ""
 
     def test_risk_poisson_prior_without_c_is_config_error(self, capsys):
         code, _out, err = run_cli(capsys, "risk", "--null", POISSON_NULL, "--trials", "400")
@@ -284,6 +298,13 @@ class TestNumericFailureExit:
         assert "acceptance box of coordinate 1" in err
         assert out == ""
 
+    def test_risk_zero_probability_box_is_exit_3(self, capsys):
+        null = '{"model":"poisson","rates":[1e300,1]}'
+        code, out, err = run_cli(capsys, "risk", "--null", null, "--c", "0.5", "--trials", "100")
+        assert code == 3
+        assert "acceptance box of coordinate 1 " in err
+        assert out == ""
+
     def test_h_inverse_failure_is_exit_3(self, capsys):
         # log(2e)/5e-324 overflows to inf, which no h_inverse output can meet.
         null = '{"model":"poisson","rates":[1,5e-324]}'
@@ -355,6 +376,58 @@ class TestExitCodeContract:
                 argv += ["--data", str(data)]
             if command == "prior" and c is not None:
                 argv += ["--c", c]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+
+        run()
+
+    def test_fuzzed_risk_and_sweep_options(self):
+        """``risk`` and ``sweep`` over both models and every option that sets the risk."""
+
+        @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+        # Grids whose separation overflowed with a RuntimeWarning before exiting.
+        @example("sweep", POISSON_NULL, False, None, None, None, "1e308")
+        @example("sweep", POISSON_NULL, False, None, None, None, "inf")
+        @given(
+            command=st.sampled_from(["risk", "sweep"]),
+            spec=st.one_of(
+                st.sampled_from(
+                    [
+                        POISSON_NULL,
+                        MULT_NULL,
+                        '{"model":"poisson","rates":[1e300,1]}',
+                        '{"model":"multinomial","probs":[0.4,0.3,0.3],"n":30}',
+                        '{"model":"multinomial","probs":[0.25,0.25,0.25,0.25],"n":12.5}',
+                        '{"model":"multinomial","probs":[0.6,0.4,0.0],"n":20}',
+                    ]
+                ),
+                _null_specs(),
+            ),
+            poissonized=st.booleans(),
+            alt=st.sampled_from(
+                [None, "[6,1,1]", "[0.2,0.3,0.5]", "[1,2]", "[-1,1,1]", "[NaN,1,1]", "[1e308,1,1]",
+                 "[[1,1,1]]", '{"rates":[2,1,1]}', '{"probs":{"a":1}}', '["x"]', "{", "[]"]
+            ),
+            c=st.sampled_from([None, "0.5", "0", "-1", "nan", "inf", "1e308"]),
+            trials=st.sampled_from([None, "0", "-3", "50", "100", "150"]),
+            xi_grid=st.sampled_from(
+                [None, "0.5,1,2", "1", "0", "-1", "nan", "inf", "1e308", "2,1", "1,1", ",", "x", "1e-300"]
+            ),
+        )
+        def run(command, spec, poissonized, alt, c, trials, xi_grid):
+            argv = [command, "--null", spec]
+            if poissonized:
+                argv.append("--poissonized")
+            if trials is not None:
+                argv += ["--trials", trials]
+            if command == "risk":
+                argv += [] if alt is None else ["--alt", alt]
+                argv += [] if c is None else ["--c", c]
+            elif xi_grid is not None:
+                argv += ["--xi-grid", xi_grid]
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)

@@ -6,8 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import poisson
 
 from supgof.maxtest import (
+    AcceptanceBox,
     MultinomialTestConfig,
     PoissonTestConfig,
     calibrate_k2,
@@ -26,6 +30,7 @@ from supgof.model import (
     sample_multinomial,
     sample_poisson_product,
 )
+from supgof.risk import estimate_poisson_risk
 from supgof.special import h_inverse
 
 
@@ -349,3 +354,102 @@ class TestBatchKernel:
         assert poisson_max_test(np.array([[2, 1], [2, 40]]), mu, cfg).label.tolist() == ["accept", "reject"]
         with pytest.raises(ValueError):
             poisson_max_test(np.zeros((3, 3), dtype=int), mu, cfg)
+
+
+class TestExactCalibration:
+    """Theorem-1 calibration, checked exactly: the Type I error of the
+    calibrated Poisson max test is at most eta/2."""
+
+    NULLS = {
+        "flat-1": np.ones(100),
+        "flat-0.1": np.full(1_000, 0.1),
+        "decaying": 1.0 + 100.0 / np.sqrt(np.arange(1, 10_001)),
+        "flat-1e4": np.full(50, 1e4),
+        "flat-1e-3": np.full(10, 1e-3),
+    }
+
+    @pytest.mark.parametrize("name", list(NULLS))
+    def test_type1_at_most_half_eta(self, name):
+        mu = RateVector(self.NULLS[name])
+        for eta in (0.05, 0.1, 0.2, 0.5, 1.0):
+            u = PoissonTestConfig.from_eta(mu, eta).max_threshold
+            # Independent tail sums: reject when X > mu + u or X < mu - u.
+            tails = poisson.sf(np.floor(mu.rates + u), mu.rates) + poisson.cdf(
+                np.ceil(mu.rates - u) - 1.0, mu.rates
+            )
+            want = -math.expm1(np.log1p(-tails).sum())
+            got = estimate_poisson_risk(mu, mu, eta, 100, 0).type1
+            assert abs(got - want) <= 1e-12
+            assert got <= eta / 2.0
+
+
+_SETTINGS = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+# Half-widths and offsets on a half-integer grid, so counts land exactly on the edges.
+_HALF_STEPS = st.integers(0, 12).map(lambda k: k / 2.0)
+_OFFSETS = st.integers(-8, 8).map(lambda k: k / 2.0)
+
+
+class TestBoxDecisions:
+    """Box decisions equal a row-at-a-time ``|x - center|`` reference."""
+
+    @_SETTINGS
+    @example(center=[3.0, 0.0, 2.5], half_width=2.0, strict=True)
+    @given(
+        center=st.lists(st.integers(0, 40).map(lambda k: k / 4.0), min_size=1, max_size=5),
+        half_width=_HALF_STEPS,
+        strict=st.booleans(),
+    )
+    def test_box_membership(self, center, half_width, strict):
+        box = AcceptanceBox.around(np.array(center), half_width, strict)
+        for j, c in enumerate(center):
+            x = np.arange(0, 30)
+            dev = np.abs(x - c)
+            inside = x[dev < half_width] if strict else x[dev <= half_width]
+            members = x[(x >= box.lo[j]) & (x <= box.hi[j])]
+            np.testing.assert_array_equal(members, inside)
+
+    @_SETTINGS
+    @given(
+        rates=st.lists(st.integers(1, 20).map(lambda k: k / 2.0), min_size=1, max_size=5),
+        half_width=_HALF_STEPS,
+        offsets=st.lists(st.lists(_OFFSETS, min_size=5, max_size=5), min_size=1, max_size=12),
+    )
+    def test_poisson_tables(self, rates, half_width, offsets):
+        mu = RateVector(sorted(rates, reverse=True))
+        cfg = PoissonTestConfig(1.0, np.full(mu.p, half_width))
+        table = np.clip(np.floor(mu.rates + np.array(offsets)[:, : mu.p]), 0, None).astype(np.int64)
+        _assert_batch_matches(
+            poisson_max_test(table, mu, cfg), [_reference_poisson(row, mu, cfg) for row in table]
+        )
+
+    @_SETTINGS
+    @example(  # a head/tail exceedance tie, a count on the tail edge, a count in a zero cell
+        cuts=[32, 48], zeros=1, head=2.0, tail=4.0, offsets=[[1, 2, 0, 0, 0, 0, 0], [0, -4, 0, 1.5, 0, 0, 0]]
+    )
+    @given(
+        cuts=st.lists(st.integers(1, 63), max_size=4, unique=True),
+        zeros=st.integers(0, 2),
+        head=_HALF_STEPS.map(lambda h: h + 0.5),
+        tail=_HALF_STEPS,
+        offsets=st.lists(st.lists(_OFFSETS, min_size=7, max_size=7), min_size=1, max_size=12),
+    )
+    def test_multinomial_tables(self, cuts, zeros, head, tail, offsets):
+        """Cells ``k/64``, so every center ``n q`` is an exact integer; zero
+        cells, head/tail exceedance ties and counts on the edges all occur."""
+        n = 64
+        counts = np.diff(np.r_[0, sorted(cuts), n])
+        q0 = SimplexVector(np.r_[np.sort(counts)[::-1], np.zeros(zeros)] / n)
+        active = q0.tail > 0.0
+        cfg = MultinomialTestConfig(1.0, math.e, head, np.where(active, tail, 0.0), active)
+        center = n * q0.probs
+        table = np.clip(center + np.array(offsets)[:, : q0.p], 0, None).astype(np.int64)
+        table[:, 1:][:, ~active] = np.abs(np.array(offsets)[:, 1 : q0.p][:, ~active]) > 1.0
+        _assert_batch_matches(
+            multinomial_combined_test(table, q0, n, cfg),
+            [_reference_combined(row, q0, n, cfg) for row in table],
+        )
+        head_ref = np.abs(table[:, 0] - center[0]) >= head
+        tail_dev = np.abs(table[:, 1:] - center[1:]).max(axis=1, initial=0.0)
+        tail_ref = (tail_dev > cfg.max_tail_threshold) | (table[:, 1:][:, ~active] > 0).any(axis=1)
+        np.testing.assert_array_equal(multinomial_head_test(table, q0, n, cfg).reject, head_ref)
+        np.testing.assert_array_equal(multinomial_tail_test(table, q0, n, cfg).reject, tail_ref)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.special import pdtrc
+from scipy.special import logsumexp, pdtrc
 from scipy.stats import poisson
 
+from supgof.maxtest import AcceptanceBox, MultinomialTestConfig, PoissonTestConfig
 from supgof.model import RateVector, SimplexVector, rng_stream
 from supgof.priors import (
     MultinomialSimplexPrior,
@@ -16,9 +18,9 @@ from supgof.priors import (
     certified_simplex_c,
     draw_multinomial_simplex_prior,
 )
-from supgof.rates import sharp_constant_epsilon
+from supgof.rates import multinomial_sharp_constant_epsilons, sharp_constant_epsilon
 from supgof.risk import (
-    _acceptance_box,
+    _log_mean_subset_products,
     estimate_multinomial_risk,
     estimate_poisson_risk,
     sweep_multinomial_sharp_constant,
@@ -222,7 +224,8 @@ class TestExactPoissonSweep:
         psis = [1.0, 2.0, 1.5, 2.0, 0.75, 3.0]
         x = np.arange(0, 50)
         for center, psi in zip(centers, psis):
-            lo, hi = _acceptance_box(np.array([center]), psi)
+            box = AcceptanceBox.around(np.array([center]), psi, strict=True)
+            lo, hi = box.lo, box.hi
             inside = x[np.abs(x - center) < psi]
             assert (lo[0], hi[0]) == (inside.min(), inside.max())
 
@@ -353,3 +356,211 @@ class TestPhaseTransitionShape:
         ).risks[0]
         assert high.total <= 0.1
         assert risk_lower_bound - high.total >= 0.5
+
+
+def _count_grid(caps) -> np.ndarray:
+    """Every count vector with ``x_j <= caps[j]``, one per row."""
+    grids = np.meshgrid(*[np.arange(c + 1) for c in caps], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _mass(caps, lam) -> np.ndarray:
+    """Product Poisson pmf at every row of ``_count_grid(caps)``, in the same order."""
+    out = np.ones(1)
+    for cap, rate in zip(caps, lam):
+        out = np.multiply.outer(out, poisson.pmf(np.arange(cap + 1), rate)).ravel()
+    return out
+
+
+def _poisson_accepts(x, mu, cfg):
+    """The max test's own comparison, row by row: accept when no deviation exceeds u_max."""
+    return np.abs(x - mu.rates).max(axis=1) <= cfg.max_threshold
+
+
+def _multinomial_accepts(x, q0, n, cfg):
+    """The head-or-tail test's own comparisons: head strict, tail inclusive, zero cells at 0."""
+    head = np.abs(x[:, 0] - n * q0.head) < cfg.head_threshold
+    tail = np.abs(x[:, 1:] - n * q0.tail).max(axis=1, initial=0.0) <= cfg.max_tail_threshold
+    zero = (x[:, 1:][:, q0.tail == 0.0] == 0).all(axis=1)
+    return head & tail & zero
+
+
+def _simplex_components(probs, j_star, m, spike, removal):
+    """The add-one/remove-m prior as an explicit uniform mixture of probability rows."""
+    rows = []
+    for s in range(1, j_star + 1):
+        others = [i for i in range(1, j_star + 1) if i != s]
+        for subset in itertools.combinations(others, m):
+            q = np.array(probs, dtype=float)
+            q[s] += spike
+            q[list(subset)] -= removal
+            rows.append(np.clip(q, 0.0, None))
+    return rows
+
+
+class TestExactProductRisk:
+    """Exact Poisson and Poissonized multinomial risk against enumeration and sampling."""
+
+    @pytest.mark.parametrize("rates", [[1.0, 1.0], [2.5, 2.5], [4.0, 3.0, 3.0], [6.3, 2.2, 1.0]])
+    @pytest.mark.parametrize("eta", [0.2, 0.5])
+    def test_poisson_matches_brute_force_enumeration(self, rates, eta):
+        mu = RateVector(rates)
+        cfg = PoissonTestConfig.from_eta(mu, eta)
+        prior = PoissonSpikePrior.build(mu, 1.5)
+        lam = mu.rates.copy()
+        lam[-1] += 3.0
+        caps = [_poisson_cap(r + prior.spike + 3.0) for r in mu.rates]
+        accept = _poisson_accepts(_count_grid(caps), mu, cfg)
+        fixed = estimate_poisson_risk(mu, lam, eta, 100, 4)
+        bayes = estimate_poisson_risk(mu, prior, eta, 100, 4)
+        type1 = _mass(caps, mu.rates)[~accept].sum()
+        spiked = [mu.rates + prior.spike * np.eye(mu.p)[j] for j in range(prior.j_star)]
+        for risk, type2 in (
+            (fixed, _mass(caps, lam)[accept].sum()),
+            (bayes, np.mean([_mass(caps, row)[accept].sum() for row in spiked])),
+        ):
+            assert abs(risk.type1 - type1) <= 1e-12
+            assert abs(risk.type2 - type2) <= 1e-12
+            assert (risk.trials, risk.ci_halfwidth) == (0, 0.0) and risk.seed == 4
+
+    @pytest.mark.parametrize(
+        "probs, n, alt",
+        [
+            ([0.5, 0.3, 0.2], 12.0, [0.35, 0.45, 0.2]),
+            ([0.6, 0.4, 0.0], 10.0, [0.5, 0.4, 0.1]),
+            ([0.4, 0.3, 0.3], 9.5, [0.4, 0.3, 0.3]),
+            ([0.7, 0.3], 7.0, [0.3, 0.7]),
+        ],
+        ids=["p3", "zero-cell", "fractional-n", "p2"],
+    )
+    def test_poissonized_fixed_alternative_matches_enumeration(self, probs, n, alt):
+        q0 = SimplexVector(probs)
+        cfg = MultinomialTestConfig.from_eta(q0, n, 0.2)
+        caps = [_poisson_cap(n * max(a, b)) for a, b in zip(probs, alt)]
+        accept = _multinomial_accepts(_count_grid(caps), q0, n, cfg)
+        risk = estimate_multinomial_risk(q0, n, alt, 0.2, 100, 0, poissonized=True)
+        assert abs(risk.type1 - _mass(caps, n * q0.probs)[~accept].sum()) <= 1e-12
+        assert abs(risk.type2 - _mass(caps, n * np.asarray(alt))[accept].sum()) <= 1e-12
+        assert (risk.trials, risk.ci_halfwidth) == (0, 0.0)
+
+    @pytest.mark.parametrize(
+        "probs, n, j_star, m, psi",
+        [
+            ([0.5, 0.3, 0.2], 12.0, 2, 1, 1.2),
+            ([0.25, 0.25, 0.25, 0.25], 8.0, 3, 2, 4.0),  # removes a whole cell: d = P_0(box)
+            ([0.4, 0.3, 0.2, 0.1], 10.0, 3, 2, 1.5),
+            ([0.4, 0.3, 0.3], 10.0, 2, 0, 1.0),  # m = 0: every draw is the null
+        ],
+    )
+    def test_poissonized_simplex_prior_matches_enumeration(self, probs, n, j_star, m, psi):
+        q0 = SimplexVector(probs)
+        prior = MultinomialSimplexPrior(q0, n, j_star, psi, m, 1.0, math.e)
+        cfg = MultinomialTestConfig.from_eta(q0, n, 0.3)
+        rows = (
+            _simplex_components(probs, j_star, m, psi / n, psi / (n * m)) if m else [q0.probs]
+        )
+        caps = [_poisson_cap(n * max(col)) for col in zip(probs, *rows)]
+        accept = _multinomial_accepts(_count_grid(caps), q0, n, cfg)
+        risk = estimate_multinomial_risk(q0, n, prior, 0.3, 100, 0, poissonized=True)
+        assert abs(risk.type1 - _mass(caps, n * q0.probs)[~accept].sum()) <= 1e-12
+        type2 = np.mean([_mass(caps, n * row)[accept].sum() for row in rows])
+        assert abs(risk.type2 - type2) <= 1e-12
+        assert (risk.trials, risk.ci_halfwidth) == (0, 0.0)
+
+    @pytest.mark.parametrize(
+        "probs, n, xi_grid",
+        [([0.4, 0.3, 0.3], 30.0, [0.5, 1.0, 2.0]), ([0.25] * 4, 6.0, [0.5, 1.0])],
+    )
+    def test_poissonized_sweep_matches_enumeration(self, probs, n, xi_grid):
+        q0 = SimplexVector(probs)
+        res = sweep_multinomial_sharp_constant(q0, n, xi_grid, 3.0, 100, 5, poissonized=True)
+        epsilons, j_star, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, 3.0, xi_grid)
+        assert m >= 1
+        for xi, eps, risk in zip(xi_grid, epsilons, res.risks):
+            rows = _simplex_components(probs, j_star, m, eps, eps / m)
+            caps = [_poisson_cap(n * max(col)) for col in zip(probs, *rows)]
+            accept = np.abs(_count_grid(caps) - n * q0.probs).max(axis=1) < n_prime * eps / xi
+            assert abs(risk.type1 - _mass(caps, n * q0.probs)[~accept].sum()) <= 1e-12
+            type2 = np.mean([_mass(caps, n * row)[accept].sum() for row in rows])
+            assert abs(risk.type2 - type2) <= 1e-12
+            assert (risk.trials, risk.ci_halfwidth, risk.seed) == (0, 0.0, 5)
+
+    def test_inside_independent_monte_carlo_interval(self):
+        """At p = 60 every exact route lies in the z = 4 Wilson interval of 20,000 draws."""
+        rng = np.random.default_rng(20_261_018)
+        draws, p = 20_000, 60
+
+        def check(exact, rates_rows, accepts):
+            rows = rates_rows[rng.integers(0, len(rates_rows), size=draws)]
+            hits = int(np.count_nonzero(accepts(rng.poisson(rows))))
+            assert _wilson_contains(hits, draws, exact, 4.0)
+
+        mu = RateVector(1.0 + 8.0 / np.sqrt(np.arange(1, p + 1)))
+        cfg = PoissonTestConfig.from_eta(mu, 0.2)
+        prior = PoissonSpikePrior.build(mu, 1.0)
+        lam = mu.rates + 4.0 * (np.arange(p) == 7)
+
+        def poisson_accepts(x):
+            return _poisson_accepts(x, mu, cfg)
+
+        check(1.0 - estimate_poisson_risk(mu, mu, 0.2, 100, 0).type1, mu.rates[None], poisson_accepts)
+        check(estimate_poisson_risk(mu, lam, 0.2, 100, 0).type2, lam[None], poisson_accepts)
+        spiked = mu.rates + prior.spike * np.eye(p)[: prior.j_star]
+        check(estimate_poisson_risk(mu, prior, 0.2, 100, 0).type2, spiked, poisson_accepts)
+
+        q0, n = SimplexVector(np.full(p, 1.0 / p)), 600.0
+        mcfg = MultinomialTestConfig.from_eta(q0, n, 0.2)
+        sprior = MultinomialSimplexPrior.build(q0, n, certified_simplex_c(q0, n))
+        assert sprior.m >= 1
+
+        def multinomial_accepts(x):
+            return _multinomial_accepts(x, q0, n, mcfg)
+
+        sampled = n * np.clip(draw_multinomial_simplex_prior(sprior, rng, trials=draws), 0.0, None)
+        risk = estimate_multinomial_risk(q0, n, sprior, 0.2, 100, 0, poissonized=True)
+        check(1.0 - risk.type1, n * q0.probs[None], multinomial_accepts)
+        hits = int(np.count_nonzero(multinomial_accepts(rng.poisson(sampled))))
+        assert _wilson_contains(hits, draws, risk.type2, 4.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    def test_subset_products_match_direct_sum(self, k):
+        """``e_m(r_{-s}) / C(k-1, m)`` against a sum over all m-subsets, with ratios up to e^700."""
+        rng = np.random.default_rng(k)
+        for log_r in (rng.uniform(-700.0, 700.0, k), np.r_[-np.inf, rng.uniform(-3.0, 3.0, k - 1)]):
+            for m in range(1, k):
+                want = []
+                for s in range(k):
+                    others = [i for i in range(k) if i != s]
+                    sums = [log_r[list(c)].sum() for c in itertools.combinations(others, m)]
+                    want.append(logsumexp(sums) - math.log(math.comb(k - 1, m)))
+                got = _log_mean_subset_products(log_r, m)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
+
+
+class TestZeroProbabilityPoolBox:
+    """A pool box with zero float64 null probability is a numeric failure on every route."""
+
+    @pytest.mark.parametrize("rate", [0.5, 2.5], ids=["below-zero-edge", "overlapping-tails"])
+    def test_empty_box(self, rate):
+        """C' = 1 at p = 1 gives a zero threshold, so no count lies within it of the rate."""
+        mu = RateVector([rate])
+        risk = estimate_poisson_risk(mu, [4.0], 0.2, 100, 0, c_prime=1.0)
+        assert (risk.type1, risk.type2) == (1.0, 0.0)
+        with pytest.raises(FloatingPointError, match="coordinate 1 "):
+            estimate_poisson_risk(mu, PoissonSpikePrior.build(mu, 0.5), 0.2, 100, 0, c_prime=1.0)
+
+    def test_spike_prior_route(self):
+        mu = RateVector([1e300, 1.0])
+        with pytest.raises(FloatingPointError, match="coordinate 1 "):
+            estimate_poisson_risk(mu, PoissonSpikePrior.build(mu, 0.5), 0.2, 100, 0)
+
+    def test_simplex_prior_route(self):
+        q0 = SimplexVector([0.5, 0.3, 0.2])
+        prior = MultinomialSimplexPrior(q0, 1e300, 2, 1e299, 1, 1.0, math.e)
+        with pytest.raises(FloatingPointError, match="coordinate 2 "):
+            estimate_multinomial_risk(q0, 1e300, prior, 0.2, 100, 0, poissonized=True)
+
+    def test_poissonized_sweep_route(self):
+        q0 = SimplexVector([0.5, 0.3, 0.2])
+        with pytest.raises(FloatingPointError, match="coordinate 2 .* at xi=1.0"):
+            sweep_multinomial_sharp_constant(q0, 1e300, [1.0], 3.0, 100, 0, poissonized=True)
