@@ -3,18 +3,21 @@
 Library layout:
 
 * :mod:`supgof.special` -- deviation exponent ``h``, its inverse, the rate
-  surrogate, and Bennett-type tail bounds.
-* :mod:`supgof.model` -- null/data containers and exact samplers for the
-  Poisson-product, multinomial, and Poissonized-multinomial models.
+  surrogate, and the Bennett upper-tail bound.
+* :mod:`supgof.model` -- null/data containers, seeded random streams, and
+  the CSV count-table reader.
 * :mod:`supgof.rates` -- local separation rates, critical index, perturbation
   size, and regime diagnostics.
 * :mod:`supgof.maxtest` -- the max-deviation test, the multinomial head/tail
   tests, and their calibration.
 * :mod:`supgof.divergence` -- exact truncated-enumeration and closed-form
-  divergences plus the conditional chi-square bound evaluators.
+  divergences, the exact spike-mixture TV, and the conditional chi-square
+  bound and risk certificate.
 * :mod:`supgof.priors` -- two-point and mixture lower-bound constructions and
   the flattening reduction.
-* :mod:`supgof.risk` -- Monte Carlo risk estimation and sharp-constant sweeps.
+* :mod:`supgof.risk` -- risk of the implemented tests (exact products of
+  Poisson box probabilities, Monte Carlo for the fixed-n multinomial) and
+  sharp-constant sweeps.
 * :mod:`supgof.cli` -- command-line entry point.
 """
 

@@ -207,6 +207,8 @@ def _cmd_verify(args) -> None:
     prior = PoissonSpikePrior.build(null, args.c, args.big_c)
     weights, rows = prior.components()
     k = args.k if args.k is not None else prior.j_star
+    if not 1 <= k <= null.p:
+        raise ConfigError(f"k must lie in [1, {null.p}], got {k!r}")
     underline = float(null.rates[k - 1])
     report = verify_flattening(null, list(zip(weights, rows)), k, underline)
     _emit(

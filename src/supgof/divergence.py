@@ -6,14 +6,15 @@ against ``value + error_bar``.  Three computation routes coexist:
 
 1. dense enumeration over a truncated product grid (general, capped by an
    atom budget);
-2. closed forms (chi-square between Poisson products, Poisson Hellinger);
+2. the closed-form chi-square between Poisson products;
 3. an exchangeable sufficient-statistic reduction for uniform one-spike
    Poisson mixtures, which is exact with *no* truncation error and scales
    far beyond the dense grid.
 
-The conditional chi-square bound evaluators used by the lower-bound
-machinery live here as well; they need only one-dimensional Poisson CDFs
-and the hypergeometric overlap law, so they work at any dimension.
+The conditional chi-square bound for the simplex prior and the certificate
+for the uniform spike prior live here as well; they need only
+one-dimensional Poisson CDFs and the hypergeometric overlap law, so they
+work at any dimension.
 
 Poisson pmfs, CDFs and quantiles are ``scipy.special`` closed forms and
 binomial pmfs come from the Pascal recurrence: the module needs nothing from
@@ -29,8 +30,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp, pdtr, pdtrc, pdtrik, xlogy
 
-from .special import h
-
 __all__ = [
     "ATOM_BUDGET",
     "AtomBudgetError",
@@ -42,13 +41,9 @@ __all__ = [
     "poisson_product_dist",
     "poisson_mixture",
     "tv_distance",
-    "hellinger_distance",
-    "poisson_hellinger_closed_form",
     "chi_square_poisson_products",
     "chi_square_enumerated",
-    "condition_on_max_event",
     "hypergeometric_overlap_log_pmf",
-    "poisson_conditional_chisq_bound",
     "multinomial_conditional_chisq_bound",
     "exact_bayes_risk",
     "SpikeRiskCertificate",
@@ -277,25 +272,6 @@ def tv_distance(p_dist, q_dist) -> DivergenceResult:
     return DivergenceResult(value, bar)
 
 
-def hellinger_distance(p_dist, q_dist) -> DivergenceResult:
-    """Hellinger distance ``sqrt(sum (sqrt p - sqrt q)^2)`` on the union support."""
-    shape = _common_shape(p_dist, q_dist)
-    sq = np.sqrt(p_dist.dense(shape)) - np.sqrt(q_dist.dense(shape))
-    h2 = float(np.square(sq).sum())
-    defs = p_dist.truncation_deficit + q_dist.truncation_deficit
-    value = math.sqrt(h2)
-    bar = math.sqrt(h2 + defs) - value
-    return DivergenceResult(value, bar)
-
-
-def poisson_hellinger_closed_form(mu: float, delta: float) -> float:
-    """Exact ``H(Poisson(mu), Poisson(mu+delta))``."""
-    if mu < 0 or delta < 0:
-        raise ValueError("mu and delta must be nonnegative")
-    inner = math.sqrt(mu * mu + mu * delta) - mu - delta / 2.0
-    return math.sqrt(2.0 * (1.0 - math.exp(inner)))
-
-
 def chi_square_poisson_products(a: Sequence[float], b: Sequence[float]) -> float:
     """Closed form: ``chi2(@Poi(a) || @Poi(b)) = exp(sum (a-b)^2 / b) - 1``."""
     a_arr = np.asarray(a, dtype=float)
@@ -327,34 +303,6 @@ def chi_square_enumerated(q_dist, p_dist) -> DivergenceResult:
     # for the small deficits used here.
     bar = p_dist.truncation_deficit + q_dist.truncation_deficit
     return DivergenceResult(value, bar)
-
-
-def condition_on_max_event(
-    dist: FiniteProductDist, center: float, cap: float
-) -> tuple[FiniteProductDist, float]:
-    """Condition a product on the event ``max_j V_j <= center + cap``.
-
-    The event factorizes across coordinates, so the conditional law is the
-    product of per-coordinate truncations renormalized by the joint event
-    probability.  Returns ``(conditioned product, P(event))``.
-    """
-    if math.isinf(cap) and cap > 0:
-        return dist, 1.0
-    level = center + cap
-    if level < 0:
-        raise ValueError("empty event: cap is below the support")
-    kmax = int(math.floor(level))
-    p_event = 1.0
-    tables = []
-    for table in dist.tables:
-        cut = min(kmax, len(table) - 1)
-        mass = float(table.probs[: cut + 1].sum())
-        if mass <= 0.0:
-            raise ValueError("empty event: a coordinate has no mass below the cap")
-        cond_deficit = table.deficit / mass if kmax >= len(table) - 1 else 0.0
-        tables.append(PmfTable(table.probs[: cut + 1] / mass, min(1.0, cond_deficit)))
-        p_event *= mass
-    return FiniteProductDist(tuple(tables)), p_event
 
 
 def hypergeometric_overlap_log_pmf(pool: int, m: int) -> np.ndarray:
@@ -391,7 +339,6 @@ class ConditionalChisqBound:
     mixture_term: float
     mgf: float
     mgf_binomial_bound: float | None
-    bennett_bound: float | None
 
 
 def _diagonal_mixture_term(mu: float, psi: float, c: float) -> float:
@@ -402,38 +349,6 @@ def _diagonal_mixture_term(mu: float, psi: float, c: float) -> float:
     log_term = (c * psi) ** 2 / mu + _poisson_logcdf(math.floor(mu + psi), rate)
     with np.errstate(over="ignore"):
         return float(np.exp(log_term))
-
-
-def _bennett_cancelled_bound(mu: float, psi: float, c: float) -> float | None:
-    # Valid exactly when c^2 * psi > mu (the lemma's precondition).
-    if c * c * psi <= mu:
-        return None
-    exponent = -mu * h(psi / mu) + 2.0 * mu * (1.0 + psi / mu) * math.log1p(c * psi / mu)
-    with np.errstate(over="ignore"):
-        return float(np.exp(exponent))
-
-
-def poisson_conditional_chisq_bound(
-    mu_jstar: float, psi: float, c: float, j_star: int
-) -> ConditionalChisqBound:
-    """Spike-prior conditional chi-square bound for the flattened Poisson pair.
-
-    Evaluates ``(1 - 1/j*) + (1/j*) * exp(c^2 psi^2/mu) * P{Poisson((mu+c psi)^2/mu)
-    <= mu + psi}`` with the exact Poisson CDF.
-    """
-    if j_star < 1:
-        raise ValueError("j_star must be >= 1")
-    if psi < 0 or c < 0:
-        raise ValueError("psi and c must be nonnegative")
-    term = _diagonal_mixture_term(mu_jstar, psi, c)
-    value = (1.0 - 1.0 / j_star) + term / j_star
-    return ConditionalChisqBound(
-        value=value,
-        mixture_term=term,
-        mgf=1.0,
-        mgf_binomial_bound=None,
-        bennett_bound=_bennett_cancelled_bound(mu_jstar, psi, c),
-    )
 
 
 def multinomial_conditional_chisq_bound(
@@ -465,7 +380,6 @@ def multinomial_conditional_chisq_bound(
         mixture_term=term,
         mgf=mgf,
         mgf_binomial_bound=mgf_bound,
-        bennett_bound=_bennett_cancelled_bound(mu_jstar, psi, c),
     )
 
 

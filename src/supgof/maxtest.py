@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import pdtr, pdtrc
 
-from .model import CountVector, RateVector, SampleSize, SimplexVector, sample_size_value
+from .model import CountVector, RateVector, SimplexVector, sample_size_value
 from .special import h_inverse
 
 __all__ = [
@@ -145,7 +145,10 @@ def calibrate_k2(eta: float) -> float:
 def head_k1(eta: float) -> float:
     """Chebyshev constant ``K1 = (eta/4)^{-1/2}`` for the head test."""
     _check_eta(eta)
-    return (eta / 4.0) ** -0.5
+    quarter = eta / 4.0
+    if quarter == 0.0:  # a subnormal eta underflows
+        raise OverflowError(f"K1 = (eta/4)^(-1/2) overflows at eta = {eta!r}")
+    return quarter ** -0.5
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,7 @@ class MultinomialTestConfig:
 
     @classmethod
     def from_null(
-        cls, q0: SimplexVector, n: SampleSize | float, k1: float, k2: float
+        cls, q0: SimplexVector, n: float, k1: float, k2: float
     ) -> "MultinomialTestConfig":
         n_val = sample_size_value(n)
         head_var = n_val * q0.head * (1.0 - q0.head)
@@ -257,7 +260,7 @@ class MultinomialTestConfig:
 
     @classmethod
     def from_eta(
-        cls, q0: SimplexVector, n: SampleSize | float, eta: float
+        cls, q0: SimplexVector, n: float, eta: float
     ) -> "MultinomialTestConfig":
         return cls.from_null(q0, n, head_k1(eta), calibrate_k2(eta))
 
@@ -267,7 +270,7 @@ class MultinomialTestConfig:
             return 0.0
         return float(self.tail_thresholds[self.tail_active].max())
 
-    def acceptance_box(self, q0: SimplexVector, n: SampleSize | float) -> AcceptanceBox:
+    def acceptance_box(self, q0: SimplexVector, n: float) -> AcceptanceBox:
         """Counts the head-or-tail test accepts.
 
         The head cell lies strictly within ``head_threshold`` of ``n q0(1)``,
@@ -284,7 +287,7 @@ class MultinomialTestConfig:
 
 
 def multinomial_head_test(
-    x, q0: SimplexVector, n: SampleSize | float, cfg: MultinomialTestConfig
+    x, q0: SimplexVector, n: float, cfg: MultinomialTestConfig
 ) -> TestDecision:
     """Reject when ``|x_1 - n q0(1)|`` reaches the Chebyshev threshold."""
     table, single = _table(x, q0.p)
@@ -294,7 +297,7 @@ def multinomial_head_test(
 
 
 def multinomial_tail_test(
-    x, q0: SimplexVector, n: SampleSize | float, cfg: MultinomialTestConfig
+    x, q0: SimplexVector, n: float, cfg: MultinomialTestConfig
 ) -> TestDecision:
     """Max test over categories ``2..p`` with Bennett-calibrated thresholds.
 
@@ -311,7 +314,7 @@ def multinomial_tail_test(
 
 
 def multinomial_combined_test(
-    x, q0: SimplexVector, n: SampleSize | float, cfg: MultinomialTestConfig
+    x, q0: SimplexVector, n: float, cfg: MultinomialTestConfig
 ) -> TestDecision:
     """Disjunction of the head and tail tests.
 

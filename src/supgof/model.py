@@ -1,23 +1,18 @@
-"""Null/data containers and exact samplers for the three count models.
+"""Null/data containers, random streams and the count-table reader.
 
 The nulls are stored sorted non-increasing, matching the convention under
 which every rate formula in :mod:`supgof.rates` is written.  Construction
 from unsorted user data goes through ``from_unsorted``, which records the
 sorting permutation so category labels survive.
 
-Each model has one sampler, a single numpy call: ``Generator.multinomial``
-for fixed ``n``, and independent ``Generator.poisson`` cells for the Poisson
-product and the Poissonized multinomial (rates ``n*q``, exact in law).
-Samplers are deterministic functions of ``(inputs, seed)``.  Streams are
-derived from a counter-based generator (Philox) keyed by the seed plus an
-arbitrary integer path, so parallel Monte Carlo trials can use disjoint
-substreams reproducibly.
+Random streams are derived from a counter-based generator (Philox) keyed by
+the seed plus an arbitrary integer path, so Monte Carlo trials and prior
+draws can use disjoint substreams reproducibly.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,17 +22,14 @@ __all__ = [
     "RateVector",
     "SimplexVector",
     "CountVector",
-    "SampleSize",
     "sample_size_value",
     "rng_stream",
-    "sample_poisson_product",
-    "sample_multinomial",
-    "sample_poissonized_multinomial",
     "as_probability_vector",
     "read_counts_csv",
 ]
 
 SIMPLEX_SUM_TOL = 1e-12
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
@@ -81,9 +73,6 @@ class RateVector:
     def p(self) -> int:
         return self.rates.size
 
-    def to_json(self) -> str:
-        return json.dumps(list(self.rates))
-
 
 @dataclass(frozen=True)
 class SimplexVector:
@@ -122,9 +111,6 @@ class SimplexVector:
         """All cells except the largest (possibly empty)."""
         return self.probs[1:]
 
-    def to_json(self) -> str:
-        return json.dumps(list(self.probs))
-
 
 @dataclass(frozen=True)
 class CountVector:
@@ -152,36 +138,23 @@ class CountVector:
     def p(self) -> int:
         return self.counts.size
 
-    def to_json(self) -> str:
-        return json.dumps([int(v) for v in self.counts])
 
+def sample_size_value(n: float) -> float:
+    """``n`` as a float, validated positive and finite.
 
-@dataclass(frozen=True)
-class SampleSize:
-    """Sample size; real values are legal for the Poissonized model."""
-
-    n: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.n) and self.n > 0):
-            raise ValueError(f"sample size must be positive and finite, got {self.n!r}")
-
-    def as_integer(self) -> int:
-        if self.n != int(self.n):
-            raise ValueError(f"multinomial sampling needs an integer n, got {self.n!r}")
-        return int(self.n)
-
-
-def sample_size_value(n: SampleSize | float) -> float:
-    """``n`` as a float, validated as a :class:`SampleSize` (positive, finite)."""
-    return float((n if isinstance(n, SampleSize) else SampleSize(n)).n)
+    Real values are legal: the Poissonized model takes a non-integral ``n``.
+    """
+    if not (np.isfinite(n) and n > 0):
+        raise ValueError(f"sample size must be positive and finite, got {n!r}")
+    return float(n)
 
 
 def as_probability_vector(q, name: str = "q") -> np.ndarray:
     """Validate a probability vector without the sortedness requirement.
 
     Alternatives produced by the lower-bound constructions live on the
-    simplex but are generally not sorted; samplers accept them directly.
+    simplex but are generally not sorted; the risk estimators accept them
+    directly.
     """
     if isinstance(q, SimplexVector):
         return q.probs
@@ -191,49 +164,6 @@ def as_probability_vector(q, name: str = "q") -> np.ndarray:
     if abs(arr.sum() - 1.0) > 1e-9:
         raise ValueError(f"{name} must sum to 1, got {arr.sum()!r}")
     return np.clip(arr, 0.0, None)
-
-
-def sample_poisson_product(lam, rng_seed, trials: int | None = None):
-    """Draw from the independent-Poisson model with per-category rates ``lam``.
-
-    With ``trials=None`` returns a single :class:`CountVector`; otherwise an
-    int64 array of shape ``(trials, p)``.
-    """
-    if isinstance(lam, RateVector):
-        lam = lam.rates
-    arr = np.asarray(lam, dtype=float)
-    if arr.ndim != 1 or np.any(np.isnan(arr)) or np.any(arr < 0) or np.any(~np.isfinite(arr)):
-        raise ValueError("rates must be finite and nonnegative")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else rng_stream(rng_seed)
-    if trials is None:
-        return CountVector(rng.poisson(arr))
-    return rng.poisson(arr, size=(int(trials), arr.size)).astype(np.int64)
-
-
-def sample_multinomial(n: int, q, rng_seed, trials: int | None = None):
-    """Draw from ``Multinomial(n, q)``; counts always sum to exactly ``n``."""
-    if isinstance(n, SampleSize):
-        n = n.as_integer()
-    if n != int(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    pvals = as_probability_vector(q)
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else rng_stream(rng_seed)
-    if trials is None:
-        return CountVector(rng.multinomial(int(n), pvals))
-    return rng.multinomial(int(n), pvals, size=int(trials)).astype(np.int64)
-
-
-def sample_poissonized_multinomial(n: float, q, rng_seed, trials: int | None = None):
-    """Poissonized multinomial: ``N ~ Poisson(n)`` then ``Multinomial(N, q)``.
-
-    Its counts are exactly independent ``Poisson(n q(j))``, so it is drawn
-    as the independent-Poisson model with rates ``n*q``.
-    """
-    if isinstance(n, SampleSize):
-        n = n.n
-    if not (np.isfinite(n) and n > 0):
-        raise ValueError(f"n must be positive, got {n!r}")
-    return sample_poisson_product(n * as_probability_vector(q), rng_seed, trials)
 
 
 def read_counts_csv(path, p_expected: int | None = None) -> np.ndarray:
@@ -252,10 +182,12 @@ def read_counts_csv(path, p_expected: int | None = None) -> np.ndarray:
                 parsed = [int(float(c)) for c in cells]
                 if any(float(c) != int(float(c)) for c in cells):
                     raise ValueError
-            except ValueError:
+            except (ValueError, OverflowError):  # int(inf) overflows
                 if lineno == 0:
                     continue  # header
                 raise ValueError(f"non-integer entry in CSV row {lineno + 1}: {row!r}")
+            if min(parsed) < _INT64_MIN or max(parsed) > _INT64_MAX:
+                raise ValueError(f"count out of range in CSV row {lineno + 1}: {row!r}")
             rows.append(parsed)
     if not rows:
         raise ValueError(f"no data rows found in {path}")

@@ -1,5 +1,6 @@
-"""Lower-bound constructions: two-point nulls, spike and simplex priors,
-and the flattening reduction to a homoskedastic auxiliary problem.
+"""Lower-bound constructions: the parametric two-point alternative, spike
+and simplex priors, and the flattening reduction to a homoskedastic
+auxiliary problem.
 
 Prior draws are alternatives, so they are returned as plain arrays: a spike
 breaks the sorted-null invariant of the container types on purpose.
@@ -22,16 +23,14 @@ from .divergence import (
     tv_distance,
     tv_poisson_uniform_spike,
 )
-from .model import RateVector, SampleSize, SimplexVector, rng_stream, sample_size_value
+from .model import RateVector, SimplexVector, rng_stream, sample_size_value
 from .rates import multinomial_rate, poisson_rate
 from .special import h_inverse
 
 __all__ = [
-    "poisson_two_point",
     "PoissonSpikePrior",
     "draw_poisson_spike",
     "certified_poisson_spike_c",
-    "multinomial_one_over_n_alternative",
     "multinomial_parametric_alternative",
     "MultinomialSimplexPrior",
     "draw_multinomial_simplex_prior",
@@ -41,15 +40,6 @@ __all__ = [
     "FlatteningReport",
     "verify_flattening",
 ]
-
-
-def poisson_two_point(mu: RateVector, c: float) -> RateVector:
-    """Two-point alternative: the largest rate increased by ``c``."""
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c!r}")
-    shifted = mu.rates.copy()
-    shifted[0] += c
-    return RateVector(shifted)
 
 
 @dataclass(frozen=True)
@@ -123,28 +113,8 @@ def certified_poisson_spike_c(
     raise ValueError(f"no grid point certifies risk >= {eta}")
 
 
-def multinomial_one_over_n_alternative(
-    q0: SimplexVector, c_eta: float, n: SampleSize | float
-) -> np.ndarray:
-    """Two-point alternative behind the 1/n term: shrink toward category 2.
-
-    ``q1(j) = (1 - 2 c_eta/n) q0(j) + (2 c_eta/n) 1{j=2}``.
-    """
-    if q0.p < 2:
-        raise ValueError("need at least two categories")
-    if not 0.0 < c_eta < 0.5:
-        raise ValueError(f"c_eta must lie in (0, 1/2), got {c_eta!r}")
-    n_val = sample_size_value(n)
-    if 2.0 * c_eta >= n_val:
-        raise ValueError("need 2*c_eta < n")
-    a = 2.0 * c_eta / n_val
-    q1 = (1.0 - a) * q0.probs
-    q1[1] += a
-    return q1
-
-
 def multinomial_parametric_alternative(
-    q0: SimplexVector, n: SampleSize | float, c_eta: float
+    q0: SimplexVector, n: float, c_eta: float
 ) -> np.ndarray:
     """Two-point alternative behind the parametric term.
 
@@ -183,7 +153,7 @@ class MultinomialSimplexPrior:
 
     @classmethod
     def build(
-        cls, q0: SimplexVector, n: SampleSize | float, c: float, c_tilde: float = math.e
+        cls, q0: SimplexVector, n: float, c: float, c_tilde: float = math.e
     ) -> "MultinomialSimplexPrior":
         if not c > 0:  # NaN included
             raise ValueError(f"c must be positive, got {c!r}")
@@ -228,7 +198,7 @@ def draw_multinomial_simplex_prior(
 
 
 def certified_simplex_c(
-    q0: SimplexVector, n: SampleSize | float, c_tilde: float = math.e
+    q0: SimplexVector, n: float, c_tilde: float = math.e
 ) -> float:
     """Per-instance spike scale keeping every simplex-prior draw feasible.
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import RateVector, SampleSize, SimplexVector, sample_size_value
+from .model import RateVector, SimplexVector, sample_size_value
 from .special import gamma_rate, h_inverse
 
 __all__ = [
@@ -24,10 +24,8 @@ __all__ = [
     "prob_all_observed",
     "sharp_constant_epsilon",
     "sharp_constant_epsilons",
-    "multinomial_sharp_constant_epsilon",
     "multinomial_sharp_constant_epsilons",
     "SharpConstantEpsilon",
-    "MultinomialSharpConstantEpsilon",
 ]
 
 
@@ -98,7 +96,7 @@ def poisson_rate(mu: RateVector) -> RateProfile:
 
 
 def multinomial_rate(
-    q0: SimplexVector, n: SampleSize | float, c_tilde: float = math.e
+    q0: SimplexVector, n: float, c_tilde: float = math.e
 ) -> RateProfile:
     """Local sup-norm separation profile for the multinomial model.
 
@@ -157,13 +155,6 @@ class SharpConstantEpsilon(NamedTuple):
     j_star: int
 
 
-class MultinomialSharpConstantEpsilon(NamedTuple):
-    value: float
-    j_star: int
-    n_prime: float
-    m: int
-
-
 def _inflated_log(js: np.ndarray, alpha_p: float) -> np.ndarray:
     # log(e * j * alpha_p * log^2(e j))
     return 1.0 + np.log(js) + math.log(alpha_p) + 2.0 * np.log1p(np.log(js))
@@ -215,28 +206,17 @@ def sharp_constant_epsilons(
     return _scaled_by_grid(xi_grid, float(terms.max())), _argmax_smallest(terms)
 
 
-def multinomial_sharp_constant_epsilon(
-    q0: SimplexVector, n: SampleSize | float, alpha_p: float, xi: float
-) -> MultinomialSharpConstantEpsilon:
-    """Multinomial sharp-constant separation at sample size ``n' = (1+n^{-1/3})n``.
+def multinomial_sharp_constant_epsilons(
+    q0: SimplexVector, n: float, alpha_p: float, xi_grid
+) -> tuple[np.ndarray, int, float, int]:
+    """Multinomial sharp-constant separation over a grid of ``xi``:
+    ``(epsilons, j*, n', m)`` at sample size ``n' = (1+n^{-1/3})n``.
 
     The level uses the plain ``log(e j)`` while the critical index is the
     argmax of the inflated-log objective; both use the variance form
     ``q(1-q)`` of the tail cells.  The mass-removal count ``m`` is clamped
-    to at least 2 whenever it is positive.
-    """
-    eps, j_star, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, alpha_p, [xi])
-    return MultinomialSharpConstantEpsilon(float(eps[0]), j_star, n_prime, m)
-
-
-def multinomial_sharp_constant_epsilons(
-    q0: SimplexVector, n: SampleSize | float, alpha_p: float, xi_grid
-) -> tuple[np.ndarray, int, float, int]:
-    """:func:`multinomial_sharp_constant_epsilon` over a grid of ``xi``:
-    ``(epsilons, j*, n', m)``.
-
-    The two ``xi``-free objectives, the critical index and ``m`` are
-    computed once.
+    to at least 2 whenever it is positive.  The two ``xi``-free objectives,
+    the critical index and ``m`` are computed once.
     """
     xi_grid = _check_sharp_constant_grid(alpha_p, xi_grid)
     n_val = sample_size_value(n)

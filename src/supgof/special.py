@@ -1,8 +1,8 @@
-"""Special functions behind Poisson/binomial tail control.
+"""Special functions behind Poisson tail control.
 
 This module implements the deviation-exponent function ``h`` together with
 its inverse on the nonnegative half-line, the piecewise rate surrogate
-``gamma_rate``, and the Bennett-type tail bounds built from ``h``.  Each
+``gamma_rate``, and the Bennett upper-tail bound built from ``h``.  Each
 function is one vectorized body: a scalar is a batch of one and returns a
 float.  ``h_inverse`` is the closed form through scipy's Lambert W followed by
 a fixed number of Newton steps.  Everything here is a pure function of its
@@ -13,51 +13,27 @@ Conventions
 * ``h(x) = (1+x)*log(1+x) - x`` for ``x > -1`` with the boundary value
   ``h(-1) = 1``; natural logarithms throughout.
 * ``h_inverse`` inverts the restriction of ``h`` to ``[0, inf)`` only.
-* Bounds that are probabilities by contract are clamped to ``[0, 1]``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import lambertw
 
 __all__ = [
     "SolverError",
-    "ToleranceConfig",
-    "DEFAULT_TOL",
     "h",
     "h_inverse",
     "gamma_rate",
     "bennett_upper_tail_bound",
-    "bennett_two_sided_bound",
-    "binomial_bennett_bound",
 ]
 
 
 class SolverError(RuntimeError):
     """An inversion missed its stated tolerance."""
 
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Accuracy contract checked on the output of ``h_inverse``.
-
-    rel_tol is measured relative to ``max(target, 1)``, so it acts as an
-    absolute tolerance for small targets and a relative one for large
-    targets.
-    """
-
-    rel_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
-
-
-DEFAULT_TOL = ToleranceConfig()
 
 # Below this |x| the direct formula for h loses digits to cancellation (its
 # relative error grows like eps/x), so h is summed from its alternating series
@@ -98,19 +74,15 @@ def gamma_rate(x):
     """Piecewise rate surrogate: ``sqrt(x)`` for ``x <= 1``, ``x/log(e x)`` above.
 
     Continuous at 1 (both branches equal 1) and equivalent to ``h_inverse``
-    up to universal constants.
+    up to universal constants.  Scalars return a float, arrays keep their
+    shape.
     """
-    if np.ndim(x) == 0:
-        xf = float(x)
-        if math.isnan(xf) or xf < 0.0:
-            raise ValueError(f"gamma_rate is defined on [0, inf), got {x!r}")
-        if xf <= 1.0:
-            return math.sqrt(xf)
-        return xf / (1.0 + math.log(xf))
     arr = np.asarray(x, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
-        raise ValueError("gamma_rate is defined on [0, inf)")
-    return np.where(arr <= 1.0, np.sqrt(arr), arr / (1.0 + np.log(np.maximum(arr, 1.0))))
+    bad = np.isnan(arr) | (arr < 0.0)
+    if np.any(bad):
+        raise ValueError(f"gamma_rate is defined on [0, inf), got {float(arr[bad][0])!r}")
+    out = np.where(arr <= 1.0, np.sqrt(arr), arr / (1.0 + np.log(np.maximum(arr, 1.0))))
+    return float(out) if arr.ndim == 0 else out
 
 
 # Below this y the inverse series seeds Newton better than Lambert W, whose
@@ -118,9 +90,12 @@ def gamma_rate(x):
 _H_INVERSE_SERIES_CUTOFF = 1e-3
 # Quadratic convergence from either seed reaches double precision in three steps.
 _NEWTON_STEPS = 3
+# Accuracy contract checked on every output, relative to max(y, 1): an
+# absolute tolerance for small targets and a relative one for large targets.
+_REL_TOL = 1e-12
 
 
-def h_inverse(y, tol: ToleranceConfig = DEFAULT_TOL):
+def h_inverse(y):
     """Inverse of ``h`` restricted to ``[0, inf)``.
 
     Uses ``h^{-1}(y) = exp(1 + W((y-1)/e)) - 1`` with the principal Lambert W
@@ -128,7 +103,7 @@ def h_inverse(y, tol: ToleranceConfig = DEFAULT_TOL):
     ``y``), polished by Newton steps on ``h``; accurate in relative terms at
     every scale and exact at 0.  Scalars return a float, arrays keep their
     shape.  Raises :class:`SolverError` unless every output meets
-    ``|h(x) - y| <= rel_tol * max(y, 1)``.
+    ``|h(x) - y| <= 1e-12 * max(y, 1)``.
     """
     arr = np.asarray(y, dtype=float)
     bad = np.isnan(arr) | (arr < 0.0)
@@ -144,7 +119,7 @@ def h_inverse(y, tol: ToleranceConfig = DEFAULT_TOL):
         # h'(x) = log1p(x); x = 0 only when y = 0, where the root is exact.
         step = np.divide(_h(x) - yv, np.log1p(x), out=np.zeros_like(x), where=x > 0.0)
         x = np.maximum(x - step, 0.0)
-    missed = ~(np.abs(_h(x) - yv) <= tol.rel_tol * np.maximum(yv, 1.0))
+    missed = ~(np.abs(_h(x) - yv) <= _REL_TOL * np.maximum(yv, 1.0))
     if np.any(missed):
         raise SolverError(f"h_inverse missed its tolerance at y={float(yv[missed][0])!r}")
     return float(x[0]) if arr.ndim == 0 else x
@@ -160,31 +135,3 @@ def bennett_upper_tail_bound(rho, u):
         raise ValueError("u must be nonnegative")
     out = np.exp(-rho_arr * h(u_arr))
     return float(out) if np.ndim(rho) == 0 and np.ndim(u) == 0 else out
-
-
-def bennett_two_sided_bound(rho, u):
-    """Two-sided Poisson bound ``min(1, 2*exp(-rho*h(u)))``."""
-    out = np.minimum(1.0, 2.0 * bennett_upper_tail_bound(rho, u))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def binomial_bennett_bound(n, pi, u):
-    """Two-sided binomial bound ``min(1, 2*exp(-n*pi*(1-pi)*h(u)))``.
-
-    The variance factor ``n*pi*(1-pi)`` may vanish (degenerate cells); the
-    bound then clamps to 1.
-    """
-    n_arr = np.asarray(n, dtype=float)
-    pi_arr = np.asarray(pi, dtype=float)
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(~np.isfinite(n_arr)) or np.any(n_arr < 1):
-        raise ValueError("n must be a positive count")
-    if np.any(np.isnan(pi_arr)) or np.any(pi_arr < 0.0) or np.any(pi_arr > 1.0):
-        raise ValueError("pi must lie in [0, 1]")
-    if np.any(np.isnan(u_arr)) or np.any(u_arr < 0.0):
-        raise ValueError("u must be nonnegative")
-    variance = n_arr * pi_arr * (1.0 - pi_arr)
-    out = np.minimum(1.0, 2.0 * np.exp(-variance * h(u_arr)))
-    if np.ndim(n) == 0 and np.ndim(pi) == 0 and np.ndim(u) == 0:
-        return float(out)
-    return out

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,14 @@ class TestVerifyCommand:
         assert payload["ok"] is True
         assert payload["lhs_tv"] <= payload["rhs_head_tv"] + payload["rhs_tail_tv"] + 1e-8
 
+    @pytest.mark.parametrize("k", ["99", "-5", "0"])
+    def test_k_out_of_range_is_config_error(self, capsys, k):
+        null = '{"model":"poisson","rates":[2,1,1,0.5]}'
+        code, out, err = run_cli(capsys, "verify", "flattening", "--null", null, "--k", k)
+        assert code == 1
+        assert f"k must lie in [1, 4], got {k}" in err
+        assert out == ""
+
 
 class TestRiskAndSweep:
     def test_risk_payload(self, capsys):
@@ -348,12 +357,26 @@ def _null_specs(draw) -> str:
     return json.dumps(spec)
 
 
-class TestExitCodeContract:
-    """Any null spec, however malformed, ends in exit 0 to 3 and never in a traceback.
+def _exit_code(argv) -> int:
+    """Exit code of ``main(argv)``, checked against the contract: 0 to 3, no traceback.
 
-    The pytest configuration turns a ``RuntimeWarning`` into an error, so a
-    spec that warns on its way to an exit code fails here as well.
+    Every warning is raised as an error, so an input that warns on its way
+    to an exit code fails the check as well.
     """
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a malformed command line
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+class TestExitCodeContract:
+    """Any input, however malformed, ends in exit 0 to 3 and never in a traceback."""
 
     def test_fuzzed_null_specs(self, tmp_path):
         data = tmp_path / "counts.csv"
@@ -376,11 +399,7 @@ class TestExitCodeContract:
                 argv += ["--data", str(data)]
             if command == "prior" and c is not None:
                 argv += ["--c", c]
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 1, 2, 3)
-            assert "Traceback" not in err.getvalue()
+            _exit_code(argv)
 
         run()
 
@@ -428,10 +447,72 @@ class TestExitCodeContract:
                 argv += [] if c is None else ["--c", c]
             elif xi_grid is not None:
                 argv += ["--xi-grid", xi_grid]
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 1, 2, 3)
-            assert "Traceback" not in err.getvalue()
+            _exit_code(argv)
 
         run()
+
+    def test_fuzzed_verify_options(self):
+        """``verify flattening`` over every option that shapes the prior and the split."""
+
+        @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+        # An index past the last coordinate once ended in an IndexError traceback.
+        @example('{"model":"poisson","rates":[2,1,1,0.5]}', "99", None, None)
+        @example('{"model":"poisson","rates":[2,1,1,0.5]}', "-5", None, None)
+        @given(
+            spec=st.one_of(
+                st.sampled_from(['{"model":"poisson","rates":[2,1,1,0.5]}', POISSON_NULL, MULT_NULL]),
+                _null_specs(),
+            ),
+            k=st.sampled_from([None, "1", "2", "4", "0", "-5", "99", "x"]),
+            c=st.sampled_from([None, "0.5", "0", "-1", "nan", "inf", "1e308"]),
+            big_c=st.sampled_from([None, "3", "1", "nan", "inf", "1e308"]),
+        )
+        def run(spec, k, c, big_c):
+            argv = ["verify", "flattening", "--null", spec]
+            for flag, value in (("--k", k), ("--c", c), ("--big-c", big_c)):
+                argv += [] if value is None else [flag, value]
+            _exit_code(argv)
+
+        run()
+
+    def test_fuzzed_eta_and_alpha_rule(self, tmp_path):
+        """``--eta`` on ``test`` and ``risk``, and ``sweep --alpha-rule``."""
+        poisson_data = tmp_path / "poisson.csv"
+        poisson_data.write_text("1,1,1\n")
+        multinomial_data = tmp_path / "multinomial.csv"
+        multinomial_data.write_text("25,15,10\n")
+        number = st.sampled_from(["0.1", "1", "0", "-1", "nan", "inf", "1e308", "5e-324", "x"])
+
+        @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+        # A subnormal eta once ended the multinomial head test in a ZeroDivisionError traceback.
+        @example("test", MULT_NULL, "5e-324")
+        @given(
+            command=st.sampled_from(["test", "risk", "sweep"]),
+            spec=st.sampled_from([POISSON_NULL, MULT_NULL, '{"model":"poisson","rates":[1e300,1]}']),
+            value=st.one_of(number, st.sampled_from(["log_p", "loglog_p"])),
+        )
+        def run(command, spec, value):
+            argv = [command, "--null", spec]
+            if command == "test":
+                data = multinomial_data if spec == MULT_NULL else poisson_data
+                argv += ["--data", str(data), "--eta", value]
+            elif command == "risk":
+                argv += ["--c", "0.5", "--trials", "100", "--eta", value]
+            else:
+                argv += ["--trials", "100", "--alpha-rule", value]
+            _exit_code(argv)
+
+        run()
+
+    @pytest.mark.parametrize("model", ["poisson", "multinomial"])
+    @pytest.mark.parametrize(
+        "text",
+        ["nan,1,1\n", "1,1,1\ninf,1,1\n", "1,1,1\n1e400,1,1\n", "1,1,1\n9223372036854775808,1,1\n",
+         "1,-1,1\n", "a,b,c\n", "", "1,1,1\n1,1\n", "1,1,1,1\n2,2\n"],
+        ids=["nan", "inf", "1e400", "2^63", "negative", "header-only", "empty", "ragged", "ragged-wide"],
+    )
+    def test_malformed_csv_contents(self, tmp_path, model, text):
+        data = tmp_path / "counts.csv"
+        data.write_text(text)
+        null = POISSON_NULL if model == "poisson" else MULT_NULL
+        assert _exit_code(["test", "--null", null, "--data", str(data)]) == 2

@@ -18,13 +18,9 @@ from supgof.divergence import (
     certified_spike_risk_bound,
     chi_square_enumerated,
     chi_square_poisson_products,
-    condition_on_max_event,
     exact_bayes_risk,
-    hellinger_distance,
     hypergeometric_overlap_log_pmf,
     multinomial_conditional_chisq_bound,
-    poisson_conditional_chisq_bound,
-    poisson_hellinger_closed_form,
     poisson_mixture,
     poisson_product_dist,
     truncated_poisson_pmf,
@@ -168,14 +164,13 @@ class TestTvDistance:
             cb = tv_distance(dists[2], dists[1]).value
             assert ab.value <= ac + cb + 1e-12
 
-    def test_tv_below_hellinger_and_half_sqrt_chisq(self):
+    def test_tv_below_half_sqrt_chisq(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             a = rng.uniform(0.2, 4.0, size=2)
             b = rng.uniform(0.2, 4.0, size=2)
             pa, pb = poisson_product_dist(a), poisson_product_dist(b)
             tv = tv_distance(pa, pb).value
-            assert tv <= hellinger_distance(pa, pb).value + 1e-10
             assert tv <= 0.5 * math.sqrt(chi_square_poisson_products(a, b)) + 1e-10
 
     def test_atom_budget(self):
@@ -214,58 +209,6 @@ class TestChiSquare:
             chi_square_poisson_products([1.0], [0.0])
 
 
-class TestHellinger:
-    def test_identical_zero(self):
-        p = poisson_product_dist([1.0])
-        assert hellinger_distance(p, p).value == 0.0
-
-    def test_bounded_by_sqrt_two(self):
-        p = poisson_product_dist([0.01])
-        q = poisson_product_dist([30.0])
-        res = hellinger_distance(p, q)
-        assert res.value <= math.sqrt(2.0) + 1e-12
-
-    def test_poisson_closed_form(self):
-        """H(Poi(mu), Poi(mu+delta)) matches the exponential closed form."""
-        for mu, delta in [(1.0, 0.5), (2.0, 2.0), (0.3, 0.1)]:
-            p = poisson_product_dist([mu], 1e-14)
-            q = poisson_product_dist([mu + delta], 1e-14)
-            res = hellinger_distance(p, q)
-            assert res.value == pytest.approx(
-                poisson_hellinger_closed_form(mu, delta), abs=1e-7
-            )
-
-
-class TestConditionOnMaxEvent:
-    def test_infinite_cap_is_identity(self):
-        dist = poisson_product_dist([1.0, 2.0])
-        cond, p_event = condition_on_max_event(dist, 0.0, math.inf)
-        assert p_event == 1.0
-        assert tv_distance(dist, cond).value == 0.0
-
-    def test_event_probability_is_product_of_cdfs(self):
-        dist = poisson_product_dist([1.0, 3.0], 1e-13)
-        _cond, p_event = condition_on_max_event(dist, 1.0, 3.0)
-        expected = scipy.stats.poisson.cdf(4, 1.0) * scipy.stats.poisson.cdf(4, 3.0)
-        assert p_event == pytest.approx(expected, rel=1e-10)
-
-    def test_conditional_tv_bound(self):
-        """TV(P, P|E) <= 2 P(E^c) on capped-max events."""
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            lams = rng.uniform(0.3, 4.0, size=int(rng.integers(1, 4)))
-            dist = poisson_product_dist(lams, 1e-13)
-            cap = float(rng.uniform(1.0, 8.0))
-            cond, p_event = condition_on_max_event(dist, float(lams.max()), cap)
-            tv = tv_distance(dist, cond)
-            assert tv.value <= 2.0 * (1.0 - p_event) + tv.error_bar + 1e-10
-
-    def test_empty_event_raises(self):
-        dist = poisson_product_dist([1.0])
-        with pytest.raises(ValueError):
-            condition_on_max_event(dist, -5.0, 1.0)
-
-
 class TestHypergeometricOverlap:
     def test_matches_scipy(self):
         for pool, m in [(10, 3), (30, 5), (100, 7)]:
@@ -299,45 +242,6 @@ class TestHypergeometricOverlap:
         assert np.exp(log_pmf).sum() == pytest.approx(1.0, rel=1e-8)
 
 
-class TestPoissonConditionalChisqBound:
-    def test_zero_spike_at_most_one(self):
-        """c=0: the mixture term is at most 1, so the bound is at most 1."""
-        res = poisson_conditional_chisq_bound(1.0, 3.0, 0.0, 7)
-        expected = (1 - 1 / 7) + (1 / 7) * scipy.stats.poisson.cdf(4, 1.0)
-        assert res.value == pytest.approx(expected, rel=1e-12)
-        assert res.value <= 1.0
-
-    def test_degenerate_mixture_weight(self):
-        """j*=1 keeps only the diagonal term."""
-        mu, psi, c = 2.0, 4.0, 0.5
-        res = poisson_conditional_chisq_bound(mu, psi, c, 1)
-        rate = (mu + c * psi) ** 2 / mu
-        expected = math.exp((c * psi) ** 2 / mu) * scipy.stats.poisson.cdf(
-            math.floor(mu + psi), rate
-        )
-        assert res.value == pytest.approx(expected, rel=1e-12)
-
-    def test_bennett_cancellation_dominates_exact(self):
-        """The cancelled bound upper-bounds the exact term when c^2 psi > mu."""
-        rng = np.random.default_rng(5)
-        checked = 0
-        for _ in range(200):
-            mu = float(rng.uniform(0.2, 3.0))
-            c = float(rng.uniform(0.3, 0.9))
-            psi = float(rng.uniform(1.0, 40.0))
-            if c * c * psi <= mu:
-                continue
-            res = poisson_conditional_chisq_bound(mu, psi, c, 5)
-            assert res.bennett_bound is not None
-            assert res.mixture_term <= res.bennett_bound * (1 + 1e-12)
-            checked += 1
-        assert checked > 50
-
-    def test_bennett_bound_absent_below_threshold(self):
-        res = poisson_conditional_chisq_bound(5.0, 1.0, 0.1, 3)
-        assert res.bennett_bound is None
-
-
 class TestMultinomialConditionalChisqBound:
     def test_m_zero_convention(self):
         res = multinomial_conditional_chisq_bound(1.0, 0.0, 0.2, 1, 0)
@@ -354,6 +258,18 @@ class TestMultinomialConditionalChisqBound:
                     )
                     assert res.mgf_binomial_bound is not None
                     assert res.mgf <= res.mgf_binomial_bound * (1 + 1e-12)
+
+    def test_mixture_term_closed_form(self):
+        """``exp(c^2 psi^2/mu) P{Poisson((mu+c psi)^2/mu) <= mu+psi}``; at most 1 when c = 0."""
+        res = multinomial_conditional_chisq_bound(1.0, 3.0, 0.0, 7, 2)
+        assert res.mixture_term == pytest.approx(scipy.stats.poisson.cdf(4, 1.0), rel=1e-12)
+        mu, psi, c = 2.0, 4.0, 0.5
+        res = multinomial_conditional_chisq_bound(mu, psi, c, 1, 0)
+        rate = (mu + c * psi) ** 2 / mu
+        expected = math.exp((c * psi) ** 2 / mu) * scipy.stats.poisson.cdf(
+            math.floor(mu + psi), rate
+        )
+        assert res.mixture_term == pytest.approx(expected, rel=1e-12)
 
     def test_value_combines_mgf_and_bracket(self):
         mu, psi, c, j_star, m = 1.0, 5.0, 0.4, 10, 2

@@ -22,14 +22,7 @@ from supgof.maxtest import (
     multinomial_tail_test,
     poisson_max_test,
 )
-from supgof.model import (
-    CountVector,
-    RateVector,
-    SimplexVector,
-    rng_stream,
-    sample_multinomial,
-    sample_poisson_product,
-)
+from supgof.model import CountVector, RateVector, SimplexVector, rng_stream
 from supgof.risk import estimate_poisson_risk
 from supgof.special import h_inverse
 
@@ -100,7 +93,7 @@ class TestPoissonMaxTest:
         """Type I at eta=0.1 stays below the eta/2 guarantee (3 sigma slack)."""
         mu = RateVector(np.ones(100))
         cfg = PoissonTestConfig.from_eta(mu, 0.1)
-        draws = sample_poisson_product(mu, 31, trials=10_000)
+        draws = rng_stream(31).poisson(mu.rates, size=(10_000, mu.p))
         stats = np.abs(draws - mu.rates).max(axis=1)
         rate = float(np.mean(stats > cfg.max_threshold))
         assert rate <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / 10_000)
@@ -133,7 +126,7 @@ class TestMultinomialHeadTest:
         """Chebyshev guarantee: head Type I <= eta/4 = 0.05 at eta=0.2."""
         q0 = SimplexVector([0.1] * 10)
         cfg = MultinomialTestConfig.from_eta(q0, 500, 0.2)
-        draws = sample_multinomial(500, q0, 17, trials=10_000)
+        draws = rng_stream(17).multinomial(500, q0.probs, size=10_000)
         stats = np.abs(draws[:, 0] - 500 * 0.1)
         rate = float(np.mean(stats >= cfg.head_threshold))
         assert rate <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / 10_000)
@@ -159,7 +152,7 @@ class TestMultinomialTailTest:
         """Bennett union bound: tail Type I <= eta/4 (3 sigma slack)."""
         q0 = SimplexVector([0.1] * 10)
         cfg = MultinomialTestConfig.from_eta(q0, 500, 0.2)
-        draws = sample_multinomial(500, q0, 23, trials=10_000)
+        draws = rng_stream(23).multinomial(500, q0.probs, size=10_000)
         stats = np.abs(draws[:, 1:] - 500 * q0.tail).max(axis=1)
         rate = float(np.mean(stats > cfg.max_tail_threshold))
         assert rate <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / 10_000)
@@ -225,7 +218,7 @@ class TestCombinedTest:
         q0 = SimplexVector([0.3, 0.25, 0.25, 0.2])
         n = 200
         cfg = MultinomialTestConfig.from_eta(q0, n, 0.2)
-        draws = sample_multinomial(n, q0, 29, trials=5_000)
+        draws = rng_stream(29).multinomial(n, q0.probs, size=5_000)
         head = np.abs(draws[:, 0] - n * q0.head) >= cfg.head_threshold
         tail = np.abs(draws[:, 1:] - n * q0.tail).max(axis=1) > cfg.max_tail_threshold
         combined = np.array(

@@ -168,11 +168,9 @@ class TestSweeps:
         p = 300
         n = 2.0 * p * math.log(p)
         q0 = SimplexVector(np.full(p, 1.0 / p))
-        from supgof.rates import multinomial_sharp_constant_epsilon
-
         for xi in (0.5, 1.0, 2.0):
-            out = multinomial_sharp_constant_epsilon(q0, n, math.log(p), xi)
-            assert out.m == 0 or out.m >= 2
+            m = multinomial_sharp_constant_epsilons(q0, n, math.log(p), [xi])[3]
+            assert m == 0 or m >= 2
 
     def test_multinomial_sweep_runs_and_orders(self):
         p = 200
@@ -327,11 +325,10 @@ class TestPhaseTransitionShape:
         import itertools
 
         from supgof.divergence import poisson_mixture, poisson_product_dist, tv_distance
-        from supgof.rates import multinomial_sharp_constant_epsilon
 
         p, n = 6, 6.0
         q0 = SimplexVector(np.full(p, 1.0 / p))
-        eps, j_star, n_prime, m = multinomial_sharp_constant_epsilon(q0, n, math.log(p), 0.5)
+        (eps,), j_star, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, math.log(p), [0.5])
         nu = n_prime / p
         spike, removal = n_prime * eps, n_prime * eps / m
         assert m >= 2 and removal <= nu

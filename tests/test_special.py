@@ -11,13 +11,10 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import supgof.special as special
 from supgof.special import (
-    DEFAULT_TOL,
     SolverError,
-    ToleranceConfig,
-    bennett_two_sided_bound,
     bennett_upper_tail_bound,
-    binomial_bennett_bound,
     gamma_rate,
     h,
     h_inverse,
@@ -100,10 +97,10 @@ class TestHInverse:
         assert h_inverse(2.0 * math.log(2.0) - 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_round_trip(self):
-        """|h(h_inverse(y)) - y| <= rel_tol * max(y, 1) across 16 decades."""
+        """|h(h_inverse(y)) - y| <= 1e-12 * max(y, 1) across 16 decades."""
         ys = np.logspace(-8, 8, 1000)
         err = np.abs(h(h_inverse(ys)) - ys) / np.maximum(ys, 1.0)
-        assert err.max() <= DEFAULT_TOL.rel_tol
+        assert err.max() <= 1e-12
 
     def test_monotone(self):
         ys = np.sort(np.random.default_rng(7).uniform(0.0, 1e6, size=500))
@@ -164,10 +161,12 @@ class TestHInverse:
         ys = np.concatenate([np.linspace(0.0, 5e-3, 20001), np.logspace(-2.3, 12, 20001)])
         assert np.all(np.diff(h_inverse(ys)) > 0.0)
 
-    def test_missed_tolerance_raises(self):
+    def test_missed_tolerance_raises(self, monkeypatch):
         """The output check is live: an unattainable tolerance or y = inf raises."""
-        with pytest.raises(SolverError):
-            h_inverse(np.logspace(-3, 3, 50), ToleranceConfig(rel_tol=1e-30))
+        with monkeypatch.context() as m:
+            m.setattr(special, "_REL_TOL", 1e-30)
+            with pytest.raises(SolverError):
+                h_inverse(np.logspace(-3, 3, 50))
         with pytest.raises(SolverError):
             h_inverse(np.array([1.0, math.inf]))
 
@@ -176,7 +175,7 @@ class TestHInverse:
     def test_round_trip_property(self, y):
         x = h_inverse(y)
         assert x >= 0.0
-        assert abs(h(x) - y) <= DEFAULT_TOL.rel_tol * max(y, 1.0)
+        assert abs(h(x) - y) <= 1e-12 * max(y, 1.0)
 
 
 class TestGammaRate:
@@ -202,25 +201,11 @@ class TestBennettBounds:
             math.exp(-2.0 * (2.0 * math.log(2.0) - 1.0)), rel=1e-14
         )
 
-    def test_two_sided_anchors(self):
-        assert bennett_two_sided_bound(1.0, 0.0) == 1.0
-        assert bennett_two_sided_bound(1.0, math.e - 1.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
-        assert bennett_two_sided_bound(10.0, 5.0) == pytest.approx(2.0 * math.exp(-10.0 * h(5.0)), rel=1e-14)
-
-    def test_binomial_anchors(self):
-        assert binomial_bennett_bound(10, 0.0, 1.0) == 1.0
-        assert binomial_bennett_bound(10, 0.5, math.e - 1.0) == pytest.approx(2.0 * math.exp(-2.5), rel=1e-14)
-        assert binomial_bennett_bound(1, 0.5, 0.0) == 1.0
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             bennett_upper_tail_bound(0.0, 1.0)
         with pytest.raises(ValueError):
             bennett_upper_tail_bound(1.0, -0.5)
-        with pytest.raises(ValueError):
-            binomial_bennett_bound(0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            binomial_bennett_bound(5, 1.5, 1.0)
 
     def test_dominates_exact_poisson_tail(self):
         """exp(-rho*h(u)) upper-bounds the exact Poisson upper tail."""
@@ -229,22 +214,3 @@ class TestBennettBounds:
             thresholds = rho * (1.0 + us)
             exact = scipy.stats.poisson.sf(np.ceil(thresholds) - 1.0, rho)
             assert np.all(exact <= bennett_upper_tail_bound(rho, us) + 1e-12)
-
-    def test_exact_binomial_tail_dominated(self):
-        """The binomial bound dominates the exact two-sided binomial tail."""
-        n, p = 50, 0.3
-        v = n * p * (1 - p)
-        us = np.linspace(0.0, 2.0, 21)
-        lo = np.floor(n * p - us * v)
-        hi = np.ceil(n * p + us * v)
-        exact = scipy.stats.binom.cdf(lo - (lo == n * p - us * v), n, p) + scipy.stats.binom.sf(
-            hi - (hi != n * p + us * v), n, p
-        )
-        # Exact two-sided mass P{|X - np| >= u v}; conservative discretization.
-        assert np.all(exact <= binomial_bennett_bound(n, p, us) + 1e-9)
-
-
-class TestToleranceConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(rel_tol=0.0)
