@@ -242,6 +242,28 @@ class TestHypergeometricOverlap:
         assert np.exp(log_pmf).sum() == pytest.approx(1.0, rel=1e-8)
 
 
+class TestPoissonConditionalChisqBound:
+    """The m = 0 (Poisson-prior) case of the conditional chi-square bound."""
+
+    def test_zero_spike_at_most_one(self):
+        """c=0: the mixture term is at most 1, so the bound is at most 1."""
+        res = multinomial_conditional_chisq_bound(1.0, 3.0, 0.0, 7, 0)
+        assert res.mixture_term == pytest.approx(scipy.stats.poisson.cdf(4, 1.0), rel=1e-12)
+        assert res.mixture_term <= 1.0
+        assert res.value <= 1.0
+
+    def test_degenerate_mixture_weight(self):
+        """j*=1 keeps only the diagonal term."""
+        mu, psi, c = 2.0, 4.0, 0.5
+        res = multinomial_conditional_chisq_bound(mu, psi, c, 1, 0)
+        rate = (mu + c * psi) ** 2 / mu
+        expected = math.exp((c * psi) ** 2 / mu) * scipy.stats.poisson.cdf(
+            math.floor(mu + psi), rate
+        )
+        assert res.mixture_term == pytest.approx(expected, rel=1e-12)
+        assert res.value == pytest.approx(max(1.0, expected), rel=1e-12)
+
+
 class TestMultinomialConditionalChisqBound:
     def test_m_zero_convention(self):
         res = multinomial_conditional_chisq_bound(1.0, 0.0, 0.2, 1, 0)
@@ -258,18 +280,6 @@ class TestMultinomialConditionalChisqBound:
                     )
                     assert res.mgf_binomial_bound is not None
                     assert res.mgf <= res.mgf_binomial_bound * (1 + 1e-12)
-
-    def test_mixture_term_closed_form(self):
-        """``exp(c^2 psi^2/mu) P{Poisson((mu+c psi)^2/mu) <= mu+psi}``; at most 1 when c = 0."""
-        res = multinomial_conditional_chisq_bound(1.0, 3.0, 0.0, 7, 2)
-        assert res.mixture_term == pytest.approx(scipy.stats.poisson.cdf(4, 1.0), rel=1e-12)
-        mu, psi, c = 2.0, 4.0, 0.5
-        res = multinomial_conditional_chisq_bound(mu, psi, c, 1, 0)
-        rate = (mu + c * psi) ** 2 / mu
-        expected = math.exp((c * psi) ** 2 / mu) * scipy.stats.poisson.cdf(
-            math.floor(mu + psi), rate
-        )
-        assert res.mixture_term == pytest.approx(expected, rel=1e-12)
 
     def test_value_combines_mgf_and_bracket(self):
         mu, psi, c, j_star, m = 1.0, 5.0, 0.4, 10, 2
