@@ -15,9 +15,9 @@ Library layout:
   bound and risk certificate.
 * :mod:`supgof.priors` -- two-point and mixture lower-bound constructions and
   the flattening reduction.
-* :mod:`supgof.risk` -- risk of the implemented tests (exact products of
-  Poisson box probabilities, Monte Carlo for the fixed-n multinomial) and
-  sharp-constant sweeps.
+* :mod:`supgof.risk` -- exact risk of the implemented tests (products of
+  Poisson box probabilities; the fixed-n multinomial by Poisson
+  conditioning) and sharp-constant sweeps.
 * :mod:`supgof.cli` -- command-line entry point.
 """
 

@@ -342,13 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None)
 
     sp = sub.add_parser(
-        "risk", help="risk of the implemented test: exact, Monte Carlo for the fixed-n multinomial"
+        "risk", help="risk of the implemented test, computed exactly (Rao-Blackwellized for large simplex-prior pools)"
     )
     common(sp, seed=True, eta=True)
     sp.add_argument("--alt", help="alternative: JSON file or inline array")
     sp.add_argument("--c", type=float, default=None, help="prior spike scale when no --alt (poisson: required)")
     sp.add_argument(
-        "--trials", type=int, default=10_000, help="Monte Carlo trials, at least 100 (fixed-n multinomial only)"
+        "--trials",
+        type=int,
+        default=10_000,
+        help="at least 100; prior draws of the Rao-Blackwellized fixed-n multinomial route, unused when exact",
     )
     sp.add_argument("--poissonized", action="store_true")
 
@@ -358,7 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xi-grid", default="0.5,1.0,2.0")
     sp.add_argument("--alpha-rule", default="log_p", help='"log_p", "loglog_p", or a float')
     sp.add_argument(
-        "--trials", type=int, default=10_000, help="Monte Carlo trials per xi (fixed-n multinomial only; the other sweeps are exact)"
+        "--trials",
+        type=int,
+        default=10_000,
+        help="at least 1; prior draws per xi of the Rao-Blackwellized fixed-n multinomial route, unused when exact",
     )
     sp.add_argument("--poissonized", action="store_true")
     return parser

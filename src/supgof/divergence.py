@@ -165,9 +165,6 @@ class FiniteProductDist:
     def truncation_deficit(self) -> float:
         return float(sum(t.deficit for t in self.tables))
 
-    def n_atoms(self) -> int:
-        return int(np.prod([len(t) for t in self.tables], dtype=np.int64))
-
     def dense(self, shape: tuple[int, ...]) -> np.ndarray:
         """Joint pmf on the product grid ``{0..shape_j - 1}``, zero-padded."""
         out = None

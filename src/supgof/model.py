@@ -1,13 +1,11 @@
 """Null/data containers, random streams and the count-table reader.
 
 The nulls are stored sorted non-increasing, matching the convention under
-which every rate formula in :mod:`supgof.rates` is written.  Construction
-from unsorted user data goes through ``from_unsorted``, which records the
-sorting permutation so category labels survive.
+which every rate formula in :mod:`supgof.rates` is written.
 
 Random streams are derived from a counter-based generator (Philox) keyed by
-the seed plus an arbitrary integer path, so Monte Carlo trials and prior
-draws can use disjoint substreams reproducibly.
+the seed plus an arbitrary integer path, so prior draws for different
+purposes use disjoint substreams reproducibly.
 """
 
 from __future__ import annotations
@@ -62,13 +60,6 @@ class RateVector:
         object.__setattr__(self, "rates", arr)
         arr.setflags(write=False)
 
-    @classmethod
-    def from_unsorted(cls, values) -> tuple["RateVector", np.ndarray]:
-        """Sort descending; returns the vector and the applied permutation."""
-        arr = _as_float_vector(values, "rates")
-        perm = np.argsort(-arr, kind="stable")
-        return cls(arr[perm]), perm
-
     @property
     def p(self) -> int:
         return self.rates.size
@@ -90,12 +81,6 @@ class SimplexVector:
             raise ValueError(f"probs must sum to 1 within {SIMPLEX_SUM_TOL}, got {arr.sum()!r}")
         object.__setattr__(self, "probs", arr)
         arr.setflags(write=False)
-
-    @classmethod
-    def from_unsorted(cls, values) -> tuple["SimplexVector", np.ndarray]:
-        arr = _as_float_vector(values, "probs")
-        perm = np.argsort(-arr, kind="stable")
-        return cls(arr[perm]), perm
 
     @property
     def p(self) -> int:
@@ -166,10 +151,19 @@ def as_probability_vector(q, name: str = "q") -> np.ndarray:
     return np.clip(arr, 0.0, None)
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_counts_csv(path, p_expected: int | None = None) -> np.ndarray:
     """Read a count table: one row per replicate, p integer columns.
 
-    A non-numeric first row is treated as a header and skipped.
+    A first row with a non-numeric cell is a header and is skipped; any
+    other row that is not all integers is an error.
     """
     rows: list[list[int]] = []
     with open(Path(path), newline="") as fh:
@@ -183,7 +177,7 @@ def read_counts_csv(path, p_expected: int | None = None) -> np.ndarray:
                 if any(float(c) != int(float(c)) for c in cells):
                     raise ValueError
             except (ValueError, OverflowError):  # int(inf) overflows
-                if lineno == 0:
+                if lineno == 0 and not all(map(_is_number, cells)):
                     continue  # header
                 raise ValueError(f"non-integer entry in CSV row {lineno + 1}: {row!r}")
             if min(parsed) < _INT64_MIN or max(parsed) > _INT64_MAX:

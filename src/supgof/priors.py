@@ -34,6 +34,7 @@ __all__ = [
     "multinomial_parametric_alternative",
     "MultinomialSimplexPrior",
     "draw_multinomial_simplex_prior",
+    "simplex_prior_cells",
     "certified_simplex_c",
     "FlattenedPair",
     "flatten_poisson_pair",
@@ -60,8 +61,8 @@ class PoissonSpikePrior:
     def build(cls, mu: RateVector, c: float, big_c: float = math.e) -> "PoissonSpikePrior":
         if c <= 0:
             raise ValueError(f"c must be positive, got {c!r}")
-        if big_c < math.e:
-            raise ValueError(f"C must be >= e, got {big_c!r}")
+        if not big_c >= math.e:  # NaN included
+            raise ValueError(f"C (--big-c) must be >= e, got {big_c!r}")
         j_star = poisson_rate(mu).j_star
         mu_star = float(mu.rates[j_star - 1])
         psi = mu_star * h_inverse((math.log(big_c) + math.log(j_star)) / mu_star)
@@ -173,6 +174,19 @@ class MultinomialSimplexPrior:
         return cls(q0, n_val, j_star, psi, m, c, c_tilde)
 
 
+def simplex_prior_cells(prior: MultinomialSimplexPrior, rng: np.random.Generator, trials: int):
+    """Cells of ``trials`` simplex-prior draws (``m >= 1``): the spiked
+    category and the ``m`` categories giving up mass, as 0-based indices of
+    shapes ``(trials,)`` and ``(trials, m)``, all among ``1..j_star``."""
+    spike_idx = rng.integers(1, prior.j_star + 1, size=trials)
+    # Uniform subsets via order statistics of iid uniforms, with the
+    # spiked position masked out.
+    noise = rng.random((trials, prior.j_star))
+    noise[np.arange(trials), spike_idx - 1] = np.inf
+    removal_pos = np.argpartition(noise, prior.m - 1, axis=1)[:, : prior.m]
+    return spike_idx, removal_pos + 1
+
+
 def draw_multinomial_simplex_prior(
     prior: MultinomialSimplexPrior, rng_seed, trials: int | None = None
 ):
@@ -184,16 +198,9 @@ def draw_multinomial_simplex_prior(
     t = 1 if trials is None else int(trials)
     out = np.tile(prior.base.probs, (t, 1))
     if prior.m > 0:
-        # 0-based indices 1..j_star hold categories 2..j_star+1.
-        spike_idx = rng.integers(1, prior.j_star + 1, size=t)
-        # Uniform subsets via order statistics of iid uniforms, with the
-        # spiked position masked out.
-        noise = rng.random((t, prior.j_star))
-        noise[np.arange(t), spike_idx - 1] = np.inf
-        removal_pos = np.argpartition(noise, prior.m - 1, axis=1)[:, : prior.m]
-        rows = np.repeat(np.arange(t), prior.m)
+        spike_idx, removal_idx = simplex_prior_cells(prior, rng, t)
         out[np.arange(t), spike_idx] += prior.c * prior.psi / prior.n
-        out[rows, removal_pos.ravel() + 1] -= prior.c * prior.psi / (prior.n * prior.m)
+        out[np.repeat(np.arange(t), prior.m), removal_idx.ravel()] -= prior.c * prior.psi / (prior.n * prior.m)
     return out[0] if trials is None else out
 
 

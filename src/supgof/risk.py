@@ -1,4 +1,4 @@
-"""Risk of the implemented tests: exact products, Monte Carlo, and the sharp-constant sweeps.
+"""Risk of the implemented tests, computed exactly, and the sharp-constant sweeps.
 
 "Risk" is always Type I plus Type II.  The Type II side is evaluated either
 at a fixed alternative or in the Bayes sense under one of the lower-bound
@@ -7,13 +7,26 @@ heuristic supremum over alternatives.
 
 Every test accepts exactly on its :class:`~supgof.maxtest.AcceptanceBox`.
 Where the cells are independent Poisson variables -- the Poisson model and
-the Poissonized multinomial -- Type I and Type II are therefore products of
-one-dimensional Poisson box probabilities, computed exactly: such a result
-reports 0 trials and a zero ``ci``.  The fixed-n multinomial is not a
-product and is estimated by Monte Carlo, a deterministic function of
-``(inputs, seed)``: each estimator derives dedicated substreams from the
-seed and consumes them in a fixed chunked order, so results do not depend
-on the execution schedule.
+the Poissonized multinomial -- Type I and Type II are products of
+one-dimensional Poisson box probabilities.  The fixed-n multinomial is not a
+product, but a ``Multinomial(n, q)`` vector is a vector of independent
+``Y_j ~ Poisson(n q_j)`` conditioned on ``sum Y = n`` (Levin, Ann. Statist.
+9, 1981), so
+
+    ``P(X in box) = P(Y in box, sum Y = n) / P(Poisson(Lambda) = n)``,
+
+``Lambda = sum_j n q_j``, and the numerator is one coefficient of a product
+of box-truncated Poisson pmfs, formed by FFT (:func:`_fixed_n_accept`).
+Each of these results is exact and reports 0 trials and a zero ``ci``.
+
+The one route that draws is the fixed-n risk under a simplex prior whose
+exact pool product (:func:`_pool_tree`) would cost more than
+``_EXACT_POOL_WORK`` or hold more than ``_MAX_TERMS`` terms in one level:
+it is Rao-Blackwellized, Monte Carlo over the prior's
+draws with the exact box probability inside each draw, and reports its
+draws and the ``ci`` of their spread.  Its draws come from a dedicated
+substream of the seed, so the result is a deterministic function of
+``(inputs, seed)``.
 """
 
 from __future__ import annotations
@@ -23,13 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .divergence import AtomBudgetError
 from .maxtest import AcceptanceBox, MultinomialTestConfig, PoissonTestConfig
 from .model import RateVector, SimplexVector, as_probability_vector, rng_stream
-from .priors import (
-    MultinomialSimplexPrior,
-    PoissonSpikePrior,
-    draw_multinomial_simplex_prior,
-)
+from .priors import MultinomialSimplexPrior, PoissonSpikePrior, simplex_prior_cells
 from .rates import (
     multinomial_rate,
     multinomial_sharp_constant_epsilons,
@@ -40,31 +50,29 @@ from .rates import (
 __all__ = [
     "RiskEstimate",
     "SweepResult",
-    "wilson_halfwidth",
     "estimate_poisson_risk",
     "estimate_multinomial_risk",
     "sweep_sharp_constant",
     "sweep_multinomial_sharp_constant",
 ]
 
-_CHUNK = 1000
 _Z95 = 1.959963984540054
-
-
-def wilson_halfwidth(p_hat: float, n: int, z: float = _Z95) -> float:
-    """Half-width of the two-sided Wilson score interval."""
-    if n < 1:
-        raise ValueError("need at least one trial")
-    return z * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n)) / (1.0 + z * z / n)
+# Fixed-n route: the most polynomial terms one product level may hold, and the
+# longest product kept (t + 1 coefficients); past either, AtomBudgetError.
+_MAX_TERMS = 1 << 22
+# Complex multiply-adds of the exact pool product under a simplex prior
+# (estimated by _pool_tree_work) above which the Type II is Rao-Blackwellized.
+# The pool tree runs at about 5 ns per unit on one Xeon core: about 10 s.
+_EXACT_POOL_WORK = 2e9
 
 
 @dataclass(frozen=True)
 class RiskEstimate:
     """Type I and Type II error of a test.
 
-    A Monte Carlo estimate carries its trial count and the sum of the two
-    Wilson half-widths; a result is exact when ``trials == 0`` and
-    ``ci_halfwidth == 0``.
+    A result is exact when ``trials == 0`` and ``ci_halfwidth == 0``.  A
+    Rao-Blackwellized Type II carries its number of prior draws and the 95 %
+    normal half-width of their mean (its Type I is exact).
     """
 
     type1: float
@@ -82,53 +90,34 @@ class RiskEstimate:
         return self.type1 + self.type2
 
 
-def _make_estimate(reject_null: int, accept_alt: int, trials: int, seed: int) -> RiskEstimate:
-    t1 = reject_null / trials
-    t2 = accept_alt / trials
-    ci = wilson_halfwidth(t1, trials) + wilson_halfwidth(t2, trials)
-    return RiskEstimate(t1, t2, trials, seed, ci)
-
-
 def _exact(log_accept_null: float, type2: float, seed: int) -> RiskEstimate:
     """Exact risk from ``log P_0(accept)`` and the Type II error."""
     return RiskEstimate(-math.expm1(log_accept_null), min(type2, 1.0), 0, seed, 0.0)
-
-
-def _chunks(trials: int) -> list[int]:
-    out = [_CHUNK] * (trials // _CHUNK)
-    if trials % _CHUNK:
-        out.append(trials % _CHUNK)
-    return out
-
-
-def _rejections(trials: int, sample, reject) -> int:
-    """Rejections over ``trials`` draws taken in fixed chunks.
-
-    ``sample(size)`` draws one chunk as a ``(size, p)`` count table and
-    ``reject(x)`` decides its rows.
-    """
-    return sum(int(np.count_nonzero(reject(sample(size)))) for size in _chunks(trials))
 
 
 def _log_mean_subset_products(log_r: np.ndarray, m: int) -> np.ndarray:
     """``log(e_m(r_{-s}) / C(k - 1, m))`` for each ``s`` of the ``k`` ratios:
     the log of the mean product of ``r`` over the ``m``-subsets without ``s``.
 
-    ``e_m`` is the elementary symmetric polynomial.  ``pre[s, l]`` and
-    ``suf[s, l]`` hold ``log e_l`` of the ratios before and after ``s``, built
-    column by column as log-domain cumulative sums, and
+    ``e_m`` is the elementary symmetric polynomial.  ``suf[s, l]`` holds
+    ``log e_l`` of the ratios after ``s``, built column by column as
+    log-domain cumulative sums; the matching prefix column ``log e_l(r_{<s})``
+    is built the same way one ``l`` at a time and folded straight into
     ``e_m(r_{-s}) = sum_l e_l(r_{<s}) e_{m-l}(r_{>s})``.  Working with logs
     nothing overflows, and every term being positive, nothing cancels.
-    O(k m) time and memory.
+    O(k m) time; one ``(k, m + 1)`` table.
     """
     k = log_r.size
-    pre = np.full((k, m + 1), -np.inf)
-    pre[:, 0] = 0.0
-    suf = pre.copy()
+    suf = np.full((k, m + 1), -np.inf)
+    suf[:, 0] = 0.0
     for l in range(1, m + 1):
-        pre[1:, l] = np.logaddexp.accumulate(log_r[:-1] + pre[:-1, l - 1])
         suf[:-1, l] = np.logaddexp.accumulate((log_r[1:] + suf[1:, l - 1])[::-1])[::-1]
-    return np.logaddexp.reduce(pre + suf[:, ::-1], axis=1) - math.log(math.comb(k - 1, m))
+    pre = np.zeros(k)
+    total = suf[:, m].copy()
+    for l in range(1, m + 1):
+        pre = np.r_[-np.inf, np.logaddexp.accumulate(log_r[:-1] + pre[:-1])]
+        total = np.logaddexp(total, pre + suf[:, m - l])
+    return total - math.log(math.comb(k - 1, m))
 
 
 def _leave_one_out_type2(
@@ -238,16 +227,322 @@ def estimate_poisson_risk(
     return _exact(float(box.log_mass(mu.rates).sum()), type2, seed)
 
 
-def _sample_multinomial(rng: np.random.Generator, n: float, q_rows: np.ndarray) -> np.ndarray:
-    """One ``Multinomial(n, q)`` count row per probability row.
+def _fft_len(size: int) -> int:
+    """Smallest ``f * 2^k >= size`` with ``f`` in {1, 3, 5, 9, 15}: a fast FFT length."""
+    return min(f << (-(-size // f) - 1).bit_length() for f in (1, 3, 5, 9, 15))
 
-    Rows are clipped at 0 first: a prior draw may leave a cell a rounding
-    error below zero, which numpy rejects.
+
+def _cut(z: np.ndarray, size: int, t: int) -> np.ndarray:
+    """The first ``min(size, t + 1)`` coefficients of an inverse FFT, negative round-off set to 0.
+
+    Cutting at degree ``t`` is exact for every coefficient kept: a product's
+    coefficient ``k`` involves only its factors' coefficients up to ``k``.
     """
-    q_rows = np.clip(q_rows, 0.0, None)
+    return np.maximum(z[..., : min(size, t + 1)], 0.0)
+
+
+def _mul(x: np.ndarray, y: np.ndarray, t: int) -> np.ndarray:
+    """Product of the polynomials ``x`` and ``y`` (coefficients on the last axis), cut at degree ``t``."""
+    size = x.shape[-1] + y.shape[-1] - 1
+    nfft = _fft_len(size)
+    fx = np.fft.rfft(x, nfft)
+    fy = fx if y is x else np.fft.rfft(y, nfft)
+    return _cut(np.fft.irfft(fx * fy, nfft), size, t)
+
+
+def _power(x: np.ndarray, count: int, t: int) -> np.ndarray:
+    """``x ** count`` cut at degree ``t``, by repeated squaring from the top bit
+    down, so every other product has the short factor ``x``."""
+    if count == 0:
+        return np.ones(1)
+    out = x
+    for bit in bin(count)[3:]:
+        out = _mul(out, out, t)
+        if bit == "1":
+            out = _mul(out, x, t)
+    return out
+
+
+def _tree_product(rows: np.ndarray, t: int) -> np.ndarray:
+    """Product of the polynomials ``rows[..., r, :]`` over ``r``, cut at degree ``t``.
+
+    Neighbours multiply pairwise, level by level, each level in one batched
+    ``rfft``; an odd last row is carried up a level.
+    """
+    if rows.shape[-2] == 0:
+        return np.ones(rows.shape[:-2] + (1,))
+    while rows.shape[-2] > 1:
+        half = rows.shape[-2] // 2
+        size = 2 * rows.shape[-1] - 1
+        nfft = _fft_len(size)
+        f = np.fft.rfft(rows[..., : 2 * half, :], nfft)
+        prod = _cut(np.fft.irfft(f[..., 0::2, :] * f[..., 1::2, :], nfft), size, t)
+        if rows.shape[-2] % 2:
+            last = np.pad(rows[..., -1:, :], [(0, 0)] * (rows.ndim - 1) + [(0, prod.shape[-1] - rows.shape[-1])])
+            prod = np.concatenate([prod, last], axis=-2)
+        rows = prod
+    return rows[..., 0, :]
+
+
+def _coefficient(x: np.ndarray, y: np.ndarray, t: int):
+    """Coefficient ``t`` of the product ``x * y``; ``y`` may carry leading batch axes."""
+    k = np.arange(max(0, t - y.shape[-1] + 1), min(x.shape[-1], t + 1))
+    return y[..., t - k] @ x[k]
+
+
+def _check_terms(terms: int, what: str) -> None:
+    if terms > _MAX_TERMS:
+        raise AtomBudgetError(
+            f"exact fixed-n risk needs {terms} {what}, over the cap of {_MAX_TERMS}"
+        )
+
+
+def _cell_rows(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int) -> np.ndarray:
+    """``P(Y_j = lo_j + k)`` for ``Y_j ~ Poisson(lam_j)`` and ``k = 0..min(hi_j - lo_j, t)``:
+    one zero-padded row per cell.
+
+    A row runs out from the cell's mode within its box by the ratios
+    ``P(k) / P(k - 1) = lam / k``, summed in logs as ``log1p`` of their small
+    part, and is scaled to the mass :meth:`AcceptanceBox.mass` gives the
+    (cut) box, so it keeps that accuracy; a value ``k`` steps from the mode
+    errs by a further relative ``k eps`` or so.
+    """
+    hi = np.minimum(hi, lo + t)
+    width = hi - lo
+    span = np.arange(int(width.max()) + 1)
+    counts = lo[:, None] + span[1:]
+    with np.errstate(divide="ignore"):  # a zero rate: log1p(-1)
+        steps = np.log1p((lam[:, None] - counts) / counts)
+    logs = np.concatenate([np.zeros((lam.size, 1)), np.cumsum(steps, axis=1)], axis=1)
+    mode = (np.clip(np.floor(lam), lo, hi) - lo).astype(np.intp)
+    logs = np.where(span > width[:, None], -np.inf, logs - logs[np.arange(lam.size), mode][:, None])
+    rows = np.exp(logs)
+    return rows * (AcceptanceBox(lo, hi).mass(lam) / rows.sum(axis=1))[:, None]
+
+
+def _product(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int) -> np.ndarray:
+    """Product over cells of their box rows (:func:`_cell_rows`), cut at degree ``t``.
+
+    Cells that share a (rate, box) are one factor raised to their count by
+    repeated squaring; the distinct single cells multiply in one tree.
+    """
+    cells, counts = np.unique(np.column_stack([lam, lo, hi]), axis=0, return_counts=True)
+    lam, lo, hi = cells.T
+    _check_terms(lam.size * (int(np.minimum(hi - lo, t).max()) + 1), "terms in one product level")
+    rows = _cell_rows(lam, lo, hi, t)
+    out = _tree_product(rows[counts == 1], t)
+    for row, count in zip(rows[counts > 1], counts[counts > 1]):
+        out = _mul(out, _power(row, int(count), t), t)
+    return out
+
+
+def _box_cut(box: AcceptanceBox, n: float) -> int:
+    """``t = n - sum_j lo_j``, the degree that carries ``sum Y = n`` once each
+    cell is shifted by ``lo_j``; -1 when no count vector in the box sums to ``n``."""
     if n != int(n):
-        raise ValueError("exact multinomial sampling needs an integer n")
-    return rng.multinomial(int(n), q_rows)
+        raise ValueError("the fixed-n multinomial needs an integer n")
+    t = int(n) - int(box.lo.sum())
+    if t < 0 or np.any(box.hi < box.lo) or box.hi.sum() < n:
+        return -1
+    _check_terms(t + 1, "coefficients in the product")
+    return t
+
+
+def _ratio(numerator, n: float, total_rate: float):
+    """``numerator / P(Poisson(total_rate) = n)``, clipped to [0, 1]."""
+    point = AcceptanceBox(np.array([n]), np.array([n])).mass(np.array([total_rate]))[0]
+    return np.clip(numerator / point, 0.0, 1.0)
+
+
+def _fixed_n_accept(box: AcceptanceBox, n: float, lam: np.ndarray) -> float:
+    """``P(X in box)`` for ``X ~ Multinomial(n, lam / Lambda)``, ``Lambda = sum lam``, exactly.
+
+    The numerator ``P(Y in box, sum Y = n)`` is coefficient ``t = n - sum lo``
+    of ``prod_j sum_k P(Y_j = lo_j + k) z^k`` (:func:`_product`).  Round-off:
+    every partial product has nonnegative coefficients summing to at most 1,
+    so an FFT product errs in each coefficient by at most about
+    ``c eps log2(N)`` with ``c ~ 20`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, sec. 24.1), for transform length ``N <= 4 t + 4``,
+    and an error carried up the tree is scaled by the other factor's mass,
+    at most 1.  Over at most ``2 p`` products the probability therefore errs
+    by at most ``2 p c eps log2(4 t + 4) / P(Poisson(Lambda) = n)`` absolute,
+    with ``P(Poisson(Lambda) = n) ~ (2 pi n)^(-1/2)``: 3e-12 at p = 4, n = 30.
+    The rows (:func:`_cell_rows`) and the denominator, a difference of two
+    CDFs, add relative errors of order ``eps (width + sqrt(n))``.  Against
+    40-digit enumeration at p <= 4, n <= 30 the error is at most 4e-15.
+    """
+    t = _box_cut(box, n)
+    if t < 0:
+        return 0.0
+    prod = _product(lam, box.lo, box.hi, t)
+    return float(_ratio(prod[t] if t < prod.size else 0.0, n, float(lam.sum())))
+
+
+def _log_comb(n: np.ndarray, top: int) -> np.ndarray:
+    """``log C(n_r, k)`` for ``k = 0..top``, one row per entry of ``n``; ``-inf`` where ``k > n_r``."""
+    n = np.asarray(n, dtype=float)[:, None]
+    r = np.arange(top)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.where(r < n, np.log((n - r) / (r + 1.0)), -np.inf)
+    return np.concatenate([np.zeros((n.shape[0], 1)), np.cumsum(steps, axis=1)], axis=1)
+
+
+def _accumulate(out, i, x, y, log_x, log_y, log_norm, share) -> None:
+    """``out[:, i + j] += share C_x(i) C_y(j) / C(i + j) x y[:, j]`` for every ``j``
+    with ``i + j < out.shape[1]``; the binomials come as logs, and a term with
+    ``C_x(i) C_y(j) = 0`` adds nothing."""
+    span = min(y.shape[1], out.shape[1] - i)
+    if span <= 0:
+        return
+    log_w = log_x[:, None] + log_y[:, :span]
+    with np.errstate(invalid="ignore"):
+        w = share * np.exp(np.where(np.isfinite(log_w), log_w - log_norm[:, i : i + span], -np.inf))
+    out[:, i : i + span] += w[..., None] * x[:, None, :] * y[:, :span]
+
+
+def _pool_tree(a: np.ndarray, b: np.ndarray, d: np.ndarray, m: int, t: int) -> np.ndarray:
+    """Mean over the simplex prior's draws of the pool's product polynomial, cut at degree ``t``.
+
+    A draw spikes one pool cell ``s`` (row ``b_s``) and takes mass from an
+    ``m``-subset ``S`` of the others (rows ``d``); the rest keep their base
+    rows ``a``.  The sum of ``b_s prod_S d prod_rest a`` over all ``(s, S)``
+    is the coefficient of ``u v^m`` in ``prod_i (a_i + u b_i + v d_i)``.  A
+    node of the tree over the cells keeps that expansion as means: ``M_k``
+    over the ``k``-subsets of its cells of ``prod_S d prod_rest a``, and
+    ``U_k`` over (spike, ``k``-subset of the rest), ``k <= m``.  Nodes of
+    ``N1`` and ``N2`` cells merge with hypergeometric weights, as in
+    ``M_k = sum_i C(N1, i) C(N2, k - i) / C(N, k) M1_i M2_{k-i}``, so every
+    value stays a mean of sub-probability polynomials and nothing overflows.
+    A merge costs ``O((m + 1)^2)`` products; the root's ``U_m`` is returned.
+    """
+    m_rows = np.stack([a, d], axis=1)  # one cell: M_0 = a, M_1 = d
+    u_rows = b[:, None, :]  # U_0 = b
+    sizes = np.ones(a.shape[0], dtype=np.int64)
+    while sizes.size > 1:
+        pairs = sizes.size // 2
+        n1, n2 = sizes[0 : 2 * pairs : 2], sizes[1 : 2 * pairs : 2]
+        n = n1 + n2
+        km, ku = m_rows.shape[1], u_rows.shape[1]
+        km_out, ku_out = min(m, int(n.max())) + 1, min(m, int(n.max()) - 1) + 1
+        size = 2 * m_rows.shape[-1] - 1
+        nfft = _fft_len(size)
+        f = np.fft.rfft(np.concatenate([m_rows[: 2 * pairs], u_rows[: 2 * pairs]], axis=1), nfft)
+        m1, m2, u1, u2 = f[0::2, :km], f[1::2, :km], f[0::2, km:], f[1::2, km:]
+        c1, c2 = _log_comb(n1, km - 1), _log_comb(n2, km - 1)
+        c1u, c2u = _log_comb(n1 - 1, km - 1), _log_comb(n2 - 1, km - 1)
+        cn, cnu = _log_comb(n, km_out - 1), _log_comb(n - 1, ku_out - 1)
+        out_m = np.zeros((pairs, km_out, f.shape[-1]), dtype=complex)
+        out_u = np.zeros((pairs, ku_out, f.shape[-1]), dtype=complex)
+        for i in range(km):
+            _accumulate(out_m, i, m1[:, i], m2, c1[:, i], c2, cn, 1.0)
+            _accumulate(out_u, i, m1[:, i], u2, c1[:, i], c2u, cnu, (n2 / n)[:, None])
+            if i < ku:
+                _accumulate(out_u, i, u1[:, i], m2, c1u[:, i], c2, cnu, (n1 / n)[:, None])
+        m_next = _cut(np.fft.irfft(out_m, nfft), size, t)
+        u_next = _cut(np.fft.irfft(out_u, nfft), size, t)
+        if sizes.size % 2:  # carry the last node up, padded to the new shapes
+            length = m_next.shape[-1]
+            last_m = np.pad(m_rows[-1:], [(0, 0), (0, km_out - km), (0, length - m_rows.shape[-1])])
+            last_u = np.pad(u_rows[-1:], [(0, 0), (0, ku_out - ku), (0, length - u_rows.shape[-1])])
+            m_next, u_next = np.concatenate([m_next, last_m]), np.concatenate([u_next, last_u])
+            n = np.r_[n, sizes[-1]]
+        m_rows, u_rows, sizes = m_next, u_next, n
+    return u_rows[0, m]
+
+
+def _pool_tree_work(cells: int, m: int, length: int, t: int) -> tuple[float, int]:
+    """Complex multiply-adds of :func:`_pool_tree` on ``cells`` rows of
+    ``length`` coefficients, and the most complex terms one level holds."""
+    size, work, terms = 1, 0.0, 0
+    while cells > 1:
+        pairs = cells // 2
+        freqs = _fft_len(2 * length - 1) // 2 + 1
+        km, ku = min(m, size) + 1, min(m, size - 1) + 1
+        work += pairs * freqs * km * (km + 2 * ku)
+        terms = max(terms, cells * (km + ku) * freqs)
+        cells, size, length = cells - pairs, 2 * size, min(2 * length - 1, t + 1)
+    return work, terms
+
+
+class _FixedNPrior:
+    """One acceptance box under the fixed-n law of a simplex prior's base ``probs`` and draws.
+
+    The cells outside the pool (category 1 and those past ``j* + 1``) keep
+    their base rates in every draw, so their product ``outside`` is formed
+    once, and with it ``accept0 = P_0(X in box)``; a sweep shares one
+    instance over every ``xi`` whose box is the same.  A pool whose cells
+    share one (rate, box) keeps the power ``rest = a^(j* - 1 - m)`` of its
+    cells that are neither spiked nor removed.  Every draw has
+    ``Lambda = n sum(q0)`` (up to the clip at 0 of a removed cell).
+    """
+
+    def __init__(self, box: AcceptanceBox, n: float, probs: np.ndarray, j_star: int, m: int):
+        self.t = t = _box_cut(box, n)
+        self.n, self.total = n, n * float(probs.sum())
+        if t < 0:
+            self.accept0 = 0.0
+            return
+        pool = slice(1, j_star + 1)
+        outside = np.r_[0, j_star + 1 : probs.size]
+        self.lo, self.hi = box.lo[pool], box.hi[pool]
+        lam = n * probs[pool]
+        self.outside = _product(n * probs[outside], box.lo[outside], box.hi[outside], t)
+        self.flat = np.unique(np.column_stack([lam, self.lo, self.hi]), axis=0).shape[0] == 1
+        if self.flat:
+            a = _cell_rows(lam[:1], self.lo[:1], self.hi[:1], t)[0]
+            self.rest = _power(a, j_star - 1 - m, t)
+            numerator = _coefficient(_mul(self.outside, _power(a, m + 1, t), t), self.rest, t)
+        else:
+            numerator = _coefficient(self.outside, _product(lam, self.lo, self.hi, t), t)
+        self.accept0 = float(_ratio(numerator, n, self.total))
+
+    def type2(
+        self, prior: MultinomialSimplexPrior, rng: np.random.Generator, trials: int
+    ) -> tuple[float, int, float]:
+        """Bayes Type II under ``prior``, whose base, ``j*`` and ``m`` built
+        this instance: ``(value, draws, ci)``, with 0 draws when exact."""
+        if self.t < 0:
+            return 0.0, 0, 0.0
+        if prior.m == 0:  # every draw is the base vector
+            return self.accept0, 0, 0.0
+        t, m = self.t, prior.m
+        q = prior.base.probs[1 : prior.j_star + 1]
+        shift = prior.c * prior.psi / prior.n
+        cells = slice(0, 1) if self.flat else slice(None)  # a flat pool needs one row of each
+        a, b, d = (
+            _cell_rows(self.n * rates[cells], self.lo[cells], self.hi[cells], t)
+            for rates in (q, q + shift, np.clip(q - shift / m, 0.0, None))
+        )
+        work, terms = (0.0, 0) if self.flat else _pool_tree_work(q.size, m, a.shape[1], t)
+        if work <= _EXACT_POOL_WORK and terms <= _MAX_TERMS:
+            if self.flat:
+                changed = _mul(_mul(self.outside, b[0], t), _power(d[0], m, t), t)
+                numerator = _coefficient(changed, self.rest, t)
+            else:
+                numerator = _coefficient(self.outside, _pool_tree(a, b, d, m, t), t)
+            return float(_ratio(numerator, self.n, self.total)), 0, 0.0
+        if trials < 2:
+            raise ValueError("the Rao-Blackwellized fixed-n route needs at least 2 prior draws")
+        a, b, d = (np.broadcast_to(rows, (q.size, rows.shape[1])) for rows in (a, b, d))
+        values = _ratio(self._draw_products(a, b, d, prior, rng, trials), self.n, self.total)
+        return float(values.mean()), trials, _Z95 * float(values.std(ddof=1)) / math.sqrt(trials)
+
+    def _draw_products(self, a, b, d, prior, rng, trials) -> np.ndarray:
+        """Numerator of ``P(X in box)`` at each of ``trials`` prior draws
+        (the Rao-Blackwellized route), in batches of at most ``_MAX_TERMS`` terms."""
+        cells = a.shape[0] * a.shape[1]
+        _check_terms(cells, "terms in one prior draw")
+        batch = max(1, _MAX_TERMS // cells)
+        out = []
+        for start in range(0, trials, batch):
+            size = min(batch, trials - start)
+            spike, removed = simplex_prior_cells(prior, rng, size)
+            rows = np.repeat(a[None], size, axis=0)
+            draw = np.arange(size)
+            rows[draw, spike - 1] = b[spike - 1]
+            rows[draw[:, None], removed - 1] = d[removed - 1]
+            out.append(_coefficient(self.outside, _tree_product(rows, self.t), self.t))
+        return np.concatenate(out)
 
 
 def estimate_multinomial_risk(
@@ -263,10 +558,15 @@ def estimate_multinomial_risk(
 
     ``alternative`` is a fixed probability vector or a
     :class:`MultinomialSimplexPrior`.  With ``poissonized=True`` the sample
-    size is ``Poisson(n)`` (``n`` may then be non-integral), the cells are
-    independent ``Poisson(n q_j)`` and the risk is exact, reported with 0
-    trials and a zero ``ci``; ``trials`` must still be at least 100.  The
-    fixed-n risk is estimated from ``trials`` Monte Carlo draws.
+    size is ``Poisson(n)`` (``n`` may then be non-integral) and the cells are
+    independent ``Poisson(n q_j)``; otherwise ``n`` must be an integer and
+    the risk is that of ``Multinomial(n, q)`` counts (:func:`_fixed_n_accept`).
+    Either way the risk is exact, reported with 0 trials and a zero ``ci``,
+    except the fixed-n Type II under a prior whose exact pool product is too
+    large (see the module docstring): that one is Rao-Blackwellized over
+    ``trials`` prior draws from ``seed``.  Type I is always under ``q0``,
+    Type II under the alternative's own cells (a prior's base included).  ``trials`` must be at least 100.  Past the
+    ``_MAX_TERMS`` cap the fixed-n route raises ``AtomBudgetError``.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
@@ -282,23 +582,15 @@ def estimate_multinomial_risk(
         else:
             type2 = math.exp(float(box.log_mass(n * q_alt).sum()))
         return _exact(float(box.log_mass(n * q0.probs).sum()), type2, seed)
-
-    null_rng = rng_stream(seed, 0)
-    rejects = _rejections(
-        trials, lambda size: _sample_multinomial(null_rng, n, np.tile(q0.probs, (size, 1))), box.rejects
-    )
-
-    alt_rng = rng_stream(seed, 1)
     if prior:
-        def alt_rows(size):
-            return draw_multinomial_simplex_prior(alternative, alt_rng, trials=size)
-    else:
-        def alt_rows(size):
-            return np.tile(q_alt, (size, 1))
-    accepts = trials - _rejections(
-        trials, lambda size: _sample_multinomial(alt_rng, n, alt_rows(size)), box.rejects
+        state = _FixedNPrior(box, n, q_alt, alternative.j_star, alternative.m)
+        type2, draws, ci = state.type2(alternative, rng_stream(seed, 1), trials)
+        same_base = np.array_equal(q_alt, q0.probs)
+        accept0 = state.accept0 if same_base else _fixed_n_accept(box, n, n * q0.probs)
+        return RiskEstimate(1.0 - accept0, type2, draws, seed, ci)
+    return RiskEstimate(
+        1.0 - _fixed_n_accept(box, n, n * q0.probs), _fixed_n_accept(box, n, n * q_alt), 0, seed, 0.0
     )
-    return _make_estimate(rejects, accepts, trials, seed)
 
 
 @dataclass(frozen=True)
@@ -406,9 +698,13 @@ def sweep_multinomial_sharp_constant(
     The Poissonized risk is exact, in O(p + j* m) per ``xi``: with
     ``a_j = P_{n q0_j}(box_j)``, ``type1 = 1 - prod_j a_j`` and Type II is
     the leave-one-out average of :func:`_leave_one_out_type2` over the
-    spiked cell and the removal subsets; its rows report 0 trials and a zero
-    ``ci``.  The fixed-n risk is Monte Carlo over ``trials`` draws per
-    ``xi``.  ``trials`` must be at least 1 either way.
+    spiked cell and the removal subsets.  The fixed-n risk is exact too
+    (:class:`_FixedNPrior`): the threshold ``n' eps(xi)/xi`` does not depend
+    on ``xi``, so whenever two boxes are equal (they are compared, not
+    assumed equal) one product of the cells outside the pool, and one Type I,
+    serve every such ``xi``.  Exact rows report 0 trials and a zero ``ci``;
+    a Rao-Blackwellized fixed-n row reports its ``trials`` prior draws.
+    ``trials`` must be at least 1 either way.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
@@ -419,6 +715,7 @@ def sweep_multinomial_sharp_constant(
     probs = q0.probs
     center = n * probs
     estimates = []
+    boxes: dict[tuple[bytes, bytes], _FixedNPrior] = {}
     for idx, (xi, eps) in enumerate(zip(xi_grid, epsilons.tolist())):
         if eps / m > probs[j_star] + 1e-15:
             raise ValueError("sweep alternative leaves the simplex; reduce xi or grow n")
@@ -428,17 +725,12 @@ def sweep_multinomial_sharp_constant(
             type2 = _simplex_prior_type2(box, n, prior, f" at xi={float(xi)!r}")
             estimates.append(_exact(float(box.log_mass(center).sum()), type2, seed))
             continue
-        null_rng = rng_stream(seed, 2 * idx)
-        rejects = _rejections(
-            trials, lambda size: _sample_multinomial(null_rng, n, np.tile(probs, (size, 1))), box.rejects
-        )
-        alt_rng = rng_stream(seed, 2 * idx + 1)
-
-        def sample_alt(size):
-            return _sample_multinomial(alt_rng, n, draw_multinomial_simplex_prior(prior, alt_rng, trials=size))
-
-        accepts = trials - _rejections(trials, sample_alt, box.rejects)
-        estimates.append(_make_estimate(rejects, accepts, trials, seed))
+        key = (box.lo.tobytes(), box.hi.tobytes())
+        if key not in boxes:
+            boxes[key] = _FixedNPrior(box, n, probs, j_star, m)
+        state = boxes[key]
+        type2, draws, ci = state.type2(prior, rng_stream(seed, 2 * idx + 1), trials)
+        estimates.append(RiskEstimate(1.0 - state.accept0, type2, draws, seed, ci))
     regime = multinomial_rate(q0, n).regime
     return SweepResult(
         xi_grid,

@@ -133,6 +133,17 @@ class TestTestCommand:
         assert out == ""
 
 
+    @pytest.mark.parametrize("first", ["1.5,2,3", "inf,2,3"])
+    def test_numeric_first_row_is_data_error(self, tmp_path, capsys, first):
+        """A numeric first row is data, never a header to skip."""
+        data = tmp_path / "counts.csv"
+        data.write_text(f"{first}\n1,1,1\n")
+        code, out, err = run_cli(capsys, "test", "--null", POISSON_NULL, "--data", str(data))
+        assert code == 2
+        assert "CSV row 1" in err
+        assert out == ""
+
+
 class TestPriorCommand:
     def test_poisson_draws_json_lines(self, capsys):
         code, out, _ = run_cli(
@@ -163,6 +174,13 @@ class TestPriorCommand:
         code, out, err = run_cli(capsys, *argv, "--null", MULT_NULL, "--c", "nan")
         assert code == 1
         assert "c must be positive" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [["prior"], ["verify", "flattening"]], ids=["prior", "verify"])
+    def test_nan_big_c_names_the_option(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--null", POISSON_NULL, "--c", "0.5", "--big-c", "nan")
+        assert code == 1
+        assert "--big-c" in err
         assert out == ""
 
     def test_multinomial_draws_on_simplex(self, capsys):
@@ -320,6 +338,14 @@ class TestNumericFailureExit:
         code, out, err = run_cli(capsys, "rate", "--null", null)
         assert code == 3
         assert "h_inverse missed its tolerance" in err
+        assert out == ""
+
+    def test_fixed_n_product_past_its_cap_is_exit_3(self, capsys):
+        """At n = 1e13 the fixed-n box product needs ~1.5e7 coefficients: exit 3, never a sample."""
+        null = '{"model":"multinomial","probs":[0.5,0.5],"n":1e13}'
+        code, out, err = run_cli(capsys, "risk", "--null", null, "--alt", "[0.4,0.6]", "--trials", "100")
+        assert code == 3
+        assert "over the cap" in err
         assert out == ""
 
     def test_atom_budget_exceeded_is_exit_3(self, capsys):

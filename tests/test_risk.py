@@ -1,4 +1,4 @@
-"""Tests for Monte Carlo risk estimation and the sweep engine."""
+"""Tests for the exact and Rao-Blackwellized risk routes and the sweep engine."""
 
 from __future__ import annotations
 
@@ -7,11 +7,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp, pdtrc
+from scipy.special import gammaln, logsumexp, pdtrc
 from scipy.stats import poisson
 
+from supgof import risk as risk_module
+from supgof.divergence import AtomBudgetError
 from supgof.maxtest import AcceptanceBox, MultinomialTestConfig, PoissonTestConfig
-from supgof.model import RateVector, SimplexVector, rng_stream
+from supgof.model import RateVector, SimplexVector
 from supgof.priors import (
     MultinomialSimplexPrior,
     PoissonSpikePrior,
@@ -20,34 +22,14 @@ from supgof.priors import (
 )
 from supgof.rates import multinomial_sharp_constant_epsilons, sharp_constant_epsilon
 from supgof.risk import (
+    _fixed_n_accept,
     _log_mean_subset_products,
+    _pool_tree,
     estimate_multinomial_risk,
     estimate_poisson_risk,
     sweep_multinomial_sharp_constant,
     sweep_sharp_constant,
-    wilson_halfwidth,
 )
-
-
-class TestWilsonInterval:
-    def test_halfwidth_shrinks_like_sqrt_n(self):
-        h1 = wilson_halfwidth(0.3, 1_000)
-        h2 = wilson_halfwidth(0.3, 4_000)
-        assert h2 <= h1 / 1.8
-
-    def test_coverage_on_synthetic_bernoulli(self):
-        """Wilson 95% interval covers p=0.3 in at least 93% of meta-trials."""
-        rng = rng_stream(77)
-        n, p_true, meta = 400, 0.3, 1_000
-        hits = 0
-        draws = rng.binomial(n, p_true, size=meta)
-        for k in draws:
-            p_hat = k / n
-            hw = wilson_halfwidth(p_hat, n)
-            center = (p_hat + 1.959963984540054**2 / (2 * n)) / (1 + 1.959963984540054**2 / n)
-            if abs(center - p_true) <= hw:
-                hits += 1
-        assert hits / meta >= 0.93
 
 
 class TestPoissonRisk:
@@ -131,7 +113,7 @@ class TestMultinomialRisk:
         assert 0.0 <= r.total <= 2.0
 
     def test_prior_removing_its_floor_cell_samples(self):
-        """Removal at the floor cell leaves rounding-level negative cells; sampling clips them."""
+        """Removal at the floor cell leaves rounding-level negative cells; both exact routes clip them."""
         q0, n = SimplexVector(np.full(40, 1.0 / 40)), 60.0
         base = MultinomialSimplexPrior.build(q0, n, certified_simplex_c(q0, n))
         floor = float(q0.probs[base.j_star])
@@ -208,9 +190,11 @@ def _poisson_cap(lam: float) -> int:
 
 
 def _wilson_contains(hits: int, n: int, value: float, z: float) -> bool:
+    """``value`` lies in the two-sided Wilson score interval of ``hits / n`` at ``z``."""
     p_hat = hits / n
     center = (p_hat + z * z / (2 * n)) / (1 + z * z / n)
-    return abs(value - center) <= wilson_halfwidth(p_hat, n, z)
+    half = z * math.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n)) / (1 + z * z / n)
+    return abs(value - center) <= half
 
 
 class TestExactPoissonSweep:
@@ -561,3 +545,185 @@ class TestZeroProbabilityPoolBox:
         q0 = SimplexVector([0.5, 0.3, 0.2])
         with pytest.raises(FloatingPointError, match="coordinate 2 .* at xi=1.0"):
             sweep_multinomial_sharp_constant(q0, 1e300, [1.0], 3.0, 100, 0, poissonized=True)
+
+
+def _multinomial_table(n: int, p: int) -> np.ndarray:
+    """Every count vector of ``p`` cells summing to ``n``, one per row (stars and bars)."""
+    bars = np.array(list(itertools.combinations(range(n + p - 1), p - 1)), dtype=int).reshape(-1, p - 1)
+    edges = np.c_[np.full(len(bars), -1), bars, np.full(len(bars), n + p - 1)]
+    return np.diff(edges, axis=1) - 1
+
+
+def _multinomial_mass(x: np.ndarray, n: int, q) -> np.ndarray:
+    """``Multinomial(n, q)`` pmf at every row of ``x``."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log(0) is masked out
+        terms = np.where(x > 0, x * np.log(np.asarray(q, dtype=float)), 0.0)
+    return np.exp(gammaln(n + 1) - gammaln(x + 1).sum(axis=1) + terms.sum(axis=1))
+
+
+@pytest.mark.filterwarnings("error")
+class TestExactFixedN:
+    """The fixed-n multinomial risk by Poisson conditioning, against enumeration and sampling."""
+
+    @pytest.mark.parametrize(
+        "probs, n, alt",
+        [
+            ([0.5, 0.3, 0.2], 12, [0.35, 0.45, 0.2]),
+            ([0.6, 0.4, 0.0], 10, [0.5, 0.4, 0.1]),
+            ([0.7, 0.3], 7, [0.3, 0.7]),
+            ([0.4, 0.3, 0.2, 0.1], 30, [0.3, 0.3, 0.3, 0.1]),
+            ([0.25, 0.25, 0.25, 0.25], 20, [0.1, 0.4, 0.25, 0.25]),
+        ],
+        ids=["p3", "zero-cell", "p2", "p4-n30", "flat-p4"],
+    )
+    @pytest.mark.parametrize("eta", [0.2, 1.0])
+    def test_fixed_alternative_matches_enumeration(self, probs, n, alt, eta):
+        q0 = SimplexVector(probs)
+        x = _multinomial_table(n, q0.p)
+        accept = _multinomial_accepts(x, q0, n, MultinomialTestConfig.from_eta(q0, n, eta))
+        risk = estimate_multinomial_risk(q0, n, alt, eta, 100, 6)
+        assert abs(risk.type1 - _multinomial_mass(x, n, probs)[~accept].sum()) <= 1e-12
+        assert abs(risk.type2 - _multinomial_mass(x, n, alt)[accept].sum()) <= 1e-12
+        assert (risk.trials, risk.ci_halfwidth, risk.seed) == (0, 0.0, 6)
+
+    @pytest.mark.parametrize(
+        "probs, n, j_star, m, psi",
+        [
+            ([0.5, 0.3, 0.2], 12, 2, 1, 1.2),
+            ([0.25, 0.25, 0.25, 0.25], 8, 3, 2, 4.0),  # flat pool, removes whole cells
+            ([0.4, 0.3, 0.2, 0.1], 10, 3, 2, 1.5),
+            ([0.4, 0.2, 0.2, 0.2], 24, 3, 1, 2.0),  # flat pool
+            ([0.3, 0.3, 0.25, 0.15], 30, 3, 1, 3.0),
+            ([0.4, 0.3, 0.3], 10, 2, 0, 1.0),  # m = 0: every draw is the null
+        ],
+    )
+    def test_simplex_prior_matches_enumeration(self, probs, n, j_star, m, psi):
+        q0 = SimplexVector(probs)
+        prior = MultinomialSimplexPrior(q0, float(n), j_star, psi, m, 1.0, math.e)
+        x = _multinomial_table(n, q0.p)
+        accept = _multinomial_accepts(x, q0, n, MultinomialTestConfig.from_eta(q0, n, 0.3))
+        rows = _simplex_components(probs, j_star, m, psi / n, psi / (n * m)) if m else [q0.probs]
+        risk = estimate_multinomial_risk(q0, n, prior, 0.3, 100, 0)
+        assert abs(risk.type1 - _multinomial_mass(x, n, probs)[~accept].sum()) <= 1e-12
+        type2 = np.mean([_multinomial_mass(x, n, row)[accept].sum() for row in rows])
+        assert abs(risk.type2 - type2) <= 1e-12
+        assert (risk.trials, risk.ci_halfwidth) == (0, 0.0)
+
+    @pytest.mark.parametrize("poissonized", [False, True])
+    def test_prior_on_another_base(self, poissonized):
+        """Type I comes from the null, Type II from the prior's own base in every cell."""
+        q0, base, n = SimplexVector([0.5, 0.3, 0.2]), SimplexVector([0.4, 0.35, 0.25]), 12
+        prior = MultinomialSimplexPrior(base, float(n), 2, 1.2, 1, 1.0, math.e)
+        laws = [q0.probs, *_simplex_components(base.probs, 2, 1, 0.1, 0.1)]
+        if poissonized:
+            x = _count_grid([40] * 3)
+            masses = [_mass([40] * 3, n * q) for q in laws]
+        else:
+            x = _multinomial_table(n, 3)
+            masses = [_multinomial_mass(x, n, q) for q in laws]
+        accept = _multinomial_accepts(x, q0, n, MultinomialTestConfig.from_eta(q0, n, 0.3))
+        risk = estimate_multinomial_risk(q0, n, prior, 0.3, 100, 0, poissonized=poissonized)
+        assert abs(risk.type1 - masses[0][~accept].sum()) <= 1e-12
+        assert abs(risk.type2 - np.mean([mass[accept].sum() for mass in masses[1:]])) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "probs, n, xi_grid",
+        [
+            ([0.4, 0.3, 0.3], 30, [0.5, 1.0, 2.0]),
+            ([0.25] * 4, 20, [0.5, 1.0]),
+            ([0.3, 0.3, 0.2, 0.2], 24, [0.7, 1.0, 1.5]),
+        ],
+    )
+    def test_sweep_matches_enumeration(self, probs, n, xi_grid):
+        q0 = SimplexVector(probs)
+        res = sweep_multinomial_sharp_constant(q0, n, xi_grid, 3.0, 100, 5)
+        epsilons, j_star, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, 3.0, xi_grid)
+        x = _multinomial_table(n, q0.p)
+        for xi, eps, risk in zip(xi_grid, epsilons, res.risks):
+            accept = np.abs(x - n * q0.probs).max(axis=1) < n_prime * eps / xi
+            rows = _simplex_components(probs, j_star, m, eps, eps / m)
+            assert abs(risk.type1 - _multinomial_mass(x, n, probs)[~accept].sum()) <= 1e-12
+            type2 = np.mean([_multinomial_mass(x, n, row)[accept].sum() for row in rows])
+            assert abs(risk.type2 - type2) <= 1e-12
+            assert (risk.trials, risk.ci_halfwidth, risk.seed) == (0, 0.0, 5)
+
+    def test_inside_numpy_multinomial_interval(self):
+        """At p = 60 the exact fixed-n risks lie in the z = 4 Wilson interval of 20,000 numpy draws."""
+        rng = np.random.default_rng(20_261_019)
+        draws, p, n = 20_000, 60, 600
+        for probs in (np.full(p, 1.0 / p), np.arange(1, p + 1) ** -0.5):
+            q0 = SimplexVector(probs / probs.sum())
+            cfg = MultinomialTestConfig.from_eta(q0, n, 0.2)
+            alt = q0.probs.copy()
+            alt[3] += 0.01
+            alt[10:20] -= 0.001
+            fixed = estimate_multinomial_risk(q0, n, alt, 0.2, 100, 0)
+            prior = MultinomialSimplexPrior.build(q0, n, certified_simplex_c(q0, n))
+            bayes = estimate_multinomial_risk(q0, n, prior, 0.2, 100, 0)
+            assert prior.m >= 1 and bayes.trials == 0
+            sampled = np.clip(draw_multinomial_simplex_prior(prior, rng, trials=draws), 0.0, None)
+            for exact, x in (
+                (1.0 - fixed.type1, rng.multinomial(n, q0.probs, size=draws)),
+                (fixed.type2, rng.multinomial(n, alt, size=draws)),
+                (bayes.type2, rng.multinomial(n, sampled)),
+            ):
+                hits = int(np.count_nonzero(_multinomial_accepts(x, q0, n, cfg)))
+                assert _wilson_contains(hits, draws, exact, 4.0)
+
+    def test_degenerate_simplex(self):
+        """``q0 = (1, 0)`` puts all ``n`` counts in the head cell: acceptance is 0 or 1."""
+        q0 = SimplexVector([1.0, 0.0])
+        risk = estimate_multinomial_risk(q0, 7, q0, 0.2, 100, 0)
+        assert abs(risk.type1) <= 1e-14 and abs(risk.type2 - 1.0) <= 1e-14
+        assert estimate_multinomial_risk(q0, 7, [0.0, 1.0], 0.2, 100, 0).type2 == 0.0
+
+    def test_counts_sum_to_n_exactly(self):
+        """The conditioned law charges only count vectors summing to n."""
+        lam = 100 * np.array([0.4, 0.3, 0.2, 0.1])
+        everything = AcceptanceBox(np.zeros(4), np.full(4, 100.0))
+        assert abs(_fixed_n_accept(everything, 100, lam) - 1.0) <= 1e-14
+        assert _fixed_n_accept(AcceptanceBox(np.zeros(4), np.array([40.0, 30, 20, 9])), 100, lam) == 0.0
+        assert _fixed_n_accept(AcceptanceBox(np.array([40.0, 30, 20, 11]), np.full(4, 100.0)), 100, lam) == 0.0
+
+    @pytest.mark.parametrize("cells", [2, 3, 5, 6, 7])
+    def test_pool_tree_matches_explicit_enumeration(self, cells):
+        """The ``u v^m`` coefficient of the pool tree is the mean over every (spike, removal set)."""
+        rng = np.random.default_rng(cells)
+        t = 9
+        a, b, d = (rng.uniform(0.0, 1.0, (cells, 4)) / 4.0 for _ in range(3))
+        for m in range(1, cells):
+            want = []
+            for s in range(cells):
+                others = [i for i in range(cells) if i != s]
+                for subset in itertools.combinations(others, m):
+                    poly = b[s]
+                    for i in others:
+                        poly = np.convolve(poly, d[i] if i in subset else a[i])
+                    want.append(np.pad(poly, (0, 64))[: t + 1])
+            got = _pool_tree(a, b, d, m, t)
+            np.testing.assert_allclose(np.pad(got, (0, t + 1 - got.size)), np.mean(want, axis=0), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("flat", [True, False], ids=["flat", "decaying"])
+    def test_rao_blackwell_matches_exact(self, monkeypatch, flat):
+        """Forced onto the Rao-Blackwellized route: on a flat pool every draw is a
+        permutation of one vector, so each per-draw value is the exact Type II."""
+        p, n, trials = 40, 60 if flat else 300, 2_000
+        probs = np.full(p, 1.0 / p) if flat else np.arange(1, p + 1) ** -0.5
+        q0 = SimplexVector(probs / probs.sum())
+        prior = MultinomialSimplexPrior.build(q0, n, certified_simplex_c(q0, n))
+        exact = estimate_multinomial_risk(q0, n, prior, 0.2, trials, 3)
+        monkeypatch.setattr(risk_module, "_EXACT_POOL_WORK", -1.0)
+        rb = estimate_multinomial_risk(q0, n, prior, 0.2, trials, 3)
+        assert (exact.trials, exact.ci_halfwidth) == (0, 0.0)
+        assert rb.trials == trials and rb.type1 == exact.type1
+        if flat:
+            assert abs(rb.type2 - exact.type2) <= 1e-12 and rb.ci_halfwidth <= 1e-12
+        else:
+            assert rb.ci_halfwidth > 0.0
+            assert abs(rb.type2 - exact.type2) <= 4.0 / 1.959963984540054 * rb.ci_halfwidth
+
+    def test_box_past_the_cap_raises(self, monkeypatch):
+        q0 = SimplexVector([0.5, 0.3, 0.2])
+        monkeypatch.setattr(risk_module, "_MAX_TERMS", 8)
+        with pytest.raises(AtomBudgetError, match="over the cap of 8"):
+            estimate_multinomial_risk(q0, 200, [0.4, 0.4, 0.2], 0.2, 100, 0)
