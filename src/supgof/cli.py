@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None)
 
     sp = sub.add_parser(
-        "risk", help="risk of the implemented test, computed exactly (Rao-Blackwellized for large simplex-prior pools)"
+        "risk", help="risk of the implemented test, computed exactly"
     )
     common(sp, seed=True, eta=True)
     sp.add_argument("--alt", help="alternative: JSON file or inline array")
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials",
         type=int,
         default=10_000,
-        help="at least 100; prior draws of the Rao-Blackwellized fixed-n multinomial route, unused when exact",
+        help="at least 100; validated and echoed, unused: every risk route is exact",
     )
     sp.add_argument("--poissonized", action="store_true")
 
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials",
         type=int,
         default=10_000,
-        help="at least 1; prior draws per xi of the Rao-Blackwellized fixed-n multinomial route, unused when exact",
+        help="at least 1; validated, unused: every sweep row is exact",
     )
     sp.add_argument("--poissonized", action="store_true")
     return parser

@@ -34,7 +34,6 @@ __all__ = [
     "multinomial_parametric_alternative",
     "MultinomialSimplexPrior",
     "draw_multinomial_simplex_prior",
-    "simplex_prior_cells",
     "certified_simplex_c",
     "FlattenedPair",
     "flatten_poisson_pair",
@@ -174,19 +173,6 @@ class MultinomialSimplexPrior:
         return cls(q0, n_val, j_star, psi, m, c, c_tilde)
 
 
-def simplex_prior_cells(prior: MultinomialSimplexPrior, rng: np.random.Generator, trials: int):
-    """Cells of ``trials`` simplex-prior draws (``m >= 1``): the spiked
-    category and the ``m`` categories giving up mass, as 0-based indices of
-    shapes ``(trials,)`` and ``(trials, m)``, all among ``1..j_star``."""
-    spike_idx = rng.integers(1, prior.j_star + 1, size=trials)
-    # Uniform subsets via order statistics of iid uniforms, with the
-    # spiked position masked out.
-    noise = rng.random((trials, prior.j_star))
-    noise[np.arange(trials), spike_idx - 1] = np.inf
-    removal_pos = np.argpartition(noise, prior.m - 1, axis=1)[:, : prior.m]
-    return spike_idx, removal_pos + 1
-
-
 def draw_multinomial_simplex_prior(
     prior: MultinomialSimplexPrior, rng_seed, trials: int | None = None
 ):
@@ -198,9 +184,16 @@ def draw_multinomial_simplex_prior(
     t = 1 if trials is None else int(trials)
     out = np.tile(prior.base.probs, (t, 1))
     if prior.m > 0:
-        spike_idx, removal_idx = simplex_prior_cells(prior, rng, t)
+        # 0-based indices 1..j_star hold categories 2..j_star+1.
+        spike_idx = rng.integers(1, prior.j_star + 1, size=t)
+        # Uniform subsets via order statistics of iid uniforms, with the
+        # spiked position masked out.
+        noise = rng.random((t, prior.j_star))
+        noise[np.arange(t), spike_idx - 1] = np.inf
+        removal_pos = np.argpartition(noise, prior.m - 1, axis=1)[:, : prior.m]
+        rows = np.repeat(np.arange(t), prior.m)
         out[np.arange(t), spike_idx] += prior.c * prior.psi / prior.n
-        out[np.repeat(np.arange(t), prior.m), removal_idx.ravel()] -= prior.c * prior.psi / (prior.n * prior.m)
+        out[rows, removal_pos.ravel() + 1] -= prior.c * prior.psi / (prior.n * prior.m)
     return out[0] if trials is None else out
 
 

@@ -17,16 +17,9 @@ product, but a ``Multinomial(n, q)`` vector is a vector of independent
 
 ``Lambda = sum_j n q_j``, and the numerator is one coefficient of a product
 of box-truncated Poisson pmfs, formed by FFT (:func:`_fixed_n_accept`).
-Each of these results is exact and reports 0 trials and a zero ``ci``.
-
-The one route that draws is the fixed-n risk under a simplex prior whose
-exact pool product (:func:`_pool_tree`) would cost more than
-``_EXACT_POOL_WORK`` or hold more than ``_MAX_TERMS`` terms in one level:
-it is Rao-Blackwellized, Monte Carlo over the prior's
-draws with the exact box probability inside each draw, and reports its
-draws and the ``ci`` of their spread.  Its draws come from a dedicated
-substream of the seed, so the result is a deterministic function of
-``(inputs, seed)``.
+Every result is exact and reports 0 trials and a zero ``ci``; nothing is
+sampled.  A fixed-n product too large to form (more than ``_MAX_TERMS``
+terms in one level) raises ``AtomBudgetError``.
 """
 
 from __future__ import annotations
@@ -38,8 +31,8 @@ import numpy as np
 
 from .divergence import AtomBudgetError
 from .maxtest import AcceptanceBox, MultinomialTestConfig, PoissonTestConfig
-from .model import RateVector, SimplexVector, as_probability_vector, rng_stream
-from .priors import MultinomialSimplexPrior, PoissonSpikePrior, simplex_prior_cells
+from .model import RateVector, SimplexVector, as_probability_vector
+from .priors import MultinomialSimplexPrior, PoissonSpikePrior
 from .rates import (
     multinomial_rate,
     multinomial_sharp_constant_epsilons,
@@ -56,23 +49,17 @@ __all__ = [
     "sweep_multinomial_sharp_constant",
 ]
 
-_Z95 = 1.959963984540054
 # Fixed-n route: the most polynomial terms one product level may hold, and the
 # longest product kept (t + 1 coefficients); past either, AtomBudgetError.
 _MAX_TERMS = 1 << 22
-# Complex multiply-adds of the exact pool product under a simplex prior
-# (estimated by _pool_tree_work) above which the Type II is Rao-Blackwellized.
-# The pool tree runs at about 5 ns per unit on one Xeon core: about 10 s.
-_EXACT_POOL_WORK = 2e9
 
 
 @dataclass(frozen=True)
 class RiskEstimate:
     """Type I and Type II error of a test.
 
-    A result is exact when ``trials == 0`` and ``ci_halfwidth == 0``.  A
-    Rao-Blackwellized Type II carries its number of prior draws and the 95 %
-    normal half-width of their mean (its Type I is exact).
+    Every route in this module is exact and reports ``trials == 0`` and
+    ``ci_halfwidth == 0`` (the CLI's ``risk`` echoes its ``--trials``).
     """
 
     type1: float
@@ -450,18 +437,17 @@ def _pool_tree(a: np.ndarray, b: np.ndarray, d: np.ndarray, m: int, t: int) -> n
     return u_rows[0, m]
 
 
-def _pool_tree_work(cells: int, m: int, length: int, t: int) -> tuple[float, int]:
-    """Complex multiply-adds of :func:`_pool_tree` on ``cells`` rows of
-    ``length`` coefficients, and the most complex terms one level holds."""
-    size, work, terms = 1, 0.0, 0
+def _pool_tree_terms(cells: int, m: int, length: int, t: int) -> int:
+    """The most complex terms one level of :func:`_pool_tree` holds, on
+    ``cells`` rows of ``length`` coefficients; the first level's count is
+    at least that of the three row tables themselves."""
+    size, terms = 1, 0
     while cells > 1:
-        pairs = cells // 2
         freqs = _fft_len(2 * length - 1) // 2 + 1
         km, ku = min(m, size) + 1, min(m, size - 1) + 1
-        work += pairs * freqs * km * (km + 2 * ku)
         terms = max(terms, cells * (km + ku) * freqs)
-        cells, size, length = cells - pairs, 2 * size, min(2 * length - 1, t + 1)
-    return work, terms
+        cells, size, length = cells - cells // 2, 2 * size, min(2 * length - 1, t + 1)
+    return terms
 
 
 class _FixedNPrior:
@@ -496,53 +482,31 @@ class _FixedNPrior:
             numerator = _coefficient(self.outside, _product(lam, self.lo, self.hi, t), t)
         self.accept0 = float(_ratio(numerator, n, self.total))
 
-    def type2(
-        self, prior: MultinomialSimplexPrior, rng: np.random.Generator, trials: int
-    ) -> tuple[float, int, float]:
-        """Bayes Type II under ``prior``, whose base, ``j*`` and ``m`` built
-        this instance: ``(value, draws, ci)``, with 0 draws when exact."""
+    def type2(self, prior: MultinomialSimplexPrior) -> float:
+        """Exact Bayes Type II under ``prior``, whose base, ``j*`` and ``m``
+        built this instance.  A pool product past ``_MAX_TERMS`` terms in one
+        level raises ``AtomBudgetError`` before any row is built."""
         if self.t < 0:
-            return 0.0, 0, 0.0
+            return 0.0
         if prior.m == 0:  # every draw is the base vector
-            return self.accept0, 0, 0.0
+            return self.accept0
         t, m = self.t, prior.m
         q = prior.base.probs[1 : prior.j_star + 1]
         shift = prior.c * prior.psi / prior.n
+        if not self.flat:
+            length = int(np.minimum(self.hi - self.lo, t).max()) + 1
+            _check_terms(_pool_tree_terms(q.size, m, length, t), "terms in one pool-product level")
         cells = slice(0, 1) if self.flat else slice(None)  # a flat pool needs one row of each
         a, b, d = (
             _cell_rows(self.n * rates[cells], self.lo[cells], self.hi[cells], t)
             for rates in (q, q + shift, np.clip(q - shift / m, 0.0, None))
         )
-        work, terms = (0.0, 0) if self.flat else _pool_tree_work(q.size, m, a.shape[1], t)
-        if work <= _EXACT_POOL_WORK and terms <= _MAX_TERMS:
-            if self.flat:
-                changed = _mul(_mul(self.outside, b[0], t), _power(d[0], m, t), t)
-                numerator = _coefficient(changed, self.rest, t)
-            else:
-                numerator = _coefficient(self.outside, _pool_tree(a, b, d, m, t), t)
-            return float(_ratio(numerator, self.n, self.total)), 0, 0.0
-        if trials < 2:
-            raise ValueError("the Rao-Blackwellized fixed-n route needs at least 2 prior draws")
-        a, b, d = (np.broadcast_to(rows, (q.size, rows.shape[1])) for rows in (a, b, d))
-        values = _ratio(self._draw_products(a, b, d, prior, rng, trials), self.n, self.total)
-        return float(values.mean()), trials, _Z95 * float(values.std(ddof=1)) / math.sqrt(trials)
-
-    def _draw_products(self, a, b, d, prior, rng, trials) -> np.ndarray:
-        """Numerator of ``P(X in box)`` at each of ``trials`` prior draws
-        (the Rao-Blackwellized route), in batches of at most ``_MAX_TERMS`` terms."""
-        cells = a.shape[0] * a.shape[1]
-        _check_terms(cells, "terms in one prior draw")
-        batch = max(1, _MAX_TERMS // cells)
-        out = []
-        for start in range(0, trials, batch):
-            size = min(batch, trials - start)
-            spike, removed = simplex_prior_cells(prior, rng, size)
-            rows = np.repeat(a[None], size, axis=0)
-            draw = np.arange(size)
-            rows[draw, spike - 1] = b[spike - 1]
-            rows[draw[:, None], removed - 1] = d[removed - 1]
-            out.append(_coefficient(self.outside, _tree_product(rows, self.t), self.t))
-        return np.concatenate(out)
+        if self.flat:
+            changed = _mul(_mul(self.outside, b[0], t), _power(d[0], m, t), t)
+            numerator = _coefficient(changed, self.rest, t)
+        else:
+            numerator = _coefficient(self.outside, _pool_tree(a, b, d, m, t), t)
+        return float(_ratio(numerator, self.n, self.total))
 
 
 def estimate_multinomial_risk(
@@ -561,12 +525,11 @@ def estimate_multinomial_risk(
     size is ``Poisson(n)`` (``n`` may then be non-integral) and the cells are
     independent ``Poisson(n q_j)``; otherwise ``n`` must be an integer and
     the risk is that of ``Multinomial(n, q)`` counts (:func:`_fixed_n_accept`).
-    Either way the risk is exact, reported with 0 trials and a zero ``ci``,
-    except the fixed-n Type II under a prior whose exact pool product is too
-    large (see the module docstring): that one is Rao-Blackwellized over
-    ``trials`` prior draws from ``seed``.  Type I is always under ``q0``,
-    Type II under the alternative's own cells (a prior's base included).  ``trials`` must be at least 100.  Past the
-    ``_MAX_TERMS`` cap the fixed-n route raises ``AtomBudgetError``.
+    Either way the risk is exact, reported with 0 trials, a zero ``ci`` and
+    ``seed`` as passed; ``trials`` must be at least 100 but is not used.
+    Type I is always under ``q0``, Type II under the alternative's own cells
+    (a prior's base included).  Past the ``_MAX_TERMS`` cap the fixed-n
+    route raises ``AtomBudgetError``.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
@@ -584,10 +547,9 @@ def estimate_multinomial_risk(
         return _exact(float(box.log_mass(n * q0.probs).sum()), type2, seed)
     if prior:
         state = _FixedNPrior(box, n, q_alt, alternative.j_star, alternative.m)
-        type2, draws, ci = state.type2(alternative, rng_stream(seed, 1), trials)
         same_base = np.array_equal(q_alt, q0.probs)
         accept0 = state.accept0 if same_base else _fixed_n_accept(box, n, n * q0.probs)
-        return RiskEstimate(1.0 - accept0, type2, draws, seed, ci)
+        return RiskEstimate(1.0 - accept0, state.type2(alternative), 0, seed, 0.0)
     return RiskEstimate(
         1.0 - _fixed_n_accept(box, n, n * q0.probs), _fixed_n_accept(box, n, n * q_alt), 0, seed, 0.0
     )
@@ -702,9 +664,8 @@ def sweep_multinomial_sharp_constant(
     (:class:`_FixedNPrior`): the threshold ``n' eps(xi)/xi`` does not depend
     on ``xi``, so whenever two boxes are equal (they are compared, not
     assumed equal) one product of the cells outside the pool, and one Type I,
-    serve every such ``xi``.  Exact rows report 0 trials and a zero ``ci``;
-    a Rao-Blackwellized fixed-n row reports its ``trials`` prior draws.
-    ``trials`` must be at least 1 either way.
+    serve every such ``xi``.  Every row reports 0 trials, a zero ``ci`` and
+    ``seed`` as passed; ``trials`` must be at least 1 but is not used.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
@@ -716,7 +677,7 @@ def sweep_multinomial_sharp_constant(
     center = n * probs
     estimates = []
     boxes: dict[tuple[bytes, bytes], _FixedNPrior] = {}
-    for idx, (xi, eps) in enumerate(zip(xi_grid, epsilons.tolist())):
+    for xi, eps in zip(xi_grid, epsilons.tolist()):
         if eps / m > probs[j_star] + 1e-15:
             raise ValueError("sweep alternative leaves the simplex; reduce xi or grow n")
         prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0, c_tilde=math.e)
@@ -729,8 +690,7 @@ def sweep_multinomial_sharp_constant(
         if key not in boxes:
             boxes[key] = _FixedNPrior(box, n, probs, j_star, m)
         state = boxes[key]
-        type2, draws, ci = state.type2(prior, rng_stream(seed, 2 * idx + 1), trials)
-        estimates.append(RiskEstimate(1.0 - state.accept0, type2, draws, seed, ci))
+        estimates.append(RiskEstimate(1.0 - state.accept0, state.type2(prior), 0, seed, 0.0))
     regime = multinomial_rate(q0, n).regime
     return SweepResult(
         xi_grid,

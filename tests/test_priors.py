@@ -23,7 +23,6 @@ from supgof.priors import (
     draw_poisson_spike,
     flatten_poisson_pair,
     multinomial_parametric_alternative,
-    simplex_prior_cells,
     verify_flattening,
 )
 from supgof.rates import poisson_rate
@@ -199,16 +198,6 @@ class TestSimplexPrior:
         q = draw_multinomial_simplex_prior(prior, 6)
         assert q.sum() == pytest.approx(1.0, abs=1e-12)
         assert (q < q0.probs - 1e-15).sum() == prior.m
-
-    def test_cells_are_the_draws_cells(self):
-        """``simplex_prior_cells`` names the cells a draw from the same stream changes."""
-        q0, n = self._uniform_null(p=12, n=30.0)
-        prior = MultinomialSimplexPrior.build(q0, n, certified_simplex_c(q0, n))
-        spike, removed = simplex_prior_cells(prior, rng_stream(8), 50)
-        draws = draw_multinomial_simplex_prior(prior, rng_stream(8), trials=50)
-        for row, s, subset in zip(draws, spike, removed):
-            assert np.flatnonzero(row > q0.probs).tolist() == [s]
-            assert np.flatnonzero(row < q0.probs).tolist() == sorted(subset)
 
     def test_oversized_c_rejected(self):
         q0, n = self._uniform_null()

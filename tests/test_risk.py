@@ -1,4 +1,4 @@
-"""Tests for the exact and Rao-Blackwellized risk routes and the sweep engine."""
+"""Tests for the exact risk routes and the sweep engine."""
 
 from __future__ import annotations
 
@@ -703,24 +703,23 @@ class TestExactFixedN:
             got = _pool_tree(a, b, d, m, t)
             np.testing.assert_allclose(np.pad(got, (0, t + 1 - got.size)), np.mean(want, axis=0), rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("flat", [True, False], ids=["flat", "decaying"])
-    def test_rao_blackwell_matches_exact(self, monkeypatch, flat):
-        """Forced onto the Rao-Blackwellized route: on a flat pool every draw is a
-        permutation of one vector, so each per-draw value is the exact Type II."""
-        p, n, trials = 40, 60 if flat else 300, 2_000
-        probs = np.full(p, 1.0 / p) if flat else np.arange(1, p + 1) ** -0.5
+    def test_pool_past_the_cap_raises_before_building_rows(self, monkeypatch):
+        """A pool of two distinct rates passes the distinct-cell checks, but its
+        ``u v^m`` product would not: the cap raises before one row per pool
+        cell is built."""
+        p, n = 400, 400
+        probs = np.r_[np.full(p // 8, 1.05), np.full(p - p // 8, 1.0)]
         q0 = SimplexVector(probs / probs.sum())
         prior = MultinomialSimplexPrior.build(q0, n, certified_simplex_c(q0, n))
-        exact = estimate_multinomial_risk(q0, n, prior, 0.2, trials, 3)
-        monkeypatch.setattr(risk_module, "_EXACT_POOL_WORK", -1.0)
-        rb = estimate_multinomial_risk(q0, n, prior, 0.2, trials, 3)
-        assert (exact.trials, exact.ci_halfwidth) == (0, 0.0)
-        assert rb.trials == trials and rb.type1 == exact.type1
-        if flat:
-            assert abs(rb.type2 - exact.type2) <= 1e-12 and rb.ci_halfwidth <= 1e-12
-        else:
-            assert rb.ci_halfwidth > 0.0
-            assert abs(rb.type2 - exact.type2) <= 4.0 / 1.959963984540054 * rb.ci_halfwidth
+        pool = q0.probs[1 : prior.j_star + 1]
+        assert prior.m >= 1 and np.unique(pool).size == 2
+        built = []
+        cell_rows = risk_module._cell_rows
+        monkeypatch.setattr(risk_module, "_cell_rows", lambda lam, *rest: built.append(lam.size) or cell_rows(lam, *rest))
+        monkeypatch.setattr(risk_module, "_MAX_TERMS", 20_000)
+        with pytest.raises(AtomBudgetError, match="pool-product level"):
+            estimate_multinomial_risk(q0, n, prior, 0.2, 100, 0)
+        assert built and max(built) <= 2
 
     def test_box_past_the_cap_raises(self, monkeypatch):
         q0 = SimplexVector([0.5, 0.3, 0.2])
