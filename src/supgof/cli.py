@@ -2,9 +2,11 @@
 
 Subcommands: ``rate``, ``test``, ``prior``, ``verify``, ``risk``, ``sweep``.
 Exit codes: 1 configuration error (a malformed command line included),
-2 data error, 3 numeric failure.  Output
-files are written atomically (temp file then rename) and floats are printed
-with 17 significant digits so a round trip is lossless.
+2 data error, 3 numeric failure.  Output files are written atomically (temp
+file then rename).  JSON floats are printed as their shortest round-trip
+repr, lossless; CSV floats carry 17 significant digits, also lossless.  Each
+subcommand imports only the modules it runs: ``rate`` and ``test`` never
+load :mod:`supgof.priors` or :mod:`supgof.risk`, and so never load scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .divergence import AtomBudgetError
 from .maxtest import (
     MultinomialTestConfig,
     PoissonTestConfig,
@@ -27,22 +28,8 @@ from .maxtest import (
     poisson_max_test,
 )
 from .model import RateVector, SimplexVector, read_counts_csv, sample_size_value
-from .priors import (
-    MultinomialSimplexPrior,
-    PoissonSpikePrior,
-    certified_simplex_c,
-    draw_multinomial_simplex_prior,
-    draw_poisson_spike,
-    verify_flattening,
-)
 from .rates import multinomial_rate, poisson_rate
-from .risk import (
-    estimate_multinomial_risk,
-    estimate_poisson_risk,
-    sweep_multinomial_sharp_constant,
-    sweep_sharp_constant,
-)
-from .special import SolverError
+from .special import AtomBudgetError, SolverError
 
 CSV_SCHEMA_LINE = "# schema=1"
 
@@ -61,22 +48,23 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(format(float(obj), ".17g"))
-    if isinstance(obj, (np.integer,)):
+def _builtin(obj):
+    """``json.dumps`` fallback for numpy integers, floats and arrays.
+
+    A ``float64`` is a ``float`` and never reaches here: json writes every
+    float as its shortest round-trip repr.
+    """
+    if isinstance(obj, np.integer):
         return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj]
-    return obj
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(_jsonify(obj))
+    return json.dumps(obj, default=_builtin)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -180,25 +168,35 @@ def _poisson_spike_c(args) -> float:
 
 
 def _cmd_prior(args) -> None:
+    from .priors import (
+        MultinomialSimplexPrior,
+        PoissonSpikePrior,
+        certified_simplex_c,
+        draw_multinomial_simplex_prior,
+        draw_poisson_spike,
+    )
+
     model, null, n = _load_null(args.null)
     lines = []
     if model == "poisson":
         prior = PoissonSpikePrior.build(null, _poisson_spike_c(args), args.big_c)
         draws = draw_poisson_spike(prior, args.seed, trials=args.trials)
         for row in draws:
-            lines.append(_dump_json({"rates": list(row)}))
+            lines.append(_dump_json({"rates": row.tolist()}))
         summary = f"prior: {args.trials} spike draws (j_star={prior.j_star}, psi={_fmt(prior.psi)})"
     else:
         c = args.c if args.c is not None else certified_simplex_c(null, n)
         prior = MultinomialSimplexPrior.build(null, n, c)
         draws = draw_multinomial_simplex_prior(prior, args.seed, trials=args.trials)
         for row in draws:
-            lines.append(_dump_json({"probs": list(row)}))
+            lines.append(_dump_json({"probs": row.tolist()}))
         summary = f"prior: {args.trials} simplex draws (j_star={prior.j_star}, m={prior.m})"
     _emit("\n".join(lines) + "\n", args.out, summary)
 
 
 def _cmd_verify(args) -> None:
+    from .priors import PoissonSpikePrior, verify_flattening
+
     if args.target != "flattening":
         raise ConfigError(f"unknown verification target: {args.target}")
     model, null, _n = _load_null(args.null)
@@ -219,6 +217,8 @@ def _cmd_verify(args) -> None:
 
 
 def _load_alternative(args, model: str, null, n):
+    from .priors import MultinomialSimplexPrior, PoissonSpikePrior, certified_simplex_c
+
     if args.alt:
         try:
             payload = json.loads(args.alt) if args.alt.strip().startswith(("{", "[")) else json.loads(Path(args.alt).read_text())
@@ -239,6 +239,8 @@ def _load_alternative(args, model: str, null, n):
 
 
 def _cmd_risk(args) -> None:
+    from .risk import estimate_multinomial_risk, estimate_poisson_risk
+
     model, null, n = _load_null(args.null)
     alternative = _load_alternative(args, model, null, n)
     if model == "poisson":
@@ -267,6 +269,8 @@ def _sweep_csv(result) -> str:
 
 
 def _cmd_sweep(args) -> None:
+    from .risk import sweep_multinomial_sharp_constant, sweep_sharp_constant
+
     model, null, n = _load_null(args.null)
     try:
         xi_grid = [float(v) for v in args.xi_grid.split(",") if v.strip()]

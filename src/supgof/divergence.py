@@ -30,9 +30,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp, pdtr, pdtrc, pdtrik, xlogy
 
+from .special import AtomBudgetError
+
 __all__ = [
     "ATOM_BUDGET",
-    "AtomBudgetError",
     "DivergenceResult",
     "PmfTable",
     "FiniteProductDist",
@@ -89,10 +90,6 @@ def _binom_rows(size: int, p: float) -> np.ndarray:
         rows[r, :r] = rows[r - 1, :r] * (1.0 - p)
         rows[r, 1 : r + 1] += rows[r - 1, :r] * p
     return rows
-
-
-class AtomBudgetError(RuntimeError):
-    """The requested enumeration exceeds the atom budget."""
 
 
 class DivergenceResult(NamedTuple):

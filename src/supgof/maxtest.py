@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import pdtr, pdtrc
 
 from .model import CountVector, RateVector, SimplexVector, sample_size_value
 from .special import h_inverse
@@ -58,17 +57,13 @@ class TestDecision:
         return "reject" if self.reject else "accept"
 
 
-def _poisson_below(lo: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """``P_lam(X < lo)`` for ``lo >= 0``."""
-    return np.where(lo >= 1.0, pdtr(np.maximum(lo - 1.0, 0.0), lam), 0.0)
-
-
 @dataclass(frozen=True)
 class AcceptanceBox:
     """The counts a test accepts: integers ``lo_j <= x_j <= hi_j`` in every cell.
 
     An empty interval has ``hi_j < lo_j``.  Under independent Poisson cells
-    the acceptance probability is the product of the per-cell masses.
+    the acceptance probability is the product of the per-cell masses, which
+    :mod:`supgof.risk` computes.
     """
 
     lo: np.ndarray
@@ -111,18 +106,6 @@ class AcceptanceBox:
     def rejects(self, table: np.ndarray) -> np.ndarray:
         """Per row of a ``(rows, p)`` table: some count lies outside its interval."""
         return ((table < self.lo) | (table > self.hi)).any(axis=1)
-
-    def mass(self, lam) -> np.ndarray:
-        """``P(lo_j <= X_j <= hi_j)`` for ``X_j ~ Poisson(lam_j)``, as a CDF difference."""
-        return np.where(self.hi >= self.lo, pdtr(self.hi, lam) - _poisson_below(self.lo, lam), 0.0)
-
-    def log_mass(self, lam) -> np.ndarray:
-        """``log`` of :meth:`mass` as ``log1p(-mass outside)``, so a mass near 1
-        keeps its relative accuracy; ``-inf`` on an empty interval."""
-        outside = np.minimum(_poisson_below(self.lo, lam) + pdtrc(self.hi, lam), 1.0)
-        with np.errstate(divide="ignore"):
-            log_inside = np.log1p(-outside)
-        return np.where(self.hi >= self.lo, log_inside, -np.inf)
 
 
 def _check_eta(eta: float) -> None:

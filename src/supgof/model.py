@@ -159,11 +159,24 @@ def _is_number(cell: str) -> bool:
     return True
 
 
+def _parse_count(cell: str) -> int:
+    """An integer cell, parsed exactly; an integral float spelling such as
+    ``3.0`` or ``1e3`` goes through ``float``.  Raises ``ValueError`` otherwise."""
+    try:
+        return int(cell)
+    except ValueError:
+        value = float(cell)
+        if not value.is_integer():  # also inf and nan
+            raise
+        return int(value)
+
+
 def read_counts_csv(path, p_expected: int | None = None) -> np.ndarray:
     """Read a count table: one row per replicate, p integer columns.
 
     A first row with a non-numeric cell is a header and is skipped; any
-    other row that is not all integers is an error.
+    other row that is not all integers is an error.  Integer cells are read
+    exactly, so every int64 count survives.
     """
     rows: list[list[int]] = []
     with open(Path(path), newline="") as fh:
@@ -173,10 +186,8 @@ def read_counts_csv(path, p_expected: int | None = None) -> np.ndarray:
             if not cells:
                 continue
             try:
-                parsed = [int(float(c)) for c in cells]
-                if any(float(c) != int(float(c)) for c in cells):
-                    raise ValueError
-            except (ValueError, OverflowError):  # int(inf) overflows
+                parsed = list(map(_parse_count, cells))
+            except ValueError:
                 if lineno == 0 and not all(map(_is_number, cells)):
                     continue  # header
                 raise ValueError(f"non-integer entry in CSV row {lineno + 1}: {row!r}")

@@ -56,7 +56,7 @@ class RateProfile:
             "psi": self.psi,
             "m": self.m,
             "regime": self.regime,
-            "terms": [float(t) for t in self.per_coordinate_terms],
+            "terms": self.per_coordinate_terms.tolist(),
         }
 
 

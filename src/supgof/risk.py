@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import pdtr, pdtrc
 
-from .divergence import AtomBudgetError
 from .maxtest import AcceptanceBox, MultinomialTestConfig, PoissonTestConfig
 from .model import RateVector, SimplexVector, as_probability_vector
 from .priors import MultinomialSimplexPrior, PoissonSpikePrior
@@ -39,6 +39,7 @@ from .rates import (
     poisson_rate,
     sharp_constant_epsilons,
 )
+from .special import AtomBudgetError
 
 __all__ = [
     "RiskEstimate",
@@ -52,6 +53,25 @@ __all__ = [
 # Fixed-n route: the most polynomial terms one product level may hold, and the
 # longest product kept (t + 1 coefficients); past either, AtomBudgetError.
 _MAX_TERMS = 1 << 22
+
+
+def _poisson_below(lo: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``P_lam(X < lo)`` for ``lo >= 0``."""
+    return np.where(lo >= 1.0, pdtr(np.maximum(lo - 1.0, 0.0), lam), 0.0)
+
+
+def _box_mass(box: AcceptanceBox, lam) -> np.ndarray:
+    """``P(lo_j <= X_j <= hi_j)`` for ``X_j ~ Poisson(lam_j)``, as a CDF difference."""
+    return np.where(box.hi >= box.lo, pdtr(box.hi, lam) - _poisson_below(box.lo, lam), 0.0)
+
+
+def _box_log_mass(box: AcceptanceBox, lam) -> np.ndarray:
+    """``log`` of :func:`_box_mass` as ``log1p(-mass outside)``, so a mass near 1
+    keeps its relative accuracy; ``-inf`` on an empty interval."""
+    outside = np.minimum(_poisson_below(box.lo, lam) + pdtrc(box.hi, lam), 1.0)
+    with np.errstate(divide="ignore"):
+        log_inside = np.log1p(-outside)
+    return np.where(box.hi >= box.lo, log_inside, -np.inf)
 
 
 @dataclass(frozen=True)
@@ -155,17 +175,17 @@ def _simplex_prior_type2(
     probs = prior.base.probs
     lam = n * probs
     if prior.m == 0:  # every draw is the base vector
-        return math.exp(float(box.log_mass(lam).sum()))
+        return math.exp(float(_box_log_mass(box, lam).sum()))
     pool = slice(1, prior.j_star + 1)
     spiked = probs[pool] + prior.c * prior.psi / prior.n
     removed = np.clip(probs[pool] - prior.c * prior.psi / (prior.n * prior.m), 0.0, None)
     return _leave_one_out_type2(
-        box.log_mass(lam),
-        box[pool].mass(n * spiked),
+        _box_log_mass(box, lam),
+        _box_mass(box[pool], n * spiked),
         pool,
         lam,
         where,
-        log_d=box[pool].log_mass(n * removed),
+        log_d=_box_log_mass(box[pool], n * removed),
         m=prior.m,
     )
 
@@ -205,13 +225,13 @@ def estimate_poisson_risk(
     if prior:
         pool = slice(0, alternative.j_star)
         type2 = _leave_one_out_type2(
-            box.log_mass(lam), box[pool].mass(lam[pool] + alternative.spike), pool, lam
+            _box_log_mass(box, lam), _box_mass(box[pool], lam[pool] + alternative.spike), pool, lam
         )
     elif np.all(np.isfinite(lam) & (lam >= 0.0)):
-        type2 = math.exp(float(box.log_mass(lam).sum()))
+        type2 = math.exp(float(_box_log_mass(box, lam).sum()))
     else:
         raise ValueError("alternative rates must be finite and nonnegative")
-    return _exact(float(box.log_mass(mu.rates).sum()), type2, seed)
+    return _exact(float(_box_log_mass(box, mu.rates).sum()), type2, seed)
 
 
 def _fft_len(size: int) -> int:
@@ -304,7 +324,7 @@ def _cell_rows(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int) -> np.nd
     mode = (np.clip(np.floor(lam), lo, hi) - lo).astype(np.intp)
     logs = np.where(span > width[:, None], -np.inf, logs - logs[np.arange(lam.size), mode][:, None])
     rows = np.exp(logs)
-    return rows * (AcceptanceBox(lo, hi).mass(lam) / rows.sum(axis=1))[:, None]
+    return rows * (_box_mass(AcceptanceBox(lo, hi), lam) / rows.sum(axis=1))[:, None]
 
 
 def _product(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int) -> np.ndarray:
@@ -337,7 +357,7 @@ def _box_cut(box: AcceptanceBox, n: float) -> int:
 
 def _ratio(numerator, n: float, total_rate: float):
     """``numerator / P(Poisson(total_rate) = n)``, clipped to [0, 1]."""
-    point = AcceptanceBox(np.array([n]), np.array([n])).mass(np.array([total_rate]))[0]
+    point = _box_mass(AcceptanceBox(np.array([n]), np.array([n])), np.array([total_rate]))[0]
     return np.clip(numerator / point, 0.0, 1.0)
 
 
@@ -543,8 +563,8 @@ def estimate_multinomial_risk(
         if prior:
             type2 = _simplex_prior_type2(box, n, alternative)
         else:
-            type2 = math.exp(float(box.log_mass(n * q_alt).sum()))
-        return _exact(float(box.log_mass(n * q0.probs).sum()), type2, seed)
+            type2 = math.exp(float(_box_log_mass(box, n * q_alt).sum()))
+        return _exact(float(_box_log_mass(box, n * q0.probs).sum()), type2, seed)
     if prior:
         state = _FixedNPrior(box, n, q_alt, alternative.j_star, alternative.m)
         same_base = np.array_equal(q_alt, q0.probs)
@@ -626,9 +646,9 @@ def sweep_sharp_constant(
     estimates = []
     for xi, eps in zip(xi_grid, epsilons):
         box = AcceptanceBox.around(rates, eps / xi, strict=True)
-        log_a = box.log_mass(rates)
+        log_a = _box_log_mass(box, rates)
         type2 = _leave_one_out_type2(
-            log_a, box[pool].mass(rates[pool] + eps), pool, rates, f" at xi={float(xi)!r}"
+            log_a, _box_mass(box[pool], rates[pool] + eps), pool, rates, f" at xi={float(xi)!r}"
         )
         estimates.append(_exact(float(log_a.sum()), type2, seed))
     regime = poisson_rate(mu).regime
@@ -684,7 +704,7 @@ def sweep_multinomial_sharp_constant(
         box = AcceptanceBox.around(center, n_prime * eps / xi, strict=True)
         if poissonized:
             type2 = _simplex_prior_type2(box, n, prior, f" at xi={float(xi)!r}")
-            estimates.append(_exact(float(box.log_mass(center).sum()), type2, seed))
+            estimates.append(_exact(float(_box_log_mass(box, center).sum()), type2, seed))
             continue
         key = (box.lo.tobytes(), box.hi.tobytes())
         if key not in boxes:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from supgof import cli
 from supgof.cli import main
 from supgof.model import RateVector
 from supgof.rates import poisson_rate
@@ -63,7 +64,31 @@ class TestRateCommand:
         _code, out, _ = run_cli(capsys, "rate", "--null", POISSON_NULL)
         payload = json.loads(out)
         profile = poisson_rate(RateVector([1.0, 1.0, 1.0]))
-        assert payload["psi"] == profile.psi  # bit-exact via 17 significant digits
+        assert payload["psi"] == profile.psi  # bit-exact: the shortest round-trip repr
+
+
+class TestJsonOutput:
+    def test_same_text_as_a_17_digit_detour(self):
+        """Writing each double directly gives the text that rounding it through
+        17 significant digits first gave: that detour returns the same double."""
+        rng = np.random.default_rng(11)
+        values = np.concatenate(
+            [
+                rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000),
+                [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3],
+            ]
+        )
+        detour = [float(format(float(v), ".17g")) for v in values]
+        assert cli._dump_json({"x": values}) == json.dumps({"x": detour})
+        assert cli._dump_json(list(values)) == json.dumps(detour)
+
+    def test_numpy_scalars_and_arrays_become_builtins(self):
+        payload = {"i": np.int64(7), "f": np.float32(0.5), "a": np.arange(3), "m": np.eye(2)}
+        assert json.loads(cli._dump_json(payload)) == {"i": 7, "f": 0.5, "a": [0, 1, 2], "m": [[1.0, 0.0], [0.0, 1.0]]}
+
+    def test_other_objects_are_refused(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._dump_json({"x": object()})
 
 
 class TestTestCommand:

@@ -12,7 +12,6 @@ import scipy.stats
 
 import supgof.divergence as divergence
 from supgof.divergence import (
-    AtomBudgetError,
     FiniteProductDist,
     PmfTable,
     certified_spike_risk_bound,
@@ -27,6 +26,7 @@ from supgof.divergence import (
     tv_distance,
     tv_poisson_uniform_spike,
 )
+from supgof.special import AtomBudgetError
 
 
 # Rates over [1e-3, 1e4] and quantile levels with 1 - q over [1e-16, 1e-1].

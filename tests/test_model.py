@@ -117,3 +117,18 @@ class TestCsvIngestion:
         f.write_text(f"1,2\n{cell},3\n")
         with pytest.raises(ValueError, match="CSV row 2"):
             read_counts_csv(f)
+
+    @pytest.mark.parametrize("count", [9_007_199_254_740_993, 9_223_372_036_854_775_807])
+    def test_integer_cells_read_exactly(self, tmp_path, count):
+        """2^53 + 1 and the largest int64 survive: a float detour rounds the first
+        and pushes the second out of range."""
+        f = tmp_path / "exact.csv"
+        f.write_text(f"c1,c2\n{count},0\n")
+        table = read_counts_csv(f)
+        assert table.dtype == np.int64
+        assert int(table[0, 0]) == count
+
+    def test_integral_float_spellings_still_read(self, tmp_path):
+        f = tmp_path / "floats.csv"
+        f.write_text("3.0,1e3,+4,-0.0\n")
+        np.testing.assert_array_equal(read_counts_csv(f), [[3, 1000, 4, 0]])

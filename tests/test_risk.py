@@ -11,7 +11,6 @@ from scipy.special import gammaln, logsumexp, pdtrc
 from scipy.stats import poisson
 
 from supgof import risk as risk_module
-from supgof.divergence import AtomBudgetError
 from supgof.maxtest import AcceptanceBox, MultinomialTestConfig, PoissonTestConfig
 from supgof.model import RateVector, SimplexVector
 from supgof.priors import (
@@ -30,6 +29,7 @@ from supgof.risk import (
     sweep_multinomial_sharp_constant,
     sweep_sharp_constant,
 )
+from supgof.special import AtomBudgetError
 
 
 class TestPoissonRisk:

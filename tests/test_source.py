@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -29,20 +30,51 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _imported_names(node) -> list[str]:
+    """Dotted module names an import statement loads; [] for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        return [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return []
+
+
+def _is_under(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
 def test_no_scipy_stats_imports():
-    """The package needs only ``scipy.special``: importing ``scipy.stats`` dominates CLI start-up."""
+    """No module imports ``scipy.stats``, whose import alone costs more than
+    the whole numpy-only start-up of ``rate`` and ``test``; the modules that
+    need scipy (divergence, risk) use ``scipy.special`` only."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if any(_is_under(name, "scipy.stats") for name in _imported_names(node))
+    ]
+    assert found == []
+
+
+# The modules ``supgof.cli`` imports at module level; ``rate`` and ``test`` run
+# on these alone.
+CLI_START_UP_MODULES = ("cli", "model", "maxtest", "rates", "special")
+
+
+def test_cli_start_up_modules_import_no_scipy():
+    """The CLI's start-up modules have no module-level scipy import, and
+    ``cli`` imports no other supgof module at module level."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            if any(name == "scipy.stats" or name.startswith("scipy.stats.") for name in names):
+    for module in CLI_START_UP_MODULES:
+        path = PACKAGE / f"{module}.py"
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            names = _imported_names(node)
+            if any(_is_under(name, "scipy") for name in names):
                 found.append(f"{path.name}:{node.lineno}")
+            if module == "cli" and isinstance(node, ast.ImportFrom) and node.level:
+                if node.module not in CLI_START_UP_MODULES:
+                    found.append(f"{path.name}:{node.lineno} imports .{node.module}")
     assert found == []
 
 
@@ -59,13 +91,34 @@ def test_no_multinomial_sampling():
     assert found == []
 
 
+_RATE_AND_TEST_RUN = """
+import contextlib, io, json, os, sys, tempfile
+import supgof.cli
+poisson = json.dumps({"model": "poisson", "rates": [3.0, 2.0, 1.0]})
+multinomial = json.dumps({"model": "multinomial", "probs": [0.5, 0.3, 0.2], "n": 10})
+codes = []
+with tempfile.TemporaryDirectory() as tmp:
+    data = os.path.join(tmp, "counts.csv")
+    with open(data, "w") as fh:
+        fh.write("a,b,c\\n5,3,2\\n9,0,1\\n4,4,2\\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(supgof.cli.main(["rate", "--null", poisson]))
+        codes.append(supgof.cli.main(["rate", "--null", multinomial]))
+        codes.append(supgof.cli.main(["test", "--null", poisson, "--data", data]))
+        codes.append(supgof.cli.main(["test", "--null", multinomial, "--data", data]))
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
+    """In a fresh interpreter, importing the CLI and running ``rate`` and
+    ``test`` on a Poisson and a multinomial null loads no scipy module at all."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    code = "import sys, supgof.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _RATE_AND_TEST_RUN], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    result = json.loads(out.stdout)
+    assert result == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,8 +159,19 @@ class TestHInverse:
         assert zeros[0] == 0.0 and zeros[2] == 0.0 and zeros[1] > 0.0
 
     def test_monotone_dense_grid(self):
-        """Strictly increasing on a dense grid, across the seed switch at y = 1e-3."""
-        ys = np.concatenate([np.linspace(0.0, 5e-3, 20001), np.logspace(-2.3, 12, 20001)])
+        """Strictly increasing on a dense grid, across the seed switch at y = 1e-3
+        and the Lambert W seed switch at y = 1 + e z, z = -0.25."""
+        y_switch = 1.0 + math.e * special._LAMBERTW_SERIES_CUTOFF
+        ys = np.unique(
+            np.concatenate(
+                [
+                    np.linspace(0.0, 5e-3, 20001),
+                    np.logspace(-2.3, 12, 20001),
+                    y_switch + np.linspace(-1e-6, 1e-6, 2001),
+                ]
+            )
+        )
+        assert np.any(ys < y_switch) and np.any(ys > y_switch)
         assert np.all(np.diff(h_inverse(ys)) > 0.0)
 
     def test_missed_tolerance_raises(self, monkeypatch):
@@ -170,12 +183,57 @@ class TestHInverse:
         with pytest.raises(SolverError):
             h_inverse(np.array([1.0, math.inf]))
 
+    def test_infinite_target_raises_without_warning(self):
+        """y = inf fails the tolerance check, as a SolverError and not as a
+        RuntimeWarning from the Lambert W seed (inf / inf there)."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SolverError):
+                h_inverse(math.inf)
+            with pytest.raises(SolverError):
+                h_inverse(np.array([0.5, 1.0, math.inf]))
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     @given(st.floats(min_value=1e-10, max_value=1e10))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, y):
         x = h_inverse(y)
         assert x >= 0.0
         assert abs(h(x) - y) <= 1e-12 * max(y, 1.0)
+
+
+class TestLambertW:
+    """The numpy principal-branch W that seeds h_inverse, against
+    ``scipy.special.lambertw`` (the oracle here only)."""
+
+    def test_matches_scipy_from_branch_point_to_1e300(self):
+        """Within 8 ulps relative, plus ``4 eps / sqrt(1 + e z)`` near -1/e:
+        there ``1 + e z`` is rounded to an absolute eps, and W moves by that
+        over ``sqrt(2 (1 + e z))``."""
+        cutoff = special._LAMBERTW_SERIES_CUTOFF
+        z = np.concatenate(
+            [
+                -1.0 / math.e + np.logspace(-12, math.log10(1.0 / math.e + cutoff), 2000),
+                cutoff + np.linspace(-1e-2, 1e-2, 2001),
+                -np.logspace(-300, math.log10(-cutoff), 1000),
+                [0.0],
+                np.logspace(-300, 300, 3000),
+            ]
+        )
+        assert np.any(z < cutoff) and np.any(z >= cutoff)
+        eps = np.finfo(float).eps
+        w = special._lambertw(z)
+        ref = scipy.special.lambertw(z).real
+        tol = 8.0 * eps * np.abs(ref) + 4.0 * eps / np.sqrt(1.0 + math.e * z)
+        worst = np.argmax(np.abs(w - ref) / tol)
+        assert abs(w[worst] - ref[worst]) <= tol[worst], f"z={z[worst]!r}: {w[worst]!r} vs {ref[worst]!r}"
+
+    def test_exact_anchors(self):
+        """W(0) = 0, W(e) = 1 and W(-log(2)/2) = -log 2, on either side of the seed switch."""
+        w = special._lambertw(np.array([0.0, math.e, -0.5 * math.log(2.0)]))  # w e^w = z
+        assert w[0] == 0.0
+        assert w[1] == pytest.approx(1.0, rel=4e-16)
+        assert w[2] == pytest.approx(-math.log(2.0), rel=4e-16)
 
 
 class TestGammaRate:
