@@ -1,11 +1,12 @@
-"""Exact divergences between discrete product distributions and mixtures.
+"""Exact divergences between Poisson products and mixtures of them.
 
-Enumeration here is *certified*: every truncated object carries the mass it
-discarded, every divergence returns ``(value, error_bar)``, and tests assert
+Enumeration here is *certified*: every divergence returns
+``(value, error_bar)`` with the truncated mass in the bar, and tests assert
 against ``value + error_bar``.  Three computation routes coexist:
 
-1. dense enumeration over a truncated product grid (general, capped by an
-   atom budget);
+1. dense enumeration of two Poisson mixtures (a product is a mixture of
+   one) on the union of their truncation grids, where each side's pmf is
+   evaluated and its off-grid mass bounded (capped by an atom budget);
 2. the closed-form chi-square between Poisson products;
 3. an exchangeable sufficient-statistic reduction for uniform one-spike
    Poisson mixtures, which is exact with *no* truncation error and scales
@@ -23,6 +24,7 @@ binomial pmfs come from the Pascal recurrence: the module needs nothing from
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -36,8 +38,7 @@ __all__ = [
     "ATOM_BUDGET",
     "DivergenceResult",
     "PmfTable",
-    "FiniteProductDist",
-    "ProductMixture",
+    "PoissonMixture",
     "truncated_poisson_pmf",
     "poisson_product_dist",
     "poisson_mixture",
@@ -53,6 +54,8 @@ __all__ = [
 ]
 
 ATOM_BUDGET = 10**7
+# Most spike-DP states one level may hold before ``tv_poisson_uniform_spike`` gives up.
+_MAX_STATES = 5_000_000
 DEFAULT_MASS_TOL = 1e-12
 
 
@@ -106,164 +109,112 @@ class PmfTable:
     probs: np.ndarray
     deficit: float
 
-    def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("pmf table must be a nonempty 1-D array")
-        if np.any(arr < 0.0) or self.deficit < -1e-15:
-            raise ValueError("pmf entries and deficit must be nonnegative")
-        object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "deficit", max(0.0, float(self.deficit)))
-        arr.setflags(write=False)
-
     def __len__(self) -> int:
         return self.probs.size
 
 
-def truncated_poisson_pmf(lam: float, mass_tol: float, min_len: int | None = None) -> PmfTable:
-    """Poisson pmf table over ``{0..K}`` with K minimal s.t. cdf >= 1 - mass_tol."""
+def _truncation_len(lam: float, mass_tol: float) -> int:
+    """Size ``K + 1`` of the grid ``{0..K}`` with K minimal s.t. cdf >= 1 - mass_tol."""
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam!r}")
     if not (0.0 < mass_tol < 1.0):
         raise ValueError(f"mass_tol must lie in (0, 1), got {mass_tol!r}")
-    if lam == 0.0:
-        size = max(1, min_len or 1)
-        probs = np.zeros(size)
-        probs[0] = 1.0
-        return PmfTable(probs, 0.0)
-    k_max = _poisson_ppf(1.0 - mass_tol, lam)
-    if min_len is not None:
-        k_max = max(k_max, min_len - 1)
-    probs = _poisson_pmf(np.arange(k_max + 1), lam)
-    deficit = float(pdtrc(k_max, lam))
-    return PmfTable(probs, deficit)
+    return 1 if lam == 0.0 else _poisson_ppf(1.0 - mass_tol, lam) + 1
+
+
+def truncated_poisson_pmf(lam: float, mass_tol: float) -> PmfTable:
+    """Poisson pmf table over ``{0..K}`` with K minimal s.t. cdf >= 1 - mass_tol."""
+    size = _truncation_len(lam, mass_tol)
+    return PmfTable(_poisson_pmf(np.arange(size), lam), float(pdtrc(size - 1, lam)))
 
 
 @dataclass(frozen=True)
-class FiniteProductDist:
-    """Product of per-coordinate finite pmf tables."""
+class PoissonMixture:
+    """Finite mixture ``sum_c weights[c] @_j Poisson(rates[c, j])``; a product is a mixture of one.
 
-    tables: tuple[PmfTable, ...]
-
-    def __post_init__(self):
-        if len(self.tables) == 0:
-            raise ValueError("a product distribution needs at least one coordinate")
-        object.__setattr__(self, "tables", tuple(self.tables))
-
-    @property
-    def p(self) -> int:
-        return len(self.tables)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(t) for t in self.tables)
-
-    @property
-    def truncation_deficit(self) -> float:
-        return float(sum(t.deficit for t in self.tables))
-
-    def dense(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Joint pmf on the product grid ``{0..shape_j - 1}``, zero-padded."""
-        out = None
-        for table, size in zip(self.tables, shape):
-            col = np.zeros(size)
-            col[: len(table)] = table.probs[:size]
-            out = col if out is None else np.multiply.outer(out, col)
-        return out
-
-
-@dataclass(frozen=True)
-class ProductMixture:
-    """Explicit finite mixture of product distributions."""
+    ``shape`` is the law's own truncation grid ``{0..shape_j - 1}``.  The
+    divergences build both laws' pmf tables and deficits on the union of the
+    two grids, so neither side is rebuilt to match the other.
+    """
 
     weights: np.ndarray
-    components: tuple[FiniteProductDist, ...]
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        comps = tuple(self.components)
-        if w.ndim != 1 or w.size != len(comps) or w.size == 0:
-            raise ValueError("weights and components must be nonempty and aligned")
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be a probability vector")
-        ps = {c.p for c in comps}
-        if len(ps) != 1:
-            raise ValueError("mixture components must share dimension")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "components", comps)
-        w.setflags(write=False)
+    rates: np.ndarray
+    shape: tuple[int, ...]
 
     @property
     def p(self) -> int:
-        return self.components[0].p
-
-    @property
-    def truncation_deficit(self) -> float:
-        return float(np.dot(self.weights, [c.truncation_deficit for c in self.components]))
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(max(dims) for dims in zip(*(c.shape for c in self.components)))
+        return self.rates.shape[1]
 
     def dense(self, shape: tuple[int, ...]) -> np.ndarray:
-        out = np.zeros(shape)
-        for w, comp in zip(self.weights, self.components):
-            out += w * comp.dense(shape)
+        """Joint pmf on the grid ``{0..shape_j - 1}``."""
+        tables = [_poisson_pmf(np.arange(k), self.rates[:, [j]]) for j, k in enumerate(shape)]
+        out = None
+        for c, w in enumerate(self.weights):
+            comp = functools.reduce(np.multiply.outer, [t[c] for t in tables])
+            comp *= w  # in place: at p = 1 this is a row of this call's own table
+            if out is None:
+                out = comp
+            else:
+                out += comp
         return out
+
+    def deficit(self, shape: tuple[int, ...]) -> float:
+        """Union bound on the mass off the grid: ``sum_c w_c sum_j P{Poisson(rates[c, j]) >= shape_j}``."""
+        tails = pdtrc(np.asarray(shape) - 1, self.rates)
+        return float(np.dot(self.weights, tails.sum(axis=1)))
 
 
 def poisson_product_dist(
     lams: Sequence[float],
     mass_tol: float = DEFAULT_MASS_TOL,
     lengths: Sequence[int] | None = None,
-) -> FiniteProductDist:
-    """Truncated ``@ Poisson(lam_j)`` with the mass budget split per coordinate."""
-    lams = np.asarray(lams, dtype=float)
-    per_coord = mass_tol / lams.size
-    tables = []
-    for j, lam in enumerate(lams):
-        min_len = None if lengths is None else int(lengths[j])
-        tables.append(truncated_poisson_pmf(float(lam), per_coord, min_len=min_len))
-    return FiniteProductDist(tuple(tables))
+) -> PoissonMixture:
+    """Truncated ``@ Poisson(lam_j)``, a mixture of one component.
+
+    ``lengths``, if given, is a least grid: coordinate ``j`` keeps at least
+    ``lengths[j]`` atoms.
+    """
+    law = poisson_mixture([1.0], [lams], mass_tol)
+    if lengths is None:
+        return law
+    return PoissonMixture(law.weights, law.rates, tuple(np.maximum(law.shape, lengths).tolist()))
 
 
 def poisson_mixture(
     weights: Sequence[float],
     lam_rows: Sequence[Sequence[float]],
     mass_tol: float = DEFAULT_MASS_TOL,
-) -> ProductMixture:
-    """Mixture of Poisson products on a harmonized common support."""
-    rows = [np.asarray(r, dtype=float) for r in lam_rows]
-    p = rows[0].size
-    per_coord = mass_tol / p
-    lengths = []
-    for j in range(p):
-        k = 0
-        for r in rows:
-            lam = float(r[j])
-            k = max(k, 1 if lam == 0.0 else _poisson_ppf(1.0 - per_coord, lam) + 1)
-        lengths.append(k)
-    comps = tuple(poisson_product_dist(r, mass_tol, lengths) for r in rows)
-    return ProductMixture(np.asarray(weights, dtype=float), comps)
+) -> PoissonMixture:
+    """Mixture of Poisson products; its grid covers every component with the
+    mass budget split per coordinate."""
+    w = np.asarray(weights, dtype=float)
+    rows = np.asarray(lam_rows, dtype=float)
+    if rows.ndim != 2 or rows.size == 0 or w.shape != rows.shape[:1]:
+        raise ValueError("weights and rate rows must be nonempty and aligned")
+    if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError("weights must be a probability vector")
+    per_coord = mass_tol / rows.shape[1]
+    grid = tuple(max(_truncation_len(float(lam), per_coord) for lam in np.unique(col)) for col in rows.T)
+    return PoissonMixture(w, rows, grid)
 
 
-def _common_shape(p_dist, q_dist) -> tuple[int, ...]:
+def _union_grid(p_dist: PoissonMixture, q_dist: PoissonMixture) -> tuple[int, ...]:
     if p_dist.p != q_dist.p:
         raise ValueError("distributions must share dimension")
-    shape = tuple(max(a, b) for a, b in zip(p_dist.shape, q_dist.shape))
-    atoms = int(np.prod(shape, dtype=np.int64))
+    shape = tuple(np.maximum(p_dist.shape, q_dist.shape).tolist())
+    atoms = math.prod(shape)
     if atoms > ATOM_BUDGET:
         raise AtomBudgetError(f"{atoms} atoms exceed the budget of {ATOM_BUDGET}")
     return shape
 
 
-def tv_distance(p_dist, q_dist) -> DivergenceResult:
-    """Total variation over the union support, with a truncation error bar."""
-    shape = _common_shape(p_dist, q_dist)
-    diff = p_dist.dense(shape) - q_dist.dense(shape)
-    value = 0.5 * float(np.abs(diff).sum())
-    bar = p_dist.truncation_deficit + q_dist.truncation_deficit
-    return DivergenceResult(value, bar)
+def tv_distance(p_dist: PoissonMixture, q_dist: PoissonMixture) -> DivergenceResult:
+    """Total variation on the union grid, with both laws' deficits there as the bar."""
+    shape = _union_grid(p_dist, q_dist)
+    diff = p_dist.dense(shape)
+    diff -= q_dist.dense(shape)
+    value = 0.5 * float(np.abs(diff, out=diff).sum())
+    return DivergenceResult(value, p_dist.deficit(shape) + q_dist.deficit(shape))
 
 
 def chi_square_poisson_products(a: Sequence[float], b: Sequence[float]) -> float:
@@ -284,19 +235,36 @@ def chi_square_poisson_products(a: Sequence[float], b: Sequence[float]) -> float
     return float(np.expm1(terms.sum()))
 
 
-def chi_square_enumerated(q_dist, p_dist) -> DivergenceResult:
-    """``chi2(Q || P)`` by summation on the union grid (test oracle)."""
-    shape = _common_shape(p_dist, q_dist)
+def chi_square_enumerated(q_dist: PoissonMixture, p_dist: PoissonMixture) -> DivergenceResult:
+    """``chi2(Q || P)`` by summation on the union grid ``G`` (test oracle); ``P`` is a product.
+
+    The truth minus the sum is ``off(q^2/p) - 2 Q(G^c) + P(G^c)``, so the bar
+    is ``off(q^2/p) + 2 Q(G^c) + P(G^c)`` with both masses bounded by the
+    deficits.  For product ``P = @ Poisson(b_j)`` the first term is exact: for
+    components ``c, c'`` of ``Q`` it is ``w_c w_c' prod_j M_j (1 - prod_j F_j)``
+    with ``M_j = exp((a_cj - b_j)(a_c'j - b_j) / b_j)`` and
+    ``F_j = P{Poisson(a_cj a_c'j / b_j) <= K_j - 1}`` on the grid ``{0..K_j - 1}``.
+    """
+    if p_dist.rates.shape[0] != 1:
+        raise ValueError("chi_square_enumerated needs a product P, a mixture of one component")
+    shape = _union_grid(p_dist, q_dist)
     p = p_dist.dense(shape).ravel()
     q = q_dist.dense(shape).ravel()
-    if np.any((p == 0.0) & (q > 0.0)):
+    a, b = q_dist.rates, p_dist.rates[0]
+    if np.any((p == 0.0) & (q > 0.0)) or np.any((b == 0.0) & (a > 0.0)):
         return DivergenceResult(math.inf, 0.0)
     mask = p > 0.0
     value = float(np.sum((q[mask] - p[mask]) ** 2 / p[mask]))
-    # Missing mass enters quadratically; the linear deficit is a safe bar
-    # for the small deficits used here.
-    bar = p_dist.truncation_deficit + q_dist.truncation_deficit
-    return DivergenceResult(value, bar)
+    # Where b_j = 0 every a_cj is 0 too: both sides sit at 0 there, M_j = F_j = 1.
+    live = b > 0.0
+    a, b, k = a[:, live], b[live], np.asarray(shape)[live]
+    d = a - b
+    log_m = (d[:, None, :] * d[None, :, :] / b).sum(axis=2)
+    log_f = np.log1p(-pdtrc(k - 1, a[:, None, :] * a[None, :, :] / b)).sum(axis=2)
+    with np.errstate(divide="ignore", over="ignore"):
+        pair_off = np.exp(log_m + np.log(-np.expm1(log_f)))
+    off = float(q_dist.weights @ pair_off @ q_dist.weights)
+    return DivergenceResult(value, off + 2.0 * q_dist.deficit(shape) + p_dist.deficit(shape))
 
 
 def hypergeometric_overlap_log_pmf(pool: int, m: int) -> np.ndarray:
@@ -443,9 +411,7 @@ def certified_spike_risk_bound(
     )
 
 
-def tv_poisson_uniform_spike(
-    nu: float, eps: float, k: int, max_states: int = 5_000_000
-) -> DivergenceResult:
+def tv_poisson_uniform_spike(nu: float, eps: float, k: int) -> DivergenceResult:
     """Exact ``TV(Poisson(nu)^{X k}, uniform one-spike mixture)``.
 
     The mixture puts the spike ``Poisson(nu + eps)`` at a uniformly random
@@ -462,7 +428,7 @@ def tv_poisson_uniform_spike(
     at levels 1 and 0, whose count is binomial and closes in one table
     lookup.  Nothing is truncated.  A TV below ``-1e-10`` or NaN means the
     DP lost accuracy and raises ``FloatingPointError``; more than
-    ``max_states`` states at one level raises ``AtomBudgetError``.
+    ``_MAX_STATES`` states at one level raises ``AtomBudgetError``.
     """
     if nu <= 0 or k < 1:
         raise ValueError("need nu > 0 and k >= 1")
@@ -505,8 +471,8 @@ def tv_poisson_uniform_spike(
         top = np.minimum(fits(t0 - 1.0 - s - r, values[x] - 1.0) - 1, hi[r])
         width = np.maximum(top - lo[r] + 1, 0)
         total = int(width.sum())
-        if total > max_states:
-            raise AtomBudgetError(f"{total} DP states exceed the cap {max_states}")
+        if total > _MAX_STATES:
+            raise AtomBudgetError(f"{total} DP states exceed the cap {_MAX_STATES}")
         parent = np.repeat(np.arange(r.size), width)
         n = lo[r[parent]] + np.arange(total) - np.repeat(np.cumsum(width) - width, width)
         prob = prob[parent] * rows[r[parent], n]

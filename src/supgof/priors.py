@@ -16,8 +16,7 @@ import numpy as np
 
 from .divergence import (
     DivergenceResult,
-    FiniteProductDist,
-    ProductMixture,
+    PoissonMixture,
     poisson_mixture,
     poisson_product_dist,
     tv_distance,
@@ -58,7 +57,7 @@ class PoissonSpikePrior:
 
     @classmethod
     def build(cls, mu: RateVector, c: float, big_c: float = math.e) -> "PoissonSpikePrior":
-        if c <= 0:
+        if not c > 0:  # NaN included
             raise ValueError(f"c must be positive, got {c!r}")
         if not big_c >= math.e:  # NaN included
             raise ValueError(f"C (--big-c) must be >= e, got {big_c!r}")
@@ -80,32 +79,45 @@ class PoissonSpikePrior:
         return np.full(self.j_star, 1.0 / self.j_star), rows
 
 
+def _draw_count(trials: int | None) -> int:
+    if trials is None:
+        return 1
+    if not trials >= 1:
+        raise ValueError(f"trials (--trials) must be at least 1, got {trials!r}")
+    return int(trials)
+
+
 def draw_poisson_spike(prior: PoissonSpikePrior, rng_seed, trials: int | None = None):
     """Draw rate vectors from the spike prior; deterministic given the seed.
 
     Returns a ``(trials, p)`` array, or one vector when ``trials`` is None.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else rng_stream(rng_seed)
-    t = 1 if trials is None else int(trials)
+    t = _draw_count(trials)
     out = np.tile(prior.base.rates, (t, 1))
     out[np.arange(t), rng.integers(0, prior.j_star, size=t)] += prior.spike
     return out[0] if trials is None else out
 
 
+# Candidate spike scales of ``certified_poisson_spike_c``: 1, ..., 1/_C_GRID.
+_C_GRID = 40
+
+
 def certified_poisson_spike_c(
-    mu: RateVector, eta: float, big_c: float = math.e, grid: int = 40
+    mu: RateVector, eta: float, big_c: float = math.e
 ) -> tuple[float, float]:
     """Largest spike scale ``c`` certified (by exact computation) to keep
     the Bayes risk of the flattened pair at least ``eta``.
 
-    Searches a decreasing grid of ``c`` values and certifies each candidate
-    with the exact flattened total variation; returns ``(c, certified risk)``.
+    Searches the decreasing grid of ``_C_GRID`` values of ``c`` and certifies
+    each candidate with the exact flattened total variation; returns
+    ``(c, certified risk)``.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta!r}")
     prior = PoissonSpikePrior.build(mu, 1.0, big_c)
     nu = float(mu.rates[prior.j_star - 1])
-    for c in np.linspace(1.0, 1.0 / grid, grid):
+    for c in np.linspace(1.0, 1.0 / _C_GRID, _C_GRID):
         tv = tv_poisson_uniform_spike(nu, float(c) * prior.psi, prior.j_star)
         risk = 1.0 - tv.value
         if risk >= eta:
@@ -181,7 +193,7 @@ def draw_multinomial_simplex_prior(
     Returns a ``(trials, p)`` array, or one vector when ``trials`` is None.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else rng_stream(rng_seed)
-    t = 1 if trials is None else int(trials)
+    t = _draw_count(trials)
     out = np.tile(prior.base.probs, (t, 1))
     if prior.m > 0:
         # 0-based indices 1..j_star hold categories 2..j_star+1.
@@ -221,8 +233,8 @@ def certified_simplex_c(
 class FlattenedPair:
     """Homoskedastic head pair produced by the flattening reduction."""
 
-    null: FiniteProductDist
-    mixture: ProductMixture
+    null: PoissonMixture
+    mixture: PoissonMixture
 
 
 def _prior_rows(prior: Sequence[tuple[float, Sequence[float]]]) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +272,6 @@ def flatten_poisson_pair(
     prior: Sequence[tuple[float, Sequence[float]]],
     k: int,
     underline_omega: float,
-    mass_tol: float = 1e-12,
 ) -> FlattenedPair:
     """Flattening reduction on the first ``k`` coordinates.
 
@@ -285,12 +296,7 @@ def flatten_poisson_pair(
         raise ValueError("flattening condition violated: a shifted mean is negative")
     shifted = np.clip(shifted, 0.0, None)
     _check_head_tail_independent(weights, rows, k)
-    null = poisson_product_dist([underline_omega] * k, mass_tol)
-    mixture = poisson_mixture(weights, shifted, mass_tol)
-    # Harmonize supports between the two sides.
-    lengths = [max(a, b) for a, b in zip(null.shape, mixture.shape)]
-    null = poisson_product_dist([underline_omega] * k, mass_tol, lengths)
-    return FlattenedPair(null, mixture)
+    return FlattenedPair(poisson_product_dist([underline_omega] * k), poisson_mixture(weights, shifted))
 
 
 @dataclass(frozen=True)
@@ -323,7 +329,6 @@ def verify_flattening(
     prior: Sequence[tuple[float, Sequence[float]]],
     k: int,
     underline_omega: float,
-    mass_tol: float = 1e-12,
 ) -> FlatteningReport:
     """Exactly evaluate both sides of the flattening inequality.
 
@@ -332,20 +337,11 @@ def verify_flattening(
     """
     omega = mu.rates if isinstance(mu, RateVector) else np.asarray(mu, dtype=float)
     weights, rows = _prior_rows(prior)
-    original_null = poisson_product_dist(omega, mass_tol)
-    original_mix = poisson_mixture(weights, rows, mass_tol)
-    lengths = [max(a, b) for a, b in zip(original_null.shape, original_mix.shape)]
-    original_null = poisson_product_dist(omega, mass_tol, lengths)
-    lhs = tv_distance(original_null, original_mix)
-
-    pair = flatten_poisson_pair(mu, prior, k, underline_omega, mass_tol)
+    lhs = tv_distance(poisson_product_dist(omega), poisson_mixture(weights, rows))
+    pair = flatten_poisson_pair(mu, prior, k, underline_omega)
     rhs_head = tv_distance(pair.null, pair.mixture)
     if k < omega.size:
-        tail_null = poisson_product_dist(omega[k:], mass_tol)
-        tail_mix = poisson_mixture(weights, rows[:, k:], mass_tol)
-        lengths = [max(a, b) for a, b in zip(tail_null.shape, tail_mix.shape)]
-        tail_null = poisson_product_dist(omega[k:], mass_tol, lengths)
-        rhs_tail = tv_distance(tail_null, tail_mix)
+        rhs_tail = tv_distance(poisson_product_dist(omega[k:]), poisson_mixture(weights, rows[:, k:]))
     else:
         rhs_tail = DivergenceResult(0.0, 0.0)
     slack = (

@@ -161,8 +161,8 @@ def _inflated_log(js: np.ndarray, alpha_p: float) -> np.ndarray:
 
 
 def _check_sharp_constant_grid(alpha_p: float, xi_grid) -> np.ndarray:
-    if alpha_p <= 1.0:
-        raise ValueError(f"alpha_p must exceed 1, got {alpha_p!r}")
+    if not 1.0 < alpha_p < math.inf:  # NaN included
+        raise ValueError(f"alpha_p must lie in (1, inf), got {alpha_p!r}")
     xi_grid = np.asarray(xi_grid, dtype=float)
     for xi in xi_grid:
         if not 0.0 < xi < math.inf:

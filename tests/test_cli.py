@@ -193,6 +193,21 @@ class TestPriorCommand:
         assert "infinite" in err
         assert out == ""
 
+    def test_poisson_nan_spike_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "prior", "--null", POISSON_NULL, "--c", "nan")
+        assert code == 1
+        assert "c must be positive" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("null, c", [(POISSON_NULL, "0.3"), (MULT_NULL, "1.0")], ids=["poisson", "multinomial"])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_is_config_error(self, capsys, null, c, trials):
+        """``0`` once printed an empty line with exit 0; ``-1`` printed numpy's message."""
+        code, out, err = run_cli(capsys, "prior", "--null", null, "--c", c, "--trials", trials)
+        assert code == 1
+        assert "--trials" in err
+        assert out == ""
+
     @pytest.mark.parametrize("argv", [["prior"], ["risk", "--poissonized"]], ids=["prior", "risk"])
     def test_multinomial_nan_spike_is_config_error(self, capsys, argv):
         """A NaN spike scale once printed NaN draws (prior) or warned (Poissonized risk)."""
@@ -309,6 +324,15 @@ class TestRiskAndSweep:
             capsys, "sweep", "--null", POISSON_NULL, "--alpha-rule", "bogus", "--trials", "200"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("null", [POISSON_NULL, MULT_NULL], ids=["poisson", "multinomial"])
+    @pytest.mark.parametrize("rule", ["inf", "nan"])
+    def test_non_finite_alpha_rule_is_config_error(self, capsys, null, rule):
+        """``inf`` once exited 3 and ``nan`` named ``h_inverse``."""
+        code, out, err = run_cli(capsys, "sweep", "--null", null, "--alpha-rule", rule, "--trials", "200")
+        assert code == 1
+        assert "alpha_p" in err
+        assert out == ""
 
     def test_bad_null_model_is_config_error(self, capsys):
         code, _o, err = run_cli(capsys, "rate", "--null", '{"model":"gaussian"}')

@@ -12,8 +12,6 @@ import scipy.stats
 
 import supgof.divergence as divergence
 from supgof.divergence import (
-    FiniteProductDist,
-    PmfTable,
     certified_spike_risk_bound,
     chi_square_enumerated,
     chi_square_poisson_products,
@@ -136,10 +134,6 @@ class TestTruncatedPmf:
             assert scipy.stats.poisson.cdf(k - 1, lam) < 1 - tol
             assert table.deficit == pytest.approx(scipy.stats.poisson.sf(k, lam), abs=1e-18)
 
-    def test_min_len_padding(self):
-        table = truncated_poisson_pmf(1.0, 1e-6, min_len=40)
-        assert len(table) == 40
-
 
 class TestTvDistance:
     def test_identical_is_zero(self):
@@ -174,9 +168,21 @@ class TestTvDistance:
             assert tv <= 0.5 * math.sqrt(chi_square_poisson_products(a, b)) + 1e-10
 
     def test_atom_budget(self):
-        big = FiniteProductDist(tuple(PmfTable(np.full(500, 1 / 500), 0.0) for _ in range(3)))
+        big = poisson_product_dist([1.0] * 3, lengths=[500] * 3)
+        assert big.shape == (500, 500, 500)
         with pytest.raises(AtomBudgetError):
             tv_distance(big, big)
+
+    def test_union_grid_matches_hand_harmonized_pair(self):
+        """Each side is evaluated on the union grid: rebuilding the null there by hand changes no bit."""
+        for nu, spike, k in [(1.0, 2.0, 2), (0.5, 3.0, 3), (2.0, 1.5, 2)]:
+            rows = [[nu + (spike if j == i else 0.0) for j in range(k)] for i in range(k)]
+            mix = poisson_mixture([1.0 / k] * k, rows)
+            null = poisson_product_dist([nu] * k)
+            assert any(a < b for a, b in zip(null.shape, mix.shape))
+            by_hand = poisson_product_dist([nu] * k, lengths=np.maximum(null.shape, mix.shape))
+            assert tv_distance(null, mix) == tv_distance(by_hand, mix)
+            assert tv_distance(mix, null) == tv_distance(mix, by_hand)
 
 
 class TestChiSquare:
@@ -194,14 +200,52 @@ class TestChiSquare:
             a = b + rng.uniform(-0.2, 0.5, p)
             a = np.clip(a, 0.01, None)
             closed = chi_square_poisson_products(a, b)
-            qd = poisson_product_dist(a, 1e-13)
-            pd = poisson_product_dist(b, 1e-13)
-            lengths = [max(x, y) for x, y in zip(qd.shape, pd.shape)]
-            qd = poisson_product_dist(a, 1e-13, lengths)
-            pd = poisson_product_dist(b, 1e-13, lengths)
-            enum = chi_square_enumerated(qd, pd)
-            assert closed == pytest.approx(enum.value, rel=1e-8, abs=enum.error_bar
-                                           + 1e-10)
+            enum = chi_square_enumerated(poisson_product_dist(a, 1e-13), poisson_product_dist(b, 1e-13))
+            assert abs(closed - enum.value) <= enum.error_bar + 1e-12 * closed
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [([2.0], [1.0]), ([3.0, 1.0], [1.0, 1.0]), ([0.5, 4.0], [1.5, 2.0]), ([6.0], [0.5])],
+    )
+    def test_error_bar_covers_the_closed_form(self, a, b):
+        """The bar carries the off-grid ``q^2/p`` mass, which grows with ``q/p``.
+
+        On the union grid at ``mass_tol = 1e-13``, Poisson(2) against Poisson(1)
+        misses ``e - 1`` by about 2.8e-8, far more than the two deficits.
+        """
+        closed = chi_square_poisson_products(a, b)
+        grid = np.maximum(poisson_product_dist(a, 1e-13).shape, poisson_product_dist(b, 1e-13).shape)
+        enum = chi_square_enumerated(poisson_product_dist(a, 1e-13, grid), poisson_product_dist(b, 1e-13, grid))
+        assert math.isfinite(enum.value)
+        # Rounding: exp(60.5) carries a few ulps of its argument's error.
+        assert abs(closed - enum.value) <= enum.error_bar + 1e-13 * closed
+        assert enum.error_bar <= 1e3 * abs(closed - enum.value) + 1e-12
+
+    def test_unharmonized_grids_are_finite(self):
+        """Poisson(3) x Poisson(1) needs more atoms than the null's own grid holds."""
+        enum = chi_square_enumerated(poisson_product_dist([3.0, 1.0]), poisson_product_dist([1.0, 1.0]))
+        assert math.isfinite(enum.value)
+        assert abs(enum.value - math.expm1(4.0)) <= enum.error_bar
+        assert math.expm1(4.0) == pytest.approx(53.598, abs=5e-4)
+
+    def test_mixture_chi_square_matches_closed_form(self):
+        """``chi2(sum_c w_c Q_c || P) + 1 = sum_{c,c'} w_c w_c' prod_j M_j``."""
+        rows = np.array([[2.0, 1.0], [1.0, 2.5], [0.5, 1.5]])
+        weights = np.array([0.5, 0.3, 0.2])
+        b = np.array([1.0, 1.2])
+        d = rows - b
+        closed = weights @ np.exp((d[:, None, :] * d[None, :, :] / b).sum(axis=2)) @ weights - 1.0
+        enum = chi_square_enumerated(poisson_mixture(weights, rows), poisson_product_dist(b))
+        assert abs(closed - enum.value) <= enum.error_bar + 1e-12
+
+    def test_mixture_null_is_refused(self):
+        mix = poisson_mixture([0.5, 0.5], [[1.0], [2.0]])
+        with pytest.raises(ValueError, match="product"):
+            chi_square_enumerated(poisson_product_dist([1.0]), mix)
+
+    def test_zero_null_rate_is_infinite(self):
+        enum = chi_square_enumerated(poisson_product_dist([1.0]), poisson_product_dist([0.0]))
+        assert enum.value == math.inf
 
     def test_zero_rate_handling(self):
         assert chi_square_poisson_products([0.0, 1.0], [0.0, 1.0]) == 0.0
@@ -298,9 +342,7 @@ class TestSpikeMixtureTv:
         for nu, eps, k in [(1.0, 1.3, 3), (0.7, 2.4, 4), (2.0, 0.9, 2), (0.4, 3.0, 5)]:
             weights = [1.0 / k] * k
             rows = [[nu + (eps if j == i else 0.0) for j in range(k)] for i in range(k)]
-            mix = poisson_mixture(weights, rows, 1e-12)
-            null = poisson_product_dist([nu] * k, 1e-12, mix.shape)
-            dense = tv_distance(null, mix)
+            dense = tv_distance(poisson_product_dist([nu] * k), poisson_mixture(weights, rows))
             fast = tv_poisson_uniform_spike(nu, eps, k)
             assert fast.value == pytest.approx(dense.value, abs=dense.error_bar + 1e-10)
             assert fast.error_bar == 0.0
@@ -368,18 +410,20 @@ class TestSpikeMixtureTv:
         want = 0.5 * np.abs(np.outer(p, p) - 0.5 * (np.outer(q, p) + np.outer(p, q))).sum()
         assert tv_poisson_uniform_spike(800.0, 10.0, 2).value == pytest.approx(want, abs=1e-12)
 
-    def test_equal_sums_merge(self):
+    def test_equal_sums_merge(self, monkeypatch):
         """``z`` rounds to 1 and ``x_max`` is about 1000, so every path at a level has sum ``s``
         equal to its count; merged, the DP never holds more than 55 states (it held millions
         path by path).  The TV of a 1e-15 spike is 0 to double precision.
         """
         assert 1.0 + 1e-15 / 100.0 == 1.0
-        got = tv_poisson_uniform_spike(100.0, 1e-15, 10, max_states=100)
+        monkeypatch.setattr(divergence, "_MAX_STATES", 100)
+        got = tv_poisson_uniform_spike(100.0, 1e-15, 10)
         assert got.value == pytest.approx(0.0, abs=1e-12)
 
-    def test_state_budget(self):
+    def test_state_budget(self, monkeypatch):
+        monkeypatch.setattr(divergence, "_MAX_STATES", 10)
         with pytest.raises(AtomBudgetError):
-            tv_poisson_uniform_spike(1.0, 3.0, 30, max_states=10)
+            tv_poisson_uniform_spike(1.0, 3.0, 30)
 
     @pytest.mark.parametrize(
         "k, eps, want",
@@ -430,8 +474,6 @@ class TestExactBayesRisk:
         c = (1.0 - eta) ** 2
         null = poisson_product_dist([1.0, 1.0], 1e-12)
         mix = poisson_mixture([1.0], [[1.0 + c, 1.0]], 1e-12)
-        lengths = [max(a, b) for a, b in zip(null.shape, mix.shape)]
-        null = poisson_product_dist([1.0, 1.0], 1e-12, lengths)
         res = exact_bayes_risk(null, mix)
         assert res.value - res.error_bar >= eta
 

@@ -35,12 +35,7 @@ class TestPoissonTwoPoint:
         mu = np.array([1.0, 1.0])
         for c in (0.05, 0.25, 0.8):
             shifted = mu + [c, 0.0]
-            p = poisson_product_dist(mu, 1e-13)
-            q = poisson_product_dist(shifted, 1e-13)
-            lengths = [max(a, b) for a, b in zip(p.shape, q.shape)]
-            p = poisson_product_dist(mu, 1e-13, lengths)
-            q = poisson_product_dist(shifted, 1e-13, lengths)
-            tv = tv_distance(p, q)
+            tv = tv_distance(poisson_product_dist(mu, 1e-13), poisson_product_dist(shifted, 1e-13))
             assert tv.value + tv.error_bar <= math.sqrt(c)
 
 
@@ -55,6 +50,22 @@ class TestPoissonSpikePrior:
     def test_infinite_spiked_rate_raises(self, c):
         with pytest.raises(ValueError, match="infinite"):
             PoissonSpikePrior.build(RateVector([3.0, 2.0, 1.0]), c)
+
+    @pytest.mark.parametrize("c", [math.nan, 0.0, -1.0])
+    def test_nan_or_nonpositive_c_is_refused(self, c):
+        """NaN once passed ``c <= 0`` and was reported as an infinite spiked rate."""
+        with pytest.raises(ValueError, match="c must be positive"):
+            PoissonSpikePrior.build(RateVector([3.0, 2.0, 1.0]), c)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_draws_need_a_trial(self, trials):
+        """``trials = 0`` once drew an empty array and ``-1`` failed inside numpy."""
+        spike = PoissonSpikePrior.build(RateVector([3.0, 2.0, 1.0]), 0.5)
+        simplex = MultinomialSimplexPrior.build(SimplexVector(np.full(12, 1.0 / 12)), 30.0, 1.0)
+        with pytest.raises(ValueError, match="--trials"):
+            draw_poisson_spike(spike, 0, trials=trials)
+        with pytest.raises(ValueError, match="--trials"):
+            draw_multinomial_simplex_prior(simplex, 0, trials=trials)
 
     @pytest.mark.parametrize("big_c", [math.nan, 2.0])
     def test_big_c_below_e_or_nan_names_the_option(self, big_c):
@@ -230,7 +241,7 @@ class TestFlattening:
         assert pair.null.p == 1
         assert pair.mixture.p == 1
         # Shifted means are 2.5 and 3.0: the original shift sizes survive.
-        assert {len(c.tables) for c in pair.mixture.components} == {1}
+        assert pair.mixture.rates.tolist() == [[2.5], [3.0]]
 
     def test_negative_shift_rejected(self):
         mu = RateVector([5.0, 1.0])

@@ -175,6 +175,16 @@ class TestSweeps:
         with pytest.raises(ValueError, match="trials"):
             sweep_multinomial_sharp_constant(q0, 100, [1.0], 3.0, trials, 0)
 
+    @pytest.mark.parametrize("alpha_p", [math.inf, math.nan, 1.0])
+    def test_alpha_must_be_finite_and_above_one(self, alpha_p):
+        """NaN and +inf once passed ``alpha_p <= 1`` and failed inside ``h_inverse``."""
+        with pytest.raises(ValueError, match="alpha_p"):
+            sweep_sharp_constant(RateVector(np.ones(10)), [1.0], alpha_p, 200, 0)
+        with pytest.raises(ValueError, match="alpha_p"):
+            sweep_multinomial_sharp_constant(
+                SimplexVector(np.full(10, 0.1)), 1_000, [1.0], alpha_p, 200, 0, poissonized=True
+            )
+
     def test_grid_must_increase(self):
         mu = RateVector(np.ones(10))
         with pytest.raises(ValueError):
