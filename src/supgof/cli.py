@@ -68,16 +68,21 @@ def _dump_json(obj) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temp file beside ``path`` and a rename.  A path that
+    cannot be written (a missing directory, a directory) is a config error,
+    and no temp file is left behind either way."""
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(text: str, out: str | None, summary: str) -> None:
@@ -88,6 +93,15 @@ def _emit(text: str, out: str | None, summary: str) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _numeric_field(payload: dict, field: str):
+    """``payload[field]``; a JSON boolean there, or in its list, is a
+    ``TypeError``, since Python would read ``true`` as the number 1."""
+    value = payload[field]
+    if isinstance(value, bool) or (isinstance(value, list) and any(isinstance(v, bool) for v in value)):
+        raise TypeError(f'field "{field}" holds a boolean, not a number')
+    return value
 
 
 def _load_null(spec: str | None):
@@ -112,14 +126,14 @@ def _load_null(spec: str | None):
     model = payload.get("model")
     try:
         if model == "poisson":
-            return "poisson", RateVector(np.asarray(payload["rates"], dtype=float)), None
+            return "poisson", RateVector(np.asarray(_numeric_field(payload, "rates"), dtype=float)), None
         if model == "multinomial":
             if "n" not in payload:
                 raise ConfigError("missing required field: n (multinomial null)")
             return (
                 "multinomial",
-                SimplexVector(np.asarray(payload["probs"], dtype=float)),
-                sample_size_value(float(payload["n"])),  # float(): n may be a numeric string
+                SimplexVector(np.asarray(_numeric_field(payload, "probs"), dtype=float)),
+                sample_size_value(float(_numeric_field(payload, "n"))),  # float(): n may be a numeric string
             )
     except KeyError as exc:
         raise ConfigError(f"missing required field in null spec: {exc}") from exc

@@ -47,7 +47,6 @@ __all__ = [
     "chi_square_enumerated",
     "hypergeometric_overlap_log_pmf",
     "multinomial_conditional_chisq_bound",
-    "exact_bayes_risk",
     "SpikeRiskCertificate",
     "certified_spike_risk_bound",
     "tv_poisson_uniform_spike",
@@ -343,12 +342,6 @@ def multinomial_conditional_chisq_bound(
         mgf=mgf,
         mgf_binomial_bound=mgf_bound,
     )
-
-
-def exact_bayes_risk(null_dist, mixture) -> DivergenceResult:
-    """Bayes testing risk ``1 - TV(null, mixture)`` with the TV error bar."""
-    tv = tv_distance(null_dist, mixture)
-    return DivergenceResult(1.0 - tv.value, tv.error_bar)
 
 
 @dataclass(frozen=True)

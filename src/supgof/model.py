@@ -171,8 +171,8 @@ def _parse_count(cell: str) -> int:
         return int(value)
 
 
-def read_counts_csv(path, p_expected: int | None = None) -> np.ndarray:
-    """Read a count table: one row per replicate, p integer columns.
+def read_counts_csv(path, p_expected: int) -> np.ndarray:
+    """Read a count table: one row per replicate, ``p_expected`` integer columns.
 
     A first row with a non-numeric cell is a header and is skipped; any
     other row that is not all integers is an error.  Integer cells are read
@@ -202,6 +202,6 @@ def read_counts_csv(path, p_expected: int | None = None) -> np.ndarray:
     arr = np.asarray(rows, dtype=np.int64)
     if np.any(arr < 0):
         raise ValueError("counts must be nonnegative")
-    if p_expected is not None and arr.shape[1] != p_expected:
+    if arr.shape[1] != p_expected:
         raise ValueError(f"expected {p_expected} columns, got {arr.shape[1]}")
     return arr

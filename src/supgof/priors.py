@@ -2,8 +2,11 @@
 and simplex priors, and the flattening reduction to a homoskedastic
 auxiliary problem.
 
-Prior draws are alternatives, so they are returned as plain arrays: a spike
-breaks the sorted-null invariant of the container types on purpose.
+Prior draws are alternatives, so they are returned as plain ``(trials, p)``
+arrays: a spike breaks the sorted-null invariant of the container types on
+purpose.  The paper's constants are fixed: the simplex prior's ``psi`` and
+``m`` use ``log(e j*)``, and the spike-scale certificate searches the spike
+prior with ``C = e``; only :meth:`PoissonSpikePrior.build` takes another ``C``.
 """
 
 from __future__ import annotations
@@ -79,35 +82,30 @@ class PoissonSpikePrior:
         return np.full(self.j_star, 1.0 / self.j_star), rows
 
 
-def _draw_count(trials: int | None) -> int:
-    if trials is None:
-        return 1
+def _draw_count(trials: int) -> int:
     if not trials >= 1:
         raise ValueError(f"trials (--trials) must be at least 1, got {trials!r}")
     return int(trials)
 
 
-def draw_poisson_spike(prior: PoissonSpikePrior, rng_seed, trials: int | None = None):
-    """Draw rate vectors from the spike prior; deterministic given the seed.
-
-    Returns a ``(trials, p)`` array, or one vector when ``trials`` is None.
-    """
+def draw_poisson_spike(prior: PoissonSpikePrior, rng_seed, trials: int = 1) -> np.ndarray:
+    """Draw ``trials`` rate vectors from the spike prior as a ``(trials, p)``
+    array; deterministic given the seed."""
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else rng_stream(rng_seed)
     t = _draw_count(trials)
     out = np.tile(prior.base.rates, (t, 1))
     out[np.arange(t), rng.integers(0, prior.j_star, size=t)] += prior.spike
-    return out[0] if trials is None else out
+    return out
 
 
 # Candidate spike scales of ``certified_poisson_spike_c``: 1, ..., 1/_C_GRID.
 _C_GRID = 40
 
 
-def certified_poisson_spike_c(
-    mu: RateVector, eta: float, big_c: float = math.e
-) -> tuple[float, float]:
+def certified_poisson_spike_c(mu: RateVector, eta: float) -> tuple[float, float]:
     """Largest spike scale ``c`` certified (by exact computation) to keep
-    the Bayes risk of the flattened pair at least ``eta``.
+    the Bayes risk of the flattened pair at least ``eta``, for the spike
+    prior with ``C = e``.
 
     Searches the decreasing grid of ``_C_GRID`` values of ``c`` and certifies
     each candidate with the exact flattened total variation; returns
@@ -115,7 +113,7 @@ def certified_poisson_spike_c(
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta!r}")
-    prior = PoissonSpikePrior.build(mu, 1.0, big_c)
+    prior = PoissonSpikePrior.build(mu, 1.0)
     nu = float(mu.rates[prior.j_star - 1])
     for c in np.linspace(1.0, 1.0 / _C_GRID, _C_GRID):
         tv = tv_poisson_uniform_spike(nu, float(c) * prior.psi, prior.j_star)
@@ -152,7 +150,9 @@ class MultinomialSimplexPrior:
     remove it evenly from a random size-``m`` subset of the others.
 
     Categories ``2..j_star+1`` participate; the first coordinate is never
-    perturbed.  With ``m = 0`` every draw equals the null.
+    perturbed.  With ``m = 0`` every draw equals the null.  ``j_star``,
+    ``psi`` and ``m`` come from :func:`~supgof.rates.multinomial_rate`,
+    whose ``psi`` uses ``log(e j*)``.
     """
 
     base: SimplexVector
@@ -161,16 +161,13 @@ class MultinomialSimplexPrior:
     psi: float
     m: int
     c: float
-    c_tilde: float
 
     @classmethod
-    def build(
-        cls, q0: SimplexVector, n: float, c: float, c_tilde: float = math.e
-    ) -> "MultinomialSimplexPrior":
+    def build(cls, q0: SimplexVector, n: float, c: float) -> "MultinomialSimplexPrior":
         if not c > 0:  # NaN included
             raise ValueError(f"c must be positive, got {c!r}")
         n_val = sample_size_value(n)
-        profile = multinomial_rate(q0, n_val, c_tilde)
+        profile = multinomial_rate(q0, n_val)
         j_star, psi, m = profile.j_star, profile.psi, profile.m
         if q0.p < j_star + 1:
             raise ValueError("inconsistent critical index")
@@ -182,16 +179,14 @@ class MultinomialSimplexPrior:
                     f"c={c!r} is too large: removal {removal!r} exceeds the smallest "
                     f"perturbed cell {floor_prob!r}; see certified_simplex_c"
                 )
-        return cls(q0, n_val, j_star, psi, m, c, c_tilde)
+        return cls(q0, n_val, j_star, psi, m, c)
 
 
 def draw_multinomial_simplex_prior(
-    prior: MultinomialSimplexPrior, rng_seed, trials: int | None = None
-):
-    """Draw probability vectors from the simplex prior.
-
-    Returns a ``(trials, p)`` array, or one vector when ``trials`` is None.
-    """
+    prior: MultinomialSimplexPrior, rng_seed, trials: int = 1
+) -> np.ndarray:
+    """Draw ``trials`` probability vectors from the simplex prior as a
+    ``(trials, p)`` array; deterministic given the seed."""
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else rng_stream(rng_seed)
     t = _draw_count(trials)
     out = np.tile(prior.base.probs, (t, 1))
@@ -206,27 +201,24 @@ def draw_multinomial_simplex_prior(
         rows = np.repeat(np.arange(t), prior.m)
         out[np.arange(t), spike_idx] += prior.c * prior.psi / prior.n
         out[rows, removal_pos.ravel() + 1] -= prior.c * prior.psi / (prior.n * prior.m)
-    return out[0] if trials is None else out
+    return out
 
 
-def certified_simplex_c(
-    q0: SimplexVector, n: float, c_tilde: float = math.e
-) -> float:
+def certified_simplex_c(q0: SimplexVector, n: float) -> float:
     """Per-instance spike scale keeping every simplex-prior draw feasible.
 
     The removal per cell is ``c psi/(n m)``; bounding it by the smallest
     perturbed cell and applying a 0.9 safety factor gives
-    ``c = 0.9 * ceil(h^{-1}(log(e j*)/nu)) / h^{-1}(log(c_tilde j*)/nu)``
-    at ``nu = n q0^{-max}(j*)``.
+    ``c = 0.9 * ceil(h) / h`` with ``h = h^{-1}(log(e j*)/nu)`` at
+    ``nu = n q0^{-max}(j*)``.
     """
     n_val = sample_size_value(n)
-    profile = multinomial_rate(q0, n_val, c_tilde)
+    profile = multinomial_rate(q0, n_val)
     if profile.m == 0:
         return 0.9
     nu = n_val * float(q0.tail[profile.j_star - 1])
-    numer = math.ceil(h_inverse((1.0 + math.log(profile.j_star)) / nu))
-    denom = h_inverse((math.log(c_tilde) + math.log(profile.j_star)) / nu)
-    return 0.9 * numer / denom
+    h = h_inverse((1.0 + math.log(profile.j_star)) / nu)
+    return 0.9 * math.ceil(h) / h
 
 
 @dataclass(frozen=True)

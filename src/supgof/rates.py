@@ -95,18 +95,15 @@ def poisson_rate(mu: RateVector) -> RateProfile:
     return RateProfile(j_star, psi, 0, epsilon_star, regime, terms)
 
 
-def multinomial_rate(
-    q0: SimplexVector, n: float, c_tilde: float = math.e
-) -> RateProfile:
+def multinomial_rate(q0: SimplexVector, n: float) -> RateProfile:
     """Local sup-norm separation profile for the multinomial model.
 
     The third rate term ranges over the null with its largest cell removed
     (1-based index j over categories ``2..p``); zero cells contribute zero.
-    ``psi`` (count units) uses ``log(c_tilde * j_star)`` and is zero when the
-    mass-removal count ``m`` is zero.
+    The mass-removal count ``m = min(ceil(h^{-1}(log(e j*)/mu*)), j* - 1)``
+    and ``psi = mu* h^{-1}(log(e j*)/mu*)`` (count units, zero when ``m``
+    is zero) share one ``h^{-1}`` value at ``mu* = n q0^{-max}(j*)``.
     """
-    if c_tilde < math.e:
-        raise ValueError(f"c_tilde must be >= e, got {c_tilde!r}")
     n_val = sample_size_value(n)
     head = q0.head
     tail = q0.tail
@@ -128,13 +125,9 @@ def multinomial_rate(
     epsilon_star = parametric + float(gamma_terms.max())
     mu_star = n_val * float(tail[j_star - 1])
     if mu_star > 0:
-        m_raw = math.ceil(h_inverse((1.0 + math.log(j_star)) / mu_star))
-        m = min(m_raw, j_star - 1)
-        psi = (
-            mu_star * h_inverse((math.log(c_tilde) + math.log(j_star)) / mu_star)
-            if m >= 1
-            else 0.0
-        )
+        h_star = h_inverse((1.0 + math.log(j_star)) / mu_star)
+        m = min(math.ceil(h_star), j_star - 1)
+        psi = mu_star * h_star if m >= 1 else 0.0
         regime = _regime_label(1.0 + math.log(j_star), mu_star)
     else:
         m, psi, regime = 0, 0.0, "boundary"

@@ -196,7 +196,6 @@ def estimate_poisson_risk(
     eta: float,
     trials: int,
     seed: int,
-    c_prime: float | None = None,
 ) -> RiskEstimate:
     """Exact risk of the calibrated Poisson max test.
 
@@ -209,12 +208,7 @@ def estimate_poisson_risk(
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    cfg = (
-        PoissonTestConfig.from_eta(mu, eta)
-        if c_prime is None
-        else PoissonTestConfig.from_null(mu, c_prime)
-    )
-    box = cfg.acceptance_box(mu)
+    box = PoissonTestConfig.from_eta(mu, eta).acceptance_box(mu)
     prior = isinstance(alternative, PoissonSpikePrior)
     if prior:
         lam = alternative.base.rates
@@ -577,14 +571,13 @@ def estimate_multinomial_risk(
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Risk curve over a grid of separation multipliers ``xi``."""
+    """Risk curve over a grid of separation multipliers ``xi``, with the
+    null's advisory ``regime`` label (:mod:`supgof.rates`) on every row."""
 
     xi_grid: np.ndarray
     epsilons: np.ndarray
     risks: tuple[RiskEstimate, ...]
     regime: str
-    p: int
-    null_descriptor: str
 
     def __post_init__(self):
         xi = np.asarray(self.xi_grid, dtype=float)
@@ -651,10 +644,7 @@ def sweep_sharp_constant(
             log_a, _box_mass(box[pool], rates[pool] + eps), pool, rates, f" at xi={float(xi)!r}"
         )
         estimates.append(_exact(float(log_a.sum()), type2, seed))
-    regime = poisson_rate(mu).regime
-    return SweepResult(
-        xi_grid, epsilons, tuple(estimates), regime, mu.p, f"poisson(p={mu.p})"
-    )
+    return SweepResult(xi_grid, epsilons, tuple(estimates), poisson_rate(mu).regime)
 
 
 def sweep_multinomial_sharp_constant(
@@ -700,7 +690,7 @@ def sweep_multinomial_sharp_constant(
     for xi, eps in zip(xi_grid, epsilons.tolist()):
         if eps / m > probs[j_star] + 1e-15:
             raise ValueError("sweep alternative leaves the simplex; reduce xi or grow n")
-        prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0, c_tilde=math.e)
+        prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0)
         box = AcceptanceBox.around(center, n_prime * eps / xi, strict=True)
         if poissonized:
             type2 = _simplex_prior_type2(box, n, prior, f" at xi={float(xi)!r}")
@@ -711,12 +701,4 @@ def sweep_multinomial_sharp_constant(
             boxes[key] = _FixedNPrior(box, n, probs, j_star, m)
         state = boxes[key]
         estimates.append(RiskEstimate(1.0 - state.accept0, state.type2(prior), 0, seed, 0.0))
-    regime = multinomial_rate(q0, n).regime
-    return SweepResult(
-        xi_grid,
-        epsilons,
-        tuple(estimates),
-        regime,
-        q0.p,
-        f"multinomial(p={q0.p}, n={n})",
-    )
+    return SweepResult(xi_grid, epsilons, tuple(estimates), multinomial_rate(q0, n).regime)

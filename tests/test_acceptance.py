@@ -176,7 +176,7 @@ def test_criterion_5_parametric_chisq_identity():
     """Closed-form chi-square equals enumeration; bounded by e^{c^2} - 1."""
     start = time.time()
     rng = np.random.default_rng(51)
-    max_rel = 0.0
+    max_rel = -math.inf
     for i in range(50):
         p = int(rng.integers(2, 4))
         raw = rng.uniform(0.2, 1.0, p)

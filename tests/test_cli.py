@@ -53,6 +53,20 @@ class TestRateCommand:
         leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, where):
+        """Both once ended in a traceback, from ``mkstemp`` and from ``os.replace``."""
+        target = tmp_path / "out"
+        if where == "missing-directory":
+            target = target / "x.json"
+        else:
+            target.mkdir()  # the temp file is made beside it, in tmp_path
+        code, out, err = run_cli(capsys, "rate", "--null", POISSON_NULL, "--out", str(target))
+        assert code == 1
+        assert f"--out {target}" in err
+        assert out == ""
+        assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
+
     def test_null_json_array_is_data_error(self, tmp_path, capsys):
         spec = tmp_path / "null.json"
         spec.write_text("[1,2,3]")
@@ -125,8 +139,12 @@ class TestTestCommand:
             '{"model":"multinomial","probs":[0.5,0.5],"n":null}',
             '{"model":"multinomial","probs":[0.5,0.5],"n":[10]}',
             '{"model":"multinomial","probs":{"a":1},"n":10}',
+            # JSON true once passed as the number 1 (n = 1, a rate or probability of 1.0).
+            '{"model":"multinomial","probs":[0.5,0.5],"n":true}',
+            '{"model":"multinomial","probs":[1,false],"n":10}',
+            '{"model":"poisson","rates":[true,true]}',
         ],
-        ids=["n-zero", "n-negative", "n-null", "n-list", "probs-object"],
+        ids=["n-zero", "n-negative", "n-null", "n-list", "probs-object", "n-boolean", "probs-boolean", "rates-boolean"],
     )
     def test_bad_null_field_is_config_error(self, tmp_path, capsys, null):
         data = tmp_path / "counts.csv"
@@ -134,6 +152,23 @@ class TestTestCommand:
         code, out, err = run_cli(capsys, "test", "--null", null, "--data", str(data))
         assert code == 1
         assert "invalid null spec" in err
+        assert out == ""
+
+    def test_agreeing_model_flag_changes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        data.write_text("25,15,10\n40,5,5\n")
+        argv = ["test", "--null", MULT_NULL, "--data", str(data)]
+        plain = run_cli(capsys, *argv)
+        flagged = run_cli(capsys, *argv, "--model", "multinomial")
+        assert flagged == plain
+        assert plain[0] == 0
+
+    def test_disagreeing_model_flag_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        data.write_text("1,1,1\n")
+        code, out, err = run_cli(capsys, "test", "--null", POISSON_NULL, "--data", str(data), "--model", "multinomial")
+        assert code == 1
+        assert "multinomial" in err and "poisson" in err
         assert out == ""
 
     def test_missing_file_is_data_error(self, capsys):

@@ -15,7 +15,6 @@ from supgof.divergence import (
     certified_spike_risk_bound,
     chi_square_enumerated,
     chi_square_poisson_products,
-    exact_bayes_risk,
     hypergeometric_overlap_log_pmf,
     multinomial_conditional_chisq_bound,
     poisson_mixture,
@@ -465,8 +464,8 @@ class TestExactBayesRisk:
     def test_mixture_equal_null(self):
         null = poisson_product_dist([1.0, 1.0])
         mix = poisson_mixture([1.0], [[1.0, 1.0]])
-        res = exact_bayes_risk(null, mix)
-        assert res.value == pytest.approx(1.0, abs=1e-12)
+        tv = tv_distance(null, mix)
+        assert 1 - tv.value == pytest.approx(1.0, abs=1e-12)
 
     def test_two_point_risk_at_constant_separation(self):
         """Prop-style two-point instance: risk >= eta for c = (1-eta)^2."""
@@ -474,8 +473,8 @@ class TestExactBayesRisk:
         c = (1.0 - eta) ** 2
         null = poisson_product_dist([1.0, 1.0], 1e-12)
         mix = poisson_mixture([1.0], [[1.0 + c, 1.0]], 1e-12)
-        res = exact_bayes_risk(null, mix)
-        assert res.value - res.error_bar >= eta
+        tv = tv_distance(null, mix)
+        assert 1 - tv.value - tv.error_bar >= eta
 
 
 class TestConditionalChisqIdentity:

@@ -83,19 +83,19 @@ class TestCsvIngestion:
     def test_reads_with_and_without_header(self, tmp_path):
         f1 = tmp_path / "raw.csv"
         f1.write_text("1,2,3\n4,5,6\n")
-        np.testing.assert_array_equal(read_counts_csv(f1), [[1, 2, 3], [4, 5, 6]])
+        np.testing.assert_array_equal(read_counts_csv(f1, p_expected=3), [[1, 2, 3], [4, 5, 6]])
         f2 = tmp_path / "hdr.csv"
         f2.write_text("a,b,c\n1,2,3\n")
-        np.testing.assert_array_equal(read_counts_csv(f2), [[1, 2, 3]])
+        np.testing.assert_array_equal(read_counts_csv(f2, p_expected=3), [[1, 2, 3]])
 
     def test_rejects_ragged_and_negative(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("1,2\n3\n")
-        with pytest.raises(ValueError):
-            read_counts_csv(f)
+        with pytest.raises(ValueError, match="ragged"):
+            read_counts_csv(f, p_expected=2)
         f.write_text("1,-2\n")
-        with pytest.raises(ValueError):
-            read_counts_csv(f)
+        with pytest.raises(ValueError, match="nonnegative"):
+            read_counts_csv(f, p_expected=2)
 
     def test_expected_width_enforced(self, tmp_path):
         f = tmp_path / "w.csv"
@@ -109,14 +109,14 @@ class TestCsvIngestion:
         f = tmp_path / "first.csv"
         f.write_text(f"{first}\n1,1,1\n")
         with pytest.raises(ValueError, match="CSV row 1"):
-            read_counts_csv(f)
+            read_counts_csv(f, p_expected=3)
 
     @pytest.mark.parametrize("cell", ["inf", "1e400", "9223372036854775808", "-1e19"])
     def test_out_of_range_count_names_its_row(self, tmp_path, cell):
         f = tmp_path / "big.csv"
         f.write_text(f"1,2\n{cell},3\n")
         with pytest.raises(ValueError, match="CSV row 2"):
-            read_counts_csv(f)
+            read_counts_csv(f, p_expected=2)
 
     @pytest.mark.parametrize("count", [9_007_199_254_740_993, 9_223_372_036_854_775_807])
     def test_integer_cells_read_exactly(self, tmp_path, count):
@@ -124,11 +124,11 @@ class TestCsvIngestion:
         and pushes the second out of range."""
         f = tmp_path / "exact.csv"
         f.write_text(f"c1,c2\n{count},0\n")
-        table = read_counts_csv(f)
+        table = read_counts_csv(f, p_expected=2)
         assert table.dtype == np.int64
         assert int(table[0, 0]) == count
 
     def test_integral_float_spellings_still_read(self, tmp_path):
         f = tmp_path / "floats.csv"
         f.write_text("3.0,1e3,+4,-0.0\n")
-        np.testing.assert_array_equal(read_counts_csv(f), [[3, 1000, 4, 0]])
+        np.testing.assert_array_equal(read_counts_csv(f, p_expected=4), [[3, 1000, 4, 0]])

@@ -206,7 +206,9 @@ class TestSimplexPrior:
     def test_single_draw_matches_contract(self):
         q0, n = self._uniform_null(p=10, n=25.0)
         prior = MultinomialSimplexPrior.build(q0, n, certified_simplex_c(q0, n))
-        q = draw_multinomial_simplex_prior(prior, 6)
+        draws = draw_multinomial_simplex_prior(prior, 6)
+        assert draws.shape == (1, q0.p)
+        q = draws[0]
         assert q.sum() == pytest.approx(1.0, abs=1e-12)
         assert (q < q0.probs - 1e-15).sum() == prior.m
 

@@ -116,14 +116,6 @@ class TestMultinomialRate:
         # The decay is logarithmic in 1/q, so only check it keeps shrinking.
         assert vals[-1] < 0.5 * vals[below][0]
 
-    def test_psi_uses_c_tilde(self):
-        q0 = SimplexVector(np.full(60, 1.0 / 60))
-        n = 80.0
-        base = multinomial_rate(q0, n)
-        inflated = multinomial_rate(q0, n, c_tilde=50.0)
-        assert inflated.psi > base.psi
-        assert inflated.j_star == base.j_star
-
 
 class TestProbAllObserved:
     def test_log2_rates(self):

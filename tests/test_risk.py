@@ -445,7 +445,7 @@ class TestExactProductRisk:
     )
     def test_poissonized_simplex_prior_matches_enumeration(self, probs, n, j_star, m, psi):
         q0 = SimplexVector(probs)
-        prior = MultinomialSimplexPrior(q0, n, j_star, psi, m, 1.0, math.e)
+        prior = MultinomialSimplexPrior(q0, n, j_star, psi, m, 1.0)
         cfg = MultinomialTestConfig.from_eta(q0, n, 0.3)
         rows = (
             _simplex_components(probs, j_star, m, psi / n, psi / (n * m)) if m else [q0.probs]
@@ -533,12 +533,21 @@ class TestZeroProbabilityPoolBox:
 
     @pytest.mark.parametrize("rate", [0.5, 2.5], ids=["below-zero-edge", "overlapping-tails"])
     def test_empty_box(self, rate):
-        """C' = 1 at p = 1 gives a zero threshold, so no count lies within it of the rate."""
+        """A zero threshold leaves no count within it of the rate: the box is empty.
+
+        The risk is assembled from the box as ``estimate_poisson_risk`` does,
+        at a fixed alternative and under the spike prior.
+        """
         mu = RateVector([rate])
-        risk = estimate_poisson_risk(mu, [4.0], 0.2, 100, 0, c_prime=1.0)
+        box = AcceptanceBox.around(mu.rates, 0.0, strict=False)
+        assert box.hi[0] < box.lo[0]
+        log_a = risk_module._box_log_mass(box, mu.rates)
+        type2 = math.exp(float(risk_module._box_log_mass(box, np.array([4.0])).sum()))
+        risk = risk_module._exact(float(log_a.sum()), type2, 0)
         assert (risk.type1, risk.type2) == (1.0, 0.0)
+        spiked = risk_module._box_mass(box, mu.rates + PoissonSpikePrior.build(mu, 0.5).spike)
         with pytest.raises(FloatingPointError, match="coordinate 1 "):
-            estimate_poisson_risk(mu, PoissonSpikePrior.build(mu, 0.5), 0.2, 100, 0, c_prime=1.0)
+            risk_module._leave_one_out_type2(log_a, spiked, slice(0, 1), mu.rates)
 
     def test_spike_prior_route(self):
         mu = RateVector([1e300, 1.0])
@@ -547,7 +556,7 @@ class TestZeroProbabilityPoolBox:
 
     def test_simplex_prior_route(self):
         q0 = SimplexVector([0.5, 0.3, 0.2])
-        prior = MultinomialSimplexPrior(q0, 1e300, 2, 1e299, 1, 1.0, math.e)
+        prior = MultinomialSimplexPrior(q0, 1e300, 2, 1e299, 1, 1.0)
         with pytest.raises(FloatingPointError, match="coordinate 2 "):
             estimate_multinomial_risk(q0, 1e300, prior, 0.2, 100, 0, poissonized=True)
 
@@ -609,7 +618,7 @@ class TestExactFixedN:
     )
     def test_simplex_prior_matches_enumeration(self, probs, n, j_star, m, psi):
         q0 = SimplexVector(probs)
-        prior = MultinomialSimplexPrior(q0, float(n), j_star, psi, m, 1.0, math.e)
+        prior = MultinomialSimplexPrior(q0, float(n), j_star, psi, m, 1.0)
         x = _multinomial_table(n, q0.p)
         accept = _multinomial_accepts(x, q0, n, MultinomialTestConfig.from_eta(q0, n, 0.3))
         rows = _simplex_components(probs, j_star, m, psi / n, psi / (n * m)) if m else [q0.probs]
@@ -623,7 +632,7 @@ class TestExactFixedN:
     def test_prior_on_another_base(self, poissonized):
         """Type I comes from the null, Type II from the prior's own base in every cell."""
         q0, base, n = SimplexVector([0.5, 0.3, 0.2]), SimplexVector([0.4, 0.35, 0.25]), 12
-        prior = MultinomialSimplexPrior(base, float(n), 2, 1.2, 1, 1.0, math.e)
+        prior = MultinomialSimplexPrior(base, float(n), 2, 1.2, 1, 1.0)
         laws = [q0.probs, *_simplex_components(base.probs, 2, 1, 0.1, 0.1)]
         if poissonized:
             x = _count_grid([40] * 3)
