@@ -95,20 +95,42 @@ def _emit(text: str, out: str | None, summary: str) -> None:
             sys.stdout.write("\n")
 
 
+def _holds_bool(value) -> bool:
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    kinds = set(map(type, value))  # one C-level pass over a long list of numbers
+    return bool in kinds or (list in kinds and any(_holds_bool(v) for v in value if type(v) is list))
+
+
 def _numeric_field(payload: dict, field: str):
-    """``payload[field]``; a JSON boolean there, or in its list, is a
-    ``TypeError``, since Python would read ``true`` as the number 1."""
+    """``payload[field]``; a JSON boolean there, or in its (nested) lists, is
+    a ``TypeError``, since Python would read ``true`` as the number 1."""
     value = payload[field]
-    if isinstance(value, bool) or (isinstance(value, list) and any(isinstance(v, bool) for v in value)):
+    if _holds_bool(value):
         raise TypeError(f'field "{field}" holds a boolean, not a number')
     return value
+
+
+def _poisson_null(payload: dict) -> RateVector:
+    """The rates, or the ``[rate, count]`` runs, of a Poisson null spec."""
+    if "runs" not in payload:
+        return RateVector(np.asarray(_numeric_field(payload, "rates"), dtype=float))
+    if "rates" in payload:
+        raise ConfigError('a poisson null spec gives "rates" or "runs", not both')
+    runs = np.asarray(_numeric_field(payload, "runs"), dtype=float)
+    if runs.ndim != 2 or runs.shape[1] != 2:
+        raise ValueError('"runs" must be a list of [rate, count] pairs')
+    return RateVector.from_runs(runs[:, 0], runs[:, 1])
 
 
 def _load_null(spec: str | None):
     """Null spec: path to, or inline, JSON.
 
     Schema: ``{"model": "poisson"|"multinomial", "rates"|"probs": [...],
-    "n": number}`` (``n`` for the multinomial model only).
+    "n": number}`` (``n`` for the multinomial model only).  A Poisson null
+    may give ``"runs": [[rate, count], ...]`` in place of ``"rates"``: each
+    count an integer (an integral float up to 2^53 included), for nulls too
+    large to list; :mod:`supgof.model` caps the dense rates built from them.
     """
     if not spec:
         raise ConfigError("missing required field: --null")
@@ -126,7 +148,7 @@ def _load_null(spec: str | None):
     model = payload.get("model")
     try:
         if model == "poisson":
-            return "poisson", RateVector(np.asarray(_numeric_field(payload, "rates"), dtype=float)), None
+            return "poisson", _poisson_null(payload), None
         if model == "multinomial":
             if "n" not in payload:
                 raise ConfigError("missing required field: n (multinomial null)")

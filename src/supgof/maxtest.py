@@ -152,10 +152,11 @@ class PoissonTestConfig:
 
     @classmethod
     def from_null(cls, mu: RateVector, c_prime: float) -> "PoissonTestConfig":
-        js = np.arange(1, mu.p + 1, dtype=float)
+        rates = mu.rates
+        js = np.arange(1, rates.size + 1, dtype=float)
         with np.errstate(over="ignore"):  # an infinite argument fails h_inverse's own check
-            args = (math.log(c_prime) + 2.0 * np.log(js)) / mu.rates
-        return cls(c_prime, mu.rates * h_inverse(args))
+            args = (math.log(c_prime) + 2.0 * np.log(js)) / rates
+        return cls(c_prime, rates * h_inverse(args))
 
     @classmethod
     def from_eta(cls, mu: RateVector, eta: float) -> "PoissonTestConfig":

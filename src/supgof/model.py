@@ -1,7 +1,9 @@
 """Null/data containers, random streams and the count-table reader.
 
 The nulls are stored sorted non-increasing, matching the convention under
-which every rate formula in :mod:`supgof.rates` is written.
+which every rate formula in :mod:`supgof.rates` is written.  A Poisson null
+may also be given as runs of equal rates, so that ``p`` far beyond memory
+(up to 2^53) is a few numbers.
 
 Random streams are derived from a counter-based generator (Philox) keyed by
 the seed plus an arbitrary integer path, so prior draws for different
@@ -27,6 +29,10 @@ __all__ = [
 ]
 
 SIMPLEX_SUM_TOL = 1e-12
+# The most coordinates a null may have: every index up to 2^53 is exact in float64.
+MAX_P = 2**53
+# The most coordinates a null built from runs expands to in its dense rate array (80 MB).
+DENSE_RATES_CAP = 10**7
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -45,24 +51,90 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _check_rates(arr: np.ndarray, name: str) -> None:
+    if np.any(np.diff(arr) > 0):
+        raise ValueError(f"{name} must be sorted non-increasing")
+    if arr[-1] <= 0.0:
+        raise ValueError(f"{name} must be strictly positive")
+
+
 class RateVector:
-    """Poisson null rates, sorted non-increasing and strictly positive."""
+    """Poisson null rates, sorted non-increasing and strictly positive.
 
-    rates: np.ndarray
+    ``RateVector(rates)`` takes the rates one per coordinate;
+    :meth:`from_runs` takes runs of equal rates, so ``p`` may reach
+    ``MAX_P``.  :attr:`runs` gives the runs either way.  The dense
+    :attr:`rates` of a null built from runs is formed on first use, and only
+    up to ``DENSE_RATES_CAP`` coordinates: past it a ``ValueError`` names
+    the cap.
+    """
 
-    def __post_init__(self):
-        arr = _as_float_vector(self.rates, "rates")
-        if np.any(np.diff(arr) > 0):
-            raise ValueError("rates must be sorted non-increasing")
-        if arr[-1] <= 0.0:
-            raise ValueError("rates must be strictly positive")
-        object.__setattr__(self, "rates", arr)
+    __slots__ = ("_rates", "_runs", "_p")
+
+    def __init__(self, rates):
+        arr = _as_float_vector(rates, "rates")
+        _check_rates(arr, "rates")
         arr.setflags(write=False)
+        self._rates, self._runs, self._p = arr, None, arr.size
+
+    @classmethod
+    def from_runs(cls, values, counts) -> "RateVector":
+        """The null of ``counts[g]`` coordinates at rate ``values[g]``, for each run ``g``.
+
+        ``values`` must be non-increasing and positive; each count must be
+        an integer (an integral float included) of at least 1, and their
+        sum, ``p``, at most ``MAX_P``.
+        """
+        vals = _as_float_vector(values, "run rates")
+        _check_rates(vals, "run rates")
+        cnt = np.asarray(counts)
+        if cnt.dtype.kind not in "iuf" or cnt.shape != vals.shape:
+            raise ValueError("run counts must be numbers, one per run rate")
+        if not np.all((cnt >= 1) & (cnt <= MAX_P) & (np.floor(cnt) == cnt)):
+            raise ValueError(f"run counts must be integers in [1, {MAX_P}]")
+        cnt = cnt.astype(np.int64)
+        p = int(cnt.sum())  # wraps only where the float sum is far past MAX_P
+        if cnt.sum(dtype=float) > MAX_P or p > MAX_P:
+            raise ValueError(f"a null of more than MAX_P = {MAX_P} coordinates")
+        for arr in (vals, cnt):
+            arr.setflags(write=False)
+        out = cls.__new__(cls)
+        out._rates, out._runs, out._p = None, (vals, cnt), p
+        return out
 
     @property
     def p(self) -> int:
-        return self.rates.size
+        return self._p
+
+    @property
+    def rates(self) -> np.ndarray:
+        """One rate per coordinate, read-only."""
+        if self._rates is None:
+            if self._p > DENSE_RATES_CAP:
+                raise ValueError(
+                    f"a null of p = {self._p} coordinates has no dense rate array: "
+                    f"over the cap of DENSE_RATES_CAP = {DENSE_RATES_CAP}"
+                )
+            self._rates = np.repeat(*self._runs)
+            self._rates.setflags(write=False)
+        return self._rates
+
+    @property
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, counts)``: the rates of the runs, in order, and their lengths.
+
+        A null built from dense rates has its maximal runs, and when every
+        rate is distinct ``values`` is :attr:`rates` itself.
+        """
+        if self._runs is None:
+            rates = self._rates
+            ends = np.r_[np.flatnonzero(np.diff(rates)) + 1, rates.size]
+            values = rates if ends.size == rates.size else rates[ends - 1]
+            counts = np.diff(ends, prepend=0)
+            for arr in (values, counts):
+                arr.setflags(write=False)
+            self._runs = (values, counts)
+        return self._runs
 
 
 @dataclass(frozen=True)

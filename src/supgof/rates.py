@@ -4,6 +4,13 @@ All logarithms are natural; ``log(e j)`` is computed as ``1 + log(j)``.  The
 argmax index ``j_star`` is 1-based and ties break to the smallest index.
 The ``regime`` label compares ``log(e j*)`` against the critical coordinate's
 mean and is advisory metadata only; no decision procedure branches on it.
+
+The Poisson sharp-constant level and the regime label are computed on the
+runs of equal rates of the null (:attr:`~supgof.model.RateVector.runs`):
+their objectives grow with ``j`` inside a run, so only run ends are
+evaluated, in O(#runs), and a null of any ``p`` given as runs needs no
+dense rate array.  :func:`poisson_rate` reports every coordinate's term
+and so works on the dense rates.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .special import gamma_rate, h_inverse
 __all__ = [
     "RateProfile",
     "poisson_rate",
+    "poisson_regime",
     "multinomial_rate",
     "prob_all_observed",
     "sharp_constant_epsilon",
@@ -76,6 +84,21 @@ def _argmax_smallest(terms: np.ndarray) -> int:
     return int(np.argmax(terms)) + 1  # np.argmax returns the first maximizer
 
 
+def _peak_on_run_ends(mu: RateVector, level) -> tuple[float, int, float]:
+    """``(max_j mu_j h^{-1}(level(j) / mu_j), j*, mu_{j*})`` over the runs of ``mu``.
+
+    ``level`` grows with ``j``, so within a run of equal rates the objective
+    peaks at the run's last index: only run ends are evaluated, ``j*`` is
+    the end of a run, and ties between runs break to the smallest index.
+    """
+    values, counts = mu.runs
+    ends = np.cumsum(counts, dtype=float)
+    with np.errstate(over="ignore"):  # an infinite argument fails h_inverse's own check
+        terms = values * h_inverse(level(ends) / values)
+    g = int(np.argmax(terms))
+    return float(terms[g]), int(ends[g]), float(values[g])
+
+
 def poisson_rate(mu: RateVector) -> RateProfile:
     """Local sup-norm separation profile for the Poisson-product model.
 
@@ -93,6 +116,12 @@ def poisson_rate(mu: RateVector) -> RateProfile:
     psi = float(terms[j_star - 1])
     regime = _regime_label(1.0 + math.log(j_star), float(rates[j_star - 1]))
     return RateProfile(j_star, psi, 0, epsilon_star, regime, terms)
+
+
+def poisson_regime(mu: RateVector) -> str:
+    """The ``regime`` label of :func:`poisson_rate`, from its objective on run ends only."""
+    _, j_star, mu_star = _peak_on_run_ends(mu, _log_ej)
+    return _regime_label(1.0 + math.log(j_star), mu_star)
 
 
 def multinomial_rate(q0: SimplexVector, n: float) -> RateProfile:
@@ -188,15 +217,14 @@ def sharp_constant_epsilons(
 ) -> tuple[np.ndarray, int]:
     """:func:`sharp_constant_epsilon` over a grid of ``xi``: ``(epsilons, j*)``.
 
-    The ``xi``-free objective and its critical index are computed once.
+    The ``xi``-free objective and its critical index are computed once, on
+    the run ends of ``mu`` only, so in O(#runs).
     """
     xi_grid = _check_sharp_constant_grid(alpha_p, xi_grid)
-    rates = mu.rates
-    if rates[-1] < 1.0:
+    if mu.runs[0][-1] < 1.0:
         raise ValueError("the sharp-constant setup assumes all rates >= 1")
-    js = np.arange(1, rates.size + 1, dtype=float)
-    terms = rates * h_inverse(_inflated_log(js, alpha_p) / rates)
-    return _scaled_by_grid(xi_grid, float(terms.max())), _argmax_smallest(terms)
+    level, j_star, _ = _peak_on_run_ends(mu, lambda js: _inflated_log(js, alpha_p))
+    return _scaled_by_grid(xi_grid, level), j_star
 
 
 def multinomial_sharp_constant_epsilons(

@@ -36,7 +36,7 @@ from .priors import MultinomialSimplexPrior, PoissonSpikePrior
 from .rates import (
     multinomial_rate,
     multinomial_sharp_constant_epsilons,
-    poisson_rate,
+    poisson_regime,
     sharp_constant_epsilons,
 )
 from .special import AtomBudgetError
@@ -135,6 +135,7 @@ def _leave_one_out_type2(
     where: str = "",
     log_d: np.ndarray | None = None,
     m: int = 0,
+    counts: np.ndarray | None = None,
 ) -> float:
     """Exact Type II under a spike placed uniformly on the cells of ``pool``.
 
@@ -146,21 +147,28 @@ def _leave_one_out_type2(
     over the subsets multiplies that term by ``e_m(r_{-s}) / C(|pool| - 1, m)``
     with ``r_i = d_i / a_i`` (:func:`_log_mean_subset_products`).
 
+    With ``counts`` (and ``m = 0``) entry ``i`` stands for a run of
+    ``counts[i]`` equal cells: the product is ``prod_i a_i^{counts[i]}`` and
+    each pool term is weighted by its run's share of the pool.  Without it
+    every entry is one cell.
+
     The terms are formed as ``exp(sum log a - log a_s + ...)``, undefined
     when a pool cell has ``a_s = 0`` in float64 (an empty box, or one a huge
     rate collapses below its float spacing): that raises
     ``FloatingPointError`` naming the cell.
     """
+    counts = np.ones(log_a.size) if counts is None else counts
     log_a_pool = log_a[pool]
     empty = np.flatnonzero(np.isneginf(log_a_pool))
     if empty.size:
-        j = pool.start + int(empty[0])
+        g = pool.start + int(empty[0])
         raise FloatingPointError(
-            f"acceptance box of coordinate {j + 1} (rate {float(rates[j])!r}) has zero "
-            f"null probability{where}; its leave-one-out Type II term is undefined"
+            f"acceptance box of coordinate {int(np.sum(counts[:g])) + 1} (rate {float(rates[g])!r}) "
+            f"has zero null probability{where}; its leave-one-out Type II term is undefined"
         )
     log_w = 0.0 if m == 0 else _log_mean_subset_products(log_d - log_a_pool, m)
-    return float(np.mean(np.exp(log_a.sum() - log_a_pool + log_w) * b))
+    terms = np.exp(np.sum(counts * log_a) - log_a_pool + log_w) * b
+    return float(np.sum(counts[pool] * terms) / np.sum(counts[pool]))
 
 
 def _simplex_prior_type2(
@@ -617,34 +625,46 @@ def sweep_sharp_constant(
     trials: int,
     seed: int,
 ) -> SweepResult:
-    """Poisson sharp-constant sweep, computed exactly.
+    """Poisson sharp-constant sweep, computed exactly over the runs of ``mu``.
 
     At each ``xi`` the separation is the inflated-log level ``eps(xi)``, the
     test rejects when ``||X - mu||_inf >= eps(xi)/xi`` (the threshold is the
     ``xi``-free level), and Type II is Bayes risk under the uniform spike of
     magnitude ``eps(xi)`` on the first ``j*`` coordinates.
 
-    The test accepts exactly when every count lies in its acceptance box, so
-    with ``a_j = P_{mu_j}(box_j)`` and ``b_j = P_{mu_j + eps}(box_j)`` the
-    risk is ``type1 = 1 - prod_j a_j`` and
-    ``type2 = mean_{j <= j*} b_j prod_{i != j} a_i``, in O(p) per ``xi``.
-    ``trials`` and ``seed`` are not used: each row reports 0 trials, a zero
-    ``ci`` and ``seed`` as passed.  A box among the first ``j*`` with zero
-    null probability in float64 raises ``FloatingPointError``.
+    The test accepts exactly when every count lies in its acceptance box.
+    ``j*`` ends a run (:func:`~supgof.rates.sharp_constant_epsilons`), so
+    the pool ``1..j*`` is whole runs; with ``n_g`` cells of rate ``mu_g`` in
+    run ``g``, ``a_g = P_{mu_g}(box_g)`` and ``b_g = P_{mu_g + eps}(box_g)``,
+    the risk is ``type1 = 1 - prod_g a_g^{n_g}`` and
+    ``type2 = sum_{g in pool} (n_g / j*) b_g prod_h a_h^{n_h} / a_g``, in
+    O(#runs) per ``xi``: a null built from runs sweeps at any ``p`` without
+    its dense rates.  The threshold does not depend on ``xi``, so whenever
+    two boxes are equal (they are compared, not assumed equal) one ``log a``
+    serves every such ``xi``.  ``trials`` must be at least 1 but is not used,
+    nor is ``seed``: each row reports 0 trials, a zero ``ci`` and ``seed``
+    as passed.  A box among the first ``j*`` with zero null probability in
+    float64 raises ``FloatingPointError``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     xi_grid = np.asarray(list(xi_grid), dtype=float)
     epsilons, j_star = sharp_constant_epsilons(mu, alpha_p, xi_grid)
-    rates = mu.rates
-    pool = slice(0, j_star)
+    values, counts = mu.runs
+    pool = slice(0, int(np.searchsorted(np.cumsum(counts), j_star)) + 1)
     estimates = []
+    boxes: dict[tuple[bytes, bytes], np.ndarray] = {}
     for xi, eps in zip(xi_grid, epsilons):
-        box = AcceptanceBox.around(rates, eps / xi, strict=True)
-        log_a = _box_log_mass(box, rates)
+        box = AcceptanceBox.around(values, eps / xi, strict=True)
+        key = (box.lo.tobytes(), box.hi.tobytes())
+        if key not in boxes:
+            boxes[key] = _box_log_mass(box, values)
+        log_a = boxes[key]
         type2 = _leave_one_out_type2(
-            log_a, _box_mass(box[pool], rates[pool] + eps), pool, rates, f" at xi={float(xi)!r}"
+            log_a, _box_mass(box[pool], values[pool] + eps), pool, values, f" at xi={float(xi)!r}", counts=counts
         )
-        estimates.append(_exact(float(log_a.sum()), type2, seed))
-    return SweepResult(xi_grid, epsilons, tuple(estimates), poisson_rate(mu).regime)
+        estimates.append(_exact(float(np.sum(counts * log_a)), type2, seed))
+    return SweepResult(xi_grid, epsilons, tuple(estimates), poisson_regime(mu))
 
 
 def sweep_multinomial_sharp_constant(

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from supgof import cli
 from supgof.cli import main
-from supgof.model import RateVector
+from supgof.model import DENSE_RATES_CAP, RateVector
 from supgof.rates import poisson_rate
+from supgof.risk import sweep_sharp_constant
 
 POISSON_NULL = '{"model":"poisson","rates":[1,1,1]}'
 MULT_NULL = '{"model":"multinomial","probs":[0.5,0.3,0.2],"n":50}'
@@ -354,6 +355,31 @@ class TestRiskAndSweep:
         assert "trials" in err
         assert out == ""
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_poisson_sweep_trials_below_one_is_config_error(self, capsys, trials):
+        """The Poisson sweep once exited 0 whatever ``--trials`` held."""
+        code, out, err = run_cli(capsys, "sweep", "--null", '{"model":"poisson","rates":[3,2,1]}', "--trials", trials)
+        assert code == 1
+        assert "trials must be at least 1" in err
+        assert out == ""
+
+    def test_sweep_over_runs_at_paper_scale(self, capsys):
+        """A flat null of 1e15 coordinates, given as one run, sweeps exactly."""
+        null = '{"model":"poisson","runs":[[1.0, 1e15]]}'
+        code, out, _err = run_cli(capsys, "sweep", "--null", null, "--xi-grid", "0.8,1.4")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        expected = sweep_sharp_constant(RateVector.from_runs([1.0], [10**15]), [0.8, 1.4], math.log(1e15), 1, 0)
+        assert rows == expected.rows()
+        assert [round(r["total"], 3) for r in rows] == [0.826, 0.054]
+
+    @pytest.mark.parametrize("command", [["rate"], ["prior", "--c", "0.5"], ["verify", "flattening"], ["risk", "--c", "0.5"]])
+    def test_dense_only_command_past_the_cap_is_config_error(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--null", '{"model":"poisson","runs":[[1.0, 1e15]]}')
+        assert code == 1
+        assert "DENSE_RATES_CAP" in err
+        assert out == ""
+
     def test_bad_alpha_rule_is_config_error(self, capsys):
         code, _o, err = run_cli(
             capsys, "sweep", "--null", POISSON_NULL, "--alpha-rule", "bogus", "--trials", "200"
@@ -455,16 +481,44 @@ _VECTORS = st.one_of(
 )
 
 
+_RUNS = st.one_of(
+    st.sampled_from([[[3, 1], [1, 2]], [[2, 2.0]], [[1.0, 1e15]]]),
+    st.lists(st.lists(_VALUES, min_size=2, max_size=2), max_size=3),
+    _VECTORS,
+)
+
+
 @st.composite
 def _null_specs(draw) -> str:
     if draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from(["[1, 2]", "3", "null", '"s"', "{"]))
     model = draw(st.sampled_from(["poisson", "multinomial", "poisson", "multinomial", "gamma", None]))
     spec = {"model": model}
-    for key, values in (("rates", _VECTORS), ("probs", _VECTORS), ("n", _VALUES)):
+    for key, values in (("rates", _VECTORS), ("probs", _VECTORS), ("n", _VALUES), ("runs", _RUNS)):
         if draw(st.integers(0, 3)):
             spec[key] = draw(values)
     return json.dumps(spec)
+
+
+@st.composite
+def _broken_runs_specs(draw) -> tuple[str, bool]:
+    """A Poisson ``runs`` null spec that breaks one rule, and whether the
+    break is only a ``p`` past the dense cap."""
+    runs = [[3.0, 2], [2.0, 1], [1.0, 3]][: draw(st.integers(1, 3))]
+    spec = {"model": "poisson", "runs": runs}
+    i = draw(st.integers(0, len(runs) - 1))
+    defect = draw(st.sampled_from(["boolean", "count", "increasing", "both", "over-cap"]))
+    if defect == "boolean":
+        runs[i][draw(st.integers(0, 1))] = draw(st.booleans())
+    elif defect == "count":
+        runs[i][1] = draw(st.sampled_from([1.5, 0, 0.0, -1, -3.0, 1e-300, 2**53 + 2, 1e300]))
+    elif defect == "increasing":
+        runs.insert(i + 1, [runs[i][0] + 0.5, 1])
+    elif defect == "both":
+        spec["rates"] = draw(st.sampled_from([[1, 1, 1], [], None]))
+    else:
+        runs[i][1] = draw(st.sampled_from([DENSE_RATES_CAP + 1, 1e15]))
+    return json.dumps(spec), defect == "over-cap"
 
 
 def _exit_code(argv) -> int:
@@ -558,6 +612,34 @@ class TestExitCodeContract:
             elif xi_grid is not None:
                 argv += ["--xi-grid", xi_grid]
             _exit_code(argv)
+
+        run()
+
+    def test_fuzzed_runs_specs(self, tmp_path):
+        """A broken ``runs`` spec exits 1 or 2 from every subcommand; a ``p``
+        past the dense cap does too, except from ``sweep``, which needs no
+        dense rates and exits 0."""
+        data = tmp_path / "counts.csv"
+        data.write_text("1,1,1\n")
+        options = {
+            "test": ["--data", str(data)],
+            "prior": ["--c", "0.5"],
+            "verify": ["flattening"],
+            "risk": ["--c", "0.5"],
+        }
+
+        @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+        @given(
+            command=st.sampled_from(["rate", "test", "prior", "verify", "risk", "sweep"]),
+            case=_broken_runs_specs(),
+        )
+        def run(command, case):
+            spec, over_cap = case
+            code = _exit_code([command, *options.get(command, []), "--null", spec])
+            if over_cap and command == "sweep":
+                assert code == 0
+            else:
+                assert code in (1, 2)
 
         run()
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from supgof.model import (
+    DENSE_RATES_CAP,
+    MAX_P,
     CountVector,
     RateVector,
     SimplexVector,
@@ -68,6 +70,58 @@ class TestContainers:
         rv = RateVector([2.0, 1.0])
         with pytest.raises(ValueError):
             rv.rates[0] = 5.0
+
+
+class TestRateRuns:
+    def test_runs_of_dense_rates(self):
+        values, counts = RateVector([5.0, 3.0, 3.0, 1.0, 1.0, 1.0]).runs
+        assert (values.tolist(), counts.tolist()) == ([5.0, 3.0, 1.0], [1, 2, 3])
+        distinct = RateVector([3.0, 2.0, 1.0])
+        assert distinct.runs[0] is distinct.rates  # no second p-length float array
+
+    def test_from_runs_expands_on_demand(self):
+        mu = RateVector.from_runs([5.0, 3.0, 1.0], [1, 2.0, 3])
+        assert mu.p == 6 and type(mu.p) is int
+        assert mu.rates.tolist() == [5.0, 3.0, 3.0, 1.0, 1.0, 1.0]
+        with pytest.raises(ValueError):
+            mu.rates[0] = 1.0
+        with pytest.raises(ValueError):
+            mu.runs[1][0] = 4
+
+    @pytest.mark.parametrize(
+        "values, counts",
+        [
+            ([1.0, 2.0], [1, 1]),
+            ([1.0, 0.0], [1, 1]),
+            ([math.nan], [1]),
+            ([], []),
+            ([1.0], [True]),
+            ([1.0], [1.5]),
+            ([1.0], [0]),
+            ([1.0], [-2]),
+            ([1.0], [math.nan]),
+            ([1.0], [math.inf]),
+            ([1.0], ["3"]),
+            ([1.0], [1, 1]),
+            ([1.0], [2**53 + 1]),
+            ([2.0, 1.0], [2**53, 1]),
+            ([1.0] * 3, [2**62] * 3),
+        ],
+        ids=lambda v: repr(v)[:20],
+    )
+    def test_from_runs_validation(self, values, counts):
+        with pytest.raises(ValueError):
+            RateVector.from_runs(values, counts)
+
+    def test_p_reaches_max_p(self):
+        assert RateVector.from_runs([1.0], [MAX_P]).p == MAX_P
+        assert RateVector.from_runs([1.0], [float(MAX_P)]).p == MAX_P
+
+    def test_dense_view_is_capped(self):
+        mu = RateVector.from_runs([2.0, 1.0], [DENSE_RATES_CAP, 1])
+        assert mu.p == DENSE_RATES_CAP + 1
+        with pytest.raises(ValueError, match=f"DENSE_RATES_CAP = {DENSE_RATES_CAP}"):
+            mu.rates
 
 
 class TestRngStreams:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp, pdtrc
@@ -19,7 +21,7 @@ from supgof.priors import (
     certified_simplex_c,
     draw_multinomial_simplex_prior,
 )
-from supgof.rates import multinomial_sharp_constant_epsilons, sharp_constant_epsilon
+from supgof.rates import multinomial_sharp_constant_epsilons, poisson_rate, sharp_constant_epsilon
 from supgof.risk import (
     _fixed_n_accept,
     _log_mean_subset_products,
@@ -29,7 +31,7 @@ from supgof.risk import (
     sweep_multinomial_sharp_constant,
     sweep_sharp_constant,
 )
-from supgof.special import AtomBudgetError
+from supgof.special import AtomBudgetError, h_inverse
 
 
 class TestPoissonRisk:
@@ -175,6 +177,12 @@ class TestSweeps:
         with pytest.raises(ValueError, match="trials"):
             sweep_multinomial_sharp_constant(q0, 100, [1.0], 3.0, trials, 0)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_poisson_sweep_needs_a_trial(self, trials):
+        """The Poisson sweep once ran on any ``trials``; it now checks as the multinomial one does."""
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            sweep_sharp_constant(RateVector([3.0, 2.0, 1.0]), [1.0], 3.0, trials, 0)
+
     @pytest.mark.parametrize("alpha_p", [math.inf, math.nan, 1.0])
     def test_alpha_must_be_finite_and_above_one(self, alpha_p):
         """NaN and +inf once passed ``alpha_p <= 1`` and failed inside ``h_inverse``."""
@@ -277,6 +285,125 @@ class TestExactPoissonSweep:
             for k, risk in enumerate(res.risks):
                 assert _wilson_contains(int(rejects[k]), n, risk.type1, 4.0)
                 assert _wilson_contains(int(accepts[k]), n, risk.type2, 4.0)
+
+
+def _dense_sweep(rates: np.ndarray, xi_grid, alpha_p: float) -> list[tuple[float, float, float]]:
+    """``(epsilon, type1, type2)`` per ``xi`` from every coordinate's own box: no runs.
+
+    The objective is maximized over all ``j``; each box holds the integers
+    ``x >= 0`` with ``|x - mu_j| < eps / xi``; Type I is ``1 - prod_j a_j``
+    and Type II the mean over ``j <= j*`` of ``b_j prod_{i != j} a_i``.
+    """
+    js = np.arange(1, rates.size + 1, dtype=float)
+    level = 1.0 + np.log(js) + math.log(alpha_p) + 2.0 * np.log1p(np.log(js))
+    terms = rates * h_inverse(level / rates)
+    j_star = int(np.argmax(terms)) + 1
+    out = []
+    for xi in xi_grid:
+        eps = xi * float(terms.max())
+        psi = eps / xi
+        steps = np.array([-1.0, 0.0, 1.0])
+        hi_cand = np.floor(rates + psi)[:, None] + steps
+        lo_cand = np.ceil(rates - psi)[:, None] + steps
+        hi = np.where(np.abs(hi_cand - rates[:, None]) < psi, hi_cand, -np.inf).max(axis=1)
+        lo = np.maximum(np.where(np.abs(lo_cand - rates[:, None]) < psi, lo_cand, np.inf).min(axis=1), 0.0)
+        log_a = np.log1p(-(poisson.cdf(lo - 1, rates) + poisson.sf(hi, rates)))
+        lam = rates[:j_star] + eps
+        b = poisson.cdf(hi[:j_star], lam) - poisson.cdf(lo[:j_star] - 1, lam)
+        type2 = np.mean(b * np.exp(log_a.sum() - log_a[:j_star]))
+        out.append((eps, -math.expm1(log_a.sum()), float(type2)))
+    return out
+
+
+def _random_step_nulls(count: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    rng = np.random.default_rng(seed)
+    nulls = []
+    for _ in range(count):
+        runs = int(rng.integers(1, 40))
+        values = np.unique(1.0 + rng.exponential(rng.choice([0.5, 5.0, 50.0]), runs))[::-1]
+        nulls.append((values, rng.integers(1, 10_000 // values.size + 1, values.size)))
+    return nulls
+
+
+# (values, counts) of the named step nulls, with alpha_p = 3.
+_NAMED_STEP_NULLS = {
+    "single-run": ([3.0], [5_000]),
+    "all-distinct": (1.0 + 100.0 / np.sqrt(np.arange(1, 2_001)), np.ones(2_000, dtype=int)),
+    # The inflated-log objective takes one float value at both run ends (j = 40 and j = 100).
+    "tie": ([6.0, 4.910035678697799], [40, 60]),
+    "j*-first-run": ([80.0, 1.0], [3, 500]),
+    "j*-last-run": ([3.0, 2.9], [10, 2_000]),
+}
+
+
+class TestGroupedPoissonSweep:
+    """The sweep over runs of equal rates against an independent dense product."""
+
+    XI = [0.5, 0.8, 1.0, 1.25, 2.0]
+
+    @pytest.mark.parametrize(
+        "values, counts",
+        list(_NAMED_STEP_NULLS.values()) + _random_step_nulls(30, 20_261_019),
+        ids=list(_NAMED_STEP_NULLS) + [f"random-{k}" for k in range(30)],
+    )
+    def test_matches_the_dense_product(self, values, counts):
+        mu = RateVector.from_runs(values, counts)
+        assert mu.p <= 10_000
+        res = sweep_sharp_constant(mu, self.XI, 3.0, 1, 0)
+        for risk, eps, (eps_d, type1, type2) in zip(res.risks, res.epsilons, _dense_sweep(mu.rates, self.XI, 3.0)):
+            np.testing.assert_allclose([eps, risk.type1, risk.type2], [eps_d, type1, type2], rtol=1e-12, atol=1e-15)
+        assert res.regime == poisson_rate(mu).regime
+        assert res.regime == sweep_sharp_constant(RateVector(mu.rates), [1.0], 3.0, 1, 0).regime
+
+    def test_a_tie_between_run_ends_breaks_to_the_smaller_index(self):
+        values, counts = _NAMED_STEP_NULLS["tie"]
+        js = np.array([40.0, 100.0])
+        level = 1.0 + np.log(js) + math.log(3.0) + 2.0 * np.log1p(np.log(js))
+        terms = np.asarray(values) * h_inverse(level / np.asarray(values))
+        assert terms[0] == terms[1]
+        assert sharp_constant_epsilon(RateVector.from_runs(values, counts), 3.0, 1.0).j_star == 40
+
+    @pytest.mark.parametrize("mu_of_p", [lambda p: 1.0, lambda p: (1.0 + math.log(p)) ** 2], ids=["sp", "sg"])
+    def test_flat_run_of_1e15_against_mpmath(self, mu_of_p):
+        """``type1 = 1 - a^p`` and ``type2 = b a^(p-1)``, the box masses summed at 40 digits."""
+        p = 10**15
+        rate = mu_of_p(p)
+        xi_grid = [0.8, 1.0, 1.4]
+        res = sweep_sharp_constant(RateVector.from_runs([rate], [p]), xi_grid, math.log(p), 1, 0)
+        with mpmath.workdps(40):
+            for xi, eps, risk in zip(xi_grid, res.epsilons, res.risks):
+                psi = float(eps) / xi
+                box = [x for x in range(max(0, math.floor(rate - psi) - 1), math.ceil(rate + psi) + 2)
+                       if abs(x - rate) < psi]
+
+                def mass(lam):
+                    lam = mpmath.mpf(lam)
+                    return mpmath.fsum(mpmath.exp(-lam + x * mpmath.log(lam) - mpmath.loggamma(x + 1)) for x in box)
+
+                a, b = mass(rate), mass(rate + float(eps))
+                assert risk.type1 == pytest.approx(float(1 - a**p), rel=1e-12)
+                assert risk.type2 == pytest.approx(float(b * a ** (p - 1)), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, totals", [(10**4, [0.853, 0.117, 0.030]), (10**15, [0.964, 0.015, 0.0003])], ids=["1e4", "1e15"]
+    )
+    def test_subgaussian_flat_totals(self, p, totals):
+        """The flat subgaussian null mu = (1 + ln p)^2 sharpens toward the xi = 1 transition."""
+        mu = RateVector.from_runs([(1.0 + math.log(p)) ** 2], [p])
+        res = sweep_sharp_constant(mu, [0.8, 1.25, 1.4], math.log(p), 1, 0)
+        assert [r.total for r in res.risks] == pytest.approx(totals, abs=5e-4)
+
+    def test_paper_scale_sweep_holds_no_p_length_array(self):
+        mu = RateVector.from_runs([1.0], [10**15])
+        tracemalloc.start()
+        try:
+            sweep_sharp_constant(mu, self.XI, math.log(mu.p), 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ValueError, match="DENSE_RATES_CAP"):
+            mu.rates
 
 
 class TestRelationMultinomialPoissonized:
