@@ -176,6 +176,8 @@ def _cmd_test(args) -> None:
         raise ConfigError(f"--model {args.model} disagrees with the null spec model {model}")
     if not args.data:
         raise ConfigError("missing required field: --data")
+    if model == "poisson":
+        null.rates  # a runs null past DENSE_RATES_CAP raises its config error here, before the data is read
     try:
         table = read_counts_csv(args.data, p_expected=null.p)
     except (OSError, ValueError) as exc:

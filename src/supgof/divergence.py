@@ -5,8 +5,11 @@ Enumeration here is *certified*: every divergence returns
 against ``value + error_bar``.  Three computation routes coexist:
 
 1. dense enumeration of two Poisson mixtures (a product is a mixture of
-   one) on the union of their truncation grids, where each side's pmf is
-   evaluated and its off-grid mass bounded (capped by an atom budget);
+   one) on the union of their truncation grids, where each side's off-grid
+   mass is bounded and both joint pmfs are streamed in slabs of at most
+   ``_SLAB_ATOMS`` atoms: each slab is a small matrix product of per-axis
+   pmf tables, so no array of the grid's size is ever built (an atom budget
+   caps the time);
 2. the closed-form chi-square between Poisson products;
 3. an exchangeable sufficient-statistic reduction for uniform one-spike
    Poisson mixtures, which is exact with *no* truncation error and scales
@@ -17,14 +20,14 @@ for the uniform spike prior live here as well; they need only
 one-dimensional Poisson CDFs and the hypergeometric overlap law, so they
 work at any dimension.
 
-Poisson pmfs, CDFs and quantiles are ``scipy.special`` closed forms and
-binomial pmfs come from the Pascal recurrence: the module needs nothing from
-``scipy.stats``.
+Poisson pmfs, CDFs and quantiles are ``scipy.special`` closed forms (where
+``pdtr`` underflows, the log CDF is a saddle-point log pmf plus a continued
+fraction) and binomial pmfs come from the Pascal recurrence: the module
+needs nothing from ``scipy.stats``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -52,10 +55,16 @@ __all__ = [
     "tv_poisson_uniform_spike",
 ]
 
+# Most atoms a dense divergence enumerates.  The grid is streamed in slabs, so
+# this bounds time, not memory.
 ATOM_BUDGET = 10**7
+# Most atoms of one streamed slab: two slabs and their difference stay in cache.
+_SLAB_ATOMS = 1 << 16
 # Most spike-DP states one level may hold before ``tv_poisson_uniform_spike`` gives up.
 _MAX_STATES = 5_000_000
 DEFAULT_MASS_TOL = 1e-12
+_TINY = float(np.finfo(float).tiny)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _poisson_pmf(ks: np.ndarray, lam: float) -> np.ndarray:
@@ -63,11 +72,77 @@ def _poisson_pmf(ks: np.ndarray, lam: float) -> np.ndarray:
     return np.exp(xlogy(ks, lam) - gammaln(ks + 1) - lam)
 
 
+def _log_poisson_pmf(k: int, lam: float) -> float:
+    """``log P{Poisson(lam) = k}`` in Loader's saddle-point form, accurate far into the tails.
+
+    ``-stirlerr(k) - bd0(k, lam) - log sqrt(2 pi k)``, where
+    ``bd0 = k log(k/lam) + lam - k`` is summed as a series where its two terms
+    nearly cancel and ``stirlerr(k) = log k! - log(sqrt(2 pi k) (k/e)^k)``.
+    """
+    if k == 0:
+        return -lam
+    if abs(k - lam) < 0.1 * (k + lam):
+        v = (k - lam) / (k + lam)
+        bd0, term, j = (k - lam) * v, 2.0 * k * v, 3
+        while True:
+            term *= v * v
+            nxt = bd0 + term / j
+            if nxt == bd0:
+                break
+            bd0, j = nxt, j + 2
+    else:
+        bd0 = k * math.log(k / lam) + lam - k
+    if k > 15:
+        kk = 1.0 / (k * k)
+        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - kk / 1188) * kk) * kk) * kk) / k
+    else:
+        stirlerr = math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _HALF_LOG_2PI
+    return -stirlerr - bd0 - 0.5 * math.log(k) - _HALF_LOG_2PI
+
+
+def _log_poisson_cdf_over_pmf(k: int, lam: float) -> float:
+    """``log(P{Poisson(lam) <= k} / P{Poisson(lam) = k})`` for ``lam > k + 1``.
+
+    The ratio is ``lam`` times Legendre's continued fraction for the upper
+    incomplete gamma ``Gamma(k + 1, lam)``, run by the modified Lentz method;
+    it takes a handful of terms wherever the CDF underflows.
+    """
+    a = k + 1.0
+    b = lam + 1.0 - a
+    c, d = math.inf, 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h *= d * c
+        if abs(d * c - 1.0) <= 1e-16:
+            return math.log(lam * h)
+    raise FloatingPointError(f"the Poisson tail fraction at k={k}, lam={lam!r} did not converge")
+
+
 def _poisson_logcdf(k: int, lam: float) -> float:
+    """``log P{Poisson(lam) <= k}``: ``log pdtr`` where that is a normal float, else in log space.
+
+    ``pdtr`` underflows only far below the mean; there the log-space value
+    stays finite, to about 1e-15 of itself, down to any depth.
+    """
     if k < 0:
         return -math.inf
-    with np.errstate(divide="ignore"):
-        return float(np.log(pdtr(k, lam)))
+    cdf = pdtr(k, lam)
+    if cdf >= _TINY or not math.isfinite(lam):
+        with np.errstate(divide="ignore"):
+            return float(np.log(cdf))
+    return _log_poisson_pmf(k, lam) + _log_poisson_cdf_over_pmf(k, lam)
+
+
+def _exp(x: float) -> float:
+    """``math.exp`` that overflows to ``inf`` instead of raising."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _poisson_ppf(q: float, lam: float) -> int:
@@ -132,7 +207,7 @@ class PoissonMixture:
     """Finite mixture ``sum_c weights[c] @_j Poisson(rates[c, j])``; a product is a mixture of one.
 
     ``shape`` is the law's own truncation grid ``{0..shape_j - 1}``.  The
-    divergences build both laws' pmf tables and deficits on the union of the
+    divergences evaluate both laws' pmfs and deficits on the union of the
     two grids, so neither side is rebuilt to match the other.
     """
 
@@ -143,19 +218,6 @@ class PoissonMixture:
     @property
     def p(self) -> int:
         return self.rates.shape[1]
-
-    def dense(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Joint pmf on the grid ``{0..shape_j - 1}``."""
-        tables = [_poisson_pmf(np.arange(k), self.rates[:, [j]]) for j, k in enumerate(shape)]
-        out = None
-        for c, w in enumerate(self.weights):
-            comp = functools.reduce(np.multiply.outer, [t[c] for t in tables])
-            comp *= w  # in place: at p = 1 this is a row of this call's own table
-            if out is None:
-                out = comp
-            else:
-                out += comp
-        return out
 
     def deficit(self, shape: tuple[int, ...]) -> float:
         """Union bound on the mass off the grid: ``sum_c w_c sum_j P{Poisson(rates[c, j]) >= shape_j}``."""
@@ -207,13 +269,48 @@ def _union_grid(p_dist: PoissonMixture, q_dist: PoissonMixture) -> tuple[int, ..
     return shape
 
 
+def _khatri_rao(out: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """``out`` ``(C, 1)`` times the row-wise Kronecker product of ``(C, K_j)`` tables, in C order."""
+    for t in tables:
+        out = (out[:, :, None] * t[:, None, :]).reshape(out.shape[0], -1)
+    return out
+
+
+def _slabs(p_dist: PoissonMixture, q_dist: PoissonMixture, shape: tuple[int, ...]):
+    """Both laws' joint pmfs on the grid ``shape``, as ``(p, q)`` slabs in C order.
+
+    The axes are cut where the trailing product of grid sizes first fits in
+    ``_SLAB_ATOMS``.  Each law is then two tables: ``head`` ``(C, L)``, the
+    weighted Khatri-Rao product of its leading-axis pmfs, and ``tail``
+    ``(C, T)``, that of its trailing ones; a slab is ``head[:, rows].T @ tail``
+    for a run of head rows.  The two products stay separate, so equal laws
+    give bit-equal slabs.
+    """
+    cut = next(s for s in range(len(shape) + 1) if math.prod(shape[s:]) <= _SLAB_ATOMS)
+    factors = []
+    for law in (p_dist, q_dist):
+        tables = [_poisson_pmf(np.arange(k), law.rates[:, [j]]) for j, k in enumerate(shape)]
+        head = _khatri_rao(law.weights[:, None], tables[:cut])
+        factors.append((head, _khatri_rao(np.ones_like(head[:, :1]), tables[cut:])))
+    step = _SLAB_ATOMS // math.prod(shape[cut:])
+    for start in range(0, math.prod(shape[:cut]), step):
+        # A product law's slab is an outer product, which BLAS runs as a slow rank-1 GEMM.
+        yield tuple(
+            np.multiply.outer(head[0, start : start + step], tail[0])
+            if head.shape[0] == 1
+            else head[:, start : start + step].T @ tail
+            for head, tail in factors
+        )
+
+
 def tv_distance(p_dist: PoissonMixture, q_dist: PoissonMixture) -> DivergenceResult:
     """Total variation on the union grid, with both laws' deficits there as the bar."""
     shape = _union_grid(p_dist, q_dist)
-    diff = p_dist.dense(shape)
-    diff -= q_dist.dense(shape)
-    value = 0.5 * float(np.abs(diff, out=diff).sum())
-    return DivergenceResult(value, p_dist.deficit(shape) + q_dist.deficit(shape))
+    total = 0.0
+    for p, q in _slabs(p_dist, q_dist, shape):
+        p -= q
+        total += float(np.abs(p, out=p).sum())
+    return DivergenceResult(0.5 * total, p_dist.deficit(shape) + q_dist.deficit(shape))
 
 
 def chi_square_poisson_products(a: Sequence[float], b: Sequence[float]) -> float:
@@ -247,13 +344,15 @@ def chi_square_enumerated(q_dist: PoissonMixture, p_dist: PoissonMixture) -> Div
     if p_dist.rates.shape[0] != 1:
         raise ValueError("chi_square_enumerated needs a product P, a mixture of one component")
     shape = _union_grid(p_dist, q_dist)
-    p = p_dist.dense(shape).ravel()
-    q = q_dist.dense(shape).ravel()
     a, b = q_dist.rates, p_dist.rates[0]
-    if np.any((p == 0.0) & (q > 0.0)) or np.any((b == 0.0) & (a > 0.0)):
+    if np.any((b == 0.0) & (a > 0.0)):
         return DivergenceResult(math.inf, 0.0)
-    mask = p > 0.0
-    value = float(np.sum((q[mask] - p[mask]) ** 2 / p[mask]))
+    value = 0.0
+    for p, q in _slabs(p_dist, q_dist, shape):
+        if np.any((p == 0.0) & (q > 0.0)):
+            return DivergenceResult(math.inf, 0.0)
+        mask = p > 0.0
+        value += float(np.sum((q[mask] - p[mask]) ** 2 / p[mask]))
     # Where b_j = 0 every a_cj is 0 too: both sides sit at 0 there, M_j = F_j = 1.
     live = b > 0.0
     a, b, k = a[:, live], b[live], np.asarray(shape)[live]
@@ -368,9 +467,11 @@ def certified_spike_risk_bound(
                     + (1/j*) e^{eps^2/nu} F_nu(cap)^{j*-1} F_{(nu+eps)^2/nu}(cap) ],
 
     and ``TV <= sqrt(chi2)/2 + 2 P0(E^c) + 2 Ppi(E^c)``.  Every factor is a
-    one-dimensional Poisson CDF, so the certificate is computable exactly at
-    any dimension; ``1 - TV-bound`` lower-bounds the minimax risk of the
-    original (unflattened) problem.
+    one-dimensional Poisson CDF, taken in log space, so the certificate is
+    computable exactly at any dimension; ``1 - TV-bound`` lower-bounds the
+    minimax risk of the original (unflattened) problem.  A chi-square that
+    overflows, or is NaN because ``E`` has probability 0, gives the trivial
+    bound: risk 0, TV 1.
     """
     if j_star < 1 or nu <= 0 or eps < 0:
         raise ValueError("need j_star >= 1, nu > 0, eps >= 0")
@@ -381,17 +482,17 @@ def certified_spike_risk_bound(
     log_p0 = j_star * log_f_null
     log_ppi = (j_star - 1) * log_f_null + log_f_spike
     log_prefactor = log_p0 - 2.0 * log_ppi
-    with np.errstate(over="ignore"):
-        off_diag = (
-            0.0
-            if j_star == 1
-            else (1.0 - 1.0 / j_star)
-            * math.exp(log_prefactor + (j_star - 2) * log_f_null + 2.0 * log_f_spike)
-        )
-        diag = (1.0 / j_star) * math.exp(
-            log_prefactor + eps * eps / nu + (j_star - 1) * log_f_null + log_f_sq
-        )
-    chisq = max(0.0, off_diag + diag - 1.0)
+    off_diag = (
+        0.0
+        if j_star == 1
+        else (1.0 - 1.0 / j_star) * _exp(log_prefactor + (j_star - 2) * log_f_null + 2.0 * log_f_spike)
+    )
+    diag = (1.0 / j_star) * _exp(log_prefactor + eps * eps / nu + (j_star - 1) * log_f_null + log_f_sq)
+    chisq = off_diag + diag - 1.0
+    if not math.isfinite(chisq):
+        # An overflowing ratio, or an event of probability 0 (NaN): only the trivial bound holds.
+        return SpikeRiskCertificate(0.0, 1.0, chisq, math.exp(log_p0), math.exp(log_ppi))
+    chisq = max(0.0, chisq)
     p0_comp = -math.expm1(log_p0)
     ppi_comp = -math.expm1(log_ppi)
     tv_bound = 0.5 * math.sqrt(chisq) + 2.0 * p0_comp + 2.0 * ppi_comp

@@ -380,6 +380,16 @@ class TestRiskAndSweep:
         assert "DENSE_RATES_CAP" in err
         assert out == ""
 
+    @pytest.mark.parametrize("data", ["counts.csv", "missing.csv"])
+    def test_test_past_the_cap_is_config_error_before_the_data(self, tmp_path, capsys, data):
+        """``test`` once read the CSV first and exited 2 with "expected 1000000000000000 columns"."""
+        (tmp_path / "counts.csv").write_text("1,1,1\n")
+        null = '{"model":"poisson","runs":[[1.0, 1e15]]}'
+        code, out, err = run_cli(capsys, "test", "--null", null, "--data", str(tmp_path / data))
+        assert code == 1
+        assert "DENSE_RATES_CAP" in err
+        assert out == ""
+
     def test_bad_alpha_rule_is_config_error(self, capsys):
         code, _o, err = run_cli(
             capsys, "sweep", "--null", POISSON_NULL, "--alpha-rule", "bogus", "--trials", "200"

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import mpmath
 import scipy.stats
 
 import supgof.divergence as divergence
@@ -23,6 +25,8 @@ from supgof.divergence import (
     tv_distance,
     tv_poisson_uniform_spike,
 )
+from supgof.model import RateVector
+from supgof.priors import PoissonSpikePrior, verify_flattening
 from supgof.special import AtomBudgetError
 
 
@@ -81,7 +85,10 @@ class TestSpecialClosedForms:
                 divergence.pdtrc(ks, lam), scipy.stats.poisson.sf(ks, lam)
             )
             for k in (0, int(ks[-1] // 2), int(ks[-1])):
-                assert divergence._poisson_logcdf(k, lam) == scipy.stats.poisson.logcdf(k, lam)
+                # Where the CDF is subnormal or 0, scipy's log(cdf) loses bits or reads -inf;
+                # TestLogSpaceTails checks those points against mpmath.
+                if scipy.stats.poisson.cdf(k, lam) >= np.finfo(float).tiny:
+                    assert divergence._poisson_logcdf(k, lam) == scipy.stats.poisson.logcdf(k, lam)
 
     def test_ppf_at_level_one_is_a_numeric_failure(self):
         """``1 - mass_tol`` rounds to 1 below about 5.5e-17: no finite table exists."""
@@ -89,11 +96,12 @@ class TestSpecialClosedForms:
             truncated_poisson_pmf(1.0, 1e-17)
 
     def test_logcdf_minus_inf_without_warning(self):
+        """Only an empty event has log-probability -inf; an underflowing CDF stays finite."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert divergence._poisson_logcdf(0, 1e4) == -math.inf
             assert divergence._poisson_logcdf(-1, 1.0) == -math.inf
-            # The same -inf inside the diagonal term of the conditional bounds.
+            assert divergence._poisson_logcdf(0, 1e4) == -1e4
+            # The diagonal term of the conditional bounds is exp(-1974.6...): it underflows for real.
             assert divergence._diagonal_mixture_term(1.0, 1.0, 1e3) == 0.0
         assert scipy.stats.poisson.logcdf(0, 1e4) == -math.inf
 
@@ -110,6 +118,46 @@ class TestSpecialClosedForms:
         assert divergence._binom_rows(1, 0.3).tolist() == [[1.0]]
         assert divergence._binom_rows(6, 1.0)[5].tolist() == [0.0] * 5 + [1.0]
         assert divergence._binom_rows(6, 0.0)[5].tolist() == [1.0] + [0.0] * 5
+
+
+class TestLogSpaceTails:
+    """``_poisson_logcdf`` and ``_diagonal_mixture_term`` against 40-digit mpmath, on both
+    sides of the point where ``pdtr`` underflows."""
+
+    @staticmethod
+    def _mp_logcdf(k: int, lam: float):
+        with mpmath.workdps(40):
+            return mpmath.log(mpmath.gammainc(k + 1, mpmath.mpf(lam), mpmath.inf, regularized=True))
+
+    @pytest.mark.parametrize("lam", [710.0, 961.0, 3721.0, 1e4, 1.86e5, 1e8, 1e10])
+    def test_logcdf_across_the_underflow(self, lam):
+        tiny = np.finfo(float).tiny
+        # About 37.6 standard deviations below the mean, pdtr crosses from normal to subnormal.
+        ks = sorted({max(0, int(lam - z * math.sqrt(lam))) for z in (30, 36, 37.5, 38, 40, 60, 300)} | {0, 1, 31})
+        seen = set()
+        for k in ks:
+            seen.add(bool(divergence.pdtr(k, lam) >= tiny))
+            got = divergence._poisson_logcdf(k, lam)
+            want = float(self._mp_logcdf(k, lam))
+            assert math.isfinite(got)
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-13)
+        assert False in seen
+
+    @pytest.mark.parametrize(
+        "mu, psi, c, want",
+        [(1.0, 30.0, 1.0, 1.18e32), (1.0, 40.0, 1.0, 3.60e47), (4.0, 60.0, 1.0, 5.39e49)],
+    )
+    def test_diagonal_term_where_the_cdf_underflows(self, mu, psi, c, want):
+        """Each of these once came out 0.0, with ``log pdtr = -inf``."""
+        assert divergence._diagonal_mixture_term(mu, psi, c) == pytest.approx(want, rel=5e-3)
+
+    @pytest.mark.parametrize("psi", [20.0, 25.0, 29.0, 29.6, 29.7, 30.0, 35.0, 40.0, 60.0])
+    def test_diagonal_term_matches_mpmath(self, psi):
+        mu, c = 1.0, 1.0
+        rate = (mu + c * psi) ** 2 / mu
+        with mpmath.workdps(40):
+            want = mpmath.exp(mpmath.mpf(c * psi) ** 2 / mu) * mpmath.exp(self._mp_logcdf(math.floor(mu + psi), rate))
+        assert divergence._diagonal_mixture_term(mu, psi, c) == pytest.approx(float(want), rel=1e-12)
 
 
 class TestTruncatedPmf:
@@ -182,6 +230,99 @@ class TestTvDistance:
             by_hand = poisson_product_dist([nu] * k, lengths=np.maximum(null.shape, mix.shape))
             assert tv_distance(null, mix) == tv_distance(by_hand, mix)
             assert tv_distance(mix, null) == tv_distance(mix, by_hand)
+
+
+def _dense_pmf(law, shape) -> np.ndarray:
+    """Full-grid joint pmf, one ``np.multiply.outer`` chain per component: the slab oracle."""
+    out = np.zeros(shape)
+    for w, rates in zip(law.weights, law.rates):
+        comp = np.ones(())
+        for lam, k in zip(rates, shape):
+            comp = np.multiply.outer(comp, scipy.stats.poisson.pmf(np.arange(k), lam))
+        out += w * comp
+    return out
+
+
+class TestSlabStreaming:
+    """TV and chi-square stream both joint pmfs in slabs; no full grid is built."""
+
+    @pytest.mark.parametrize("slab", [None, 1, 7, 64, 1000])
+    def test_tv_and_chisq_match_the_full_grid(self, monkeypatch, slab):
+        if slab is not None:
+            monkeypatch.setattr(divergence, "_SLAB_ATOMS", slab)
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            p = int(rng.integers(1, 4))
+            mass_tol = 1e-6 if slab == 1 else 1e-10
+            null = poisson_product_dist(rng.uniform(0.1, 4.0, p), mass_tol)
+            components = int(rng.integers(1, 6))
+            mix = poisson_mixture(rng.dirichlet(np.ones(components)), rng.uniform(0.1, 4.0, (components, p)), mass_tol)
+            shape = tuple(np.maximum(null.shape, mix.shape))
+            pp, qq = _dense_pmf(null, shape), _dense_pmf(mix, shape)
+            assert tv_distance(null, mix).value == pytest.approx(0.5 * np.abs(pp - qq).sum(), rel=1e-13, abs=1e-15)
+            want = np.sum((qq - pp) ** 2 / pp)
+            assert chi_square_enumerated(mix, null).value == pytest.approx(want, rel=1e-12)
+
+    def test_one_coordinate(self, monkeypatch):
+        """p = 1: the whole grid is one slab, or (at a slab of 4) the head holds every atom."""
+        null = poisson_product_dist([2.0])
+        mix = poisson_mixture([0.25, 0.75], [[1.0], [4.0]])
+        shape = tuple(np.maximum(null.shape, mix.shape))
+        pp, qq = _dense_pmf(null, shape), _dense_pmf(mix, shape)
+        whole = tv_distance(null, mix)
+        assert whole.value == pytest.approx(0.5 * np.abs(pp - qq).sum(), rel=1e-14)
+        monkeypatch.setattr(divergence, "_SLAB_ATOMS", 4)
+        assert tv_distance(null, mix).value == pytest.approx(whole.value, rel=1e-14)
+        assert chi_square_enumerated(mix, null).value == pytest.approx(np.sum((qq - pp) ** 2 / pp), rel=1e-12)
+
+    def test_more_components_than_the_first_axis(self, monkeypatch):
+        """Eight components on a first axis of a few atoms, cut after that axis."""
+        rng = np.random.default_rng(5)
+        rows = np.column_stack([np.full(8, 0.01), rng.uniform(0.5, 3.0, (8, 2))])
+        mix = poisson_mixture(np.full(8, 1.0 / 8), rows)
+        null = poisson_product_dist([0.01, 1.5, 1.5])
+        shape = tuple(np.maximum(null.shape, mix.shape))
+        assert shape[0] < 8
+        monkeypatch.setattr(divergence, "_SLAB_ATOMS", shape[1] * shape[2])
+        pp, qq = _dense_pmf(null, shape), _dense_pmf(mix, shape)
+        assert tv_distance(null, mix).value == pytest.approx(0.5 * np.abs(pp - qq).sum(), rel=1e-13)
+        assert tv_distance(mix, mix).value == 0.0
+
+    def test_identical_laws_are_zero_in_every_slab(self, monkeypatch):
+        """The two laws' slabs are separate products, so equal laws cancel exactly."""
+        monkeypatch.setattr(divergence, "_SLAB_ATOMS", 10)
+        mix = poisson_mixture([0.2, 0.3, 0.5], [[1.0, 2.0], [3.0, 0.5], [2.0, 2.0]])
+        assert tv_distance(mix, mix).value == 0.0
+        p = poisson_product_dist([1.0, 2.0])
+        assert tv_distance(p, p).value == 0.0
+
+    def test_infinite_chisq_first_seen_in_a_later_slab(self, monkeypatch):
+        """``Poisson(0.001)``'s pmf underflows past count ~110 while ``Poisson(500)``'s does not."""
+        monkeypatch.setattr(divergence, "_SLAB_ATOMS", 16)
+        null = poisson_product_dist([0.001])
+        alt = poisson_product_dist([500.0])
+        shape = tuple(np.maximum(null.shape, alt.shape))
+        pp, qq = _dense_pmf(null, shape), _dense_pmf(alt, shape)
+        first = int(np.flatnonzero((pp == 0.0) & (qq > 0.0))[0])
+        assert first >= 16
+        assert chi_square_enumerated(alt, null).value == math.inf
+
+    def test_flattening_memory_stays_far_below_one_grid(self):
+        """The exact-bounds workload's 5-coordinate null: its lhs grid holds 3.06e6 atoms (24 MB)."""
+        mu = RateVector(np.array([3.0, 2.2, 1.6, 1.2, 1.0]))
+        prior = PoissonSpikePrior.build(mu, 0.25)
+        weights, rows = prior.components()
+        k = prior.j_star
+        shape = np.maximum(poisson_product_dist(mu.rates).shape, poisson_mixture(weights, rows).shape)
+        grid_bytes = 8 * math.prod(shape.tolist())
+        assert grid_bytes > 24e6
+        tracemalloc.start()
+        try:
+            verify_flattening(mu, list(zip(weights, rows)), k, float(mu.rates[k - 1]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_bytes / 6
 
 
 class TestChiSquare:
@@ -453,6 +594,43 @@ class TestSpikeRiskCertificate:
             cert = certified_spike_risk_bound(nu, eps, cap, k)
             exact = tv_poisson_uniform_spike(nu, eps, k)
             assert cert.tv_upper_bound >= exact.value - 1e-12
+
+    def test_certificate_bounds_the_exact_tv_where_the_cdf_underflows(self, monkeypatch):
+        """Spikes up to 60 nu, where ``P{Poisson((nu+eps)^2/nu) <= cap}`` underflows.
+
+        With ``log pdtr`` the diagonal term read 0 there, and the certificate
+        once gave a TV bound of 1.2e-6 at (1, 30, 61, 10), where the exact TV is
+        0.999995.  The DP runs wherever it fits a state cap of 3e5 (a tighter
+        cap than the module's, to keep the test short); where ``e^eps``
+        overflows it has no answer and only the certificate runs.
+        """
+        monkeypatch.setattr(divergence, "_MAX_STATES", 300_000)
+        checked = 0
+        for nu, ratio, k in itertools.product((1.0, 4.0, 50.0), (0.5, 1, 2, 5, 10, 20, 30, 45, 60), (1, 2, 10)):
+            eps = ratio * nu
+            certs = [certified_spike_risk_bound(nu, eps, nu + g * eps, k) for g in (0.5, 1.0, 2.0, 3.0)]
+            assert all(0.0 <= c.tv_upper_bound <= 1.0 for c in certs)
+            try:
+                exact = tv_poisson_uniform_spike(nu, eps, k).value
+            except (AtomBudgetError, OverflowError):
+                continue
+            checked += 1
+            for cert in certs:
+                assert cert.tv_upper_bound >= exact - 1e-12
+        assert checked >= 50
+        assert tv_poisson_uniform_spike(1.0, 30.0, 10).value > 0.9999
+
+    @pytest.mark.parametrize(
+        "nu, eps, cap, k",
+        [(50.0, 250.0, 800.0, 10), (50.0, 250.0, 800.0, 1), (1.0, 3.0, -1.0, 4)],
+        ids=["overflowing-ratio", "overflowing-ratio-k1", "empty-event"],
+    )
+    def test_non_finite_chisq_gives_the_trivial_bound(self, nu, eps, cap, k):
+        """``math.exp`` once raised OverflowError on the first; a NaN chi-square clipped to 0 on the third."""
+        cert = certified_spike_risk_bound(nu, eps, cap, k)
+        assert not math.isfinite(cert.conditional_chisq)
+        assert cert.risk_lower_bound == 0.0
+        assert cert.tv_upper_bound == 1.0
 
     def test_event_probabilities(self):
         cert = certified_spike_risk_bound(1.0, 2.0, 6.0, 4)
