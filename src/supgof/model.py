@@ -254,15 +254,18 @@ def read_counts_csv(path, p_expected: int) -> np.ndarray:
     with open(Path(path), newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader):
-            cells = [c.strip() for c in row if c.strip() != ""]
-            if not cells:
-                continue
             try:
-                parsed = list(map(_parse_count, cells))
-            except ValueError:
-                if lineno == 0 and not all(map(_is_number, cells)):
-                    continue  # header
-                raise ValueError(f"non-integer entry in CSV row {lineno + 1}: {row!r}")
+                parsed = list(map(int, row))  # plain integers, the common row
+            except ValueError:  # blanks, float spellings, a header: cell by cell
+                cells = [c.strip() for c in row if c.strip() != ""]
+                try:
+                    parsed = list(map(_parse_count, cells))
+                except ValueError:
+                    if lineno == 0 and not all(map(_is_number, cells)):
+                        continue  # header
+                    raise ValueError(f"non-integer entry in CSV row {lineno + 1}: {row!r}")
+            if not parsed:
+                continue
             if min(parsed) < _INT64_MIN or max(parsed) > _INT64_MAX:
                 raise ValueError(f"count out of range in CSV row {lineno + 1}: {row!r}")
             rows.append(parsed)

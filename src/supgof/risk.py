@@ -17,15 +17,21 @@ product, but a ``Multinomial(n, q)`` vector is a vector of independent
 
 ``Lambda = sum_j n q_j``, and the numerator is one coefficient of a product
 of box-truncated Poisson pmfs, formed by FFT (:func:`_fixed_n_accept`).
+Every partial product is kept only on its mass window: cut at that
+coefficient's degree, with the outer coefficients below ``_TRIM`` times its
+largest dropped and their mass summed into the error bound, so a product's
+length follows its standard deviation rather than its degree.
 Every result is exact and reports 0 trials and a zero ``ci``; nothing is
 sampled.  A fixed-n product too large to form (more than ``_MAX_TERMS``
-terms in one level) raises ``AtomBudgetError``.
+terms in one level, or a coefficient degree past it) raises
+``AtomBudgetError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import pdtr, pdtrc
@@ -53,6 +59,12 @@ __all__ = [
 # Fixed-n route: the most polynomial terms one product level may hold, and the
 # longest product kept (t + 1 coefficients); past either, AtomBudgetError.
 _MAX_TERMS = 1 << 22
+# A fixed-n product keeps the span of its coefficients above _TRIM times its
+# largest.  Round-off stays below about 3e-16 of the largest (the worst
+# negative coefficient over the benchmark's fixed-n products and powers up to
+# count 1e6), so the window's edges follow the law's tails, about 8 standard
+# deviations out, and not the noise.
+_TRIM = 1e-14
 
 
 def _poisson_below(lo: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -241,6 +253,19 @@ def _fft_len(size: int) -> int:
     return min(f << (-(-size // f) - 1).bit_length() for f in (1, 3, 5, 9, 15))
 
 
+class _Poly(NamedTuple):
+    """``sum_i coeffs[..., i] z^(offset + i)``, and the mass that windowing
+    dropped on the way to it, summed as it was dropped.  ``offset`` and
+    ``trimmed`` are per row when ``coeffs`` holds a batch of rows."""
+
+    offset: int | np.ndarray
+    coeffs: np.ndarray
+    trimmed: float | np.ndarray = 0.0
+
+
+_ONE = _Poly(0, np.ones(1))
+
+
 def _cut(z: np.ndarray, size: int, t: int) -> np.ndarray:
     """The first ``min(size, t + 1)`` coefficients of an inverse FFT, negative round-off set to 0.
 
@@ -250,20 +275,40 @@ def _cut(z: np.ndarray, size: int, t: int) -> np.ndarray:
     return np.maximum(z[..., : min(size, t + 1)], 0.0)
 
 
-def _mul(x: np.ndarray, y: np.ndarray, t: int) -> np.ndarray:
-    """Product of the polynomials ``x`` and ``y`` (coefficients on the last axis), cut at degree ``t``."""
-    size = x.shape[-1] + y.shape[-1] - 1
+def _window(z: np.ndarray, offset, trimmed, t: int) -> _Poly:
+    """The product ``z`` (its column ``i`` is degree ``offset + i``, per row),
+    cut at degree ``t`` as :func:`_cut` does and clipped in place, with the
+    leading and trailing columns dropped where no row exceeds ``_TRIM`` times
+    its own largest coefficient: one shared column window for a batch, each
+    row keeping its offset.  What is dropped is added to ``trimmed``.
+
+    A batch is cut at its lowest offset's degree ``t``, so a row with a
+    higher offset may keep coefficients past ``t``; no coefficient up to
+    ``t`` involves them.
+    """
+    z = z[..., : max(1, t - int(np.min(offset)) + 1)]
+    np.maximum(z, 0.0, out=z)
+    kept = z > _TRIM * z.max(axis=-1, keepdims=True)  # a zero row keeps nothing
+    cols = np.flatnonzero(kept.reshape(-1, z.shape[-1]).any(axis=0))
+    lo, hi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 1)
+    dropped = z[..., :lo].sum(axis=-1) + z[..., hi:].sum(axis=-1)
+    return _Poly(offset + lo, z[..., lo:hi], trimmed + dropped)
+
+
+def _mul(x: _Poly, y: _Poly, t: int) -> _Poly:
+    """Product of the polynomials ``x`` and ``y``, cut at degree ``t`` and windowed (:func:`_window`)."""
+    size = x.coeffs.size + y.coeffs.size - 1
     nfft = _fft_len(size)
-    fx = np.fft.rfft(x, nfft)
-    fy = fx if y is x else np.fft.rfft(y, nfft)
-    return _cut(np.fft.irfft(fx * fy, nfft), size, t)
+    fx = np.fft.rfft(x.coeffs, nfft)
+    fy = fx if y is x else np.fft.rfft(y.coeffs, nfft)
+    return _window(np.fft.irfft(fx * fy, nfft)[:size], x.offset + y.offset, x.trimmed + y.trimmed, t)
 
 
-def _power(x: np.ndarray, count: int, t: int) -> np.ndarray:
-    """``x ** count`` cut at degree ``t``, by repeated squaring from the top bit
-    down, so every other product has the short factor ``x``."""
+def _power(x: _Poly, count: int, t: int) -> _Poly:
+    """``x ** count`` cut at degree ``t`` and windowed, by repeated squaring
+    from the top bit down, so every other product has the short factor ``x``."""
     if count == 0:
-        return np.ones(1)
+        return _ONE
     out = x
     for bit in bin(count)[3:]:
         out = _mul(out, out, t)
@@ -272,31 +317,42 @@ def _power(x: np.ndarray, count: int, t: int) -> np.ndarray:
     return out
 
 
-def _tree_product(rows: np.ndarray, t: int) -> np.ndarray:
-    """Product of the polynomials ``rows[..., r, :]`` over ``r``, cut at degree ``t``.
+def _tree_product(rows: np.ndarray, t: int) -> _Poly:
+    """Product of the polynomials ``rows[r]`` over ``r``, cut at degree ``t`` and windowed.
 
     Neighbours multiply pairwise, level by level, each level in one batched
-    ``rfft``; an odd last row is carried up a level.
+    ``rfft`` and windowed as one batch (:func:`_window`); an odd last row is
+    carried up a level, zero-padded with the products to one width.
     """
-    if rows.shape[-2] == 0:
-        return np.ones(rows.shape[:-2] + (1,))
-    while rows.shape[-2] > 1:
-        half = rows.shape[-2] // 2
-        size = 2 * rows.shape[-1] - 1
+    if rows.shape[0] == 0:
+        return _ONE
+    offset, trimmed = np.zeros(rows.shape[0], dtype=np.int64), np.zeros(rows.shape[0])
+    while rows.shape[0] > 1:
+        pairs = rows.shape[0] // 2 * 2
+        size = 2 * rows.shape[1] - 1
         nfft = _fft_len(size)
-        f = np.fft.rfft(rows[..., : 2 * half, :], nfft)
-        prod = _cut(np.fft.irfft(f[..., 0::2, :] * f[..., 1::2, :], nfft), size, t)
-        if rows.shape[-2] % 2:
-            last = np.pad(rows[..., -1:, :], [(0, 0)] * (rows.ndim - 1) + [(0, prod.shape[-1] - rows.shape[-1])])
-            prod = np.concatenate([prod, last], axis=-2)
-        rows = prod
-    return rows[..., 0, :]
+        f = np.fft.rfft(rows[:pairs], nfft)
+        f = f[0::2] * f[1::2]  # frees the rows' spectra before the inverse FFT
+        level = _window(
+            np.fft.irfft(f, nfft)[:, :size],
+            offset[0:pairs:2] + offset[1:pairs:2],
+            trimmed[0:pairs:2] + trimmed[1:pairs:2],
+            t,
+        )
+        if rows.shape[0] % 2:
+            carried = np.zeros((level.coeffs.shape[0] + 1, max(level.coeffs.shape[1], rows.shape[1])))
+            carried[:-1, : level.coeffs.shape[1]] = level.coeffs
+            carried[-1, : rows.shape[1]] = rows[-1]
+            level = _Poly(np.r_[level.offset, offset[-1]], carried, np.r_[level.trimmed, trimmed[-1]])
+        offset, rows, trimmed = level
+    return _Poly(int(offset[0]), rows[0], float(trimmed[0]))
 
 
-def _coefficient(x: np.ndarray, y: np.ndarray, t: int):
-    """Coefficient ``t`` of the product ``x * y``; ``y`` may carry leading batch axes."""
-    k = np.arange(max(0, t - y.shape[-1] + 1), min(x.shape[-1], t + 1))
-    return y[..., t - k] @ x[k]
+def _coefficient(x: _Poly, y: _Poly, t: int) -> float:
+    """Coefficient ``t`` of the product ``x * y``."""
+    s = t - x.offset - y.offset  # x.coeffs[k] meets y.coeffs[s - k]
+    k = np.arange(max(0, s - y.coeffs.size + 1), min(x.coeffs.size, s + 1))
+    return float(y.coeffs[s - k] @ x.coeffs[k])
 
 
 def _check_terms(terms: int, what: str) -> None:
@@ -329,8 +385,8 @@ def _cell_rows(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int) -> np.nd
     return rows * (_box_mass(AcceptanceBox(lo, hi), lam) / rows.sum(axis=1))[:, None]
 
 
-def _product(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int) -> np.ndarray:
-    """Product over cells of their box rows (:func:`_cell_rows`), cut at degree ``t``.
+def _product(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int) -> _Poly:
+    """Product over cells of their box rows (:func:`_cell_rows`), cut at degree ``t`` and windowed.
 
     Cells that share a (rate, box) are one factor raised to their count by
     repeated squaring; the distinct single cells multiply in one tree.
@@ -341,7 +397,7 @@ def _product(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int) -> np.ndar
     rows = _cell_rows(lam, lo, hi, t)
     out = _tree_product(rows[counts == 1], t)
     for row, count in zip(rows[counts > 1], counts[counts > 1]):
-        out = _mul(out, _power(row, int(count), t), t)
+        out = _mul(out, _power(_Poly(0, row), int(count), t), t)
     return out
 
 
@@ -367,24 +423,37 @@ def _fixed_n_accept(box: AcceptanceBox, n: float, lam: np.ndarray) -> float:
     """``P(X in box)`` for ``X ~ Multinomial(n, lam / Lambda)``, ``Lambda = sum lam``, exactly.
 
     The numerator ``P(Y in box, sum Y = n)`` is coefficient ``t = n - sum lo``
-    of ``prod_j sum_k P(Y_j = lo_j + k) z^k`` (:func:`_product`).  Round-off:
-    every partial product has nonnegative coefficients summing to at most 1,
-    so an FFT product errs in each coefficient by at most about
-    ``c eps log2(N)`` with ``c ~ 20`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, sec. 24.1), for transform length ``N <= 4 t + 4``,
-    and an error carried up the tree is scaled by the other factor's mass,
-    at most 1.  Over at most ``2 p`` products the probability therefore errs
-    by at most ``2 p c eps log2(4 t + 4) / P(Poisson(Lambda) = n)`` absolute,
-    with ``P(Poisson(Lambda) = n) ~ (2 pi n)^(-1/2)``: 3e-12 at p = 4, n = 30.
-    The rows (:func:`_cell_rows`) and the denominator, a difference of two
-    CDFs, add relative errors of order ``eps (width + sqrt(n))``.  Against
-    40-digit enumeration at p <= 4, n <= 30 the error is at most 4e-15.
+    of ``prod_j sum_k P(Y_j = lo_j + k) z^k`` (:func:`_product`).  It errs in
+    two ways:
+
+    * Round-off: every partial product has nonnegative coefficients summing
+      to at most 1, so an FFT product errs in each coefficient by at most
+      about ``c eps log2(N)`` with ``c ~ 20`` (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, sec. 24.1), for transform length
+      ``N <= 4 t + 4``, and an error carried up the tree is scaled by the
+      other factor's mass, at most 1: over at most ``2 p`` products,
+      ``2 p c eps log2(4 t + 4)`` in all.
+    * Windowing (:func:`_window`): a coefficient dropped from a factor takes
+      with it its products with the other factors' coefficients, each at
+      most 1, so the numerator falls by at most ``trimmed``, the mass
+      dropped, counted once per copy of the factor in the product;
+      ``_Poly.trimmed`` sums it so as it is dropped (a squaring doubles it).
+
+    The probability therefore errs by at most ``(2 p c eps log2(4 t + 4) +
+    trimmed) / P(Poisson(Lambda) = n)`` absolute, with ``P(Poisson(Lambda)
+    = n) ~ (2 pi n)^(-1/2)``: 3e-12 at p = 4, n = 30, and 1.2e-7 at p = 1e3,
+    n = 1e5, where ``trimmed`` is 5.2e-13 on a flat null and 3.1e-14 on
+    ``q_j ~ j^(-1/2)``, under 0.4 % of the bound.  The rows
+    (:func:`_cell_rows`) and the denominator, a difference of two CDFs, add
+    relative errors of order ``eps (width + sqrt(n))``.  Measured: against
+    40-digit enumeration at p <= 4, n <= 30 the error is at most 8.3e-15;
+    at p = 1e3, n = 1e5, against a direct long-double convolution of the
+    same rows, 4.5e-13 on the flat null and 1.7e-14 on ``q_j ~ j^(-1/2)``.
     """
     t = _box_cut(box, n)
     if t < 0:
         return 0.0
-    prod = _product(lam, box.lo, box.hi, t)
-    return float(_ratio(prod[t] if t < prod.size else 0.0, n, float(lam.sum())))
+    return float(_ratio(_coefficient(_product(lam, box.lo, box.hi, t), _ONE, t), n, float(lam.sum())))
 
 
 def _log_comb(n: np.ndarray, top: int) -> np.ndarray:
@@ -497,7 +566,7 @@ class _FixedNPrior:
         self.outside = _product(n * probs[outside], box.lo[outside], box.hi[outside], t)
         self.flat = np.unique(np.column_stack([lam, self.lo, self.hi]), axis=0).shape[0] == 1
         if self.flat:
-            a = _cell_rows(lam[:1], self.lo[:1], self.hi[:1], t)[0]
+            a = _Poly(0, _cell_rows(lam[:1], self.lo[:1], self.hi[:1], t)[0])
             self.rest = _power(a, j_star - 1 - m, t)
             numerator = _coefficient(_mul(self.outside, _power(a, m + 1, t), t), self.rest, t)
         else:
@@ -524,10 +593,10 @@ class _FixedNPrior:
             for rates in (q, q + shift, np.clip(q - shift / m, 0.0, None))
         )
         if self.flat:
-            changed = _mul(_mul(self.outside, b[0], t), _power(d[0], m, t), t)
+            changed = _mul(_mul(self.outside, _Poly(0, b[0]), t), _power(_Poly(0, d[0]), m, t), t)
             numerator = _coefficient(changed, self.rest, t)
         else:
-            numerator = _coefficient(self.outside, _pool_tree(a, b, d, m, t), t)
+            numerator = _coefficient(self.outside, _Poly(0, _pool_tree(a, b, d, m, t)), t)
         return float(_ratio(numerator, self.n, self.total))
 
 
@@ -618,6 +687,16 @@ class SweepResult:
         return out
 
 
+def _sweep_box(built: dict, center: np.ndarray, threshold: float) -> tuple[AcceptanceBox, tuple[bytes, bytes]]:
+    """The strict acceptance box ``|x - center| < threshold``, built once per
+    distinct threshold (and kept in ``built``), with a key that two boxes
+    share exactly when they are equal."""
+    if threshold not in built:
+        box = AcceptanceBox.around(center, threshold, strict=True)
+        built[threshold] = box, (box.lo.tobytes(), box.hi.tobytes())
+    return built[threshold]
+
+
 def sweep_sharp_constant(
     mu: RateVector,
     xi_grid,
@@ -639,12 +718,14 @@ def sweep_sharp_constant(
     the risk is ``type1 = 1 - prod_g a_g^{n_g}`` and
     ``type2 = sum_{g in pool} (n_g / j*) b_g prod_h a_h^{n_h} / a_g``, in
     O(#runs) per ``xi``: a null built from runs sweeps at any ``p`` without
-    its dense rates.  The threshold does not depend on ``xi``, so whenever
-    two boxes are equal (they are compared, not assumed equal) one ``log a``
-    serves every such ``xi``.  ``trials`` must be at least 1 but is not used,
-    nor is ``seed``: each row reports 0 trials, a zero ``ci`` and ``seed``
-    as passed.  A box among the first ``j*`` with zero null probability in
-    float64 raises ``FloatingPointError``.
+    its dense rates.  The threshold does not depend on ``xi`` (up to
+    rounding), so one box is built per distinct threshold
+    (:func:`_sweep_box`), and whenever two boxes are equal (they are
+    compared, not assumed equal) one ``log a`` serves every such ``xi``.
+    ``trials`` must be at least 1 but is not used, nor is ``seed``: each row
+    reports 0 trials, a zero ``ci`` and ``seed`` as passed.  A box among the
+    first ``j*`` with zero null probability in float64 raises
+    ``FloatingPointError``.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
@@ -653,13 +734,13 @@ def sweep_sharp_constant(
     values, counts = mu.runs
     pool = slice(0, int(np.searchsorted(np.cumsum(counts), j_star)) + 1)
     estimates = []
-    boxes: dict[tuple[bytes, bytes], np.ndarray] = {}
+    boxes: dict = {}
+    log_masses: dict[tuple[bytes, bytes], np.ndarray] = {}
     for xi, eps in zip(xi_grid, epsilons):
-        box = AcceptanceBox.around(values, eps / xi, strict=True)
-        key = (box.lo.tobytes(), box.hi.tobytes())
-        if key not in boxes:
-            boxes[key] = _box_log_mass(box, values)
-        log_a = boxes[key]
+        box, key = _sweep_box(boxes, values, eps / xi)
+        if key not in log_masses:
+            log_masses[key] = _box_log_mass(box, values)
+        log_a = log_masses[key]
         type2 = _leave_one_out_type2(
             log_a, _box_mass(box[pool], values[pool] + eps), pool, values, f" at xi={float(xi)!r}", counts=counts
         )
@@ -692,10 +773,11 @@ def sweep_multinomial_sharp_constant(
     the leave-one-out average of :func:`_leave_one_out_type2` over the
     spiked cell and the removal subsets.  The fixed-n risk is exact too
     (:class:`_FixedNPrior`): the threshold ``n' eps(xi)/xi`` does not depend
-    on ``xi``, so whenever two boxes are equal (they are compared, not
-    assumed equal) one product of the cells outside the pool, and one Type I,
-    serve every such ``xi``.  Every row reports 0 trials, a zero ``ci`` and
-    ``seed`` as passed; ``trials`` must be at least 1 but is not used.
+    on ``xi``, so one box is built per distinct threshold, and whenever two
+    boxes are equal (they are compared, not assumed equal) one product of
+    the cells outside the pool, and one Type I, serve every such ``xi``.
+    Every row reports 0 trials, a zero ``ci`` and ``seed`` as passed;
+    ``trials`` must be at least 1 but is not used.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
@@ -706,19 +788,19 @@ def sweep_multinomial_sharp_constant(
     probs = q0.probs
     center = n * probs
     estimates = []
-    boxes: dict[tuple[bytes, bytes], _FixedNPrior] = {}
+    boxes: dict = {}
+    states: dict[tuple[bytes, bytes], _FixedNPrior] = {}
     for xi, eps in zip(xi_grid, epsilons.tolist()):
         if eps / m > probs[j_star] + 1e-15:
             raise ValueError("sweep alternative leaves the simplex; reduce xi or grow n")
         prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0)
-        box = AcceptanceBox.around(center, n_prime * eps / xi, strict=True)
+        box, key = _sweep_box(boxes, center, n_prime * eps / xi)
         if poissonized:
             type2 = _simplex_prior_type2(box, n, prior, f" at xi={float(xi)!r}")
             estimates.append(_exact(float(_box_log_mass(box, center).sum()), type2, seed))
             continue
-        key = (box.lo.tobytes(), box.hi.tobytes())
-        if key not in boxes:
-            boxes[key] = _FixedNPrior(box, n, probs, j_star, m)
-        state = boxes[key]
+        if key not in states:
+            states[key] = _FixedNPrior(box, n, probs, j_star, m)
+        state = states[key]
         estimates.append(RiskEstimate(1.0 - state.accept0, state.type2(prior), 0, seed, 0.0))
     return SweepResult(xi_grid, epsilons, tuple(estimates), multinomial_rate(q0, n).regime)

@@ -21,11 +21,22 @@ from supgof.priors import (
     certified_simplex_c,
     draw_multinomial_simplex_prior,
 )
-from supgof.rates import multinomial_sharp_constant_epsilons, poisson_rate, sharp_constant_epsilon
+from supgof.rates import (
+    multinomial_sharp_constant_epsilons,
+    poisson_rate,
+    sharp_constant_epsilon,
+    sharp_constant_epsilons,
+)
 from supgof.risk import (
+    _TRIM,
+    _Poly,
+    _cell_rows,
+    _coefficient,
     _fixed_n_accept,
     _log_mean_subset_products,
     _pool_tree,
+    _power,
+    _tree_product,
     estimate_multinomial_risk,
     estimate_poisson_risk,
     sweep_multinomial_sharp_constant,
@@ -392,6 +403,23 @@ class TestGroupedPoissonSweep:
         mu = RateVector.from_runs([(1.0 + math.log(p)) ** 2], [p])
         res = sweep_sharp_constant(mu, [0.8, 1.25, 1.4], math.log(p), 1, 0)
         assert [r.total for r in res.risks] == pytest.approx(totals, abs=5e-4)
+
+    def test_one_box_per_distinct_threshold(self, monkeypatch):
+        """The threshold ``eps/xi`` is the xi-free level up to rounding: a box
+        is built once per distinct threshold, not once per xi."""
+        mu = RateVector.from_runs([4.0, 1.0], [10, 90])
+        built = []
+        box_around = AcceptanceBox.around
+
+        def around(center, half_width, strict):
+            built.append(half_width)
+            return box_around(center, half_width, strict)
+
+        monkeypatch.setattr(AcceptanceBox, "around", around)
+        sweep_sharp_constant(mu, self.XI, math.log(mu.p), 1, 0)
+        epsilons, _ = sharp_constant_epsilons(mu, math.log(mu.p), self.XI)
+        distinct = set((epsilons / np.asarray(self.XI)).tolist())
+        assert sorted(built) == sorted(distinct) and len(distinct) < len(self.XI)
 
     def test_paper_scale_sweep_holds_no_p_length_array(self):
         mu = RateVector.from_runs([1.0], [10**15])
@@ -872,3 +900,94 @@ class TestExactFixedN:
         monkeypatch.setattr(risk_module, "_MAX_TERMS", 8)
         with pytest.raises(AtomBudgetError, match="over the cap of 8"):
             estimate_multinomial_risk(q0, 200, [0.4, 0.4, 0.2], 0.2, 100, 0)
+
+
+def _dense(poly: _Poly, t: int) -> np.ndarray:
+    """A windowed polynomial's coefficients at degrees ``0..t``."""
+    out = np.zeros(t + 1)
+    kept = poly.coeffs[: max(0, t + 1 - poly.offset)]
+    out[poly.offset : poly.offset + kept.size] = kept
+    return out
+
+
+def _convolved(rows, t: int) -> np.ndarray:
+    """The product of ``rows`` by ``np.convolve``, at degrees ``0..t``."""
+    out = np.ones(1)
+    for row in rows:
+        out = np.convolve(out, row)
+    return np.pad(out, (0, max(0, t + 1 - out.size)))[: t + 1]
+
+
+def _random_rows(seed: int, wide: bool) -> tuple[np.ndarray, int]:
+    """Box rows of 2 to 9 cells and a cut ``t`` near the product's mean; a
+    wide box holds 12 standard deviations each side, so products' tails
+    fall below ``_TRIM`` of their peaks and are trimmed."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.5, 60.0, int(rng.integers(2, 10)))
+    half = (12.0 if wide else 3.0) * np.sqrt(lam) + 2.0
+    lo, hi = np.maximum(np.ceil(lam - half), 0.0), np.floor(lam + half)
+    t = int(np.clip(np.sum(lam - lo) + rng.normal() * np.sqrt(lam.sum()), 0, np.sum(hi - lo)))
+    return _cell_rows(lam, lo, hi, t), t
+
+
+class TestWindowedProducts:
+    """Products kept on their mass windows against plain ``np.convolve``."""
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tree_product_matches_convolution(self, seed, wide):
+        rows, t = _random_rows(seed, wide)
+        got = _tree_product(rows, t)
+        want = _convolved(rows, t)
+        np.testing.assert_allclose(_dense(got, t), want, rtol=0, atol=1e-15)
+        assert -1e-15 <= want.sum() - got.coeffs.sum() <= got.trimmed + 1e-15
+        if wide:
+            assert got.trimmed > 0.0 and got.coeffs.size < np.count_nonzero(want)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_power_and_coefficient_match_convolution(self, seed, wide):
+        rows, t = _random_rows(seed, wide)
+        count = int(np.random.default_rng(seed).integers(2, 30))
+        t_power = int(round(count * np.dot(np.arange(rows.shape[1]), rows[0]) / rows[0].sum()))
+        row = rows[0][: t_power + 1]
+        power = _power(_Poly(0, row), count, t_power)
+        np.testing.assert_allclose(_dense(power, t_power), _convolved([row] * count, t_power), rtol=0, atol=1e-15)
+        x, y = _tree_product(rows[:-1], t), _power(_Poly(0, rows[-1]), 3, t)
+        assert abs(_coefficient(x, y, t) - _convolved([*rows[:-1], *[rows[-1]] * 3], t)[t]) <= 1e-15
+
+    @pytest.mark.parametrize("count", [10**3, 10**6])
+    @pytest.mark.parametrize("lam, hi", [(5.0, 60.0), (40.0, 160.0)])
+    def test_power_of_a_whole_poisson_row_against_mpmath(self, lam, hi, count):
+        """A box that leaves out under 1e-40 of Poisson(lam) gives ``row^count``
+        whose coefficient ``t`` is ``box_mass^count pmf_{Poisson(count lam)}(t)``.
+
+        A window's loss is a deficit of mass spread over the middle of the
+        product, counted once per copy of the factor, so the relative error is
+        about ``trimmed``, which stays under ``_TRIM`` per copy; round-off
+        adds about ``count eps``."""
+        t = int(count * lam) + 7
+        row = _cell_rows(np.array([lam]), np.array([0.0]), np.array([hi]), t)[0]
+        power = _power(_Poly(0, row), count, t)
+        got = _coefficient(power, _Poly(0, np.ones(1)), t)
+        with mpmath.workdps(40):
+            log_pmf = t * mpmath.log(count * lam) - count * lam - mpmath.loggamma(t + 1)
+            want = float(mpmath.mpf(float(row.sum())) ** count * mpmath.exp(log_pmf))
+        assert power.coeffs.size < 40 * math.sqrt(count * lam)
+        assert power.trimmed <= count * _TRIM
+        assert abs(got - want) <= (2.0 * power.trimmed + count * np.finfo(float).eps) * want
+
+    def test_heterogeneous_fixed_n_sweep_peak_memory(self):
+        """The fixed-n sweep on ``q_j ~ j^(-1/2)`` at p = 1e3, n = 1e5: 997
+        distinct cells outside the pool, products of up to 58,338 terms
+        uncut; traced at 5.8 MiB."""
+        p, n = 1000, 100_000
+        het = np.arange(1, p + 1.0) ** -0.5
+        q0 = SimplexVector(het / het.sum())
+        tracemalloc.start()
+        try:
+            sweep_multinomial_sharp_constant(q0, n, [0.5, 1.0, 2.0], math.log(p), 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 << 20
