@@ -6,10 +6,11 @@ against ``value + error_bar``.  Three computation routes coexist:
 
 1. dense enumeration of two Poisson mixtures (a product is a mixture of
    one) on the union of their truncation grids, where each side's off-grid
-   mass is bounded and both joint pmfs are streamed in slabs of at most
-   ``_SLAB_ATOMS`` atoms: each slab is a small matrix product of per-axis
-   pmf tables, so no array of the grid's size is ever built (an atom budget
-   caps the time);
+   mass is bounded; axes on which both laws share one rate factor out as
+   their grid mass, and both joint pmfs on the other axes are streamed in
+   slabs of at most ``_SLAB_ATOMS`` atoms: each slab is a small matrix
+   product of per-axis pmf tables, so no array of the grid's size is ever
+   built (an atom budget on the union grid caps the time);
 2. the closed-form chi-square between Poisson products;
 3. an exchangeable sufficient-statistic reduction for uniform one-spike
    Poisson mixtures, which is exact with *no* truncation error and scales
@@ -55,8 +56,9 @@ __all__ = [
     "tv_poisson_uniform_spike",
 ]
 
-# Most atoms a dense divergence enumerates.  The grid is streamed in slabs, so
-# this bounds time, not memory.
+# Most atoms the union grid of all axes may hold in a dense divergence.  Only the
+# axes where the two laws differ are enumerated, in slabs, so this caps time, not
+# memory, and the cap is loose when some axes are shared.
 ATOM_BUDGET = 10**7
 # Most atoms of one streamed slab: two slabs and their difference stay in cache.
 _SLAB_ATOMS = 1 << 16
@@ -277,20 +279,33 @@ def _khatri_rao(out: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _slabs(p_dist: PoissonMixture, q_dist: PoissonMixture, shape: tuple[int, ...]):
-    """Both laws' joint pmfs on the grid ``shape``, as ``(p, q)`` slabs in C order.
+    """Both laws' joint pmfs on the varying axes of the grid ``shape``, as ``(p, q)`` slabs in C order.
 
-    The axes are cut where the trailing product of grid sizes first fits in
-    ``_SLAB_ATOMS``.  Each law is then two tables: ``head`` ``(C, L)``, the
-    weighted Khatri-Rao product of its leading-axis pmfs, and ``tail``
+    An axis is *shared* when every component of both laws has one and the
+    same rate there, and *varying* otherwise.  On the grid the laws are then
+    ``P_V @ R`` and ``Q_V @ R`` with ``R`` the shared axes' product, so
+    ``sum |p - q|`` and ``sum (q - p)^2 / p`` over the grid are ``m`` times
+    their sums over the varying axes, where ``m`` is ``R``'s mass on the grid.
+    ``m`` is folded into both laws' weights and only the varying axes are
+    streamed; with none, the one slab is one atom holding each law's weight.
+
+    The varying axes are cut where the trailing product of grid sizes first
+    fits in ``_SLAB_ATOMS``.  Each law is then two tables: ``head`` ``(C, L)``,
+    the weighted Khatri-Rao product of its leading-axis pmfs, and ``tail``
     ``(C, T)``, that of its trailing ones; a slab is ``head[:, rows].T @ tail``
     for a run of head rows.  The two products stay separate, so equal laws
     give bit-equal slabs.
     """
+    rates = np.vstack((p_dist.rates, q_dist.rates))
+    shared = (rates == rates[0]).all(axis=0)
+    mass = math.prod(float(_poisson_pmf(np.arange(k), lam).sum()) for k, lam, s in zip(shape, rates[0], shared) if s)
+    varying = np.flatnonzero(~shared)
+    shape = tuple(shape[j] for j in varying)
     cut = next(s for s in range(len(shape) + 1) if math.prod(shape[s:]) <= _SLAB_ATOMS)
     factors = []
     for law in (p_dist, q_dist):
-        tables = [_poisson_pmf(np.arange(k), law.rates[:, [j]]) for j, k in enumerate(shape)]
-        head = _khatri_rao(law.weights[:, None], tables[:cut])
+        tables = [_poisson_pmf(np.arange(k), law.rates[:, [j]]) for j, k in zip(varying, shape)]
+        head = _khatri_rao(mass * law.weights[:, None], tables[:cut])
         factors.append((head, _khatri_rao(np.ones_like(head[:, :1]), tables[cut:])))
     step = _SLAB_ATOMS // math.prod(shape[cut:])
     for start in range(0, math.prod(shape[:cut]), step):
@@ -304,7 +319,11 @@ def _slabs(p_dist: PoissonMixture, q_dist: PoissonMixture, shape: tuple[int, ...
 
 
 def tv_distance(p_dist: PoissonMixture, q_dist: PoissonMixture) -> DivergenceResult:
-    """Total variation on the union grid, with both laws' deficits there as the bar."""
+    """Total variation on the union grid, with both laws' deficits there as the bar.
+
+    The sum runs over the varying axes only, scaled by the shared axes' grid
+    mass (see ``_slabs``); equal laws give exactly ``0.0``.
+    """
     shape = _union_grid(p_dist, q_dist)
     total = 0.0
     for p, q in _slabs(p_dist, q_dist, shape):
@@ -340,6 +359,9 @@ def chi_square_enumerated(q_dist: PoissonMixture, p_dist: PoissonMixture) -> Div
     components ``c, c'`` of ``Q`` it is ``w_c w_c' prod_j M_j (1 - prod_j F_j)``
     with ``M_j = exp((a_cj - b_j)(a_c'j - b_j) / b_j)`` and
     ``F_j = P{Poisson(a_cj a_c'j / b_j) <= K_j - 1}`` on the grid ``{0..K_j - 1}``.
+    The sum runs over the varying axes only, scaled by the shared axes' grid
+    mass (see ``_slabs``), and is infinite once a slab has ``p == 0 < q``; the
+    deficits and the off-grid term stay on the whole union grid.
     """
     if p_dist.rates.shape[0] != 1:
         raise ValueError("chi_square_enumerated needs a product P, a mixture of one component")

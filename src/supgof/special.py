@@ -51,14 +51,12 @@ _H_SERIES = np.array([(-1.0) ** k / (k * (k - 1)) for k in range(16, 1, -1)])
 
 
 def _h(x: np.ndarray) -> np.ndarray:
-    """``h`` on a float array already checked to lie in ``[-1, inf)``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (1.0 + x) * np.log1p(x) - x
+    """``h`` on a float array in ``(-1, inf)``; :func:`h` adds the boundary value ``h(-1) = 1``."""
+    out = (1.0 + x) * np.log1p(x) - x
     small = np.abs(x) < _H_SERIES_CUTOFF
-    if np.any(small):  # np.polyval costs tens of µs even on an empty array
+    if small.any():  # np.polyval costs tens of µs even on an empty array
         xs = x[small]
         out[small] = xs * xs * np.polyval(_H_SERIES, xs)
-    out[x == -1.0] = 1.0
     return out
 
 
@@ -70,9 +68,12 @@ def h(x):
     """
     arr = np.asarray(x, dtype=float)
     bad = np.isnan(arr) | (arr < -1.0)
-    if np.any(bad):
+    if bad.any():
         raise ValueError(f"h is defined on [-1, inf), got {float(arr[bad][0])!r}")
-    out = _h(np.atleast_1d(arr))
+    xv = np.atleast_1d(arr)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log1p(-1) = -inf, inf - inf
+        out = _h(xv)
+    out[xv == -1.0] = 1.0
     return float(out[0]) if arr.ndim == 0 else out
 
 
@@ -85,7 +86,7 @@ def gamma_rate(x):
     """
     arr = np.asarray(x, dtype=float)
     bad = np.isnan(arr) | (arr < 0.0)
-    if np.any(bad):
+    if bad.any():
         raise ValueError(f"gamma_rate is defined on [0, inf), got {float(arr[bad][0])!r}")
     out = np.where(arr <= 1.0, np.sqrt(arr), arr / (1.0 + np.log(np.maximum(arr, 1.0))))
     return float(out) if arr.ndim == 0 else out
@@ -113,7 +114,7 @@ def _lambertw(z: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # inf / inf at z = inf
         w = log1p_z * (1.0 - np.log1p(log1p_z) / (2.0 + log1p_z))
     near = z < _LAMBERTW_SERIES_CUTOFF
-    if np.any(near):
+    if near.any():
         p = np.sqrt(2.0 * (1.0 + math.e * z[near]))
         series = 11.0 / 72.0 + p * (-43.0 / 540.0 + p * (769.0 / 17280.0))
         w[near] = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * series))
@@ -145,7 +146,7 @@ def h_inverse(y):
     """
     arr = np.asarray(y, dtype=float)
     bad = np.isnan(arr) | (arr < 0.0)
-    if np.any(bad):
+    if bad.any():
         raise ValueError(f"h_inverse is defined on [0, inf), got {float(arr[bad][0])!r}")
     yv = np.atleast_1d(arr)
     x = np.empty_like(yv)
@@ -155,10 +156,10 @@ def h_inverse(y):
     x[~small] = np.expm1(1.0 + _lambertw((yv[~small] - 1.0) / math.e))
     for _ in range(_NEWTON_STEPS):
         # h'(x) = log1p(x); x = 0 only when y = 0, where the root is exact.
-        step = np.divide(_h(x) - yv, np.log1p(x), out=np.zeros_like(x), where=x > 0.0)
+        step = np.divide(_h(x) - yv, np.log1p(x), out=np.zeros(x.shape), where=x > 0.0)
         x = np.maximum(x - step, 0.0)
     missed = ~(np.abs(_h(x) - yv) <= _REL_TOL * np.maximum(yv, 1.0))
-    if np.any(missed):
+    if missed.any():
         raise SolverError(f"h_inverse missed its tolerance at y={float(yv[missed][0])!r}")
     return float(x[0]) if arr.ndim == 0 else x
 
@@ -167,9 +168,9 @@ def bennett_upper_tail_bound(rho, u):
     """Poisson upper-tail bound ``exp(-rho*h(u))`` on ``P{Poisson(rho) >= rho(1+u)}``."""
     rho_arr = np.asarray(rho, dtype=float)
     u_arr = np.asarray(u, dtype=float)
-    if np.any(~np.isfinite(rho_arr)) or np.any(rho_arr <= 0.0):
+    if (~np.isfinite(rho_arr) | (rho_arr <= 0.0)).any():
         raise ValueError("rho must be positive and finite")
-    if np.any(np.isnan(u_arr)) or np.any(u_arr < 0.0):
+    if (np.isnan(u_arr) | (u_arr < 0.0)).any():
         raise ValueError("u must be nonnegative")
     out = np.exp(-rho_arr * h(u_arr))
     return float(out) if np.ndim(rho) == 0 and np.ndim(u) == 0 else out

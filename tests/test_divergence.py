@@ -325,6 +325,93 @@ class TestSlabStreaming:
         assert peak < grid_bytes / 6
 
 
+class TestSharedAxes:
+    """Axes where both laws share one rate factor out as their grid mass; only the others are streamed."""
+
+    @pytest.mark.parametrize("slab", [None, 1, 7])
+    @pytest.mark.parametrize(
+        "shared",
+        [[True, False, False], [False, True, False], [False, False, True], [True, True, True], [False, False, False]],
+        ids=["first", "middle", "last", "everywhere", "nowhere"],
+    )
+    def test_tv_and_chisq_match_the_full_grid(self, monkeypatch, slab, shared):
+        if slab is not None:
+            monkeypatch.setattr(divergence, "_SLAB_ATOMS", slab)
+        rng = np.random.default_rng(18)
+        mass_tol = 1e-6 if slab == 1 else 1e-10
+        for _ in range(6):
+            rates = rng.uniform(0.1, 4.0, 3)
+            components = int(rng.integers(1, 5))
+            rows = rng.uniform(0.1, 4.0, (components, 3))
+            rows[:, shared] = rates[shared]  # every component of both laws shares these rates
+            null = poisson_product_dist(rates, mass_tol)
+            mix = poisson_mixture(rng.dirichlet(np.ones(components)), rows, mass_tol)
+            shape = tuple(np.maximum(null.shape, mix.shape))
+            pp, qq = _dense_pmf(null, shape), _dense_pmf(mix, shape)
+            assert tv_distance(null, mix).value == pytest.approx(0.5 * np.abs(pp - qq).sum(), rel=1e-13, abs=1e-15)
+            want = np.sum((qq - pp) ** 2 / pp)
+            assert chi_square_enumerated(mix, null).value == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_shared_column_padded_by_lengths(self, monkeypatch):
+        """The null's least grid widens a shared axis: its mass is summed over the padded length."""
+        monkeypatch.setattr(divergence, "_SLAB_ATOMS", 7)
+        null = poisson_product_dist([1.5, 0.7, 2.0], 1e-6, lengths=[0, 40, 0])
+        mix = poisson_mixture([0.4, 0.6], [[1.0, 0.7, 2.0], [2.5, 0.7, 2.0]], 1e-6)
+        shape = tuple(np.maximum(null.shape, mix.shape))
+        assert shape[1] == 40 > mix.shape[1]
+        pp, qq = _dense_pmf(null, shape), _dense_pmf(mix, shape)
+        tv = tv_distance(null, mix)
+        assert tv.value == pytest.approx(0.5 * np.abs(pp - qq).sum(), rel=1e-13)
+        assert tv.error_bar == null.deficit(shape) + mix.deficit(shape)
+        assert chi_square_enumerated(mix, null).value == pytest.approx(np.sum((qq - pp) ** 2 / pp), rel=1e-12)
+
+    def test_equal_laws_with_every_axis_shared_are_zero(self):
+        p = poisson_product_dist([1.0, 2.0, 0.5])
+        assert tv_distance(p, p).value == 0.0
+        assert chi_square_enumerated(p, p).value == 0.0
+        mix = poisson_mixture([0.3, 0.7], [[1.0, 2.0], [1.0, 2.0]])
+        assert tv_distance(mix, mix).value == 0.0
+
+    def test_infinite_chisq_on_a_varying_axis_between_shared_ones(self, monkeypatch):
+        """``Poisson(0.001)``'s pmf underflows where ``Poisson(500)``'s does not, on the middle axis."""
+        monkeypatch.setattr(divergence, "_SLAB_ATOMS", 16)
+        null = poisson_product_dist([2.0, 0.001, 3.0])
+        alt = poisson_product_dist([2.0, 500.0, 3.0])
+        shape = tuple(np.maximum(null.shape, alt.shape))
+        pp, qq = _dense_pmf(null, shape), _dense_pmf(alt, shape)
+        assert np.any((pp == 0.0) & (qq > 0.0))
+        assert chi_square_enumerated(alt, null).value == math.inf
+
+    def test_flattening_streams_only_the_spiked_axes(self, monkeypatch):
+        """The exact-bounds 5-coordinate null: ``lhs`` streams 26 x 24 of its 3.06e6 atoms."""
+        streamed = []
+        slabs = divergence._slabs
+
+        def recording(p_dist, q_dist, shape):
+            atoms = []
+            streamed.append((shape, atoms))
+            for p, q in slabs(p_dist, q_dist, shape):
+                atoms.append(p.size)
+                yield p, q
+
+        monkeypatch.setattr(divergence, "_slabs", recording)
+        mu = RateVector(np.array([3.0, 2.2, 1.6, 1.2, 1.0]))
+        prior = PoissonSpikePrior.build(mu, 0.25)
+        weights, rows = prior.components()
+        k = prior.j_star
+        report = verify_flattening(mu, list(zip(weights, rows)), k, float(mu.rates[k - 1]))
+        (lhs_shape, lhs_atoms), _, (tail_shape, tail_atoms) = streamed
+        assert lhs_shape == (26, 24, 18, 17, 16)
+        assert sum(lhs_atoms) == 26 * 24
+        assert len(tail_shape) == 3 and tail_atoms == [1]  # no varying axis: one atom per law
+        assert report.lhs.value == pytest.approx(0.1391358613965928, abs=1e-15)
+        assert report.rhs_head.value == pytest.approx(0.1486656094610406, abs=1e-15)
+        assert report.rhs_tail.value == pytest.approx(0.0, abs=1e-15)
+        assert report.lhs.error_bar == 4.584242628124065e-13
+        assert report.rhs_head.error_bar == 2.258257321144728e-13
+        assert report.rhs_tail.error_bar == 1.4976385635164738e-12
+
+
 class TestChiSquare:
     def test_equal_rates_zero(self):
         assert chi_square_poisson_products([1.0, 2.0], [1.0, 2.0]) == 0.0
