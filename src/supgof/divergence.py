@@ -10,7 +10,7 @@ against ``value + error_bar``.  Three computation routes coexist:
    their grid mass, and both joint pmfs on the other axes are streamed in
    slabs of at most ``_SLAB_ATOMS`` atoms: each slab is a small matrix
    product of per-axis pmf tables, so no array of the grid's size is ever
-   built (an atom budget on the union grid caps the time);
+   built (an atom budget on the varying axes' grid caps the time);
 2. the closed-form chi-square between Poisson products;
 3. an exchangeable sufficient-statistic reduction for uniform one-spike
    Poisson mixtures, which is exact with *no* truncation error and scales
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, pdtr, pdtrc, pdtrik, xlogy
@@ -56,9 +56,8 @@ __all__ = [
     "tv_poisson_uniform_spike",
 ]
 
-# Most atoms the union grid of all axes may hold in a dense divergence.  Only the
-# axes where the two laws differ are enumerated, in slabs, so this caps time, not
-# memory, and the cap is loose when some axes are shared.
+# Most atoms a dense divergence may enumerate: the grid of the axes where the two
+# laws differ.  They are streamed in slabs, so this caps time, not memory.
 ATOM_BUDGET = 10**7
 # Most atoms of one streamed slab: two slabs and their difference stay in cache.
 _SLAB_ATOMS = 1 << 16
@@ -156,18 +155,24 @@ def _poisson_ppf(q: float, lam: float) -> int:
     return k1 if pdtr(k1, lam) >= q else k
 
 
-def _binom_rows(size: int, p: float) -> np.ndarray:
-    """Row ``r < size`` is the ``Binomial(r, p)`` pmf over ``0..r``, zero-padded.
+def _binom_rows(size: int, p: float | np.ndarray) -> np.ndarray:
+    """Row ``r < size`` of table ``i`` is the ``Binomial(r, p[i])`` pmf over ``0..r``, zero-padded.
 
-    The Pascal recurrence adds only nonnegative terms, so entries keep a few
-    ulps of relative accuracy where ``exp(gammaln(...))`` loses about 1e-14
-    at ``r = 70``; exact zeros off the atom at ``p = 0`` or ``1``.
+    One sweep of the Pascal recurrence over ``r`` fills every table; a scalar
+    ``p`` is a batch of one and gives one ``(size, size)`` table.  The
+    recurrence adds only nonnegative terms, so entries keep a few ulps of
+    relative accuracy where ``exp(gammaln(...))`` loses about 1e-14 at
+    ``r = 70``; exact zeros off the atom at ``p = 0`` or ``1``.  Each entry
+    takes the same float operations whatever the batch, so a table is
+    bit-identical alone and stacked.
     """
-    rows = np.zeros((size, size))
-    rows[0, 0] = 1.0
+    p = np.asarray(p, dtype=float)[..., None]
+    q = 1.0 - p
+    rows = np.zeros(p.shape[:-1] + (size, size))
+    rows[..., 0, 0] = 1.0
     for r in range(1, size):
-        rows[r, :r] = rows[r - 1, :r] * (1.0 - p)
-        rows[r, 1 : r + 1] += rows[r - 1, :r] * p
+        rows[..., r, :r] = rows[..., r - 1, :r] * q
+        rows[..., r, 1 : r + 1] += rows[..., r - 1, :r] * p
     return rows
 
 
@@ -264,11 +269,7 @@ def poisson_mixture(
 def _union_grid(p_dist: PoissonMixture, q_dist: PoissonMixture) -> tuple[int, ...]:
     if p_dist.p != q_dist.p:
         raise ValueError("distributions must share dimension")
-    shape = tuple(np.maximum(p_dist.shape, q_dist.shape).tolist())
-    atoms = math.prod(shape)
-    if atoms > ATOM_BUDGET:
-        raise AtomBudgetError(f"{atoms} atoms exceed the budget of {ATOM_BUDGET}")
-    return shape
+    return tuple(np.maximum(p_dist.shape, q_dist.shape).tolist())
 
 
 def _khatri_rao(out: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -288,6 +289,7 @@ def _slabs(p_dist: PoissonMixture, q_dist: PoissonMixture, shape: tuple[int, ...
     their sums over the varying axes, where ``m`` is ``R``'s mass on the grid.
     ``m`` is folded into both laws' weights and only the varying axes are
     streamed; with none, the one slab is one atom holding each law's weight.
+    More than ``ATOM_BUDGET`` atoms on the varying axes raise ``AtomBudgetError``.
 
     The varying axes are cut where the trailing product of grid sizes first
     fits in ``_SLAB_ATOMS``.  Each law is then two tables: ``head`` ``(C, L)``,
@@ -301,6 +303,8 @@ def _slabs(p_dist: PoissonMixture, q_dist: PoissonMixture, shape: tuple[int, ...
     mass = math.prod(float(_poisson_pmf(np.arange(k), lam).sum()) for k, lam, s in zip(shape, rates[0], shared) if s)
     varying = np.flatnonzero(~shared)
     shape = tuple(shape[j] for j in varying)
+    if math.prod(shape) > ATOM_BUDGET:
+        raise AtomBudgetError(f"{math.prod(shape)} atoms exceed the budget of {ATOM_BUDGET}")
     cut = next(s for s in range(len(shape) + 1) if math.prod(shape[s:]) <= _SLAB_ATOMS)
     factors = []
     for law in (p_dist, q_dist):
@@ -546,60 +550,86 @@ def tv_poisson_uniform_spike(nu: float, eps: float, k: int) -> DivergenceResult:
     DP lost accuracy and raises ``FloatingPointError``; more than
     ``_MAX_STATES`` states at one level raises ``AtomBudgetError``.
     """
+    return _spike_tv(nu, k)(eps)
+
+
+def _spike_tv(nu: float, k: int) -> Callable[[float], DivergenceResult]:
+    """``eps -> tv_poisson_uniform_spike(nu, eps, k)``, sharing the levels' binomial tables across ``eps``.
+
+    Level ``x``'s table holds the ``Binomial(r, P{X = x | X <= x})`` rows,
+    which depend on ``nu`` and ``x`` only.  The DP builds the tables it lacks
+    as it reaches them, in one Pascal sweep of at most ``_MAX_STATES`` floats
+    (all the missing levels at once unless ``x_max k^2`` exceeds that), and
+    keeps them for the next ``eps``: a smaller spike raises ``x_max`` and
+    adds levels; it rebuilds none.
+    """
     if nu <= 0 or k < 1:
         raise ValueError("need nu > 0 and k >= 1")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if eps == 0.0:
-        return DivergenceResult(0.0, 0.0)
-    z = 1.0 + eps / nu
-    log_z = math.log1p(eps / nu)
-    t0 = k * math.exp(eps)
-    if not math.isfinite(t0):
-        raise OverflowError("spike too large for the sufficient-statistic reduction")
-    # Largest level that does not force T > t0 on its own.
-    x_max = int(math.floor(math.log(max(t0 - (k - 1), 1.0)) / log_z))
-    values = z ** np.arange(x_max + 1)
-    pmf = _poisson_pmf(np.arange(x_max + 1), nu)
-    cdf = np.cumsum(pmf)
-    # P{X = x | X <= x}, or its limit 1 where both underflow (nu near 750 and up).
-    p_cond = np.divide(pmf, cdf, out=np.ones_like(pmf), where=cdf > 0.0)
+    levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def level(x: int, p_cond: np.ndarray):
+        """Level ``x``'s rows with each row's first and last count of nonzero weight."""
+        if x not in levels:
+            batch = max(1, _MAX_STATES // (k * k))
+            xs = [y for y in range(x, max(x - batch, 0), -1) if y not in levels]
+            rows = _binom_rows(k, p_cond[xs])
+            lo = np.argmax(rows > 0.0, axis=2)
+            hi = k - 1 - np.argmax(rows[:, :, ::-1] > 0.0, axis=2)
+            levels.update(zip(xs, zip(rows, lo, hi)))
+        return levels[x]
 
     def fits(room: np.ndarray, step: float) -> np.ndarray:
         """How many counts ``n = 0, 1, ...`` keep ``n * step <= room``."""
         return np.searchsorted(np.arange(k) * step, room, side="right")
 
-    # State i: r[i] of the other coordinates still unplaced, partial sum s[i].
-    r = np.array([k - 1])
-    s = np.zeros(1)
-    prob = np.array([(1.0 - float(pdtrc(x_max, nu))) ** (k - 1)])
-    for x in range(x_max, 1, -1):
-        # Paths that reached the same (r, s) merge into one state before they expand.
-        order = np.lexsort((s, r))
-        r, s, prob = r[order], s[order], prob[order]
-        first = np.flatnonzero((np.diff(r, prepend=-1) != 0) | (np.diff(s, prepend=-1.0) != 0))
-        r, s, prob = r[first], s[first], np.add.reduceat(prob, first)
-        rows = _binom_rows(k, float(p_cond[x]))
-        # Counts n with a nonzero weight, lo[r] <= n <= hi[r], and
-        # s + r + n (z^x - 1) <= t0 - 1: coordinate 1 adds >= 1.
-        lo = np.argmax(rows > 0.0, axis=1)
-        hi = k - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
-        top = np.minimum(fits(t0 - 1.0 - s - r, values[x] - 1.0) - 1, hi[r])
-        width = np.maximum(top - lo[r] + 1, 0)
-        total = int(width.sum())
-        if total > _MAX_STATES:
-            raise AtomBudgetError(f"{total} DP states exceed the cap {_MAX_STATES}")
-        parent = np.repeat(np.arange(r.size), width)
-        n = lo[r[parent]] + np.arange(total) - np.repeat(np.cumsum(width) - width, width)
-        prob = prob[parent] * rows[r[parent], n]
-        r, s = r[parent] - n, s[parent] + n * values[x]
+    def tv(eps: float) -> DivergenceResult:
+        if eps < 0:
+            raise ValueError("eps must be nonnegative")
+        if eps == 0.0:
+            return DivergenceResult(0.0, 0.0)
+        z = 1.0 + eps / nu
+        log_z = math.log1p(eps / nu)
+        t0 = k * math.exp(eps)
+        if not math.isfinite(t0):
+            raise OverflowError("spike too large for the sufficient-statistic reduction")
+        # Largest level that does not force T > t0 on its own.
+        x_max = int(math.floor(math.log(max(t0 - (k - 1), 1.0)) / log_z))
+        values = z ** np.arange(x_max + 1)
+        pmf = _poisson_pmf(np.arange(x_max + 1), nu)
+        cdf = np.cumsum(pmf)
+        # P{X = x | X <= x}, or its limit 1 where both underflow (nu near 750 and up).
+        p_cond = np.divide(pmf, cdf, out=np.ones_like(pmf), where=cdf > 0.0)
 
-    # The r coordinates left sit at level 1 with probability p1, else at 0.
-    p1 = float(p_cond[1]) if x_max >= 1 else 0.0
-    cum = np.zeros((k, k + 1))  # cum[r, j] = P{Binomial(r, p1) <= j - 1}
-    np.cumsum(_binom_rows(k, p1), axis=1, out=cum[:, 1:])
-    f = np.array([prob @ cum[r, fits(t0 - v - s - r, z - 1.0)] for v in values])
-    tv = float((pmf - _poisson_pmf(np.arange(x_max + 1), nu + eps)) @ f)
-    if not tv >= -1e-10:
-        raise FloatingPointError(f"optimal-event TV came out negative or NaN ({tv!r}): the DP lost accuracy")
-    return DivergenceResult(max(0.0, tv), 0.0)
+        # State i: r[i] of the other coordinates still unplaced, partial sum s[i].
+        r = np.array([k - 1])
+        s = np.zeros(1)
+        prob = np.array([(1.0 - float(pdtrc(x_max, nu))) ** (k - 1)])
+        for x in range(x_max, 1, -1):
+            # Paths that reached the same (r, s) merge into one state before they expand.
+            order = np.lexsort((s, r))
+            r, s, prob = r[order], s[order], prob[order]
+            first = np.flatnonzero((np.diff(r, prepend=-1) != 0) | (np.diff(s, prepend=-1.0) != 0))
+            r, s, prob = r[first], s[first], np.add.reduceat(prob, first)
+            # Counts n with a nonzero weight, lo[r] <= n <= hi[r], and
+            # s + r + n (z^x - 1) <= t0 - 1: coordinate 1 adds >= 1.
+            rows, lo, hi = level(x, p_cond)
+            top = np.minimum(fits(t0 - 1.0 - s - r, values[x] - 1.0) - 1, hi[r])
+            width = np.maximum(top - lo[r] + 1, 0)
+            total = int(width.sum())
+            if total > _MAX_STATES:
+                raise AtomBudgetError(f"{total} DP states exceed the cap {_MAX_STATES}")
+            parent = np.repeat(np.arange(r.size), width)
+            n = lo[r[parent]] + np.arange(total) - np.repeat(np.cumsum(width) - width, width)
+            prob = prob[parent] * rows[r[parent], n]
+            r, s = r[parent] - n, s[parent] + n * values[x]
+
+        # The r coordinates left sit at level 1 with probability p1 (p_cond[1], or 0 at x_max = 0), else at 0.
+        cum = np.zeros((k, k + 1))  # cum[r, j] = P{Binomial(r, p1) <= j - 1}
+        np.cumsum(level(1, p_cond)[0] if x_max >= 1 else _binom_rows(k, 0.0), axis=1, out=cum[:, 1:])
+        f = np.array([prob @ cum[r, fits(t0 - v - s - r, z - 1.0)] for v in values])
+        value = float((pmf - _poisson_pmf(np.arange(x_max + 1), nu + eps)) @ f)
+        if not value >= -1e-10:
+            raise FloatingPointError(f"optimal-event TV came out negative or NaN ({value!r}): the DP lost accuracy")
+        return DivergenceResult(max(0.0, value), 0.0)
+
+    return tv

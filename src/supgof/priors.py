@@ -20,10 +20,10 @@ import numpy as np
 from .divergence import (
     DivergenceResult,
     PoissonMixture,
+    _spike_tv,
     poisson_mixture,
     poisson_product_dist,
     tv_distance,
-    tv_poisson_uniform_spike,
 )
 from .model import RateVector, SimplexVector, rng_stream, sample_size_value
 from .rates import multinomial_rate, poisson_rate
@@ -109,15 +109,16 @@ def certified_poisson_spike_c(mu: RateVector, eta: float) -> tuple[float, float]
 
     Searches the decreasing grid of ``_C_GRID`` values of ``c`` and certifies
     each candidate with the exact flattened total variation; returns
-    ``(c, certified risk)``.
+    ``(c, certified risk)``.  The design's ``nu`` and ``j*`` do not depend on
+    ``c``, so one spike DP serves the whole grid and builds each level's
+    binomial table once.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta!r}")
     prior = PoissonSpikePrior.build(mu, 1.0)
-    nu = float(mu.rates[prior.j_star - 1])
+    tv = _spike_tv(float(mu.rates[prior.j_star - 1]), prior.j_star)
     for c in np.linspace(1.0, 1.0 / _C_GRID, _C_GRID):
-        tv = tv_poisson_uniform_spike(nu, float(c) * prior.psi, prior.j_star)
-        risk = 1.0 - tv.value
+        risk = 1.0 - tv(float(c) * prior.psi).value
         if risk >= eta:
             return float(c), risk
     raise ValueError(f"no grid point certifies risk >= {eta}")

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 import mpmath
+import scipy.special
 import scipy.stats
 
 import supgof.divergence as divergence
@@ -67,6 +68,54 @@ def _tv_by_level_counts(nu: float, eps: float, k: int) -> float:
     return total
 
 
+def _pascal_rows(size: int, p: float) -> np.ndarray:
+    """One ``Binomial(r, p)`` table, ``r < size``, by a Pascal loop of its own."""
+    rows = np.zeros((size, size))
+    rows[0, 0] = 1.0
+    for r in range(1, size):
+        rows[r, :r] = rows[r - 1, :r] * (1.0 - p)
+        rows[r, 1 : r + 1] += rows[r - 1, :r] * p
+    return rows
+
+
+def _spike_tv_per_level(nu: float, eps: float, k: int) -> float:
+    """The spike DP with one Pascal loop per level and no table kept between levels or calls.
+
+    It takes the same float operations as ``tv_poisson_uniform_spike`` in the
+    same order, so the two agree bit for bit.
+    """
+    z = 1.0 + eps / nu
+    t0 = k * math.exp(eps)
+    x_max = int(math.floor(math.log(max(t0 - (k - 1), 1.0)) / math.log1p(eps / nu)))
+    values = z ** np.arange(x_max + 1)
+    pmf = divergence._poisson_pmf(np.arange(x_max + 1), nu)
+    cdf = np.cumsum(pmf)
+    p_cond = np.divide(pmf, cdf, out=np.ones_like(pmf), where=cdf > 0.0)
+    counts = np.arange(k)
+    r, s = np.array([k - 1]), np.zeros(1)
+    prob = np.array([(1.0 - float(scipy.special.pdtrc(x_max, nu))) ** (k - 1)])
+    for x in range(x_max, 1, -1):
+        order = np.lexsort((s, r))
+        r, s, prob = r[order], s[order], prob[order]
+        first = np.flatnonzero((np.diff(r, prepend=-1) != 0) | (np.diff(s, prepend=-1.0) != 0))
+        r, s, prob = r[first], s[first], np.add.reduceat(prob, first)
+        rows = _pascal_rows(k, float(p_cond[x]))
+        lo = np.argmax(rows > 0.0, axis=1)
+        hi = k - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+        top = np.minimum(np.searchsorted(counts * (values[x] - 1.0), t0 - 1.0 - s - r, side="right") - 1, hi[r])
+        width = np.maximum(top - lo[r] + 1, 0)
+        if width.sum() > divergence._MAX_STATES:
+            raise AtomBudgetError("reference DP states exceed the cap")
+        parent = np.repeat(np.arange(r.size), width)
+        n = lo[r[parent]] + np.arange(int(width.sum())) - np.repeat(np.cumsum(width) - width, width)
+        prob = prob[parent] * rows[r[parent], n]
+        r, s = r[parent] - n, s[parent] + n * values[x]
+    cum = np.zeros((k, k + 1))
+    np.cumsum(_pascal_rows(k, float(p_cond[1]) if x_max >= 1 else 0.0), axis=1, out=cum[:, 1:])
+    f = np.array([prob @ cum[r, np.searchsorted(counts * (z - 1.0), t0 - v - s - r, side="right")] for v in values])
+    return max(0.0, float((pmf - divergence._poisson_pmf(np.arange(x_max + 1), nu + eps)) @ f))
+
+
 class TestSpecialClosedForms:
     """The module's closed forms reproduce ``scipy.stats`` (kept here only as the oracle)."""
 
@@ -112,6 +161,18 @@ class TestSpecialClosedForms:
             want = scipy.stats.binom.pmf(np.arange(r + 1), r, p)
             np.testing.assert_allclose(rows[r, : r + 1], want, rtol=1e-12, atol=1e-300)
             assert not rows[r, r + 1 :].any()
+
+    def test_stacked_tables_are_the_single_tables_bit_for_bit(self):
+        """One Pascal sweep over a batch of ``p`` gives each table exactly as a loop of its own would."""
+        ps = np.array([0.0, 1.0, 1e-300, 1e-12, 0.01, 0.37, 0.5, 0.99, 1.0 - 1e-12, 0.2])
+        stacked = divergence._binom_rows(70, ps)
+        assert stacked.shape == (ps.size, 70, 70)
+        for p, table in zip(ps, stacked):
+            want = _pascal_rows(70, float(p))
+            assert np.array_equal(table, want)
+            assert np.array_equal(divergence._binom_rows(70, float(p)), want)
+        assert divergence._binom_rows(70, 0.3).shape == (70, 70)
+        assert divergence._binom_rows(70, ps[:0]).shape == (0, 70, 70)
 
     def test_binomial_degenerate_rows(self):
         """Exact zeros off the atom, as the spike DP needs at ``p_cond = 1``."""
@@ -215,10 +276,42 @@ class TestTvDistance:
             assert tv <= 0.5 * math.sqrt(chi_square_poisson_products(a, b)) + 1e-10
 
     def test_atom_budget(self):
+        """The budget caps the atoms enumerated: the grid of the axes where the two laws differ."""
         big = poisson_product_dist([1.0] * 3, lengths=[500] * 3)
-        assert big.shape == (500, 500, 500)
-        with pytest.raises(AtomBudgetError):
-            tv_distance(big, big)
+        other = poisson_product_dist([1.5] * 3, lengths=[500] * 3)
+        assert big.shape == other.shape == (500, 500, 500)
+        with pytest.raises(AtomBudgetError, match="125000000 atoms"):
+            tv_distance(big, other)
+        with pytest.raises(AtomBudgetError, match="125000000 atoms"):
+            chi_square_enumerated(other, big)
+        # Equal laws share every axis: one atom, whatever the grid.
+        assert tv_distance(big, big) == (0.0, 2.0 * big.deficit(big.shape))
+
+    def test_atom_budget_passes_a_flattening_whose_spiked_axes_fit(self, monkeypatch):
+        """``[5, 3, 3, 1, 1, 1]`` at c = 0.2: its union grid holds 8.86e7 atoms, past the
+        budget, but the spike varies only the j* = 3 leading axes, 21,632 atoms."""
+        streamed = []
+        slabs = divergence._slabs
+
+        def recording(p_dist, q_dist, shape):
+            atoms = []
+            streamed.append((math.prod(shape), atoms))
+            for p, q in slabs(p_dist, q_dist, shape):
+                atoms.append(p.size)
+                yield p, q
+
+        monkeypatch.setattr(divergence, "_slabs", recording)
+        mu = RateVector(np.array([5.0, 3.0, 3.0, 1.0, 1.0, 1.0]))
+        prior = PoissonSpikePrior.build(mu, 0.2)
+        weights, rows = prior.components()
+        k = prior.j_star
+        assert k == 3
+        report = verify_flattening(mu, list(zip(weights, rows)), k, float(mu.rates[k - 1]))
+        (lhs_grid, lhs_atoms), _, _ = streamed
+        assert lhs_grid == 88_604_672 > divergence.ATOM_BUDGET
+        assert sum(lhs_atoms) == 21_632
+        assert report.ok
+        assert 0.0 < report.lhs.value < 1.0
 
     def test_union_grid_matches_hand_harmonized_pair(self):
         """Each side is evaluated on the union grid: rebuilding the null there by hand changes no bit."""
@@ -576,6 +669,48 @@ class TestSpikeMixtureTv:
 
     def test_zero_spike(self):
         assert tv_poisson_uniform_spike(1.0, 0.0, 5).value == 0.0
+
+    @pytest.mark.parametrize(
+        "nu, eps_grid",
+        [(0.5, (0.05, 1.0, 4.0)), (1.0, (0.3, 1.0, 4.0)), (4.0, (1.2, 4.0, 16.0))],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 12, 70])
+    def test_matches_the_per_level_dp_bit_for_bit(self, monkeypatch, nu, eps_grid, k):
+        """Stacked level tables change no bit, from ``x_max = 0`` up to 15.
+
+        At ``nu = 4`` and ``k = 70`` the DP fits the state cap at no spike, so
+        there both sides must raise; a cap of 2e5 keeps that quick.
+        """
+        if nu == 4.0 and k == 70:
+            monkeypatch.setattr(divergence, "_MAX_STATES", 200_000)
+            for eps in eps_grid:
+                with pytest.raises(AtomBudgetError):
+                    _spike_tv_per_level(nu, eps, k)
+                with pytest.raises(AtomBudgetError):
+                    tv_poisson_uniform_spike(nu, eps, k)
+            return
+        for eps in eps_grid:
+            got = tv_poisson_uniform_spike(nu, eps, k)
+            assert got.value == _spike_tv_per_level(nu, eps, k)
+            assert got.error_bar == 0.0
+
+    def test_designs_reach_every_small_x_max(self):
+        """The bit-for-bit grid above covers ``x_max`` 0 and 1, where the DP loop never runs."""
+        x_max = {
+            math.floor(math.log(k * math.expm1(eps) + 1.0) / math.log1p(eps / nu))
+            for nu, eps, k in [(0.5, 0.05, 1), (0.5, 1.0, 1), (0.5, 4.0, 1), (1.0, 0.3, 1), (0.5, 0.05, 70)]
+        }
+        assert x_max == {0, 1, 15}
+
+    def test_memory_of_the_stacked_tables(self):
+        """At k = 200 the DP's peak stays under 10 MB: its 5 level tables hold 1.6 MB."""
+        tracemalloc.start()
+        try:
+            tv_poisson_uniform_spike(1.0, 4.0, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_monotone_in_spike(self):
         vals = [tv_poisson_uniform_spike(1.0, eps, 6).value for eps in (0.5, 1.0, 2.0, 4.0)]

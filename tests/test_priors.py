@@ -12,8 +12,10 @@ from supgof.divergence import (
     chi_square_poisson_products,
     poisson_product_dist,
     tv_distance,
+    tv_poisson_uniform_spike,
 )
 from supgof.model import RateVector, SimplexVector, rng_stream
+import supgof.priors as priors
 from supgof.priors import (
     MultinomialSimplexPrior,
     PoissonSpikePrior,
@@ -116,6 +118,31 @@ class TestPoissonSpikePrior:
         c, risk = certified_poisson_spike_c(mu, 0.5)
         assert risk >= 0.5
         assert 0.0 < c <= 1.0
+
+    @pytest.mark.parametrize("p", [8, 16, 32])
+    @pytest.mark.parametrize("eta", [0.5, 0.9, 0.99])
+    def test_certified_c_matches_a_loop_over_the_public_tv(self, p, eta):
+        """Sharing level tables across the c-grid changes no bit of ``(c, risk)``.
+
+        At eta = 0.99 the search walks the whole grid, and ``x_max`` grows to
+        6, 10 and 15; at p = 8 no grid point certifies it.
+        """
+        mu = RateVector(np.ones(p))
+        prior = PoissonSpikePrior.build(mu, 1.0)
+
+        def naive():
+            for c in np.linspace(1.0, 1.0 / priors._C_GRID, priors._C_GRID):
+                risk = 1.0 - tv_poisson_uniform_spike(1.0, float(c) * prior.psi, prior.j_star).value
+                if risk >= eta:
+                    return float(c), risk
+            return None
+
+        want = naive()
+        if want is None:
+            with pytest.raises(ValueError, match="no grid point"):
+                certified_poisson_spike_c(mu, eta)
+        else:
+            assert certified_poisson_spike_c(mu, eta) == want
 
 
 class TestParametricAlternative:

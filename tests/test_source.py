@@ -91,6 +91,53 @@ def test_no_multinomial_sampling():
     assert found == []
 
 
+_CACHES = {"functools.cache", "functools.lru_cache"}
+
+
+def _cache_uses(tree: ast.AST) -> list[int]:
+    """Lines that import or reach ``functools.cache`` or ``functools.lru_cache``, under any alias."""
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "functools"
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and _CACHES & set(_imported_names(node)))
+        or (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and f"functools.{node.attr}" in _CACHES
+        )
+    ]
+
+
+def test_no_cross_call_caches():
+    """No ``functools.cache`` or ``lru_cache``: a cache that outlives a call hits on the
+    benchmark's repeated jobs, so the benchmark would time a different program."""
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _cache_uses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_cache_rule_sees_every_spelling():
+    spellings = [
+        "import functools\n@functools.lru_cache(maxsize=None)\ndef f(): pass",
+        "import functools as ft\nf = ft.cache(len)",
+        "from functools import cache",
+        "from functools import lru_cache as memo",
+    ]
+    assert [_cache_uses(ast.parse(src)) for src in spellings] == [[2], [2], [1], [1]]
+    assert _cache_uses(ast.parse("import functools\nfunctools.reduce(max, [1])")) == []
+
+
 _RATE_AND_TEST_RUN = """
 import contextlib, io, json, os, sys, tempfile
 import supgof.cli
