@@ -111,26 +111,28 @@ def _numeric_field(payload: dict, field: str):
     return value
 
 
-def _poisson_null(payload: dict) -> RateVector:
-    """The rates, or the ``[rate, count]`` runs, of a Poisson null spec."""
+def _null_vector(payload: dict, cls, field: str):
+    """The ``field`` values (``rates`` or ``probs``), or the ``[value, count]``
+    runs, of a null spec, as ``cls``."""
     if "runs" not in payload:
-        return RateVector(np.asarray(_numeric_field(payload, "rates"), dtype=float))
-    if "rates" in payload:
-        raise ConfigError('a poisson null spec gives "rates" or "runs", not both')
+        return cls(np.asarray(_numeric_field(payload, field), dtype=float))
+    if field in payload:
+        raise ConfigError(f'a {payload["model"]} null spec gives "{field}" or "runs", not both')
     runs = np.asarray(_numeric_field(payload, "runs"), dtype=float)
     if runs.ndim != 2 or runs.shape[1] != 2:
-        raise ValueError('"runs" must be a list of [rate, count] pairs')
-    return RateVector.from_runs(runs[:, 0], runs[:, 1])
+        raise ValueError('"runs" must be a list of [value, count] pairs')
+    return cls.from_runs(runs[:, 0], runs[:, 1])
 
 
 def _load_null(spec: str | None):
     """Null spec: path to, or inline, JSON.
 
     Schema: ``{"model": "poisson"|"multinomial", "rates"|"probs": [...],
-    "n": number}`` (``n`` for the multinomial model only).  A Poisson null
-    may give ``"runs": [[rate, count], ...]`` in place of ``"rates"``: each
-    count an integer (an integral float up to 2^53 included), for nulls too
-    large to list; :mod:`supgof.model` caps the dense rates built from them.
+    "n": number}`` (``n`` for the multinomial model only).  A null may give
+    ``"runs": [[value, count], ...]`` in place of ``"rates"`` or ``"probs"``:
+    each count an integer (an integral float up to 2^53 included), for nulls
+    too large to list; :mod:`supgof.model` caps the dense values built from
+    them.
     """
     if not spec:
         raise ConfigError("missing required field: --null")
@@ -148,13 +150,13 @@ def _load_null(spec: str | None):
     model = payload.get("model")
     try:
         if model == "poisson":
-            return "poisson", _poisson_null(payload), None
+            return "poisson", _null_vector(payload, RateVector, "rates"), None
         if model == "multinomial":
             if "n" not in payload:
                 raise ConfigError("missing required field: n (multinomial null)")
             return (
                 "multinomial",
-                SimplexVector(np.asarray(_numeric_field(payload, "probs"), dtype=float)),
+                _null_vector(payload, SimplexVector, "probs"),
                 sample_size_value(float(_numeric_field(payload, "n"))),  # float(): n may be a numeric string
             )
     except KeyError as exc:
@@ -176,8 +178,8 @@ def _cmd_test(args) -> None:
         raise ConfigError(f"--model {args.model} disagrees with the null spec model {model}")
     if not args.data:
         raise ConfigError("missing required field: --data")
-    if model == "poisson":
-        null.rates  # a runs null past DENSE_RATES_CAP raises its config error here, before the data is read
+    # A runs null past DENSE_RATES_CAP raises its config error here, before the data is read.
+    null.rates if model == "poisson" else null.probs
     try:
         table = read_counts_csv(args.data, p_expected=null.p)
     except (OSError, ValueError) as exc:

@@ -354,10 +354,51 @@ def chi_square_poisson_products(a: Sequence[float], b: Sequence[float]) -> float
     return float(np.expm1(terms.sum()))
 
 
-def chi_square_enumerated(q_dist: PoissonMixture, p_dist: PoissonMixture) -> DivergenceResult:
-    """``chi2(Q || P)`` by summation on the union grid ``G`` (test oracle); ``P`` is a product.
+def _atoms_above(lam: float, log_floor: float, size: int) -> int:
+    """The grid length ``K <= size`` whose last atom is the last, past the
+    mode of ``Poisson(lam)``, with log pmf at least ``log_floor``; the pmf
+    falls past the mode, so by bisection."""
+    lo, hi = math.ceil(lam), size - 1
+    if _log_poisson_pmf(hi, lam) >= log_floor:
+        return size
+    if lo >= hi or _log_poisson_pmf(lo, lam) < log_floor:
+        return 0
+    while hi - lo > 1:  # pmf(lo) >= floor > pmf(hi)
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _log_poisson_pmf(mid, lam) >= log_floor else (lo, mid)
+    return lo + 1
 
-    The truth minus the sum is ``off(q^2/p) - 2 Q(G^c) + P(G^c)``, so the bar
+
+def _chi_square_grid(q_dist: PoissonMixture, p_dist: PoissonMixture) -> tuple[int, ...]:
+    """The union grid, widened on each axis where the laws differ and
+    ``b_j > 0`` to hold ``Poisson(max_c a_cj^2 / b_j)``, the widest of the
+    tilted laws ``Poisson(a_cj a_c'j / b_j)`` that carry ``q^2/p``, up to
+    ``DEFAULT_MASS_TOL / p`` of its mass.
+
+    An axis widens only while ``Poisson(b_j)``'s pmf stays above
+    ``tiny^(1/d)``, ``d`` the axes that may widen, so no atom's null mass
+    underflows on their account; what lies past that stays in the bar.
+    """
+    shape = list(_union_grid(p_dist, q_dist))
+    a, b = q_dist.rates, p_dist.rates[0]
+    live = np.flatnonzero((b > 0.0) & ~(a == b).all(axis=0))
+    log_floor = math.log(_TINY) / max(1, live.size)
+    for j in live:
+        with np.errstate(over="ignore"):
+            tilted = float(np.max(a[:, j]) ** 2 / b[j])
+        if not math.isfinite(tilted):
+            continue
+        cover = _truncation_len(tilted, DEFAULT_MASS_TOL / len(shape))
+        if cover > shape[j]:
+            shape[j] = max(shape[j], _atoms_above(float(b[j]), log_floor, cover))
+    return tuple(shape)
+
+
+def chi_square_enumerated(q_dist: PoissonMixture, p_dist: PoissonMixture) -> DivergenceResult:
+    """``chi2(Q || P)`` by summation on a grid ``G`` (test oracle); ``P`` is a product.
+
+    ``G`` is the union grid widened to hold the mass of ``q^2/p``
+    (:func:`_chi_square_grid`).  The truth minus the sum is ``off(q^2/p) - 2 Q(G^c) + P(G^c)``, so the bar
     is ``off(q^2/p) + 2 Q(G^c) + P(G^c)`` with both masses bounded by the
     deficits.  For product ``P = @ Poisson(b_j)`` the first term is exact: for
     components ``c, c'`` of ``Q`` it is ``w_c w_c' prod_j M_j (1 - prod_j F_j)``
@@ -365,11 +406,11 @@ def chi_square_enumerated(q_dist: PoissonMixture, p_dist: PoissonMixture) -> Div
     ``F_j = P{Poisson(a_cj a_c'j / b_j) <= K_j - 1}`` on the grid ``{0..K_j - 1}``.
     The sum runs over the varying axes only, scaled by the shared axes' grid
     mass (see ``_slabs``), and is infinite once a slab has ``p == 0 < q``; the
-    deficits and the off-grid term stay on the whole union grid.
+    deficits and the off-grid term stay on the whole grid.
     """
     if p_dist.rates.shape[0] != 1:
         raise ValueError("chi_square_enumerated needs a product P, a mixture of one component")
-    shape = _union_grid(p_dist, q_dist)
+    shape = _chi_square_grid(q_dist, p_dist)
     a, b = q_dist.rates, p_dist.rates[0]
     if np.any((b == 0.0) & (a > 0.0)):
         return DivergenceResult(math.inf, 0.0)
@@ -384,8 +425,8 @@ def chi_square_enumerated(q_dist: PoissonMixture, p_dist: PoissonMixture) -> Div
     a, b, k = a[:, live], b[live], np.asarray(shape)[live]
     d = a - b
     log_m = (d[:, None, :] * d[None, :, :] / b).sum(axis=2)
-    log_f = np.log1p(-pdtrc(k - 1, a[:, None, :] * a[None, :, :] / b)).sum(axis=2)
     with np.errstate(divide="ignore", over="ignore"):
+        log_f = np.log1p(-pdtrc(k - 1, a[:, None, :] * a[None, :, :] / b)).sum(axis=2)
         pair_off = np.exp(log_m + np.log(-np.expm1(log_f)))
     off = float(q_dist.weights @ pair_off @ q_dist.weights)
     return DivergenceResult(value, off + 2.0 * q_dist.deficit(shape) + p_dist.deficit(shape))

@@ -1,9 +1,9 @@
 """Null/data containers, random streams and the count-table reader.
 
 The nulls are stored sorted non-increasing, matching the convention under
-which every rate formula in :mod:`supgof.rates` is written.  A Poisson null
-may also be given as runs of equal rates, so that ``p`` far beyond memory
-(up to 2^53) is a few numbers.
+which every rate formula in :mod:`supgof.rates` is written.  A Poisson or
+multinomial null may also be given as runs of equal values, so that ``p``
+far beyond memory (up to 2^53) is a few numbers.
 
 Random streams are derived from a counter-based generator (Philox) keyed by
 the seed plus an arbitrary integer path, so prior draws for different
@@ -58,7 +58,108 @@ def _check_rates(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be strictly positive")
 
 
-class RateVector:
+def _check_probs(arr: np.ndarray, name: str) -> None:
+    if np.any(np.diff(arr) > 0):
+        raise ValueError(f"{name} must be sorted non-increasing")
+    if arr[-1] < 0.0 or arr[0] > 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
+
+
+def _check_sum(total) -> None:
+    if abs(total - 1.0) > SIMPLEX_SUM_TOL:
+        raise ValueError(f"probs must sum to 1 within {SIMPLEX_SUM_TOL}, got {total!r}")
+
+
+class _SortedNull:
+    """A sorted null held as one value per coordinate, as runs of equal
+    values, or both: each form is made from the other on first use, and the
+    dense one only up to ``DENSE_RATES_CAP`` coordinates, past which a
+    ``ValueError`` names the cap.  :class:`RateVector` and
+    :class:`SimplexVector` differ only in their value checks and in whether
+    the first coordinate is a run of its own."""
+
+    __slots__ = ("_dense", "_runs", "_p")
+    # Set by each subclass: the value check ``_check(arr, name)``, the name
+    # its messages give the values (``_VALUES``), and whether the first
+    # coordinate is always a run of its own (``_HEAD_RUN``).
+    _HEAD_RUN = False
+
+    def __init__(self, values):
+        arr = _as_float_vector(values, self._VALUES)
+        self._check(arr, self._VALUES)
+        arr.setflags(write=False)
+        self._dense, self._runs, self._p = arr, None, arr.size
+
+    @classmethod
+    def _from_checked_runs(cls, vals: np.ndarray, cnt: np.ndarray):
+        """The null of the validated runs; a subclass adds its own checks."""
+        out = cls.__new__(cls)
+        out._dense, out._runs, out._p = None, (vals, cnt), int(cnt.sum())
+        return out
+
+    @classmethod
+    def from_runs(cls, values, counts):
+        """The null of ``counts[g]`` coordinates at value ``values[g]``, for each run ``g``.
+
+        ``values`` must pass the dense checks; each count must be an integer
+        (an integral float included) of at least 1, and their sum, ``p``, at
+        most ``MAX_P``.
+        """
+        name = f"run {cls._VALUES}"
+        vals = _as_float_vector(values, name)
+        cls._check(vals, name)
+        cnt = np.asarray(counts)
+        if cnt.dtype.kind not in "iuf" or cnt.shape != vals.shape:
+            raise ValueError("run counts must be numbers, one per run value")
+        if not np.all((cnt >= 1) & (cnt <= MAX_P) & (np.floor(cnt) == cnt)):
+            raise ValueError(f"run counts must be integers in [1, {MAX_P}]")
+        cnt = cnt.astype(np.int64)
+        # int64 wraps only where the float sum is far past MAX_P
+        if cnt.sum(dtype=float) > MAX_P or int(cnt.sum()) > MAX_P:
+            raise ValueError(f"a null of more than MAX_P = {MAX_P} coordinates")
+        out = cls._from_checked_runs(vals, cnt)
+        for arr in out._runs:
+            arr.setflags(write=False)
+        return out
+
+    @property
+    def p(self) -> int:
+        return self._p
+
+    def _expanded(self) -> np.ndarray:
+        if self._dense is None:
+            if self._p > DENSE_RATES_CAP:
+                raise ValueError(
+                    f"a null of p = {self._p} coordinates has no dense {self._VALUES} array: "
+                    f"over the cap of DENSE_RATES_CAP = {DENSE_RATES_CAP}"
+                )
+            self._dense = np.repeat(*self._runs)
+            self._dense.setflags(write=False)
+        return self._dense
+
+    @property
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, counts)``: the values of the runs, in order, and their lengths.
+
+        A null built from dense values has its maximal runs (the first
+        coordinate alone where it is a run of its own), and when every run
+        is one coordinate ``values`` is the dense array itself.
+        """
+        if self._runs is None:
+            arr = self._dense
+            breaks = np.flatnonzero(np.diff(arr)) + 1
+            if self._HEAD_RUN and arr.size > 1 and (breaks.size == 0 or breaks[0] != 1):
+                breaks = np.r_[1, breaks]
+            ends = np.r_[breaks, arr.size]
+            values = arr if ends.size == arr.size else arr[ends - 1]
+            counts = np.diff(ends, prepend=0)
+            for out in (values, counts):
+                out.setflags(write=False)
+            self._runs = (values, counts)
+        return self._runs
+
+
+class RateVector(_SortedNull):
     """Poisson null rates, sorted non-increasing and strictly positive.
 
     ``RateVector(rates)`` takes the rates one per coordinate;
@@ -69,99 +170,51 @@ class RateVector:
     the cap.
     """
 
-    __slots__ = ("_rates", "_runs", "_p")
-
-    def __init__(self, rates):
-        arr = _as_float_vector(rates, "rates")
-        _check_rates(arr, "rates")
-        arr.setflags(write=False)
-        self._rates, self._runs, self._p = arr, None, arr.size
-
-    @classmethod
-    def from_runs(cls, values, counts) -> "RateVector":
-        """The null of ``counts[g]`` coordinates at rate ``values[g]``, for each run ``g``.
-
-        ``values`` must be non-increasing and positive; each count must be
-        an integer (an integral float included) of at least 1, and their
-        sum, ``p``, at most ``MAX_P``.
-        """
-        vals = _as_float_vector(values, "run rates")
-        _check_rates(vals, "run rates")
-        cnt = np.asarray(counts)
-        if cnt.dtype.kind not in "iuf" or cnt.shape != vals.shape:
-            raise ValueError("run counts must be numbers, one per run rate")
-        if not np.all((cnt >= 1) & (cnt <= MAX_P) & (np.floor(cnt) == cnt)):
-            raise ValueError(f"run counts must be integers in [1, {MAX_P}]")
-        cnt = cnt.astype(np.int64)
-        p = int(cnt.sum())  # wraps only where the float sum is far past MAX_P
-        if cnt.sum(dtype=float) > MAX_P or p > MAX_P:
-            raise ValueError(f"a null of more than MAX_P = {MAX_P} coordinates")
-        for arr in (vals, cnt):
-            arr.setflags(write=False)
-        out = cls.__new__(cls)
-        out._rates, out._runs, out._p = None, (vals, cnt), p
-        return out
-
-    @property
-    def p(self) -> int:
-        return self._p
+    __slots__ = ()
+    _VALUES = "rates"
+    _check = staticmethod(_check_rates)
 
     @property
     def rates(self) -> np.ndarray:
         """One rate per coordinate, read-only."""
-        if self._rates is None:
-            if self._p > DENSE_RATES_CAP:
-                raise ValueError(
-                    f"a null of p = {self._p} coordinates has no dense rate array: "
-                    f"over the cap of DENSE_RATES_CAP = {DENSE_RATES_CAP}"
-                )
-            self._rates = np.repeat(*self._runs)
-            self._rates.setflags(write=False)
-        return self._rates
+        return self._expanded()
+
+
+class SimplexVector(_SortedNull):
+    """Multinomial null, sorted non-increasing, entries in [0, 1], summing to 1.
+
+    ``SimplexVector(probs)`` takes one probability per cell; :meth:`from_runs`
+    takes runs of equal probabilities, so ``p`` may reach ``MAX_P``, and
+    checks ``sum_g counts[g] values[g]`` against 1 within
+    ``SIMPLEX_SUM_TOL``.  The head cell is always a run of its own in
+    :attr:`runs`, even when it ties with the next cell.  The dense
+    :attr:`probs` is capped as :class:`RateVector`'s rates are.
+    """
+
+    __slots__ = ()
+    _VALUES, _HEAD_RUN = "probs", True
+    _check = staticmethod(_check_probs)
+
+    def __init__(self, probs):
+        super().__init__(probs)
+        _check_sum(self._dense.sum())
+
+    @classmethod
+    def _from_checked_runs(cls, vals, cnt):
+        _check_sum(float(cnt @ vals))
+        if cnt[0] > 1:  # split the head off its run
+            vals, cnt = np.r_[vals[0], vals], np.r_[1, cnt[0] - 1, cnt[1:]]
+        return super()._from_checked_runs(vals, cnt)
 
     @property
-    def runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(values, counts)``: the rates of the runs, in order, and their lengths.
-
-        A null built from dense rates has its maximal runs, and when every
-        rate is distinct ``values`` is :attr:`rates` itself.
-        """
-        if self._runs is None:
-            rates = self._rates
-            ends = np.r_[np.flatnonzero(np.diff(rates)) + 1, rates.size]
-            values = rates if ends.size == rates.size else rates[ends - 1]
-            counts = np.diff(ends, prepend=0)
-            for arr in (values, counts):
-                arr.setflags(write=False)
-            self._runs = (values, counts)
-        return self._runs
-
-
-@dataclass(frozen=True)
-class SimplexVector:
-    """Multinomial null, sorted non-increasing, entries >= 0, summing to 1."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_float_vector(self.probs, "probs")
-        if np.any(np.diff(arr) > 0):
-            raise ValueError("probs must be sorted non-increasing")
-        if arr[-1] < 0.0 or arr[0] > 1.0:
-            raise ValueError("probs must lie in [0, 1]")
-        if abs(arr.sum() - 1.0) > SIMPLEX_SUM_TOL:
-            raise ValueError(f"probs must sum to 1 within {SIMPLEX_SUM_TOL}, got {arr.sum()!r}")
-        object.__setattr__(self, "probs", arr)
-        arr.setflags(write=False)
-
-    @property
-    def p(self) -> int:
-        return self.probs.size
+    def probs(self) -> np.ndarray:
+        """One probability per cell, read-only."""
+        return self._expanded()
 
     @property
     def head(self) -> float:
         """Largest cell probability."""
-        return float(self.probs[0])
+        return float((self._runs[0] if self._dense is None else self._dense)[0])
 
     @property
     def tail(self) -> np.ndarray:

@@ -5,12 +5,14 @@ argmax index ``j_star`` is 1-based and ties break to the smallest index.
 The ``regime`` label compares ``log(e j*)`` against the critical coordinate's
 mean and is advisory metadata only; no decision procedure branches on it.
 
-The Poisson sharp-constant level and the regime label are computed on the
-runs of equal rates of the null (:attr:`~supgof.model.RateVector.runs`):
-their objectives grow with ``j`` inside a run, so only run ends are
+The sharp-constant levels and the regime labels are computed on the runs
+of equal values of the null (``runs`` of
+:class:`~supgof.model.RateVector` and
+:class:`~supgof.model.SimplexVector`, the multinomial head a run of its
+own): their objectives grow with ``j`` inside a run, so only run ends are
 evaluated, in O(#runs), and a null of any ``p`` given as runs needs no
-dense rate array.  :func:`poisson_rate` reports every coordinate's term
-and so works on the dense rates.
+dense array.  :func:`poisson_rate` and :func:`multinomial_rate` report
+every coordinate's term and so work on the dense values.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "poisson_rate",
     "poisson_regime",
     "multinomial_rate",
+    "multinomial_regime",
     "prob_all_observed",
     "sharp_constant_epsilon",
     "sharp_constant_epsilons",
@@ -84,19 +87,19 @@ def _argmax_smallest(terms: np.ndarray) -> int:
     return int(np.argmax(terms)) + 1  # np.argmax returns the first maximizer
 
 
-def _peak_on_run_ends(mu: RateVector, level) -> tuple[float, int, float]:
-    """``(max_j mu_j h^{-1}(level(j) / mu_j), j*, mu_{j*})`` over the runs of ``mu``.
+def _peak_on_run_ends(values, counts, level, scale: float = 1.0) -> tuple[float, int, int]:
+    """``(max_j values_j h^{-1}(level(j) / (scale values_j)), j*, g*)`` over the
+    runs ``(values, counts)``, with ``g*`` the run that ends at ``j*``.
 
-    ``level`` grows with ``j``, so within a run of equal rates the objective
+    ``level`` grows with ``j``, so within a run of equal values the objective
     peaks at the run's last index: only run ends are evaluated, ``j*`` is
     the end of a run, and ties between runs break to the smallest index.
     """
-    values, counts = mu.runs
     ends = np.cumsum(counts, dtype=float)
     with np.errstate(over="ignore"):  # an infinite argument fails h_inverse's own check
-        terms = values * h_inverse(level(ends) / values)
+        terms = values * h_inverse(level(ends) / (scale * values))
     g = int(np.argmax(terms))
-    return float(terms[g]), int(ends[g]), float(values[g])
+    return float(terms[g]), int(ends[g]), g
 
 
 def poisson_rate(mu: RateVector) -> RateProfile:
@@ -120,8 +123,9 @@ def poisson_rate(mu: RateVector) -> RateProfile:
 
 def poisson_regime(mu: RateVector) -> str:
     """The ``regime`` label of :func:`poisson_rate`, from its objective on run ends only."""
-    _, j_star, mu_star = _peak_on_run_ends(mu, _log_ej)
-    return _regime_label(1.0 + math.log(j_star), mu_star)
+    values, counts = mu.runs
+    _, j_star, g = _peak_on_run_ends(values, counts, _log_ej)
+    return _regime_label(1.0 + math.log(j_star), float(values[g]))
 
 
 def multinomial_rate(q0: SimplexVector, n: float) -> RateProfile:
@@ -161,6 +165,21 @@ def multinomial_rate(q0: SimplexVector, n: float) -> RateProfile:
     else:
         m, psi, regime = 0, 0.0, "boundary"
     return RateProfile(j_star, psi, m, epsilon_star, regime, terms)
+
+
+def multinomial_regime(q0: SimplexVector, n: float) -> str:
+    """The ``regime`` label of :func:`multinomial_rate`, from its objective on
+    the run ends of the tail only; zero cells contribute nothing."""
+    n_val = sample_size_value(n)
+    values, counts = q0.runs
+    values, counts = values[1:], counts[1:]
+    if values.size and values[-1] == 0.0:  # the zero cells are the last run
+        values, counts = values[:-1], counts[:-1]
+    if values.size == 0:
+        return "boundary"
+    mus = n_val * values
+    _, j_star, g = _peak_on_run_ends(mus, counts, _log_ej)
+    return _regime_label(1.0 + math.log(j_star), float(mus[g]))
 
 
 def prob_all_observed(mu: RateVector, k: int) -> float:
@@ -223,7 +242,7 @@ def sharp_constant_epsilons(
     xi_grid = _check_sharp_constant_grid(alpha_p, xi_grid)
     if mu.runs[0][-1] < 1.0:
         raise ValueError("the sharp-constant setup assumes all rates >= 1")
-    level, j_star, _ = _peak_on_run_ends(mu, lambda js: _inflated_log(js, alpha_p))
+    level, j_star, _ = _peak_on_run_ends(*mu.runs, lambda js: _inflated_log(js, alpha_p))
     return _scaled_by_grid(xi_grid, level), j_star
 
 
@@ -237,23 +256,22 @@ def multinomial_sharp_constant_epsilons(
     argmax of the inflated-log objective; both use the variance form
     ``q(1-q)`` of the tail cells.  The mass-removal count ``m`` is clamped
     to at least 2 whenever it is positive.  The two ``xi``-free objectives,
-    the critical index and ``m`` are computed once.
+    the critical index and ``m`` are computed once, on the run ends of the
+    tail only (:func:`_peak_on_run_ends`), so in O(#runs).
     """
     xi_grid = _check_sharp_constant_grid(alpha_p, xi_grid)
     n_val = sample_size_value(n)
-    if q0.probs[-1] < 1.0 / n_val:
+    values, counts = q0.runs
+    if values[-1] < 1.0 / n_val:
         raise ValueError("the sharp-constant setup assumes q0(p) >= 1/n")
     n_prime = (1.0 + n_val ** (-1.0 / 3.0)) * n_val
-    tail = q0.tail
+    tail, counts = values[1:], counts[1:]
     if tail.size == 0:
         raise ValueError("need at least two categories")
-    js = np.arange(1, tail.size + 1, dtype=float)
     v = tail * (1.0 - tail)
-    mus = n_prime * v
-    value_terms = v * h_inverse(_log_ej(js) / mus)
-    inflated_terms = v * h_inverse(_inflated_log(js, alpha_p) / mus)
-    j_star = _argmax_smallest(inflated_terms)
-    mu_star = n_prime * float(tail[j_star - 1])
+    level, _, _ = _peak_on_run_ends(v, counts, _log_ej, n_prime)
+    _, j_star, g = _peak_on_run_ends(v, counts, lambda js: _inflated_log(js, alpha_p), n_prime)
+    mu_star = n_prime * float(tail[g])
     m_raw = max(2, math.ceil(h_inverse((1.0 + math.log(j_star)) / mu_star)))
     m = min(m_raw, j_star - 1)
-    return _scaled_by_grid(xi_grid, float(value_terms.max())), j_star, n_prime, m
+    return _scaled_by_grid(xi_grid, level), j_star, n_prime, m

@@ -40,7 +40,7 @@ from .maxtest import AcceptanceBox, MultinomialTestConfig, PoissonTestConfig
 from .model import RateVector, SimplexVector, as_probability_vector
 from .priors import MultinomialSimplexPrior, PoissonSpikePrior
 from .rates import (
-    multinomial_rate,
+    multinomial_regime,
     multinomial_sharp_constant_epsilons,
     poisson_regime,
     sharp_constant_epsilons,
@@ -114,29 +114,56 @@ def _exact(log_accept_null: float, type2: float, seed: int) -> RiskEstimate:
     return RiskEstimate(-math.expm1(log_accept_null), min(type2, 1.0), 0, seed, 0.0)
 
 
-def _log_mean_subset_products(log_r: np.ndarray, m: int) -> np.ndarray:
-    """``log(e_m(r_{-s}) / C(k - 1, m))`` for each ``s`` of the ``k`` ratios:
-    the log of the mean product of ``r`` over the ``m``-subsets without ``s``.
+def _log_mean_subset_products(log_r: np.ndarray, m: int, counts: np.ndarray | None = None) -> np.ndarray:
+    """``log(e_m(r minus one copy of r_g) / C(k - 1, m))`` for each entry ``g``
+    of the ``k`` ratios: the log of the mean product of ``r`` over the
+    ``m``-subsets of the ratios other than that copy.
 
-    ``e_m`` is the elementary symmetric polynomial.  ``suf[s, l]`` holds
-    ``log e_l`` of the ratios after ``s``, built column by column as
-    log-domain cumulative sums; the matching prefix column ``log e_l(r_{<s})``
-    is built the same way one ``l`` at a time and folded straight into
-    ``e_m(r_{-s}) = sum_l e_l(r_{<s}) e_{m-l}(r_{>s})``.  Working with logs
-    nothing overflows, and every term being positive, nothing cancels.
-    O(k m) time; one ``(k, m + 1)`` table.
+    Entry ``g`` stands for ``counts[g]`` equal ratios (one each without
+    ``counts``), so the elementary symmetric polynomial ``e_m`` of what is
+    left is ``[u^m] (1 + r_g u)^(c_g - 1) prod_{h != g} (1 + r_h u)^(c_h)``.
+    ``pre[g, l]`` holds ``log [u^l]`` of the product over the entries before
+    ``g`` and ``suf[g, l]`` over those after it; each table is built one
+    ``l`` at a time, as a cumulative ``logaddexp`` of the terms
+    ``C(c_h, i) r_h^i [u^(l - i)]`` from its columns already built.  The
+    own factor with one copy removed multiplies ``suf`` last.  Working with
+    logs nothing overflows, and every term being positive, nothing cancels.
+    O(G m min(m, max c)) time for G entries (O(k m) on single ratios); two
+    ``(G + 1, m + 1)`` tables.
     """
-    k = log_r.size
-    suf = np.full((k, m + 1), -np.inf)
-    suf[:, 0] = 0.0
-    for l in range(1, m + 1):
-        suf[:-1, l] = np.logaddexp.accumulate((log_r[1:] + suf[1:, l - 1])[::-1])[::-1]
-    pre = np.zeros(k)
+    counts = np.ones(log_r.size, dtype=np.int64) if counts is None else counts
+    size = log_r.size
+    top = min(m, int(counts.max()))
+
+    def binomial_terms(c, most):  # log C(c_g, i) r_g^i for i = 1..most
+        return _log_comb(c, most)[:, 1:] + log_r[:, None] * np.arange(1, most + 1)
+
+    def products(order: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """``out[k, l]``: ``log [u^l]`` of the product over the first ``k`` entries of ``order``."""
+        out = np.full((size + 1, m + 1), -np.inf)
+        out[:, 0] = 0.0
+        for l in range(1, m + 1):
+            inc = terms[order, 0] + out[:-1, l - 1]
+            for i in range(2, min(l, top) + 1):
+                inc = np.logaddexp(inc, terms[order, i - 1] + out[:-1, l - i])
+            out[1:, l] = np.logaddexp.accumulate(inc)
+        return out
+
+    terms = binomial_terms(counts, top)
+    forward = np.arange(size)
+    pre = products(forward, terms)[:-1]
+    suf = products(forward[::-1], terms)[::-1][1:]
+    own = min(m, int(counts.max()) - 1)  # the own factor (1 + r_g u)^(c_g - 1)
+    if own:
+        own_terms = binomial_terms(counts - 1, own)
+        with_own = suf.copy()
+        for i in range(1, own + 1):
+            with_own[:, i:] = np.logaddexp(with_own[:, i:], own_terms[:, i - 1 : i] + suf[:, : m + 1 - i])
+        suf = with_own
     total = suf[:, m].copy()
     for l in range(1, m + 1):
-        pre = np.r_[-np.inf, np.logaddexp.accumulate(log_r[:-1] + pre[:-1])]
-        total = np.logaddexp(total, pre + suf[:, m - l])
-    return total - math.log(math.comb(k - 1, m))
+        total = np.logaddexp(total, pre[:, l] + suf[:, m - l])
+    return total - math.log(math.comb(int(counts.sum()) - 1, m))
 
 
 def _leave_one_out_type2(
@@ -159,17 +186,17 @@ def _leave_one_out_type2(
     over the subsets multiplies that term by ``e_m(r_{-s}) / C(|pool| - 1, m)``
     with ``r_i = d_i / a_i`` (:func:`_log_mean_subset_products`).
 
-    With ``counts`` (and ``m = 0``) entry ``i`` stands for a run of
-    ``counts[i]`` equal cells: the product is ``prod_i a_i^{counts[i]}`` and
-    each pool term is weighted by its run's share of the pool.  Without it
-    every entry is one cell.
+    With ``counts`` entry ``i`` stands for a run of ``counts[i]`` equal
+    cells: the product is ``prod_i a_i^{counts[i]}``, the removal subsets
+    range over the runs' cells, and each pool term is weighted by its run's
+    share of the pool.  Without it every entry is one cell.
 
     The terms are formed as ``exp(sum log a - log a_s + ...)``, undefined
     when a pool cell has ``a_s = 0`` in float64 (an empty box, or one a huge
     rate collapses below its float spacing): that raises
     ``FloatingPointError`` naming the cell.
     """
-    counts = np.ones(log_a.size) if counts is None else counts
+    counts = np.ones(log_a.size, dtype=np.int64) if counts is None else counts
     log_a_pool = log_a[pool]
     empty = np.flatnonzero(np.isneginf(log_a_pool))
     if empty.size:
@@ -178,35 +205,44 @@ def _leave_one_out_type2(
             f"acceptance box of coordinate {int(np.sum(counts[:g])) + 1} (rate {float(rates[g])!r}) "
             f"has zero null probability{where}; its leave-one-out Type II term is undefined"
         )
-    log_w = 0.0 if m == 0 else _log_mean_subset_products(log_d - log_a_pool, m)
+    log_w = 0.0 if m == 0 else _log_mean_subset_products(log_d - log_a_pool, m, counts[pool])
     terms = np.exp(np.sum(counts * log_a) - log_a_pool + log_w) * b
     return float(np.sum(counts[pool] * terms) / np.sum(counts[pool]))
 
 
 def _simplex_prior_type2(
-    box: AcceptanceBox, n: float, prior: MultinomialSimplexPrior, where: str = ""
+    box: AcceptanceBox,
+    values: np.ndarray,
+    counts: np.ndarray,
+    n: float,
+    prior: MultinomialSimplexPrior,
+    where: str = "",
 ) -> float:
     """Exact Poissonized Type II under the add-one/remove-m simplex prior.
 
     Cell ``j`` is ``Poisson(n q_j)`` with ``q`` a prior draw: the spike adds
     ``c psi / n`` to one of categories ``2..j*+1`` and removes ``c psi/(n m)``
-    (clipped at 0, as the sampler does) from ``m`` of the others.
+    (clipped at 0, as the sampler does) from ``m`` of the others.  The base
+    is given as runs, ``counts[g]`` cells of probability ``values[g]`` whose
+    box is ``box[g]``, with the head a run of its own and the pool whole
+    runs; dense cells are runs of count 1.
     """
-    probs = prior.base.probs
-    lam = n * probs
+    lam = n * values
+    log_a = _box_log_mass(box, lam)
     if prior.m == 0:  # every draw is the base vector
-        return math.exp(float(_box_log_mass(box, lam).sum()))
-    pool = slice(1, prior.j_star + 1)
-    spiked = probs[pool] + prior.c * prior.psi / prior.n
-    removed = np.clip(probs[pool] - prior.c * prior.psi / (prior.n * prior.m), 0.0, None)
+        return math.exp(float(np.sum(counts * log_a)))
+    pool = slice(1, int(np.searchsorted(np.cumsum(counts), prior.j_star + 1)) + 1)
+    spiked = values[pool] + prior.c * prior.psi / prior.n
+    removed = np.clip(values[pool] - prior.c * prior.psi / (prior.n * prior.m), 0.0, None)
     return _leave_one_out_type2(
-        _box_log_mass(box, lam),
+        log_a,
         _box_mass(box[pool], n * spiked),
         pool,
         lam,
         where,
         log_d=_box_log_mass(box[pool], n * removed),
         m=prior.m,
+        counts=counts,
     )
 
 
@@ -385,14 +421,37 @@ def _cell_rows(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int) -> np.nd
     return rows * (_box_mass(AcceptanceBox(lo, hi), lam) / rows.sum(axis=1))[:, None]
 
 
-def _product(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int) -> _Poly:
+def _groups(lam, lo, hi, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (rate, box) groups of the cells and their counts, in the
+    ascending order of ``np.unique(..., axis=0)``.
+
+    The groups come in run order, ``counts[g]`` cells of rate ``lam[g]`` in
+    box ``g`` with rates non-increasing, as a null's runs (or its dense cells,
+    runs of count 1) are.  Reversed, with neighbours that share a (rate,
+    box) merged, they are already in that order; only groups that are not
+    (an unsorted alternative) are sorted by ``np.unique``.
+    """
+    lam, lo, hi, counts = lam[::-1], lo[::-1], hi[::-1], counts[::-1]
+    d_lam, d_lo, d_hi = np.diff(lam), np.diff(lo), np.diff(hi)
+    same = (d_lam == 0) & (d_lo == 0) & (d_hi == 0)
+    if same.any():
+        starts = np.r_[0, np.flatnonzero(~same) + 1]
+        lam, lo, hi, counts = lam[starts], lo[starts], hi[starts], np.add.reduceat(counts, starts)
+        d_lam, d_lo, d_hi = np.diff(lam), np.diff(lo), np.diff(hi)
+    if np.all((d_lam > 0) | (d_lam == 0) & ((d_lo > 0) | (d_lo == 0) & (d_hi > 0))):
+        return lam, lo, hi, counts
+    cells, inverse = np.unique(np.column_stack([lam, lo, hi]), axis=0, return_inverse=True)
+    return (*cells.T, np.bincount(inverse.ravel(), weights=counts).astype(np.int64))
+
+
+def _product(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, counts: np.ndarray, t: int) -> _Poly:
     """Product over cells of their box rows (:func:`_cell_rows`), cut at degree ``t`` and windowed.
 
-    Cells that share a (rate, box) are one factor raised to their count by
-    repeated squaring; the distinct single cells multiply in one tree.
+    The cells come as groups in run order (:func:`_groups`).  Cells that
+    share a (rate, box) are one factor raised to their count by repeated
+    squaring; the distinct single cells multiply in one tree.
     """
-    cells, counts = np.unique(np.column_stack([lam, lo, hi]), axis=0, return_counts=True)
-    lam, lo, hi = cells.T
+    lam, lo, hi, counts = _groups(lam, lo, hi, counts)
     _check_terms(lam.size * (int(np.minimum(hi - lo, t).max()) + 1), "terms in one product level")
     rows = _cell_rows(lam, lo, hi, t)
     out = _tree_product(rows[counts == 1], t)
@@ -401,13 +460,14 @@ def _product(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int) -> _Poly:
     return out
 
 
-def _box_cut(box: AcceptanceBox, n: float) -> int:
+def _box_cut(box: AcceptanceBox, n: float, counts: np.ndarray) -> int:
     """``t = n - sum_j lo_j``, the degree that carries ``sum Y = n`` once each
-    cell is shifted by ``lo_j``; -1 when no count vector in the box sums to ``n``."""
+    cell is shifted by ``lo_j``, for ``counts[g]`` cells in box ``g``; -1
+    when no count vector in the box sums to ``n``."""
     if n != int(n):
         raise ValueError("the fixed-n multinomial needs an integer n")
-    t = int(n) - int(box.lo.sum())
-    if t < 0 or np.any(box.hi < box.lo) or box.hi.sum() < n:
+    t = int(n) - int(counts @ box.lo)
+    if t < 0 or np.any(box.hi < box.lo) or counts @ box.hi < n:
         return -1
     _check_terms(t + 1, "coefficients in the product")
     return t
@@ -450,10 +510,12 @@ def _fixed_n_accept(box: AcceptanceBox, n: float, lam: np.ndarray) -> float:
     at p = 1e3, n = 1e5, against a direct long-double convolution of the
     same rows, 4.5e-13 on the flat null and 1.7e-14 on ``q_j ~ j^(-1/2)``.
     """
-    t = _box_cut(box, n)
+    ones = np.ones(lam.size, dtype=np.int64)
+    t = _box_cut(box, n, ones)
     if t < 0:
         return 0.0
-    return float(_ratio(_coefficient(_product(lam, box.lo, box.hi, t), _ONE, t), n, float(lam.sum())))
+    numerator = _coefficient(_product(lam, box.lo, box.hi, ones, t), _ONE, t)
+    return float(_ratio(numerator, n, float(lam.sum())))
 
 
 def _log_comb(n: np.ndarray, top: int) -> np.ndarray:
@@ -542,35 +604,43 @@ def _pool_tree_terms(cells: int, m: int, length: int, t: int) -> int:
 
 
 class _FixedNPrior:
-    """One acceptance box under the fixed-n law of a simplex prior's base ``probs`` and draws.
+    """One acceptance box under the fixed-n law of a simplex prior's base and draws.
 
-    The cells outside the pool (category 1 and those past ``j* + 1``) keep
-    their base rates in every draw, so their product ``outside`` is formed
-    once, and with it ``accept0 = P_0(X in box)``; a sweep shares one
-    instance over every ``xi`` whose box is the same.  A pool whose cells
-    share one (rate, box) keeps the power ``rest = a^(j* - 1 - m)`` of its
-    cells that are neither spiked nor removed.  Every draw has
-    ``Lambda = n sum(q0)`` (up to the clip at 0 of a removed cell).
+    The base comes as runs, ``counts[g]`` cells of probability ``values[g]``
+    whose box is ``box[g]``, with the head a run of its own and the pool
+    (categories ``2..j* + 1``) whole runs; dense cells are runs of count 1.
+    The cells outside the pool keep their base rates in every draw, so their
+    product ``outside`` is formed once, and with it ``accept0 = P_0(X in
+    box)``; a sweep shares one instance over every ``xi`` whose box is the
+    same.  A pool whose cells share one (rate, box) keeps the power
+    ``rest = a^(j* - 1 - m)`` of its cells that are neither spiked nor
+    removed.  Every draw has ``Lambda = total``, ``n sum(q0)`` (up to the
+    clip at 0 of a removed cell).
     """
 
-    def __init__(self, box: AcceptanceBox, n: float, probs: np.ndarray, j_star: int, m: int):
-        self.t = t = _box_cut(box, n)
-        self.n, self.total = n, n * float(probs.sum())
+    def __init__(
+        self, box: AcceptanceBox, n: float, values: np.ndarray, counts: np.ndarray, j_star: int, m: int, total: float
+    ):
+        self.t = t = _box_cut(box, n, counts)
+        self.n, self.total = n, total
         if t < 0:
             self.accept0 = 0.0
             return
-        pool = slice(1, j_star + 1)
-        outside = np.r_[0, j_star + 1 : probs.size]
-        self.lo, self.hi = box.lo[pool], box.hi[pool]
-        lam = n * probs[pool]
-        self.outside = _product(n * probs[outside], box.lo[outside], box.hi[outside], t)
-        self.flat = np.unique(np.column_stack([lam, self.lo, self.hi]), axis=0).shape[0] == 1
+        cut = int(np.searchsorted(np.cumsum(counts), j_star + 1)) + 1
+        pool, outside = slice(1, cut), np.r_[0, cut : values.size]
+        lam = n * values
+        self.lo, self.hi, self.counts = box.lo[pool], box.hi[pool], counts[pool]
+        self.outside = _product(lam[outside], box.lo[outside], box.hi[outside], counts[outside], t)
+        pool_lam = lam[pool]
+        self.flat = bool(
+            np.all(pool_lam == pool_lam[0]) & np.all(self.lo == self.lo[0]) & np.all(self.hi == self.hi[0])
+        )
         if self.flat:
-            a = _Poly(0, _cell_rows(lam[:1], self.lo[:1], self.hi[:1], t)[0])
+            a = _Poly(0, _cell_rows(pool_lam[:1], self.lo[:1], self.hi[:1], t)[0])
             self.rest = _power(a, j_star - 1 - m, t)
             numerator = _coefficient(_mul(self.outside, _power(a, m + 1, t), t), self.rest, t)
         else:
-            numerator = _coefficient(self.outside, _product(lam, self.lo, self.hi, t), t)
+            numerator = _coefficient(self.outside, _product(pool_lam, self.lo, self.hi, self.counts, t), t)
         self.accept0 = float(_ratio(numerator, n, self.total))
 
     def type2(self, prior: MultinomialSimplexPrior) -> float:
@@ -584,14 +654,13 @@ class _FixedNPrior:
         t, m = self.t, prior.m
         q = prior.base.probs[1 : prior.j_star + 1]
         shift = prior.c * prior.psi / prior.n
-        if not self.flat:
-            length = int(np.minimum(self.hi - self.lo, t).max()) + 1
+        if self.flat:  # a flat pool needs one row of each
+            lo, hi, q = self.lo[:1], self.hi[:1], q[:1]
+        else:
+            lo, hi = np.repeat(self.lo, self.counts), np.repeat(self.hi, self.counts)
+            length = int(np.minimum(hi - lo, t).max()) + 1
             _check_terms(_pool_tree_terms(q.size, m, length, t), "terms in one pool-product level")
-        cells = slice(0, 1) if self.flat else slice(None)  # a flat pool needs one row of each
-        a, b, d = (
-            _cell_rows(self.n * rates[cells], self.lo[cells], self.hi[cells], t)
-            for rates in (q, q + shift, np.clip(q - shift / m, 0.0, None))
-        )
+        a, b, d = (_cell_rows(self.n * rates, lo, hi, t) for rates in (q, q + shift, np.clip(q - shift / m, 0.0, None)))
         if self.flat:
             changed = _mul(_mul(self.outside, _Poly(0, b[0]), t), _power(_Poly(0, d[0]), m, t), t)
             numerator = _coefficient(changed, self.rest, t)
@@ -630,14 +699,15 @@ def estimate_multinomial_risk(
     q_alt = alternative.base.probs if prior else as_probability_vector(alternative, "alternative")
     if q_alt.size != q0.p:
         raise ValueError("alternative dimension mismatch")
+    ones = np.ones(q_alt.size, dtype=np.int64)  # the dense cells as runs of count 1
     if poissonized:
         if prior:
-            type2 = _simplex_prior_type2(box, n, alternative)
+            type2 = _simplex_prior_type2(box, q_alt, ones, n, alternative)
         else:
             type2 = math.exp(float(_box_log_mass(box, n * q_alt).sum()))
         return _exact(float(_box_log_mass(box, n * q0.probs).sum()), type2, seed)
     if prior:
-        state = _FixedNPrior(box, n, q_alt, alternative.j_star, alternative.m)
+        state = _FixedNPrior(box, n, q_alt, ones, alternative.j_star, alternative.m, n * float(q_alt.sum()))
         same_base = np.array_equal(q_alt, q0.probs)
         accept0 = state.accept0 if same_base else _fixed_n_accept(box, n, n * q0.probs)
         return RiskEstimate(1.0 - accept0, state.type2(alternative), 0, seed, 0.0)
@@ -768,16 +838,23 @@ def sweep_multinomial_sharp_constant(
     is raised when ``eps(xi)/m`` exceeds the smallest perturbed cell, or when
     ``j* = 1`` leaves no cell (``m = 0``) to give up the added mass.
 
-    The Poissonized risk is exact, in O(p + j* m) per ``xi``: with
-    ``a_j = P_{n q0_j}(box_j)``, ``type1 = 1 - prod_j a_j`` and Type II is
-    the leave-one-out average of :func:`_leave_one_out_type2` over the
-    spiked cell and the removal subsets.  The fixed-n risk is exact too
-    (:class:`_FixedNPrior`): the threshold ``n' eps(xi)/xi`` does not depend
-    on ``xi``, so one box is built per distinct threshold, and whenever two
-    boxes are equal (they are compared, not assumed equal) one product of
-    the cells outside the pool, and one Type I, serve every such ``xi``.
-    Every row reports 0 trials, a zero ``ci`` and ``seed`` as passed;
-    ``trials`` must be at least 1 but is not used.
+    Both risks work on the runs of ``q0`` (:attr:`SimplexVector.runs`, the
+    head a run of its own): ``j*`` ends a run
+    (:func:`~supgof.rates.multinomial_sharp_constant_epsilons`), so the pool
+    ``2..j*+1`` is whole runs, and every box is built once per run.  The
+    Poissonized risk is exact, in O(#runs m) per ``xi``: with ``c_g`` cells
+    of box probability ``a_g = P_{n q_g}(box_g)`` in run ``g``,
+    ``type1 = 1 - prod_g a_g^{c_g}`` and Type II is the leave-one-out
+    average of :func:`_leave_one_out_type2` over the spiked run and the
+    removal subsets, so a null given as runs sweeps at any ``p``.  The
+    fixed-n risk is exact too (:class:`_FixedNPrior`) but needs the dense
+    cells, so past ``DENSE_RATES_CAP`` it raises a ``ValueError`` naming
+    the cap: the threshold ``n' eps(xi)/xi`` does not depend on ``xi``, so
+    one box is built per distinct threshold, and whenever two boxes are
+    equal (they are compared, not assumed equal) one product of the cells
+    outside the pool, and one Type I, serve every such ``xi``.  Every row
+    reports 0 trials, a zero ``ci`` and ``seed`` as passed; ``trials`` must
+    be at least 1 but is not used.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
@@ -785,22 +862,25 @@ def sweep_multinomial_sharp_constant(
     epsilons, j_star, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, alpha_p, xi_grid)
     if m == 0:
         raise ValueError("sweep alternative needs j* >= 2: no cell can give up the added mass")
-    probs = q0.probs
-    center = n * probs
+    # Fixed-n works on the dense cells: past DENSE_RATES_CAP this raises, naming the cap.
+    total = None if poissonized else n * float(q0.probs.sum())
+    values, counts = q0.runs
+    floor = values[np.searchsorted(np.cumsum(counts), j_star + 1)]  # category j* + 1, the pool's last
+    center = n * values
     estimates = []
     boxes: dict = {}
     states: dict[tuple[bytes, bytes], _FixedNPrior] = {}
     for xi, eps in zip(xi_grid, epsilons.tolist()):
-        if eps / m > probs[j_star] + 1e-15:
+        if eps / m > floor + 1e-15:
             raise ValueError("sweep alternative leaves the simplex; reduce xi or grow n")
         prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0)
         box, key = _sweep_box(boxes, center, n_prime * eps / xi)
         if poissonized:
-            type2 = _simplex_prior_type2(box, n, prior, f" at xi={float(xi)!r}")
-            estimates.append(_exact(float(_box_log_mass(box, center).sum()), type2, seed))
+            type2 = _simplex_prior_type2(box, values, counts, n, prior, f" at xi={float(xi)!r}")
+            estimates.append(_exact(float(np.sum(counts * _box_log_mass(box, center))), type2, seed))
             continue
         if key not in states:
-            states[key] = _FixedNPrior(box, n, probs, j_star, m)
+            states[key] = _FixedNPrior(box, n, values, counts, j_star, m, total)
         state = states[key]
         estimates.append(RiskEstimate(1.0 - state.accept0, state.type2(prior), 0, seed, 0.0))
-    return SweepResult(xi_grid, epsilons, tuple(estimates), multinomial_rate(q0, n).regime)
+    return SweepResult(xi_grid, epsilons, tuple(estimates), multinomial_regime(q0, n))

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from supgof import cli
 from supgof.cli import main
-from supgof.model import DENSE_RATES_CAP, RateVector
+from supgof.model import DENSE_RATES_CAP, RateVector, SimplexVector
 from supgof.rates import poisson_rate
-from supgof.risk import sweep_sharp_constant
+from supgof.risk import sweep_multinomial_sharp_constant, sweep_sharp_constant
 
 POISSON_NULL = '{"model":"poisson","rates":[1,1,1]}'
 MULT_NULL = '{"model":"multinomial","probs":[0.5,0.3,0.2],"n":50}'
@@ -388,6 +388,55 @@ class TestRiskAndSweep:
         code, out, err = run_cli(capsys, "test", "--null", null, "--data", str(tmp_path / data))
         assert code == 1
         assert "DENSE_RATES_CAP" in err
+        assert out == ""
+
+    def test_multinomial_sweep_over_runs_at_paper_scale(self, capsys):
+        """A flat multinomial null of 1e15 cells, given as one run, sweeps exactly when Poissonized."""
+        null = '{"model":"multinomial","runs":[[1e-15, 1e15]],"n":1.26e18}'
+        code, out, _err = run_cli(capsys, "sweep", "--poissonized", "--null", null, "--xi-grid", "0.8,1.25")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        q0 = SimplexVector.from_runs([1e-15], [10**15])
+        expected = sweep_multinomial_sharp_constant(q0, 1.26e18, [0.8, 1.25], math.log(1e15), 1, 0, poissonized=True)
+        assert rows == expected.rows()
+        assert [round(r["total"], 3) for r in rows] == [0.944, 0.044]
+
+    @pytest.mark.parametrize("poissonized", [[], ["--poissonized"]], ids=["fixed-n", "poissonized"])
+    def test_multinomial_runs_null_is_its_dense_null(self, capsys, poissonized):
+        """``risk`` and ``sweep`` print the same bytes for a null given as runs and as its cells."""
+        dense = json.dumps({"model": "multinomial", "probs": [0.1] * 4 + [0.05] * 12, "n": 400})
+        runs = '{"model":"multinomial","runs":[[0.1,4],[0.05,12]],"n":400}'
+        for command in (["risk", "--c", "0.5"], ["sweep", "--xi-grid", "0.5,1"]):
+            outs = [run_cli(capsys, *command, *poissonized, "--null", null) for null in (dense, runs)]
+            assert outs[0] == outs[1] and outs[0][0] == 0
+
+    @pytest.mark.parametrize(
+        "command", [["rate"], ["test", "--data", "missing.csv"], ["sweep"], ["risk", "--poissonized"]]
+    )
+    def test_multinomial_dense_route_past_the_cap_is_config_error(self, capsys, command):
+        """Past the cap only the Poissonized sweep runs; fixed-n, ``rate`` and ``test`` name the cap."""
+        null = '{"model":"multinomial","runs":[[1e-15, 1e15]],"n":1.26e18}'
+        code, out, err = run_cli(capsys, *command, "--null", null)
+        assert code == 1
+        assert "DENSE_RATES_CAP" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "null, message",
+        [
+            ('{"model":"multinomial","runs":[[0.25, 4.5]],"n":10}', "run counts must be integers"),
+            ('{"model":"multinomial","runs":[[0.25, 4]],"probs":[0.25,0.25,0.25,0.25],"n":10}', "not both"),
+            ('{"model":"multinomial","runs":[[0.25, 3]],"n":10}', "sum to 1"),
+            ('{"model":"multinomial","runs":[[0.25, 2], [0.5, 1]],"n":10}', "sorted non-increasing"),
+            ('{"model":"multinomial","runs":[0.5, 2],"n":10}', "pairs"),
+        ],
+        ids=["non-integer-count", "probs-and-runs", "off-the-simplex", "increasing", "not-pairs"],
+    )
+    @pytest.mark.parametrize("command", ["rate", "sweep", "risk"])
+    def test_malformed_multinomial_runs_are_config_errors(self, capsys, null, message, command):
+        code, out, err = run_cli(capsys, command, "--null", null)
+        assert code == 1
+        assert message in err and "Traceback" not in err
         assert out == ""
 
     def test_bad_alpha_rule_is_config_error(self, capsys):

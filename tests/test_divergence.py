@@ -336,6 +336,13 @@ def _dense_pmf(law, shape) -> np.ndarray:
     return out
 
 
+def _dense_chisq(q_law, p_law) -> float:
+    """``sum (q - p)^2 / p`` over the full grid that ``chi_square_enumerated`` sums on."""
+    shape = divergence._chi_square_grid(q_law, p_law)
+    pp, qq = _dense_pmf(p_law, shape), _dense_pmf(q_law, shape)
+    return float(np.sum((qq - pp) ** 2 / pp))
+
+
 class TestSlabStreaming:
     """TV and chi-square stream both joint pmfs in slabs; no full grid is built."""
 
@@ -353,7 +360,7 @@ class TestSlabStreaming:
             shape = tuple(np.maximum(null.shape, mix.shape))
             pp, qq = _dense_pmf(null, shape), _dense_pmf(mix, shape)
             assert tv_distance(null, mix).value == pytest.approx(0.5 * np.abs(pp - qq).sum(), rel=1e-13, abs=1e-15)
-            want = np.sum((qq - pp) ** 2 / pp)
+            want = _dense_chisq(mix, null)
             assert chi_square_enumerated(mix, null).value == pytest.approx(want, rel=1e-12)
 
     def test_one_coordinate(self, monkeypatch):
@@ -366,7 +373,7 @@ class TestSlabStreaming:
         assert whole.value == pytest.approx(0.5 * np.abs(pp - qq).sum(), rel=1e-14)
         monkeypatch.setattr(divergence, "_SLAB_ATOMS", 4)
         assert tv_distance(null, mix).value == pytest.approx(whole.value, rel=1e-14)
-        assert chi_square_enumerated(mix, null).value == pytest.approx(np.sum((qq - pp) ** 2 / pp), rel=1e-12)
+        assert chi_square_enumerated(mix, null).value == pytest.approx(_dense_chisq(mix, null), rel=1e-12)
 
     def test_more_components_than_the_first_axis(self, monkeypatch):
         """Eight components on a first axis of a few atoms, cut after that axis."""
@@ -442,7 +449,7 @@ class TestSharedAxes:
             shape = tuple(np.maximum(null.shape, mix.shape))
             pp, qq = _dense_pmf(null, shape), _dense_pmf(mix, shape)
             assert tv_distance(null, mix).value == pytest.approx(0.5 * np.abs(pp - qq).sum(), rel=1e-13, abs=1e-15)
-            want = np.sum((qq - pp) ** 2 / pp)
+            want = _dense_chisq(mix, null)
             assert chi_square_enumerated(mix, null).value == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_shared_column_padded_by_lengths(self, monkeypatch):
@@ -456,7 +463,7 @@ class TestSharedAxes:
         tv = tv_distance(null, mix)
         assert tv.value == pytest.approx(0.5 * np.abs(pp - qq).sum(), rel=1e-13)
         assert tv.error_bar == null.deficit(shape) + mix.deficit(shape)
-        assert chi_square_enumerated(mix, null).value == pytest.approx(np.sum((qq - pp) ** 2 / pp), rel=1e-12)
+        assert chi_square_enumerated(mix, null).value == pytest.approx(_dense_chisq(mix, null), rel=1e-12)
 
     def test_equal_laws_with_every_axis_shared_are_zero(self):
         p = poisson_product_dist([1.0, 2.0, 0.5])
@@ -540,6 +547,29 @@ class TestChiSquare:
         # Rounding: exp(60.5) carries a few ulps of its argument's error.
         assert abs(closed - enum.value) <= enum.error_bar + 1e-13 * closed
         assert enum.error_bar <= 1e3 * abs(closed - enum.value) + 1e-12
+
+    @pytest.mark.parametrize("a, b", [([6.0], [0.5]), ([6.0, 1.0], [0.5, 1.0]), ([4.0, 3.0], [0.5, 1.0])])
+    def test_large_shift_matches_the_closed_form(self, a, b):
+        """``q^2/p`` of Poisson(6) against Poisson(0.5) sits near Poisson(72),
+        far past both laws' own grids: the sum once read 3.38e18 for the
+        closed form's 1.88e26, with a bar of 1.88e26."""
+        closed = chi_square_poisson_products(a, b)
+        enum = chi_square_enumerated(poisson_product_dist(a), poisson_product_dist(b))
+        assert abs(enum.value - closed) <= 1e-9 * closed
+        assert abs(enum.value - closed) <= enum.error_bar + 1e-13 * closed
+        assert enum.error_bar <= 1e-9 * closed
+
+    def test_widening_stops_where_the_null_pmf_underflows(self):
+        """Poisson(50) against Poisson(5): past 243 atoms Poisson(5)'s pmf falls
+        below the smallest normal float, so the grid stops there and the bar
+        keeps the rest."""
+        alt, null = poisson_product_dist([50.0]), poisson_product_dist([5.0])
+        shape = divergence._chi_square_grid(alt, null)
+        assert max(alt.shape[0], null.shape[0]) < shape[0] < 500
+        assert scipy.stats.poisson.pmf(shape[0] - 1, 5.0) > 0.0
+        closed = chi_square_poisson_products([50.0], [5.0])
+        enum = chi_square_enumerated(alt, null)
+        assert enum.value < closed <= enum.value + enum.error_bar
 
     def test_unharmonized_grids_are_finite(self):
         """Poisson(3) x Poisson(1) needs more atoms than the null's own grid holds."""

@@ -124,6 +124,62 @@ class TestRateRuns:
             mu.rates
 
 
+class TestSimplexRuns:
+    def test_runs_of_dense_probs_split_off_the_head(self):
+        q = SimplexVector([0.25, 0.25, 0.25, 0.25])
+        assert q._runs is None  # a dense null builds its runs on first use only
+        values, counts = q.runs
+        assert (values.tolist(), counts.tolist()) == ([0.25, 0.25], [1, 3])
+        values, counts = SimplexVector([0.4, 0.2, 0.2, 0.1, 0.1]).runs
+        assert (values.tolist(), counts.tolist()) == ([0.4, 0.2, 0.1], [1, 2, 2])
+        distinct = SimplexVector([0.5, 0.3, 0.2])
+        assert distinct.runs[0] is distinct.probs
+        assert SimplexVector([1.0]).runs[1].tolist() == [1]
+
+    def test_from_runs_splits_the_head_and_expands_on_demand(self):
+        q = SimplexVector.from_runs([0.2, 0.1], [3, 4.0])
+        assert q.p == 7 and type(q.p) is int
+        assert (q.runs[0].tolist(), q.runs[1].tolist()) == ([0.2, 0.2, 0.1], [1, 2, 4])
+        assert q.head == 0.2 and q._dense is None
+        assert q.probs.tolist() == [0.2] * 3 + [0.1] * 4
+        assert q.tail.tolist() == [0.2] * 2 + [0.1] * 4
+        with pytest.raises(ValueError):
+            q.probs[0] = 1.0
+        with pytest.raises(ValueError):
+            q.runs[1][0] = 4
+
+    @pytest.mark.parametrize(
+        "values, counts",
+        [
+            ([0.25], [3]),  # sums to 0.75
+            ([0.25], [5]),
+            ([0.2, 0.4], [1, 2]),
+            ([1.5, -0.25], [1, 2]),
+            ([0.5], [2.5]),
+            ([0.5], [True]),
+            ([0.5], [0, 2]),
+            ([math.nan], [1]),
+        ],
+        ids=lambda v: repr(v)[:20],
+    )
+    def test_from_runs_validation(self, values, counts):
+        with pytest.raises(ValueError):
+            SimplexVector.from_runs(values, counts)
+
+    def test_sum_is_checked_over_the_runs(self):
+        p = 10**15
+        assert SimplexVector.from_runs([1.0 / p], [p]).p == p
+        with pytest.raises(ValueError, match="sum to 1"):
+            SimplexVector.from_runs([1.0 / p], [p - 10**4])
+
+    def test_dense_view_is_capped(self):
+        q = SimplexVector.from_runs([0.5, 0.5 / DENSE_RATES_CAP], [1, DENSE_RATES_CAP])
+        with pytest.raises(ValueError, match=f"DENSE_RATES_CAP = {DENSE_RATES_CAP}"):
+            q.probs
+        with pytest.raises(ValueError, match="DENSE_RATES_CAP"):
+            q.tail
+
+
 class TestRngStreams:
     def test_deterministic_and_distinct(self):
         a = rng_stream(42, 1).poisson(3.0, size=10)

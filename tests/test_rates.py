@@ -10,6 +10,7 @@ import pytest
 from supgof.model import RateVector, SimplexVector
 from supgof.rates import (
     multinomial_rate,
+    multinomial_regime,
     multinomial_sharp_constant_epsilons,
     poisson_rate,
     prob_all_observed,
@@ -105,6 +106,22 @@ class TestMultinomialRate:
         assert profile.per_coordinate_terms[1] == 0.0
         assert profile.per_coordinate_terms[2] == 0.0
         assert np.isfinite(profile.epsilon_star)
+
+    @pytest.mark.parametrize(
+        "probs, n",
+        [
+            ([1.0], 20.0),
+            ([0.5, 0.5], 100.0),
+            ([0.6, 0.4, 0.0, 0.0], 50.0),
+            ([1.0, 0.0, 0.0], 50.0),
+            ([0.25] * 4, 3.0),
+            ([0.3, 0.3, 0.2, 0.1, 0.1], 1e4),
+        ],
+    )
+    def test_regime_on_run_ends_is_the_profile_regime(self, probs, n):
+        """Zero cells, a head tied with the tail and a lone head included."""
+        q0 = SimplexVector(probs)
+        assert multinomial_regime(q0, n) == multinomial_rate(q0, n).regime
 
     def test_zero_cell_limit_monotone(self):
         """q * Gamma(log(ej)/(nq)) -> 0 monotonically as q -> 0 (small q)."""

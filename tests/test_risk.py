@@ -22,6 +22,7 @@ from supgof.priors import (
     draw_multinomial_simplex_prior,
 )
 from supgof.rates import (
+    multinomial_rate,
     multinomial_sharp_constant_epsilons,
     poisson_rate,
     sharp_constant_epsilon,
@@ -432,6 +433,208 @@ class TestGroupedPoissonSweep:
         assert peak < 1 << 20
         with pytest.raises(ValueError, match="DENSE_RATES_CAP"):
             mu.rates
+
+
+def _dense_log_mean_subset_products(log_r: np.ndarray, m: int) -> np.ndarray:
+    """``log(e_m(r_{-s}) / C(k - 1, m))`` for each of ``k`` single ratios, by
+    prefix and suffix tables of ``log e_l`` over the cells: the dense routine
+    the runs form replaced, kept here as its oracle."""
+    k = log_r.size
+    suf = np.full((k, m + 1), -np.inf)
+    suf[:, 0] = 0.0
+    for l in range(1, m + 1):
+        suf[:-1, l] = np.logaddexp.accumulate((log_r[1:] + suf[1:, l - 1])[::-1])[::-1]
+    pre = np.zeros(k)
+    total = suf[:, m].copy()
+    for l in range(1, m + 1):
+        pre = np.r_[-np.inf, np.logaddexp.accumulate(log_r[:-1] + pre[:-1])]
+        total = np.logaddexp(total, pre + suf[:, m - l])
+    return total - math.log(math.comb(k - 1, m))
+
+
+def _dense_multinomial_sweep(probs: np.ndarray, n: float, xi_grid, alpha_p: float) -> list[tuple[float, float, float]]:
+    """``(epsilon, type1, type2)`` per ``xi`` of the Poissonized multinomial
+    sweep from every cell's own box and the dense leave-one-out average: no runs.
+
+    The two objectives are maximized over every tail index ``j``; Type I is
+    ``1 - prod_j a_j`` and Type II the mean over the spiked cell ``s`` of
+    ``b_s prod_{i != s} a_i`` times the mean removal product.
+    """
+    n_prime = (1.0 + n ** (-1.0 / 3.0)) * n
+    tail = probs[1:]
+    js = np.arange(1, tail.size + 1, dtype=float)
+    v = tail * (1.0 - tail)
+    level = float(np.max(v * h_inverse((1.0 + np.log(js)) / (n_prime * v))))
+    inflated = 1.0 + np.log(js) + math.log(alpha_p) + 2.0 * np.log1p(np.log(js))
+    j_star = int(np.argmax(v * h_inverse(inflated / (n_prime * v)))) + 1
+    m = min(max(2, math.ceil(h_inverse((1.0 + math.log(j_star)) / (n_prime * tail[j_star - 1])))), j_star - 1)
+    pool = slice(1, j_star + 1)
+    out = []
+    for xi in xi_grid:
+        eps = xi * level
+        box = AcceptanceBox.around(n * probs, n_prime * eps / xi, strict=True)
+        log_a = risk_module._box_log_mass(box, n * probs)
+        b = risk_module._box_mass(box[pool], n * (probs[pool] + eps))
+        log_d = risk_module._box_log_mass(box[pool], n * np.clip(probs[pool] - eps / m, 0.0, None))
+        log_w = _dense_log_mean_subset_products(log_d - log_a[pool], m)
+        type2 = np.mean(b * np.exp(log_a.sum() - log_a[pool] + log_w))
+        out.append((eps, -math.expm1(log_a.sum()), float(type2)))
+    return out
+
+
+def _random_simplex_step_nulls(count: int, seed: int, p_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(values, counts)`` of step nulls on the simplex with at most ``p_max``
+    cells; in every third the head ties with the first tail run."""
+    rng = np.random.default_rng(seed)
+    nulls = []
+    for i in range(count):
+        values = np.unique(rng.uniform(0.2, 5.0, int(rng.integers(1, 30))))[::-1]
+        counts = rng.integers(1, p_max // values.size + 1, values.size)
+        if i % 3 == 0:
+            counts[0] = max(counts[0], 2)
+        if counts.sum() < 3:
+            counts[-1] += 2
+        nulls.append((values / (counts @ values), counts))
+    return nulls
+
+
+def _on_simplex_n(values: np.ndarray, counts: np.ndarray) -> float:
+    """A sample size at which the smallest cell's mean is ``4 log^2(e p)``, so
+    the sweep's alternatives stay on the simplex for ``xi <= 2``."""
+    return 4.0 * (1.0 + math.log(counts.sum())) ** 2 / values[-1]
+
+
+class TestGroupedMultinomialSweep:
+    """The multinomial sweeps over runs of equal cells against dense cells."""
+
+    XI = [0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("values, counts", _random_simplex_step_nulls(24, 20_261_020, 10_000))
+    def test_poissonized_matches_the_dense_sweep(self, values, counts):
+        q0 = SimplexVector.from_runs(values, counts)
+        assert q0.p <= 10_000
+        n = _on_simplex_n(values, counts)
+        res = sweep_multinomial_sharp_constant(q0, n, self.XI, 3.0, 1, 0, poissonized=True)
+        dense = _dense_multinomial_sweep(q0.probs, n, self.XI, 3.0)
+        for risk, eps, (eps_d, type1, type2) in zip(res.risks, res.epsilons, dense):
+            np.testing.assert_allclose([eps, risk.type1, risk.type2], [eps_d, type1, type2], rtol=1e-12, atol=1e-15)
+        assert res.regime == multinomial_rate(q0, n).regime
+
+    @pytest.mark.parametrize("values, counts", _random_simplex_step_nulls(6, 20_261_021, 600))
+    def test_fixed_n_matches_the_dense_cells(self, values, counts):
+        """Every box, product and pool of the sweep over runs against the same
+        sweep handed one run per cell."""
+        q0 = SimplexVector.from_runs(values, counts)
+        n = float(math.ceil(_on_simplex_n(values, counts)))
+        res = sweep_multinomial_sharp_constant(q0, n, self.XI, 3.0, 1, 0)
+        epsilons, j_star, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, 3.0, self.XI)
+        probs = q0.probs
+        ones = np.ones(probs.size, dtype=np.int64)
+        for xi, eps, risk in zip(self.XI, epsilons, res.risks):
+            box = AcceptanceBox.around(n * probs, n_prime * eps / xi, strict=True)
+            state = risk_module._FixedNPrior(box, n, probs, ones, j_star, m, n * float(probs.sum()))
+            prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0)
+            want = [1.0 - state.accept0, state.type2(prior)]
+            np.testing.assert_allclose([risk.type1, risk.type2], want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("values, counts", _random_simplex_step_nulls(12, 20_261_022, 10_000))
+    def test_simplex_prior_type2_over_runs(self, values, counts):
+        """The prior's Poissonized Type II on the runs of its base, each run one
+        box, against the same base as one run per cell and the dense oracle."""
+        q0 = SimplexVector.from_runs(values, counts)
+        n = _on_simplex_n(values, counts)
+        prior = MultinomialSimplexPrior.build(q0, n, certified_simplex_c(q0, n))
+        box = MultinomialTestConfig.from_eta(q0, n, 0.2).acceptance_box(q0, n)
+        run_values, run_counts = q0.runs
+        runs = risk_module._simplex_prior_type2(box[np.cumsum(run_counts) - 1], run_values, run_counts, n, prior)
+        ones = np.ones(q0.p, dtype=np.int64)
+        assert runs == pytest.approx(risk_module._simplex_prior_type2(box, q0.probs, ones, n, prior), rel=1e-12)
+        if prior.m:
+            pool = slice(1, prior.j_star + 1)
+            shift = prior.c * prior.psi / prior.n
+            log_a = risk_module._box_log_mass(box, n * q0.probs)
+            b = risk_module._box_mass(box[pool], n * (q0.probs[pool] + shift))
+            log_d = risk_module._box_log_mass(box[pool], n * np.clip(q0.probs[pool] - shift / prior.m, 0.0, None))
+            log_w = _dense_log_mean_subset_products(log_d - log_a[pool], prior.m)
+            assert runs == pytest.approx(np.mean(b * np.exp(log_a.sum() - log_a[pool] + log_w)), rel=1e-12)
+
+    @pytest.mark.parametrize("cells", [3, 5, 8])
+    def test_subset_products_over_runs_match_direct_sum(self, cells):
+        """Runs of equal ratios against every ``m``-subset of their cells, written out."""
+        rng = np.random.default_rng(cells)
+        counts = rng.integers(1, 4, cells)
+        log_r = np.r_[-np.inf, rng.uniform(-30.0, 30.0, cells - 1)]
+        dense = np.repeat(log_r, counts)
+        starts = np.cumsum(counts) - counts
+        for m in range(1, int(counts.sum())):
+            want = []
+            for s in starts:
+                others = [i for i in range(dense.size) if i != s]
+                sums = [dense[list(c)].sum() for c in itertools.combinations(others, m)]
+                want.append(logsumexp(sums) - math.log(math.comb(dense.size - 1, m)))
+            got = _log_mean_subset_products(log_r, m, counts)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
+
+    def test_flat_run_of_1e15_against_mpmath(self):
+        """``type1 = 1 - a^p`` and ``type2 = b c^m a^(p-1-m)``, the box masses
+        summed at 40 digits; the sweep holds no p-length array, and fixed-n,
+        which needs the dense cells, names the cap."""
+        p = 10**15
+        n = p * (1.0 + math.log(p)) ** 2
+        q0 = SimplexVector.from_runs([1.0 / p], [p])
+        xi_grid = [0.8, 1.0, 1.4]
+        tracemalloc.start()
+        try:
+            res = sweep_multinomial_sharp_constant(q0, n, xi_grid, math.log(p), 1, 0, poissonized=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        _, _, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, math.log(p), xi_grid)
+        lam = n * (1.0 / p)
+        with mpmath.workdps(40):
+            for xi, eps, risk in zip(xi_grid, res.epsilons, res.risks):
+                psi = n_prime * float(eps) / xi
+                near = range(max(0, math.floor(lam - psi) - 1), math.ceil(lam + psi) + 2)
+                box = [x for x in near if abs(x - lam) < psi]
+
+                def mass(rate):
+                    rate = mpmath.mpf(rate)
+                    return mpmath.fsum(mpmath.exp(-rate + x * mpmath.log(rate) - mpmath.loggamma(x + 1)) for x in box)
+
+                shift = n * float(eps) / n
+                a = mass(lam)
+                b = mass(n * (1.0 / p + shift))
+                c = mass(n * (1.0 / p - n * float(eps) / (n * m)))
+                assert risk.type1 == pytest.approx(float(1 - a**p), rel=1e-12)
+                assert risk.type2 == pytest.approx(float(b * c**m * a ** (p - 1 - m)), rel=1e-12)
+        with pytest.raises(ValueError, match="DENSE_RATES_CAP"):
+            sweep_multinomial_sharp_constant(q0, n, xi_grid, math.log(p), 1, 0)
+
+    @pytest.mark.parametrize(
+        "null, rows",
+        [
+            (
+                "flat",
+                [(0.0318700613910613, 0.9416450112438997), (0.0318700613910613, 0.5054768014185691),
+                 (0.0318700613910613, 0.00021825566618262332)],
+            ),
+            (
+                "het",
+                [(0.3571612182703685, 0.5382026209463417), (0.3571612182703685, 0.2791110963387293),
+                 (0.3571612182703685, 0.007934638082373097)],
+            ),
+        ],
+    )
+    def test_fixed_n_rows_are_bit_identical_to_the_dense_grouping(self, null, rows):
+        """The benchmark's nulls at p = 1e3, n = 1e5: the (rate, box) groups
+        taken from the runs give the rows the grouping of every cell by
+        ``np.unique`` gave, bit for bit."""
+        p, n = 1000, 100_000
+        het = np.arange(1, p + 1.0) ** -0.5
+        q0 = SimplexVector(np.full(p, 1.0 / p) if null == "flat" else het / het.sum())
+        res = sweep_multinomial_sharp_constant(q0, n, [0.5, 1.0, 2.0], math.log(p), 1, 0)
+        assert [(r.type1, r.type2) for r in res.risks] == rows
 
 
 class TestRelationMultinomialPoissonized:

@@ -78,6 +78,56 @@ def test_cli_start_up_modules_import_no_scipy():
     assert found == []
 
 
+# The modules the sweep workloads import before they build a null: each scipy
+# submodule costs tens of milliseconds of start-up, so these load
+# ``scipy.special`` at most, and ``model`` and ``rates`` no scipy at all.
+SPECIAL_ONLY_MODULES = ("risk", "priors", "divergence")
+SCIPY_FREE_MODULES = ("model", "rates")
+
+
+def _scipy_beyond_special(nodes) -> list[int]:
+    """Lines among ``nodes`` that import scipy other than ``scipy.special``."""
+    found = []
+    for node in nodes:
+        names = _imported_names(node)
+        if isinstance(node, ast.ImportFrom):  # what it loads: "from scipy import special" is scipy.special
+            names = names[1:]
+        if any(_is_under(name, "scipy") and not _is_under(name, "scipy.special") for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_sweep_modules_import_scipy_special_at_most():
+    """``risk``, ``priors`` and ``divergence`` import nothing from scipy but
+    ``scipy.special`` at module level; ``model`` and ``rates`` import no scipy
+    anywhere."""
+    found = []
+    for module in SPECIAL_ONLY_MODULES + SCIPY_FREE_MODULES:
+        path = PACKAGE / f"{module}.py"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if module in SPECIAL_ONLY_MODULES:
+            lines = _scipy_beyond_special(tree.body)
+        else:
+            nodes = ast.walk(tree)
+            lines = [node.lineno for node in nodes if any(_is_under(n, "scipy") for n in _imported_names(node))]
+        found += [f"{path.name}:{line}" for line in lines]
+    assert found == []
+
+
+def test_scipy_rule_sees_every_spelling():
+    spellings = [
+        "import scipy",
+        "import scipy.stats as st",
+        "from scipy import stats",
+        "from scipy.optimize import brentq",
+        "from scipy.special import pdtr, gammaln",
+        "import scipy.special",
+        "from scipy import special",
+        "import numpy",
+    ]
+    assert [_scipy_beyond_special(ast.parse(src).body) for src in spellings] == [[1], [1], [1], [1], [], [], [], []]
+
+
 def test_no_multinomial_sampling():
     """Fixed-n risk is exact (Poisson conditioning): no ``.multinomial(`` call, so no count sampler."""
     found = [
