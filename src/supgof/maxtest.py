@@ -8,7 +8,9 @@ edges, and each kernel rejects when some count lies outside it.  Calibration
 constants come from summing the relevant series exactly: the union bound
 spends ``2/(C' j^2)`` per coordinate, so the smallest constant achieving
 level ``eta/2`` is ``C' = 2 pi^2 / (3 eta)``, and analogously for the tail
-test at level ``eta/4`` (clamped to at least ``e``).
+test at level ``eta/4`` (clamped to at least ``e``).  Each max test uses
+one half-width, the largest per-coordinate threshold, and a config stores
+only that scalar, taken on the null's run ends.
 
 Each test has one vectorized body.  It takes one count vector or a
 ``(rows, p)`` table: a table is decided row by row into a
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CountVector, RateVector, SimplexVector, sample_size_value
-from .special import h_inverse
+from .rates import _peak_on_run_ends
 
 __all__ = [
     "AcceptanceBox",
@@ -136,35 +138,32 @@ def head_k1(eta: float) -> float:
 
 @dataclass(frozen=True)
 class PoissonTestConfig:
-    """Per-coordinate thresholds ``u_j = mu_j h^{-1}(log(C' j^2)/mu_j)``."""
+    """The max test's half-width ``max_j mu_j h^{-1}(log(C' j^2)/mu_j)``.
+
+    The per-coordinate threshold grows with ``j`` inside a run of equal
+    rates, so its maximum falls on a run end: :meth:`from_null` evaluates
+    the run ends of ``mu`` only, in O(#runs), and a null given as runs
+    builds its config at any ``p``.
+    """
 
     c_prime: float
-    thresholds: np.ndarray
+    max_threshold: float
 
     def __post_init__(self):
-        if self.c_prime < 1.0:
+        if not self.c_prime >= 1.0:  # NaN included
             raise ValueError(f"c_prime must be >= 1, got {self.c_prime!r}")
-        arr = np.asarray(self.thresholds, dtype=float)
-        if np.any(arr < 0.0):
-            raise ValueError("thresholds must be nonnegative")
-        object.__setattr__(self, "thresholds", arr)
-        arr.setflags(write=False)
+        if not self.max_threshold >= 0.0:  # NaN included
+            raise ValueError(f"max_threshold must be nonnegative, got {self.max_threshold!r}")
 
     @classmethod
     def from_null(cls, mu: RateVector, c_prime: float) -> "PoissonTestConfig":
-        rates = mu.rates
-        js = np.arange(1, rates.size + 1, dtype=float)
-        with np.errstate(over="ignore"):  # an infinite argument fails h_inverse's own check
-            args = (math.log(c_prime) + 2.0 * np.log(js)) / rates
-        return cls(c_prime, rates * h_inverse(args))
+        log_c = math.log(c_prime)
+        threshold, _, _ = _peak_on_run_ends(*mu.runs, lambda js: log_c + 2.0 * np.log(js))
+        return cls(c_prime, threshold)
 
     @classmethod
     def from_eta(cls, mu: RateVector, eta: float) -> "PoissonTestConfig":
         return cls.from_null(mu, calibrate_poisson(eta))
-
-    @property
-    def max_threshold(self) -> float:
-        return float(self.thresholds.max())
 
     def acceptance_box(self, mu: RateVector) -> AcceptanceBox:
         """Counts the max test accepts: ``|x_j - mu_j| <= max_threshold`` in every cell."""
@@ -198,11 +197,14 @@ def poisson_max_test(x, mu: RateVector, cfg: PoissonTestConfig) -> TestDecision:
 
 @dataclass(frozen=True)
 class MultinomialTestConfig:
-    """Head threshold plus per-coordinate tail thresholds.
+    """Head threshold plus the tail half-width
+    ``max_j v_j h^{-1}(log(K2 (j-1)^2)/v_j)`` over categories ``j >= 2``.
 
-    ``tail_thresholds[j-2]`` guards category ``j >= 2`` with the binomial
-    variance ``n q(j)(1-q(j))``; degenerate cells (zero variance) carry a
-    zero threshold and are excluded from the tail maximum.  A positive count
+    ``v_j = n q(j)(1-q(j))`` is the binomial variance of category ``j``;
+    degenerate cells (zero variance) are left out of the maximum, which is
+    0 when every tail cell is degenerate.  As for
+    :class:`PoissonTestConfig` the maximum falls on a run end, so
+    :meth:`from_null` evaluates the tail's run ends only.  A positive count
     in a cell with null probability zero is infinite evidence and rejects
     through a dedicated guard.
     """
@@ -210,20 +212,16 @@ class MultinomialTestConfig:
     k1: float
     k2: float
     head_threshold: float
-    tail_thresholds: np.ndarray
-    tail_active: np.ndarray
+    max_tail_threshold: float
 
     def __post_init__(self):
-        if self.k1 <= 0.0:
+        if not self.k1 > 0.0:  # NaN included
             raise ValueError(f"k1 must be positive, got {self.k1!r}")
-        if self.k2 < math.e:
+        if not self.k2 >= math.e:  # NaN included
             raise ValueError(f"k2 must be >= e, got {self.k2!r}")
-        thr = np.asarray(self.tail_thresholds, dtype=float)
-        act = np.asarray(self.tail_active, dtype=bool)
-        object.__setattr__(self, "tail_thresholds", thr)
-        object.__setattr__(self, "tail_active", act)
-        thr.setflags(write=False)
-        act.setflags(write=False)
+        for name in ("head_threshold", "max_tail_threshold"):
+            if not getattr(self, name) >= 0.0:  # NaN included
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
 
     @classmethod
     def from_null(
@@ -232,27 +230,25 @@ class MultinomialTestConfig:
         n_val = sample_size_value(n)
         head_var = n_val * q0.head * (1.0 - q0.head)
         head_threshold = k1 * (1.0 + math.sqrt(head_var))
-        tail = q0.tail
-        variances = n_val * tail * (1.0 - tail)
+        values, counts = q0.runs
+        variances = n_val * values[1:] * (1.0 - values[1:])
+        # Tail values are at most 1/2, so the variance falls along the runs
+        # and the degenerate runs are the last ones: dropping them keeps the
+        # run ends of the others.
         active = variances > 0.0
-        thresholds = np.zeros(tail.size)
+        tail_threshold = 0.0
         if np.any(active):
-            js = np.arange(2, q0.p + 1, dtype=float)[active]
-            v = variances[active]
-            thresholds[active] = v * h_inverse((math.log(k2) + 2.0 * np.log(js - 1.0)) / v)
-        return cls(k1, k2, head_threshold, thresholds, active)
+            log_k2 = math.log(k2)
+            tail_threshold, _, _ = _peak_on_run_ends(
+                variances[active], counts[1:][active], lambda js: log_k2 + 2.0 * np.log(js)
+            )
+        return cls(k1, k2, head_threshold, tail_threshold)
 
     @classmethod
     def from_eta(
         cls, q0: SimplexVector, n: float, eta: float
     ) -> "MultinomialTestConfig":
         return cls.from_null(q0, n, head_k1(eta), calibrate_k2(eta))
-
-    @property
-    def max_tail_threshold(self) -> float:
-        if not np.any(self.tail_active):
-            return 0.0
-        return float(self.tail_thresholds[self.tail_active].max())
 
     def acceptance_box(self, q0: SimplexVector, n: float) -> AcceptanceBox:
         """Counts the head-or-tail test accepts.

@@ -40,10 +40,12 @@ from .maxtest import AcceptanceBox, MultinomialTestConfig, PoissonTestConfig
 from .model import RateVector, SimplexVector, as_probability_vector
 from .priors import MultinomialSimplexPrior, PoissonSpikePrior
 from .rates import (
+    _check_sharp_constant_grid,
+    _scaled_by_grid,
     multinomial_regime,
     multinomial_sharp_constant_epsilons,
     poisson_regime,
-    sharp_constant_epsilons,
+    sharp_constant_epsilon,
 )
 from .special import AtomBudgetError
 
@@ -114,14 +116,14 @@ def _exact(log_accept_null: float, type2: float, seed: int) -> RiskEstimate:
     return RiskEstimate(-math.expm1(log_accept_null), min(type2, 1.0), 0, seed, 0.0)
 
 
-def _log_mean_subset_products(log_r: np.ndarray, m: int, counts: np.ndarray | None = None) -> np.ndarray:
+def _log_mean_subset_products(log_r: np.ndarray, m: int, counts: np.ndarray) -> np.ndarray:
     """``log(e_m(r minus one copy of r_g) / C(k - 1, m))`` for each entry ``g``
     of the ``k`` ratios: the log of the mean product of ``r`` over the
     ``m``-subsets of the ratios other than that copy.
 
-    Entry ``g`` stands for ``counts[g]`` equal ratios (one each without
-    ``counts``), so the elementary symmetric polynomial ``e_m`` of what is
-    left is ``[u^m] (1 + r_g u)^(c_g - 1) prod_{h != g} (1 + r_h u)^(c_h)``.
+    Entry ``g`` stands for ``counts[g]`` equal ratios, so the elementary
+    symmetric polynomial ``e_m`` of what is left is
+    ``[u^m] (1 + r_g u)^(c_g - 1) prod_{h != g} (1 + r_h u)^(c_h)``.
     ``pre[g, l]`` holds ``log [u^l]`` of the product over the entries before
     ``g`` and ``suf[g, l]`` over those after it; each table is built one
     ``l`` at a time, as a cumulative ``logaddexp`` of the terms
@@ -131,7 +133,6 @@ def _log_mean_subset_products(log_r: np.ndarray, m: int, counts: np.ndarray | No
     O(G m min(m, max c)) time for G entries (O(k m) on single ratios); two
     ``(G + 1, m + 1)`` tables.
     """
-    counts = np.ones(log_r.size, dtype=np.int64) if counts is None else counts
     size = log_r.size
     top = min(m, int(counts.max()))
 
@@ -171,10 +172,10 @@ def _leave_one_out_type2(
     b: np.ndarray,
     pool: slice,
     rates: np.ndarray,
+    counts: np.ndarray,
     where: str = "",
     log_d: np.ndarray | None = None,
     m: int = 0,
-    counts: np.ndarray | None = None,
 ) -> float:
     """Exact Type II under a spike placed uniformly on the cells of ``pool``.
 
@@ -186,17 +187,16 @@ def _leave_one_out_type2(
     over the subsets multiplies that term by ``e_m(r_{-s}) / C(|pool| - 1, m)``
     with ``r_i = d_i / a_i`` (:func:`_log_mean_subset_products`).
 
-    With ``counts`` entry ``i`` stands for a run of ``counts[i]`` equal
-    cells: the product is ``prod_i a_i^{counts[i]}``, the removal subsets
-    range over the runs' cells, and each pool term is weighted by its run's
-    share of the pool.  Without it every entry is one cell.
+    Entry ``i`` stands for a run of ``counts[i]`` equal cells (dense cells
+    are runs of count 1): the product is ``prod_i a_i^{counts[i]}``, the
+    removal subsets range over the runs' cells, and each pool term is
+    weighted by its run's share of the pool.
 
     The terms are formed as ``exp(sum log a - log a_s + ...)``, undefined
     when a pool cell has ``a_s = 0`` in float64 (an empty box, or one a huge
     rate collapses below its float spacing): that raises
     ``FloatingPointError`` naming the cell.
     """
-    counts = np.ones(log_a.size, dtype=np.int64) if counts is None else counts
     log_a_pool = log_a[pool]
     empty = np.flatnonzero(np.isneginf(log_a_pool))
     if empty.size:
@@ -239,10 +239,10 @@ def _simplex_prior_type2(
         _box_mass(box[pool], n * spiked),
         pool,
         lam,
+        counts,
         where,
         log_d=_box_log_mass(box[pool], n * removed),
         m=prior.m,
-        counts=counts,
     )
 
 
@@ -274,9 +274,9 @@ def estimate_poisson_risk(
         raise ValueError("alternative dimension mismatch")
     if prior:
         pool = slice(0, alternative.j_star)
-        type2 = _leave_one_out_type2(
-            _box_log_mass(box, lam), _box_mass(box[pool], lam[pool] + alternative.spike), pool, lam
-        )
+        spiked = _box_mass(box[pool], lam[pool] + alternative.spike)
+        ones = np.ones(lam.size, dtype=np.int64)  # the dense cells as runs of count 1
+        type2 = _leave_one_out_type2(_box_log_mass(box, lam), spiked, pool, lam, ones)
     elif np.all(np.isfinite(lam) & (lam >= 0.0)):
         type2 = math.exp(float(_box_log_mass(box, lam).sum()))
     else:
@@ -611,10 +611,9 @@ class _FixedNPrior:
     (categories ``2..j* + 1``) whole runs; dense cells are runs of count 1.
     The cells outside the pool keep their base rates in every draw, so their
     product ``outside`` is formed once, and with it ``accept0 = P_0(X in
-    box)``; a sweep shares one instance over every ``xi`` whose box is the
-    same.  A pool whose cells share one (rate, box) keeps the power
-    ``rest = a^(j* - 1 - m)`` of its cells that are neither spiked nor
-    removed.  Every draw has ``Lambda = total``, ``n sum(q0)`` (up to the
+    box)``; a sweep shares one instance over its whole ``xi`` grid.  A pool
+    whose cells share one (rate, box) keeps the power ``rest = a^(j* - 1 -
+    m)`` of its cells that are neither spiked nor removed.  Every draw has ``Lambda = total``, ``n sum(q0)`` (up to the
     clip at 0 of a removed cell).
     """
 
@@ -757,16 +756,6 @@ class SweepResult:
         return out
 
 
-def _sweep_box(built: dict, center: np.ndarray, threshold: float) -> tuple[AcceptanceBox, tuple[bytes, bytes]]:
-    """The strict acceptance box ``|x - center| < threshold``, built once per
-    distinct threshold (and kept in ``built``), with a key that two boxes
-    share exactly when they are equal."""
-    if threshold not in built:
-        box = AcceptanceBox.around(center, threshold, strict=True)
-        built[threshold] = box, (box.lo.tobytes(), box.hi.tobytes())
-    return built[threshold]
-
-
 def sweep_sharp_constant(
     mu: RateVector,
     xi_grid,
@@ -788,10 +777,8 @@ def sweep_sharp_constant(
     the risk is ``type1 = 1 - prod_g a_g^{n_g}`` and
     ``type2 = sum_{g in pool} (n_g / j*) b_g prod_h a_h^{n_h} / a_g``, in
     O(#runs) per ``xi``: a null built from runs sweeps at any ``p`` without
-    its dense rates.  The threshold does not depend on ``xi`` (up to
-    rounding), so one box is built per distinct threshold
-    (:func:`_sweep_box`), and whenever two boxes are equal (they are
-    compared, not assumed equal) one ``log a`` serves every such ``xi``.
+    its dense rates.  The threshold does not depend on ``xi``, so the box,
+    its ``log a`` and Type I are computed once for the whole grid.
     ``trials`` must be at least 1 but is not used, nor is ``seed``: each row
     reports 0 trials, a zero ``ci`` and ``seed`` as passed.  A box among the
     first ``j*`` with zero null probability in float64 raises
@@ -799,22 +786,20 @@ def sweep_sharp_constant(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    xi_grid = np.asarray(list(xi_grid), dtype=float)
-    epsilons, j_star = sharp_constant_epsilons(mu, alpha_p, xi_grid)
+    xi_grid = _check_sharp_constant_grid(alpha_p, list(xi_grid))
+    # The xi-free level, which is the test's threshold, is the separation at xi = 1.
+    level, j_star = sharp_constant_epsilon(mu, alpha_p, 1.0)
+    epsilons = _scaled_by_grid(xi_grid, level)
     values, counts = mu.runs
     pool = slice(0, int(np.searchsorted(np.cumsum(counts), j_star)) + 1)
+    box = AcceptanceBox.around(values, level, strict=True)
+    log_a = _box_log_mass(box, values)
+    log_accept_null = float(np.sum(counts * log_a))
     estimates = []
-    boxes: dict = {}
-    log_masses: dict[tuple[bytes, bytes], np.ndarray] = {}
     for xi, eps in zip(xi_grid, epsilons):
-        box, key = _sweep_box(boxes, values, eps / xi)
-        if key not in log_masses:
-            log_masses[key] = _box_log_mass(box, values)
-        log_a = log_masses[key]
-        type2 = _leave_one_out_type2(
-            log_a, _box_mass(box[pool], values[pool] + eps), pool, values, f" at xi={float(xi)!r}", counts=counts
-        )
-        estimates.append(_exact(float(np.sum(counts * log_a)), type2, seed))
+        spiked = _box_mass(box[pool], values[pool] + eps)
+        type2 = _leave_one_out_type2(log_a, spiked, pool, values, counts, f" at xi={float(xi)!r}")
+        estimates.append(_exact(log_accept_null, type2, seed))
     return SweepResult(xi_grid, epsilons, tuple(estimates), poisson_regime(mu))
 
 
@@ -842,45 +827,45 @@ def sweep_multinomial_sharp_constant(
     head a run of its own): ``j*`` ends a run
     (:func:`~supgof.rates.multinomial_sharp_constant_epsilons`), so the pool
     ``2..j*+1`` is whole runs, and every box is built once per run.  The
-    Poissonized risk is exact, in O(#runs m) per ``xi``: with ``c_g`` cells
-    of box probability ``a_g = P_{n q_g}(box_g)`` in run ``g``,
-    ``type1 = 1 - prod_g a_g^{c_g}`` and Type II is the leave-one-out
-    average of :func:`_leave_one_out_type2` over the spiked run and the
-    removal subsets, so a null given as runs sweeps at any ``p``.  The
-    fixed-n risk is exact too (:class:`_FixedNPrior`) but needs the dense
-    cells, so past ``DENSE_RATES_CAP`` it raises a ``ValueError`` naming
-    the cap: the threshold ``n' eps(xi)/xi`` does not depend on ``xi``, so
-    one box is built per distinct threshold, and whenever two boxes are
-    equal (they are compared, not assumed equal) one product of the cells
-    outside the pool, and one Type I, serve every such ``xi``.  Every row
-    reports 0 trials, a zero ``ci`` and ``seed`` as passed; ``trials`` must
-    be at least 1 but is not used.
+    threshold ``n' eps(xi)/xi`` does not depend on ``xi``, so one box, built
+    from the ``xi``-free level, serves the whole grid.  The Poissonized risk
+    is exact, in O(#runs m) per ``xi``: with ``c_g`` cells of box
+    probability ``a_g = P_{n q_g}(box_g)`` in run ``g``, ``type1 = 1 -
+    prod_g a_g^{c_g}`` and Type II is the leave-one-out average of
+    :func:`_leave_one_out_type2` over the spiked run and the removal
+    subsets, so a null given as runs sweeps at any ``p``.  The fixed-n risk
+    is exact too (:class:`_FixedNPrior`, one product of the cells outside
+    the pool and one Type I for the whole grid) but needs the dense cells,
+    so past ``DENSE_RATES_CAP`` it raises a ``ValueError`` naming the cap.
+    Every row reports 0 trials, a zero ``ci`` and ``seed`` as passed;
+    ``trials`` must be at least 1 but is not used.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    xi_grid = np.asarray(list(xi_grid), dtype=float)
-    epsilons, j_star, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, alpha_p, xi_grid)
+    xi_grid = _check_sharp_constant_grid(alpha_p, list(xi_grid))
+    # The xi-free level, the test's threshold over n', is the separation at xi = 1.
+    (level,), j_star, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, alpha_p, [1.0])
+    epsilons = _scaled_by_grid(xi_grid, level)
     if m == 0:
         raise ValueError("sweep alternative needs j* >= 2: no cell can give up the added mass")
     # Fixed-n works on the dense cells: past DENSE_RATES_CAP this raises, naming the cap.
     total = None if poissonized else n * float(q0.probs.sum())
     values, counts = q0.runs
     floor = values[np.searchsorted(np.cumsum(counts), j_star + 1)]  # category j* + 1, the pool's last
+    if np.any(epsilons / m > floor + 1e-15):
+        raise ValueError("sweep alternative leaves the simplex; reduce xi or grow n")
     center = n * values
+    box = AcceptanceBox.around(center, n_prime * level, strict=True)
+    if poissonized:
+        log_accept_null = float(np.sum(counts * _box_log_mass(box, center)))
+    else:
+        state = _FixedNPrior(box, n, values, counts, j_star, m, total)
     estimates = []
-    boxes: dict = {}
-    states: dict[tuple[bytes, bytes], _FixedNPrior] = {}
     for xi, eps in zip(xi_grid, epsilons.tolist()):
-        if eps / m > floor + 1e-15:
-            raise ValueError("sweep alternative leaves the simplex; reduce xi or grow n")
         prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0)
-        box, key = _sweep_box(boxes, center, n_prime * eps / xi)
         if poissonized:
             type2 = _simplex_prior_type2(box, values, counts, n, prior, f" at xi={float(xi)!r}")
-            estimates.append(_exact(float(np.sum(counts * _box_log_mass(box, center))), type2, seed))
-            continue
-        if key not in states:
-            states[key] = _FixedNPrior(box, n, values, counts, j_star, m, total)
-        state = states[key]
-        estimates.append(RiskEstimate(1.0 - state.accept0, state.type2(prior), 0, seed, 0.0))
+            estimates.append(_exact(log_accept_null, type2, seed))
+        else:
+            estimates.append(RiskEstimate(1.0 - state.accept0, state.type2(prior), 0, seed, 0.0))
     return SweepResult(xi_grid, epsilons, tuple(estimates), multinomial_regime(q0, n))

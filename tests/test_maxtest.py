@@ -62,14 +62,18 @@ class TestCalibration:
 
 class TestPoissonMaxTest:
     def test_threshold_formula_recompute(self):
-        """Stored thresholds match a from-scratch recompute to 1e-10 relative."""
-        mu = RateVector(np.linspace(7.0, 0.3, 25))
-        cfg = PoissonTestConfig.from_eta(mu, 0.2)
-        for j in range(1, 26):
-            expected = mu.rates[j - 1] * h_inverse(
-                math.log(cfg.c_prime * j * j) / mu.rates[j - 1]
-            )
-            assert cfg.thresholds[j - 1] == pytest.approx(expected, rel=1e-10)
+        """The half-width is the largest per-coordinate threshold
+        ``mu_j h^{-1}(log(C' j^2)/mu_j)``: bit for bit against the formula
+        in the code's arithmetic, and to 1e-10 relative against ``log(C' j^2)``,
+        on distinct rates and on runs of equal ones."""
+        for rates in (np.linspace(7.0, 0.3, 25), np.repeat([7.0, 2.0, 0.3], [5, 10, 10])):
+            mu = RateVector(rates)
+            cfg = PoissonTestConfig.from_eta(mu, 0.2)
+            js = np.arange(1, mu.p + 1, dtype=float)
+            per_coordinate = rates * h_inverse((math.log(cfg.c_prime) + 2.0 * np.log(js)) / rates)
+            assert cfg.max_threshold == per_coordinate.max()
+            textbook = max(r * h_inverse(math.log(cfg.c_prime * j * j) / r) for j, r in enumerate(rates, 1))
+            assert cfg.max_threshold == pytest.approx(textbook, rel=1e-10)
 
     def test_null_rounded_accepts(self):
         """x = round(mu) deviates by < 1/2, below any threshold for mu >= 1."""
@@ -117,10 +121,11 @@ class TestMultinomialHeadTest:
         n = 200.0
         cfg = MultinomialTestConfig.from_null(q0, n, k1=4.0, k2=30.0)
         assert cfg.head_threshold == pytest.approx(4.0 * (1 + math.sqrt(n * 0.3 * 0.7)), rel=1e-12)
-        for j in range(2, 5):
-            v = n * q0.probs[j - 1] * (1 - q0.probs[j - 1])
-            expected = v * h_inverse(math.log(30.0 * (j - 1) ** 2) / v)
-            assert cfg.tail_thresholds[j - 2] == pytest.approx(expected, rel=1e-10)
+        v = n * q0.tail * (1.0 - q0.tail)
+        per_coordinate = v * h_inverse((math.log(30.0) + 2.0 * np.log(np.arange(1.0, 4.0))) / v)
+        assert cfg.max_tail_threshold == per_coordinate.max()
+        textbook = max(v[j - 2] * h_inverse(math.log(30.0 * (j - 1) ** 2) / v[j - 2]) for j in range(2, 5))
+        assert cfg.max_tail_threshold == pytest.approx(textbook, rel=1e-10)
 
     def test_null_monte_carlo_level(self):
         """Chebyshev guarantee: head Type I <= eta/4 = 0.05 at eta=0.2."""
@@ -165,10 +170,83 @@ class TestMultinomialTailTest:
         assert not multinomial_tail_test(CountVector([7, 0]), q0, 7, cfg).reject
 
     def test_degenerate_cells_excluded_from_max(self):
+        """A zero cell has no variance and no threshold: the half-width is the
+        formula over the other tail cells, and 0 when none is left."""
         q0 = SimplexVector([0.6, 0.4, 0.0])
         cfg = MultinomialTestConfig.from_eta(q0, 50, 0.2)
-        assert cfg.tail_active.tolist() == [True, False]
-        assert cfg.tail_thresholds[1] == 0.0
+        v = 50 * 0.4 * (1.0 - 0.4)
+        assert cfg.max_tail_threshold == v * h_inverse((math.log(cfg.k2) + 2.0 * math.log(1.0)) / v)
+        assert MultinomialTestConfig.from_eta(SimplexVector([1.0, 0.0, 0.0]), 50, 0.2).max_tail_threshold == 0.0
+
+
+class TestConfigValidation:
+    """A NaN constant or half-width is refused: with a NaN threshold no
+    comparison holds, so the test would never reject."""
+
+    @pytest.mark.parametrize("c_prime, threshold", [(math.nan, 1.0), (2.0, math.nan), (0.5, 1.0), (2.0, -1.0)])
+    def test_poisson(self, c_prime, threshold):
+        with pytest.raises(ValueError, match="c_prime|max_threshold"):
+            PoissonTestConfig(c_prime, threshold)
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_multinomial(self, field):
+        args = [1.0, math.e, 2.0, 2.0]
+        args[field] = math.nan
+        with pytest.raises(ValueError, match=("k1", "k2", "head_threshold", "max_tail_threshold")[field]):
+            MultinomialTestConfig(*args)
+
+    def test_nan_k1_from_null(self):
+        with pytest.raises(ValueError, match="k1"):
+            MultinomialTestConfig.from_null(SimplexVector([0.5, 0.3, 0.2]), 60, k1=math.nan, k2=30.0)
+
+
+class TestRunsNulls:
+    """A config takes its half-width on the null's run ends, so a null given
+    as runs builds one at any ``p``, its dense values never formed."""
+
+    def test_poisson_past_the_dense_cap(self):
+        values, counts = np.array([50.0, 3.0, 1.0]), [10**6, 10**9, 10**12]
+        mu = RateVector.from_runs(values, counts)
+        cfg = PoissonTestConfig.from_eta(mu, 0.1)
+        ends = np.cumsum(counts, dtype=float)
+        assert cfg.max_threshold == (values * h_inverse((math.log(cfg.c_prime) + 2.0 * np.log(ends)) / values)).max()
+        assert cfg.max_threshold == 66.2323934498642
+        with pytest.raises(ValueError, match="DENSE_RATES_CAP"):
+            mu.rates
+
+    def test_multinomial_past_the_dense_cap(self):
+        values, counts, n = np.array([0.4, 0.4e-12, 0.2e-12]), [1, 10**12, 10**12], 1e13
+        q0 = SimplexVector.from_runs(values, counts)
+        cfg = MultinomialTestConfig.from_eta(q0, n, 0.1)
+        v = n * values[1:] * (1.0 - values[1:])
+        ends = np.cumsum(counts[1:], dtype=float)
+        assert cfg.max_tail_threshold == (v * h_inverse((math.log(cfg.k2) + 2.0 * np.log(ends)) / v)).max()
+        assert cfg.head_threshold == cfg.k1 * (1.0 + math.sqrt(n * 0.4 * 0.6))
+        with pytest.raises(ValueError, match="DENSE_RATES_CAP"):
+            q0.probs
+
+    def test_scalar_is_the_dense_maximum(self):
+        """On seeded dense and step nulls the half-widths equal the maximum of
+        the per-coordinate thresholds over every coordinate, bit for bit."""
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            p = int(rng.integers(1, 60))
+            if trial % 2:
+                rates = np.repeat(np.sort(rng.uniform(0.05, 80.0, 4))[::-1], rng.integers(1, 15, 4))
+            else:
+                rates = np.sort(rng.uniform(0.05, 80.0, p))[::-1]
+            mu = RateVector(rates)
+            cfg = PoissonTestConfig.from_eta(mu, 0.2)
+            js = np.arange(1, mu.p + 1, dtype=float)
+            assert cfg.max_threshold == (rates * h_inverse((math.log(cfg.c_prime) + 2.0 * np.log(js)) / rates)).max()
+            q0 = SimplexVector(np.r_[rates, np.zeros(trial % 3)] / rates.sum())
+            n = float(rng.integers(10, 10**5))
+            mcfg = MultinomialTestConfig.from_eta(q0, n, 0.2)
+            v = n * q0.tail * (1.0 - q0.tail)
+            active = v > 0.0
+            js = np.arange(1, q0.p, dtype=float)[active]
+            tail = v[active] * h_inverse((math.log(mcfg.k2) + 2.0 * np.log(js)) / v[active])
+            assert mcfg.max_tail_threshold == tail.max(initial=0.0)
 
 
 class TestCombinedTest:
@@ -312,7 +390,7 @@ class TestBatchKernel:
     def test_head_wins_exceedance_ties(self):
         """Equal exceedance ratios report the head's statistic and threshold."""
         q0 = SimplexVector([0.5, 0.25, 0.25])
-        cfg = MultinomialTestConfig(1.0, math.e, 2.0, np.array([4.0, 4.0]), np.array([True, True]))
+        cfg = MultinomialTestConfig(1.0, math.e, 2.0, 4.0)
         table = np.array([[11, 3, 6], [10, 9, 1]])  # ratios 1/2 vs 2/4, then 0/2 vs 4/4
         decision = multinomial_combined_test(table, q0, 20, cfg)
         assert decision.statistic.tolist() == [1.0, 4.0]
@@ -322,11 +400,11 @@ class TestBatchKernel:
     def test_integral_threshold_edges(self):
         """Counts exactly on a threshold: the max tests accept, the head test rejects."""
         mu = RateVector([3.0, 3.0])
-        pcfg = PoissonTestConfig(1.0, np.array([2.0, 2.0]))
+        pcfg = PoissonTestConfig(1.0, 2.0)
         decision = poisson_max_test(np.array([[5, 3], [6, 3], [1, 3], [0, 3]]), mu, pcfg)
         assert decision.reject.tolist() == [False, True, False, True]
         q0 = SimplexVector([0.5, 0.25, 0.25])
-        mcfg = MultinomialTestConfig(1.0, math.e, 2.0, np.array([2.0, 2.0]), np.array([True, True]))
+        mcfg = MultinomialTestConfig(1.0, math.e, 2.0, 2.0)
         table = np.array([[12, 4, 4], [11, 4, 5], [10, 7, 3], [10, 8, 2]])
         assert multinomial_head_test(table, q0, 20, mcfg).reject.tolist() == [True, False, False, False]
         assert multinomial_tail_test(table, q0, 20, mcfg).reject.tolist() == [False, False, False, True]
@@ -409,7 +487,7 @@ class TestBoxDecisions:
     )
     def test_poisson_tables(self, rates, half_width, offsets):
         mu = RateVector(sorted(rates, reverse=True))
-        cfg = PoissonTestConfig(1.0, np.full(mu.p, half_width))
+        cfg = PoissonTestConfig(1.0, half_width)
         table = np.clip(np.floor(mu.rates + np.array(offsets)[:, : mu.p]), 0, None).astype(np.int64)
         _assert_batch_matches(
             poisson_max_test(table, mu, cfg), [_reference_poisson(row, mu, cfg) for row in table]
@@ -433,7 +511,7 @@ class TestBoxDecisions:
         counts = np.diff(np.r_[0, sorted(cuts), n])
         q0 = SimplexVector(np.r_[np.sort(counts)[::-1], np.zeros(zeros)] / n)
         active = q0.tail > 0.0
-        cfg = MultinomialTestConfig(1.0, math.e, head, np.where(active, tail, 0.0), active)
+        cfg = MultinomialTestConfig(1.0, math.e, head, tail if active.any() else 0.0)
         center = n * q0.probs
         table = np.clip(center + np.array(offsets)[:, : q0.p], 0, None).astype(np.int64)
         table[:, 1:][:, ~active] = np.abs(np.array(offsets)[:, 1 : q0.p][:, ~active]) > 1.0

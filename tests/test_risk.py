@@ -882,7 +882,7 @@ class TestExactProductRisk:
                     others = [i for i in range(k) if i != s]
                     sums = [log_r[list(c)].sum() for c in itertools.combinations(others, m)]
                     want.append(logsumexp(sums) - math.log(math.comb(k - 1, m)))
-                got = _log_mean_subset_products(log_r, m)
+                got = _log_mean_subset_products(log_r, m, np.ones(k, dtype=np.int64))
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
 
 
@@ -905,7 +905,7 @@ class TestZeroProbabilityPoolBox:
         assert (risk.type1, risk.type2) == (1.0, 0.0)
         spiked = risk_module._box_mass(box, mu.rates + PoissonSpikePrior.build(mu, 0.5).spike)
         with pytest.raises(FloatingPointError, match="coordinate 1 "):
-            risk_module._leave_one_out_type2(log_a, spiked, slice(0, 1), mu.rates)
+            risk_module._leave_one_out_type2(log_a, spiked, slice(0, 1), mu.rates, np.ones(1, dtype=np.int64))
 
     def test_spike_prior_route(self):
         mu = RateVector([1e300, 1.0])

@@ -128,6 +128,37 @@ def test_scipy_rule_sees_every_spelling():
     assert [_scipy_beyond_special(ast.parse(src).body) for src in spellings] == [[1], [1], [1], [1], [], [], [], []]
 
 
+def _h_inverse_uses(tree: ast.AST) -> list[int]:
+    """Lines that import ``h_inverse`` from any module, or reach it as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and any(alias.name == "h_inverse" for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "h_inverse")
+    ]
+
+
+def test_maxtest_takes_thresholds_from_the_run_ends():
+    """``maxtest`` has no ``h_inverse`` of its own: its half-widths come from
+    ``rates._peak_on_run_ends``, so no per-coordinate threshold array comes back."""
+    path = PACKAGE / "maxtest.py"
+    assert _h_inverse_uses(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_h_inverse_rule_sees_every_spelling():
+    spellings = [
+        "from .special import h_inverse",
+        "from .special import h, h_inverse as inverse",
+        "from supgof.special import h_inverse",
+        "from .rates import gamma_rate, h_inverse",
+        "from . import special\nspecial.h_inverse(1.0)",
+        "import supgof.special as sp\nx = sp.h_inverse",
+        "from .special import h",
+        "from .rates import _peak_on_run_ends",
+    ]
+    assert [_h_inverse_uses(ast.parse(src)) for src in spellings] == [[1], [1], [1], [1], [2], [2], [], []]
+
+
 def test_no_multinomial_sampling():
     """Fixed-n risk is exact (Poisson conditioning): no ``.multinomial(`` call, so no count sampler."""
     found = [
