@@ -124,27 +124,35 @@ def _null_vector(payload: dict, cls, field: str):
     return cls.from_runs(runs[:, 0], runs[:, 1])
 
 
+def _read_spec(spec: str, what: str):
+    """The JSON value of a ``what`` spec: inline JSON when ``spec`` starts with
+    ``{`` or ``[``, else the path of a UTF-8 JSON file.  A spec that cannot be
+    read (missing, a directory, not UTF-8) or parsed is a data error."""
+    try:
+        return json.loads(spec if spec.lstrip().startswith(("{", "[")) else Path(spec).read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise DataError(f"{what} spec not found: {spec}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {what} spec {spec}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} spec {spec} is not UTF-8 text: {exc.reason}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{what} spec is not valid JSON: {exc}") from exc
+
+
 def _load_null(spec: str | None):
-    """Null spec: path to, or inline, JSON.
+    """Null spec, read by :func:`_read_spec`.
 
     Schema: ``{"model": "poisson"|"multinomial", "rates"|"probs": [...],
     "n": number}`` (``n`` for the multinomial model only).  A null may give
     ``"runs": [[value, count], ...]`` in place of ``"rates"`` or ``"probs"``:
     each count an integer (an integral float up to 2^53 included), for nulls
     too large to list; :mod:`supgof.model` caps the dense values built from
-    them.
+    them.  A missing, malformed or boolean field is a config error.
     """
     if not spec:
         raise ConfigError("missing required field: --null")
-    try:
-        if spec.strip().startswith("{"):
-            payload = json.loads(spec)
-        else:
-            payload = json.loads(Path(spec).read_text())
-    except FileNotFoundError as exc:
-        raise DataError(f"null spec not found: {spec}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"null spec is not valid JSON: {exc}") from exc
+    payload = _read_spec(spec, "null")
     if not isinstance(payload, dict):
         raise DataError("null spec must be a JSON object")
     model = payload.get("model")
@@ -201,48 +209,39 @@ def _cmd_test(args) -> None:
     _emit("\n".join(lines) + "\n", args.out, f"test: {n_reject}/{len(table)} rejections at eta={args.eta}")
 
 
-def _poisson_spike_c(args) -> float:
-    if args.c is None:
-        raise ConfigError("missing required field: --c (spike scale for a poisson null)")
-    return args.c
+def _lower_bound_prior(model: str, null, n, c: float | None, big_c: float = math.e):
+    """The spike prior of scale ``c`` (required) and log constant ``big_c`` on a
+    poisson null; the simplex prior of scale ``c`` (certified if None) on a multinomial one."""
+    from .priors import MultinomialSimplexPrior, PoissonSpikePrior, certified_simplex_c
+
+    if model == "poisson":
+        if c is None:
+            raise ConfigError("missing required field: --c (spike scale for a poisson null)")
+        return PoissonSpikePrior.build(null, c, big_c)
+    return MultinomialSimplexPrior.build(null, n, c if c is not None else certified_simplex_c(null, n))
 
 
 def _cmd_prior(args) -> None:
-    from .priors import (
-        MultinomialSimplexPrior,
-        PoissonSpikePrior,
-        certified_simplex_c,
-        draw_multinomial_simplex_prior,
-        draw_poisson_spike,
-    )
+    from .priors import draw_multinomial_simplex_prior, draw_poisson_spike
 
     model, null, n = _load_null(args.null)
-    lines = []
+    prior = _lower_bound_prior(model, null, n, args.c, args.big_c)
     if model == "poisson":
-        prior = PoissonSpikePrior.build(null, _poisson_spike_c(args), args.big_c)
-        draws = draw_poisson_spike(prior, args.seed, trials=args.trials)
-        for row in draws:
-            lines.append(_dump_json({"rates": row.tolist()}))
+        field, draws = "rates", draw_poisson_spike(prior, args.seed, trials=args.trials)
         summary = f"prior: {args.trials} spike draws (j_star={prior.j_star}, psi={_fmt(prior.psi)})"
     else:
-        c = args.c if args.c is not None else certified_simplex_c(null, n)
-        prior = MultinomialSimplexPrior.build(null, n, c)
-        draws = draw_multinomial_simplex_prior(prior, args.seed, trials=args.trials)
-        for row in draws:
-            lines.append(_dump_json({"probs": row.tolist()}))
+        field, draws = "probs", draw_multinomial_simplex_prior(prior, args.seed, trials=args.trials)
         summary = f"prior: {args.trials} simplex draws (j_star={prior.j_star}, m={prior.m})"
-    _emit("\n".join(lines) + "\n", args.out, summary)
+    _emit("\n".join(_dump_json({field: row.tolist()}) for row in draws) + "\n", args.out, summary)
 
 
 def _cmd_verify(args) -> None:
-    from .priors import PoissonSpikePrior, verify_flattening
+    from .priors import verify_flattening
 
-    if args.target != "flattening":
-        raise ConfigError(f"unknown verification target: {args.target}")
-    model, null, _n = _load_null(args.null)
+    model, null, n = _load_null(args.null)
     if model != "poisson":
         raise ConfigError("verify flattening needs a poisson null spec")
-    prior = PoissonSpikePrior.build(null, args.c, args.big_c)
+    prior = _lower_bound_prior(model, null, n, args.c, args.big_c)
     weights, rows = prior.components()
     k = args.k if args.k is not None else prior.j_star
     if not 1 <= k <= null.p:
@@ -257,25 +256,21 @@ def _cmd_verify(args) -> None:
 
 
 def _load_alternative(args, model: str, null, n):
-    from .priors import MultinomialSimplexPrior, PoissonSpikePrior, certified_simplex_c
-
-    if args.alt:
-        try:
-            payload = json.loads(args.alt) if args.alt.strip().startswith(("{", "[")) else json.loads(Path(args.alt).read_text())
-        except FileNotFoundError as exc:
-            raise DataError(f"alternative spec not found: {args.alt}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"alternative spec is not valid JSON: {exc}") from exc
-        if isinstance(payload, dict):
-            payload = payload.get("rates" if model == "poisson" else "probs")
-        try:
-            return np.asarray(payload, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid alternative spec: {exc}") from exc
-    # Default alternative: the relevant lower-bound prior.
-    if model == "poisson":
-        return PoissonSpikePrior.build(null, _poisson_spike_c(args))
-    return MultinomialSimplexPrior.build(null, n, args.c if args.c is not None else certified_simplex_c(null, n))
+    """The ``--alt`` spec (:func:`_read_spec`): an array, or an object whose ``rates``
+    or ``probs`` field holds one, a missing field or a boolean being a config error
+    as in a null spec.  With no ``--alt``, the model's :func:`_lower_bound_prior`."""
+    if not args.alt:
+        return _lower_bound_prior(model, null, n, args.c)
+    payload = _read_spec(args.alt, "alternative")
+    field = "rates" if model == "poisson" else "probs"
+    if not isinstance(payload, dict):  # a bare array stands for the field
+        payload = {field: payload}
+    try:
+        return np.asarray(_numeric_field(payload, field), dtype=float)
+    except KeyError as exc:
+        raise ConfigError(f"missing required field in alternative spec: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid alternative spec: {exc}") from exc
 
 
 def _cmd_risk(args) -> None:

@@ -157,6 +157,7 @@ class PoissonTestConfig:
 
     @classmethod
     def from_null(cls, mu: RateVector, c_prime: float) -> "PoissonTestConfig":
+        cls(c_prime, 0.0)  # refuses a bad C' by name before log(C') reaches h^{-1}
         log_c = math.log(c_prime)
         threshold, _, _ = _peak_on_run_ends(*mu.runs, lambda js: log_c + 2.0 * np.log(js))
         return cls(c_prime, threshold)
@@ -227,6 +228,7 @@ class MultinomialTestConfig:
     def from_null(
         cls, q0: SimplexVector, n: float, k1: float, k2: float
     ) -> "MultinomialTestConfig":
+        cls(k1, k2, 0.0, 0.0)  # refuses a bad K1 or K2 by name before log(K2) reaches h^{-1}
         n_val = sample_size_value(n)
         head_var = n_val * q0.head * (1.0 - q0.head)
         head_threshold = k1 * (1.0 + math.sqrt(head_var))

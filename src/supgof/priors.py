@@ -62,8 +62,8 @@ class PoissonSpikePrior:
     def build(cls, mu: RateVector, c: float, big_c: float = math.e) -> "PoissonSpikePrior":
         if not c > 0:  # NaN included
             raise ValueError(f"c must be positive, got {c!r}")
-        if not big_c >= math.e:  # NaN included
-            raise ValueError(f"C (--big-c) must be >= e, got {big_c!r}")
+        if not math.e <= big_c < math.inf:  # NaN included
+            raise ValueError(f"C (--big-c) must be finite and >= e, got {big_c!r}")
         j_star = poisson_rate(mu).j_star
         mu_star = float(mu.rates[j_star - 1])
         psi = mu_star * h_inverse((math.log(big_c) + math.log(j_star)) / mu_star)

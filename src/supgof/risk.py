@@ -212,6 +212,7 @@ def _leave_one_out_type2(
 
 def _simplex_prior_type2(
     box: AcceptanceBox,
+    log_a: np.ndarray,
     values: np.ndarray,
     counts: np.ndarray,
     n: float,
@@ -225,10 +226,10 @@ def _simplex_prior_type2(
     (clipped at 0, as the sampler does) from ``m`` of the others.  The base
     is given as runs, ``counts[g]`` cells of probability ``values[g]`` whose
     box is ``box[g]``, with the head a run of its own and the pool whole
-    runs; dense cells are runs of count 1.
+    runs; dense cells are runs of count 1.  ``log_a`` is the caller's
+    ``_box_log_mass(box, n * values)``.
     """
     lam = n * values
-    log_a = _box_log_mass(box, lam)
     if prior.m == 0:  # every draw is the base vector
         return math.exp(float(np.sum(counts * log_a)))
     pool = slice(1, int(np.searchsorted(np.cumsum(counts), prior.j_star + 1)) + 1)
@@ -422,34 +423,25 @@ def _cell_rows(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int) -> np.nd
 
 
 def _groups(lam, lo, hi, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (rate, box) groups of the cells and their counts, in the
-    ascending order of ``np.unique(..., axis=0)``.
+    """The distinct (rate, box) groups of ``counts[g]`` cells of rate
+    ``lam[g]`` in box ``g``, in any order, and their merged counts.
 
-    The groups come in run order, ``counts[g]`` cells of rate ``lam[g]`` in
-    box ``g`` with rates non-increasing, as a null's runs (or its dense cells,
-    runs of count 1) are.  Reversed, with neighbours that share a (rate,
-    box) merged, they are already in that order; only groups that are not
-    (an unsorted alternative) are sorted by ``np.unique``.
+    One stable sort by (rate, lo, hi) puts the groups in the ascending order
+    ``np.unique(..., axis=0)`` gives, and neighbours that share a (rate, box)
+    are merged, their counts summed.
     """
-    lam, lo, hi, counts = lam[::-1], lo[::-1], hi[::-1], counts[::-1]
-    d_lam, d_lo, d_hi = np.diff(lam), np.diff(lo), np.diff(hi)
-    same = (d_lam == 0) & (d_lo == 0) & (d_hi == 0)
-    if same.any():
-        starts = np.r_[0, np.flatnonzero(~same) + 1]
-        lam, lo, hi, counts = lam[starts], lo[starts], hi[starts], np.add.reduceat(counts, starts)
-        d_lam, d_lo, d_hi = np.diff(lam), np.diff(lo), np.diff(hi)
-    if np.all((d_lam > 0) | (d_lam == 0) & ((d_lo > 0) | (d_lo == 0) & (d_hi > 0))):
-        return lam, lo, hi, counts
-    cells, inverse = np.unique(np.column_stack([lam, lo, hi]), axis=0, return_inverse=True)
-    return (*cells.T, np.bincount(inverse.ravel(), weights=counts).astype(np.int64))
+    order = np.lexsort((hi, lo, lam))
+    lam, lo, hi, counts = lam[order], lo[order], hi[order], counts[order]
+    starts = np.flatnonzero(np.r_[True, (np.diff(lam) != 0) | (np.diff(lo) != 0) | (np.diff(hi) != 0)])
+    return lam[starts], lo[starts], hi[starts], np.add.reduceat(counts, starts)
 
 
 def _product(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, counts: np.ndarray, t: int) -> _Poly:
     """Product over cells of their box rows (:func:`_cell_rows`), cut at degree ``t`` and windowed.
 
-    The cells come as groups in run order (:func:`_groups`).  Cells that
-    share a (rate, box) are one factor raised to their count by repeated
-    squaring; the distinct single cells multiply in one tree.
+    The cells come as groups, merged and sorted by :func:`_groups`.  Cells
+    that share a (rate, box) are one factor raised to their count by
+    repeated squaring; the distinct single cells multiply in one tree.
     """
     lam, lo, hi, counts = _groups(lam, lo, hi, counts)
     _check_terms(lam.size * (int(np.minimum(hi - lo, t).max()) + 1), "terms in one product level")
@@ -631,9 +623,7 @@ class _FixedNPrior:
         self.lo, self.hi, self.counts = box.lo[pool], box.hi[pool], counts[pool]
         self.outside = _product(lam[outside], box.lo[outside], box.hi[outside], counts[outside], t)
         pool_lam = lam[pool]
-        self.flat = bool(
-            np.all(pool_lam == pool_lam[0]) & np.all(self.lo == self.lo[0]) & np.all(self.hi == self.hi[0])
-        )
+        self.flat = _groups(pool_lam, self.lo, self.hi, self.counts)[0].size == 1
         if self.flat:
             a = _Poly(0, _cell_rows(pool_lam[:1], self.lo[:1], self.hi[:1], t)[0])
             self.rest = _power(a, j_star - 1 - m, t)
@@ -700,10 +690,11 @@ def estimate_multinomial_risk(
         raise ValueError("alternative dimension mismatch")
     ones = np.ones(q_alt.size, dtype=np.int64)  # the dense cells as runs of count 1
     if poissonized:
+        log_a = _box_log_mass(box, n * q_alt)
         if prior:
-            type2 = _simplex_prior_type2(box, q_alt, ones, n, alternative)
+            type2 = _simplex_prior_type2(box, log_a, q_alt, ones, n, alternative)
         else:
-            type2 = math.exp(float(_box_log_mass(box, n * q_alt).sum()))
+            type2 = math.exp(float(log_a.sum()))
         return _exact(float(_box_log_mass(box, n * q0.probs).sum()), type2, seed)
     if prior:
         state = _FixedNPrior(box, n, q_alt, ones, alternative.j_star, alternative.m, n * float(q_alt.sum()))
@@ -738,22 +729,11 @@ class SweepResult:
         eps.setflags(write=False)
 
     def rows(self) -> list[dict]:
-        out = []
-        for xi, eps, r in zip(self.xi_grid, self.epsilons, self.risks):
-            out.append(
-                {
-                    "xi": float(xi),
-                    "epsilon": float(eps),
-                    "type1": r.type1,
-                    "type2": r.type2,
-                    "total": r.total,
-                    "ci": r.ci_halfwidth,
-                    "trials": r.trials,
-                    "seed": r.seed,
-                    "regime": self.regime,
-                }
-            )
-        return out
+        return [
+            {"xi": float(xi), "epsilon": float(eps), "type1": r.type1, "type2": r.type2, "total": r.total,
+             "ci": r.ci_halfwidth, "trials": r.trials, "seed": r.seed, "regime": self.regime}
+            for xi, eps, r in zip(self.xi_grid, self.epsilons, self.risks)
+        ]
 
 
 def sweep_sharp_constant(
@@ -857,14 +837,15 @@ def sweep_multinomial_sharp_constant(
     center = n * values
     box = AcceptanceBox.around(center, n_prime * level, strict=True)
     if poissonized:
-        log_accept_null = float(np.sum(counts * _box_log_mass(box, center)))
+        log_a = _box_log_mass(box, center)
+        log_accept_null = float(np.sum(counts * log_a))
     else:
         state = _FixedNPrior(box, n, values, counts, j_star, m, total)
     estimates = []
     for xi, eps in zip(xi_grid, epsilons.tolist()):
         prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0)
         if poissonized:
-            type2 = _simplex_prior_type2(box, values, counts, n, prior, f" at xi={float(xi)!r}")
+            type2 = _simplex_prior_type2(box, log_a, values, counts, n, prior, f" at xi={float(xi)!r}")
             estimates.append(_exact(log_accept_null, type2, seed))
         else:
             estimates.append(RiskEstimate(1.0 - state.accept0, state.type2(prior), 0, seed, 0.0))

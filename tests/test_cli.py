@@ -75,6 +75,21 @@ class TestRateCommand:
         assert code == 2
         assert "JSON object" in err
 
+    @pytest.mark.parametrize("what", ["null", "alternative"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_spec_is_data_error(self, tmp_path, capsys, what, kind):
+        """A directory once ended in an ``IsADirectoryError`` traceback, and a
+        file that is not UTF-8 text exited 1 as a config error."""
+        spec = tmp_path
+        if kind == "not-utf8":
+            spec = tmp_path / "spec.json"
+            spec.write_bytes(b'\xff\xfe{"model": "poisson", "rates": [1, 1, 1]}')
+        argv = ["rate", "--null", str(spec)] if what == "null" else ["risk", "--null", POISSON_NULL, "--alt", str(spec)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("data error: ") and f"{what} spec {spec}" in err
+        assert out == ""
+
     def test_17_digit_floats_round_trip(self, capsys):
         _code, out, _ = run_cli(capsys, "rate", "--null", POISSON_NULL)
         payload = json.loads(out)
@@ -259,6 +274,14 @@ class TestPriorCommand:
         assert "--big-c" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [["prior"], ["verify", "flattening"]], ids=["prior", "verify"])
+    def test_infinite_big_c_is_config_error(self, capsys, argv):
+        """``C = inf`` passed the ``C >= e`` check and exited 3 from ``h^{-1}``."""
+        code, out, err = run_cli(capsys, *argv, "--null", POISSON_NULL, "--c", "0.5", "--big-c", "inf")
+        assert code == 1
+        assert "C (--big-c) must be finite" in err
+        assert out == ""
+
     def test_multinomial_draws_on_simplex(self, capsys):
         null = json.dumps(
             {"model": "multinomial", "probs": [0.025] * 40, "n": 50}
@@ -314,6 +337,20 @@ class TestRiskAndSweep:
         code, out, err = run_cli(capsys, "risk", "--null", POISSON_NULL, "--alt", "[[6,1,1]]")
         assert code == 1
         assert "dimension mismatch" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("alt", ['{"rates": [true, 1, 1]}', "[true, 1, 1]"], ids=["object", "array"])
+    def test_boolean_alternative_is_config_error(self, capsys, alt):
+        """JSON ``true`` was read as the rate 1 and exited 0; the null refuses it too."""
+        code, out, err = run_cli(capsys, "risk", "--null", POISSON_NULL, "--alt", alt)
+        assert code == 1
+        assert 'invalid alternative spec: field "rates" holds a boolean' in err
+        assert out == ""
+
+    def test_alternative_without_its_field_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "risk", "--null", POISSON_NULL, "--alt", '{"probs": [2, 1, 1]}')
+        assert code == 1
+        assert "missing required field in alternative spec: 'rates'" in err
         assert out == ""
 
     def test_risk_poisson_prior_without_c_is_config_error(self, capsys):

@@ -199,6 +199,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="k1"):
             MultinomialTestConfig.from_null(SimplexVector([0.5, 0.3, 0.2]), 60, k1=math.nan, k2=30.0)
 
+    @pytest.mark.parametrize("c_prime", [math.nan, 0.5])
+    def test_poisson_constant_from_null(self, c_prime):
+        """Refused with the constructor's message, before ``log(C')`` reaches ``h^{-1}``."""
+        with pytest.raises(ValueError, match=r"c_prime must be >= 1, got (nan|0\.5)"):
+            PoissonTestConfig.from_null(RateVector([3.0, 2.0, 1.0]), c_prime)
+
+    def test_nan_k2_from_null(self):
+        with pytest.raises(ValueError, match="k2 must be >= e, got nan"):
+            MultinomialTestConfig.from_null(SimplexVector([0.5, 0.3, 0.2]), 60, k1=2.0, k2=math.nan)
+
 
 class TestRunsNulls:
     """A config takes its half-width on the null's run ends, so a null given

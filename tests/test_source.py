@@ -159,6 +159,84 @@ def test_h_inverse_rule_sees_every_spelling():
     assert [_h_inverse_uses(ast.parse(src)) for src in spellings] == [[1], [1], [1], [1], [2], [2], [], []]
 
 
+def _unique_uses(tree: ast.AST) -> list[int]:
+    """Lines that import ``unique`` from any module, or reach it as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and any(alias.name == "unique" for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "unique")
+    ]
+
+
+def test_risk_groups_cells_with_one_sort():
+    """``risk`` has no ``np.unique``: ``_groups`` orders the fixed-n cells by
+    one stable sort, whatever order they come in, and no second path sorts them."""
+    path = PACKAGE / "risk.py"
+    assert _unique_uses(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_unique_rule_sees_every_spelling():
+    spellings = [
+        "np.unique(cells, axis=0)",
+        "import numpy\nnumpy.unique(cells)",
+        "import numpy as xp\nxp.unique(cells, return_inverse=True)",
+        "from numpy import unique",
+        "from numpy import sort, unique as distinct",
+        "order = np.lexsort((hi, lo, lam))",
+        "np.add.reduceat(counts, starts)",
+        "unique = 1",
+    ]
+    assert [_unique_uses(ast.parse(src)) for src in spellings] == [[1], [2], [2], [1], [1], [], [], []]
+
+
+_SPEC_READS = {"load", "loads", "read_text", "read_bytes"}
+
+
+def _spec_reads(tree: ast.AST) -> list[int]:
+    """Lines outside a function named ``_read_spec`` that parse JSON or read a
+    file's text: a ``load``, ``loads``, ``read_text`` or ``read_bytes``
+    attribute, or any import from ``json``."""
+    reader = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_read_spec"
+        for node in ast.walk(fn)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in reader
+        and (
+            (isinstance(node, ast.Attribute) and node.attr in _SPEC_READS)
+            or (isinstance(node, ast.ImportFrom) and node.module == "json")
+        )
+    ]
+
+
+def test_cli_reads_every_spec_in_one_place():
+    """Only ``cli._read_spec`` turns a ``--null`` or ``--alt`` spec into JSON,
+    so every spec meets the same file, encoding and JSON errors."""
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "_read_spec" for node in tree.body)
+    assert _spec_reads(tree) == []
+
+
+def test_spec_rule_sees_every_spelling():
+    spellings = [
+        "def _load_null(spec):\n    return json.loads(spec)",
+        "def _load(path):\n    return Path(path).read_text()",
+        "import json as j\npayload = j.loads(text)",
+        "from json import loads as parse",
+        "payload = json.load(open(path))",
+        "data = Path(path).read_bytes()",
+        "def _read_spec(spec, what):\n    return json.loads(Path(spec).read_text())",
+        "text = json.dumps(payload)",
+    ]
+    assert [_spec_reads(ast.parse(src)) for src in spellings] == [[2], [2], [2], [1], [1], [1], [], []]
+
+
 def test_no_multinomial_sampling():
     """Fixed-n risk is exact (Poisson conditioning): no ``.multinomial(`` call, so no count sampler."""
     found = [
