@@ -8,8 +8,9 @@ Library layout:
   the CSV count-table reader.
 * :mod:`supgof.rates` -- local separation rates, critical index, perturbation
   size, and regime diagnostics.
-* :mod:`supgof.maxtest` -- the max-deviation test, the multinomial head/tail
-  tests, and their calibration.
+* :mod:`supgof.maxtest` -- the Poisson max test and the multinomial
+  head-or-tail test, one decision kernel over blocks of cells, and their
+  calibration.
 * :mod:`supgof.divergence` -- exact truncated-enumeration and closed-form
   divergences, the exact spike-mixture TV, and the conditional chi-square
   bound and risk certificate.

@@ -150,7 +150,10 @@ def _poisson_ppf(q: float, lam: float) -> int:
     """Smallest ``k`` with ``P{Poisson(lam) <= k} >= q``, by scipy's one-step fix-up."""
     if q >= 1.0:
         raise OverflowError(f"quantile level {q!r} has no finite Poisson quantile")
-    k = math.ceil(pdtrik(q, lam))
+    k = pdtrik(q, lam)
+    if math.isnan(k):  # pdtrik gives up from about lam = 1e11
+        raise AtomBudgetError(f"no Poisson quantile at rate {lam!r}: pdtrik gives NaN at level {q!r}")
+    k = math.ceil(k)
     k1 = max(k - 1, 0)
     return k1 if pdtr(k1, lam) >= q else k
 

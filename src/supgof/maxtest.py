@@ -1,19 +1,21 @@
-"""Decision procedures: the Poisson max test and the multinomial head/tail pair.
+"""Decision procedures: the Poisson max test and the multinomial head-or-tail test.
 
 Threshold conventions follow the displays defining the tests: the max tests
 reject on strict ``>`` exceedance, the head test on ``>=``.  Every test
 accepts exactly when each count lies in an integer interval, its
 :class:`AcceptanceBox`; the box settles the float comparison at integral
-edges, and each kernel rejects when some count lies outside it.  Calibration
-constants come from summing the relevant series exactly: the union bound
-spends ``2/(C' j^2)`` per coordinate, so the smallest constant achieving
-level ``eta/2`` is ``C' = 2 pi^2 / (3 eta)``, and analogously for the tail
-test at level ``eta/4`` (clamped to at least ``e``).  Each max test uses
-one half-width, the largest per-coordinate threshold, and a config stores
-only that scalar, taken on the null's run ends.
+edges.  Calibration constants come from summing the relevant series
+exactly: the union bound spends ``2/(C' j^2)`` per coordinate, so the
+smallest constant achieving level ``eta/2`` is ``C' = 2 pi^2 / (3 eta)``,
+and analogously for the tail test at level ``eta/4`` (clamped to at least
+``e``).  Each max test uses one half-width, the largest per-coordinate
+threshold, and a config holds only its half-widths, taken on the null's run
+ends.
 
-Each test has one vectorized body.  It takes one count vector or a
-``(rows, p)`` table: a table is decided row by row into a
+Both tests run one vectorized kernel, :func:`_max_test`, over blocks of
+cells, each with its half-width: the Poisson test is one block, the
+multinomial test the head cell plus the tail.  It takes one count vector or
+a ``(rows, p)`` table: a table is decided row by row into a
 :class:`TestDecision` of arrays, and a single vector is decided as a table
 of one row into a decision of scalars.
 """
@@ -37,8 +39,6 @@ __all__ = [
     "calibrate_k2",
     "head_k1",
     "poisson_max_test",
-    "multinomial_head_test",
-    "multinomial_tail_test",
     "multinomial_combined_test",
 ]
 
@@ -91,8 +91,8 @@ class AcceptanceBox:
         center = np.asarray(center, dtype=float)
         within = np.less if strict else np.less_equal
 
-        def inside(x):
-            return within(np.abs(x - center), half_width)
+        def inside(x):  # |x - center| within half_width, one side at a time
+            return within(x - center, half_width) & within(center - x, half_width)
 
         hi = np.floor(center + half_width)
         hi = np.where(inside(hi), hi, hi - 1.0)
@@ -146,21 +146,19 @@ class PoissonTestConfig:
     builds its config at any ``p``.
     """
 
-    c_prime: float
     max_threshold: float
 
     def __post_init__(self):
-        if not self.c_prime >= 1.0:  # NaN included
-            raise ValueError(f"c_prime must be >= 1, got {self.c_prime!r}")
         if not self.max_threshold >= 0.0:  # NaN included
             raise ValueError(f"max_threshold must be nonnegative, got {self.max_threshold!r}")
 
     @classmethod
     def from_null(cls, mu: RateVector, c_prime: float) -> "PoissonTestConfig":
-        cls(c_prime, 0.0)  # refuses a bad C' by name before log(C') reaches h^{-1}
+        if not c_prime >= 1.0:  # NaN included; refused before log(C') reaches h^{-1}
+            raise ValueError(f"c_prime must be >= 1, got {c_prime!r}")
         log_c = math.log(c_prime)
         threshold, _, _ = _peak_on_run_ends(*mu.runs, lambda js: log_c + 2.0 * np.log(js))
-        return cls(c_prime, threshold)
+        return cls(threshold)
 
     @classmethod
     def from_eta(cls, mu: RateVector, eta: float) -> "PoissonTestConfig":
@@ -171,55 +169,22 @@ class PoissonTestConfig:
         return AcceptanceBox.around(mu.rates, self.max_threshold, strict=False)
 
 
-def _table(x, p: int) -> tuple[np.ndarray, bool]:
-    """Counts as a ``(rows, p)`` table, and whether ``x`` was a single vector."""
-    counts = np.asarray(x.counts if isinstance(x, CountVector) else x)
-    if counts.ndim not in (1, 2):
-        raise ValueError("data must be a count vector or a (rows, p) table")
-    table = np.atleast_2d(counts)
-    if table.shape[1] != p:
-        raise ValueError(f"data has {table.shape[1]} coordinates, null has {p}")
-    return table, counts.ndim == 1
-
-
-def _decision(reject, statistic, threshold, single: bool) -> TestDecision:
-    if single:
-        return TestDecision(bool(reject[0]), float(statistic[0]), float(threshold[0]))
-    return TestDecision(reject, statistic, threshold)
-
-
-def poisson_max_test(x, mu: RateVector, cfg: PoissonTestConfig) -> TestDecision:
-    """Reject when ``||x - mu||_inf`` exceeds the largest per-coordinate threshold."""
-    table, single = _table(x, mu.p)
-    stat = np.abs(table - mu.rates).max(axis=1)
-    thr = np.full(stat.shape, cfg.max_threshold)
-    return _decision(cfg.acceptance_box(mu).rejects(table), stat, thr, single)
-
-
 @dataclass(frozen=True)
 class MultinomialTestConfig:
-    """Head threshold plus the tail half-width
-    ``max_j v_j h^{-1}(log(K2 (j-1)^2)/v_j)`` over categories ``j >= 2``.
+    """Head threshold ``K1 (1 + sqrt(n q0(1)(1 - q0(1))))`` plus the tail
+    half-width ``max_j v_j h^{-1}(log(K2 (j-1)^2)/v_j)`` over categories ``j >= 2``.
 
     ``v_j = n q(j)(1-q(j))`` is the binomial variance of category ``j``;
     degenerate cells (zero variance) are left out of the maximum, which is
     0 when every tail cell is degenerate.  As for
     :class:`PoissonTestConfig` the maximum falls on a run end, so
-    :meth:`from_null` evaluates the tail's run ends only.  A positive count
-    in a cell with null probability zero is infinite evidence and rejects
-    through a dedicated guard.
+    :meth:`from_null` evaluates the tail's run ends only.
     """
 
-    k1: float
-    k2: float
     head_threshold: float
     max_tail_threshold: float
 
     def __post_init__(self):
-        if not self.k1 > 0.0:  # NaN included
-            raise ValueError(f"k1 must be positive, got {self.k1!r}")
-        if not self.k2 >= math.e:  # NaN included
-            raise ValueError(f"k2 must be >= e, got {self.k2!r}")
         for name in ("head_threshold", "max_tail_threshold"):
             if not getattr(self, name) >= 0.0:  # NaN included
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
@@ -228,7 +193,10 @@ class MultinomialTestConfig:
     def from_null(
         cls, q0: SimplexVector, n: float, k1: float, k2: float
     ) -> "MultinomialTestConfig":
-        cls(k1, k2, 0.0, 0.0)  # refuses a bad K1 or K2 by name before log(K2) reaches h^{-1}
+        if not k1 > 0.0:  # NaN included
+            raise ValueError(f"k1 must be positive, got {k1!r}")
+        if not k2 >= math.e:  # NaN included; refused before log(K2) reaches h^{-1}
+            raise ValueError(f"k2 must be >= e, got {k2!r}")
         n_val = sample_size_value(n)
         head_var = n_val * q0.head * (1.0 - q0.head)
         head_threshold = k1 * (1.0 + math.sqrt(head_var))
@@ -244,7 +212,7 @@ class MultinomialTestConfig:
             tail_threshold, _, _ = _peak_on_run_ends(
                 variances[active], counts[1:][active], lambda js: log_k2 + 2.0 * np.log(js)
             )
-        return cls(k1, k2, head_threshold, tail_threshold)
+        return cls(head_threshold, tail_threshold)
 
     @classmethod
     def from_eta(
@@ -268,50 +236,51 @@ class MultinomialTestConfig:
         )
 
 
-def multinomial_head_test(
-    x, q0: SimplexVector, n: float, cfg: MultinomialTestConfig
-) -> TestDecision:
-    """Reject when ``|x_1 - n q0(1)|`` reaches the Chebyshev threshold."""
-    table, single = _table(x, q0.p)
-    stat = np.abs(table[:, 0] - sample_size_value(n) * q0.head)
-    thr = np.full(stat.shape, cfg.head_threshold)
-    return _decision(cfg.acceptance_box(q0, n)[:1].rejects(table[:, :1]), stat, thr, single)
+def _max_test(x, center: np.ndarray, box: AcceptanceBox, blocks) -> TestDecision:
+    """The one decision body: reject exactly when some count lies outside ``box``.
 
-
-def multinomial_tail_test(
-    x, q0: SimplexVector, n: float, cfg: MultinomialTestConfig
-) -> TestDecision:
-    """Max test over categories ``2..p`` with Bennett-calibrated thresholds.
-
-    A positive count in a tail cell of null probability zero gives an
-    infinite statistic, so it rejects; with ``p = 1`` the statistic is 0 and
-    the test never rejects.
+    ``x`` is one count vector or a ``(rows, p)`` table.  Each block
+    ``(start, stop, threshold)`` of cells has the statistic ``max |x_j -
+    center_j|`` over its cells, 0 on an empty block, with a positive count
+    in a zero-center cell counting as infinite evidence.  The decision shows
+    the block with the largest ``statistic / threshold``, the first on a tie.
     """
-    table, single = _table(x, q0.p)
-    tail_counts = table[:, 1:]
-    stat = np.abs(tail_counts - sample_size_value(n) * q0.tail).max(axis=1, initial=0.0)
-    stat[(tail_counts[:, q0.tail == 0.0] > 0).any(axis=1)] = math.inf
-    thr = np.full(stat.shape, cfg.max_tail_threshold)
-    return _decision(cfg.acceptance_box(q0, n)[1:].rejects(tail_counts), stat, thr, single)
+    counts = np.asarray(x.counts if isinstance(x, CountVector) else x)
+    if counts.ndim not in (1, 2):
+        raise ValueError("data must be a count vector or a (rows, p) table")
+    table = np.atleast_2d(counts)
+    if table.shape[1] != center.size:
+        raise ValueError(f"data has {table.shape[1]} coordinates, null has {center.size}")
+    dev = np.abs(table - center)
+    zero = center == 0.0
+    if zero.any():
+        dev[:, zero] = np.where(table[:, zero] > 0, math.inf, dev[:, zero])
+    stats = np.array([dev[:, start:stop].max(axis=1, initial=0.0) for start, stop, _ in blocks])
+    thresholds = np.array([threshold for _, _, threshold in blocks])
+    shown = np.argmax(stats / np.maximum(thresholds, 1e-300)[:, None], axis=0)
+    stat, thr = stats[shown, np.arange(table.shape[0])], thresholds[shown]
+    reject = box.rejects(table)
+    if counts.ndim == 1:
+        return TestDecision(bool(reject[0]), float(stat[0]), float(thr[0]))
+    return TestDecision(reject, stat, thr)
+
+
+def poisson_max_test(x, mu: RateVector, cfg: PoissonTestConfig) -> TestDecision:
+    """Reject when ``||x - mu||_inf`` exceeds ``max_threshold``: one block of every cell."""
+    return _max_test(x, mu.rates, cfg.acceptance_box(mu), [(0, mu.p, cfg.max_threshold)])
 
 
 def multinomial_combined_test(
     x, q0: SimplexVector, n: float, cfg: MultinomialTestConfig
 ) -> TestDecision:
-    """Disjunction of the head and tail tests.
+    """Disjunction of the head test (reject when ``|x_1 - n q0(1)|`` reaches
+    ``head_threshold``) and the tail max test over categories ``2..p``.
 
-    Reports the more extreme sub-test: the statistic/threshold pair shown is
-    the one with the larger exceedance ratio, the head's on a tie.
+    Two blocks, the head cell and the tail cells: the statistic/threshold
+    pair shown is the one with the larger exceedance ratio, the head's on a
+    tie.  A positive count in a tail cell of null probability zero rejects
+    with an infinite statistic; with ``p = 1`` the tail's statistic is 0.
     """
-    table, single = _table(x, q0.p)
-    head = multinomial_head_test(table, q0, n, cfg)
-    tail = multinomial_tail_test(table, q0, n, cfg)
-    head_ratio = head.statistic / np.maximum(head.threshold, 1e-300)
-    tail_ratio = tail.statistic / np.maximum(tail.threshold, 1e-300)
-    head_wins = head_ratio >= tail_ratio
-    return _decision(
-        head.reject | tail.reject,
-        np.where(head_wins, head.statistic, tail.statistic),
-        np.where(head_wins, head.threshold, tail.threshold),
-        single,
-    )
+    center = sample_size_value(n) * q0.probs
+    blocks = [(0, 1, cfg.head_threshold), (1, q0.p, cfg.max_tail_threshold)]
+    return _max_test(x, center, cfg.acceptance_box(q0, n), blocks)

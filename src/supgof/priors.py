@@ -25,7 +25,7 @@ from .divergence import (
     poisson_product_dist,
     tv_distance,
 )
-from .model import RateVector, SimplexVector, rng_stream, sample_size_value
+from .model import DENSE_RATES_CAP, RateVector, SimplexVector, rng_stream, sample_size_value
 from .rates import multinomial_rate, poisson_rate
 from .special import h_inverse
 
@@ -82,9 +82,16 @@ class PoissonSpikePrior:
         return np.full(self.j_star, 1.0 / self.j_star), rows
 
 
-def _draw_count(trials: int) -> int:
+def _draw_count(trials: int, p: int) -> int:
+    """``trials`` as an int, refused before any allocation when the
+    ``(trials, p)`` draw would hold more than ``DENSE_RATES_CAP`` values."""
     if not trials >= 1:
         raise ValueError(f"trials (--trials) must be at least 1, got {trials!r}")
+    if int(trials) * p > DENSE_RATES_CAP:
+        raise ValueError(
+            f"trials (--trials) x p = {trials!r} x {p} drawn values exceed the cap of "
+            f"DENSE_RATES_CAP = {DENSE_RATES_CAP}"
+        )
     return int(trials)
 
 
@@ -92,7 +99,7 @@ def draw_poisson_spike(prior: PoissonSpikePrior, rng_seed, trials: int = 1) -> n
     """Draw ``trials`` rate vectors from the spike prior as a ``(trials, p)``
     array; deterministic given the seed."""
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else rng_stream(rng_seed)
-    t = _draw_count(trials)
+    t = _draw_count(trials, prior.base.p)
     out = np.tile(prior.base.rates, (t, 1))
     out[np.arange(t), rng.integers(0, prior.j_star, size=t)] += prior.spike
     return out
@@ -167,11 +174,11 @@ class MultinomialSimplexPrior:
     def build(cls, q0: SimplexVector, n: float, c: float) -> "MultinomialSimplexPrior":
         if not c > 0:  # NaN included
             raise ValueError(f"c must be positive, got {c!r}")
+        if q0.p < 2:
+            raise ValueError("need at least two categories")
         n_val = sample_size_value(n)
         profile = multinomial_rate(q0, n_val)
         j_star, psi, m = profile.j_star, profile.psi, profile.m
-        if q0.p < j_star + 1:
-            raise ValueError("inconsistent critical index")
         if m >= 1:
             removal = c * psi / (n_val * m)
             floor_prob = float(q0.probs[j_star])  # category j*+1, 0-based index j*
@@ -189,7 +196,7 @@ def draw_multinomial_simplex_prior(
     """Draw ``trials`` probability vectors from the simplex prior as a
     ``(trials, p)`` array; deterministic given the seed."""
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else rng_stream(rng_seed)
-    t = _draw_count(trials)
+    t = _draw_count(trials, prior.base.p)
     out = np.tile(prior.base.probs, (t, 1))
     if prior.m > 0:
         # 0-based indices 1..j_star hold categories 2..j_star+1.

@@ -34,8 +34,7 @@ __all__ = [
     "multinomial_regime",
     "prob_all_observed",
     "sharp_constant_epsilon",
-    "sharp_constant_epsilons",
-    "multinomial_sharp_constant_epsilons",
+    "multinomial_sharp_constant_level",
     "SharpConstantEpsilon",
 ]
 
@@ -201,22 +200,14 @@ def _inflated_log(js: np.ndarray, alpha_p: float) -> np.ndarray:
     return 1.0 + np.log(js) + math.log(alpha_p) + 2.0 * np.log1p(np.log(js))
 
 
-def _check_sharp_constant_grid(alpha_p: float, xi_grid) -> np.ndarray:
+def _check_alpha_p(alpha_p: float) -> None:
     if not 1.0 < alpha_p < math.inf:  # NaN included
         raise ValueError(f"alpha_p must lie in (1, inf), got {alpha_p!r}")
-    xi_grid = np.asarray(xi_grid, dtype=float)
-    for xi in xi_grid:
-        if not 0.0 < xi < math.inf:
-            raise ValueError(f"xi must be positive and finite, got {float(xi)!r}")
-    return xi_grid
 
 
-def _scaled_by_grid(xi_grid: np.ndarray, level: float) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        epsilons = xi_grid * level
-    if not np.all(np.isfinite(epsilons)):
-        raise OverflowError(f"the separation xi * {level!r} overflows on xi grid {xi_grid.tolist()!r}")
-    return epsilons
+def _check_xi(xi: float) -> None:
+    if not 0.0 < xi < math.inf:  # NaN included
+        raise ValueError(f"xi must be positive and finite, got {float(xi)!r}")
 
 
 def sharp_constant_epsilon(
@@ -226,40 +217,34 @@ def sharp_constant_epsilon(
 
     ``L_j`` carries the slowly diverging ``alpha_p log^2(e j)`` inflation; the
     standing assumption of the asymptotic setup requires all rates >= 1.
+    The ``xi``-free objective and its critical index are computed on the
+    run ends of ``mu`` only, so in O(#runs).
     """
-    eps, j_star = sharp_constant_epsilons(mu, alpha_p, [xi])
-    return SharpConstantEpsilon(float(eps[0]), j_star)
-
-
-def sharp_constant_epsilons(
-    mu: RateVector, alpha_p: float, xi_grid
-) -> tuple[np.ndarray, int]:
-    """:func:`sharp_constant_epsilon` over a grid of ``xi``: ``(epsilons, j*)``.
-
-    The ``xi``-free objective and its critical index are computed once, on
-    the run ends of ``mu`` only, so in O(#runs).
-    """
-    xi_grid = _check_sharp_constant_grid(alpha_p, xi_grid)
+    _check_alpha_p(alpha_p)
+    _check_xi(xi)
     if mu.runs[0][-1] < 1.0:
         raise ValueError("the sharp-constant setup assumes all rates >= 1")
     level, j_star, _ = _peak_on_run_ends(*mu.runs, lambda js: _inflated_log(js, alpha_p))
-    return _scaled_by_grid(xi_grid, level), j_star
+    value = float(xi) * level
+    if not math.isfinite(value):
+        raise OverflowError(f"the separation xi * {level!r} overflows at xi = {float(xi)!r}")
+    return SharpConstantEpsilon(value, j_star)
 
 
-def multinomial_sharp_constant_epsilons(
-    q0: SimplexVector, n: float, alpha_p: float, xi_grid
-) -> tuple[np.ndarray, int, float, int]:
-    """Multinomial sharp-constant separation over a grid of ``xi``:
-    ``(epsilons, j*, n', m)`` at sample size ``n' = (1+n^{-1/3})n``.
+def multinomial_sharp_constant_level(
+    q0: SimplexVector, n: float, alpha_p: float
+) -> tuple[float, int, float, int]:
+    """Multinomial sharp-constant level, the separation at ``xi = 1``:
+    ``(level, j*, n', m)`` at sample size ``n' = (1+n^{-1/3})n``.
 
     The level uses the plain ``log(e j)`` while the critical index is the
     argmax of the inflated-log objective; both use the variance form
     ``q(1-q)`` of the tail cells.  The mass-removal count ``m`` is clamped
-    to at least 2 whenever it is positive.  The two ``xi``-free objectives,
-    the critical index and ``m`` are computed once, on the run ends of the
-    tail only (:func:`_peak_on_run_ends`), so in O(#runs).
+    to at least 2 whenever it is positive.  Both objectives, the critical
+    index and ``m`` are computed on the run ends of the tail only
+    (:func:`_peak_on_run_ends`), so in O(#runs).
     """
-    xi_grid = _check_sharp_constant_grid(alpha_p, xi_grid)
+    _check_alpha_p(alpha_p)
     n_val = sample_size_value(n)
     values, counts = q0.runs
     if values[-1] < 1.0 / n_val:
@@ -274,4 +259,4 @@ def multinomial_sharp_constant_epsilons(
     mu_star = n_prime * float(tail[g])
     m_raw = max(2, math.ceil(h_inverse((1.0 + math.log(j_star)) / mu_star)))
     m = min(m_raw, j_star - 1)
-    return _scaled_by_grid(xi_grid, level), j_star, n_prime, m
+    return level, j_star, n_prime, m

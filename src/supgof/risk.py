@@ -40,10 +40,10 @@ from .maxtest import AcceptanceBox, MultinomialTestConfig, PoissonTestConfig
 from .model import RateVector, SimplexVector, as_probability_vector
 from .priors import MultinomialSimplexPrior, PoissonSpikePrior
 from .rates import (
-    _check_sharp_constant_grid,
-    _scaled_by_grid,
+    _check_alpha_p,
+    _check_xi,
     multinomial_regime,
-    multinomial_sharp_constant_epsilons,
+    multinomial_sharp_constant_level,
     poisson_regime,
     sharp_constant_epsilon,
 )
@@ -466,8 +466,17 @@ def _box_cut(box: AcceptanceBox, n: float, counts: np.ndarray) -> int:
 
 
 def _ratio(numerator, n: float, total_rate: float):
-    """``numerator / P(Poisson(total_rate) = n)``, clipped to [0, 1]."""
+    """``numerator / P(Poisson(total_rate) = n)``, clipped to [0, 1].
+
+    A point probability that is not positive in float64 (a box collapsed
+    below the float spacing of a huge ``n``) raises ``FloatingPointError``.
+    """
     point = _box_mass(AcceptanceBox(np.array([n]), np.array([n])), np.array([total_rate]))[0]
+    if not point > 0.0:
+        raise FloatingPointError(
+            f"P(Poisson({total_rate!r}) = n) is not positive in float64 at n = {n!r}; "
+            "the fixed-n probability is undefined"
+        )
     return np.clip(numerator / point, 0.0, 1.0)
 
 
@@ -736,6 +745,25 @@ class SweepResult:
         ]
 
 
+def _checked_xi_grid(alpha_p: float, xi_grid) -> np.ndarray:
+    """A sweep's ``xi`` grid as floats, each checked after ``alpha_p``, in the
+    order the sharp-constant levels check them."""
+    _check_alpha_p(alpha_p)
+    xi_grid = np.asarray(list(xi_grid), dtype=float)
+    for xi in xi_grid:
+        _check_xi(xi)
+    return xi_grid
+
+
+def _scaled_by_grid(xi_grid: np.ndarray, level: float) -> np.ndarray:
+    """The separations ``xi * level`` over the grid; ``OverflowError`` if one is not finite."""
+    with np.errstate(over="ignore"):
+        epsilons = xi_grid * level
+    if not np.all(np.isfinite(epsilons)):
+        raise OverflowError(f"the separation xi * {level!r} overflows on xi grid {xi_grid.tolist()!r}")
+    return epsilons
+
+
 def sweep_sharp_constant(
     mu: RateVector,
     xi_grid,
@@ -751,7 +779,7 @@ def sweep_sharp_constant(
     magnitude ``eps(xi)`` on the first ``j*`` coordinates.
 
     The test accepts exactly when every count lies in its acceptance box.
-    ``j*`` ends a run (:func:`~supgof.rates.sharp_constant_epsilons`), so
+    ``j*`` ends a run (:func:`~supgof.rates.sharp_constant_epsilon`), so
     the pool ``1..j*`` is whole runs; with ``n_g`` cells of rate ``mu_g`` in
     run ``g``, ``a_g = P_{mu_g}(box_g)`` and ``b_g = P_{mu_g + eps}(box_g)``,
     the risk is ``type1 = 1 - prod_g a_g^{n_g}`` and
@@ -766,7 +794,7 @@ def sweep_sharp_constant(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    xi_grid = _check_sharp_constant_grid(alpha_p, list(xi_grid))
+    xi_grid = _checked_xi_grid(alpha_p, xi_grid)
     # The xi-free level, which is the test's threshold, is the separation at xi = 1.
     level, j_star = sharp_constant_epsilon(mu, alpha_p, 1.0)
     epsilons = _scaled_by_grid(xi_grid, level)
@@ -805,7 +833,7 @@ def sweep_multinomial_sharp_constant(
 
     Both risks work on the runs of ``q0`` (:attr:`SimplexVector.runs`, the
     head a run of its own): ``j*`` ends a run
-    (:func:`~supgof.rates.multinomial_sharp_constant_epsilons`), so the pool
+    (:func:`~supgof.rates.multinomial_sharp_constant_level`), so the pool
     ``2..j*+1`` is whole runs, and every box is built once per run.  The
     threshold ``n' eps(xi)/xi`` does not depend on ``xi``, so one box, built
     from the ``xi``-free level, serves the whole grid.  The Poissonized risk
@@ -822,9 +850,9 @@ def sweep_multinomial_sharp_constant(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    xi_grid = _check_sharp_constant_grid(alpha_p, list(xi_grid))
+    xi_grid = _checked_xi_grid(alpha_p, xi_grid)
     # The xi-free level, the test's threshold over n', is the separation at xi = 1.
-    (level,), j_star, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, alpha_p, [1.0])
+    level, j_star, n_prime, m = multinomial_sharp_constant_level(q0, n, alpha_p)
     epsilons = _scaled_by_grid(xi_grid, level)
     if m == 0:
         raise ValueError("sweep alternative needs j* >= 2: no cell can give up the added mass")

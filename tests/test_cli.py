@@ -282,6 +282,25 @@ class TestPriorCommand:
         assert "C (--big-c) must be finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("null, c", [(POISSON_NULL, "1"), (MULT_NULL, "1.0")], ids=["poisson", "multinomial"])
+    def test_trials_past_the_cap_is_config_error(self, capsys, null, c):
+        """``--trials 1e12`` once died in ``np.tile``; it is refused before any allocation."""
+        code, out, err = run_cli(capsys, "prior", "--null", null, "--c", c, "--trials", "1000000000000")
+        assert code == 1
+        assert "--trials" in err and "DENSE_RATES_CAP" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["prior"], ["risk"], ["risk", "--poissonized"]], ids=["prior", "risk", "risk-poissonized"]
+    )
+    def test_one_category_names_the_input(self, capsys, argv):
+        """A one-cell null once failed as an "inconsistent critical index"."""
+        null = '{"model":"multinomial","probs":[1],"n":50}'
+        code, out, err = run_cli(capsys, *argv, "--null", null)
+        assert code == 1
+        assert "need at least two categories" in err
+        assert out == ""
+
     def test_multinomial_draws_on_simplex(self, capsys):
         null = json.dumps(
             {"model": "multinomial", "probs": [0.025] * 40, "n": 50}
@@ -552,6 +571,29 @@ class TestNumericFailureExit:
         code, out, err = run_cli(capsys, "risk", "--null", null, "--alt", "[0.4,0.6]", "--trials", "100")
         assert code == 3
         assert "over the cap" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["risk", "sweep"])
+    def test_fixed_n_point_probability_underflow_is_exit_3(self, capsys, command):
+        """At n = 1e300 ``P(Poisson(n) = n)`` is 0 in float64: once a
+        RuntimeWarning and a config error about error rates."""
+        null = '{"model":"multinomial","probs":[0.5,0.3,0.2],"n":1e300}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, "--null", null)
+        assert code == 3
+        assert "not positive in float64 at n = 1e+300" in err
+        assert out == ""
+
+    def test_spike_past_the_quantile_solver_is_exit_3(self, capsys):
+        """At c = 1e20 the spiked rate is past ``pdtrik``'s reach: once
+        "cannot convert float NaN to integer" with exit 1."""
+        null = '{"model":"poisson","rates":[3,2,1]}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", "flattening", "--null", null, "--c", "1e20")
+        assert code == 3
+        assert "no Poisson quantile at rate" in err
         assert out == ""
 
     def test_atom_budget_exceeded_is_exit_3(self, capsys):

@@ -242,6 +242,11 @@ class TestTruncatedPmf:
             assert scipy.stats.poisson.cdf(k - 1, lam) < 1 - tol
             assert table.deficit == pytest.approx(scipy.stats.poisson.sf(k, lam), abs=1e-18)
 
+    def test_rate_past_the_quantile_solver_names_the_rate(self):
+        """``pdtrik`` gives NaN from about rate 1e11, which once reached ``math.ceil``."""
+        with pytest.raises(AtomBudgetError, match=r"rate 10000000000000\.0"):
+            truncated_poisson_pmf(1e13, 1e-12)
+
 
 class TestTvDistance:
     def test_identical_is_zero(self):

@@ -16,15 +16,31 @@ from supgof.maxtest import (
     PoissonTestConfig,
     calibrate_k2,
     calibrate_poisson,
+    _max_test,
     head_k1,
     multinomial_combined_test,
-    multinomial_head_test,
-    multinomial_tail_test,
     poisson_max_test,
 )
 from supgof.model import CountVector, RateVector, SimplexVector, rng_stream
 from supgof.risk import estimate_poisson_risk
 from supgof.special import h_inverse
+
+
+def _block_test(x, q0, n, cfg, cells: slice, threshold: float):
+    """``_max_test`` on one block of the multinomial test, its cells alone."""
+    counts = np.asarray(x.counts if isinstance(x, CountVector) else x)[..., cells]
+    box = cfg.acceptance_box(q0, n)[cells]
+    return _max_test(counts, n * q0.probs[cells], box, [(0, counts.shape[-1], threshold)])
+
+
+def _head_block_test(x, q0, n, cfg):
+    """The head block: reject when ``|x_1 - n q0(1)|`` reaches ``head_threshold``."""
+    return _block_test(x, q0, n, cfg, slice(0, 1), cfg.head_threshold)
+
+
+def _tail_block_test(x, q0, n, cfg):
+    """The tail block: the max test over categories ``2..p``."""
+    return _block_test(x, q0, n, cfg, slice(1, q0.p), cfg.max_tail_threshold)
 
 
 class TestCalibration:
@@ -70,9 +86,10 @@ class TestPoissonMaxTest:
             mu = RateVector(rates)
             cfg = PoissonTestConfig.from_eta(mu, 0.2)
             js = np.arange(1, mu.p + 1, dtype=float)
-            per_coordinate = rates * h_inverse((math.log(cfg.c_prime) + 2.0 * np.log(js)) / rates)
+            c_prime = calibrate_poisson(0.2)
+            per_coordinate = rates * h_inverse((math.log(c_prime) + 2.0 * np.log(js)) / rates)
             assert cfg.max_threshold == per_coordinate.max()
-            textbook = max(r * h_inverse(math.log(cfg.c_prime * j * j) / r) for j, r in enumerate(rates, 1))
+            textbook = max(r * h_inverse(math.log(c_prime * j * j) / r) for j, r in enumerate(rates, 1))
             assert cfg.max_threshold == pytest.approx(textbook, rel=1e-10)
 
     def test_null_rounded_accepts(self):
@@ -113,7 +130,7 @@ class TestMultinomialHeadTest:
     def test_exact_null_accepts(self):
         q0 = SimplexVector([0.6, 0.4])
         cfg = MultinomialTestConfig.from_eta(q0, 10, 0.2)
-        decision = multinomial_head_test(CountVector([6, 4]), q0, 10, cfg)
+        decision = _head_block_test(CountVector([6, 4]), q0, 10, cfg)
         assert not decision.reject and decision.statistic == 0.0
 
     def test_threshold_formula(self):
@@ -141,7 +158,7 @@ class TestMultinomialTailTest:
     def test_exact_null_accepts(self):
         q0 = SimplexVector([0.5, 0.3, 0.2])
         cfg = MultinomialTestConfig.from_eta(q0, 60, 0.2)
-        decision = multinomial_tail_test(CountVector([30, 18, 12]), q0, 60, cfg)
+        decision = _tail_block_test(CountVector([30, 18, 12]), q0, 60, cfg)
         assert not decision.reject
 
     def test_big_tail_perturbation_rejects(self):
@@ -150,7 +167,7 @@ class TestMultinomialTailTest:
         n = 100
         cfg = MultinomialTestConfig.from_eta(q0, n, 0.1)
         assert cfg.max_tail_threshold < 50.0
-        decision = multinomial_tail_test(CountVector([50, 100]), q0, n, cfg)
+        decision = _tail_block_test(CountVector([50, 100]), q0, n, cfg)
         assert decision.reject
 
     def test_null_monte_carlo_level(self):
@@ -166,8 +183,8 @@ class TestMultinomialTailTest:
         """A count in a null-zero cell is infinite evidence and rejects."""
         q0 = SimplexVector([1.0, 0.0])
         cfg = MultinomialTestConfig.from_eta(q0, 7, 0.2)
-        assert multinomial_tail_test(CountVector([6, 1]), q0, 7, cfg).reject
-        assert not multinomial_tail_test(CountVector([7, 0]), q0, 7, cfg).reject
+        assert _tail_block_test(CountVector([6, 1]), q0, 7, cfg).reject
+        assert not _tail_block_test(CountVector([7, 0]), q0, 7, cfg).reject
 
     def test_degenerate_cells_excluded_from_max(self):
         """A zero cell has no variance and no threshold: the half-width is the
@@ -175,7 +192,7 @@ class TestMultinomialTailTest:
         q0 = SimplexVector([0.6, 0.4, 0.0])
         cfg = MultinomialTestConfig.from_eta(q0, 50, 0.2)
         v = 50 * 0.4 * (1.0 - 0.4)
-        assert cfg.max_tail_threshold == v * h_inverse((math.log(cfg.k2) + 2.0 * math.log(1.0)) / v)
+        assert cfg.max_tail_threshold == v * h_inverse((math.log(calibrate_k2(0.2)) + 2.0 * math.log(1.0)) / v)
         assert MultinomialTestConfig.from_eta(SimplexVector([1.0, 0.0, 0.0]), 50, 0.2).max_tail_threshold == 0.0
 
 
@@ -185,15 +202,19 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("c_prime, threshold", [(math.nan, 1.0), (2.0, math.nan), (0.5, 1.0), (2.0, -1.0)])
     def test_poisson(self, c_prime, threshold):
-        with pytest.raises(ValueError, match="c_prime|max_threshold"):
-            PoissonTestConfig(c_prime, threshold)
+        """A bad ``C'`` is refused by ``from_null``, a bad half-width by the constructor."""
+        with pytest.raises(ValueError, match="max_threshold" if c_prime >= 1.0 else "c_prime"):
+            PoissonTestConfig(threshold)
+            PoissonTestConfig.from_null(RateVector([3.0, 2.0, 1.0]), c_prime)
 
     @pytest.mark.parametrize("field", range(4))
     def test_multinomial(self, field):
+        """``K1`` and ``K2`` are refused by ``from_null``, a half-width by the constructor."""
         args = [1.0, math.e, 2.0, 2.0]
         args[field] = math.nan
         with pytest.raises(ValueError, match=("k1", "k2", "head_threshold", "max_tail_threshold")[field]):
-            MultinomialTestConfig(*args)
+            MultinomialTestConfig(*args[2:])
+            MultinomialTestConfig.from_null(SimplexVector([0.5, 0.3, 0.2]), 60, *args[:2])
 
     def test_nan_k1_from_null(self):
         with pytest.raises(ValueError, match="k1"):
@@ -219,7 +240,7 @@ class TestRunsNulls:
         mu = RateVector.from_runs(values, counts)
         cfg = PoissonTestConfig.from_eta(mu, 0.1)
         ends = np.cumsum(counts, dtype=float)
-        assert cfg.max_threshold == (values * h_inverse((math.log(cfg.c_prime) + 2.0 * np.log(ends)) / values)).max()
+        assert cfg.max_threshold == (values * h_inverse((math.log(calibrate_poisson(0.1)) + 2.0 * np.log(ends)) / values)).max()
         assert cfg.max_threshold == 66.2323934498642
         with pytest.raises(ValueError, match="DENSE_RATES_CAP"):
             mu.rates
@@ -230,8 +251,8 @@ class TestRunsNulls:
         cfg = MultinomialTestConfig.from_eta(q0, n, 0.1)
         v = n * values[1:] * (1.0 - values[1:])
         ends = np.cumsum(counts[1:], dtype=float)
-        assert cfg.max_tail_threshold == (v * h_inverse((math.log(cfg.k2) + 2.0 * np.log(ends)) / v)).max()
-        assert cfg.head_threshold == cfg.k1 * (1.0 + math.sqrt(n * 0.4 * 0.6))
+        assert cfg.max_tail_threshold == (v * h_inverse((math.log(calibrate_k2(0.1)) + 2.0 * np.log(ends)) / v)).max()
+        assert cfg.head_threshold == head_k1(0.1) * (1.0 + math.sqrt(n * 0.4 * 0.6))
         with pytest.raises(ValueError, match="DENSE_RATES_CAP"):
             q0.probs
 
@@ -248,14 +269,14 @@ class TestRunsNulls:
             mu = RateVector(rates)
             cfg = PoissonTestConfig.from_eta(mu, 0.2)
             js = np.arange(1, mu.p + 1, dtype=float)
-            assert cfg.max_threshold == (rates * h_inverse((math.log(cfg.c_prime) + 2.0 * np.log(js)) / rates)).max()
+            assert cfg.max_threshold == (rates * h_inverse((math.log(calibrate_poisson(0.2)) + 2.0 * np.log(js)) / rates)).max()
             q0 = SimplexVector(np.r_[rates, np.zeros(trial % 3)] / rates.sum())
             n = float(rng.integers(10, 10**5))
             mcfg = MultinomialTestConfig.from_eta(q0, n, 0.2)
             v = n * q0.tail * (1.0 - q0.tail)
             active = v > 0.0
             js = np.arange(1, q0.p, dtype=float)[active]
-            tail = v[active] * h_inverse((math.log(mcfg.k2) + 2.0 * np.log(js)) / v[active])
+            tail = v[active] * h_inverse((math.log(calibrate_k2(0.2)) + 2.0 * np.log(js)) / v[active])
             assert mcfg.max_tail_threshold == tail.max(initial=0.0)
 
 
@@ -267,18 +288,19 @@ class TestCombinedTest:
         null_x = CountVector([50, 30, 20])
         assert not multinomial_combined_test(null_x, q0, n, cfg).reject
         head_x = CountVector([95, 3, 2])
-        assert multinomial_head_test(head_x, q0, n, cfg).reject
+        assert _head_block_test(head_x, q0, n, cfg).reject
         assert multinomial_combined_test(head_x, q0, n, cfg).reject
         tail_x = CountVector([50, 0, 50])
-        assert multinomial_tail_test(tail_x, q0, n, cfg).reject
+        assert _tail_block_test(tail_x, q0, n, cfg).reject
         assert multinomial_combined_test(tail_x, q0, n, cfg).reject
 
     @pytest.mark.parametrize(
-        "decide", [multinomial_head_test, multinomial_tail_test, multinomial_combined_test]
+        "decide", [_head_block_test, _tail_block_test, multinomial_combined_test]
     )
     @pytest.mark.parametrize("bad_n", [0, -100.0, math.nan])
     def test_invalid_sample_size_raises(self, decide, bad_n):
-        """The decisions validate n as a sample size, like the config builders."""
+        """The decision and the boxes of its blocks validate n as a sample
+        size, like the config builders."""
         q0 = SimplexVector([0.5, 0.3, 0.2])
         cfg = MultinomialTestConfig.from_eta(q0, 100, 0.2)
         with pytest.raises(ValueError, match="sample size"):
@@ -383,7 +405,7 @@ class TestBatchKernel:
     def test_zero_cell_guard_in_a_table(self):
         q0 = SimplexVector([0.6, 0.4, 0.0])
         cfg = MultinomialTestConfig.from_eta(q0, 10, 0.2)
-        decision = multinomial_tail_test(np.array([[6, 4, 0], [6, 3, 1], [5, 5, 0]]), q0, 10, cfg)
+        decision = _tail_block_test(np.array([[6, 4, 0], [6, 3, 1], [5, 5, 0]]), q0, 10, cfg)
         assert decision.reject.tolist() == [False, True, False]
         assert decision.statistic[1] == math.inf
         assert np.all(decision.threshold == cfg.max_tail_threshold)
@@ -391,7 +413,7 @@ class TestBatchKernel:
     def test_single_category(self):
         q0 = SimplexVector([1.0])
         cfg = MultinomialTestConfig.from_eta(q0, 5, 0.2)
-        tail = multinomial_tail_test(np.array([[5], [5]]), q0, 5, cfg)
+        tail = _tail_block_test(np.array([[5], [5]]), q0, 5, cfg)
         assert tail.reject.tolist() == [False, False]
         assert tail.statistic.tolist() == [0.0, 0.0] and tail.threshold.tolist() == [0.0, 0.0]
         single = multinomial_combined_test(CountVector([5]), q0, 5, cfg)
@@ -400,7 +422,7 @@ class TestBatchKernel:
     def test_head_wins_exceedance_ties(self):
         """Equal exceedance ratios report the head's statistic and threshold."""
         q0 = SimplexVector([0.5, 0.25, 0.25])
-        cfg = MultinomialTestConfig(1.0, math.e, 2.0, 4.0)
+        cfg = MultinomialTestConfig(2.0, 4.0)
         table = np.array([[11, 3, 6], [10, 9, 1]])  # ratios 1/2 vs 2/4, then 0/2 vs 4/4
         decision = multinomial_combined_test(table, q0, 20, cfg)
         assert decision.statistic.tolist() == [1.0, 4.0]
@@ -410,14 +432,14 @@ class TestBatchKernel:
     def test_integral_threshold_edges(self):
         """Counts exactly on a threshold: the max tests accept, the head test rejects."""
         mu = RateVector([3.0, 3.0])
-        pcfg = PoissonTestConfig(1.0, 2.0)
+        pcfg = PoissonTestConfig(2.0)
         decision = poisson_max_test(np.array([[5, 3], [6, 3], [1, 3], [0, 3]]), mu, pcfg)
         assert decision.reject.tolist() == [False, True, False, True]
         q0 = SimplexVector([0.5, 0.25, 0.25])
-        mcfg = MultinomialTestConfig(1.0, math.e, 2.0, 2.0)
+        mcfg = MultinomialTestConfig(2.0, 2.0)
         table = np.array([[12, 4, 4], [11, 4, 5], [10, 7, 3], [10, 8, 2]])
-        assert multinomial_head_test(table, q0, 20, mcfg).reject.tolist() == [True, False, False, False]
-        assert multinomial_tail_test(table, q0, 20, mcfg).reject.tolist() == [False, False, False, True]
+        assert _head_block_test(table, q0, 20, mcfg).reject.tolist() == [True, False, False, False]
+        assert _tail_block_test(table, q0, 20, mcfg).reject.tolist() == [False, False, False, True]
         _assert_batch_matches(
             multinomial_combined_test(table, q0, 20, mcfg),
             [_reference_combined(row, q0, 20, mcfg) for row in table],
@@ -497,7 +519,7 @@ class TestBoxDecisions:
     )
     def test_poisson_tables(self, rates, half_width, offsets):
         mu = RateVector(sorted(rates, reverse=True))
-        cfg = PoissonTestConfig(1.0, half_width)
+        cfg = PoissonTestConfig(half_width)
         table = np.clip(np.floor(mu.rates + np.array(offsets)[:, : mu.p]), 0, None).astype(np.int64)
         _assert_batch_matches(
             poisson_max_test(table, mu, cfg), [_reference_poisson(row, mu, cfg) for row in table]
@@ -521,7 +543,7 @@ class TestBoxDecisions:
         counts = np.diff(np.r_[0, sorted(cuts), n])
         q0 = SimplexVector(np.r_[np.sort(counts)[::-1], np.zeros(zeros)] / n)
         active = q0.tail > 0.0
-        cfg = MultinomialTestConfig(1.0, math.e, head, tail if active.any() else 0.0)
+        cfg = MultinomialTestConfig(head, tail if active.any() else 0.0)
         center = n * q0.probs
         table = np.clip(center + np.array(offsets)[:, : q0.p], 0, None).astype(np.int64)
         table[:, 1:][:, ~active] = np.abs(np.array(offsets)[:, 1 : q0.p][:, ~active]) > 1.0
@@ -532,5 +554,5 @@ class TestBoxDecisions:
         head_ref = np.abs(table[:, 0] - center[0]) >= head
         tail_dev = np.abs(table[:, 1:] - center[1:]).max(axis=1, initial=0.0)
         tail_ref = (tail_dev > cfg.max_tail_threshold) | (table[:, 1:][:, ~active] > 0).any(axis=1)
-        np.testing.assert_array_equal(multinomial_head_test(table, q0, n, cfg).reject, head_ref)
-        np.testing.assert_array_equal(multinomial_tail_test(table, q0, n, cfg).reject, tail_ref)
+        np.testing.assert_array_equal(_head_block_test(table, q0, n, cfg).reject, head_ref)
+        np.testing.assert_array_equal(_tail_block_test(table, q0, n, cfg).reject, tail_ref)

@@ -53,6 +53,11 @@ class TestPoissonSpikePrior:
         with pytest.raises(ValueError, match="infinite"):
             PoissonSpikePrior.build(RateVector([3.0, 2.0, 1.0]), c)
 
+    def test_draws_past_the_cap_are_refused_before_allocation(self):
+        prior = PoissonSpikePrior.build(RateVector([3.0, 2.0, 1.0]), 1.0)
+        with pytest.raises(ValueError, match=r"trials \(--trials\) x p = 1000000000000 x 3"):
+            draw_poisson_spike(prior, 0, trials=10**12)
+
     @pytest.mark.parametrize("c", [math.nan, 0.0, -1.0])
     def test_nan_or_nonpositive_c_is_refused(self, c):
         """NaN once passed ``c <= 0`` and was reported as an infinite spiked rate."""
@@ -184,6 +189,11 @@ class TestParametricAlternative:
 class TestSimplexPrior:
     def _uniform_null(self, p=40, n=50.0):
         return SimplexVector(np.full(p, 1.0 / p)), n
+
+    def test_one_category_is_refused_by_name(self):
+        """A one-cell null once failed as an "inconsistent critical index"."""
+        with pytest.raises(ValueError, match="need at least two categories"):
+            MultinomialSimplexPrior.build(SimplexVector([1.0]), 50.0, 1.0)
 
     def test_m_zero_draws_are_null(self):
         q0 = SimplexVector([0.5, 0.5])

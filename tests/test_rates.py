@@ -11,11 +11,12 @@ from supgof.model import RateVector, SimplexVector
 from supgof.rates import (
     multinomial_rate,
     multinomial_regime,
-    multinomial_sharp_constant_epsilons,
+    multinomial_sharp_constant_level,
     poisson_rate,
     prob_all_observed,
     sharp_constant_epsilon,
 )
+from supgof.risk import sweep_multinomial_sharp_constant
 from supgof.special import gamma_rate, h_inverse
 
 
@@ -187,24 +188,25 @@ class TestSharpConstantEpsilon:
 class TestMultinomialSharpConstantEpsilon:
     def test_two_cells_single_term(self):
         q0 = SimplexVector([0.5, 0.5])
-        eps, _j_star, n_prime_out, _m = multinomial_sharp_constant_epsilons(q0, 100.0, 5.0, [1.0])
+        level, _j_star, n_prime_out, _m = multinomial_sharp_constant_level(q0, 100.0, 5.0)
         n_prime = (1 + 100 ** (-1 / 3)) * 100
         v = 0.5 * 0.5
         expected = v * h_inverse(1.0 / (n_prime * v))
-        assert eps[0] == pytest.approx(expected, rel=1e-12)
+        assert level == pytest.approx(expected, rel=1e-12)
         assert n_prime_out == pytest.approx(n_prime, rel=1e-15)
 
     def test_linear_in_xi(self):
+        """The sweep's separations are ``xi`` times the xi-free level."""
         q0 = SimplexVector(np.full(30, 1.0 / 30))
-        v1 = multinomial_sharp_constant_epsilons(q0, 500.0, 4.0, [1.0])[0][0]
-        v2 = multinomial_sharp_constant_epsilons(q0, 500.0, 4.0, [3.0])[0][0]
-        assert v2 == pytest.approx(3.0 * v1, rel=1e-12)
+        level = multinomial_sharp_constant_level(q0, 500.0, 4.0)[0]
+        res = sweep_multinomial_sharp_constant(q0, 500.0, [0.5, 1.5], 4.0, 1, 0, poissonized=True)
+        assert res.epsilons.tolist() == [0.5 * level, 1.5 * level]
 
     def test_m_clamped_to_two_when_positive(self):
         q0 = SimplexVector(np.full(200, 1.0 / 200))
-        m = multinomial_sharp_constant_epsilons(q0, 5_000.0, 4.0, [1.0])[3]
+        m = multinomial_sharp_constant_level(q0, 5_000.0, 4.0)[3]
         assert m == 0 or m >= 2
 
     def test_requires_min_cell(self):
         with pytest.raises(ValueError):
-            multinomial_sharp_constant_epsilons(SimplexVector([0.999, 0.001]), 100.0, 4.0, [1.0])
+            multinomial_sharp_constant_level(SimplexVector([0.999, 0.001]), 100.0, 4.0)

@@ -23,10 +23,9 @@ from supgof.priors import (
 )
 from supgof.rates import (
     multinomial_rate,
-    multinomial_sharp_constant_epsilons,
+    multinomial_sharp_constant_level,
     poisson_rate,
     sharp_constant_epsilon,
-    sharp_constant_epsilons,
 )
 from supgof.risk import (
     _TRIM,
@@ -167,9 +166,8 @@ class TestSweeps:
         p = 300
         n = 2.0 * p * math.log(p)
         q0 = SimplexVector(np.full(p, 1.0 / p))
-        for xi in (0.5, 1.0, 2.0):
-            m = multinomial_sharp_constant_epsilons(q0, n, math.log(p), [xi])[3]
-            assert m == 0 or m >= 2
+        m = multinomial_sharp_constant_level(q0, n, math.log(p))[3]
+        assert m == 0 or m >= 2
 
     def test_multinomial_sweep_runs_and_orders(self):
         p = 200
@@ -421,8 +419,8 @@ class TestGroupedPoissonSweep:
 
         monkeypatch.setattr(AcceptanceBox, "around", around)
         sweep_sharp_constant(mu, self.XI, math.log(mu.p), 1, 0)
-        epsilons, _ = sharp_constant_epsilons(mu, math.log(mu.p), self.XI)
-        distinct = set((epsilons / np.asarray(self.XI)).tolist())
+        level = sharp_constant_epsilon(mu, math.log(mu.p), 1.0).value
+        distinct = {xi * level / xi for xi in self.XI}
         assert sorted(built) == sorted(distinct) and len(distinct) < len(self.XI)
 
     def test_paper_scale_sweep_holds_no_p_length_array(self):
@@ -530,11 +528,11 @@ class TestGroupedMultinomialSweep:
         q0 = SimplexVector.from_runs(values, counts)
         n = float(math.ceil(_on_simplex_n(values, counts)))
         res = sweep_multinomial_sharp_constant(q0, n, self.XI, 3.0, 1, 0)
-        epsilons, j_star, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, 3.0, self.XI)
+        level, j_star, n_prime, m = multinomial_sharp_constant_level(q0, n, 3.0)
         probs = q0.probs
         ones = np.ones(probs.size, dtype=np.int64)
-        for xi, eps, risk in zip(self.XI, epsilons, res.risks):
-            box = AcceptanceBox.around(n * probs, n_prime * eps / xi, strict=True)
+        box = AcceptanceBox.around(n * probs, n_prime * level, strict=True)
+        for xi, eps, risk in zip(self.XI, res.epsilons, res.risks):
             state = risk_module._FixedNPrior(box, n, probs, ones, j_star, m, n * float(probs.sum()))
             prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0)
             want = [1.0 - state.accept0, state.type2(prior)]
@@ -596,7 +594,7 @@ class TestGroupedMultinomialSweep:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        _, _, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, math.log(p), xi_grid)
+        _, _, n_prime, m = multinomial_sharp_constant_level(q0, n, math.log(p))
         lam = n * (1.0 / p)
         with mpmath.workdps(40):
             for xi, eps, risk in zip(xi_grid, res.epsilons, res.risks):
@@ -686,7 +684,8 @@ class TestPhaseTransitionShape:
 
         p, n = 6, 6.0
         q0 = SimplexVector(np.full(p, 1.0 / p))
-        (eps,), j_star, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, math.log(p), [0.5])
+        level, j_star, n_prime, m = multinomial_sharp_constant_level(q0, n, math.log(p))
+        eps = 0.5 * level
         nu = n_prime / p
         spike, removal = n_prime * eps, n_prime * eps / m
         assert m >= 2 and removal <= nu
@@ -829,9 +828,9 @@ class TestExactProductRisk:
     def test_poissonized_sweep_matches_enumeration(self, probs, n, xi_grid):
         q0 = SimplexVector(probs)
         res = sweep_multinomial_sharp_constant(q0, n, xi_grid, 3.0, 100, 5, poissonized=True)
-        epsilons, j_star, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, 3.0, xi_grid)
+        level, j_star, n_prime, m = multinomial_sharp_constant_level(q0, n, 3.0)
         assert m >= 1
-        for xi, eps, risk in zip(xi_grid, epsilons, res.risks):
+        for xi, eps, risk in zip(xi_grid, res.epsilons, res.risks):
             rows = _simplex_components(probs, j_star, m, eps, eps / m)
             caps = [_poisson_cap(n * max(col)) for col in zip(probs, *rows)]
             accept = np.abs(_count_grid(caps) - n * q0.probs).max(axis=1) < n_prime * eps / xi
@@ -1020,9 +1019,9 @@ class TestExactFixedN:
     def test_sweep_matches_enumeration(self, probs, n, xi_grid):
         q0 = SimplexVector(probs)
         res = sweep_multinomial_sharp_constant(q0, n, xi_grid, 3.0, 100, 5)
-        epsilons, j_star, n_prime, m = multinomial_sharp_constant_epsilons(q0, n, 3.0, xi_grid)
+        level, j_star, n_prime, m = multinomial_sharp_constant_level(q0, n, 3.0)
         x = _multinomial_table(n, q0.p)
-        for xi, eps, risk in zip(xi_grid, epsilons, res.risks):
+        for xi, eps, risk in zip(xi_grid, res.epsilons, res.risks):
             accept = np.abs(x - n * q0.probs).max(axis=1) < n_prime * eps / xi
             rows = _simplex_components(probs, j_star, m, eps, eps / m)
             assert abs(risk.type1 - _multinomial_mass(x, n, probs)[~accept].sum()) <= 1e-12

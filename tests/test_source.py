@@ -159,6 +159,58 @@ def test_h_inverse_rule_sees_every_spelling():
     assert [_h_inverse_uses(ast.parse(src)) for src in spellings] == [[1], [1], [1], [1], [2], [2], [], []]
 
 
+_KERNEL_CALLS = {"abs", "absolute", "fabs", "rejects"}
+
+
+def _kernel_calls(tree: ast.AST) -> list[int]:
+    """Lines outside a function named ``_max_test`` that call an absolute
+    value (``abs``, ``np.abs``, ``np.absolute`` or ``np.fabs``, under any
+    module alias) or a ``rejects`` method, or that import one of those names."""
+    kernel = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_max_test"
+        for node in ast.walk(fn)
+    }
+
+    def callee(node):
+        return node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in kernel
+        and (
+            (isinstance(node, ast.Call) and callee(node) in _KERNEL_CALLS)
+            or (isinstance(node, ast.ImportFrom) and any(alias.name in _KERNEL_CALLS for alias in node.names))
+        )
+    ]
+
+
+def test_maxtest_decides_in_one_kernel():
+    """In ``maxtest`` only ``_max_test`` takes ``|x - center|`` or asks a box
+    which rows it rejects: each test is that kernel with its own blocks."""
+    path = PACKAGE / "maxtest.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "_max_test" for node in tree.body)
+    assert _kernel_calls(tree) == []
+
+
+def test_kernel_rule_sees_every_spelling():
+    spellings = [
+        "def poisson_max_test(x, mu):\n    return np.abs(x - mu).max(axis=1)",
+        "import numpy\nstat = numpy.absolute(table - center)",
+        "def inside(x):\n    return abs(x - center) <= half_width",
+        "from numpy import fabs as magnitude",
+        "def head_test(table, box):\n    return box[:1].rejects(table[:, :1])",
+        "reject = cfg.acceptance_box(mu).rejects(table)",
+        "def _max_test(x, center, box, blocks):\n    dev = np.abs(x - center)\n    return box.rejects(x)",
+        "def rejects(self, table):\n    return (table < self.lo).any(axis=1)",
+        "inside = within(x - center, w) & within(center - x, w)",
+    ]
+    assert [_kernel_calls(ast.parse(src)) for src in spellings] == [[2], [2], [2], [1], [2], [1], [], [], []]
+
+
 def _unique_uses(tree: ast.AST) -> list[int]:
     """Lines that import ``unique`` from any module, or reach it as an attribute."""
     return [
