@@ -235,20 +235,9 @@ class PoissonMixture:
         return float(np.dot(self.weights, tails.sum(axis=1)))
 
 
-def poisson_product_dist(
-    lams: Sequence[float],
-    mass_tol: float = DEFAULT_MASS_TOL,
-    lengths: Sequence[int] | None = None,
-) -> PoissonMixture:
-    """Truncated ``@ Poisson(lam_j)``, a mixture of one component.
-
-    ``lengths``, if given, is a least grid: coordinate ``j`` keeps at least
-    ``lengths[j]`` atoms.
-    """
-    law = poisson_mixture([1.0], [lams], mass_tol)
-    if lengths is None:
-        return law
-    return PoissonMixture(law.weights, law.rates, tuple(np.maximum(law.shape, lengths).tolist()))
+def poisson_product_dist(lams: Sequence[float], mass_tol: float = DEFAULT_MASS_TOL) -> PoissonMixture:
+    """Truncated ``@ Poisson(lam_j)``, a mixture of one component."""
+    return poisson_mixture([1.0], [lams], mass_tol)
 
 
 def poisson_mixture(

@@ -95,10 +95,10 @@ def _draw_count(trials: int, p: int) -> int:
     return int(trials)
 
 
-def draw_poisson_spike(prior: PoissonSpikePrior, rng_seed, trials: int = 1) -> np.ndarray:
+def draw_poisson_spike(prior: PoissonSpikePrior, seed: int, trials: int = 1) -> np.ndarray:
     """Draw ``trials`` rate vectors from the spike prior as a ``(trials, p)``
     array; deterministic given the seed."""
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else rng_stream(rng_seed)
+    rng = rng_stream(seed)
     t = _draw_count(trials, prior.base.p)
     out = np.tile(prior.base.rates, (t, 1))
     out[np.arange(t), rng.integers(0, prior.j_star, size=t)] += prior.spike
@@ -190,12 +190,12 @@ class MultinomialSimplexPrior:
         return cls(q0, n_val, j_star, psi, m, c)
 
 
-def draw_multinomial_simplex_prior(
-    prior: MultinomialSimplexPrior, rng_seed, trials: int = 1
-) -> np.ndarray:
+def draw_multinomial_simplex_prior(prior: MultinomialSimplexPrior, seed: int, trials: int = 1) -> np.ndarray:
     """Draw ``trials`` probability vectors from the simplex prior as a
-    ``(trials, p)`` array; deterministic given the seed."""
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else rng_stream(rng_seed)
+    ``(trials, p)`` array; deterministic given the seed.  A removal is not
+    clipped at 0, so a draw that empties its floor cell may hold
+    rounding-level negative cells."""
+    rng = rng_stream(seed)
     t = _draw_count(trials, prior.base.p)
     out = np.tile(prior.base.probs, (t, 1))
     if prior.m > 0:

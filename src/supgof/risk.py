@@ -5,25 +5,28 @@ at a fixed alternative or in the Bayes sense under one of the lower-bound
 priors; what is computed is the risk of the *implemented* test, never a
 heuristic supremum over alternatives.
 
-Every test accepts exactly on its :class:`~supgof.maxtest.AcceptanceBox`.
+Every test accepts exactly on its :class:`~supgof.maxtest.AcceptanceBox`,
+so a risk is one box under one law, and each model has one law object.
 Where the cells are independent Poisson variables -- the Poisson model and
-the Poissonized multinomial -- Type I and Type II are products of
-one-dimensional Poisson box probabilities.  The fixed-n multinomial is not a
-product, but a ``Multinomial(n, q)`` vector is a vector of independent
-``Y_j ~ Poisson(n q_j)`` conditioned on ``sum Y = n`` (Levin, Ann. Statist.
-9, 1981), so
+the Poissonized multinomial -- the law is :class:`_PoissonCells`, and Type I
+and Type II are products of one-dimensional Poisson box probabilities.  The
+fixed-n multinomial is not a product, but a ``Multinomial(n, q)`` vector is
+a vector of independent ``Y_j ~ Poisson(n q_j)`` conditioned on
+``sum Y = n`` (Levin, Ann. Statist. 9, 1981), so
 
     ``P(X in box) = P(Y in box, sum Y = n) / P(Poisson(Lambda) = n)``,
 
 ``Lambda = sum_j n q_j``, and the numerator is one coefficient of a product
-of box-truncated Poisson pmfs, formed by FFT (:func:`_fixed_n_accept`).
+of box-truncated Poisson pmfs, formed by FFT (:class:`_FixedN`).
 Every partial product is kept only on its mass window: cut at that
 coefficient's degree, with the outer coefficients below ``_TRIM`` times its
 largest dropped and their mass summed into the error bound, so a product's
 length follows its standard deviation rather than its degree.
-Every result is exact and reports 0 trials and a zero ``ci``; nothing is
-sampled.  A fixed-n product too large to form (more than ``_MAX_TERMS``
-terms in one level, or a coefficient degree past it) raises
+Each public route builds its box and the null's law, which gives Type I,
+and asks the law of the alternative's own cells (a prior's base included)
+for Type II.  Every result is exact and reports 0 trials and a zero
+``ci``; nothing is sampled.  A fixed-n product too large to form (more than
+``_MAX_TERMS`` terms in one level, or a coefficient degree past it) raises
 ``AtomBudgetError``.
 """
 
@@ -111,11 +114,6 @@ class RiskEstimate:
         return self.type1 + self.type2
 
 
-def _exact(log_accept_null: float, type2: float, seed: int) -> RiskEstimate:
-    """Exact risk from ``log P_0(accept)`` and the Type II error."""
-    return RiskEstimate(-math.expm1(log_accept_null), min(type2, 1.0), 0, seed, 0.0)
-
-
 def _log_mean_subset_products(log_r: np.ndarray, m: int, counts: np.ndarray) -> np.ndarray:
     """``log(e_m(r minus one copy of r_g) / C(k - 1, m))`` for each entry ``g``
     of the ``k`` ratios: the log of the mean product of ``r`` over the
@@ -173,9 +171,9 @@ def _leave_one_out_type2(
     pool: slice,
     rates: np.ndarray,
     counts: np.ndarray,
-    where: str = "",
-    log_d: np.ndarray | None = None,
-    m: int = 0,
+    where: str,
+    log_d: np.ndarray | None,
+    m: int,
 ) -> float:
     """Exact Type II under a spike placed uniformly on the cells of ``pool``.
 
@@ -210,41 +208,55 @@ def _leave_one_out_type2(
     return float(np.sum(counts[pool] * terms) / np.sum(counts[pool]))
 
 
-def _simplex_prior_type2(
-    box: AcceptanceBox,
-    log_a: np.ndarray,
-    values: np.ndarray,
-    counts: np.ndarray,
-    n: float,
-    prior: MultinomialSimplexPrior,
-    where: str = "",
-) -> float:
-    """Exact Poissonized Type II under the add-one/remove-m simplex prior.
+class _PoissonCells:
+    """One acceptance box under independent Poisson cells: the Poisson model
+    (``n = 1``) and the Poissonized multinomial (cell ``j`` is ``Poisson(n q_j)``).
 
-    Cell ``j`` is ``Poisson(n q_j)`` with ``q`` a prior draw: the spike adds
-    ``c psi / n`` to one of categories ``2..j*+1`` and removes ``c psi/(n m)``
-    (clipped at 0, as the sampler does) from ``m`` of the others.  The base
-    is given as runs, ``counts[g]`` cells of probability ``values[g]`` whose
-    box is ``box[g]``, with the head a run of its own and the pool whole
-    runs; dense cells are runs of count 1.  ``log_a`` is the caller's
-    ``_box_log_mass(box, n * values)``.
+    The cells come as runs, ``counts[g]`` cells of value ``values[g]`` and
+    rate ``n values[g]`` whose box is ``box[g]``; dense cells are runs of
+    count 1.  ``log_a`` holds each run's ``log P(box_g)``, and ``accept =
+    prod_g P(box_g)^{counts[g]}`` is formed once from ``log_accept``, its log.
     """
-    lam = n * values
-    if prior.m == 0:  # every draw is the base vector
-        return math.exp(float(np.sum(counts * log_a)))
-    pool = slice(1, int(np.searchsorted(np.cumsum(counts), prior.j_star + 1)) + 1)
-    spiked = values[pool] + prior.c * prior.psi / prior.n
-    removed = np.clip(values[pool] - prior.c * prior.psi / (prior.n * prior.m), 0.0, None)
-    return _leave_one_out_type2(
-        log_a,
-        _box_mass(box[pool], n * spiked),
-        pool,
-        lam,
-        counts,
-        where,
-        log_d=_box_log_mass(box[pool], n * removed),
-        m=prior.m,
-    )
+
+    def __init__(self, box: AcceptanceBox, values: np.ndarray, counts: np.ndarray, n: float = 1.0):
+        self.box, self.values, self.counts, self.n = box, values, counts, n
+        self.ends = np.cumsum(counts)  # the cell count through each run, for the pools
+        self.rates = n * values
+        self.log_a = _box_log_mass(box, self.rates)
+        self.log_accept = float(np.sum(counts * self.log_a))
+        self.accept = math.exp(self.log_accept)
+
+    def bayes(self, prior: PoissonSpikePrior | MultinomialSimplexPrior, where: str = "") -> float:
+        """Exact Bayes Type II when the prior's draws perturb these cells.
+
+        A :class:`PoissonSpikePrior` adds ``spike`` to one of cells
+        ``1..j*``; a :class:`MultinomialSimplexPrior` adds ``c psi / n`` to
+        one of categories ``2..j*+1`` and removes ``c psi / (n m)`` from
+        ``m`` of the others.  The average over the draws is
+        :func:`_leave_one_out_type2` on that pool, which is whole runs
+        (``j*`` ends a run, or the cells are dense).  A removal below 0 is
+        clipped at 0 here, as in :class:`_FixedN`; the sampler
+        :func:`~supgof.priors.draw_multinomial_simplex_prior` does not clip,
+        and may leave rounding-level negative cells in its draws.  ``where``
+        ends the message of a pool box with zero null probability.
+        """
+        if isinstance(prior, PoissonSpikePrior):
+            first, shift, m = 0, prior.spike, 0
+        elif prior.m == 0:  # every draw is the base vector
+            return self.accept
+        else:
+            first, shift, m = 1, prior.c * prior.psi / prior.n, prior.m
+        pool = slice(first, int(np.searchsorted(self.ends, prior.j_star + first)) + 1)
+        values, box = self.values[pool], self.box[pool]
+        spiked = _box_mass(box, self.n * (values + shift))
+        log_d = None
+        if m:
+            log_d = _box_log_mass(box, self.n * np.clip(values - prior.c * prior.psi / (prior.n * m), 0.0, None))
+        return _leave_one_out_type2(self.log_a, spiked, pool, self.rates, self.counts, where, log_d, m)
+
+    def risk(self, type2: float, seed: int) -> RiskEstimate:
+        """The exact risk with these cells as the null (Type I ``1 - accept``) and ``type2``."""
+        return RiskEstimate(-math.expm1(self.log_accept), min(type2, 1.0), 0, seed, 0.0)
 
 
 def estimate_poisson_risk(
@@ -258,10 +270,10 @@ def estimate_poisson_risk(
 
     ``alternative`` is a fixed rate vector ``lam`` (two-point Type II
     ``prod_j P_{lam_j}(box_j)``) or a :class:`PoissonSpikePrior` (Bayes
-    Type II, the leave-one-out average over the spiked cell); Type I is
-    ``1 - prod_j P_{mu_j}(box_j)``.  ``trials`` (at least 100) and ``seed``
-    are validated but not used: the result reports 0 trials, a zero ``ci``
-    and ``seed`` as passed.
+    Type II, the leave-one-out average over the spiked cell of its base);
+    Type I is ``1 - prod_j P_{mu_j}(box_j)``.  ``trials`` (at least 100) and
+    ``seed`` are validated but not used: the result reports 0 trials, a zero
+    ``ci`` and ``seed`` as passed.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
@@ -273,16 +285,12 @@ def estimate_poisson_risk(
         lam = alternative.rates if isinstance(alternative, RateVector) else np.asarray(alternative, dtype=float)
     if lam.shape != mu.rates.shape:
         raise ValueError("alternative dimension mismatch")
-    if prior:
-        pool = slice(0, alternative.j_star)
-        spiked = _box_mass(box[pool], lam[pool] + alternative.spike)
-        ones = np.ones(lam.size, dtype=np.int64)  # the dense cells as runs of count 1
-        type2 = _leave_one_out_type2(_box_log_mass(box, lam), spiked, pool, lam, ones)
-    elif np.all(np.isfinite(lam) & (lam >= 0.0)):
-        type2 = math.exp(float(_box_log_mass(box, lam).sum()))
-    else:
+    if not (prior or np.all(np.isfinite(lam) & (lam >= 0.0))):
         raise ValueError("alternative rates must be finite and nonnegative")
-    return _exact(float(_box_log_mass(box, mu.rates).sum()), type2, seed)
+    ones = np.ones(lam.size, dtype=np.int64)  # the dense cells as runs of count 1
+    alt = _PoissonCells(box, lam, ones)
+    type2 = alt.bayes(alternative) if prior else alt.accept
+    return _PoissonCells(box, mu.rates, ones).risk(type2, seed)
 
 
 def _fft_len(size: int) -> int:
@@ -480,45 +488,6 @@ def _ratio(numerator, n: float, total_rate: float):
     return np.clip(numerator / point, 0.0, 1.0)
 
 
-def _fixed_n_accept(box: AcceptanceBox, n: float, lam: np.ndarray) -> float:
-    """``P(X in box)`` for ``X ~ Multinomial(n, lam / Lambda)``, ``Lambda = sum lam``, exactly.
-
-    The numerator ``P(Y in box, sum Y = n)`` is coefficient ``t = n - sum lo``
-    of ``prod_j sum_k P(Y_j = lo_j + k) z^k`` (:func:`_product`).  It errs in
-    two ways:
-
-    * Round-off: every partial product has nonnegative coefficients summing
-      to at most 1, so an FFT product errs in each coefficient by at most
-      about ``c eps log2(N)`` with ``c ~ 20`` (Higham, *Accuracy and
-      Stability of Numerical Algorithms*, sec. 24.1), for transform length
-      ``N <= 4 t + 4``, and an error carried up the tree is scaled by the
-      other factor's mass, at most 1: over at most ``2 p`` products,
-      ``2 p c eps log2(4 t + 4)`` in all.
-    * Windowing (:func:`_window`): a coefficient dropped from a factor takes
-      with it its products with the other factors' coefficients, each at
-      most 1, so the numerator falls by at most ``trimmed``, the mass
-      dropped, counted once per copy of the factor in the product;
-      ``_Poly.trimmed`` sums it so as it is dropped (a squaring doubles it).
-
-    The probability therefore errs by at most ``(2 p c eps log2(4 t + 4) +
-    trimmed) / P(Poisson(Lambda) = n)`` absolute, with ``P(Poisson(Lambda)
-    = n) ~ (2 pi n)^(-1/2)``: 3e-12 at p = 4, n = 30, and 1.2e-7 at p = 1e3,
-    n = 1e5, where ``trimmed`` is 5.2e-13 on a flat null and 3.1e-14 on
-    ``q_j ~ j^(-1/2)``, under 0.4 % of the bound.  The rows
-    (:func:`_cell_rows`) and the denominator, a difference of two CDFs, add
-    relative errors of order ``eps (width + sqrt(n))``.  Measured: against
-    40-digit enumeration at p <= 4, n <= 30 the error is at most 8.3e-15;
-    at p = 1e3, n = 1e5, against a direct long-double convolution of the
-    same rows, 4.5e-13 on the flat null and 1.7e-14 on ``q_j ~ j^(-1/2)``.
-    """
-    ones = np.ones(lam.size, dtype=np.int64)
-    t = _box_cut(box, n, ones)
-    if t < 0:
-        return 0.0
-    numerator = _coefficient(_product(lam, box.lo, box.hi, ones, t), _ONE, t)
-    return float(_ratio(numerator, n, float(lam.sum())))
-
-
 def _log_comb(n: np.ndarray, top: int) -> np.ndarray:
     """``log C(n_r, k)`` for ``k = 0..top``, one row per entry of ``n``; ``-inf`` where ``k > n_r``."""
     n = np.asarray(n, dtype=float)[:, None]
@@ -604,27 +573,58 @@ def _pool_tree_terms(cells: int, m: int, length: int, t: int) -> int:
     return terms
 
 
-class _FixedNPrior:
-    """One acceptance box under the fixed-n law of a simplex prior's base and draws.
+class _FixedN:
+    """One acceptance box under ``Multinomial(n, q)``, and under the draws of
+    a simplex prior on ``q``; with ``j_star = 0`` (no pool) the law of ``q``
+    alone.
 
-    The base comes as runs, ``counts[g]`` cells of probability ``values[g]``
+    ``q`` comes as runs, ``counts[g]`` cells of probability ``values[g]``
     whose box is ``box[g]``, with the head a run of its own and the pool
     (categories ``2..j* + 1``) whole runs; dense cells are runs of count 1.
-    The cells outside the pool keep their base rates in every draw, so their
-    product ``outside`` is formed once, and with it ``accept0 = P_0(X in
-    box)``; a sweep shares one instance over its whole ``xi`` grid.  A pool
-    whose cells share one (rate, box) keeps the power ``rest = a^(j* - 1 -
-    m)`` of its cells that are neither spiked nor removed.  Every draw has ``Lambda = total``, ``n sum(q0)`` (up to the
-    clip at 0 of a removed cell).
+    ``total`` is ``Lambda``, ``n sum(q)``, which every draw shares (up to
+    the clip at 0 of a removed cell).  The cells outside the pool keep
+    their base rates in every draw, so their product ``outside`` is formed
+    once, and with it ``accept = P(X in box)`` under ``q``; a sweep shares
+    one instance over its whole ``xi`` grid.  A pool whose cells share one
+    (rate, box) keeps the power ``rest = a^(j* - 1 - m)`` of its cells that
+    are neither spiked nor removed.
+
+    The numerator ``P(Y in box, sum Y = n)`` is coefficient ``t = n - sum lo``
+    of ``prod_j sum_k P(Y_j = lo_j + k) z^k`` (:func:`_product`).  It errs in
+    two ways:
+
+    * Round-off: every partial product has nonnegative coefficients summing
+      to at most 1, so an FFT product errs in each coefficient by at most
+      about ``c eps log2(N)`` with ``c ~ 20`` (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, sec. 24.1), for transform length
+      ``N <= 4 t + 4``, and an error carried up the tree is scaled by the
+      other factor's mass, at most 1: over at most ``2 p`` products,
+      ``2 p c eps log2(4 t + 4)`` in all.
+    * Windowing (:func:`_window`): a coefficient dropped from a factor takes
+      with it its products with the other factors' coefficients, each at
+      most 1, so the numerator falls by at most ``trimmed``, the mass
+      dropped, counted once per copy of the factor in the product;
+      ``_Poly.trimmed`` sums it so as it is dropped (a squaring doubles it).
+
+    The probability therefore errs by at most ``(2 p c eps log2(4 t + 4) +
+    trimmed) / P(Poisson(Lambda) = n)`` absolute, with ``P(Poisson(Lambda)
+    = n) ~ (2 pi n)^(-1/2)``: 3e-12 at p = 4, n = 30, and 1.2e-7 at p = 1e3,
+    n = 1e5, where ``trimmed`` is 5.2e-13 on a flat null and 3.1e-14 on
+    ``q_j ~ j^(-1/2)``, under 0.4 % of the bound.  The rows
+    (:func:`_cell_rows`) and the denominator, a difference of two CDFs, add
+    relative errors of order ``eps (width + sqrt(n))``.  Measured: against
+    40-digit enumeration at p <= 4, n <= 30 the error is at most 8.3e-15;
+    at p = 1e3, n = 1e5, against a direct long-double convolution of the
+    same rows, 4.5e-13 on the flat null and 1.7e-14 on ``q_j ~ j^(-1/2)``.
     """
 
     def __init__(
-        self, box: AcceptanceBox, n: float, values: np.ndarray, counts: np.ndarray, j_star: int, m: int, total: float
+        self, box: AcceptanceBox, n: float, values: np.ndarray, counts: np.ndarray, total: float, j_star=0, m=0
     ):
         self.t = t = _box_cut(box, n, counts)
         self.n, self.total = n, total
         if t < 0:
-            self.accept0 = 0.0
+            self.accept = 0.0
             return
         cut = int(np.searchsorted(np.cumsum(counts), j_star + 1)) + 1
         pool, outside = slice(1, cut), np.r_[0, cut : values.size]
@@ -632,23 +632,28 @@ class _FixedNPrior:
         self.lo, self.hi, self.counts = box.lo[pool], box.hi[pool], counts[pool]
         self.outside = _product(lam[outside], box.lo[outside], box.hi[outside], counts[outside], t)
         pool_lam = lam[pool]
-        self.flat = _groups(pool_lam, self.lo, self.hi, self.counts)[0].size == 1
-        if self.flat:
+        self.flat = j_star > 0 and _groups(pool_lam, self.lo, self.hi, self.counts)[0].size == 1
+        if j_star == 0:
+            numerator = _coefficient(self.outside, _ONE, t)
+        elif self.flat:
             a = _Poly(0, _cell_rows(pool_lam[:1], self.lo[:1], self.hi[:1], t)[0])
             self.rest = _power(a, j_star - 1 - m, t)
             numerator = _coefficient(_mul(self.outside, _power(a, m + 1, t), t), self.rest, t)
         else:
             numerator = _coefficient(self.outside, _product(pool_lam, self.lo, self.hi, self.counts, t), t)
-        self.accept0 = float(_ratio(numerator, n, self.total))
+        self.accept = float(_ratio(numerator, n, self.total))
 
-    def type2(self, prior: MultinomialSimplexPrior) -> float:
+    def bayes(self, prior: MultinomialSimplexPrior, where: str = "") -> float:
         """Exact Bayes Type II under ``prior``, whose base, ``j*`` and ``m``
-        built this instance.  A pool product past ``_MAX_TERMS`` terms in one
-        level raises ``AtomBudgetError`` before any row is built."""
+        built this instance.  A removal below 0 is clipped at 0, as in
+        :meth:`_PoissonCells.bayes`.  A pool product past ``_MAX_TERMS``
+        terms in one level raises ``AtomBudgetError`` before any row is
+        built.  ``where`` is not used: no fixed-n failure depends on the
+        prior's scale."""
         if self.t < 0:
             return 0.0
         if prior.m == 0:  # every draw is the base vector
-            return self.accept0
+            return self.accept
         t, m = self.t, prior.m
         q = prior.base.probs[1 : prior.j_star + 1]
         shift = prior.c * prior.psi / prior.n
@@ -666,6 +671,10 @@ class _FixedNPrior:
             numerator = _coefficient(self.outside, _Poly(0, _pool_tree(a, b, d, m, t)), t)
         return float(_ratio(numerator, self.n, self.total))
 
+    def risk(self, type2: float, seed: int) -> RiskEstimate:
+        """The exact risk with this law as the null (Type I ``1 - accept``) and ``type2``."""
+        return RiskEstimate(1.0 - self.accept, type2, 0, seed, 0.0)
+
 
 def estimate_multinomial_risk(
     q0: SimplexVector,
@@ -681,38 +690,30 @@ def estimate_multinomial_risk(
     ``alternative`` is a fixed probability vector or a
     :class:`MultinomialSimplexPrior`.  With ``poissonized=True`` the sample
     size is ``Poisson(n)`` (``n`` may then be non-integral) and the cells are
-    independent ``Poisson(n q_j)``; otherwise ``n`` must be an integer and
-    the risk is that of ``Multinomial(n, q)`` counts (:func:`_fixed_n_accept`).
-    Either way the risk is exact, reported with 0 trials, a zero ``ci`` and
-    ``seed`` as passed; ``trials`` must be at least 100 but is not used.
-    Type I is always under ``q0``, Type II under the alternative's own cells
-    (a prior's base included).  Past the ``_MAX_TERMS`` cap the fixed-n
-    route raises ``AtomBudgetError``.
+    independent ``Poisson(n q_j)`` (:class:`_PoissonCells`); otherwise ``n``
+    must be an integer and the risk is that of ``Multinomial(n, q)`` counts
+    (:class:`_FixedN`).  Either way the risk is exact, reported with 0
+    trials, a zero ``ci`` and ``seed`` as passed; ``trials`` must be at
+    least 100 but is not used.  Type I is always under ``q0``, Type II under
+    the alternative's own cells (a prior's base included).  Past the
+    ``_MAX_TERMS`` cap the fixed-n route raises ``AtomBudgetError``.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    cfg = MultinomialTestConfig.from_eta(q0, n, eta)
-    box = cfg.acceptance_box(q0, n)
+    box = MultinomialTestConfig.from_eta(q0, n, eta).acceptance_box(q0, n)
     prior = isinstance(alternative, MultinomialSimplexPrior)
     q_alt = alternative.base.probs if prior else as_probability_vector(alternative, "alternative")
     if q_alt.size != q0.p:
         raise ValueError("alternative dimension mismatch")
     ones = np.ones(q_alt.size, dtype=np.int64)  # the dense cells as runs of count 1
     if poissonized:
-        log_a = _box_log_mass(box, n * q_alt)
-        if prior:
-            type2 = _simplex_prior_type2(box, log_a, q_alt, ones, n, alternative)
-        else:
-            type2 = math.exp(float(log_a.sum()))
-        return _exact(float(_box_log_mass(box, n * q0.probs).sum()), type2, seed)
-    if prior:
-        state = _FixedNPrior(box, n, q_alt, ones, alternative.j_star, alternative.m, n * float(q_alt.sum()))
-        same_base = np.array_equal(q_alt, q0.probs)
-        accept0 = state.accept0 if same_base else _fixed_n_accept(box, n, n * q0.probs)
-        return RiskEstimate(1.0 - accept0, state.type2(alternative), 0, seed, 0.0)
-    return RiskEstimate(
-        1.0 - _fixed_n_accept(box, n, n * q0.probs), _fixed_n_accept(box, n, n * q_alt), 0, seed, 0.0
-    )
+        alt, null = (_PoissonCells(box, q, ones, n) for q in (q_alt, q0.probs))
+    elif prior:
+        alt = _FixedN(box, n, q_alt, ones, n * float(q_alt.sum()), alternative.j_star, alternative.m)
+        null = alt if np.array_equal(q_alt, q0.probs) else _FixedN(box, n, q0.probs, ones, float((n * q0.probs).sum()))
+    else:
+        null, alt = (_FixedN(box, n, q, ones, float((n * q).sum())) for q in (q0.probs, q_alt))
+    return null.risk(alt.bayes(alternative) if prior else alt.accept, seed)
 
 
 @dataclass(frozen=True)
@@ -785,8 +786,9 @@ def sweep_sharp_constant(
     the risk is ``type1 = 1 - prod_g a_g^{n_g}`` and
     ``type2 = sum_{g in pool} (n_g / j*) b_g prod_h a_h^{n_h} / a_g``, in
     O(#runs) per ``xi``: a null built from runs sweeps at any ``p`` without
-    its dense rates.  The threshold does not depend on ``xi``, so the box,
-    its ``log a`` and Type I are computed once for the whole grid.
+    its dense rates.  The threshold does not depend on ``xi``, so one
+    :class:`_PoissonCells` law, with its box, ``log a`` and Type I, serves
+    the whole grid.
     ``trials`` must be at least 1 but is not used, nor is ``seed``: each row
     reports 0 trials, a zero ``ci`` and ``seed`` as passed.  A box among the
     first ``j*`` with zero null probability in float64 raises
@@ -799,16 +801,13 @@ def sweep_sharp_constant(
     level, j_star = sharp_constant_epsilon(mu, alpha_p, 1.0)
     epsilons = _scaled_by_grid(xi_grid, level)
     values, counts = mu.runs
-    pool = slice(0, int(np.searchsorted(np.cumsum(counts), j_star)) + 1)
-    box = AcceptanceBox.around(values, level, strict=True)
-    log_a = _box_log_mass(box, values)
-    log_accept_null = float(np.sum(counts * log_a))
-    estimates = []
-    for xi, eps in zip(xi_grid, epsilons):
-        spiked = _box_mass(box[pool], values[pool] + eps)
-        type2 = _leave_one_out_type2(log_a, spiked, pool, values, counts, f" at xi={float(xi)!r}")
-        estimates.append(_exact(log_accept_null, type2, seed))
-    return SweepResult(xi_grid, epsilons, tuple(estimates), poisson_regime(mu))
+    null = _PoissonCells(AcceptanceBox.around(values, level, strict=True), values, counts)
+    estimates = tuple(
+        # The spike prior of scale xi on the level: its spike xi * level is the grid's epsilon.
+        null.risk(null.bayes(PoissonSpikePrior(mu, j_star, level, xi, math.e), f" at xi={xi!r}"), seed)
+        for xi in xi_grid.tolist()
+    )
+    return SweepResult(xi_grid, epsilons, estimates, poisson_regime(mu))
 
 
 def sweep_multinomial_sharp_constant(
@@ -840,10 +839,10 @@ def sweep_multinomial_sharp_constant(
     is exact, in O(#runs m) per ``xi``: with ``c_g`` cells of box
     probability ``a_g = P_{n q_g}(box_g)`` in run ``g``, ``type1 = 1 -
     prod_g a_g^{c_g}`` and Type II is the leave-one-out average of
-    :func:`_leave_one_out_type2` over the spiked run and the removal
+    :meth:`_PoissonCells.bayes` over the spiked run and the removal
     subsets, so a null given as runs sweeps at any ``p``.  The fixed-n risk
-    is exact too (:class:`_FixedNPrior`, one product of the cells outside
-    the pool and one Type I for the whole grid) but needs the dense cells,
+    is exact too (:class:`_FixedN`, one product of the cells outside the
+    pool and one Type I for the whole grid) but needs the dense cells,
     so past ``DENSE_RATES_CAP`` it raises a ``ValueError`` naming the cap.
     Every row reports 0 trials, a zero ``ci`` and ``seed`` as passed;
     ``trials`` must be at least 1 but is not used.
@@ -862,19 +861,10 @@ def sweep_multinomial_sharp_constant(
     floor = values[np.searchsorted(np.cumsum(counts), j_star + 1)]  # category j* + 1, the pool's last
     if np.any(epsilons / m > floor + 1e-15):
         raise ValueError("sweep alternative leaves the simplex; reduce xi or grow n")
-    center = n * values
-    box = AcceptanceBox.around(center, n_prime * level, strict=True)
-    if poissonized:
-        log_a = _box_log_mass(box, center)
-        log_accept_null = float(np.sum(counts * log_a))
-    else:
-        state = _FixedNPrior(box, n, values, counts, j_star, m, total)
-    estimates = []
-    for xi, eps in zip(xi_grid, epsilons.tolist()):
-        prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0)
-        if poissonized:
-            type2 = _simplex_prior_type2(box, log_a, values, counts, n, prior, f" at xi={float(xi)!r}")
-            estimates.append(_exact(log_accept_null, type2, seed))
-        else:
-            estimates.append(RiskEstimate(1.0 - state.accept0, state.type2(prior), 0, seed, 0.0))
-    return SweepResult(xi_grid, epsilons, tuple(estimates), multinomial_regime(q0, n))
+    box = AcceptanceBox.around(n * values, n_prime * level, strict=True)
+    null = _PoissonCells(box, values, counts, n) if poissonized else _FixedN(box, n, values, counts, total, j_star, m)
+    estimates = tuple(
+        null.risk(null.bayes(MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0), f" at xi={xi!r}"), seed)
+        for xi, eps in zip(xi_grid.tolist(), epsilons.tolist())
+    )
+    return SweepResult(xi_grid, epsilons, estimates, multinomial_regime(q0, n))

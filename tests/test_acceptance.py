@@ -123,9 +123,6 @@ def test_criterion_3_poisson_tv_bound():
         for delta in np.geomspace(1e-4, 4.0, 20):
             p = poisson_product_dist([mu], 1e-13)
             q = poisson_product_dist([mu + delta], 1e-13)
-            lengths = [max(a, b) for a, b in zip(p.shape, q.shape)]
-            p = poisson_product_dist([mu], 1e-13, lengths)
-            q = poisson_product_dist([mu + delta], 1e-13, lengths)
             tv = tv_distance(p, q)
             worst = max(worst, tv.value - tv.error_bar - math.sqrt(delta))
     elapsed = time.time() - start
@@ -187,9 +184,6 @@ def test_criterion_5_parametric_chisq_identity():
         closed = chi_square_poisson_products(n * q1, n * q0.probs)
         qd = poisson_product_dist(n * q1, 1e-13)
         pd = poisson_product_dist(n * q0.probs, 1e-13)
-        lengths = [max(a, b) for a, b in zip(qd.shape, pd.shape)]
-        qd = poisson_product_dist(n * q1, 1e-13, lengths)
-        pd = poisson_product_dist(n * q0.probs, 1e-13, lengths)
         enum = chi_square_enumerated(qd, pd)
         rel = abs(closed - enum.value) / max(enum.value, 1e-12)
         max_rel = max(max_rel, rel - enum.error_bar / max(enum.value, 1e-12))
@@ -270,9 +264,6 @@ def test_criterion_7_lower_bound_desk_scale():
     c = (1.0 - eta) ** 2
     p0 = poisson_product_dist([1.0, 1.0], 1e-12)
     p1 = poisson_product_dist([1.0 + c, 1.0], 1e-12)
-    lengths = [max(a, b) for a, b in zip(p0.shape, p1.shape)]
-    p0 = poisson_product_dist([1.0, 1.0], 1e-12, lengths)
-    p1 = poisson_product_dist([1.0 + c, 1.0], 1e-12, lengths)
     tv_two_point = tv_distance(p0, p1)
     risk_a = 1.0 - tv_two_point.value - tv_two_point.error_bar
     ok_a = risk_a >= eta

@@ -15,6 +15,7 @@ import scipy.stats
 
 import supgof.divergence as divergence
 from supgof.divergence import (
+    PoissonMixture,
     certified_spike_risk_bound,
     chi_square_enumerated,
     chi_square_poisson_products,
@@ -282,8 +283,8 @@ class TestTvDistance:
 
     def test_atom_budget(self):
         """The budget caps the atoms enumerated: the grid of the axes where the two laws differ."""
-        big = poisson_product_dist([1.0] * 3, lengths=[500] * 3)
-        other = poisson_product_dist([1.5] * 3, lengths=[500] * 3)
+        big = PoissonMixture(np.ones(1), np.full((1, 3), 1.0), (500, 500, 500))
+        other = PoissonMixture(np.ones(1), np.full((1, 3), 1.5), (500, 500, 500))
         assert big.shape == other.shape == (500, 500, 500)
         with pytest.raises(AtomBudgetError, match="125000000 atoms"):
             tv_distance(big, other)
@@ -325,7 +326,7 @@ class TestTvDistance:
             mix = poisson_mixture([1.0 / k] * k, rows)
             null = poisson_product_dist([nu] * k)
             assert any(a < b for a, b in zip(null.shape, mix.shape))
-            by_hand = poisson_product_dist([nu] * k, lengths=np.maximum(null.shape, mix.shape))
+            by_hand = PoissonMixture(null.weights, null.rates, tuple(np.maximum(null.shape, mix.shape).tolist()))
             assert tv_distance(null, mix) == tv_distance(by_hand, mix)
             assert tv_distance(mix, null) == tv_distance(mix, by_hand)
 
@@ -458,9 +459,12 @@ class TestSharedAxes:
             assert chi_square_enumerated(mix, null).value == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_shared_column_padded_by_lengths(self, monkeypatch):
-        """The null's least grid widens a shared axis: its mass is summed over the padded length."""
+        """A null built on a grid wider than its own widens a shared axis: its
+        mass is summed over the padded length."""
         monkeypatch.setattr(divergence, "_SLAB_ATOMS", 7)
-        null = poisson_product_dist([1.5, 0.7, 2.0], 1e-6, lengths=[0, 40, 0])
+        own = poisson_product_dist([1.5, 0.7, 2.0], 1e-6)
+        assert own.shape[1] < 40
+        null = PoissonMixture(own.weights, own.rates, (own.shape[0], 40, own.shape[2]))
         mix = poisson_mixture([0.4, 0.6], [[1.0, 0.7, 2.0], [2.5, 0.7, 2.0]], 1e-6)
         shape = tuple(np.maximum(null.shape, mix.shape))
         assert shape[1] == 40 > mix.shape[1]
@@ -546,8 +550,7 @@ class TestChiSquare:
         misses ``e - 1`` by about 2.8e-8, far more than the two deficits.
         """
         closed = chi_square_poisson_products(a, b)
-        grid = np.maximum(poisson_product_dist(a, 1e-13).shape, poisson_product_dist(b, 1e-13).shape)
-        enum = chi_square_enumerated(poisson_product_dist(a, 1e-13, grid), poisson_product_dist(b, 1e-13, grid))
+        enum = chi_square_enumerated(poisson_product_dist(a, 1e-13), poisson_product_dist(b, 1e-13))
         assert math.isfinite(enum.value)
         # Rounding: exp(60.5) carries a few ulps of its argument's error.
         assert abs(closed - enum.value) <= enum.error_bar + 1e-13 * closed

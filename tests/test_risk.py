@@ -32,8 +32,9 @@ from supgof.risk import (
     _Poly,
     _cell_rows,
     _coefficient,
-    _fixed_n_accept,
+    _FixedN,
     _log_mean_subset_products,
+    _PoissonCells,
     _pool_tree,
     _power,
     _tree_product,
@@ -533,9 +534,9 @@ class TestGroupedMultinomialSweep:
         ones = np.ones(probs.size, dtype=np.int64)
         box = AcceptanceBox.around(n * probs, n_prime * level, strict=True)
         for xi, eps, risk in zip(self.XI, res.epsilons, res.risks):
-            state = risk_module._FixedNPrior(box, n, probs, ones, j_star, m, n * float(probs.sum()))
+            state = _FixedN(box, n, probs, ones, n * float(probs.sum()), j_star, m)
             prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0)
-            want = [1.0 - state.accept0, state.type2(prior)]
+            want = [1.0 - state.accept, state.bayes(prior)]
             np.testing.assert_allclose([risk.type1, risk.type2], want, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("values, counts", _random_simplex_step_nulls(12, 20_261_022, 10_000))
@@ -548,11 +549,10 @@ class TestGroupedMultinomialSweep:
         box = MultinomialTestConfig.from_eta(q0, n, 0.2).acceptance_box(q0, n)
         run_values, run_counts = q0.runs
         run_box = box[np.cumsum(run_counts) - 1]
-        run_log_a = risk_module._box_log_mass(run_box, n * run_values)
-        runs = risk_module._simplex_prior_type2(run_box, run_log_a, run_values, run_counts, n, prior)
-        ones = np.ones(q0.p, dtype=np.int64)
-        log_a = risk_module._box_log_mass(box, n * q0.probs)
-        dense = risk_module._simplex_prior_type2(box, log_a, q0.probs, ones, n, prior)
+        runs = _PoissonCells(run_box, run_values, run_counts, n).bayes(prior)
+        dense_law = _PoissonCells(box, q0.probs, np.ones(q0.p, dtype=np.int64), n)
+        dense = dense_law.bayes(prior)
+        log_a = dense_law.log_a
         assert runs == pytest.approx(dense, rel=1e-12)
         if prior.m:
             pool = slice(1, prior.j_star + 1)
@@ -697,7 +697,7 @@ class TestPhaseTransitionShape:
                 row[list(subset)] -= removal
                 rows.append(row)
         mix = poisson_mixture([1.0 / len(rows)] * len(rows), rows, 1e-9)
-        null = poisson_product_dist([nu] * j_star, 1e-9, mix.shape)
+        null = poisson_product_dist([nu] * j_star, 1e-9)
         tv = tv_distance(null, mix)
         risk_lower_bound = 1.0 - tv.value - tv.error_bar
         assert risk_lower_bound >= 0.7  # measured 0.762, frozen with margin
@@ -724,6 +724,11 @@ def _mass(caps, lam) -> np.ndarray:
     for cap, rate in zip(caps, lam):
         out = np.multiply.outer(out, poisson.pmf(np.arange(cap + 1), rate)).ravel()
     return out
+
+
+def _multinomial_accept(box, n, lam) -> float:
+    """``P(X in box)`` for ``X ~ Multinomial(n, lam / sum lam)``: the fixed-n law with no pool."""
+    return _FixedN(box, n, lam / n, np.ones(lam.size, dtype=np.int64), float(lam.sum())).accept
 
 
 def _poisson_accepts(x, mu, cfg):
@@ -776,6 +781,27 @@ class TestExactProductRisk:
             assert abs(risk.type1 - type1) <= 1e-12
             assert abs(risk.type2 - type2) <= 1e-12
             assert (risk.trials, risk.ci_halfwidth) == (0, 0.0) and risk.seed == 4
+
+    @pytest.mark.parametrize(
+        "rates, other",
+        [([2.0, 1.0], [2.6, 0.7]), ([4.0, 3.0, 3.0], [3.5, 3.4, 2.0]), ([6.3, 2.2, 1.0], [6.3, 2.2, 1.8])],
+    )
+    def test_spike_prior_on_another_base(self, rates, other):
+        """Type I comes from the null, Type II from the prior's own base in every cell."""
+        mu, base = RateVector(rates), RateVector(other)
+        cfg = PoissonTestConfig.from_eta(mu, 0.3)
+        prior = PoissonSpikePrior.build(base, 1.5)
+        caps = [_poisson_cap(max(r, b) + prior.spike + 3.0) for r, b in zip(mu.rates, base.rates)]
+        accept = _poisson_accepts(_count_grid(caps), mu, cfg)
+
+        def bayes(rates):
+            spiked = [rates + prior.spike * np.eye(mu.p)[j] for j in range(prior.j_star)]
+            return np.mean([_mass(caps, row)[accept].sum() for row in spiked])
+
+        risk = estimate_poisson_risk(mu, prior, 0.3, 100, 0)
+        assert abs(risk.type1 - _mass(caps, mu.rates)[~accept].sum()) <= 1e-12
+        assert abs(risk.type2 - bayes(base.rates)) <= 1e-12
+        assert abs(risk.type2 - bayes(mu.rates)) > 1e-6  # the null's cells would not do
 
     @pytest.mark.parametrize(
         "probs, n, alt",
@@ -870,7 +896,7 @@ class TestExactProductRisk:
         def multinomial_accepts(x):
             return _multinomial_accepts(x, q0, n, mcfg)
 
-        sampled = n * np.clip(draw_multinomial_simplex_prior(sprior, rng, trials=draws), 0.0, None)
+        sampled = n * np.clip(draw_multinomial_simplex_prior(sprior, 20_261_018, trials=draws), 0.0, None)
         risk = estimate_multinomial_risk(q0, n, sprior, 0.2, 100, 0, poissonized=True)
         check(1.0 - risk.type1, n * q0.probs[None], multinomial_accepts)
         hits = int(np.count_nonzero(multinomial_accepts(rng.poisson(sampled))))
@@ -898,19 +924,19 @@ class TestZeroProbabilityPoolBox:
     def test_empty_box(self, rate):
         """A zero threshold leaves no count within it of the rate: the box is empty.
 
-        The risk is assembled from the box as ``estimate_poisson_risk`` does,
-        at a fixed alternative and under the spike prior.
+        The risk is assembled from the box through the Poisson law, as
+        ``estimate_poisson_risk`` does, at a fixed alternative and under the
+        spike prior.
         """
         mu = RateVector([rate])
         box = AcceptanceBox.around(mu.rates, 0.0, strict=False)
         assert box.hi[0] < box.lo[0]
-        log_a = risk_module._box_log_mass(box, mu.rates)
-        type2 = math.exp(float(risk_module._box_log_mass(box, np.array([4.0])).sum()))
-        risk = risk_module._exact(float(log_a.sum()), type2, 0)
+        ones = np.ones(1, dtype=np.int64)
+        null = _PoissonCells(box, mu.rates, ones)
+        risk = null.risk(_PoissonCells(box, np.array([4.0]), ones).accept, 0)
         assert (risk.type1, risk.type2) == (1.0, 0.0)
-        spiked = risk_module._box_mass(box, mu.rates + PoissonSpikePrior.build(mu, 0.5).spike)
         with pytest.raises(FloatingPointError, match="coordinate 1 "):
-            risk_module._leave_one_out_type2(log_a, spiked, slice(0, 1), mu.rates, np.ones(1, dtype=np.int64))
+            null.bayes(PoissonSpikePrior.build(mu, 0.5))
 
     def test_spike_prior_route(self):
         mu = RateVector([1e300, 1.0])
@@ -1043,7 +1069,7 @@ class TestExactFixedN:
             prior = MultinomialSimplexPrior.build(q0, n, certified_simplex_c(q0, n))
             bayes = estimate_multinomial_risk(q0, n, prior, 0.2, 100, 0)
             assert prior.m >= 1 and bayes.trials == 0
-            sampled = np.clip(draw_multinomial_simplex_prior(prior, rng, trials=draws), 0.0, None)
+            sampled = np.clip(draw_multinomial_simplex_prior(prior, 20_261_019, trials=draws), 0.0, None)
             for exact, x in (
                 (1.0 - fixed.type1, rng.multinomial(n, q0.probs, size=draws)),
                 (fixed.type2, rng.multinomial(n, alt, size=draws)),
@@ -1063,9 +1089,9 @@ class TestExactFixedN:
         """The conditioned law charges only count vectors summing to n."""
         lam = 100 * np.array([0.4, 0.3, 0.2, 0.1])
         everything = AcceptanceBox(np.zeros(4), np.full(4, 100.0))
-        assert abs(_fixed_n_accept(everything, 100, lam) - 1.0) <= 1e-14
-        assert _fixed_n_accept(AcceptanceBox(np.zeros(4), np.array([40.0, 30, 20, 9])), 100, lam) == 0.0
-        assert _fixed_n_accept(AcceptanceBox(np.array([40.0, 30, 20, 11]), np.full(4, 100.0)), 100, lam) == 0.0
+        assert abs(_multinomial_accept(everything, 100, lam) - 1.0) <= 1e-14
+        assert _multinomial_accept(AcceptanceBox(np.zeros(4), np.array([40.0, 30, 20, 9])), 100, lam) == 0.0
+        assert _multinomial_accept(AcceptanceBox(np.array([40.0, 30, 20, 11]), np.full(4, 100.0)), 100, lam) == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_groups_are_the_unique_order(self, seed):
@@ -1086,11 +1112,11 @@ class TestExactFixedN:
             np.testing.assert_array_equal(g, w)
         assert counts.size > cells.shape[0]  # some cells merged
         n = int(lam.sum())
-        accept = _fixed_n_accept(AcceptanceBox(lo, hi), n, lam)
+        accept = _multinomial_accept(AcceptanceBox(lo, hi), n, lam)
         assert 0.0 < accept < 1.0
         in_unique_order = np.lexsort((hi, lo, lam))
         for order in (in_unique_order, in_unique_order[::-1], rng.permutation(size)):
-            assert _fixed_n_accept(AcceptanceBox(lo[order], hi[order]), n, lam[order]) == accept
+            assert _multinomial_accept(AcceptanceBox(lo[order], hi[order]), n, lam[order]) == accept
 
     @pytest.mark.parametrize("cells", [2, 3, 5, 6, 7])
     def test_pool_tree_matches_explicit_enumeration(self, cells):

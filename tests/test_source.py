@@ -242,6 +242,68 @@ def test_unique_rule_sees_every_spelling():
     assert [_unique_uses(ast.parse(src)) for src in spellings] == [[1], [2], [2], [1], [1], [], [], []]
 
 
+# Each law's kernels, and the one class that may reach them.
+_LAW_KERNELS = {"_leave_one_out_type2": "_PoissonCells", "_product": "_FixedN", "_ratio": "_FixedN"}
+
+
+def _law_kernel_uses(tree: ast.AST) -> list[int]:
+    """Lines outside the class that owns it that reach a law's kernel: a
+    loaded name or an attribute of ``_leave_one_out_type2`` (owned by
+    ``_PoissonCells``), ``_product`` or ``_ratio`` (owned by ``_FixedN``),
+    or an import of one."""
+    owned = {
+        name: {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == owner
+            for node in ast.walk(cls)
+        }
+        for name, owner in _LAW_KERNELS.items()
+    }
+
+    def reached(node) -> list[str]:
+        if isinstance(node, ast.ImportFrom):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            return [node.id]
+        return [node.attr] if isinstance(node, ast.Attribute) else []
+
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            for name in reached(node)
+            if name in _LAW_KERNELS and id(node) not in owned[name]
+        }
+    )
+
+
+def test_risk_reaches_type2_through_its_laws():
+    """In ``risk`` only ``_PoissonCells`` averages over a prior's spiked cell
+    and only ``_FixedN`` forms and normalizes a fixed-n product, so every
+    route's Type I and Type II come from one law per model."""
+    path = PACKAGE / "risk.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert {"_PoissonCells", "_FixedN"} <= classes
+    assert _law_kernel_uses(tree) == []
+
+
+def test_law_rule_sees_every_spelling():
+    spellings = [
+        "def estimate(log_a, b, pool):\n    return _leave_one_out_type2(log_a, b, pool, lam, ones, '', None, 0)",
+        "import supgof.risk as r\ntype2 = r._leave_one_out_type2(log_a, b, pool)",
+        "def _accept(box, n, lam):\n    return _ratio(_coefficient(_product(lam, lo, hi, c, t), _ONE, t), n, s)",
+        "from .risk import _product as multiply",
+        "normalize = _ratio\naccept = normalize(numerator, n, total)",
+        "class _FixedN:\n    def bayes(self, prior):\n        return _leave_one_out_type2(a, b, pool)",
+        "class _PoissonCells:\n    def bayes(self, prior):\n        return _leave_one_out_type2(a, b, pool)",
+        "class _FixedN:\n    def __init__(self):\n        self.accept = _ratio(_product(lam, lo, hi, c, t), n, s)",
+        "def _product(lam, lo, hi, counts, t):\n    return _tree_product(rows, t)",
+    ]
+    assert [_law_kernel_uses(ast.parse(src)) for src in spellings] == [[2], [2], [2], [1], [1], [3], [], [], []]
+
+
 _SPEC_READS = {"load", "loads", "read_text", "read_bytes"}
 
 
