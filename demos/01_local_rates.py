@@ -41,6 +41,19 @@ for p in (100, 1_000, 10_000, 100_000):
     print(f"p = {p:6d}: eps* = {prof.epsilon_star:6.3f}  log p/log log p = {ref:6.3f}")
 
 print()
+print("=== Paper scale: nulls given as runs, profiled on the run ends (no dense array) ===")
+for p in (10**6, 10**9, 10**12, 10**15):
+    for label, mu in [
+        ("flat mu=1          ", RateVector.from_runs([1.0], [p])),
+        ("two blocks 40 / 0.4", RateVector.from_runs([40.0, 0.4], [p // 20, p - p // 20])),
+    ]:
+        prof = poisson_rate(mu)
+        print(
+            f"p = 1e{round(math.log10(p)):<2d} {label} eps* = {prof.epsilon_star:7.3f}  "
+            f"j* = {prof.j_star:.3e}  psi = {prof.psi:6.3f}  regime = {prof.regime}"
+        )
+
+print()
 print("=== Unobserved head coordinates in the subpoissonian regime ===")
 mu = RateVector(np.full(3000, 0.3))
 prof = poisson_rate(mu)

@@ -35,7 +35,7 @@ print("one spiked count ->", poisson_max_test(x_alt, mu, cfg).label)
 
 print()
 print("=== Exact risk against a single-coordinate spike ===")
-psi = 1.0 + poisson_rate(mu).per_coordinate_terms.max()
+psi = 1.0 + poisson_rate(mu).psi
 for c_eta in (1.0, 2.0, 2.5, 3.0):
     lam = mu.rates.copy()
     lam[0] += c_eta * psi

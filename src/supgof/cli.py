@@ -27,8 +27,8 @@ from .maxtest import (
     multinomial_combined_test,
     poisson_max_test,
 )
-from .model import RateVector, SimplexVector, read_counts_csv, sample_size_value
-from .rates import multinomial_rate, poisson_rate
+from .model import DENSE_RATES_CAP, RateVector, SimplexVector, read_counts_csv, sample_size_value
+from .rates import _multinomial_profile, _poisson_profile
 from .special import AtomBudgetError, SolverError
 
 CSV_SCHEMA_LINE = "# schema=1"
@@ -176,8 +176,17 @@ def _load_null(spec: str | None):
 
 def _cmd_rate(args) -> None:
     model, null, n = _load_null(args.null)
-    profile = poisson_rate(null) if model == "poisson" else multinomial_rate(null, n)
-    _emit(_dump_json(profile.to_dict()) + "\n", args.out, f"rate: epsilon_star={_fmt(profile.epsilon_star)}")
+    # Up to the dense cap each cell is a run of its own, so "terms" holds one
+    # term per cell; past it, one [value, count, term at its end] per run.
+    per_cell = null.p <= DENSE_RATES_CAP
+    ones = np.broadcast_to(1, null.p)  # a view: no array of p counts
+    values, counts = ((null.rates if model == "poisson" else null.probs), ones) if per_cell else null.runs
+    profile = _poisson_profile(values, counts) if model == "poisson" else _multinomial_profile(values, counts, n)
+    payload = profile.to_dict()
+    if not per_cell:
+        first = 0 if model == "poisson" else 1  # the multinomial terms start after the head
+        payload["terms"] = [list(run) for run in zip(values[first:].tolist(), counts[first:].tolist(), payload["terms"])]
+    _emit(_dump_json(payload) + "\n", args.out, f"rate: epsilon_star={_fmt(profile.epsilon_star)}")
 
 
 def _cmd_test(args) -> None:
@@ -357,7 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
         if eta:
             sp.add_argument("--eta", type=float, default=0.1)
 
-    sp = sub.add_parser("rate", help="print the local separation-rate profile")
+    sp = sub.add_parser(
+        "rate", help="print the local separation-rate profile, at any p; its terms are one per cell, or past "
+        "DENSE_RATES_CAP cells one [value, count, term at the run's end] per run"
+    )
     common(sp)
 
     sp = sub.add_parser("test", help="run the goodness-of-fit test on CSV count rows")

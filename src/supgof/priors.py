@@ -65,9 +65,10 @@ class PoissonSpikePrior:
         if not math.e <= big_c < math.inf:  # NaN included
             raise ValueError(f"C (--big-c) must be finite and >= e, got {big_c!r}")
         j_star = poisson_rate(mu).j_star
-        mu_star = float(mu.rates[j_star - 1])
+        values, counts = mu.runs
+        mu_star = float(values[np.searchsorted(np.cumsum(counts), j_star)])  # j* ends its run
         psi = mu_star * h_inverse((math.log(big_c) + math.log(j_star)) / mu_star)
-        if not math.isfinite(float(mu.rates[0]) + c * psi):
+        if not math.isfinite(float(values[0]) + c * psi):
             raise ValueError(f"spike c * psi = {c!r} * {psi!r} makes a spiked rate infinite")
         return cls(mu, j_star, psi, c, big_c)
 

@@ -5,14 +5,14 @@ argmax index ``j_star`` is 1-based and ties break to the smallest index.
 The ``regime`` label compares ``log(e j*)`` against the critical coordinate's
 mean and is advisory metadata only; no decision procedure branches on it.
 
-The sharp-constant levels and the regime labels are computed on the runs
-of equal values of the null (``runs`` of
-:class:`~supgof.model.RateVector` and
+Every objective here is computed on the runs of equal values of the null
+(``runs`` of :class:`~supgof.model.RateVector` and
 :class:`~supgof.model.SimplexVector`, the multinomial head a run of its
-own): their objectives grow with ``j`` inside a run, so only run ends are
-evaluated, in O(#runs), and a null of any ``p`` given as runs needs no
-dense array.  :func:`poisson_rate` and :func:`multinomial_rate` report
-every coordinate's term and so work on the dense values.
+own): inside a run the value is fixed and the level grows with ``j``, so
+each objective, and the surrogate behind ``epsilon_star``, peaks at a run
+end.  Only run ends are evaluated (:func:`_on_run_ends`), in O(#runs), and a
+null of any ``p`` given as runs needs no dense array.  A null given one
+value per coordinate has a run per stretch of equal values.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from .special import gamma_rate, h_inverse
 __all__ = [
     "RateProfile",
     "poisson_rate",
-    "poisson_regime",
     "multinomial_rate",
-    "multinomial_regime",
     "prob_all_observed",
     "sharp_constant_epsilon",
     "multinomial_sharp_constant_level",
@@ -41,7 +39,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RateProfile:
-    """Derived local quantities attached to a null."""
+    """Derived local quantities attached to a null.
+
+    ``per_coordinate_terms`` holds the rate objective at the end of each run
+    of the null (of the tail, for the multinomial model): one term per cell
+    when every cell is a run of its own.  Its largest value is the one at
+    ``j_star``, which is ``psi`` unless the multinomial ``m`` is 0.
+    """
 
     j_star: int
     psi: float
@@ -54,10 +58,8 @@ class RateProfile:
         terms = np.asarray(self.per_coordinate_terms, dtype=float)
         object.__setattr__(self, "per_coordinate_terms", terms)
         terms.setflags(write=False)
-        if terms.size and not np.isclose(
-            terms[self.j_star - 1], terms.max(), rtol=0.0, atol=0.0
-        ):
-            raise ValueError("j_star must attain the maximum of per_coordinate_terms")
+        if terms.size and self.psi != terms.max() and not (self.m == 0 and self.psi == 0.0):
+            raise ValueError("j_star must attain the maximum of per_coordinate_terms, which is psi")
 
     def to_dict(self) -> dict:
         return {
@@ -82,22 +84,24 @@ def _regime_label(log_ej_star: float, mean_at_jstar: float) -> str:
     return "boundary"
 
 
-def _argmax_smallest(terms: np.ndarray) -> int:
-    return int(np.argmax(terms)) + 1  # np.argmax returns the first maximizer
+def _on_run_ends(values, counts, level, scale: float = 1.0):
+    """``(ends, args, h)`` at the last index ``end_g`` of each run ``g``:
+    ``args_g = level(end_g) / (scale values_g)`` and ``h = h^{-1}(args)``, in
+    one ``h_inverse`` call, which levels stacked by ``level`` (shape
+    ``(k, #runs)``) share.  An infinite argument fails ``h_inverse``'s check."""
+    ends = np.cumsum(counts, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):  # n * q may underflow to 0
+        args = level(ends) / (scale * values)
+    return ends, args, h_inverse(args)
 
 
 def _peak_on_run_ends(values, counts, level, scale: float = 1.0) -> tuple[float, int, int]:
     """``(max_j values_j h^{-1}(level(j) / (scale values_j)), j*, g*)`` over the
-    runs ``(values, counts)``, with ``g*`` the run that ends at ``j*``.
-
-    ``level`` grows with ``j``, so within a run of equal values the objective
-    peaks at the run's last index: only run ends are evaluated, ``j*`` is
-    the end of a run, and ties between runs break to the smallest index.
-    """
-    ends = np.cumsum(counts, dtype=float)
-    with np.errstate(over="ignore"):  # an infinite argument fails h_inverse's own check
-        terms = values * h_inverse(level(ends) / (scale * values))
-    g = int(np.argmax(terms))
+    run ends of ``(values, counts)``, with ``g*`` the run that ends at ``j*``;
+    ``level`` grows with ``j``, and ties between runs break to the smallest index."""
+    ends, _, h = _on_run_ends(values, counts, level, scale)
+    terms = values * h
+    g = int(np.argmax(terms))  # the first maximizer
     return float(terms[g]), int(ends[g]), g
 
 
@@ -106,25 +110,20 @@ def poisson_rate(mu: RateVector) -> RateProfile:
 
     ``epsilon_star = 1 + max_j mu_j * Gamma(log(ej)/mu_j)`` and the argmax
     objective defining ``j_star`` and ``psi`` uses the exact inverse
-    ``h_inverse`` in place of the surrogate.
+    ``h_inverse`` in place of the surrogate; both on the run ends of ``mu``.
     """
-    rates = mu.rates
-    js = np.arange(1, rates.size + 1, dtype=float)
-    with np.errstate(over="ignore"):  # an infinite argument fails h_inverse's own check
-        args = _log_ej(js) / rates
-    terms = rates * h_inverse(args)
-    j_star = _argmax_smallest(terms)
-    epsilon_star = 1.0 + float(np.max(rates * gamma_rate(args)))
-    psi = float(terms[j_star - 1])
-    regime = _regime_label(1.0 + math.log(j_star), float(rates[j_star - 1]))
-    return RateProfile(j_star, psi, 0, epsilon_star, regime, terms)
+    return _poisson_profile(*mu.runs)
 
 
-def poisson_regime(mu: RateVector) -> str:
-    """The ``regime`` label of :func:`poisson_rate`, from its objective on run ends only."""
-    values, counts = mu.runs
-    _, j_star, g = _peak_on_run_ends(values, counts, _log_ej)
-    return _regime_label(1.0 + math.log(j_star), float(values[g]))
+def _poisson_profile(values, counts) -> RateProfile:
+    """:func:`poisson_rate` of the null with runs ``(values, counts)``."""
+    ends, args, h = _on_run_ends(values, counts, _log_ej)
+    terms = values * h
+    g = int(np.argmax(terms))  # the first maximizer
+    j_star = int(ends[g])
+    epsilon_star = 1.0 + float(np.max(values * gamma_rate(args)))
+    regime = _regime_label(1.0 + math.log(j_star), float(values[g]))
+    return RateProfile(j_star, float(terms[g]), 0, epsilon_star, regime, terms)
 
 
 def multinomial_rate(q0: SimplexVector, n: float) -> RateProfile:
@@ -134,51 +133,32 @@ def multinomial_rate(q0: SimplexVector, n: float) -> RateProfile:
     (1-based index j over categories ``2..p``); zero cells contribute zero.
     The mass-removal count ``m = min(ceil(h^{-1}(log(e j*)/mu*)), j* - 1)``
     and ``psi = mu* h^{-1}(log(e j*)/mu*)`` (count units, zero when ``m``
-    is zero) share one ``h^{-1}`` value at ``mu* = n q0^{-max}(j*)``.
+    is zero) share the peak's ``h^{-1}`` value at ``mu* = n q0^{-max}(j*)``,
+    all on the run ends of ``q0``.
     """
+    return _multinomial_profile(*q0.runs, n)
+
+
+def _multinomial_profile(values, counts, n: float) -> RateProfile:
+    """:func:`multinomial_rate` of the null with runs ``(values, counts)``,
+    the head a run of its own."""
     n_val = sample_size_value(n)
-    head = q0.head
-    tail = q0.tail
+    head, tail, counts = float(values[0]), values[1:], counts[1:]
     parametric = 1.0 / n_val + math.sqrt(head * (1.0 - head) / n_val)
-    if tail.size == 0:
-        return RateProfile(1, 0.0, 0, parametric, "boundary", np.array([]))
-
-    js = np.arange(1, tail.size + 1, dtype=float)
     terms = np.zeros(tail.size)
-    gamma_terms = np.zeros(tail.size)
-    pos = tail > 0.0
-    mus = n_val * tail[pos]
-    with np.errstate(over="ignore", divide="ignore"):  # n * q_j may underflow to 0
-        args = _log_ej(js[pos]) / mus
-    terms[pos] = mus * h_inverse(args)
-    gamma_terms[pos] = tail[pos] * gamma_rate(args)
-
-    j_star = _argmax_smallest(terms)
-    epsilon_star = parametric + float(gamma_terms.max())
-    mu_star = n_val * float(tail[j_star - 1])
-    if mu_star > 0:
-        h_star = h_inverse((1.0 + math.log(j_star)) / mu_star)
-        m = min(math.ceil(h_star), j_star - 1)
-        psi = mu_star * h_star if m >= 1 else 0.0
-        regime = _regime_label(1.0 + math.log(j_star), mu_star)
-    else:
-        m, psi, regime = 0, 0.0, "boundary"
+    k = np.count_nonzero(tail)  # the zero cells, if any, are the last runs
+    if k == 0:
+        return RateProfile(1, 0.0, 0, parametric, "boundary", terms)
+    mus = n_val * tail[:k]
+    ends, args, h = _on_run_ends(mus, counts[:k], _log_ej)
+    terms[:k] = mus * h
+    g = int(np.argmax(terms))  # the first maximizer
+    j_star = int(ends[g])
+    m = min(math.ceil(h[g]), j_star - 1)
+    psi = float(terms[g]) if m >= 1 else 0.0
+    epsilon_star = parametric + float(np.max(tail[:k] * gamma_rate(args)))
+    regime = _regime_label(1.0 + math.log(j_star), float(mus[g]))
     return RateProfile(j_star, psi, m, epsilon_star, regime, terms)
-
-
-def multinomial_regime(q0: SimplexVector, n: float) -> str:
-    """The ``regime`` label of :func:`multinomial_rate`, from its objective on
-    the run ends of the tail only; zero cells contribute nothing."""
-    n_val = sample_size_value(n)
-    values, counts = q0.runs
-    values, counts = values[1:], counts[1:]
-    if values.size and values[-1] == 0.0:  # the zero cells are the last run
-        values, counts = values[:-1], counts[:-1]
-    if values.size == 0:
-        return "boundary"
-    mus = n_val * values
-    _, j_star, g = _peak_on_run_ends(mus, counts, _log_ej)
-    return _regime_label(1.0 + math.log(j_star), float(mus[g]))
 
 
 def prob_all_observed(mu: RateVector, k: int) -> float:
@@ -241,8 +221,8 @@ def multinomial_sharp_constant_level(
     argmax of the inflated-log objective; both use the variance form
     ``q(1-q)`` of the tail cells.  The mass-removal count ``m`` is clamped
     to at least 2 whenever it is positive.  Both objectives, the critical
-    index and ``m`` are computed on the run ends of the tail only
-    (:func:`_peak_on_run_ends`), so in O(#runs).
+    index and ``m`` are computed on the run ends of the tail only, so in
+    O(#runs), and both objectives in one ``h_inverse`` call (:func:`_on_run_ends`).
     """
     _check_alpha_p(alpha_p)
     n_val = sample_size_value(n)
@@ -254,9 +234,12 @@ def multinomial_sharp_constant_level(
     if tail.size == 0:
         raise ValueError("need at least two categories")
     v = tail * (1.0 - tail)
-    level, _, _ = _peak_on_run_ends(v, counts, _log_ej, n_prime)
-    _, j_star, g = _peak_on_run_ends(v, counts, lambda js: _inflated_log(js, alpha_p), n_prime)
+    # The plain and the inflated objective share one h^{-1} call.
+    ends, _, h = _on_run_ends(v, counts, lambda js: np.stack([_log_ej(js), _inflated_log(js, alpha_p)]), n_prime)
+    plain, inflated = v * h
+    g = int(np.argmax(inflated))  # the first maximizer
+    j_star = int(ends[g])
     mu_star = n_prime * float(tail[g])
     m_raw = max(2, math.ceil(h_inverse((1.0 + math.log(j_star)) / mu_star)))
     m = min(m_raw, j_star - 1)
-    return level, j_star, n_prime, m
+    return float(plain.max()), j_star, n_prime, m

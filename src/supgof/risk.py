@@ -45,9 +45,9 @@ from .priors import MultinomialSimplexPrior, PoissonSpikePrior
 from .rates import (
     _check_alpha_p,
     _check_xi,
-    multinomial_regime,
+    multinomial_rate,
     multinomial_sharp_constant_level,
-    poisson_regime,
+    poisson_rate,
     sharp_constant_epsilon,
 )
 from .special import AtomBudgetError
@@ -807,7 +807,7 @@ def sweep_sharp_constant(
         null.risk(null.bayes(PoissonSpikePrior(mu, j_star, level, xi, math.e), f" at xi={xi!r}"), seed)
         for xi in xi_grid.tolist()
     )
-    return SweepResult(xi_grid, epsilons, estimates, poisson_regime(mu))
+    return SweepResult(xi_grid, epsilons, estimates, poisson_rate(mu).regime)
 
 
 def sweep_multinomial_sharp_constant(
@@ -867,4 +867,4 @@ def sweep_multinomial_sharp_constant(
         null.risk(null.bayes(MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0), f" at xi={xi!r}"), seed)
         for xi, eps in zip(xi_grid.tolist(), epsilons.tolist())
     )
-    return SweepResult(xi_grid, epsilons, estimates, multinomial_regime(q0, n))
+    return SweepResult(xi_grid, epsilons, estimates, multinomial_rate(q0, n).regime)

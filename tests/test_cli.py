@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from supgof import cli
 from supgof.cli import main
 from supgof.model import DENSE_RATES_CAP, RateVector, SimplexVector
-from supgof.rates import poisson_rate
+from supgof.rates import multinomial_rate, poisson_rate
 from supgof.risk import sweep_multinomial_sharp_constant, sweep_sharp_constant
 
 POISSON_NULL = '{"model":"poisson","rates":[1,1,1]}'
@@ -35,7 +35,8 @@ class TestRateCommand:
         code, out, _ = run_cli(capsys, "rate", "--null", POISSON_NULL)
         assert code == 0
         payload = json.loads(out)
-        profile = poisson_rate(RateVector([1.0, 1.0, 1.0]))
+        # One term per cell: the profile of the null with each cell a run of its own.
+        profile = poisson_rate(RateVector.from_runs([1.0, 1.0, 1.0], [1, 1, 1]))
         assert payload["epsilon_star"] == profile.epsilon_star
         assert payload["j_star"] == profile.j_star
         np.testing.assert_array_equal(payload["terms"], profile.per_coordinate_terms)
@@ -429,12 +430,49 @@ class TestRiskAndSweep:
         assert rows == expected.rows()
         assert [round(r["total"], 3) for r in rows] == [0.826, 0.054]
 
-    @pytest.mark.parametrize("command", [["rate"], ["prior", "--c", "0.5"], ["verify", "flattening"], ["risk", "--c", "0.5"]])
+    @pytest.mark.parametrize("command", [["prior", "--c", "0.5"], ["verify", "flattening"], ["risk", "--c", "0.5"]])
     def test_dense_only_command_past_the_cap_is_config_error(self, capsys, command):
         code, out, err = run_cli(capsys, *command, "--null", '{"model":"poisson","runs":[[1.0, 1e15]]}')
         assert code == 1
         assert "DENSE_RATES_CAP" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "null, model",
+        [
+            ('{"model":"poisson","runs":[[50,1e6],[3,1e9],[1,1e12]]}', "poisson"),
+            ('{"model":"multinomial","runs":[[1e-15, 1e15]],"n":1.26e18}', "multinomial"),
+        ],
+        ids=["poisson", "multinomial"],
+    )
+    def test_rate_past_the_cap_gives_one_term_per_run(self, capsys, null, model):
+        """``rate`` works on the runs at any p: past the cap its terms are
+        one [value, count, term at the run's end] per run (of the tail, for
+        a multinomial null)."""
+        code, out, _err = run_cli(capsys, "rate", "--null", null)
+        assert code == 0
+        payload = json.loads(out)
+        if model == "poisson":
+            profile = poisson_rate(RateVector.from_runs([50.0, 3.0, 1.0], [10**6, 10**9, 10**12]))
+            runs = [[50.0, 10**6], [3.0, 10**9], [1.0, 10**12]]
+            assert payload["j_star"] == 1_000_000 and payload["regime"] == "subgaussian"
+        else:
+            profile = multinomial_rate(SimplexVector.from_runs([1e-15], [10**15]), 1.26e18)
+            runs = [[1e-15, 10**15 - 1]]  # the head is a run of its own
+        assert payload == {**profile.to_dict(), "terms": [run + [t] for run, t in zip(runs, profile.per_coordinate_terms.tolist())]}
+        assert len(payload["terms"]) == len(runs)
+
+    def test_prior_and_risk_past_the_cap_name_it(self, capsys):
+        """The spike prior builds on the runs, so ``prior`` gets as far as its
+        draws, which it refuses naming ``--trials`` and the cap; ``risk`` reads
+        the dense rates and names the cap."""
+        null = '{"model":"poisson","runs":[[50,1e6],[3,1e9],[1,1e12]]}'
+        code, out, err = run_cli(capsys, "prior", "--null", null, "--c", "1")
+        assert (code, out) == (1, "")
+        assert "--trials" in err and "DENSE_RATES_CAP" in err
+        code, out, err = run_cli(capsys, "risk", "--null", null, "--c", "1")
+        assert (code, out) == (1, "")
+        assert "DENSE_RATES_CAP" in err
 
     @pytest.mark.parametrize("data", ["counts.csv", "missing.csv"])
     def test_test_past_the_cap_is_config_error_before_the_data(self, tmp_path, capsys, data):
@@ -467,10 +505,11 @@ class TestRiskAndSweep:
             assert outs[0] == outs[1] and outs[0][0] == 0
 
     @pytest.mark.parametrize(
-        "command", [["rate"], ["test", "--data", "missing.csv"], ["sweep"], ["risk", "--poissonized"]]
+        "command", [["prior"], ["test", "--data", "missing.csv"], ["sweep"], ["risk", "--poissonized"]]
     )
     def test_multinomial_dense_route_past_the_cap_is_config_error(self, capsys, command):
-        """Past the cap only the Poissonized sweep runs; fixed-n, ``rate`` and ``test`` name the cap."""
+        """Past the cap only ``rate`` and the Poissonized sweep run; fixed-n,
+        ``prior`` (its simplex prior holds the cells), ``risk`` and ``test`` name the cap."""
         null = '{"model":"multinomial","runs":[[1e-15, 1e15]],"n":1.26e18}'
         code, out, err = run_cli(capsys, *command, "--null", null)
         assert code == 1
@@ -755,8 +794,8 @@ class TestExitCodeContract:
 
     def test_fuzzed_runs_specs(self, tmp_path):
         """A broken ``runs`` spec exits 1 or 2 from every subcommand; a ``p``
-        past the dense cap does too, except from ``sweep``, which needs no
-        dense rates and exits 0."""
+        past the dense cap does too, except from ``rate`` and ``sweep``, which
+        need no dense rates and exit 0."""
         data = tmp_path / "counts.csv"
         data.write_text("1,1,1\n")
         options = {
@@ -774,7 +813,7 @@ class TestExitCodeContract:
         def run(command, case):
             spec, over_cap = case
             code = _exit_code([command, *options.get(command, []), "--null", spec])
-            if over_cap and command == "sweep":
+            if over_cap and command in ("rate", "sweep"):
                 assert code == 0
             else:
                 assert code in (1, 2)

@@ -48,6 +48,19 @@ class TestPoissonSpikePrior:
         assert prior.j_star == poisson_rate(mu).j_star == 10
         assert prior.psi == pytest.approx(h_inverse(math.log(5.0 * 10)), rel=1e-12)
 
+    def test_builds_on_runs_past_the_cap(self):
+        """j* and the critical rate come from the runs, so a null of 1e12
+        coordinates needs no dense rates; below the cap the runs and the
+        cells give the same prior."""
+        mu = RateVector.from_runs([50.0, 3.0, 1.0], [10**6, 10**9, 10**12])
+        prior = PoissonSpikePrior.build(mu, 1.0)
+        assert prior.j_star == 10**6
+        assert prior.psi == 50.0 * h_inverse((1.0 + math.log(10**6)) / 50.0)
+        small = RateVector.from_runs([5.0, 2.0, 0.5], [3, 40, 500])
+        dense = RateVector(np.repeat(*small.runs))
+        fields = lambda b: (b.j_star, b.psi, b.c, b.big_c)
+        assert fields(PoissonSpikePrior.build(small, 0.7, 4.0)) == fields(PoissonSpikePrior.build(dense, 0.7, 4.0))
+
     @pytest.mark.parametrize("c", [1e308, math.inf])
     def test_infinite_spiked_rate_raises(self, c):
         with pytest.raises(ValueError, match="infinite"):

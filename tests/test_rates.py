@@ -9,8 +9,8 @@ import pytest
 
 from supgof.model import RateVector, SimplexVector
 from supgof.rates import (
+    RateProfile,
     multinomial_rate,
-    multinomial_regime,
     multinomial_sharp_constant_level,
     poisson_rate,
     prob_all_observed,
@@ -26,6 +26,118 @@ def brute_force_argmax(objective: np.ndarray) -> int:
         if val > best_val:
             best, best_val = j, val
     return best
+
+
+def _regime(log_ej: float, mean: float) -> str:
+    ratio = log_ej / mean
+    return "subgaussian" if ratio < 1.0 else "subpoissonian" if ratio > 1.0 else "boundary"
+
+
+def _assert_run_ends_match_cells(run_end: RateProfile, cells: RateProfile, counts, cell_terms, expected):
+    """The profile on run ends equals the one over the cells, each a run of
+    one, bit for bit, and that one is ``expected(j*)``, the ``(j*, psi, m,
+    epsilon_star, regime)`` computed here from ``cell_terms``, the
+    objective at every cell, with ``j*`` its first maximizer.  No positive
+    cell inside a run reaches its run-end term: such a tie would move the
+    cell-by-cell argmax off the run end."""
+    fields = lambda prof: (prof.j_star, prof.psi, prof.m, prof.epsilon_star, prof.regime)
+    assert fields(run_end) == fields(cells)
+    ends = np.cumsum(counts)
+    np.testing.assert_array_equal(run_end.per_coordinate_terms, cells.per_coordinate_terms[ends - 1])
+    np.testing.assert_array_equal(cells.per_coordinate_terms, cell_terms)
+    assert fields(cells) == expected(brute_force_argmax(cell_terms) if np.any(cell_terms > 0) else 1)
+    end_terms = np.repeat(cell_terms[ends - 1], counts)
+    inside = np.ones(cell_terms.size, dtype=bool)
+    inside[ends - 1] = False
+    inside &= cell_terms > 0
+    assert np.all(cell_terms[inside] < end_terms[inside])
+
+
+def _check_poisson_runs(mu: RateVector) -> None:
+    values, counts = mu.runs
+    rates = np.repeat(values, counts)
+    args = (1.0 + np.log(np.arange(1, rates.size + 1, dtype=float))) / rates
+    cell_terms = rates * h_inverse(args)
+    epsilon_star = 1.0 + float(np.max(rates * gamma_rate(args)))
+    expected = lambda j: (j, cell_terms[j - 1], 0, epsilon_star, _regime(1.0 + math.log(j), rates[j - 1]))
+    cells = poisson_rate(RateVector.from_runs(rates, np.ones(rates.size)))
+    _assert_run_ends_match_cells(poisson_rate(mu), cells, counts, cell_terms, expected)
+
+
+def _check_multinomial_runs(q0: SimplexVector, n: float) -> None:
+    values, counts = q0.runs
+    probs = np.repeat(values, counts)
+    head, tail = probs[0], probs[1:]
+    cell_h, gammas = np.zeros(tail.size), np.zeros(tail.size)
+    pos = tail > 0.0
+    args = (1.0 + np.log(np.arange(1, tail.size + 1, dtype=float)[pos])) / (n * tail[pos])
+    cell_h[pos] = h_inverse(args)
+    gammas[pos] = tail[pos] * gamma_rate(args)
+    cell_terms = n * tail * cell_h
+    epsilon_star = 1.0 / n + math.sqrt(head * (1.0 - head) / n) + float(gammas.max(initial=0.0))
+
+    def expected(j):
+        if not np.any(pos):
+            return 1, 0.0, 0, epsilon_star, "boundary"
+        m = min(math.ceil(cell_h[j - 1]), j - 1)
+        psi = cell_terms[j - 1] if m >= 1 else 0.0
+        return j, psi, m, epsilon_star, _regime(1.0 + math.log(j), n * tail[j - 1])
+
+    cells = multinomial_rate(SimplexVector.from_runs(probs, np.ones(probs.size)), n)
+    _assert_run_ends_match_cells(multinomial_rate(q0, n), cells, counts[1:], cell_terms, expected)
+
+
+class TestRunEndProfile:
+    """Seeded step nulls below the dense cap, with rates from 1e-3 to 1e12."""
+
+    @staticmethod
+    def _step_values(rng, runs: int, low: float, high: float) -> np.ndarray:
+        values = np.sort(10.0 ** rng.uniform(low, high, runs))[::-1]
+        if runs > 1 and rng.random() < 0.3:  # a run tied with the next one
+            values[1] = values[0]
+        return values
+
+    def test_poisson_step_nulls(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(150):
+            runs = int(rng.integers(1, 9))
+            counts = rng.integers(1, 3000, runs)
+            if rng.random() < 0.2:
+                counts[0] = 1  # a lone head
+            _check_poisson_runs(RateVector.from_runs(self._step_values(rng, runs, -3, 12), counts))
+        _check_poisson_runs(RateVector([0.5]))  # p = 1
+
+    def test_poisson_step_nulls_up_to_a_million_cells(self):
+        """The longer the run, the closer its last cells' terms: p = 1e6 is
+        as close as the cap allows in a unit test."""
+        rng = np.random.default_rng(20261021)
+        for high in (12, 0):
+            counts = rng.multinomial(10**6 - 4, np.full(4, 0.25)) + 1
+            _check_poisson_runs(RateVector.from_runs(self._step_values(rng, 4, -3, high), counts))
+        _check_poisson_runs(RateVector.from_runs([1e12, 1.0, 1e-3], [1, 10**6 - 2, 1]))
+
+    def test_multinomial_step_nulls(self):
+        rng = np.random.default_rng(20261022)
+        for _ in range(150):
+            runs = int(rng.integers(1, 7))
+            weights = self._step_values(rng, runs, -4, 0)
+            counts = rng.integers(1, 2000, runs)
+            if rng.random() < 0.3:
+                counts[0] = 1  # a lone head, else the head ties with its run
+            if rng.random() < 0.25:  # a run of zero cells
+                weights, counts = np.r_[weights, 0.0], np.r_[counts, rng.integers(1, 50)]
+            n = float(10.0 ** rng.uniform(0, 15))
+            _check_multinomial_runs(SimplexVector.from_runs(weights / float(counts @ weights), counts), n)
+
+    def test_multinomial_step_null_up_to_a_million_cells(self):
+        counts = np.array([1, 10, 999_979, 10])
+        q0 = SimplexVector.from_runs(np.array([0.5, 0.01, 0.4 / 999_979, 0.0]), counts)
+        for n in (1e3, 1e9, 1e15):
+            _check_multinomial_runs(q0, n)
+
+    def test_inconsistent_profile_is_refused(self):
+        with pytest.raises(ValueError, match="j_star must attain"):
+            RateProfile(1, 1.0, 0, 2.0, "boundary", np.array([1.0, 2.0]))
 
 
 class TestPoissonRate:
@@ -103,10 +215,15 @@ class TestMultinomialRate:
             assert 0.5 <= ratio <= 2.5
 
     def test_zero_cells_contribute_zero(self):
+        """One term per tail run: the run of zero cells gives zero, and so
+        does each zero cell when every cell is a run of its own."""
         profile = multinomial_rate(SimplexVector([0.6, 0.4, 0.0, 0.0]), 50.0)
         assert profile.per_coordinate_terms[1] == 0.0
-        assert profile.per_coordinate_terms[2] == 0.0
+        assert profile.per_coordinate_terms.size == 2
         assert np.isfinite(profile.epsilon_star)
+        cells = multinomial_rate(SimplexVector.from_runs([0.6, 0.4, 0.0, 0.0], [1, 1, 1, 1]), 50.0)
+        assert cells.per_coordinate_terms[1] == 0.0
+        assert cells.per_coordinate_terms[2] == 0.0
 
     @pytest.mark.parametrize(
         "probs, n",
@@ -120,9 +237,10 @@ class TestMultinomialRate:
         ],
     )
     def test_regime_on_run_ends_is_the_profile_regime(self, probs, n):
-        """Zero cells, a head tied with the tail and a lone head included."""
-        q0 = SimplexVector(probs)
-        assert multinomial_regime(q0, n) == multinomial_rate(q0, n).regime
+        """The whole profile on run ends, regime included, is the
+        cell-by-cell one: zero cells, a head tied with the tail and a lone
+        head included."""
+        _check_multinomial_runs(SimplexVector(probs), n)
 
     def test_zero_cell_limit_monotone(self):
         """q * Gamma(log(ej)/(nq)) -> 0 monotonically as q -> 0 (small q)."""

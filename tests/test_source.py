@@ -159,6 +159,56 @@ def test_h_inverse_rule_sees_every_spelling():
     assert [_h_inverse_uses(ast.parse(src)) for src in spellings] == [[1], [1], [1], [1], [2], [2], [], []]
 
 
+_DENSE_VALUES = {"rates", "probs", "tail"}
+
+
+def _dense_value_reads(tree: ast.AST) -> list[int]:
+    """Lines outside a function named ``prob_all_observed`` that read a null's
+    dense values: a ``rates``, ``probs`` or ``tail`` attribute, or one of
+    those names given as a string to ``getattr`` or ``attrgetter``."""
+    exempt = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "prob_all_observed"
+        for node in ast.walk(fn)
+    }
+
+    def reads(node) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr in _DENSE_VALUES
+        if isinstance(node, ast.Call):
+            callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            strings = [arg.value for arg in node.args if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+            return callee in ("getattr", "attrgetter") and bool(_DENSE_VALUES & set(strings))
+        return False
+
+    return sorted({node.lineno for node in ast.walk(tree) if id(node) not in exempt and reads(node)})
+
+
+def test_rate_profiles_read_only_the_runs():
+    """In ``rates`` every profile and level is taken on the null's runs: only
+    ``prob_all_observed``, a product over the first ``k`` coordinates, reads
+    the dense ``rates``, ``probs`` or ``tail``, so ``rate`` works at any p."""
+    path = PACKAGE / "rates.py"
+    assert _dense_value_reads(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_dense_value_rule_sees_every_spelling():
+    spellings = [
+        "def poisson_rate(mu):\n    rates = mu.rates",
+        "tail = q0.probs[1:]",
+        "def multinomial_rate(q0, n):\n    return n * q0.tail",
+        "x = self.base.rates[0]",
+        "rates = getattr(mu, 'rates')",
+        "from operator import attrgetter\nget = attrgetter('probs')",
+        "def prob_all_observed(mu, k):\n    return mu.rates[:k]",
+        "values, counts = mu.runs",
+        "rates = 1.0",
+        "head = q0.head",
+    ]
+    assert [_dense_value_reads(ast.parse(src)) for src in spellings] == [[2], [1], [2], [1], [1], [2], [], [], [], []]
+
+
 _KERNEL_CALLS = {"abs", "absolute", "fabs", "rejects"}
 
 
