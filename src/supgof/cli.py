@@ -210,10 +210,9 @@ def _cmd_test(args) -> None:
             row = int(bad[0])
             raise DataError(f"bad data file {args.data}: data row {row + 1} sums to {sums[row]}, not n = {_fmt(n)}")
         d = multinomial_combined_test(table, null, n, MultinomialTestConfig.from_eta(null, n, args.eta))
-    lines = [
-        _dump_json({"statistic": stat, "threshold": thr, "decision": label})
-        for stat, thr, label in zip(d.statistic, d.threshold, d.label)
-    ]
+    # One json.dumps per column: each row is the dict json.dumps would write.
+    columns = (json.dumps(col.tolist())[1:-1].split(", ") for col in (d.statistic, d.threshold, d.label))
+    lines = [f'{{"statistic": {s}, "threshold": {t}, "decision": {c}}}' for s, t, c in zip(*columns)]
     n_reject = int(np.count_nonzero(d.reject))
     _emit("\n".join(lines) + "\n", args.out, f"test: {n_reject}/{len(table)} rejections at eta={args.eta}")
 

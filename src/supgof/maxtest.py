@@ -157,8 +157,7 @@ class PoissonTestConfig:
         if not c_prime >= 1.0:  # NaN included; refused before log(C') reaches h^{-1}
             raise ValueError(f"c_prime must be >= 1, got {c_prime!r}")
         log_c = math.log(c_prime)
-        threshold, _, _ = _peak_on_run_ends(*mu.runs, lambda js: log_c + 2.0 * np.log(js))
-        return cls(threshold)
+        return cls(_peak_on_run_ends(*mu.runs, lambda js: log_c + 2.0 * np.log(js)).term)
 
     @classmethod
     def from_eta(cls, mu: RateVector, eta: float) -> "PoissonTestConfig":
@@ -209,9 +208,9 @@ class MultinomialTestConfig:
         tail_threshold = 0.0
         if np.any(active):
             log_k2 = math.log(k2)
-            tail_threshold, _, _ = _peak_on_run_ends(
+            tail_threshold = _peak_on_run_ends(
                 variances[active], counts[1:][active], lambda js: log_k2 + 2.0 * np.log(js)
-            )
+            ).term
         return cls(head_threshold, tail_threshold)
 
     @classmethod

@@ -13,6 +13,7 @@ purposes use disjoint substreams reproducibly.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -296,38 +297,67 @@ def _parse_count(cell: str) -> int:
         return int(value)
 
 
+def _parse_row(row: list[str], lineno: int) -> list[int] | None:
+    """The counts of CSV record ``lineno`` (0-based), or None for a header:
+    a first record with a non-numeric cell.  Blank cells are dropped."""
+    try:
+        parsed = list(map(int, row))  # plain integers, the common row
+    except ValueError:  # blanks, float spellings, a header: cell by cell
+        cells = [c.strip() for c in row if c.strip() != ""]
+        try:
+            parsed = list(map(_parse_count, cells))
+        except ValueError:
+            if lineno == 0 and not all(map(_is_number, cells)):
+                return None
+            raise ValueError(f"non-integer entry in CSV row {lineno + 1}: {row!r}")
+    if parsed and (min(parsed) < _INT64_MIN or max(parsed) > _INT64_MAX):
+        raise ValueError(f"count out of range in CSV row {lineno + 1}: {row!r}")
+    return parsed
+
+
+def _read_plain_table(path) -> np.ndarray | None:
+    """The table of a file of plain int64 rows, after an optional header
+    line, in one ``np.loadtxt`` call; None for any file numpy refuses
+    (blanks, float spellings, quotes, ragged rows, int64 overflow, no rows),
+    which the cell-by-cell reader then reads or refuses with its message."""
+    with open(Path(path), newline="") as fh:
+        try:
+            first = fh.readline()
+            if '"' in first:  # a quoted record may not end with its line
+                return None
+            if _parse_row(next(csv.reader([first]), []), 0) is not None:
+                fh.seek(0)  # no header: the first line is data
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy warns on a file without rows
+                table = np.loadtxt(fh, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, OverflowError, csv.Error, Warning):
+            return None
+    return table if table.size else None
+
+
 def read_counts_csv(path, p_expected: int) -> np.ndarray:
     """Read a count table: one row per replicate, ``p_expected`` integer columns.
 
     A first row with a non-numeric cell is a header and is skipped; any
     other row that is not all integers is an error.  Integer cells are read
-    exactly, so every int64 count survives.
+    exactly, so every int64 count survives.  A file of plain integer rows is
+    read by numpy in one call; any other goes cell by cell, with the same
+    result or error.
     """
-    rows: list[list[int]] = []
-    with open(Path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader):
-            try:
-                parsed = list(map(int, row))  # plain integers, the common row
-            except ValueError:  # blanks, float spellings, a header: cell by cell
-                cells = [c.strip() for c in row if c.strip() != ""]
-                try:
-                    parsed = list(map(_parse_count, cells))
-                except ValueError:
-                    if lineno == 0 and not all(map(_is_number, cells)):
-                        continue  # header
-                    raise ValueError(f"non-integer entry in CSV row {lineno + 1}: {row!r}")
-            if not parsed:
-                continue
-            if min(parsed) < _INT64_MIN or max(parsed) > _INT64_MAX:
-                raise ValueError(f"count out of range in CSV row {lineno + 1}: {row!r}")
-            rows.append(parsed)
-    if not rows:
-        raise ValueError(f"no data rows found in {path}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"ragged CSV: row widths {sorted(widths)}")
-    arr = np.asarray(rows, dtype=np.int64)
+    arr = _read_plain_table(path)
+    if arr is None:
+        rows: list[list[int]] = []
+        with open(Path(path), newline="") as fh:
+            for lineno, row in enumerate(csv.reader(fh)):
+                parsed = _parse_row(row, lineno)
+                if parsed:  # neither a header nor a blank row
+                    rows.append(parsed)
+        if not rows:
+            raise ValueError(f"no data rows found in {path}")
+        widths = {len(r) for r in rows}
+        if len(widths) != 1:
+            raise ValueError(f"ragged CSV: row widths {sorted(widths)}")
+        arr = np.asarray(rows, dtype=np.int64)
     if np.any(arr < 0):
         raise ValueError("counts must be nonnegative")
     if arr.shape[1] != p_expected:

@@ -26,7 +26,7 @@ from .divergence import (
     tv_distance,
 )
 from .model import DENSE_RATES_CAP, RateVector, SimplexVector, rng_stream, sample_size_value
-from .rates import multinomial_rate, poisson_rate
+from .rates import _multinomial_peak, _poisson_peak
 from .special import h_inverse
 
 __all__ = [
@@ -64,11 +64,10 @@ class PoissonSpikePrior:
             raise ValueError(f"c must be positive, got {c!r}")
         if not math.e <= big_c < math.inf:  # NaN included
             raise ValueError(f"C (--big-c) must be finite and >= e, got {big_c!r}")
-        j_star = poisson_rate(mu).j_star
-        values, counts = mu.runs
-        mu_star = float(values[np.searchsorted(np.cumsum(counts), j_star)])  # j* ends its run
+        peak = _poisson_peak(*mu.runs)
+        j_star, mu_star = peak.j_star, peak.value
         psi = mu_star * h_inverse((math.log(big_c) + math.log(j_star)) / mu_star)
-        if not math.isfinite(float(values[0]) + c * psi):
+        if not math.isfinite(float(mu.runs[0][0]) + c * psi):
             raise ValueError(f"spike c * psi = {c!r} * {psi!r} makes a spiked rate infinite")
         return cls(mu, j_star, psi, c, big_c)
 
@@ -160,8 +159,10 @@ class MultinomialSimplexPrior:
 
     Categories ``2..j_star+1`` participate; the first coordinate is never
     perturbed.  With ``m = 0`` every draw equals the null.  ``j_star``,
-    ``psi`` and ``m`` come from :func:`~supgof.rates.multinomial_rate`,
-    whose ``psi`` uses ``log(e j*)``.
+    ``psi`` and ``m`` are those of :func:`~supgof.rates.multinomial_rate`,
+    whose ``psi`` uses ``log(e j*)``, taken from the peak of its objective
+    alone, and :meth:`build` reads the null's runs only, so it works at any
+    ``p``.
     """
 
     base: SimplexVector
@@ -178,11 +179,11 @@ class MultinomialSimplexPrior:
         if q0.p < 2:
             raise ValueError("need at least two categories")
         n_val = sample_size_value(n)
-        profile = multinomial_rate(q0, n_val)
-        j_star, psi, m = profile.j_star, profile.psi, profile.m
+        values, counts = q0.runs
+        j_star, psi, m, _, _ = _multinomial_peak(values, counts, n_val)
         if m >= 1:
             removal = c * psi / (n_val * m)
-            floor_prob = float(q0.probs[j_star])  # category j*+1, 0-based index j*
+            floor_prob = float(values[np.searchsorted(np.cumsum(counts), j_star + 1)])  # category j*+1
             if removal > floor_prob + 1e-15:
                 raise ValueError(
                     f"c={c!r} is too large: removal {removal!r} exceeds the smallest "
@@ -221,12 +222,10 @@ def certified_simplex_c(q0: SimplexVector, n: float) -> float:
     ``c = 0.9 * ceil(h) / h`` with ``h = h^{-1}(log(e j*)/nu)`` at
     ``nu = n q0^{-max}(j*)``.
     """
-    n_val = sample_size_value(n)
-    profile = multinomial_rate(q0, n_val)
-    if profile.m == 0:
+    peak = _multinomial_peak(*q0.runs, n)
+    if peak.m == 0:
         return 0.9
-    nu = n_val * float(q0.tail[profile.j_star - 1])
-    h = h_inverse((1.0 + math.log(profile.j_star)) / nu)
+    h = h_inverse((1.0 + math.log(peak.j_star)) / peak.value)  # nu is the peak's value
     return 0.9 * math.ceil(h) / h
 
 

@@ -13,6 +13,11 @@ each objective, and the surrogate behind ``epsilon_star``, peaks at a run
 end.  Only run ends are evaluated (:func:`_on_run_ends`), in O(#runs), and a
 null of any ``p`` given as runs needs no dense array.  A null given one
 value per coordinate has a run per stretch of equal values.
+
+Most callers need only an objective's peak (``j_star``, ``psi``, ``m``, the
+regime, a level or a half-width): :func:`_peak_on_run_ends` bounds blocks of
+runs and evaluates only those that can hold it.  Only :func:`poisson_rate`
+and :func:`multinomial_rate` evaluate every run end, for their terms.
 """
 
 from __future__ import annotations
@@ -84,25 +89,110 @@ def _regime_label(log_ej_star: float, mean_at_jstar: float) -> str:
     return "boundary"
 
 
-def _on_run_ends(values, counts, level, scale: float = 1.0):
-    """``(ends, args, h)`` at the last index ``end_g`` of each run ``g``:
-    ``args_g = level(end_g) / (scale values_g)`` and ``h = h^{-1}(args)``, in
-    one ``h_inverse`` call, which levels stacked by ``level`` (shape
-    ``(k, #runs)``) share.  An infinite argument fails ``h_inverse``'s check."""
-    ends = np.cumsum(counts, dtype=float)
+def _on_run_ends(values, ends, level, scale: float = 1.0):
+    """``(args, h)`` at the run ends ``ends`` of runs of values ``values``:
+    ``args = level(ends) / (scale values)`` and ``h = h^{-1}(args)``, in one
+    ``h_inverse`` call, which levels stacked by ``level`` (shape ``(k,
+    #runs)``) share.  An infinite argument fails ``h_inverse``'s check."""
     with np.errstate(over="ignore", divide="ignore"):  # n * q may underflow to 0
         args = level(ends) / (scale * values)
-    return ends, args, h_inverse(args)
+    return args, h_inverse(args)
 
 
-def _peak_on_run_ends(values, counts, level, scale: float = 1.0) -> tuple[float, int, int]:
-    """``(max_j values_j h^{-1}(level(j) / (scale values_j)), j*, g*)`` over the
-    run ends of ``(values, counts)``, with ``g*`` the run that ends at ``j*``;
-    ``level`` grows with ``j``, and ties between runs break to the smallest index."""
-    ends, _, h = _on_run_ends(values, counts, level, scale)
-    terms = values * h
-    g = int(np.argmax(terms))  # the first maximizer
-    return float(terms[g]), int(ends[g]), g
+class _Peak(NamedTuple):
+    """The largest run-end term ``values_g h^{-1}(level(j*) / (scale values_g))``,
+    its index ``j_star``, the run ``g`` that ends there and ``h``, the
+    ``h^{-1}`` value at ``g``."""
+
+    term: float
+    j_star: int
+    g: int
+    h: float
+
+
+# Below this many runs the peak search is one block: every run end in one
+# h^{-1} call.  Above it the two calls over about sqrt(#runs) blocks cost less.
+_ONE_BLOCK_RUNS = 2048
+# A block is kept when its bound reaches (1 - _PEAK_SLACK) times the best
+# lower bound: 100 times the relative accuracy of h^{-1} (1e-14, checked in
+# the special-function tests), so no block that holds the peak is dropped.
+_PEAK_SLACK = 1e-12
+
+
+def _peak_on_run_ends(values, counts, level, scale: float = 1.0):
+    """The :class:`_Peak` of ``values_g h^{-1}(level(j) / (scale values_g))``
+    over the run ends ``j`` of ``(values, counts)``, or a list of peaks, one
+    per level, when ``level`` stacks levels (shape ``(k, #runs)``).  Ties
+    between runs break to the smallest index.
+
+    ``h`` is convex and increasing on ``[0, inf)`` with ``h(0) = 0``, so
+    ``v h^{-1}(c / v)`` does not decrease in ``v`` or in ``c >= 0``; along
+    the runs ``values`` does not increase and ``level`` grows, so no run of
+    a block ``[a, b]`` of runs has a term above its corner bound
+    ``values_a h^{-1}(level(end_b) / (scale values_a))``.  One ``h^{-1}``
+    call gives each block's bound and its last run's term; a second call
+    evaluates only the blocks whose bound reaches the best of those terms
+    (less ``_PEAK_SLACK``).  With fewer than ``_ONE_BLOCK_RUNS`` runs there
+    is one block, and one call.  The peak is the full evaluation's, bit
+    for bit: each run's term is computed the same way in either.
+    """
+    ends = np.cumsum(counts, dtype=float)
+    runs = values.size
+    width = runs if runs < _ONE_BLOCK_RUNS else math.isqrt(runs)
+    if width == runs:
+        idx = np.arange(runs)
+    else:
+        starts = np.arange(0, runs, width)
+        lasts = np.minimum(starts + width, runs) - 1
+        corners = np.r_[values[starts], values[lasts]]
+        _, h = _on_run_ends(corners, np.r_[ends[lasts], ends[lasts]], level, scale)
+        bound, lower = np.split(corners * h, 2, axis=-1)
+        keep = bound >= (1.0 - _PEAK_SLACK) * lower.max(axis=-1, keepdims=True)
+        kept = starts[np.any(keep.reshape(-1, starts.size), axis=0)]
+        idx = (kept[:, None] + np.arange(width)).ravel()
+        idx = idx[idx < runs]
+    _, h = _on_run_ends(values[idx], ends[idx], level, scale)
+    terms = values[idx] * h
+    best = np.argmax(terms, axis=-1)  # the first maximizer of each level
+    peaks = [
+        _Peak(float(t[i]), int(ends[idx[i]]), int(idx[i]), float(hs[i]))
+        for t, hs, i in zip(np.atleast_2d(terms), np.atleast_2d(h), np.atleast_1d(best))
+    ]
+    return peaks if terms.ndim == 2 else peaks[0]
+
+
+class _RatePeak(NamedTuple):
+    """The scalar fields of a :class:`RateProfile` but ``epsilon_star``, and
+    ``value``, the null's value at ``j_star`` (in count units ``n q`` for the
+    multinomial model)."""
+
+    j_star: int
+    psi: float
+    m: int
+    regime: str
+    value: float
+
+
+def _poisson_peak(values, counts) -> _RatePeak:
+    """The peak of :func:`poisson_rate`'s objective on the runs ``(values, counts)``."""
+    term, j_star, g, _ = _peak_on_run_ends(values, counts, _log_ej)
+    value = float(values[g])
+    return _RatePeak(j_star, term, 0, _regime_label(1.0 + math.log(j_star), value), value)
+
+
+def _multinomial_peak(values, counts, n: float) -> _RatePeak:
+    """The peak of :func:`multinomial_rate`'s objective on the runs ``(values,
+    counts)``, the head a run of its own."""
+    n_val = sample_size_value(n)
+    tail, counts = values[1:], counts[1:]
+    k = np.count_nonzero(tail)  # the zero cells, if any, are the last runs
+    if k == 0:
+        return _RatePeak(1, 0.0, 0, "boundary", 0.0)
+    mus = n_val * tail[:k]
+    term, j_star, g, h = _peak_on_run_ends(mus, counts[:k], _log_ej)
+    m = min(math.ceil(h), j_star - 1)
+    value = float(mus[g])
+    return _RatePeak(j_star, term if m >= 1 else 0.0, m, _regime_label(1.0 + math.log(j_star), value), value)
 
 
 def poisson_rate(mu: RateVector) -> RateProfile:
@@ -117,13 +207,10 @@ def poisson_rate(mu: RateVector) -> RateProfile:
 
 def _poisson_profile(values, counts) -> RateProfile:
     """:func:`poisson_rate` of the null with runs ``(values, counts)``."""
-    ends, args, h = _on_run_ends(values, counts, _log_ej)
-    terms = values * h
-    g = int(np.argmax(terms))  # the first maximizer
-    j_star = int(ends[g])
+    peak = _poisson_peak(values, counts)
+    args, h = _on_run_ends(values, np.cumsum(counts, dtype=float), _log_ej)
     epsilon_star = 1.0 + float(np.max(values * gamma_rate(args)))
-    regime = _regime_label(1.0 + math.log(j_star), float(values[g]))
-    return RateProfile(j_star, float(terms[g]), 0, epsilon_star, regime, terms)
+    return RateProfile(peak.j_star, peak.psi, 0, epsilon_star, peak.regime, values * h)
 
 
 def multinomial_rate(q0: SimplexVector, n: float) -> RateProfile:
@@ -143,22 +230,17 @@ def _multinomial_profile(values, counts, n: float) -> RateProfile:
     """:func:`multinomial_rate` of the null with runs ``(values, counts)``,
     the head a run of its own."""
     n_val = sample_size_value(n)
-    head, tail, counts = float(values[0]), values[1:], counts[1:]
+    head, tail = float(values[0]), values[1:]
     parametric = 1.0 / n_val + math.sqrt(head * (1.0 - head) / n_val)
-    terms = np.zeros(tail.size)
-    k = np.count_nonzero(tail)  # the zero cells, if any, are the last runs
-    if k == 0:
-        return RateProfile(1, 0.0, 0, parametric, "boundary", terms)
-    mus = n_val * tail[:k]
-    ends, args, h = _on_run_ends(mus, counts[:k], _log_ej)
-    terms[:k] = mus * h
-    g = int(np.argmax(terms))  # the first maximizer
-    j_star = int(ends[g])
-    m = min(math.ceil(h[g]), j_star - 1)
-    psi = float(terms[g]) if m >= 1 else 0.0
-    epsilon_star = parametric + float(np.max(tail[:k] * gamma_rate(args)))
-    regime = _regime_label(1.0 + math.log(j_star), float(mus[g]))
-    return RateProfile(j_star, psi, m, epsilon_star, regime, terms)
+    peak = _multinomial_peak(values, counts, n_val)
+    terms, epsilon_star = np.zeros(tail.size), parametric
+    k = np.count_nonzero(tail)  # the zero cells contribute zero
+    if k:
+        mus = n_val * tail[:k]
+        args, h = _on_run_ends(mus, np.cumsum(counts[1 : k + 1], dtype=float), _log_ej)
+        terms[:k] = mus * h
+        epsilon_star = parametric + float(np.max(tail[:k] * gamma_rate(args)))
+    return RateProfile(peak.j_star, peak.psi, peak.m, epsilon_star, peak.regime, terms)
 
 
 def prob_all_observed(mu: RateVector, k: int) -> float:
@@ -204,7 +286,7 @@ def sharp_constant_epsilon(
     _check_xi(xi)
     if mu.runs[0][-1] < 1.0:
         raise ValueError("the sharp-constant setup assumes all rates >= 1")
-    level, j_star, _ = _peak_on_run_ends(*mu.runs, lambda js: _inflated_log(js, alpha_p))
+    level, j_star, _, _ = _peak_on_run_ends(*mu.runs, lambda js: _inflated_log(js, alpha_p))
     value = float(xi) * level
     if not math.isfinite(value):
         raise OverflowError(f"the separation xi * {level!r} overflows at xi = {float(xi)!r}")
@@ -222,7 +304,8 @@ def multinomial_sharp_constant_level(
     ``q(1-q)`` of the tail cells.  The mass-removal count ``m`` is clamped
     to at least 2 whenever it is positive.  Both objectives, the critical
     index and ``m`` are computed on the run ends of the tail only, so in
-    O(#runs), and both objectives in one ``h_inverse`` call (:func:`_on_run_ends`).
+    O(#runs), and both objectives share the peak search's ``h_inverse`` calls
+    (:func:`_peak_on_run_ends`).
     """
     _check_alpha_p(alpha_p)
     n_val = sample_size_value(n)
@@ -234,12 +317,11 @@ def multinomial_sharp_constant_level(
     if tail.size == 0:
         raise ValueError("need at least two categories")
     v = tail * (1.0 - tail)
-    # The plain and the inflated objective share one h^{-1} call.
-    ends, _, h = _on_run_ends(v, counts, lambda js: np.stack([_log_ej(js), _inflated_log(js, alpha_p)]), n_prime)
-    plain, inflated = v * h
-    g = int(np.argmax(inflated))  # the first maximizer
-    j_star = int(ends[g])
+    # The plain and the inflated objective share the search's h^{-1} calls.
+    plain, (_, j_star, g, _) = _peak_on_run_ends(
+        v, counts, lambda js: np.stack([_log_ej(js), _inflated_log(js, alpha_p)]), n_prime
+    )
     mu_star = n_prime * float(tail[g])
     m_raw = max(2, math.ceil(h_inverse((1.0 + math.log(j_star)) / mu_star)))
     m = min(m_raw, j_star - 1)
-    return float(plain.max()), j_star, n_prime, m
+    return plain.term, j_star, n_prime, m

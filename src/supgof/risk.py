@@ -45,9 +45,9 @@ from .priors import MultinomialSimplexPrior, PoissonSpikePrior
 from .rates import (
     _check_alpha_p,
     _check_xi,
-    multinomial_rate,
+    _multinomial_peak,
+    _poisson_peak,
     multinomial_sharp_constant_level,
-    poisson_rate,
     sharp_constant_epsilon,
 )
 from .special import AtomBudgetError
@@ -73,8 +73,9 @@ _TRIM = 1e-14
 
 
 def _poisson_below(lo: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """``P_lam(X < lo)`` for ``lo >= 0``."""
-    return np.where(lo >= 1.0, pdtr(np.maximum(lo - 1.0, 0.0), lam), 0.0)
+    """``P_lam(X < lo)`` for ``lo >= 0``, with ``pdtr`` evaluated only where
+    ``lo >= 1``: elsewhere it is 0, and in many boxes that is most cells."""
+    return pdtr(lo - 1.0, lam, out=np.zeros(np.broadcast(lo, lam).shape), where=lo >= 1.0)
 
 
 def _box_mass(box: AcceptanceBox, lam) -> np.ndarray:
@@ -807,7 +808,7 @@ def sweep_sharp_constant(
         null.risk(null.bayes(PoissonSpikePrior(mu, j_star, level, xi, math.e), f" at xi={xi!r}"), seed)
         for xi in xi_grid.tolist()
     )
-    return SweepResult(xi_grid, epsilons, estimates, poisson_rate(mu).regime)
+    return SweepResult(xi_grid, epsilons, estimates, _poisson_peak(values, counts).regime)
 
 
 def sweep_multinomial_sharp_constant(
@@ -867,4 +868,4 @@ def sweep_multinomial_sharp_constant(
         null.risk(null.bayes(MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0), f" at xi={xi!r}"), seed)
         for xi, eps in zip(xi_grid.tolist(), epsilons.tolist())
     )
-    return SweepResult(xi_grid, epsilons, estimates, multinomial_rate(q0, n).regime)
+    return SweepResult(xi_grid, epsilons, estimates, _multinomial_peak(values, counts, n).regime)

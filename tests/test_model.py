@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import supgof.model as model
 from supgof.model import (
     DENSE_RATES_CAP,
     MAX_P,
@@ -242,3 +245,51 @@ class TestCsvIngestion:
         f = tmp_path / "floats.csv"
         f.write_text("3.0,1e3,+4,-0.0\n")
         np.testing.assert_array_equal(read_counts_csv(f, p_expected=4), [[3, 1000, 4, 0]])
+
+    def test_numpy_reader_matches_the_cell_reader(self, tmp_path):
+        """On random CSV text the table, or the error, is the cell-by-cell
+        reader's: numpy reads only what that reader would read the same way."""
+        cell = st.one_of(
+            st.integers(-5, 10**6).map(str),
+            st.integers(2**62, 2**64).map(str),
+            st.sampled_from(["", " ", " 7 ", "+4", "-0", "3.0", "1e3", "1.5", "nan", "inf", "a", '"1"', "0x1", "1_0", "\t2"]),
+        )
+        line = st.lists(cell, min_size=1, max_size=4).map(",".join)
+        table = st.tuples(st.lists(line, max_size=5), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans()).map(
+            lambda t: t[1].join(t[0]) + (t[1] if t[2] else "")
+        )
+        text = st.one_of(table, st.text(alphabet='0123456789,.-+e "a\n\r\t', max_size=40))
+        path = tmp_path / "counts.csv"
+
+        def outcome(p_expected):
+            try:
+                arr = read_counts_csv(path, p_expected)
+            except (OSError, ValueError) as exc:
+                return type(exc), str(exc)
+            assert arr.dtype == np.int64
+            return arr.shape, arr.tolist()
+
+        @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+        @given(text=text, p_expected=st.integers(1, 4))
+        def run(text, p_expected):
+            path.write_bytes(text.encode())
+            fast = outcome(p_expected)
+            taken.append(model._read_plain_table(path) is not None)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(model, "_read_plain_table", lambda path: None)
+                assert fast == outcome(p_expected)
+
+        taken = []
+        run()
+        assert 0 < sum(taken) < len(taken)  # both readers were reached
+
+    def test_plain_rows_are_read_by_numpy(self, tmp_path, monkeypatch):
+        """A header line then plain integer rows take the one-call path: only
+        the first line is parsed cell by cell, to tell a header."""
+        f = tmp_path / "plain.csv"
+        f.write_text("a,b\n1,2\r\n3,4\n5,6\n")
+        parsed = []
+        parse_row = model._parse_row
+        monkeypatch.setattr(model, "_parse_row", lambda row, lineno: parsed.append(lineno) or parse_row(row, lineno))
+        np.testing.assert_array_equal(read_counts_csv(f, p_expected=2), [[1, 2], [3, 4], [5, 6]])
+        assert parsed == [0]

@@ -27,7 +27,7 @@ from supgof.priors import (
     multinomial_parametric_alternative,
     verify_flattening,
 )
-from supgof.rates import poisson_rate
+from supgof.rates import multinomial_rate, poisson_rate
 from supgof.special import h_inverse
 
 
@@ -266,6 +266,25 @@ class TestSimplexPrior:
         q0, n = self._uniform_null()
         with pytest.raises(ValueError):
             MultinomialSimplexPrior.build(q0, n, 100.0)
+
+    def test_builds_on_runs_past_the_cap(self):
+        """j*, psi, m and the floor cell come from the runs, so a flat null
+        of 1e15 cells needs no dense probabilities; below the cap the runs
+        and the cells give the same prior and the same certified c."""
+        q0, n = SimplexVector.from_runs([1e-15], [10**15]), 1.26e18
+        c = certified_simplex_c(q0, n)
+        prior = MultinomialSimplexPrior.build(q0, n, c)
+        profile = multinomial_rate(q0, n)
+        assert (prior.j_star, prior.psi, prior.m) == (profile.j_star, profile.psi, profile.m)
+        assert (prior.j_star, prior.m) == (10**15 - 1, 1)
+        assert c == 0.9 * 1 / h_inverse((1.0 + math.log(10**15 - 1)) / 1260.0)
+        small = SimplexVector.from_runs([0.1, 0.02, 0.0015], [3, 20, 200])
+        dense = SimplexVector(np.repeat(*small.runs))
+        fields = lambda b: (b.j_star, b.psi, b.m, b.c)
+        for n in (50.0, 1e3, 1e5):
+            assert certified_simplex_c(small, n) == certified_simplex_c(dense, n)
+            c = certified_simplex_c(dense, n)
+            assert fields(MultinomialSimplexPrior.build(small, n, c)) == fields(MultinomialSimplexPrior.build(dense, n, c))
 
 
 class TestFlattening:

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import supgof.rates as rates
+from supgof.maxtest import PoissonTestConfig
 from supgof.model import RateVector, SimplexVector
 from supgof.rates import (
     RateProfile,
@@ -16,8 +18,8 @@ from supgof.rates import (
     prob_all_observed,
     sharp_constant_epsilon,
 )
-from supgof.risk import sweep_multinomial_sharp_constant
-from supgof.special import gamma_rate, h_inverse
+from supgof.risk import sweep_multinomial_sharp_constant, sweep_sharp_constant
+from supgof.special import SolverError, gamma_rate, h_inverse
 
 
 def brute_force_argmax(objective: np.ndarray) -> int:
@@ -138,6 +140,131 @@ class TestRunEndProfile:
     def test_inconsistent_profile_is_refused(self):
         with pytest.raises(ValueError, match="j_star must attain"):
             RateProfile(1, 1.0, 0, 2.0, "boundary", np.array([1.0, 2.0]))
+
+
+def _full_peaks(values, counts, level, scale: float = 1.0) -> list[tuple]:
+    """``(term, j*, g*, h at g*)`` of every level by the full evaluation:
+    every run end in one ``h_inverse`` call, the first maximizer by a scan."""
+    ends = np.cumsum(counts, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        args = level(ends) / (scale * values)
+    h = np.atleast_2d(h_inverse(args))
+    out = []
+    for hs in h:
+        terms = values * hs
+        g = int(np.flatnonzero(terms == terms.max())[0])
+        out.append((float(terms[g]), int(ends[g]), g, float(hs[g])))
+    return out
+
+
+def _searched_peaks(values, counts, level, scale: float = 1.0) -> list[tuple]:
+    found = rates._peak_on_run_ends(values, counts, level, scale)
+    return [tuple(peak) for peak in (found if isinstance(found, list) else [found])]
+
+
+_ALPHA_P = math.log(1e4)
+# The rate levels that callers search: Poisson log(e j), the max test's
+# calibration log(C' j^2) and the multinomial sharp-constant pair, stacked.
+_PEAK_LEVELS = {
+    "poisson": (rates._log_ej, lambda n: 1.0),
+    "calibration": (lambda js: math.log(12.5) + 2.0 * np.log(js), lambda n: 1.0),
+    "stacked": (lambda js: np.stack([rates._log_ej(js), rates._inflated_log(js, _ALPHA_P)]), lambda n: 1.3 * n),
+    # Flat past j = 40: equal values in runs ending past it tie.
+    "capped": (lambda js: np.minimum(rates._log_ej(js), 1.0 + math.log(40.0)), lambda n: 1.0),
+}
+
+
+class TestPeakSearch:
+    """The blocked peak search equals the full evaluation bit for bit."""
+
+    CUT = rates._ONE_BLOCK_RUNS
+
+    @staticmethod
+    def _null(rng, runs: int):
+        kind = rng.integers(4)
+        if kind == 0:  # decaying, the peak inside
+            values = 1.0 + 10.0 ** rng.uniform(0, 3) / np.sqrt(np.arange(1, runs + 1))
+        elif kind == 1:  # a few distinct values, so tied neighbours
+            values = np.sort(rng.choice(10.0 ** rng.uniform(-3, 6, 4), runs))[::-1]
+        elif kind == 2:  # flat
+            values = np.full(runs, 10.0 ** rng.uniform(-2, 4))
+        else:
+            values = np.sort(10.0 ** rng.uniform(-3, 12, runs))[::-1]
+        counts = np.ones(runs, dtype=np.int64) if rng.random() < 0.4 else rng.integers(1, 10**6, runs)
+        return values, counts
+
+    def test_equals_the_full_evaluation(self):
+        rng = np.random.default_rng(20261027)
+        sizes = [1, 2, 3, 50, self.CUT - 1, self.CUT, self.CUT + 1, 2 * self.CUT + 7, 5000]
+        for case in range(320):
+            runs = sizes[case % len(sizes)] if case < 3 * len(sizes) else int(rng.integers(1, 5000))
+            values, counts = self._null(rng, runs)
+            for level, scale in _PEAK_LEVELS.values():
+                n = float(10.0 ** rng.uniform(0, 6))
+                assert _searched_peaks(values, counts, level, scale(n)) == _full_peaks(values, counts, level, scale(n))
+
+    def test_flat_objective_keeps_every_block_and_takes_the_first_run(self):
+        """Equal values and a constant level give equal terms in every run."""
+        values, counts = np.full(3 * self.CUT, 2.5), np.ones(3 * self.CUT, dtype=np.int64)
+        level = lambda js: np.full(js.shape, 3.0)
+        peak = rates._peak_on_run_ends(values, counts, level)
+        assert tuple(peak) == _full_peaks(values, counts, level)[0]
+        assert (peak.j_star, peak.g) == (1, 0)
+
+    def test_a_million_runs_evaluates_few(self, monkeypatch):
+        """On the decaying null at 1e6 runs the search evaluates at most 5 %
+        of the run ends, and its peak is the full evaluation's."""
+        p = 10**6
+        values, counts = 1.0 + 100.0 / np.sqrt(np.arange(1, p + 1)), np.ones(p, dtype=np.int64)
+        level = lambda js: rates._inflated_log(js, math.log(p))
+        seen = []
+
+        def counted(y):
+            seen.append(np.size(y))
+            return h_inverse(y)
+
+        monkeypatch.setattr(rates, "h_inverse", counted)
+        peak = rates._peak_on_run_ends(values, counts, level)
+        assert len(seen) == 2 and sum(seen) <= 0.05 * p
+        mu = RateVector(values)
+        seen.clear()
+        assert sharp_constant_epsilon(mu, math.log(p), 1.0) == (peak.term, peak.j_star)
+        PoissonTestConfig.from_eta(mu, 0.1)
+        assert sum(seen) <= 0.1 * p
+        monkeypatch.setattr(rates, "h_inverse", h_inverse)
+        assert tuple(peak) == _full_peaks(values, counts, level)[0]
+
+    @pytest.mark.parametrize("runs", [50, 3 * rates._ONE_BLOCK_RUNS])
+    @pytest.mark.parametrize("last", [0.0, 5e-324])
+    def test_zero_or_underflowed_value_fails_at_the_same_y(self, runs, last):
+        """A zero or underflowed value inside a block makes an infinite
+        argument: the search fails as the full evaluation does, at the same y."""
+        values = np.r_[np.linspace(9.0, 1.0, runs - runs // 3), np.full(runs // 3, last)]
+        counts = np.ones(runs, dtype=np.int64)
+        with pytest.raises(SolverError) as full:
+            _full_peaks(values, counts, rates._log_ej)
+        with pytest.raises(SolverError) as searched:
+            rates._peak_on_run_ends(values, counts, rates._log_ej)
+        assert str(searched.value) == str(full.value) == "h_inverse missed its tolerance at y=inf"
+        if last:
+            with pytest.raises(SolverError, match="y=inf"):
+                PoissonTestConfig.from_eta(RateVector(values), 0.1)
+
+    def test_sweeps_past_the_cut_over_give_the_full_evaluations_rows(self, monkeypatch):
+        """With one block the search is the full evaluation: the sweeps' rows
+        past the cut-over are the same either way."""
+        p = 4 * self.CUT
+        mu = RateVector(1.0 + 100.0 / np.sqrt(np.arange(1, p + 1)))
+        weights = 1.0 / np.arange(1, p + 1) ** 0.3
+        q0 = SimplexVector(weights / weights.sum())
+        jobs = [
+            lambda: sweep_sharp_constant(mu, [0.5, 1.0, 2.0], math.log(p), 1, 7).rows(),
+            lambda: sweep_multinomial_sharp_constant(q0, 1e7, [0.5, 1.0, 2.0], math.log(p), 1, 7, True).rows(),
+            lambda: sweep_multinomial_sharp_constant(q0, 1e7, [0.5, 2.0], math.log(p), 1, 7).rows(),
+        ]
+        searched = [job() for job in jobs]
+        monkeypatch.setattr(rates, "_ONE_BLOCK_RUNS", 10**9)
+        assert searched == [job() for job in jobs]
 
 
 class TestPoissonRate:

@@ -159,6 +159,45 @@ def test_h_inverse_rule_sees_every_spelling():
     assert [_h_inverse_uses(ast.parse(src)) for src in spellings] == [[1], [1], [1], [1], [2], [2], [], []]
 
 
+_PROFILES = {"poisson_rate", "multinomial_rate", "_poisson_profile", "_multinomial_profile"}
+
+
+def _profile_uses(tree: ast.AST) -> list[int]:
+    """Lines that import a full rate profile from any module, or reach it as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and any(alias.name in _PROFILES for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr in _PROFILES)
+    ]
+
+
+def test_only_cli_and_rates_build_full_profiles():
+    """A full profile computes ``h^{-1}`` at every run end, which only
+    ``rate``'s ``terms`` need: every other caller takes the peak alone
+    (``rates._poisson_peak``, ``rates._multinomial_peak``, ``rates._peak_on_run_ends``)."""
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("cli.py", "rates.py")
+        for line in _profile_uses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_profile_rule_sees_every_spelling():
+    spellings = [
+        "from .rates import poisson_rate",
+        "from .rates import multinomial_rate as profile",
+        "from supgof.rates import _poisson_profile, _peak_on_run_ends",
+        "from . import rates\nrates._multinomial_profile(values, counts, n)",
+        "import supgof.rates as r\nregime = r.poisson_rate(mu).regime",
+        "from .rates import _poisson_peak, _multinomial_peak",
+        "poisson_rate = 1.0",
+    ]
+    assert [_profile_uses(ast.parse(src)) for src in spellings] == [[1], [1], [1], [2], [2], [], []]
+
+
 _DENSE_VALUES = {"rates", "probs", "tail"}
 
 
