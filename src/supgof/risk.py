@@ -16,12 +16,9 @@ a vector of independent ``Y_j ~ Poisson(n q_j)`` conditioned on
 
     ``P(X in box) = P(Y in box, sum Y = n) / P(Poisson(Lambda) = n)``,
 
-``Lambda = sum_j n q_j``, and the numerator is one coefficient of a product
-of box-truncated Poisson pmfs, formed by FFT (:class:`_FixedN`).
-Every partial product is kept only on its mass window: cut at that
-coefficient's degree, with the outer coefficients below ``_TRIM`` times its
-largest dropped and their mass summed into the error bound, so a product's
-length follows its standard deviation rather than its degree.
+``Lambda = n sum_j q_j``, and the numerator is one coefficient of a product
+of box-truncated Poisson pmfs, held by its values at the few frequencies
+where it carries mass and inverted by one direct sum (:class:`_FixedN`).
 Each public route builds its box and the null's law, which gives Type I,
 and asks the law of the alternative's own cells (a prior's base included)
 for Type II.  Every result is exact and reports 0 trials and a zero
@@ -61,15 +58,12 @@ __all__ = [
     "sweep_multinomial_sharp_constant",
 ]
 
-# Fixed-n route: the most polynomial terms one product level may hold, and the
-# longest product kept (t + 1 coefficients); past either, AtomBudgetError.
+# Fixed-n route: the most terms one row table or pool-product level may hold,
+# and the longest product taken (t + 1 coefficients); past either, AtomBudgetError.
 _MAX_TERMS = 1 << 22
-# A fixed-n product keeps the span of its coefficients above _TRIM times its
-# largest.  Round-off stays below about 3e-16 of the largest (the worst
-# negative coefficient over the benchmark's fixed-n products and powers up to
-# count 1e6), so the window's edges follow the law's tails, about 8 standard
-# deviations out, and not the noise.
-_TRIM = 1e-14
+# A fixed-n grid keeps both the aliased mass and the dropped frequencies' share
+# of the numerator below _TAIL (see _choose_grid).
+_TAIL = 1e-18
 
 
 def _poisson_below(lo: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -294,171 +288,65 @@ def estimate_poisson_risk(
     return _PoissonCells(box, mu.rates, ones).risk(type2, seed)
 
 
-def _fft_len(size: int) -> int:
-    """Smallest ``f * 2^k >= size`` with ``f`` in {1, 3, 5, 9, 15}: a fast FFT length."""
-    return min(f << (-(-size // f) - 1).bit_length() for f in (1, 3, 5, 9, 15))
-
-
-class _Poly(NamedTuple):
-    """``sum_i coeffs[..., i] z^(offset + i)``, and the mass that windowing
-    dropped on the way to it, summed as it was dropped.  ``offset`` and
-    ``trimmed`` are per row when ``coeffs`` holds a batch of rows."""
-
-    offset: int | np.ndarray
-    coeffs: np.ndarray
-    trimmed: float | np.ndarray = 0.0
-
-
-_ONE = _Poly(0, np.ones(1))
-
-
-def _cut(z: np.ndarray, size: int, t: int) -> np.ndarray:
-    """The first ``min(size, t + 1)`` coefficients of an inverse FFT, negative round-off set to 0.
-
-    Cutting at degree ``t`` is exact for every coefficient kept: a product's
-    coefficient ``k`` involves only its factors' coefficients up to ``k``.
-    """
-    return np.maximum(z[..., : min(size, t + 1)], 0.0)
-
-
-def _window(z: np.ndarray, offset, trimmed, t: int) -> _Poly:
-    """The product ``z`` (its column ``i`` is degree ``offset + i``, per row),
-    cut at degree ``t`` as :func:`_cut` does and clipped in place, with the
-    leading and trailing columns dropped where no row exceeds ``_TRIM`` times
-    its own largest coefficient: one shared column window for a batch, each
-    row keeping its offset.  What is dropped is added to ``trimmed``.
-
-    A batch is cut at its lowest offset's degree ``t``, so a row with a
-    higher offset may keep coefficients past ``t``; no coefficient up to
-    ``t`` involves them.
-    """
-    z = z[..., : max(1, t - int(np.min(offset)) + 1)]
-    np.maximum(z, 0.0, out=z)
-    kept = z > _TRIM * z.max(axis=-1, keepdims=True)  # a zero row keeps nothing
-    cols = np.flatnonzero(kept.reshape(-1, z.shape[-1]).any(axis=0))
-    lo, hi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 1)
-    dropped = z[..., :lo].sum(axis=-1) + z[..., hi:].sum(axis=-1)
-    return _Poly(offset + lo, z[..., lo:hi], trimmed + dropped)
-
-
-def _mul(x: _Poly, y: _Poly, t: int) -> _Poly:
-    """Product of the polynomials ``x`` and ``y``, cut at degree ``t`` and windowed (:func:`_window`)."""
-    size = x.coeffs.size + y.coeffs.size - 1
-    nfft = _fft_len(size)
-    fx = np.fft.rfft(x.coeffs, nfft)
-    fy = fx if y is x else np.fft.rfft(y.coeffs, nfft)
-    return _window(np.fft.irfft(fx * fy, nfft)[:size], x.offset + y.offset, x.trimmed + y.trimmed, t)
-
-
-def _power(x: _Poly, count: int, t: int) -> _Poly:
-    """``x ** count`` cut at degree ``t`` and windowed, by repeated squaring
-    from the top bit down, so every other product has the short factor ``x``."""
-    if count == 0:
-        return _ONE
-    out = x
-    for bit in bin(count)[3:]:
-        out = _mul(out, out, t)
-        if bit == "1":
-            out = _mul(out, x, t)
-    return out
-
-
-def _tree_product(rows: np.ndarray, t: int) -> _Poly:
-    """Product of the polynomials ``rows[r]`` over ``r``, cut at degree ``t`` and windowed.
-
-    Neighbours multiply pairwise, level by level, each level in one batched
-    ``rfft`` and windowed as one batch (:func:`_window`); an odd last row is
-    carried up a level, zero-padded with the products to one width.
-    """
-    if rows.shape[0] == 0:
-        return _ONE
-    offset, trimmed = np.zeros(rows.shape[0], dtype=np.int64), np.zeros(rows.shape[0])
-    while rows.shape[0] > 1:
-        pairs = rows.shape[0] // 2 * 2
-        size = 2 * rows.shape[1] - 1
-        nfft = _fft_len(size)
-        f = np.fft.rfft(rows[:pairs], nfft)
-        f = f[0::2] * f[1::2]  # frees the rows' spectra before the inverse FFT
-        level = _window(
-            np.fft.irfft(f, nfft)[:, :size],
-            offset[0:pairs:2] + offset[1:pairs:2],
-            trimmed[0:pairs:2] + trimmed[1:pairs:2],
-            t,
-        )
-        if rows.shape[0] % 2:
-            carried = np.zeros((level.coeffs.shape[0] + 1, max(level.coeffs.shape[1], rows.shape[1])))
-            carried[:-1, : level.coeffs.shape[1]] = level.coeffs
-            carried[-1, : rows.shape[1]] = rows[-1]
-            level = _Poly(np.r_[level.offset, offset[-1]], carried, np.r_[level.trimmed, trimmed[-1]])
-        offset, rows, trimmed = level
-    return _Poly(int(offset[0]), rows[0], float(trimmed[0]))
-
-
-def _coefficient(x: _Poly, y: _Poly, t: int) -> float:
-    """Coefficient ``t`` of the product ``x * y``."""
-    s = t - x.offset - y.offset  # x.coeffs[k] meets y.coeffs[s - k]
-    k = np.arange(max(0, s - y.coeffs.size + 1), min(x.coeffs.size, s + 1))
-    return float(y.coeffs[s - k] @ x.coeffs[k])
-
-
 def _check_terms(terms: int, what: str) -> None:
     if terms > _MAX_TERMS:
-        raise AtomBudgetError(
-            f"exact fixed-n risk needs {terms} {what}, over the cap of {_MAX_TERMS}"
-        )
+        raise AtomBudgetError(f"exact fixed-n risk needs {terms} {what}, over the cap of {_MAX_TERMS}")
 
 
-def _cell_rows(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int) -> np.ndarray:
-    """``P(Y_j = lo_j + k)`` for ``Y_j ~ Poisson(lam_j)`` and ``k = 0..min(hi_j - lo_j, t)``:
-    one zero-padded row per cell.
+class _Rows(NamedTuple):
+    """Box rows of Poisson cells about their modes: ``table[g, left + d]`` is
+    ``P(Y_g = lo_g + mode[g] + d)``, ``Y_g ~ Poisson(lam[g])``, 0 outside the
+    box ``[lo_g, lo_g + width[g]]``; ``mass`` and ``var`` are row sums and variances."""
 
-    A row runs out from the cell's mode within its box by the ratios
-    ``P(k) / P(k - 1) = lam / k``, summed in logs as ``log1p`` of their small
-    part, and is scaled to the mass :meth:`AcceptanceBox.mass` gives the
-    (cut) box, so it keeps that accuracy; a value ``k`` steps from the mode
-    errs by a further relative ``k eps`` or so.
-    """
+    table: np.ndarray
+    left: int
+    mode: np.ndarray
+    width: np.ndarray
+    lam: np.ndarray
+    mass: np.ndarray
+    var: np.ndarray
+
+
+def _cell_rows(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: int) -> _Rows:
+    """``P(Y_g = lo_g + k)`` for ``Y_g ~ Poisson(lam_g)`` and ``k = 0..min(hi_g - lo_g, t)``,
+    one row per cell about its mode in the box (:class:`_Rows`): cumulative
+    products, in place, of the ratios ``lam / x`` to the right and ``(x + 1)
+    / lam`` to the left, each at most 1, scaled to the mass
+    :meth:`AcceptanceBox.mass` gives the (cut) box, so a value ``k`` steps
+    from the mode errs by a further relative ``k eps`` or so."""
     hi = np.minimum(hi, lo + t)
-    width = hi - lo
-    span = np.arange(int(width.max()) + 1)
-    counts = lo[:, None] + span[1:]
-    with np.errstate(divide="ignore"):  # a zero rate: log1p(-1)
-        steps = np.log1p((lam[:, None] - counts) / counts)
-    logs = np.concatenate([np.zeros((lam.size, 1)), np.cumsum(steps, axis=1)], axis=1)
-    mode = (np.clip(np.floor(lam), lo, hi) - lo).astype(np.intp)
-    logs = np.where(span > width[:, None], -np.inf, logs - logs[np.arange(lam.size), mode][:, None])
-    rows = np.exp(logs)
-    return rows * (_box_mass(AcceptanceBox(lo, hi), lam) / rows.sum(axis=1))[:, None]
+    width = (hi - lo).astype(np.int64)
+    mode = (np.clip(np.floor(lam), lo, hi) - lo).astype(np.int64)
+    left = int(mode.max())
+    d = np.arange(-left, int((width - mode).max()) + 1)
+    table = np.add.outer(lo + mode, d.astype(float))  # the count each entry stands for
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # only outside the boxes
+        np.divide(lam[:, None], table[:, left + 1 :], out=table[:, left + 1 :])
+        np.add(table[:, :left], 1.0, out=table[:, :left])
+        np.divide(table[:, :left], lam[:, None], out=table[:, :left])
+        table[:, left] = 1.0
+        np.multiply.accumulate(table[:, left:], axis=1, out=table[:, left:])
+        np.multiply.accumulate(table[:, left::-1], axis=1, out=table[:, left::-1])
+    np.copyto(table, 0.0, where=(d < -mode[:, None]) | (d > (width - mode)[:, None]))
+    table *= (_box_mass(AcceptanceBox(lo, hi), lam) / table.sum(axis=1))[:, None]
+    mass, first, second = (table @ np.stack([np.ones(d.size), d, d * d.astype(float)], axis=1)).T
+    scale = np.where(mass > 0.0, mass, 1.0)  # a row of zero mass has no law
+    return _Rows(table, left, mode, width, lam, mass, np.maximum(second / scale - (first / scale) ** 2, 0.0))
 
 
-def _groups(lam, lo, hi, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (rate, box) groups of ``counts[g]`` cells of rate
-    ``lam[g]`` in box ``g``, in any order, and their merged counts.
+def _groups(values, lo, hi, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (value, box) groups of ``counts[g]`` cells of value
+    ``values[g]`` in box ``g``, in any order, and their merged counts
+    (``counts`` may hold one column per kind of cell).
 
-    One stable sort by (rate, lo, hi) puts the groups in the ascending order
-    ``np.unique(..., axis=0)`` gives, and neighbours that share a (rate, box)
+    One stable sort by (value, lo, hi) puts the groups in the ascending order
+    ``np.unique(..., axis=0)`` gives, and neighbours that share a (value, box)
     are merged, their counts summed.
     """
-    order = np.lexsort((hi, lo, lam))
-    lam, lo, hi, counts = lam[order], lo[order], hi[order], counts[order]
-    starts = np.flatnonzero(np.r_[True, (np.diff(lam) != 0) | (np.diff(lo) != 0) | (np.diff(hi) != 0)])
-    return lam[starts], lo[starts], hi[starts], np.add.reduceat(counts, starts)
-
-
-def _product(lam: np.ndarray, lo: np.ndarray, hi: np.ndarray, counts: np.ndarray, t: int) -> _Poly:
-    """Product over cells of their box rows (:func:`_cell_rows`), cut at degree ``t`` and windowed.
-
-    The cells come as groups, merged and sorted by :func:`_groups`.  Cells
-    that share a (rate, box) are one factor raised to their count by
-    repeated squaring; the distinct single cells multiply in one tree.
-    """
-    lam, lo, hi, counts = _groups(lam, lo, hi, counts)
-    _check_terms(lam.size * (int(np.minimum(hi - lo, t).max()) + 1), "terms in one product level")
-    rows = _cell_rows(lam, lo, hi, t)
-    out = _tree_product(rows[counts == 1], t)
-    for row, count in zip(rows[counts > 1], counts[counts > 1]):
-        out = _mul(out, _power(_Poly(0, row), int(count), t), t)
-    return out
+    order = np.lexsort((hi, lo, values))
+    values, lo, hi, counts = values[order], lo[order], hi[order], counts[order]
+    starts = np.flatnonzero(np.r_[True, (np.diff(values) != 0) | (np.diff(lo) != 0) | (np.diff(hi) != 0)])
+    return values[starts], lo[starts], hi[starts], np.add.reduceat(counts, starts)
 
 
 def _box_cut(box: AcceptanceBox, n: float, counts: np.ndarray) -> int:
@@ -489,6 +377,127 @@ def _ratio(numerator, n: float, total_rate: float):
     return np.clip(numerator / point, 0.0, 1.0)
 
 
+def _weighted(counts, *fields) -> tuple:
+    """``sum_g counts[g] field[g]`` for each field: in logs, the product of ``counts[g]`` copies of row ``g``."""
+    keep = np.asarray(counts) > 0  # no 0 * log(0)
+    return tuple(np.asarray(counts)[keep] @ field[keep] for field in fields)
+
+
+class _Bounds(NamedTuple):
+    """What chooses a fixed-n grid, for each row or, summed (:func:`_weighted`),
+    for a product law: its ``centre`` (the modes' sum) and ``logs``, the
+    columns ``log M(theta_i)``, then ``log M(-theta_i)``, with ``M(theta) =
+    sum_d P(d) e^(theta d)`` about the centre, then the log of a bound on
+    ``|R(omega)|`` wherever ``1 - cos omega >= 1 - cos phi_i``."""
+
+    centre: np.ndarray
+    logs: np.ndarray
+
+
+def _ladders(sigma: float, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tilts and frequencies of the :class:`_Bounds` of a law of standard
+    deviation ``sigma`` on rows at most ``width`` long: ``theta`` about ``12 /
+    sigma`` and under ``700 / width`` (no ``e^(theta d)`` overflows), ``phi``
+    fine about ``9 / sigma``, where a normal ``Phi`` falls below ``_TAIL``."""
+    theta = np.minimum(12.0 / sigma * 2.0 ** (np.arange(-4, 9) / 2.0), 700.0 / max(1, width))
+    ladder = 2.0 ** np.r_[np.arange(-8, 17) / 8.0, np.arange(5, 15) / 2.0]
+    return theta, np.r_[np.minimum(9.0 / sigma * ladder, math.pi), math.pi]
+
+
+def _bounds(rows: _Rows, theta: np.ndarray, phi: np.ndarray, offset=0) -> _Bounds:
+    """Each row's :class:`_Bounds`, about its mode less ``offset``.  A row is a
+    sub-probability of ``Poisson(lam)`` with mass ``a``, so ``|R(omega)|`` is
+    at most ``a`` and at most ``|E e^(i omega Y)| + 1 - a = e^(-lam (1 - cos
+    omega)) + 1 - a``, and neither grows with ``1 - cos omega``."""
+    d = np.arange(-rows.left, rows.table.shape[1] - rows.left)
+    tilts = np.exp(np.multiply.outer(d, np.r_[theta, -theta]))
+    envelope = np.exp(-np.multiply.outer(rows.lam, 2.0 * np.sin(0.5 * phi) ** 2))  # |E e^(i omega Y)|
+    trunc = np.minimum(rows.mass[:, None], envelope + np.maximum(1.0 - rows.mass, 0.0)[:, None])
+    logs = np.log(np.maximum(np.hstack([rows.table @ tilts, trunc]), 1e-300))  # finite with no mass
+    logs += np.multiply.outer(offset, np.r_[theta, -theta, 0.0 * phi])
+    return _Bounds(rows.mode - offset, logs)
+
+
+def _worst_draw(base, spiked, reduced, counts: np.ndarray, m: int) -> np.ndarray:
+    """Per column, the largest sum of the pool's log bounds over the simplex
+    prior's draws (one spiked cell, ``m`` reduced, the rest at base; ``counts[g]``
+    cells of row ``g``).  With ``lift = reduced - base`` and ``top(k)`` the sum
+    of its ``k`` largest over the cells, a draw spiking a cell of row ``g``
+    reduces at most ``min(top(m), top(m + 1) - lift[g])``: a pool of one row
+    is its one law, exactly."""
+    lift = reduced - base
+    order = np.argsort(-lift, axis=0, kind="stable")
+    taken, ranked = counts[order], np.take_along_axis(lift, order, axis=0)
+    ahead = np.cumsum(taken, axis=0) - taken  # cells ranked above each row's
+    top, more = (np.sum(np.clip(k - ahead, 0, taken) * ranked, axis=0) for k in (m, m + 1))
+    return counts @ base + np.max(spiked - base + np.minimum(top, more - lift), axis=0)
+
+
+class _Grid(NamedTuple):
+    """Frequencies ``omega_k = 2 pi k / size`` for ``k = 0..top``, ``top <= size / 2``."""
+
+    size: int
+    top: int
+
+
+def _choose_grid(law: _Bounds, t: int, theta: np.ndarray, phi: np.ndarray, least: int) -> _Grid:
+    """A grid on which coefficient ``t`` of ``law`` errs by at most ``_TAIL``
+    from aliasing and ``_TAIL`` from truncation.  The aliases ``coef(tau + m
+    N)``, ``m != 0``, ``tau = t - centre``, sum to at most ``e^(-theta (tau +
+    N)) M(theta) + e^(-theta (N - tau)) M(-theta)`` for any ``theta > 0``:
+    ``N`` is the first of ``least 2^(j/8)`` (the null's ``6 sigma + 8``,
+    or its ``N`` for a draw) that a ``theta`` brings below ``_TAIL``.  The
+    dropped ``K < |k| <= N / 2`` cost at most ``|Phi(omega_(K+1))|``: ``K``
+    is the first past the least ``phi_i`` with ``trunc[i] <= log _TAIL``,
+    or ``N / 2`` with none."""
+    tau, (up, down, trunc) = t - int(law.centre), np.split(law.logs, [theta.size, 2 * theta.size])
+    sizes = np.ceil(least * 2.0 ** (np.arange(128) / 8.0)).astype(np.int64)
+    over = np.min(up - np.multiply.outer(tau + sizes, theta), axis=1)
+    under = np.min(down - np.multiply.outer(sizes - tau, theta), axis=1)
+    fits = np.flatnonzero(np.logaddexp(over, under) <= math.log(_TAIL))
+    if not fits.size:
+        raise FloatingPointError(f"no fixed-n grid up to {int(sizes[-1])} points bounds the aliasing to {_TAIL}")
+    size = int(sizes[fits[0]])
+    cut = np.flatnonzero(trunc <= math.log(_TAIL))
+    return _Grid(size, size // 2 if not cut.size else min(size // 2, math.ceil(size * phi[cut[0]] / (2.0 * math.pi))))
+
+
+def _log_spectra(table: np.ndarray, left: int, grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
+    """``log R_g(e^(i omega_k))``, ``k = 0..top``, as real part and phase, of the
+    rows ``R_g(z) = sum_d table[g, left + d] z^d``: ``log a + log1p(Z)``, ``a``
+    the row's mass and ``Z = sum_d (P(d) / a) (e^(i omega d) - 1)`` formed
+    from ``sum P sin^2(omega d / 2)`` and ``sum P sin(omega d)`` (one real
+    matmul each, ``omega d`` taken mod ``2 pi`` in integers).  About the mode
+    ``Z`` is small wherever ``Phi`` carries mass, so a row raised to a large
+    count keeps its relative accuracy.  A row of zero mass gives ``-inf``."""
+    size, top = grid
+    d = np.arange(-left, table.shape[1] - left)
+    cos_part, sin_part = np.empty((2, table.shape[0], top + 1))
+    step = max(1, (1 << 18) // d.size)  # at most 2^18 entries in one trigonometric table
+    for at in range(0, top + 1, step):
+        half = np.multiply.outer(d, np.arange(at, min(at + step, top + 1))) % size * (math.pi / size)  # omega d / 2
+        cos_part[:, at : at + step] = table @ np.sin(half) ** 2
+        sin_part[:, at : at + step] = table @ np.sin(2.0 * half)
+    mass = table.sum(axis=1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        re, im = cos_part * (-2.0 / mass), sin_part / mass
+        near = re * (2.0 + re) + im * im  # |1 + Z|^2 - 1
+        real = np.where(mass > 0.0, 0.5 * np.log1p(np.maximum(near, -1.0)) + np.log(mass), -np.inf)
+        return real, np.where(mass > 0.0, np.arctan2(im, 1.0 + re), 0.0)
+
+
+def _invert(grid: _Grid, tau, real: np.ndarray, phase: np.ndarray):
+    """Coefficient ``tau`` (an int or an array) of the Laurent polynomial with
+    values ``exp(real + i phase)`` at ``omega_k``: ``(1 / N) sum_(|k| <= K)
+    Phi(omega_k) e^(-i omega_k tau)``, ``k < 0`` by conjugate symmetry, the
+    Nyquist ``k = N / 2`` once, and ``k tau`` taken mod ``N`` in integers."""
+    size, top = grid
+    k = np.arange(top + 1)
+    weight = np.where((k == 0) | (2 * k == size), 1.0, 2.0)
+    turns = np.multiply.outer(tau, k) % size * (2.0 * math.pi / size)
+    return np.sum(weight * np.exp(real) * np.cos(phase - turns), axis=-1) / size
+
+
 def _log_comb(n: np.ndarray, top: int) -> np.ndarray:
     """``log C(n_r, k)`` for ``k = 0..top``, one row per entry of ``n``; ``-inf`` where ``k > n_r``."""
     n = np.asarray(n, dtype=float)[:, None]
@@ -511,112 +520,87 @@ def _accumulate(out, i, x, y, log_x, log_y, log_norm, share) -> None:
     out[:, i : i + span] += w[..., None] * x[:, None, :] * y[:, :span]
 
 
-def _pool_tree(a: np.ndarray, b: np.ndarray, d: np.ndarray, m: int, t: int) -> np.ndarray:
-    """Mean over the simplex prior's draws of the pool's product polynomial, cut at degree ``t``.
+def _pool_tree(a: np.ndarray, b: np.ndarray, d: np.ndarray, m: int) -> np.ndarray:
+    """Mean over the simplex prior's draws of the pool's product, at each frequency.
 
-    A draw spikes one pool cell ``s`` (row ``b_s``) and takes mass from an
-    ``m``-subset ``S`` of the others (rows ``d``); the rest keep their base
-    rows ``a``.  The sum of ``b_s prod_S d prod_rest a`` over all ``(s, S)``
-    is the coefficient of ``u v^m`` in ``prod_i (a_i + u b_i + v d_i)``.  A
-    node of the tree over the cells keeps that expansion as means: ``M_k``
-    over the ``k``-subsets of its cells of ``prod_S d prod_rest a``, and
-    ``U_k`` over (spike, ``k``-subset of the rest), ``k <= m``.  Nodes of
-    ``N1`` and ``N2`` cells merge with hypergeometric weights, as in
-    ``M_k = sum_i C(N1, i) C(N2, k - i) / C(N, k) M1_i M2_{k-i}``, so every
-    value stays a mean of sub-probability polynomials and nothing overflows.
-    A merge costs ``O((m + 1)^2)`` products; the root's ``U_m`` is returned.
-    """
+    ``a``, ``b``, ``d`` hold each pool cell's base, spiked and reduced row at
+    the grid's frequencies, about one centre per cell.  A draw spikes cell
+    ``s`` (row ``b_s``) and takes mass from an ``m``-subset ``S`` of the
+    others (rows ``d``); summed over all ``(s, S)``, ``b_s prod_S d
+    prod_rest a`` is the coefficient of ``u v^m`` in ``prod_i (a_i + u b_i
+    + v d_i)``.  A node of the tree over the cells keeps it as means:
+    ``M_k`` over the ``k``-subsets of its cells of ``prod_S d prod_rest a``,
+    and ``U_k`` over (spike, ``k``-subset of the rest), ``k <= m``; the
+    root's ``U_m`` is returned.  Nodes of ``N1`` and ``N2`` cells merge
+    pointwise, ``O((m + 1)^2)`` products per frequency, as in ``M_k = sum_i
+    C(N1, i) C(N2, k - i) / C(N, k) M1_i M2_{k-i}``: means of sub-probability
+    spectra, so nothing overflows."""
     m_rows = np.stack([a, d], axis=1)  # one cell: M_0 = a, M_1 = d
     u_rows = b[:, None, :]  # U_0 = b
     sizes = np.ones(a.shape[0], dtype=np.int64)
     while sizes.size > 1:
-        pairs = sizes.size // 2
+        pairs, odd = divmod(sizes.size, 2)
         n1, n2 = sizes[0 : 2 * pairs : 2], sizes[1 : 2 * pairs : 2]
         n = n1 + n2
         km, ku = m_rows.shape[1], u_rows.shape[1]
         km_out, ku_out = min(m, int(n.max())) + 1, min(m, int(n.max()) - 1) + 1
-        size = 2 * m_rows.shape[-1] - 1
-        nfft = _fft_len(size)
-        f = np.fft.rfft(np.concatenate([m_rows[: 2 * pairs], u_rows[: 2 * pairs]], axis=1), nfft)
-        m1, m2, u1, u2 = f[0::2, :km], f[1::2, :km], f[0::2, km:], f[1::2, km:]
-        c1, c2 = _log_comb(n1, km - 1), _log_comb(n2, km - 1)
-        c1u, c2u = _log_comb(n1 - 1, km - 1), _log_comb(n2 - 1, km - 1)
-        cn, cnu = _log_comb(n, km_out - 1), _log_comb(n - 1, ku_out - 1)
-        out_m = np.zeros((pairs, km_out, f.shape[-1]), dtype=complex)
-        out_u = np.zeros((pairs, ku_out, f.shape[-1]), dtype=complex)
+        m1, m2 = m_rows[0 : 2 * pairs : 2], m_rows[1 : 2 * pairs : 2]
+        u1, u2 = u_rows[0 : 2 * pairs : 2], u_rows[1 : 2 * pairs : 2]
+        c1, c2, c1u, c2u = np.split(_log_comb(np.r_[n1, n2, n1 - 1, n2 - 1], km - 1), 4)
+        cn, cnu = np.split(_log_comb(np.r_[n, n - 1], km_out - 1), 2)
+        out_m = np.zeros((pairs + odd, km_out, a.shape[-1]), dtype=complex)
+        out_u = np.zeros((pairs + odd, ku_out, a.shape[-1]), dtype=complex)
         for i in range(km):
-            _accumulate(out_m, i, m1[:, i], m2, c1[:, i], c2, cn, 1.0)
-            _accumulate(out_u, i, m1[:, i], u2, c1[:, i], c2u, cnu, (n2 / n)[:, None])
+            _accumulate(out_m[:pairs], i, m1[:, i], m2, c1[:, i], c2, cn, 1.0)
+            _accumulate(out_u[:pairs], i, m1[:, i], u2, c1[:, i], c2u, cnu, (n2 / n)[:, None])
             if i < ku:
-                _accumulate(out_u, i, u1[:, i], m2, c1u[:, i], c2, cnu, (n1 / n)[:, None])
-        m_next = _cut(np.fft.irfft(out_m, nfft), size, t)
-        u_next = _cut(np.fft.irfft(out_u, nfft), size, t)
-        if sizes.size % 2:  # carry the last node up, padded to the new shapes
-            length = m_next.shape[-1]
-            last_m = np.pad(m_rows[-1:], [(0, 0), (0, km_out - km), (0, length - m_rows.shape[-1])])
-            last_u = np.pad(u_rows[-1:], [(0, 0), (0, ku_out - ku), (0, length - u_rows.shape[-1])])
-            m_next, u_next = np.concatenate([m_next, last_m]), np.concatenate([u_next, last_u])
-            n = np.r_[n, sizes[-1]]
-        m_rows, u_rows, sizes = m_next, u_next, n
+                _accumulate(out_u[:pairs], i, u1[:, i], m2, c1u[:, i], c2, cnu, (n1 / n)[:, None])
+        if odd:  # carry the last node up
+            out_m[-1, :km], out_u[-1, :ku] = m_rows[-1], u_rows[-1]
+        m_rows, u_rows, sizes = out_m, out_u, np.r_[n, sizes[2 * pairs :]]
     return u_rows[0, m]
 
 
-def _pool_tree_terms(cells: int, m: int, length: int, t: int) -> int:
-    """The most complex terms one level of :func:`_pool_tree` holds, on
-    ``cells`` rows of ``length`` coefficients; the first level's count is
-    at least that of the three row tables themselves."""
+def _pool_tree_terms(cells: int, m: int, freqs: int) -> int:
+    """The most complex terms one level of :func:`_pool_tree` holds on ``cells``
+    rows of ``freqs`` frequencies, the first at least the three row tables'."""
     size, terms = 1, 0
     while cells > 1:
-        freqs = _fft_len(2 * length - 1) // 2 + 1
-        km, ku = min(m, size) + 1, min(m, size - 1) + 1
-        terms = max(terms, cells * (km + ku) * freqs)
-        cells, size, length = cells - cells // 2, 2 * size, min(2 * length - 1, t + 1)
+        terms = max(terms, cells * (min(m, size) + min(m, size - 1) + 2) * freqs)
+        cells, size = cells - cells // 2, 2 * size
     return terms
 
 
 class _FixedN:
     """One acceptance box under ``Multinomial(n, q)``, and under the draws of
-    a simplex prior on ``q``; with ``j_star = 0`` (no pool) the law of ``q``
-    alone.
+    a simplex prior on ``q``; with ``j_star = 0`` (no pool) the law of ``q``.
 
-    ``q`` comes as runs, ``counts[g]`` cells of probability ``values[g]``
-    whose box is ``box[g]``, with the head a run of its own and the pool
-    (categories ``2..j* + 1``) whole runs; dense cells are runs of count 1.
-    ``total`` is ``Lambda``, ``n sum(q)``, which every draw shares (up to
-    the clip at 0 of a removed cell).  The cells outside the pool keep
-    their base rates in every draw, so their product ``outside`` is formed
-    once, and with it ``accept = P(X in box)`` under ``q``; a sweep shares
-    one instance over its whole ``xi`` grid.  A pool whose cells share one
-    (rate, box) keeps the power ``rest = a^(j* - 1 - m)`` of its cells that
-    are neither spiked nor removed.
+    ``q`` comes as runs, ``counts[g]`` cells of probability ``values[g]`` in
+    box ``box[g]``, the head a run of its own and the pool (categories
+    ``2..j* + 1``) whole runs; ``total`` is ``Lambda = n sum(q)`` in every
+    route.  The numerator ``P(Y in box, sum Y = n)`` is coefficient ``t = n
+    - sum lo`` of ``Phi(z) = prod_g R_g(z)^(c_g)`` over the (probability,
+    box) groups (:func:`_groups`, :func:`_cell_rows`), held by its values at
+    ``omega_k = 2 pi k / N``, ``k = 0..K``, as ``sum_g c_g log R_g``
+    (:func:`_log_spectra`) and inverted by one sum (:func:`_invert`).
+    ``Phi`` falls like ``exp(-sigma^2 omega^2 / 2)``, so ``K`` is about ``1.5
+    N / sigma``: 15 of ``N`` about 2,900 at p = 1e3, n = 1e5.  Type I is one
+    product over every group, on a grid (:func:`_choose_grid`) from the null
+    alone, whatever ``j_star``, ``m`` or the cells' order.  Under the prior
+    the outside cells' spectra and bounds are summed once; a pool of one
+    group is one law, ``b d^m a^(j* - 1 - m)``, and any other pool the mean
+    over the draws (:func:`_pool_tree`); either is bounded by its worst draw
+    (:func:`_worst_draw`).
 
-    The numerator ``P(Y in box, sum Y = n)`` is coefficient ``t = n - sum lo``
-    of ``prod_j sum_k P(Y_j = lo_j + k) z^k`` (:func:`_product`).  It errs in
-    two ways:
-
-    * Round-off: every partial product has nonnegative coefficients summing
-      to at most 1, so an FFT product errs in each coefficient by at most
-      about ``c eps log2(N)`` with ``c ~ 20`` (Higham, *Accuracy and
-      Stability of Numerical Algorithms*, sec. 24.1), for transform length
-      ``N <= 4 t + 4``, and an error carried up the tree is scaled by the
-      other factor's mass, at most 1: over at most ``2 p`` products,
-      ``2 p c eps log2(4 t + 4)`` in all.
-    * Windowing (:func:`_window`): a coefficient dropped from a factor takes
-      with it its products with the other factors' coefficients, each at
-      most 1, so the numerator falls by at most ``trimmed``, the mass
-      dropped, counted once per copy of the factor in the product;
-      ``_Poly.trimmed`` sums it so as it is dropped (a squaring doubles it).
-
-    The probability therefore errs by at most ``(2 p c eps log2(4 t + 4) +
-    trimmed) / P(Poisson(Lambda) = n)`` absolute, with ``P(Poisson(Lambda)
-    = n) ~ (2 pi n)^(-1/2)``: 3e-12 at p = 4, n = 30, and 1.2e-7 at p = 1e3,
-    n = 1e5, where ``trimmed`` is 5.2e-13 on a flat null and 3.1e-14 on
-    ``q_j ~ j^(-1/2)``, under 0.4 % of the bound.  The rows
-    (:func:`_cell_rows`) and the denominator, a difference of two CDFs, add
-    relative errors of order ``eps (width + sqrt(n))``.  Measured: against
-    40-digit enumeration at p <= 4, n <= 30 the error is at most 8.3e-15;
-    at p = 1e3, n = 1e5, against a direct long-double convolution of the
-    same rows, 4.5e-13 on the flat null and 1.7e-14 on ``q_j ~ j^(-1/2)``.
+    The probability errs by at most ``(2 _TAIL + rho) / P(Poisson(Lambda) =
+    n)``, ``P(Poisson(Lambda) = n) ~ (2 pi n)^(-1/2)``: aliasing, truncation
+    and ``rho ~ (2 K + 1) / N sum_g c_g (W_g + 2) eps``, the round-off of the
+    direct sums (each term a product of values at most 1 from rows ``W_g +
+    1`` long, erring by ``(W_g + 1) eps``, with about ``eps`` per copy from
+    logs, exps and phases): 1.6e-10 to 2.2e-10 at p = 1e3, n = 1e5, where a
+    long-double convolution of the same rows measures under 1e-13.  The rows
+    and the denominator, a difference of two CDFs, add relative errors of
+    order ``eps (width + sqrt(n))``.
     """
 
     def __init__(
@@ -628,49 +612,65 @@ class _FixedN:
             self.accept = 0.0
             return
         cut = int(np.searchsorted(np.cumsum(counts), j_star + 1)) + 1
-        pool, outside = slice(1, cut), np.r_[0, cut : values.size]
-        lam = n * values
-        self.lo, self.hi, self.counts = box.lo[pool], box.hi[pool], counts[pool]
-        self.outside = _product(lam[outside], box.lo[outside], box.hi[outside], counts[outside], t)
-        pool_lam = lam[pool]
-        self.flat = j_star > 0 and _groups(pool_lam, self.lo, self.hi, self.counts)[0].size == 1
-        if j_star == 0:
-            numerator = _coefficient(self.outside, _ONE, t)
-        elif self.flat:
-            a = _Poly(0, _cell_rows(pool_lam[:1], self.lo[:1], self.hi[:1], t)[0])
-            self.rest = _power(a, j_star - 1 - m, t)
-            numerator = _coefficient(_mul(self.outside, _power(a, m + 1, t), t), self.rest, t)
-        else:
-            numerator = _coefficient(self.outside, _product(pool_lam, self.lo, self.hi, self.counts, t), t)
-        self.accept = float(_ratio(numerator, n, self.total))
+        pool = np.where((np.arange(values.size) >= 1) & (np.arange(values.size) < cut), counts, 0)
+        self.values, self.lo, self.hi, split = _groups(values, box.lo, box.hi, np.stack([counts - pool, pool], axis=1))
+        self.outside, self.pool = split.T  # each group's cells outside the pool, and in it
+        _check_terms(self.values.size * (int(np.minimum(self.hi - self.lo, t).max()) + 1), "terms in one product level")
+        self.rows = rows = _cell_rows(n * self.values, self.lo, self.hi, t)
+        cells = self.outside + self.pool
+        sigma = math.sqrt(max(float(cells @ rows.var), 1.0))
+        self.theta, self.phi = _ladders(sigma, int(rows.width.max()))
+        self.bounds = _bounds(rows, self.theta, self.phi)
+        null = _Bounds(*_weighted(cells, *self.bounds))
+        self.grid = _choose_grid(null, t, self.theta, self.phi, math.ceil(6.0 * sigma + 8.0))
+        self.spectra = _log_spectra(rows.table, rows.left, self.grid)
+        numerator = _invert(self.grid, t - int(null.centre), *_weighted(cells, *self.spectra))
+        self.accept = float(_ratio(numerator, n, total))
+        # What every draw of a prior shares: the outside cells' bounds and spectra.
+        self.outside_law, self.outside_spectra = (_weighted(self.outside, *x) for x in (self.bounds, self.spectra))
 
     def bayes(self, prior: MultinomialSimplexPrior, where: str = "") -> float:
-        """Exact Bayes Type II under ``prior``, whose base, ``j*`` and ``m``
-        built this instance.  A removal below 0 is clipped at 0, as in
-        :meth:`_PoissonCells.bayes`.  A pool product past ``_MAX_TERMS``
-        terms in one level raises ``AtomBudgetError`` before any row is
-        built.  ``where`` is not used: no fixed-n failure depends on the
-        prior's scale."""
+        """Exact Bayes Type II under ``prior``, whose base, ``j*`` and ``m`` built
+        this instance; a removal below 0 is clipped at 0, as in
+        :meth:`_PoissonCells.bayes`.  A pool product past ``_MAX_TERMS`` terms in
+        one level (on the null's grid) raises ``AtomBudgetError`` before its
+        rows are built.  ``where`` is not used."""
         if self.t < 0:
             return 0.0
         if prior.m == 0:  # every draw is the base vector
             return self.accept
         t, m = self.t, prior.m
-        q = prior.base.probs[1 : prior.j_star + 1]
+        pool = np.flatnonzero(self.pool)
+        cells = self.pool[pool]
+        if pool.size > 1:
+            _check_terms(_pool_tree_terms(int(cells.sum()), m, self.grid.top + 1), "terms in one pool-product level")
         shift = prior.c * prior.psi / prior.n
-        if self.flat:  # a flat pool needs one row of each
-            lo, hi, q = self.lo[:1], self.hi[:1], q[:1]
-        else:
-            lo, hi = np.repeat(self.lo, self.counts), np.repeat(self.hi, self.counts)
-            length = int(np.minimum(hi - lo, t).max()) + 1
-            _check_terms(_pool_tree_terms(q.size, m, length, t), "terms in one pool-product level")
-        a, b, d = (_cell_rows(self.n * rates, lo, hi, t) for rates in (q, q + shift, np.clip(q - shift / m, 0.0, None)))
-        if self.flat:
-            changed = _mul(_mul(self.outside, _Poly(0, b[0]), t), _power(_Poly(0, d[0]), m, t), t)
-            numerator = _coefficient(changed, self.rest, t)
-        else:
-            numerator = _coefficient(self.outside, _Poly(0, _pool_tree(a, b, d, m, t)), t)
-        return float(_ratio(numerator, self.n, self.total))
+        q, lo, hi = self.values[pool], np.tile(self.lo[pool], 2), np.tile(self.hi[pool], 2)
+        # The pool's spiked rows, then its reduced rows, in the base rows' boxes.
+        changed = _cell_rows(self.n * np.r_[q + shift, np.clip(q - shift / m, 0.0, None)], lo, hi, t)
+        offsets = changed.mode - np.tile(self.rows.mode[pool], 2)  # the changed rows' modes about the base rows'
+        # The changed rows' bounds, about the base rows' modes, live only in this call: the tree needs the memory.
+        worst = _worst_draw(
+            self.bounds.logs[pool], *np.split(_bounds(changed, self.theta, self.phi, offsets).logs, 2), cells, m
+        )
+        law = _Bounds(self.outside_law[0] + cells @ self.bounds.centre[pool], self.outside_law[1] + worst)
+        grid = _choose_grid(law, t, self.theta, self.phi, self.grid.size)
+        if grid.size == self.grid.size and grid.top <= self.grid.top:  # the null's spectra serve
+            grid = self.grid
+        spectra = self.spectra if grid == self.grid else _log_spectra(self.rows.table, self.rows.left, grid)
+        real, phase = self.outside_spectra if grid == self.grid else _weighted(self.outside, *spectra)
+        moved, turned = _log_spectra(changed.table, changed.left, grid)
+        turned += np.multiply.outer(offsets, np.arange(grid.top + 1)) % grid.size * (2.0 * math.pi / grid.size)
+        if pool.size == 1:  # one law for every draw: one spiked cell, m reduced, the rest at base
+            rest = _weighted(cells - 1 - m, *(x[pool] for x in spectra))
+            real, phase = map(sum, zip((real, phase), rest, _weighted([1, m], moved, turned)))
+        else:  # one leaf per cell: base, spiked and reduced
+            cell = np.repeat(np.arange(pool.size), cells)
+            base = np.exp(spectra[0][pool[cell]] + 1j * spectra[1][pool[cell]])
+            mean = _pool_tree(base, *(np.exp(moved[cell + k] + 1j * turned[cell + k]) for k in (0, pool.size)), m)
+            with np.errstate(divide="ignore"):
+                real, phase = real + np.log(np.abs(mean)), phase + np.angle(mean)
+        return float(_ratio(_invert(grid, t - int(law.centre), real, phase), self.n, self.total))
 
     def risk(self, type2: float, seed: int) -> RiskEstimate:
         """The exact risk with this law as the null (Type I ``1 - accept``) and ``type2``."""
@@ -709,11 +709,10 @@ def estimate_multinomial_risk(
     ones = np.ones(q_alt.size, dtype=np.int64)  # the dense cells as runs of count 1
     if poissonized:
         alt, null = (_PoissonCells(box, q, ones, n) for q in (q_alt, q0.probs))
-    elif prior:
-        alt = _FixedN(box, n, q_alt, ones, n * float(q_alt.sum()), alternative.j_star, alternative.m)
-        null = alt if np.array_equal(q_alt, q0.probs) else _FixedN(box, n, q0.probs, ones, float((n * q0.probs).sum()))
     else:
-        null, alt = (_FixedN(box, n, q, ones, float((n * q).sum())) for q in (q0.probs, q_alt))
+        pool = (alternative.j_star, alternative.m) if prior else ()
+        alt = _FixedN(box, n, q_alt, ones, n * float(q_alt.sum()), *pool)
+        null = alt if np.array_equal(q_alt, q0.probs) else _FixedN(box, n, q0.probs, ones, n * float(q0.probs.sum()))
     return null.risk(alt.bayes(alternative) if prior else alt.accept, seed)
 
 

@@ -28,16 +28,21 @@ from supgof.rates import (
     sharp_constant_epsilon,
 )
 from supgof.risk import (
-    _TRIM,
-    _Poly,
+    _TAIL,
+    _Bounds,
+    _bounds,
     _cell_rows,
-    _coefficient,
+    _choose_grid,
     _FixedN,
+    _Grid,
+    _invert,
+    _ladders,
     _log_mean_subset_products,
+    _log_spectra,
     _PoissonCells,
     _pool_tree,
-    _power,
-    _tree_product,
+    _weighted,
+    _worst_draw,
     estimate_multinomial_risk,
     estimate_poisson_risk,
     sweep_multinomial_sharp_constant,
@@ -620,25 +625,50 @@ class TestGroupedMultinomialSweep:
         [
             (
                 "flat",
-                [(0.0318700613910613, 0.9416450112438997), (0.0318700613910613, 0.5054768014185691),
-                 (0.0318700613910613, 0.00021825566618262332)],
+                [(0.031870061390900206, 0.9416450112440565), (0.031870061390900206, 0.5054768014186554),
+                 (0.031870061390900206, 0.00021825566618266295)],
             ),
             (
                 "het",
-                [(0.3571612182703685, 0.5382026209463417), (0.3571612182703685, 0.2791110963387293),
-                 (0.3571612182703685, 0.007934638082373097)],
+                [(0.3571612182703504, 0.5382026209463571), (0.3571612182703504, 0.279111096338737),
+                 (0.3571612182703504, 0.007934638082373303)],
             ),
         ],
     )
-    def test_fixed_n_rows_are_bit_identical_to_the_dense_grouping(self, null, rows):
-        """The benchmark's nulls at p = 1e3, n = 1e5: the (rate, box) groups
-        taken from the runs give the rows the grouping of every cell by
-        ``np.unique`` gave, bit for bit."""
+    def test_fixed_n_rows_are_bit_identical_to_the_dense_grouping(self, null, rows, monkeypatch):
+        """The benchmark's nulls at p = 1e3, n = 1e5: the sweep over runs gives
+        the rows pinned here; the same sweep on the dense cells, one run per
+        cell, gives them bit for bit; and each lies within its stated error of
+        a long-double convolution of the same rows."""
         p, n = 1000, 100_000
         het = np.arange(1, p + 1.0) ** -0.5
         q0 = SimplexVector(np.full(p, 1.0 / p) if null == "flat" else het / het.sum())
         res = sweep_multinomial_sharp_constant(q0, n, [0.5, 1.0, 2.0], math.log(p), 1, 0)
         assert [(r.type1, r.type2) for r in res.risks] == rows
+        grids = _recorded_grids(monkeypatch)
+        law, _, j_star, m = _sweep_law(q0, n)
+        cells = law.outside + law.pool
+        point = _poisson_point(n, law.total)
+        lo_rows = _lo_rows(law.rows)
+        outside = _long_double_product((row, count) for row, count in zip(lo_rows, law.outside) if count)
+        pool = np.flatnonzero(law.pool)
+        for eps, risk in zip(res.epsilons, res.risks):
+            prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0)
+            assert (1.0 - law.accept, law.bayes(prior)) == (risk.type1, risk.type2)
+            q = law.values[pool]
+            b, d = (_lo_rows(_cell_rows(n * rates, law.lo[pool], law.hi[pool], law.t)) for rates in (q + eps, q - eps / m))
+            if pool.size == 1:  # one law for every draw
+                draws = [[(lo_rows[pool[0]], int(law.pool[pool[0]]) - 1 - m), (b[0], 1), (d[0], m)]]
+            else:
+                draws = [
+                    [(b[s], 1)] + [(d[i] if i in removed else lo_rows[pool[i]], 1) for i in range(pool.size) if i != s]
+                    for s in range(pool.size)
+                    for removed in itertools.combinations([i for i in range(pool.size) if i != s], m)
+                ]
+            type2 = np.mean([_coefficient(_long_double_product(draw, outside), law.t) for draw in draws])
+            assert abs(risk.type2 - type2 / point) <= _stated(grids[-1], cells, law.rows.width, point)
+        type1 = 1.0 - _coefficient(_long_double_product(((lo_rows[g], law.pool[g]) for g in pool), outside), law.t) / point
+        assert abs(res.risks[0].type1 - type1) <= _stated(grids[0], cells, law.rows.width, point)
 
 
 class TestRelationMultinomialPoissonized:
@@ -1124,6 +1154,8 @@ class TestExactFixedN:
         rng = np.random.default_rng(cells)
         t = 9
         a, b, d = (rng.uniform(0.0, 1.0, (cells, 4)) / 4.0 for _ in range(3))
+        grid = _Grid(32, 16)  # every frequency of a length past the degree, 3 cells: no aliasing
+        a_f, b_f, d_f = (np.exp(real + 1j * phase) for real, phase in (_log_spectra(x, 0, grid) for x in (a, b, d)))
         for m in range(1, cells):
             want = []
             for s in range(cells):
@@ -1133,8 +1165,36 @@ class TestExactFixedN:
                     for i in others:
                         poly = np.convolve(poly, d[i] if i in subset else a[i])
                     want.append(np.pad(poly, (0, 64))[: t + 1])
-            got = _pool_tree(a, b, d, m, t)
-            np.testing.assert_allclose(np.pad(got, (0, t + 1 - got.size)), np.mean(want, axis=0), rtol=0, atol=1e-15)
+            mean = _pool_tree(a_f, b_f, d_f, m)
+            got = _invert(grid, np.arange(t + 1), np.log(np.abs(mean)), np.angle(mean))
+            np.testing.assert_allclose(got, np.mean(want, axis=0), rtol=0, atol=1e-15)
+
+    def test_worst_draw_is_the_largest_draw(self, monkeypatch):
+        """``_worst_draw`` is, per column, the largest sum over every (spike,
+        removal set) of the pool's cells, written out; and on a non-flat pool
+        of 282 cells every draw's grid is the null's."""
+        rng = np.random.default_rng(20_261_028)
+        for _ in range(20):
+            counts = rng.integers(1, 4, int(rng.integers(1, 5)))
+            base, spiked, reduced = (rng.normal(size=(counts.size, 3)) for _ in range(3))
+            cells = np.repeat(np.arange(counts.size), counts)
+            for m in range(1, cells.size):
+                draws = []
+                for s in range(cells.size):
+                    others = [i for i in range(cells.size) if i != s]
+                    for removed in itertools.combinations(others, m):
+                        kept = [cells[i] for i in others if i not in removed]
+                        draws.append(spiked[cells[s]] + reduced[cells[list(removed)]].sum(0) + base[kept].sum(0))
+                got = _worst_draw(base, spiked, reduced, counts, m)
+                np.testing.assert_allclose(got, np.max(draws, axis=0), rtol=1e-12, atol=1e-12)
+        grids = _recorded_grids(monkeypatch)
+        p, n = 500, 30
+        q = np.arange(1, p + 1.0) ** -0.5
+        q0 = SimplexVector(q / q.sum())
+        prior = MultinomialSimplexPrior.build(q0, n, certified_simplex_c(q0, n))
+        assert (prior.j_star, prior.m) == (282, 53)
+        estimate_multinomial_risk(q0, n, prior, 0.2, 100, 0)
+        assert len(grids) == 2 and grids[0] == grids[1]
 
     def test_pool_past_the_cap_raises_before_building_rows(self, monkeypatch):
         """A pool of two distinct rates passes the distinct-cell checks, but its
@@ -1154,6 +1214,32 @@ class TestExactFixedN:
             estimate_multinomial_risk(q0, n, prior, 0.2, 100, 0)
         assert built and max(built) <= 2
 
+    def test_one_type1_per_null(self):
+        """On 40 seeded designs (p 3 to 60, n 50 to 2,000) the null's Type I is
+        one number, bit for bit: against itself, under a simplex prior on it
+        (which factors its cells into a pool and the rest), and on every row
+        of the fixed-n sweep, against the same box on the dense cells with no
+        pool.  Every route takes ``Lambda = n sum(q)`` and one product over
+        every (probability, box) group, on a grid chosen from the null alone."""
+        rng = np.random.default_rng(20_261_028)
+        swept = 0
+        for _ in range(40):
+            p, n = int(rng.integers(3, 61)), int(rng.integers(50, 2001))
+            q0 = SimplexVector(np.sort(rng.dirichlet(np.full(p, 4.0)))[::-1])
+            fixed = estimate_multinomial_risk(q0, n, q0, 0.2, 100, 0)
+            prior = MultinomialSimplexPrior.build(q0, n, certified_simplex_c(q0, n))
+            assert estimate_multinomial_risk(q0, n, prior, 0.2, 100, 0).type1 == fixed.type1
+            try:
+                res = sweep_multinomial_sharp_constant(q0, n, [0.5, 1.0, 2.0], 3.0, 1, 0)
+            except ValueError:  # outside the sweep's setup: a cell below 1/n, or an alternative off the simplex
+                continue
+            swept += 1
+            level, _, n_prime, _ = multinomial_sharp_constant_level(q0, n, 3.0)
+            box = AcceptanceBox.around(n * q0.probs, n_prime * level, strict=True)
+            alone = _FixedN(box, n, q0.probs, np.ones(p, dtype=np.int64), n * float(q0.probs.sum()))
+            assert {risk.type1 for risk in res.risks} == {1.0 - alone.accept}
+        assert swept >= 5, swept
+
     def test_box_past_the_cap_raises(self, monkeypatch):
         q0 = SimplexVector([0.5, 0.3, 0.2])
         monkeypatch.setattr(risk_module, "_MAX_TERMS", 8)
@@ -1161,12 +1247,23 @@ class TestExactFixedN:
             estimate_multinomial_risk(q0, 200, [0.4, 0.4, 0.2], 0.2, 100, 0)
 
 
-def _dense(poly: _Poly, t: int) -> np.ndarray:
-    """A windowed polynomial's coefficients at degrees ``0..t``."""
-    out = np.zeros(t + 1)
-    kept = poly.coeffs[: max(0, t + 1 - poly.offset)]
-    out[poly.offset : poly.offset + kept.size] = kept
-    return out
+def _recorded_grids(monkeypatch) -> list:
+    """Every grid ``_FixedN`` chooses from here on, in order."""
+    grids = []
+    choose = risk_module._choose_grid
+
+    def record(*args, **kw):
+        grids.append(choose(*args, **kw))
+        return grids[-1]
+
+    monkeypatch.setattr(risk_module, "_choose_grid", record)
+    return grids
+
+
+def _lo_rows(rows) -> list[np.ndarray]:
+    """Each row of a :class:`_Rows` as plain coefficients of ``z^0..z^width`` from its ``lo``."""
+    starts = rows.left - rows.mode
+    return [rows.table[g, start : start + width + 1] for g, (start, width) in enumerate(zip(starts, rows.width))]
 
 
 def _convolved(rows, t: int) -> np.ndarray:
@@ -1177,43 +1274,118 @@ def _convolved(rows, t: int) -> np.ndarray:
     return np.pad(out, (0, max(0, t + 1 - out.size)))[: t + 1]
 
 
-def _random_rows(seed: int, wide: bool) -> tuple[np.ndarray, int]:
-    """Box rows of 2 to 9 cells and a cut ``t`` near the product's mean; a
-    wide box holds 12 standard deviations each side, so products' tails
-    fall below ``_TRIM`` of their peaks and are trimmed."""
+def _spectral(rows, counts, degrees):
+    """Coefficients ``degrees`` (from the rows' ``lo``) of ``prod_g R_g^(counts[g])``,
+    each on the fixed-n grid chosen for it, ``Phi(0)``, and the last grid."""
+    counts = np.asarray(counts)
+    sigma = math.sqrt(max(float(counts @ rows.var), 1.0))
+    theta, phi = _ladders(sigma, int(rows.width.max()))
+    law = _Bounds(*_weighted(counts, *_bounds(rows, theta, phi)))
+    got = []
+    for degree in np.atleast_1d(degrees).tolist():
+        grid = _choose_grid(law, degree, theta, phi, math.ceil(6.0 * sigma + 8.0))
+        real, phase = _weighted(counts, *_log_spectra(rows.table, rows.left, grid))
+        got.append(_invert(grid, degree - int(law.centre), real, phase))
+    return np.array(got), math.exp(real[0]), grid
+
+
+def _random_cells(seed: int, wide: bool):
+    """Rates and boxes of 2 to 9 cells and a cut ``t`` near the product's
+    mean; a wide box holds 12 standard deviations each side, so the
+    product's spectrum falls below ``_TAIL`` long before the Nyquist
+    frequency."""
     rng = np.random.default_rng(seed)
     lam = rng.uniform(0.5, 60.0, int(rng.integers(2, 10)))
     half = (12.0 if wide else 3.0) * np.sqrt(lam) + 2.0
     lo, hi = np.maximum(np.ceil(lam - half), 0.0), np.floor(lam + half)
     t = int(np.clip(np.sum(lam - lo) + rng.normal() * np.sqrt(lam.sum()), 0, np.sum(hi - lo)))
-    return _cell_rows(lam, lo, hi, t), t
+    return lam, lo, hi, t
+
+
+def _long_double_product(factors, start=None) -> tuple[np.ndarray, int]:
+    """``start`` (a product made here, or 1) times ``prod row^count`` over
+    ``(row, count)`` factors, by direct convolution in long double (powers by
+    repeated squaring), each product cut to its coefficients above 1e-30 of
+    its largest: the coefficients and the degree of the first."""
+
+    def cut(x, offset):
+        kept = np.flatnonzero(x > 1e-30 * x.max())
+        return x[kept[0] : kept[-1] + 1], offset + int(kept[0])
+
+    out, offset = (np.ones(1, dtype=np.longdouble), 0) if start is None else start
+    for row, count in factors:
+        base, base_offset = cut(np.asarray(row, dtype=np.longdouble), 0)
+        while count:
+            if count & 1:
+                out, offset = cut(np.convolve(out, base), offset + base_offset)
+            count >>= 1
+            if count:
+                base, base_offset = cut(np.convolve(base, base), 2 * base_offset)
+    return out, offset
+
+
+def _coefficient(product: tuple[np.ndarray, int], t: int) -> float:
+    coeffs, offset = product
+    return float(coeffs[t - offset]) if 0 <= t - offset < coeffs.size else 0.0
+
+
+def _poisson_point(n: int, rate: float) -> float:
+    """``P(Poisson(rate) = n)`` at 40 digits (``scipy.stats.poisson.pmf`` errs
+    by 2e-10 relative at n = 1e5)."""
+    with mpmath.workdps(40):
+        return float(mpmath.exp(n * mpmath.log(rate) - rate - mpmath.loggamma(n + 1)))
+
+
+def _stated(grid: _Grid, counts, widths, point: float) -> float:
+    """``_FixedN``'s stated error of a probability from its grid and rows:
+    ``(2 _TAIL + (2 K + 1) / N sum_g c_g (W_g + 2) eps) / P(Poisson(Lambda) = n)``."""
+    spread = (2 * grid.top + 1) / grid.size * float(np.asarray(counts) @ (np.asarray(widths) + 2.0))
+    return (2.0 * _TAIL + spread * np.finfo(float).eps) / point
+
+
+def _sweep_law(q0: SimplexVector, n: float):
+    """The fixed-n law the sweep builds on the dense cells, with its prior's ``j*`` and ``m``, and the box."""
+    p = q0.p
+    level, j_star, n_prime, m = multinomial_sharp_constant_level(q0, n, math.log(p))
+    probs = q0.probs
+    box = AcceptanceBox.around(n * probs, n_prime * level, strict=True)
+    law = _FixedN(box, n, probs, np.ones(p, dtype=np.int64), n * float(probs.sum()), j_star, m)
+    return law, level, j_star, m
 
 
 class TestWindowedProducts:
-    """Products kept on their mass windows against plain ``np.convolve``."""
+    """Products kept on their window of significant frequencies, against
+    plain ``np.convolve``, 40-digit mpmath and long double."""
 
     @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("seed", range(8))
     def test_tree_product_matches_convolution(self, seed, wide):
-        rows, t = _random_rows(seed, wide)
-        got = _tree_product(rows, t)
-        want = _convolved(rows, t)
-        np.testing.assert_allclose(_dense(got, t), want, rtol=0, atol=1e-15)
-        assert -1e-15 <= want.sum() - got.coeffs.sum() <= got.trimmed + 1e-15
-        if wide:
-            assert got.trimmed > 0.0 and got.coeffs.size < np.count_nonzero(want)
+        lam, lo, hi, t = _random_cells(seed, wide)
+        rows = _cell_rows(lam, lo, hi, t)
+        ones = np.ones(rows.lam.size, dtype=np.int64)
+        got, whole, grid = _spectral(rows, ones, np.arange(t + 1))
+        np.testing.assert_allclose(got, _convolved(_lo_rows(rows), t), rtol=0, atol=1e-15)
+        full = _convolved(_lo_rows(rows), int(rows.width.sum()))
+        assert abs(whole - full.sum()) <= 1e-15
+        if wide:  # the grid keeps a few frequencies of a length below the product's
+            assert grid.top < grid.size // 2 and grid.size < np.count_nonzero(full)
 
     @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("seed", range(8))
     def test_power_and_coefficient_match_convolution(self, seed, wide):
-        rows, t = _random_rows(seed, wide)
+        lam, lo, hi, t = _random_cells(seed, wide)
+        rows = _cell_rows(lam, lo, hi, t)
         count = int(np.random.default_rng(seed).integers(2, 30))
-        t_power = int(round(count * np.dot(np.arange(rows.shape[1]), rows[0]) / rows[0].sum()))
-        row = rows[0][: t_power + 1]
-        power = _power(_Poly(0, row), count, t_power)
-        np.testing.assert_allclose(_dense(power, t_power), _convolved([row] * count, t_power), rtol=0, atol=1e-15)
-        x, y = _tree_product(rows[:-1], t), _power(_Poly(0, rows[-1]), 3, t)
-        assert abs(_coefficient(x, y, t) - _convolved([*rows[:-1], *[rows[-1]] * 3], t)[t]) <= 1e-15
+        first = _lo_rows(rows)[0]
+        t_power = int(round(count * np.dot(np.arange(first.size), first) / first.sum()))
+        one = _cell_rows(lam[:1], lo[:1], hi[:1], t_power)
+        first = _lo_rows(one)[0]
+        got = _spectral(one, [count], np.arange(t_power + 1))[0]
+        np.testing.assert_allclose(got, _convolved([first] * count, t_power), rtol=0, atol=1e-15)
+        counts = np.r_[np.ones(rows.lam.size - 1, dtype=np.int64), 3]
+        got = _spectral(rows, counts, [t])[0]
+        want = _convolved([*_lo_rows(rows)[:-1], *[_lo_rows(rows)[-1]] * 3], t)[t]
+        assert abs(got[0] - want) <= 1e-15
 
     @pytest.mark.parametrize("count", [10**3, 10**6])
     @pytest.mark.parametrize("lam, hi", [(5.0, 60.0), (40.0, 160.0)])
@@ -1221,25 +1393,51 @@ class TestWindowedProducts:
         """A box that leaves out under 1e-40 of Poisson(lam) gives ``row^count``
         whose coefficient ``t`` is ``box_mass^count pmf_{Poisson(count lam)}(t)``.
 
-        A window's loss is a deficit of mass spread over the middle of the
-        product, counted once per copy of the factor, so the relative error is
-        about ``trimmed``, which stays under ``_TRIM`` per copy; round-off
-        adds about ``count eps``."""
+        The row's log spectrum is taken about its mode, so ``count log R``
+        keeps its relative accuracy: the error stays within ``count eps``, and
+        under 1e-10 at count 1e6."""
         t = int(count * lam) + 7
-        row = _cell_rows(np.array([lam]), np.array([0.0]), np.array([hi]), t)[0]
-        power = _power(_Poly(0, row), count, t)
-        got = _coefficient(power, _Poly(0, np.ones(1)), t)
+        rows = _cell_rows(np.array([lam]), np.array([0.0]), np.array([hi]), t)
+        got, _, grid = _spectral(rows, [count], [t])
         with mpmath.workdps(40):
             log_pmf = t * mpmath.log(count * lam) - count * lam - mpmath.loggamma(t + 1)
-            want = float(mpmath.mpf(float(row.sum())) ** count * mpmath.exp(log_pmf))
-        assert power.coeffs.size < 40 * math.sqrt(count * lam)
-        assert power.trimmed <= count * _TRIM
-        assert abs(got - want) <= (2.0 * power.trimmed + count * np.finfo(float).eps) * want
+            want = float(mpmath.mpf(float(rows.table.sum())) ** count * mpmath.exp(log_pmf))
+        assert grid.size < 40 * math.sqrt(count * lam) and grid.top < 40
+        assert abs(got[0] - want) <= count * np.finfo(float).eps * want
+        if count == 10**6:
+            assert abs(got[0] - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_frequency_kept_with_few_cells(self, seed):
+        """With p <= 3 the truncation bound cannot reach ``_TAIL``, so the grid
+        keeps every frequency; a grid longer than the product is exact, the
+        Nyquist frequency of an even length counted once."""
+        rng = np.random.default_rng(20_261_028 + seed)
+        cells = 2 + seed % 2
+        probs = np.sort(rng.dirichlet(np.ones(cells)))[::-1]
+        n = int(rng.integers(8, 40))
+        q0 = SimplexVector(probs)
+        box = MultinomialTestConfig.from_eta(q0, n, 0.2).acceptance_box(q0, n)
+        law = _FixedN(box, n, q0.probs, np.ones(cells, dtype=np.int64), n * float(q0.probs.sum()))
+        assert law.grid.top == law.grid.size // 2
+        x = _multinomial_table(n, cells)
+        accept = _multinomial_accepts(x, q0, n, MultinomialTestConfig.from_eta(q0, n, 0.2))
+        assert abs(law.accept - _multinomial_mass(x, n, q0.probs)[accept].sum()) <= 1e-12
+        rows = law.rows
+        degree = int(rows.width.sum())
+        want = _convolved(_lo_rows(rows), degree)
+        real, phase = _weighted(np.ones(rows.lam.size, dtype=np.int64), *_log_spectra(rows.table, rows.left, _Grid(1, 0)))
+        for size in (degree + 1, degree + 2):  # one odd and one even length
+            grid = _Grid(size, size // 2)
+            spectra = _weighted(np.ones(rows.lam.size, dtype=np.int64), *_log_spectra(rows.table, rows.left, grid))
+            got = _invert(grid, np.arange(degree + 1) - int(rows.mode.sum()), *spectra)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert real[0] == pytest.approx(math.log(want.sum()), abs=1e-15)
 
     def test_heterogeneous_fixed_n_sweep_peak_memory(self):
         """The fixed-n sweep on ``q_j ~ j^(-1/2)`` at p = 1e3, n = 1e5: 997
-        distinct cells outside the pool, products of up to 58,338 terms
-        uncut; traced at 5.8 MiB."""
+        distinct cells outside the pool, each row of up to 122 entries about
+        its mode; traced at 2.6 MiB."""
         p, n = 1000, 100_000
         het = np.arange(1, p + 1.0) ** -0.5
         q0 = SimplexVector(het / het.sum())
@@ -1250,3 +1448,45 @@ class TestWindowedProducts:
         finally:
             tracemalloc.stop()
         assert peak < 7 << 20
+
+    def test_flat_benchmark_sweep_grid_is_short(self, monkeypatch):
+        """Every grid of the flat p = 1e3, n = 1e5 fixed-n sweep, the null's
+        and each draw's, has at most 8,192 points: each law's bound is its own,
+        not its worst cell's."""
+        grids = _recorded_grids(monkeypatch)
+        p, n = 1000, 100_000
+        sweep_multinomial_sharp_constant(SimplexVector(np.full(p, 1.0 / p)), n, [0.5, 1.0, 2.0], math.log(p), 1, 0)
+        assert len(grids) == 4
+        assert max(grid.size for grid in grids) <= 8192
+        assert max(grid.top for grid in grids) < 40
+
+    @pytest.mark.parametrize("null", ["flat", "het", "seeded-0", "seeded-1"])
+    def test_error_within_the_stated_bound(self, null, monkeypatch):
+        """At p = 200, n = 2e4 the sweep's Type I, and on a flat pool each
+        draw's Type II, lie within the stated error of a long-double
+        convolution of the same rows."""
+        p, n = 200, 20_000
+        if null == "flat":
+            probs = np.full(p, 1.0 / p)
+        elif null == "het":
+            probs = np.arange(1, p + 1.0) ** -0.5
+        else:
+            probs = np.sort(np.random.default_rng(20_261_028 + int(null[-1])).uniform(0.5, 2.0, p))[::-1]
+        q0 = SimplexVector(probs / probs.sum())
+        grids = _recorded_grids(monkeypatch)
+        law, level, j_star, m = _sweep_law(q0, n)
+        rows, cells = law.rows, law.outside + law.pool
+        point = _poisson_point(n, law.total)
+        oracle = _coefficient(_long_double_product(zip(_lo_rows(rows), cells)), law.t) / point
+        assert abs(law.accept - oracle) <= _stated(law.grid, cells, rows.width, point)
+        if null != "flat":
+            return
+        prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * level, m=m, c=1.0)
+        type2 = law.bayes(prior)
+        shift = prior.c * prior.psi / prior.n
+        q = law.values[law.pool > 0]
+        b, d = (_cell_rows(n * rate, law.lo[:1], law.hi[:1], law.t) for rate in (q + shift, q - shift / m))
+        rest = p - 2 - m  # the head is outside the pool; one spiked, m reduced
+        factors = [(_lo_rows(rows)[0], rest + 1), (_lo_rows(b)[0], 1), (_lo_rows(d)[0], m)]
+        oracle = _coefficient(_long_double_product(factors), law.t) / point
+        assert abs(type2 - oracle) <= _stated(grids[-1], [p], rows.width, point)

@@ -332,14 +332,20 @@ def test_unique_rule_sees_every_spelling():
 
 
 # Each law's kernels, and the one class that may reach them.
-_LAW_KERNELS = {"_leave_one_out_type2": "_PoissonCells", "_product": "_FixedN", "_ratio": "_FixedN"}
+_LAW_KERNELS = {
+    "_leave_one_out_type2": "_PoissonCells",
+    "_choose_grid": "_FixedN",
+    "_log_spectra": "_FixedN",
+    "_invert": "_FixedN",
+    "_ratio": "_FixedN",
+}
 
 
 def _law_kernel_uses(tree: ast.AST) -> list[int]:
     """Lines outside the class that owns it that reach a law's kernel: a
     loaded name or an attribute of ``_leave_one_out_type2`` (owned by
-    ``_PoissonCells``), ``_product`` or ``_ratio`` (owned by ``_FixedN``),
-    or an import of one."""
+    ``_PoissonCells``), ``_choose_grid``, ``_log_spectra``, ``_invert`` or
+    ``_ratio`` (owned by ``_FixedN``), or an import of one."""
     owned = {
         name: {
             id(node)
@@ -369,8 +375,9 @@ def _law_kernel_uses(tree: ast.AST) -> list[int]:
 
 def test_risk_reaches_type2_through_its_laws():
     """In ``risk`` only ``_PoissonCells`` averages over a prior's spiked cell
-    and only ``_FixedN`` forms and normalizes a fixed-n product, so every
-    route's Type I and Type II come from one law per model."""
+    and only ``_FixedN`` chooses a fixed-n grid, forms a product's spectra,
+    inverts and normalizes it, so every route's Type I and Type II come from
+    one law per model."""
     path = PACKAGE / "risk.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
@@ -382,15 +389,61 @@ def test_law_rule_sees_every_spelling():
     spellings = [
         "def estimate(log_a, b, pool):\n    return _leave_one_out_type2(log_a, b, pool, lam, ones, '', None, 0)",
         "import supgof.risk as r\ntype2 = r._leave_one_out_type2(log_a, b, pool)",
-        "def _accept(box, n, lam):\n    return _ratio(_coefficient(_product(lam, lo, hi, c, t), _ONE, t), n, s)",
-        "from .risk import _product as multiply",
+        "def _accept(box, n, lam):\n    return _ratio(_invert(grid, t, *_log_spectra(table, 0, grid)), n, s)",
+        "from .risk import _invert as invert",
         "normalize = _ratio\naccept = normalize(numerator, n, total)",
         "class _FixedN:\n    def bayes(self, prior):\n        return _leave_one_out_type2(a, b, pool)",
         "class _PoissonCells:\n    def bayes(self, prior):\n        return _leave_one_out_type2(a, b, pool)",
-        "class _FixedN:\n    def __init__(self):\n        self.accept = _ratio(_product(lam, lo, hi, c, t), n, s)",
-        "def _product(lam, lo, hi, counts, t):\n    return _tree_product(rows, t)",
+        "class _FixedN:\n    def __init__(self):\n        self.accept = _ratio(_invert(self.grid, tau, *spectra), n, s)",
+        "def _invert(grid, tau, real, phase):\n    return np.sum(real)",
+        "grid = _choose_grid(law, t, theta, phi)",
     ]
-    assert [_law_kernel_uses(ast.parse(src)) for src in spellings] == [[2], [2], [2], [1], [1], [3], [], [], []]
+    assert [_law_kernel_uses(ast.parse(src)) for src in spellings] == [[2], [2], [2], [1], [1], [3], [], [], [], [1]]
+
+
+_FFT_MODULES = ("numpy.fft", "scipy.fft", "scipy.fftpack")
+_FFT_NAMES = {
+    "fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2", "rfft2", "irfft2",
+    "fftn", "ifftn", "rfftn", "irfftn", "fftpack", "fftconvolve", "oaconvolve",
+}
+
+
+def _fft_uses(tree: ast.AST) -> list[int]:
+    """Lines that import an FFT module (``numpy.fft``, ``scipy.fft``,
+    ``scipy.fftpack``) or an FFT function from any module, under any alias,
+    or that reach one as an attribute (``np.fft.rfft``)."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if any(_is_under(name, module) for name in _imported_names(node) for module in _FFT_MODULES)
+            or (isinstance(node, ast.ImportFrom) and any(alias.name in _FFT_NAMES for alias in node.names))
+            or (isinstance(node, ast.Attribute) and node.attr in _FFT_NAMES)
+        }
+    )
+
+
+def test_risk_makes_no_fft():
+    """``risk`` holds each fixed-n product by its few significant frequencies
+    and inverts it by one direct sum: no FFT in any spelling."""
+    path = PACKAGE / "risk.py"
+    assert _fft_uses(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_fft_rule_sees_every_spelling():
+    spellings = [
+        "spectrum = np.fft.rfft(x, size)",
+        "import numpy as xp\nz = xp.fft.irfft(f)",
+        "from numpy.fft import rfft, irfft",
+        "from numpy import fft\nfft.rfft(x)",
+        "import numpy.fft as spectral",
+        "from scipy import fft as sfft",
+        "import scipy.fftpack",
+        "from scipy.signal import fftconvolve",
+        "product = np.convolve(a, b)",
+        "size = _fft_len(n)",
+    ]
+    assert [_fft_uses(ast.parse(src)) for src in spellings] == [[1], [2], [1], [1, 2], [1], [1], [1], [1], [], []]
 
 
 _SPEC_READS = {"load", "loads", "read_text", "read_bytes"}
