@@ -119,11 +119,12 @@ _ONE_BLOCK_RUNS = 2048
 _PEAK_SLACK = 1e-12
 
 
-def _peak_on_run_ends(values, counts, level, scale: float = 1.0):
+def _peak_on_run_ends(values, counts, level, scale: float | np.ndarray = 1.0):
     """The :class:`_Peak` of ``values_g h^{-1}(level(j) / (scale values_g))``
     over the run ends ``j`` of ``(values, counts)``, or a list of peaks, one
-    per level, when ``level`` stacks levels (shape ``(k, #runs)``).  Ties
-    between runs break to the smallest index.
+    per level, when ``level`` stacks levels (shape ``(k, #runs)``); a
+    stacked row may carry its own ``values`` row and ``scale`` (shapes ``(k,
+    #runs)`` and ``(k, 1)``).  Ties between runs break to the smallest index.
 
     ``h`` is convex and increasing on ``[0, inf)`` with ``h(0) = 0``, so
     ``v h^{-1}(c / v)`` does not decrease in ``v`` or in ``c >= 0``; along
@@ -134,26 +135,34 @@ def _peak_on_run_ends(values, counts, level, scale: float = 1.0):
     evaluates only the blocks whose bound reaches the best of those terms
     (less ``_PEAK_SLACK``).  With fewer than ``_ONE_BLOCK_RUNS`` runs there
     is one block, and one call.  The peak is the full evaluation's, bit
-    for bit: each run's term is computed the same way in either.
+    for bit: each run's term is computed the same way in either, and the
+    same :func:`_argmax_peaks` takes it.
     """
     ends = np.cumsum(counts, dtype=float)
-    runs = values.size
+    runs = counts.size
     width = runs if runs < _ONE_BLOCK_RUNS else math.isqrt(runs)
     if width == runs:
         idx = np.arange(runs)
     else:
         starts = np.arange(0, runs, width)
         lasts = np.minimum(starts + width, runs) - 1
-        corners = np.r_[values[starts], values[lasts]]
+        corners = np.concatenate([values[..., starts], values[..., lasts]], axis=-1)
         _, h = _on_run_ends(corners, np.r_[ends[lasts], ends[lasts]], level, scale)
         bound, lower = np.split(corners * h, 2, axis=-1)
         keep = bound >= (1.0 - _PEAK_SLACK) * lower.max(axis=-1, keepdims=True)
         kept = starts[np.any(keep.reshape(-1, starts.size), axis=0)]
         idx = (kept[:, None] + np.arange(width)).ravel()
         idx = idx[idx < runs]
-    _, h = _on_run_ends(values[idx], ends[idx], level, scale)
-    terms = values[idx] * h
-    best = np.argmax(terms, axis=-1)  # the first maximizer of each level
+    _, h = _on_run_ends(values[..., idx], ends[idx], level, scale)
+    return _argmax_peaks(values[..., idx] * h, h, ends, idx)
+
+
+def _argmax_peaks(terms, h, ends, idx):
+    """The :class:`_Peak` of the run-end ``terms``, with their ``h^{-1}``
+    values ``h``, at the runs ``idx`` (ascending; an array or a ``range``)
+    ending at ``ends[idx]``: the first maximizer, or one per row when
+    ``terms`` stacks levels."""
+    best = np.argmax(terms, axis=-1)
     peaks = [
         _Peak(float(t[i]), int(ends[idx[i]]), int(idx[i]), float(hs[i]))
         for t, hs, i in zip(np.atleast_2d(terms), np.atleast_2d(h), np.atleast_1d(best))
@@ -173,23 +182,25 @@ class _RatePeak(NamedTuple):
     value: float
 
 
-def _poisson_peak(values, counts) -> _RatePeak:
-    """The peak of :func:`poisson_rate`'s objective on the runs ``(values, counts)``."""
-    term, j_star, g, _ = _peak_on_run_ends(values, counts, _log_ej)
+def _poisson_peak(values, counts, peak: _Peak | None = None) -> _RatePeak:
+    """The peak of :func:`poisson_rate`'s objective on the runs ``(values,
+    counts)``, from its :func:`_peak_on_run_ends` ``peak`` if already found."""
+    term, j_star, g, _ = _peak_on_run_ends(values, counts, _log_ej) if peak is None else peak
     value = float(values[g])
     return _RatePeak(j_star, term, 0, _regime_label(1.0 + math.log(j_star), value), value)
 
 
-def _multinomial_peak(values, counts, n: float) -> _RatePeak:
+def _multinomial_peak(values, counts, n: float, peak: _Peak | None = None) -> _RatePeak:
     """The peak of :func:`multinomial_rate`'s objective on the runs ``(values,
-    counts)``, the head a run of its own."""
+    counts)``, the head a run of its own, from its :func:`_peak_on_run_ends`
+    ``peak`` on the nonzero tail's counts ``n q`` if already found."""
     n_val = sample_size_value(n)
     tail, counts = values[1:], counts[1:]
     k = np.count_nonzero(tail)  # the zero cells, if any, are the last runs
     if k == 0:
         return _RatePeak(1, 0.0, 0, "boundary", 0.0)
     mus = n_val * tail[:k]
-    term, j_star, g, h = _peak_on_run_ends(mus, counts[:k], _log_ej)
+    term, j_star, g, h = _peak_on_run_ends(mus, counts[:k], _log_ej) if peak is None else peak
     m = min(math.ceil(h), j_star - 1)
     value = float(mus[g])
     return _RatePeak(j_star, term if m >= 1 else 0.0, m, _regime_label(1.0 + math.log(j_star), value), value)
@@ -206,11 +217,16 @@ def poisson_rate(mu: RateVector) -> RateProfile:
 
 
 def _poisson_profile(values, counts) -> RateProfile:
-    """:func:`poisson_rate` of the null with runs ``(values, counts)``."""
-    peak = _poisson_peak(values, counts)
+    """:func:`poisson_rate` of the null with runs ``(values, counts)``: one
+    ``h^{-1}`` at every run end gives the terms and the peak."""
     args, h = _on_run_ends(values, np.cumsum(counts, dtype=float), _log_ej)
     epsilon_star = 1.0 + float(np.max(values * gamma_rate(args)))
-    return RateProfile(peak.j_star, peak.psi, 0, epsilon_star, peak.regime, values * h)
+    terms = values * h
+    # The run ends again, rather than held through gamma_rate: holding them
+    # adds 1.4 MB to the peak RSS of `supgof rate` at 1e5 runs.
+    ends = np.cumsum(counts, dtype=float)
+    peak = _poisson_peak(values, counts, _argmax_peaks(terms, h, ends, range(values.size)))
+    return RateProfile(peak.j_star, peak.psi, 0, epsilon_star, peak.regime, terms)
 
 
 def multinomial_rate(q0: SimplexVector, n: float) -> RateProfile:
@@ -232,14 +248,16 @@ def _multinomial_profile(values, counts, n: float) -> RateProfile:
     n_val = sample_size_value(n)
     head, tail = float(values[0]), values[1:]
     parametric = 1.0 / n_val + math.sqrt(head * (1.0 - head) / n_val)
-    peak = _multinomial_peak(values, counts, n_val)
-    terms, epsilon_star = np.zeros(tail.size), parametric
+    terms, epsilon_star, found = np.zeros(tail.size), parametric, None
     k = np.count_nonzero(tail)  # the zero cells contribute zero
     if k:
         mus = n_val * tail[:k]
-        args, h = _on_run_ends(mus, np.cumsum(counts[1 : k + 1], dtype=float), _log_ej)
-        terms[:k] = mus * h
+        ends = np.cumsum(counts[1 : k + 1], dtype=float)
+        args, h = _on_run_ends(mus, ends, _log_ej)
         epsilon_star = parametric + float(np.max(tail[:k] * gamma_rate(args)))
+        terms[:k] = mus * h
+        found = _argmax_peaks(terms[:k], h, ends, range(k))
+    peak = _multinomial_peak(values, counts, n_val, found)
     return RateProfile(peak.j_star, peak.psi, peak.m, epsilon_star, peak.regime, terms)
 
 
@@ -284,28 +302,38 @@ def sharp_constant_epsilon(
     """
     _check_alpha_p(alpha_p)
     _check_xi(xi)
-    if mu.runs[0][-1] < 1.0:
-        raise ValueError("the sharp-constant setup assumes all rates >= 1")
-    level, j_star, _, _ = _peak_on_run_ends(*mu.runs, lambda js: _inflated_log(js, alpha_p))
+    level, j_star, _, _ = _sharp_constant_peaks(mu, alpha_p)[0]
     value = float(xi) * level
     if not math.isfinite(value):
         raise OverflowError(f"the separation xi * {level!r} overflows at xi = {float(xi)!r}")
     return SharpConstantEpsilon(value, j_star)
 
 
+def _sharp_constant_peaks(mu: RateVector, alpha_p: float) -> tuple[_Peak, _RatePeak]:
+    """The peak of :func:`sharp_constant_epsilon`'s inflated-log objective
+    (``alpha_p`` already checked), and the :func:`_poisson_peak` of the plain
+    one, which gives the regime: both from one search's ``h_inverse`` calls."""
+    values, counts = mu.runs
+    if values[-1] < 1.0:
+        raise ValueError("the sharp-constant setup assumes all rates >= 1")
+    inflated, plain = _peak_on_run_ends(values, counts, lambda js: np.stack([_inflated_log(js, alpha_p), _log_ej(js)]))
+    return inflated, _poisson_peak(values, counts, plain)
+
+
 def multinomial_sharp_constant_level(
     q0: SimplexVector, n: float, alpha_p: float
-) -> tuple[float, int, float, int]:
+) -> tuple[float, int, float, int, str]:
     """Multinomial sharp-constant level, the separation at ``xi = 1``:
-    ``(level, j*, n', m)`` at sample size ``n' = (1+n^{-1/3})n``.
+    ``(level, j*, n', m, regime)`` at sample size ``n' = (1+n^{-1/3})n``.
 
     The level uses the plain ``log(e j)`` while the critical index is the
     argmax of the inflated-log objective; both use the variance form
     ``q(1-q)`` of the tail cells.  The mass-removal count ``m`` is clamped
-    to at least 2 whenever it is positive.  Both objectives, the critical
-    index and ``m`` are computed on the run ends of the tail only, so in
-    O(#runs), and both objectives share the peak search's ``h_inverse`` calls
-    (:func:`_peak_on_run_ends`).
+    to at least 2 whenever it is positive.  ``regime`` is the null's
+    advisory label (:func:`_multinomial_peak`, on the counts ``n q``).  The
+    three objectives, the critical index and ``m`` are computed on the run
+    ends of the tail only, so in O(#runs), and the objectives share one peak
+    search's ``h_inverse`` calls (:func:`_peak_on_run_ends`).
     """
     _check_alpha_p(alpha_p)
     n_val = sample_size_value(n)
@@ -313,15 +341,18 @@ def multinomial_sharp_constant_level(
     if values[-1] < 1.0 / n_val:
         raise ValueError("the sharp-constant setup assumes q0(p) >= 1/n")
     n_prime = (1.0 + n_val ** (-1.0 / 3.0)) * n_val
-    tail, counts = values[1:], counts[1:]
+    tail = values[1:]
     if tail.size == 0:
         raise ValueError("need at least two categories")
     v = tail * (1.0 - tail)
-    # The plain and the inflated objective share the search's h^{-1} calls.
-    plain, (_, j_star, g, _) = _peak_on_run_ends(
-        v, counts, lambda js: np.stack([_log_ej(js), _inflated_log(js, alpha_p)]), n_prime
+    # Every tail cell is at least 1/n, so the regime's runs are the tail's.
+    plain, (_, j_star, g, _), regime = _peak_on_run_ends(
+        np.stack([v, v, n_val * tail]),
+        counts[1:],
+        lambda js: np.stack([_log_ej(js), _inflated_log(js, alpha_p), _log_ej(js)]),
+        np.array([[n_prime], [n_prime], [1.0]]),
     )
     mu_star = n_prime * float(tail[g])
     m_raw = max(2, math.ceil(h_inverse((1.0 + math.log(j_star)) / mu_star)))
     m = min(m_raw, j_star - 1)
-    return plain.term, j_star, n_prime, m
+    return plain.term, j_star, n_prime, m, _multinomial_peak(values, counts, n_val, regime).regime

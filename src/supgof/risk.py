@@ -39,14 +39,7 @@ from scipy.special import pdtr, pdtrc
 from .maxtest import AcceptanceBox, MultinomialTestConfig, PoissonTestConfig
 from .model import RateVector, SimplexVector, as_probability_vector
 from .priors import MultinomialSimplexPrior, PoissonSpikePrior
-from .rates import (
-    _check_alpha_p,
-    _check_xi,
-    _multinomial_peak,
-    _poisson_peak,
-    multinomial_sharp_constant_level,
-    sharp_constant_epsilon,
-)
+from .rates import _check_alpha_p, _check_xi, _sharp_constant_peaks, multinomial_sharp_constant_level
 from .special import AtomBudgetError
 
 __all__ = [
@@ -112,7 +105,8 @@ class RiskEstimate:
 def _log_mean_subset_products(log_r: np.ndarray, m: int, counts: np.ndarray) -> np.ndarray:
     """``log(e_m(r minus one copy of r_g) / C(k - 1, m))`` for each entry ``g``
     of the ``k`` ratios: the log of the mean product of ``r`` over the
-    ``m``-subsets of the ratios other than that copy.
+    ``m``-subsets of the ratios other than that copy.  ``log_r`` may hold one
+    row of ratios per prior, along a leading axis.
 
     Entry ``g`` stands for ``counts[g]`` equal ratios, so the elementary
     symmetric polynomial ``e_m`` of what is left is
@@ -124,39 +118,39 @@ def _log_mean_subset_products(log_r: np.ndarray, m: int, counts: np.ndarray) -> 
     own factor with one copy removed multiplies ``suf`` last.  Working with
     logs nothing overflows, and every term being positive, nothing cancels.
     O(G m min(m, max c)) time for G entries (O(k m) on single ratios); two
-    ``(G + 1, m + 1)`` tables.
+    ``(G + 1, m + 1)`` tables per row.
     """
-    size = log_r.size
+    size = log_r.shape[-1]
     top = min(m, int(counts.max()))
 
     def binomial_terms(c, most):  # log C(c_g, i) r_g^i for i = 1..most
-        return _log_comb(c, most)[:, 1:] + log_r[:, None] * np.arange(1, most + 1)
+        return _log_comb(c, most)[:, 1:] + log_r[..., None] * np.arange(1, most + 1)
 
     def products(order: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        """``out[k, l]``: ``log [u^l]`` of the product over the first ``k`` entries of ``order``."""
-        out = np.full((size + 1, m + 1), -np.inf)
-        out[:, 0] = 0.0
+        """``out[..., k, l]``: ``log [u^l]`` of the product over the first ``k`` entries of ``order``."""
+        out = np.full(log_r.shape[:-1] + (size + 1, m + 1), -np.inf)
+        out[..., 0] = 0.0
         for l in range(1, m + 1):
-            inc = terms[order, 0] + out[:-1, l - 1]
+            inc = terms[..., order, 0] + out[..., :-1, l - 1]
             for i in range(2, min(l, top) + 1):
-                inc = np.logaddexp(inc, terms[order, i - 1] + out[:-1, l - i])
-            out[1:, l] = np.logaddexp.accumulate(inc)
+                inc = np.logaddexp(inc, terms[..., order, i - 1] + out[..., :-1, l - i])
+            out[..., 1:, l] = np.logaddexp.accumulate(inc, axis=-1)
         return out
 
     terms = binomial_terms(counts, top)
     forward = np.arange(size)
-    pre = products(forward, terms)[:-1]
-    suf = products(forward[::-1], terms)[::-1][1:]
+    pre = products(forward, terms)[..., :-1, :]
+    suf = products(forward[::-1], terms)[..., ::-1, :][..., 1:, :]
     own = min(m, int(counts.max()) - 1)  # the own factor (1 + r_g u)^(c_g - 1)
     if own:
         own_terms = binomial_terms(counts - 1, own)
         with_own = suf.copy()
         for i in range(1, own + 1):
-            with_own[:, i:] = np.logaddexp(with_own[:, i:], own_terms[:, i - 1 : i] + suf[:, : m + 1 - i])
+            with_own[..., i:] = np.logaddexp(with_own[..., i:], own_terms[..., i - 1 : i] + suf[..., : m + 1 - i])
         suf = with_own
-    total = suf[:, m].copy()
+    total = suf[..., m].copy()
     for l in range(1, m + 1):
-        total = np.logaddexp(total, pre[:, l] + suf[:, m - l])
+        total = np.logaddexp(total, pre[..., l] + suf[..., m - l])
     return total - math.log(math.comb(int(counts.sum()) - 1, m))
 
 
@@ -169,8 +163,9 @@ def _leave_one_out_type2(
     where: str,
     log_d: np.ndarray | None,
     m: int,
-) -> float:
-    """Exact Type II under a spike placed uniformly on the cells of ``pool``.
+) -> np.ndarray:
+    """Exact Type II under a spike placed uniformly on the cells of ``pool``,
+    one per row of ``b`` (and of ``log_d``): one per prior.
 
     ``log_a`` holds ``log a_i``, the box probability of every cell without
     the spike, and ``b_s`` that of pool cell ``s`` carrying it, so the test
@@ -200,7 +195,7 @@ def _leave_one_out_type2(
         )
     log_w = 0.0 if m == 0 else _log_mean_subset_products(log_d - log_a_pool, m, counts[pool])
     terms = np.exp(np.sum(counts * log_a) - log_a_pool + log_w) * b
-    return float(np.sum(counts[pool] * terms) / np.sum(counts[pool]))
+    return np.sum(counts[pool] * terms, axis=-1) / np.sum(counts[pool])
 
 
 class _PoissonCells:
@@ -221,33 +216,40 @@ class _PoissonCells:
         self.log_accept = float(np.sum(counts * self.log_a))
         self.accept = math.exp(self.log_accept)
 
-    def bayes(self, prior: PoissonSpikePrior | MultinomialSimplexPrior, where: str = "") -> float:
-        """Exact Bayes Type II when the prior's draws perturb these cells.
+    def bayes(self, priors: list[PoissonSpikePrior] | list[MultinomialSimplexPrior], where: str = "") -> list[float]:
+        """Exact Bayes Type II under each of ``priors``, which share their
+        base, ``j*`` and ``m`` and differ in their perturbation.
 
         A :class:`PoissonSpikePrior` adds ``spike`` to one of cells
         ``1..j*``; a :class:`MultinomialSimplexPrior` adds ``c psi / n`` to
         one of categories ``2..j*+1`` and removes ``c psi / (n m)`` from
         ``m`` of the others.  The average over the draws is
         :func:`_leave_one_out_type2` on that pool, which is whole runs
-        (``j*`` ends a run, or the cells are dense).  A removal below 0 is
-        clipped at 0 here, as in :class:`_FixedN`; the sampler
+        (``j*`` ends a run, or the cells are dense), for all the priors at
+        once: one ``(prior, pool)`` table of spiked box masses and one of
+        reduced ones.  A removal below 0 is clipped at 0 here, as in
+        :class:`_FixedN`; the sampler
         :func:`~supgof.priors.draw_multinomial_simplex_prior` does not clip,
         and may leave rounding-level negative cells in its draws.  ``where``
         ends the message of a pool box with zero null probability.
         """
+        if not priors:
+            return []
+        prior = priors[0]
         if isinstance(prior, PoissonSpikePrior):
-            first, shift, m = 0, prior.spike, 0
+            first, shift, m = 0, [p.spike for p in priors], 0
         elif prior.m == 0:  # every draw is the base vector
-            return self.accept
+            return [self.accept] * len(priors)
         else:
-            first, shift, m = 1, prior.c * prior.psi / prior.n, prior.m
+            first, shift, m = 1, [p.c * p.psi / p.n for p in priors], prior.m
         pool = slice(first, int(np.searchsorted(self.ends, prior.j_star + first)) + 1)
         values, box = self.values[pool], self.box[pool]
-        spiked = _box_mass(box, self.n * (values + shift))
+        spiked = _box_mass(box, self.n * (values + np.array(shift)[:, None]))
         log_d = None
         if m:
-            log_d = _box_log_mass(box, self.n * np.clip(values - prior.c * prior.psi / (prior.n * m), 0.0, None))
-        return _leave_one_out_type2(self.log_a, spiked, pool, self.rates, self.counts, where, log_d, m)
+            removed = np.array([p.c * p.psi / (p.n * m) for p in priors])[:, None]
+            log_d = _box_log_mass(box, self.n * np.clip(values - removed, 0.0, None))
+        return _leave_one_out_type2(self.log_a, spiked, pool, self.rates, self.counts, where, log_d, m).tolist()
 
     def risk(self, type2: float, seed: int) -> RiskEstimate:
         """The exact risk with these cells as the null (Type I ``1 - accept``) and ``type2``."""
@@ -284,7 +286,7 @@ def estimate_poisson_risk(
         raise ValueError("alternative rates must be finite and nonnegative")
     ones = np.ones(lam.size, dtype=np.int64)  # the dense cells as runs of count 1
     alt = _PoissonCells(box, lam, ones)
-    type2 = alt.bayes(alternative) if prior else alt.accept
+    type2 = alt.bayes([alternative])[0] if prior else alt.accept
     return _PoissonCells(box, mu.rates, ones).risk(type2, seed)
 
 
@@ -424,13 +426,19 @@ def _worst_draw(base, spiked, reduced, counts: np.ndarray, m: int) -> np.ndarray
     cells of row ``g``).  With ``lift = reduced - base`` and ``top(k)`` the sum
     of its ``k`` largest over the cells, a draw spiking a cell of row ``g``
     reduces at most ``min(top(m), top(m + 1) - lift[g])``: a pool of one row
-    is its one law, exactly."""
-    lift = reduced - base
-    order = np.argsort(-lift, axis=0, kind="stable")
-    taken, ranked = counts[order], np.take_along_axis(lift, order, axis=0)
-    ahead = np.cumsum(taken, axis=0) - taken  # cells ranked above each row's
-    top, more = (np.sum(np.clip(k - ahead, 0, taken) * ranked, axis=0) for k in (m, m + 1))
-    return counts @ base + np.max(spiked - base + np.minimum(top, more - lift), axis=0)
+    is its one law, exactly.  The columns are taken in blocks of at most
+    2^16 entries, and of at least two columns, whose sums down the rows run
+    in the same order as the whole table's."""
+    rows, cols = base.shape
+    out = np.empty(cols)
+    for at in np.array_split(np.arange(cols), max(1, min(cols // 2, math.ceil(rows * cols / (1 << 16))))):
+        lift = reduced[:, at] - base[:, at]
+        order = np.argsort(-lift, axis=0, kind="stable")
+        taken, ranked = counts[order], np.take_along_axis(lift, order, axis=0)
+        ahead = np.cumsum(taken, axis=0) - taken  # cells ranked above each row's
+        top, more = (np.sum(np.clip(k - ahead, 0, taken) * ranked, axis=0) for k in (m, m + 1))
+        out[at] = np.max(spiked[:, at] - base[:, at] + np.minimum(top, more - lift), axis=0)
+    return counts @ base + out
 
 
 class _Grid(NamedTuple):
@@ -629,22 +637,28 @@ class _FixedN:
         # What every draw of a prior shares: the outside cells' bounds and spectra.
         self.outside_law, self.outside_spectra = (_weighted(self.outside, *x) for x in (self.bounds, self.spectra))
 
-    def bayes(self, prior: MultinomialSimplexPrior, where: str = "") -> float:
-        """Exact Bayes Type II under ``prior``, whose base, ``j*`` and ``m`` built
-        this instance; a removal below 0 is clipped at 0, as in
-        :meth:`_PoissonCells.bayes`.  A pool product past ``_MAX_TERMS`` terms in
-        one level (on the null's grid) raises ``AtomBudgetError`` before its
-        rows are built.  ``where`` is not used."""
+    def bayes(self, priors: list[MultinomialSimplexPrior], where: str = "") -> list[float]:
+        """Exact Bayes Type II under each of ``priors``, whose base, ``j*`` and
+        ``m`` built this instance; a removal below 0 is clipped at 0, as in
+        :meth:`_PoissonCells.bayes`.  Each prior's draws pick their own grid,
+        so the priors are taken one at a time.  A pool product past
+        ``_MAX_TERMS`` terms in one level (on the null's grid) raises
+        ``AtomBudgetError`` before its rows are built.  ``where`` is not used."""
         if self.t < 0:
-            return 0.0
-        if prior.m == 0:  # every draw is the base vector
-            return self.accept
-        t, m = self.t, prior.m
+            return [0.0] * len(priors)
+        if not priors or priors[0].m == 0:  # every draw is the base vector
+            return [self.accept] * len(priors)
+        m = priors[0].m
         pool = np.flatnonzero(self.pool)
         cells = self.pool[pool]
         if pool.size > 1:
             _check_terms(_pool_tree_terms(int(cells.sum()), m, self.grid.top + 1), "terms in one pool-product level")
-        shift = prior.c * prior.psi / prior.n
+        return [self._type2(prior.c * prior.psi / prior.n, m, pool, cells) for prior in priors]
+
+    def _type2(self, shift: float, m: int, pool: np.ndarray, cells: np.ndarray) -> float:
+        """:meth:`bayes` under one prior, which adds ``shift`` to a cell of the
+        groups ``pool`` (``cells`` of each) and takes ``shift / m`` from ``m`` others."""
+        t = self.t
         q, lo, hi = self.values[pool], np.tile(self.lo[pool], 2), np.tile(self.hi[pool], 2)
         # The pool's spiked rows, then its reduced rows, in the base rows' boxes.
         changed = _cell_rows(self.n * np.r_[q + shift, np.clip(q - shift / m, 0.0, None)], lo, hi, t)
@@ -713,7 +727,7 @@ def estimate_multinomial_risk(
         pool = (alternative.j_star, alternative.m) if prior else ()
         alt = _FixedN(box, n, q_alt, ones, n * float(q_alt.sum()), *pool)
         null = alt if np.array_equal(q_alt, q0.probs) else _FixedN(box, n, q0.probs, ones, n * float(q0.probs.sum()))
-    return null.risk(alt.bayes(alternative) if prior else alt.accept, seed)
+    return null.risk(alt.bayes([alternative])[0] if prior else alt.accept, seed)
 
 
 @dataclass(frozen=True)
@@ -788,7 +802,8 @@ def sweep_sharp_constant(
     O(#runs) per ``xi``: a null built from runs sweeps at any ``p`` without
     its dense rates.  The threshold does not depend on ``xi``, so one
     :class:`_PoissonCells` law, with its box, ``log a`` and Type I, serves
-    the whole grid.
+    the whole grid, and gives every ``xi``'s Type II in one pass over the
+    pool.  One peak search finds the level, ``j*`` and the regime.
     ``trials`` must be at least 1 but is not used, nor is ``seed``: each row
     reports 0 trials, a zero ``ci`` and ``seed`` as passed.  A box among the
     first ``j*`` with zero null probability in float64 raises
@@ -798,16 +813,15 @@ def sweep_sharp_constant(
         raise ValueError(f"trials must be at least 1, got {trials!r}")
     xi_grid = _checked_xi_grid(alpha_p, xi_grid)
     # The xi-free level, which is the test's threshold, is the separation at xi = 1.
-    level, j_star = sharp_constant_epsilon(mu, alpha_p, 1.0)
+    (level, j_star, _, _), peak = _sharp_constant_peaks(mu, alpha_p)
     epsilons = _scaled_by_grid(xi_grid, level)
     values, counts = mu.runs
     null = _PoissonCells(AcceptanceBox.around(values, level, strict=True), values, counts)
-    estimates = tuple(
-        # The spike prior of scale xi on the level: its spike xi * level is the grid's epsilon.
-        null.risk(null.bayes(PoissonSpikePrior(mu, j_star, level, xi, math.e), f" at xi={xi!r}"), seed)
-        for xi in xi_grid.tolist()
-    )
-    return SweepResult(xi_grid, epsilons, estimates, _poisson_peak(values, counts).regime)
+    xis = xi_grid.tolist()
+    # The spike prior of scale xi on the level: its spike xi * level is the grid's epsilon.
+    priors = [PoissonSpikePrior(mu, j_star, level, xi, math.e) for xi in xis]
+    type2 = null.bayes(priors, f" at xi={xis[0]!r}" if xis else "")
+    return SweepResult(xi_grid, epsilons, tuple(null.risk(t, seed) for t in type2), peak.regime)
 
 
 def sweep_multinomial_sharp_constant(
@@ -844,6 +858,9 @@ def sweep_multinomial_sharp_constant(
     is exact too (:class:`_FixedN`, one product of the cells outside the
     pool and one Type I for the whole grid) but needs the dense cells,
     so past ``DENSE_RATES_CAP`` it raises a ``ValueError`` naming the cap.
+    Either law takes the whole grid's priors in one call: the Poissonized
+    one in one pass over the pool, the fixed-n one a grid per prior.  One
+    peak search finds the level, ``j*`` and the regime.
     Every row reports 0 trials, a zero ``ci`` and ``seed`` as passed;
     ``trials`` must be at least 1 but is not used.
     """
@@ -851,7 +868,7 @@ def sweep_multinomial_sharp_constant(
         raise ValueError(f"trials must be at least 1, got {trials!r}")
     xi_grid = _checked_xi_grid(alpha_p, xi_grid)
     # The xi-free level, the test's threshold over n', is the separation at xi = 1.
-    level, j_star, n_prime, m = multinomial_sharp_constant_level(q0, n, alpha_p)
+    level, j_star, n_prime, m, regime = multinomial_sharp_constant_level(q0, n, alpha_p)
     epsilons = _scaled_by_grid(xi_grid, level)
     if m == 0:
         raise ValueError("sweep alternative needs j* >= 2: no cell can give up the added mass")
@@ -863,8 +880,7 @@ def sweep_multinomial_sharp_constant(
         raise ValueError("sweep alternative leaves the simplex; reduce xi or grow n")
     box = AcceptanceBox.around(n * values, n_prime * level, strict=True)
     null = _PoissonCells(box, values, counts, n) if poissonized else _FixedN(box, n, values, counts, total, j_star, m)
-    estimates = tuple(
-        null.risk(null.bayes(MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0), f" at xi={xi!r}"), seed)
-        for xi, eps in zip(xi_grid.tolist(), epsilons.tolist())
-    )
-    return SweepResult(xi_grid, epsilons, estimates, _multinomial_peak(values, counts, n).regime)
+    priors = [MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0) for eps in epsilons.tolist()]
+    xis = xi_grid.tolist()
+    type2 = null.bayes(priors, f" at xi={xis[0]!r}" if xis else "")
+    return SweepResult(xi_grid, epsilons, tuple(null.risk(t, seed) for t in type2), regime)

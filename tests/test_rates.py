@@ -266,6 +266,62 @@ class TestPeakSearch:
         monkeypatch.setattr(rates, "_ONE_BLOCK_RUNS", 10**9)
         assert searched == [job() for job in jobs]
 
+    @staticmethod
+    def _decaying(rng, runs: int):
+        """Distinct decaying values of at least 1 and seeded counts: a sharp-constant null."""
+        values = 1.0 + 10.0 ** rng.uniform(0, 3) / np.arange(1, runs + 1) ** rng.uniform(0.2, 1.0)
+        return values, rng.integers(1, 1_000, runs)
+
+    @pytest.mark.parametrize("runs", [1, 40, rates._ONE_BLOCK_RUNS - 1, rates._ONE_BLOCK_RUNS, 3 * rates._ONE_BLOCK_RUNS])
+    def test_stacked_sharp_constant_peaks_equal_the_separate_searches(self, runs):
+        """The sweeps' one search gives what a search per objective gives, bit
+        for bit: the inflated-log peak, the plain-log :func:`_poisson_peak`,
+        and on the multinomial side the level, ``j*``, ``m`` and the regime."""
+        rng = np.random.default_rng(20261029 + runs)
+        for _ in range(4):
+            values, counts = self._decaying(rng, runs)
+            alpha_p = float(rng.uniform(1.5, 30.0))
+            mu = RateVector.from_runs(values, counts)
+            inflated, plain = rates._sharp_constant_peaks(mu, alpha_p)
+            assert inflated == rates._peak_on_run_ends(values, counts, lambda js: rates._inflated_log(js, alpha_p))
+            assert plain == rates._poisson_peak(values, counts)
+            assert tuple(inflated) == _full_peaks(values, counts, lambda js: rates._inflated_log(js, alpha_p))[0]
+            weights = np.r_[2.0 * values[0], values]
+            run_counts = np.r_[1, counts]
+            q0 = SimplexVector.from_runs(weights / (run_counts @ weights), run_counts)
+            n = float(2.0 / q0.runs[0][-1])
+            level, j_star, n_prime, m, regime = multinomial_sharp_constant_level(q0, n, alpha_p)
+            tail = q0.runs[0][1:]
+            pair = lambda js: np.stack([rates._log_ej(js), rates._inflated_log(js, alpha_p)])
+            plain_peak, inflated_peak = rates._peak_on_run_ends(tail * (1.0 - tail), counts, pair, n_prime)
+            assert (level, j_star) == (plain_peak.term, inflated_peak.j_star)
+            m_raw = math.ceil(h_inverse((1.0 + math.log(j_star)) / (n_prime * float(tail[inflated_peak.g]))))
+            assert m == min(max(2, m_raw), j_star - 1)
+            assert regime == rates._multinomial_peak(*q0.runs, n).regime
+
+    @pytest.mark.parametrize("runs, poisson, multinomial", [(300, 1, 2), (3 * rates._ONE_BLOCK_RUNS, 2, 3)])
+    def test_sweeps_count_their_h_inverse_calls(self, monkeypatch, runs, poisson, multinomial):
+        """A Poisson sweep makes one peak search, one ``h_inverse`` call with
+        one block and two past it; a multinomial sweep adds the scalar ``m``."""
+        rng = np.random.default_rng(20261030)
+        values, counts = self._decaying(rng, runs)
+        mu = RateVector.from_runs(values, counts)
+        weights = np.r_[2.0 * values[0], values]
+        q0 = SimplexVector.from_runs(weights / (np.r_[1, counts] @ weights), np.r_[1, counts])
+        n = 4.0 * (1.0 + math.log(q0.p)) ** 2 / q0.runs[0][-1]
+        calls = []
+
+        def counted(y):
+            calls.append(np.size(y))
+            return h_inverse(y)
+
+        monkeypatch.setattr(rates, "h_inverse", counted)
+        sweep_sharp_constant(mu, [0.5, 1.0, 2.0], math.log(mu.p), 1, 0)
+        assert len(calls) == poisson
+        calls.clear()
+        sweep_multinomial_sharp_constant(q0, n, [0.5, 1.0, 2.0], math.log(q0.p), 1, 0, poissonized=True)
+        assert len(calls) == multinomial
+
 
 class TestPoissonRate:
     def test_single_coordinate(self):
@@ -433,7 +489,7 @@ class TestSharpConstantEpsilon:
 class TestMultinomialSharpConstantEpsilon:
     def test_two_cells_single_term(self):
         q0 = SimplexVector([0.5, 0.5])
-        level, _j_star, n_prime_out, _m = multinomial_sharp_constant_level(q0, 100.0, 5.0)
+        level, _j_star, n_prime_out, _m, _ = multinomial_sharp_constant_level(q0, 100.0, 5.0)
         n_prime = (1 + 100 ** (-1 / 3)) * 100
         v = 0.5 * 0.5
         expected = v * h_inverse(1.0 / (n_prime * v))

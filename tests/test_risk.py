@@ -371,6 +371,11 @@ class TestGroupedPoissonSweep:
         res = sweep_sharp_constant(mu, self.XI, 3.0, 1, 0)
         for risk, eps, (eps_d, type1, type2) in zip(res.risks, res.epsilons, _dense_sweep(mu.rates, self.XI, 3.0)):
             np.testing.assert_allclose([eps, risk.type1, risk.type2], [eps_d, type1, type2], rtol=1e-12, atol=1e-15)
+        level, j_star = sharp_constant_epsilon(mu, 3.0, 1.0)
+        run_values, run_counts = mu.runs
+        law = _PoissonCells(AcceptanceBox.around(run_values, level, strict=True), run_values, run_counts)
+        priors = [PoissonSpikePrior(mu, j_star, level, xi, math.e) for xi in self.XI]
+        assert _each_of_the_batch(law, priors) == [risk.type2 for risk in res.risks]
         assert res.regime == poisson_rate(mu).regime
         assert res.regime == sweep_sharp_constant(RateVector(mu.rates), [1.0], 3.0, 1, 0).regime
 
@@ -505,6 +510,24 @@ def _random_simplex_step_nulls(count: int, seed: int, p_max: int) -> list[tuple[
     return nulls
 
 
+def _whole_table_worst_draw(base, spiked, reduced, counts, m) -> np.ndarray:
+    """``_worst_draw`` with every column in one table: the reference for its blocks."""
+    lift = reduced - base
+    order = np.argsort(-lift, axis=0, kind="stable")
+    taken, ranked = counts[order], np.take_along_axis(lift, order, axis=0)
+    ahead = np.cumsum(taken, axis=0) - taken
+    top, more = (np.sum(np.clip(k - ahead, 0, taken) * ranked, axis=0) for k in (m, m + 1))
+    return counts @ base + np.max(spiked - base + np.minimum(top, more - lift), axis=0)
+
+
+def _each_of_the_batch(law, priors) -> list[float]:
+    """``law.bayes`` on the batch ``priors``, checked against each prior as a
+    batch of one, bit for bit."""
+    batch = law.bayes(priors)
+    assert batch == [law.bayes([prior])[0] for prior in priors]
+    return batch
+
+
 def _on_simplex_n(values: np.ndarray, counts: np.ndarray) -> float:
     """A sample size at which the smallest cell's mean is ``4 log^2(e p)``, so
     the sweep's alternatives stay on the simplex for ``xi <= 2``."""
@@ -534,15 +557,14 @@ class TestGroupedMultinomialSweep:
         q0 = SimplexVector.from_runs(values, counts)
         n = float(math.ceil(_on_simplex_n(values, counts)))
         res = sweep_multinomial_sharp_constant(q0, n, self.XI, 3.0, 1, 0)
-        level, j_star, n_prime, m = multinomial_sharp_constant_level(q0, n, 3.0)
+        level, j_star, n_prime, m, _ = multinomial_sharp_constant_level(q0, n, 3.0)
         probs = q0.probs
         ones = np.ones(probs.size, dtype=np.int64)
         box = AcceptanceBox.around(n * probs, n_prime * level, strict=True)
-        for xi, eps, risk in zip(self.XI, res.epsilons, res.risks):
-            state = _FixedN(box, n, probs, ones, n * float(probs.sum()), j_star, m)
-            prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0)
-            want = [1.0 - state.accept, state.bayes(prior)]
-            np.testing.assert_allclose([risk.type1, risk.type2], want, rtol=1e-12, atol=1e-15)
+        state = _FixedN(box, n, probs, ones, n * float(probs.sum()), j_star, m)
+        priors = [MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0) for eps in res.epsilons]
+        for risk, type2 in zip(res.risks, _each_of_the_batch(state, priors)):
+            np.testing.assert_allclose([risk.type1, risk.type2], [1.0 - state.accept, type2], rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("values, counts", _random_simplex_step_nulls(12, 20_261_022, 10_000))
     def test_simplex_prior_type2_over_runs(self, values, counts):
@@ -554,9 +576,11 @@ class TestGroupedMultinomialSweep:
         box = MultinomialTestConfig.from_eta(q0, n, 0.2).acceptance_box(q0, n)
         run_values, run_counts = q0.runs
         run_box = box[np.cumsum(run_counts) - 1]
-        runs = _PoissonCells(run_box, run_values, run_counts, n).bayes(prior)
+        # The prior at scales c, c / 2 and c / 4, sharing its base, j* and m.
+        priors = [MultinomialSimplexPrior(q0, n, prior.j_star, prior.psi, prior.m, prior.c / k) for k in (1, 2, 4)]
+        runs = _each_of_the_batch(_PoissonCells(run_box, run_values, run_counts, n), priors)[0]
         dense_law = _PoissonCells(box, q0.probs, np.ones(q0.p, dtype=np.int64), n)
-        dense = dense_law.bayes(prior)
+        dense = _each_of_the_batch(dense_law, priors)[0]
         log_a = dense_law.log_a
         assert runs == pytest.approx(dense, rel=1e-12)
         if prior.m:
@@ -599,7 +623,7 @@ class TestGroupedMultinomialSweep:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        _, _, n_prime, m = multinomial_sharp_constant_level(q0, n, math.log(p))
+        _, _, n_prime, m, _ = multinomial_sharp_constant_level(q0, n, math.log(p))
         lam = n * (1.0 / p)
         with mpmath.workdps(40):
             for xi, eps, risk in zip(xi_grid, res.epsilons, res.risks):
@@ -654,7 +678,7 @@ class TestGroupedMultinomialSweep:
         pool = np.flatnonzero(law.pool)
         for eps, risk in zip(res.epsilons, res.risks):
             prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0)
-            assert (1.0 - law.accept, law.bayes(prior)) == (risk.type1, risk.type2)
+            assert (1.0 - law.accept, law.bayes([prior])[0]) == (risk.type1, risk.type2)
             q = law.values[pool]
             b, d = (_lo_rows(_cell_rows(n * rates, law.lo[pool], law.hi[pool], law.t)) for rates in (q + eps, q - eps / m))
             if pool.size == 1:  # one law for every draw
@@ -714,7 +738,7 @@ class TestPhaseTransitionShape:
 
         p, n = 6, 6.0
         q0 = SimplexVector(np.full(p, 1.0 / p))
-        level, j_star, n_prime, m = multinomial_sharp_constant_level(q0, n, math.log(p))
+        level, j_star, n_prime, m, _ = multinomial_sharp_constant_level(q0, n, math.log(p))
         eps = 0.5 * level
         nu = n_prime / p
         spike, removal = n_prime * eps, n_prime * eps / m
@@ -884,7 +908,7 @@ class TestExactProductRisk:
     def test_poissonized_sweep_matches_enumeration(self, probs, n, xi_grid):
         q0 = SimplexVector(probs)
         res = sweep_multinomial_sharp_constant(q0, n, xi_grid, 3.0, 100, 5, poissonized=True)
-        level, j_star, n_prime, m = multinomial_sharp_constant_level(q0, n, 3.0)
+        level, j_star, n_prime, m, _ = multinomial_sharp_constant_level(q0, n, 3.0)
         assert m >= 1
         for xi, eps, risk in zip(xi_grid, res.epsilons, res.risks):
             rows = _simplex_components(probs, j_star, m, eps, eps / m)
@@ -966,7 +990,7 @@ class TestZeroProbabilityPoolBox:
         risk = null.risk(_PoissonCells(box, np.array([4.0]), ones).accept, 0)
         assert (risk.type1, risk.type2) == (1.0, 0.0)
         with pytest.raises(FloatingPointError, match="coordinate 1 "):
-            null.bayes(PoissonSpikePrior.build(mu, 0.5))
+            null.bayes([PoissonSpikePrior.build(mu, 0.5)])
 
     def test_spike_prior_route(self):
         mu = RateVector([1e300, 1.0])
@@ -1075,7 +1099,7 @@ class TestExactFixedN:
     def test_sweep_matches_enumeration(self, probs, n, xi_grid):
         q0 = SimplexVector(probs)
         res = sweep_multinomial_sharp_constant(q0, n, xi_grid, 3.0, 100, 5)
-        level, j_star, n_prime, m = multinomial_sharp_constant_level(q0, n, 3.0)
+        level, j_star, n_prime, m, _ = multinomial_sharp_constant_level(q0, n, 3.0)
         x = _multinomial_table(n, q0.p)
         for xi, eps, risk in zip(xi_grid, res.epsilons, res.risks):
             accept = np.abs(x - n * q0.probs).max(axis=1) < n_prime * eps / xi
@@ -1171,7 +1195,8 @@ class TestExactFixedN:
 
     def test_worst_draw_is_the_largest_draw(self, monkeypatch):
         """``_worst_draw`` is, per column, the largest sum over every (spike,
-        removal set) of the pool's cells, written out; and on a non-flat pool
+        removal set) of the pool's cells, written out; taken in blocks of
+        columns it is the whole table's, bit for bit; and on a non-flat pool
         of 282 cells every draw's grid is the null's."""
         rng = np.random.default_rng(20_261_028)
         for _ in range(20):
@@ -1187,6 +1212,12 @@ class TestExactFixedN:
                         draws.append(spiked[cells[s]] + reduced[cells[list(removed)]].sum(0) + base[kept].sum(0))
                 got = _worst_draw(base, spiked, reduced, counts, m)
                 np.testing.assert_allclose(got, np.max(draws, axis=0), rtol=1e-12, atol=1e-12)
+        for rows, cols in ((3_000, 62), (40_000, 5)):  # three blocks, and two past 2^16 entries each
+            counts = rng.integers(1, 4, rows)
+            base, spiked, reduced = (rng.normal(size=(rows, cols)) for _ in range(3))
+            m = int(rng.integers(1, counts.sum()))
+            want = _whole_table_worst_draw(base, spiked, reduced, counts, m)
+            assert np.array_equal(_worst_draw(base, spiked, reduced, counts, m), want)
         grids = _recorded_grids(monkeypatch)
         p, n = 500, 30
         q = np.arange(1, p + 1.0) ** -0.5
@@ -1234,7 +1265,7 @@ class TestExactFixedN:
             except ValueError:  # outside the sweep's setup: a cell below 1/n, or an alternative off the simplex
                 continue
             swept += 1
-            level, _, n_prime, _ = multinomial_sharp_constant_level(q0, n, 3.0)
+            level, _, n_prime, _, _ = multinomial_sharp_constant_level(q0, n, 3.0)
             box = AcceptanceBox.around(n * q0.probs, n_prime * level, strict=True)
             alone = _FixedN(box, n, q0.probs, np.ones(p, dtype=np.int64), n * float(q0.probs.sum()))
             assert {risk.type1 for risk in res.risks} == {1.0 - alone.accept}
@@ -1346,7 +1377,7 @@ def _stated(grid: _Grid, counts, widths, point: float) -> float:
 def _sweep_law(q0: SimplexVector, n: float):
     """The fixed-n law the sweep builds on the dense cells, with its prior's ``j*`` and ``m``, and the box."""
     p = q0.p
-    level, j_star, n_prime, m = multinomial_sharp_constant_level(q0, n, math.log(p))
+    level, j_star, n_prime, m, _ = multinomial_sharp_constant_level(q0, n, math.log(p))
     probs = q0.probs
     box = AcceptanceBox.around(n * probs, n_prime * level, strict=True)
     law = _FixedN(box, n, probs, np.ones(p, dtype=np.int64), n * float(probs.sum()), j_star, m)
@@ -1482,7 +1513,7 @@ class TestWindowedProducts:
         if null != "flat":
             return
         prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * level, m=m, c=1.0)
-        type2 = law.bayes(prior)
+        type2 = law.bayes([prior])[0]
         shift = prior.c * prior.psi / prior.n
         q = law.values[law.pool > 0]
         b, d = (_cell_rows(n * rate, law.lo[:1], law.hi[:1], law.t) for rate in (q + shift, q - shift / m))
