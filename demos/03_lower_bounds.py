@@ -32,7 +32,7 @@ eta = 0.5
 c = (1.0 - eta) ** 2
 print(f"=== Two-point bound at eta = {eta} (separation c = {c}) ===")
 mu = [1.0, 1.0]
-tv = tv_distance(poisson_product_dist(mu, 1e-12), poisson_mixture([1.0], [[1.0 + c, 1.0]], 1e-12))
+tv = tv_distance(poisson_product_dist(mu), poisson_mixture([1.0], [[1.0 + c, 1.0]]))
 print(f"exact Bayes risk = {1 - tv.value:.4f} (+/- {tv.error_bar:.1e}) >= eta = {eta}")
 
 print()

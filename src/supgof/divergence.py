@@ -63,6 +63,7 @@ ATOM_BUDGET = 10**7
 _SLAB_ATOMS = 1 << 16
 # Most spike-DP states one level may hold before ``tv_poisson_uniform_spike`` gives up.
 _MAX_STATES = 5_000_000
+# Mass a truncated Poisson law or mixture may leave off its grid, split per coordinate.
 DEFAULT_MASS_TOL = 1e-12
 _TINY = float(np.finfo(float).tiny)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -235,25 +236,21 @@ class PoissonMixture:
         return float(np.dot(self.weights, tails.sum(axis=1)))
 
 
-def poisson_product_dist(lams: Sequence[float], mass_tol: float = DEFAULT_MASS_TOL) -> PoissonMixture:
+def poisson_product_dist(lams: Sequence[float]) -> PoissonMixture:
     """Truncated ``@ Poisson(lam_j)``, a mixture of one component."""
-    return poisson_mixture([1.0], [lams], mass_tol)
+    return poisson_mixture([1.0], [lams])
 
 
-def poisson_mixture(
-    weights: Sequence[float],
-    lam_rows: Sequence[Sequence[float]],
-    mass_tol: float = DEFAULT_MASS_TOL,
-) -> PoissonMixture:
+def poisson_mixture(weights: Sequence[float], lam_rows: Sequence[Sequence[float]]) -> PoissonMixture:
     """Mixture of Poisson products; its grid covers every component with the
-    mass budget split per coordinate."""
+    mass budget ``DEFAULT_MASS_TOL`` (read at each call) split per coordinate."""
     w = np.asarray(weights, dtype=float)
     rows = np.asarray(lam_rows, dtype=float)
     if rows.ndim != 2 or rows.size == 0 or w.shape != rows.shape[:1]:
         raise ValueError("weights and rate rows must be nonempty and aligned")
     if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("weights must be a probability vector")
-    per_coord = mass_tol / rows.shape[1]
+    per_coord = DEFAULT_MASS_TOL / rows.shape[1]
     grid = tuple(max(_truncation_len(float(lam), per_coord) for lam in np.unique(col)) for col in rows.T)
     return PoissonMixture(w, rows, grid)
 

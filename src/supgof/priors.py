@@ -123,7 +123,8 @@ def certified_poisson_spike_c(mu: RateVector, eta: float) -> tuple[float, float]
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta!r}")
     prior = PoissonSpikePrior.build(mu, 1.0)
-    tv = _spike_tv(float(mu.rates[prior.j_star - 1]), prior.j_star)
+    values, counts = mu.runs  # nu is the value of the run that ends at j*
+    tv = _spike_tv(float(values[np.searchsorted(np.cumsum(counts), prior.j_star)]), prior.j_star)
     for c in np.linspace(1.0, 1.0 / _C_GRID, _C_GRID):
         risk = 1.0 - tv(float(c) * prior.psi).value
         if risk >= eta:

@@ -290,6 +290,14 @@ def _check_xi(xi: float) -> None:
         raise ValueError(f"xi must be positive and finite, got {float(xi)!r}")
 
 
+def _sharp_constant_runs(mu: RateVector) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of ``mu``, whose rates the sharp-constant setup assumes >= 1."""
+    values, counts = mu.runs
+    if values[-1] < 1.0:
+        raise ValueError("the sharp-constant setup assumes all rates >= 1")
+    return values, counts
+
+
 def sharp_constant_epsilon(
     mu: RateVector, alpha_p: float, xi: float
 ) -> SharpConstantEpsilon:
@@ -297,12 +305,12 @@ def sharp_constant_epsilon(
 
     ``L_j`` carries the slowly diverging ``alpha_p log^2(e j)`` inflation; the
     standing assumption of the asymptotic setup requires all rates >= 1.
-    The ``xi``-free objective and its critical index are computed on the
-    run ends of ``mu`` only, so in O(#runs).
+    The ``xi``-free objective and its critical index come from one peak
+    search of that objective alone on the run ends of ``mu``, in O(#runs).
     """
     _check_alpha_p(alpha_p)
     _check_xi(xi)
-    level, j_star, _, _ = _sharp_constant_peaks(mu, alpha_p)[0]
+    level, j_star, _, _ = _peak_on_run_ends(*_sharp_constant_runs(mu), lambda js: _inflated_log(js, alpha_p))
     value = float(xi) * level
     if not math.isfinite(value):
         raise OverflowError(f"the separation xi * {level!r} overflows at xi = {float(xi)!r}")
@@ -313,9 +321,7 @@ def _sharp_constant_peaks(mu: RateVector, alpha_p: float) -> tuple[_Peak, _RateP
     """The peak of :func:`sharp_constant_epsilon`'s inflated-log objective
     (``alpha_p`` already checked), and the :func:`_poisson_peak` of the plain
     one, which gives the regime: both from one search's ``h_inverse`` calls."""
-    values, counts = mu.runs
-    if values[-1] < 1.0:
-        raise ValueError("the sharp-constant setup assumes all rates >= 1")
+    values, counts = _sharp_constant_runs(mu)
     inflated, plain = _peak_on_run_ends(values, counts, lambda js: np.stack([_inflated_log(js, alpha_p), _log_ej(js)]))
     return inflated, _poisson_peak(values, counts, plain)
 

@@ -19,12 +19,14 @@ a vector of independent ``Y_j ~ Poisson(n q_j)`` conditioned on
 ``Lambda = n sum_j q_j``, and the numerator is one coefficient of a product
 of box-truncated Poisson pmfs, held by its values at the few frequencies
 where it carries mass and inverted by one direct sum (:class:`_FixedN`).
-Each public route builds its box and the null's law, which gives Type I,
-and asks the law of the alternative's own cells (a prior's base included)
-for Type II.  Every result is exact and reports 0 trials and a zero
-``ci``; nothing is sampled.  A fixed-n product too large to form (more than
-``_MAX_TERMS`` terms in one level, or a coefficient degree past it) raises
-``AtomBudgetError``.
+Each law is built with a prior's pool (first cell, ``j*``, ``m``) and takes
+its added masses ``c psi``, in count units, as plain numbers; only the
+``estimate_*`` routes look at a prior.  A route's law of the alternative's
+own cells (a prior's base included) gives Type II, and Type I when those
+cells are the null's; otherwise a law of the null's cells gives Type I.
+Every result is exact and reports 0 trials and a zero ``ci``; nothing is
+sampled.  A fixed-n product too large to form (more than ``_MAX_TERMS``
+terms in one level, or a coefficient degree past it) raises ``AtomBudgetError``.
 """
 
 from __future__ import annotations
@@ -206,50 +208,37 @@ class _PoissonCells:
     rate ``n values[g]`` whose box is ``box[g]``; dense cells are runs of
     count 1.  ``log_a`` holds each run's ``log P(box_g)``, and ``accept =
     prod_g P(box_g)^{counts[g]}`` is formed once from ``log_accept``, its log.
+    A prior's pool is cells ``first + 1..first + j*``, whole runs: ``first =
+    0`` for the spike prior, ``1`` for the simplex prior, which has ``m > 0``.
     """
 
-    def __init__(self, box: AcceptanceBox, values: np.ndarray, counts: np.ndarray, n: float = 1.0):
-        self.box, self.values, self.counts, self.n = box, values, counts, n
-        self.ends = np.cumsum(counts)  # the cell count through each run, for the pools
+    def __init__(self, box: AcceptanceBox, values: np.ndarray, counts: np.ndarray, n=1.0, first=0, j_star=0, m=0):
+        self.box, self.values, self.counts, self.n, self.m = box, values, counts, n, m
+        self.pool = slice(first, int(np.searchsorted(np.cumsum(counts), j_star + first)) + 1)  # the pool's runs
         self.rates = n * values
         self.log_a = _box_log_mass(box, self.rates)
         self.log_accept = float(np.sum(counts * self.log_a))
         self.accept = math.exp(self.log_accept)
 
-    def bayes(self, priors: list[PoissonSpikePrior] | list[MultinomialSimplexPrior], where: str = "") -> list[float]:
-        """Exact Bayes Type II under each of ``priors``, which share their
-        base, ``j*`` and ``m`` and differ in their perturbation.
-
-        A :class:`PoissonSpikePrior` adds ``spike`` to one of cells
-        ``1..j*``; a :class:`MultinomialSimplexPrior` adds ``c psi / n`` to
-        one of categories ``2..j*+1`` and removes ``c psi / (n m)`` from
-        ``m`` of the others.  The average over the draws is
-        :func:`_leave_one_out_type2` on that pool, which is whole runs
-        (``j*`` ends a run, or the cells are dense), for all the priors at
-        once: one ``(prior, pool)`` table of spiked box masses and one of
-        reduced ones.  A removal below 0 is clipped at 0 here, as in
-        :class:`_FixedN`; the sampler
+    def bayes(self, masses, where: str = "") -> list[float]:
+        """Exact Bayes Type II under the prior that adds ``mass`` (count units)
+        to one pool cell and, with ``m > 0``, takes ``mass / m`` from ``m``
+        others, for each of ``masses``: :func:`_leave_one_out_type2` on one
+        ``(mass, pool)`` table of spiked box masses and one of reduced ones.
+        A removal below 0 is clipped at 0, as in :class:`_FixedN`; the sampler
         :func:`~supgof.priors.draw_multinomial_simplex_prior` does not clip,
         and may leave rounding-level negative cells in its draws.  ``where``
         ends the message of a pool box with zero null probability.
         """
-        if not priors:
+        if not len(masses):
             return []
-        prior = priors[0]
-        if isinstance(prior, PoissonSpikePrior):
-            first, shift, m = 0, [p.spike for p in priors], 0
-        elif prior.m == 0:  # every draw is the base vector
-            return [self.accept] * len(priors)
-        else:
-            first, shift, m = 1, [p.c * p.psi / p.n for p in priors], prior.m
-        pool = slice(first, int(np.searchsorted(self.ends, prior.j_star + first)) + 1)
-        values, box = self.values[pool], self.box[pool]
-        spiked = _box_mass(box, self.n * (values + np.array(shift)[:, None]))
+        pool = self.pool
+        values, box, masses = self.values[pool], self.box[pool], np.asarray(masses, dtype=float)[:, None]
+        spiked = _box_mass(box, self.n * (values + masses / self.n))
         log_d = None
-        if m:
-            removed = np.array([p.c * p.psi / (p.n * m) for p in priors])[:, None]
-            log_d = _box_log_mass(box, self.n * np.clip(values - removed, 0.0, None))
-        return _leave_one_out_type2(self.log_a, spiked, pool, self.rates, self.counts, where, log_d, m).tolist()
+        if self.m:
+            log_d = _box_log_mass(box, self.n * np.clip(values - masses / (self.n * self.m), 0.0, None))
+        return _leave_one_out_type2(self.log_a, spiked, pool, self.rates, self.counts, where, log_d, self.m).tolist()
 
     def risk(self, type2: float, seed: int) -> RiskEstimate:
         """The exact risk with these cells as the null (Type I ``1 - accept``) and ``type2``."""
@@ -285,9 +274,9 @@ def estimate_poisson_risk(
     if not (prior or np.all(np.isfinite(lam) & (lam >= 0.0))):
         raise ValueError("alternative rates must be finite and nonnegative")
     ones = np.ones(lam.size, dtype=np.int64)  # the dense cells as runs of count 1
-    alt = _PoissonCells(box, lam, ones)
-    type2 = alt.bayes([alternative])[0] if prior else alt.accept
-    return _PoissonCells(box, mu.rates, ones).risk(type2, seed)
+    alt = _PoissonCells(box, lam, ones, j_star=alternative.j_star if prior else 0)
+    null = alt if np.array_equal(lam, mu.rates) else _PoissonCells(box, mu.rates, ones)
+    return null.risk(alt.bayes([alternative.spike])[0] if prior else alt.accept, seed)
 
 
 def _check_terms(terms: int, what: str) -> None:
@@ -581,7 +570,8 @@ def _pool_tree_terms(cells: int, m: int, freqs: int) -> int:
 
 class _FixedN:
     """One acceptance box under ``Multinomial(n, q)``, and under the draws of
-    a simplex prior on ``q``; with ``j_star = 0`` (no pool) the law of ``q``.
+    the simplex prior on ``q`` with pool ``2..j_star + 1`` and removal count
+    ``m``; with ``j_star = 0`` (no pool) the law of ``q``.
 
     ``q`` comes as runs, ``counts[g]`` cells of probability ``values[g]`` in
     box ``box[g]``, the head a run of its own and the pool (categories
@@ -615,7 +605,7 @@ class _FixedN:
         self, box: AcceptanceBox, n: float, values: np.ndarray, counts: np.ndarray, total: float, j_star=0, m=0
     ):
         self.t = t = _box_cut(box, n, counts)
-        self.n, self.total = n, total
+        self.n, self.total, self.m = n, total, m
         if t < 0:
             self.accept = 0.0
             return
@@ -637,28 +627,27 @@ class _FixedN:
         # What every draw of a prior shares: the outside cells' bounds and spectra.
         self.outside_law, self.outside_spectra = (_weighted(self.outside, *x) for x in (self.bounds, self.spectra))
 
-    def bayes(self, priors: list[MultinomialSimplexPrior], where: str = "") -> list[float]:
-        """Exact Bayes Type II under each of ``priors``, whose base, ``j*`` and
-        ``m`` built this instance; a removal below 0 is clipped at 0, as in
-        :meth:`_PoissonCells.bayes`.  Each prior's draws pick their own grid,
-        so the priors are taken one at a time.  A pool product past
-        ``_MAX_TERMS`` terms in one level (on the null's grid) raises
-        ``AtomBudgetError`` before its rows are built.  ``where`` is not used."""
-        if self.t < 0:
-            return [0.0] * len(priors)
-        if not priors or priors[0].m == 0:  # every draw is the base vector
-            return [self.accept] * len(priors)
-        m = priors[0].m
+    def bayes(self, masses, where: str = "") -> list[float]:
+        """Exact Bayes Type II under the simplex prior on this instance's
+        pool that adds ``mass`` (in count units) to one pool cell and takes
+        ``mass / m`` from ``m`` others, for each of ``masses``; a removal
+        below 0 is clipped at 0, as in :meth:`_PoissonCells.bayes`.  Each
+        mass's draws pick their own grid, so the masses are taken one at a
+        time.  A pool product past ``_MAX_TERMS`` terms in one level (on the
+        null's grid) raises ``AtomBudgetError`` before its rows are built.
+        ``where`` is not used."""
+        if self.t < 0 or not len(masses):
+            return [0.0] * len(masses)
         pool = np.flatnonzero(self.pool)
         cells = self.pool[pool]
         if pool.size > 1:
-            _check_terms(_pool_tree_terms(int(cells.sum()), m, self.grid.top + 1), "terms in one pool-product level")
-        return [self._type2(prior.c * prior.psi / prior.n, m, pool, cells) for prior in priors]
+            _check_terms(_pool_tree_terms(int(cells.sum()), self.m, self.grid.top + 1), "terms in one pool-product level")
+        return [self._type2(mass / self.n, pool, cells) for mass in masses]
 
-    def _type2(self, shift: float, m: int, pool: np.ndarray, cells: np.ndarray) -> float:
-        """:meth:`bayes` under one prior, which adds ``shift`` to a cell of the
+    def _type2(self, shift: float, pool: np.ndarray, cells: np.ndarray) -> float:
+        """:meth:`bayes` at one mass, which adds ``shift`` to a cell of the
         groups ``pool`` (``cells`` of each) and takes ``shift / m`` from ``m`` others."""
-        t = self.t
+        t, m = self.t, self.m
         q, lo, hi = self.values[pool], np.tile(self.lo[pool], 2), np.tile(self.hi[pool], 2)
         # The pool's spiked rows, then its reduced rows, in the base rows' boxes.
         changed = _cell_rows(self.n * np.r_[q + shift, np.clip(q - shift / m, 0.0, None)], lo, hi, t)
@@ -721,13 +710,18 @@ def estimate_multinomial_risk(
     if q_alt.size != q0.p:
         raise ValueError("alternative dimension mismatch")
     ones = np.ones(q_alt.size, dtype=np.int64)  # the dense cells as runs of count 1
-    if poissonized:
-        alt, null = (_PoissonCells(box, q, ones, n) for q in (q_alt, q0.probs))
-    else:
-        pool = (alternative.j_star, alternative.m) if prior else ()
-        alt = _FixedN(box, n, q_alt, ones, n * float(q_alt.sum()), *pool)
-        null = alt if np.array_equal(q_alt, q0.probs) else _FixedN(box, n, q0.probs, ones, n * float(q0.probs.sum()))
-    return null.risk(alt.bayes([alternative])[0] if prior else alt.accept, seed)
+
+    def law(q, *pool):
+        if poissonized:
+            return _PoissonCells(box, q, ones, n, 1, *pool)
+        return _FixedN(box, n, q, ones, n * float(q.sum()), *pool)
+
+    alt = law(q_alt, alternative.j_star, alternative.m) if prior else law(q_alt)
+    null = alt if np.array_equal(q_alt, q0.probs) else law(q0.probs)
+    type2 = alt.accept  # with m = 0 every draw of a prior is its base
+    if prior and alternative.m:  # c psi, from the count units of the prior's n to this route's
+        type2 = alt.bayes([alternative.c * alternative.psi * (n / alternative.n)])[0]
+    return null.risk(type2, seed)
 
 
 @dataclass(frozen=True)
@@ -801,9 +795,10 @@ def sweep_sharp_constant(
     ``type2 = sum_{g in pool} (n_g / j*) b_g prod_h a_h^{n_h} / a_g``, in
     O(#runs) per ``xi``: a null built from runs sweeps at any ``p`` without
     its dense rates.  The threshold does not depend on ``xi``, so one
-    :class:`_PoissonCells` law, with its box, ``log a`` and Type I, serves
-    the whole grid, and gives every ``xi``'s Type II in one pass over the
-    pool.  One peak search finds the level, ``j*`` and the regime.
+    :class:`_PoissonCells` law on the pool ``1..j*``, with its box, ``log a``
+    and Type I, serves the whole grid, and takes the spikes ``eps(xi)`` in
+    one pass over the pool.  One peak search finds the level, ``j*`` and the
+    regime.
     ``trials`` must be at least 1 but is not used, nor is ``seed``: each row
     reports 0 trials, a zero ``ci`` and ``seed`` as passed.  A box among the
     first ``j*`` with zero null probability in float64 raises
@@ -816,11 +811,8 @@ def sweep_sharp_constant(
     (level, j_star, _, _), peak = _sharp_constant_peaks(mu, alpha_p)
     epsilons = _scaled_by_grid(xi_grid, level)
     values, counts = mu.runs
-    null = _PoissonCells(AcceptanceBox.around(values, level, strict=True), values, counts)
-    xis = xi_grid.tolist()
-    # The spike prior of scale xi on the level: its spike xi * level is the grid's epsilon.
-    priors = [PoissonSpikePrior(mu, j_star, level, xi, math.e) for xi in xis]
-    type2 = null.bayes(priors, f" at xi={xis[0]!r}" if xis else "")
+    null = _PoissonCells(AcceptanceBox.around(values, level, strict=True), values, counts, j_star=j_star)
+    type2 = null.bayes(epsilons, f" at xi={float(xi_grid[0])!r}" if xi_grid.size else "")
     return SweepResult(xi_grid, epsilons, tuple(null.risk(t, seed) for t in type2), peak.regime)
 
 
@@ -839,8 +831,8 @@ def sweep_multinomial_sharp_constant(
     alternative adds ``eps(xi)`` to one uniformly random tail coordinate
     among ``2..j*+1`` and removes ``eps(xi)/m`` from a random size-``m``
     subset of the remaining ones (``m`` is clamped to at least 2 when
-    positive).  That alternative is a :class:`MultinomialSimplexPrior` with
-    ``c psi / n = eps(xi)``.  It must stay on the simplex: a ``ValueError``
+    positive): the simplex prior with ``c psi / n = eps(xi)``, whose added
+    mass ``c psi`` is ``n eps(xi)``.  It must stay on the simplex: a ``ValueError``
     is raised when ``eps(xi)/m`` exceeds the smallest perturbed cell, or when
     ``j* = 1`` leaves no cell (``m = 0``) to give up the added mass.
 
@@ -858,9 +850,9 @@ def sweep_multinomial_sharp_constant(
     is exact too (:class:`_FixedN`, one product of the cells outside the
     pool and one Type I for the whole grid) but needs the dense cells,
     so past ``DENSE_RATES_CAP`` it raises a ``ValueError`` naming the cap.
-    Either law takes the whole grid's priors in one call: the Poissonized
-    one in one pass over the pool, the fixed-n one a grid per prior.  One
-    peak search finds the level, ``j*`` and the regime.
+    Either law, built with the pool, takes the whole grid's masses in one
+    call: the Poissonized one in one pass over the pool, the fixed-n one a
+    grid per mass.  One peak search finds the level, ``j*`` and the regime.
     Every row reports 0 trials, a zero ``ci`` and ``seed`` as passed;
     ``trials`` must be at least 1 but is not used.
     """
@@ -879,8 +871,9 @@ def sweep_multinomial_sharp_constant(
     if np.any(epsilons / m > floor + 1e-15):
         raise ValueError("sweep alternative leaves the simplex; reduce xi or grow n")
     box = AcceptanceBox.around(n * values, n_prime * level, strict=True)
-    null = _PoissonCells(box, values, counts, n) if poissonized else _FixedN(box, n, values, counts, total, j_star, m)
-    priors = [MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0) for eps in epsilons.tolist()]
-    xis = xi_grid.tolist()
-    type2 = null.bayes(priors, f" at xi={xis[0]!r}" if xis else "")
+    if poissonized:
+        null = _PoissonCells(box, values, counts, n, 1, j_star, m)
+    else:
+        null = _FixedN(box, n, values, counts, total, j_star, m)
+    type2 = null.bayes(n * epsilons, f" at xi={float(xi_grid[0])!r}" if xi_grid.size else "")
     return SweepResult(xi_grid, epsilons, tuple(null.risk(t, seed) for t in type2), regime)

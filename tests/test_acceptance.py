@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 
+from supgof import divergence
 from supgof.divergence import (
     certified_spike_risk_bound,
     chi_square_enumerated,
@@ -115,14 +116,15 @@ def test_criterion_2_bennett_domination():
     assert elapsed < 5.0
 
 
-def test_criterion_3_poisson_tv_bound():
+def test_criterion_3_poisson_tv_bound(monkeypatch):
     """Exact TV(Poi(mu), Poi(mu+delta)) <= sqrt(delta) on a 20x20 grid."""
+    monkeypatch.setattr(divergence, "DEFAULT_MASS_TOL", 1e-13)
     start = time.time()
     worst = -math.inf
     for mu in np.geomspace(0.1, 20.0, 20):
         for delta in np.geomspace(1e-4, 4.0, 20):
-            p = poisson_product_dist([mu], 1e-13)
-            q = poisson_product_dist([mu + delta], 1e-13)
+            p = poisson_product_dist([mu])
+            q = poisson_product_dist([mu + delta])
             tv = tv_distance(p, q)
             worst = max(worst, tv.value - tv.error_bar - math.sqrt(delta))
     elapsed = time.time() - start
@@ -169,8 +171,9 @@ def test_criterion_4_flattening_inequality():
     assert elapsed < 60.0
 
 
-def test_criterion_5_parametric_chisq_identity():
+def test_criterion_5_parametric_chisq_identity(monkeypatch):
     """Closed-form chi-square equals enumeration; bounded by e^{c^2} - 1."""
+    monkeypatch.setattr(divergence, "DEFAULT_MASS_TOL", 1e-13)
     start = time.time()
     rng = np.random.default_rng(51)
     max_rel = -math.inf
@@ -182,8 +185,8 @@ def test_criterion_5_parametric_chisq_identity():
         c = (0.1, 0.3, 0.5)[i % 3]
         q1 = multinomial_parametric_alternative(q0, n, c)
         closed = chi_square_poisson_products(n * q1, n * q0.probs)
-        qd = poisson_product_dist(n * q1, 1e-13)
-        pd = poisson_product_dist(n * q0.probs, 1e-13)
+        qd = poisson_product_dist(n * q1)
+        pd = poisson_product_dist(n * q0.probs)
         enum = chi_square_enumerated(qd, pd)
         rel = abs(closed - enum.value) / max(enum.value, 1e-12)
         max_rel = max(max_rel, rel - enum.error_bar / max(enum.value, 1e-12))
@@ -262,8 +265,8 @@ def test_criterion_7_lower_bound_desk_scale():
 
     # (a) Two-point at constant separation c = (1-eta)^2.
     c = (1.0 - eta) ** 2
-    p0 = poisson_product_dist([1.0, 1.0], 1e-12)
-    p1 = poisson_product_dist([1.0 + c, 1.0], 1e-12)
+    p0 = poisson_product_dist([1.0, 1.0])
+    p1 = poisson_product_dist([1.0 + c, 1.0])
     tv_two_point = tv_distance(p0, p1)
     risk_a = 1.0 - tv_two_point.value - tv_two_point.error_bar
     ok_a = risk_a >= eta

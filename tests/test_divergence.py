@@ -359,10 +359,10 @@ class TestSlabStreaming:
         rng = np.random.default_rng(11)
         for _ in range(12):
             p = int(rng.integers(1, 4))
-            mass_tol = 1e-6 if slab == 1 else 1e-10
-            null = poisson_product_dist(rng.uniform(0.1, 4.0, p), mass_tol)
+            monkeypatch.setattr(divergence, "DEFAULT_MASS_TOL", 1e-6 if slab == 1 else 1e-10)
+            null = poisson_product_dist(rng.uniform(0.1, 4.0, p))
             components = int(rng.integers(1, 6))
-            mix = poisson_mixture(rng.dirichlet(np.ones(components)), rng.uniform(0.1, 4.0, (components, p)), mass_tol)
+            mix = poisson_mixture(rng.dirichlet(np.ones(components)), rng.uniform(0.1, 4.0, (components, p)))
             shape = tuple(np.maximum(null.shape, mix.shape))
             pp, qq = _dense_pmf(null, shape), _dense_pmf(mix, shape)
             assert tv_distance(null, mix).value == pytest.approx(0.5 * np.abs(pp - qq).sum(), rel=1e-13, abs=1e-15)
@@ -444,14 +444,14 @@ class TestSharedAxes:
         if slab is not None:
             monkeypatch.setattr(divergence, "_SLAB_ATOMS", slab)
         rng = np.random.default_rng(18)
-        mass_tol = 1e-6 if slab == 1 else 1e-10
+        monkeypatch.setattr(divergence, "DEFAULT_MASS_TOL", 1e-6 if slab == 1 else 1e-10)
         for _ in range(6):
             rates = rng.uniform(0.1, 4.0, 3)
             components = int(rng.integers(1, 5))
             rows = rng.uniform(0.1, 4.0, (components, 3))
             rows[:, shared] = rates[shared]  # every component of both laws shares these rates
-            null = poisson_product_dist(rates, mass_tol)
-            mix = poisson_mixture(rng.dirichlet(np.ones(components)), rows, mass_tol)
+            null = poisson_product_dist(rates)
+            mix = poisson_mixture(rng.dirichlet(np.ones(components)), rows)
             shape = tuple(np.maximum(null.shape, mix.shape))
             pp, qq = _dense_pmf(null, shape), _dense_pmf(mix, shape)
             assert tv_distance(null, mix).value == pytest.approx(0.5 * np.abs(pp - qq).sum(), rel=1e-13, abs=1e-15)
@@ -462,10 +462,11 @@ class TestSharedAxes:
         """A null built on a grid wider than its own widens a shared axis: its
         mass is summed over the padded length."""
         monkeypatch.setattr(divergence, "_SLAB_ATOMS", 7)
-        own = poisson_product_dist([1.5, 0.7, 2.0], 1e-6)
+        monkeypatch.setattr(divergence, "DEFAULT_MASS_TOL", 1e-6)
+        own = poisson_product_dist([1.5, 0.7, 2.0])
         assert own.shape[1] < 40
         null = PoissonMixture(own.weights, own.rates, (own.shape[0], 40, own.shape[2]))
-        mix = poisson_mixture([0.4, 0.6], [[1.0, 0.7, 2.0], [2.5, 0.7, 2.0]], 1e-6)
+        mix = poisson_mixture([0.4, 0.6], [[1.0, 0.7, 2.0], [2.5, 0.7, 2.0]])
         shape = tuple(np.maximum(null.shape, mix.shape))
         assert shape[1] == 40 > mix.shape[1]
         pp, qq = _dense_pmf(null, shape), _dense_pmf(mix, shape)
@@ -528,7 +529,8 @@ class TestChiSquare:
     def test_single_unit_shift(self):
         assert chi_square_poisson_products([2.0], [1.0]) == pytest.approx(math.e - 1.0, rel=1e-14)
 
-    def test_matches_enumeration(self):
+    def test_matches_enumeration(self, monkeypatch):
+        monkeypatch.setattr(divergence, "DEFAULT_MASS_TOL", 1e-13)
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = int(rng.integers(1, 4))
@@ -536,21 +538,22 @@ class TestChiSquare:
             a = b + rng.uniform(-0.2, 0.5, p)
             a = np.clip(a, 0.01, None)
             closed = chi_square_poisson_products(a, b)
-            enum = chi_square_enumerated(poisson_product_dist(a, 1e-13), poisson_product_dist(b, 1e-13))
+            enum = chi_square_enumerated(poisson_product_dist(a), poisson_product_dist(b))
             assert abs(closed - enum.value) <= enum.error_bar + 1e-12 * closed
 
     @pytest.mark.parametrize(
         "a, b",
         [([2.0], [1.0]), ([3.0, 1.0], [1.0, 1.0]), ([0.5, 4.0], [1.5, 2.0]), ([6.0], [0.5])],
     )
-    def test_error_bar_covers_the_closed_form(self, a, b):
+    def test_error_bar_covers_the_closed_form(self, monkeypatch, a, b):
         """The bar carries the off-grid ``q^2/p`` mass, which grows with ``q/p``.
 
-        On the union grid at ``mass_tol = 1e-13``, Poisson(2) against Poisson(1)
-        misses ``e - 1`` by about 2.8e-8, far more than the two deficits.
+        On the union grid at ``DEFAULT_MASS_TOL = 1e-13``, Poisson(2) against
+        Poisson(1) misses ``e - 1`` by about 2.8e-8, far more than the two deficits.
         """
+        monkeypatch.setattr(divergence, "DEFAULT_MASS_TOL", 1e-13)
         closed = chi_square_poisson_products(a, b)
-        enum = chi_square_enumerated(poisson_product_dist(a, 1e-13), poisson_product_dist(b, 1e-13))
+        enum = chi_square_enumerated(poisson_product_dist(a), poisson_product_dist(b))
         assert math.isfinite(enum.value)
         # Rounding: exp(60.5) carries a few ulps of its argument's error.
         assert abs(closed - enum.value) <= enum.error_bar + 1e-13 * closed
@@ -909,8 +912,8 @@ class TestExactBayesRisk:
         """Prop-style two-point instance: risk >= eta for c = (1-eta)^2."""
         eta = 0.5
         c = (1.0 - eta) ** 2
-        null = poisson_product_dist([1.0, 1.0], 1e-12)
-        mix = poisson_mixture([1.0], [[1.0 + c, 1.0]], 1e-12)
+        null = poisson_product_dist([1.0, 1.0])
+        mix = poisson_mixture([1.0], [[1.0 + c, 1.0]])
         tv = tv_distance(null, mix)
         assert 1 - tv.value - tv.error_bar >= eta
 

@@ -302,7 +302,11 @@ class TestPeakSearch:
     @pytest.mark.parametrize("runs, poisson, multinomial", [(300, 1, 2), (3 * rates._ONE_BLOCK_RUNS, 2, 3)])
     def test_sweeps_count_their_h_inverse_calls(self, monkeypatch, runs, poisson, multinomial):
         """A Poisson sweep makes one peak search, one ``h_inverse`` call with
-        one block and two past it; a multinomial sweep adds the scalar ``m``."""
+        one block and two past it; a multinomial sweep adds the scalar ``m``.
+        With one block the sweeps evaluate their two and three stacked rows at
+        every run end, and ``sharp_constant_epsilon``, which searches the
+        inflated row alone, at every run end once; past it the search's first
+        call takes each block's two corners once per row."""
         rng = np.random.default_rng(20261030)
         values, counts = self._decaying(rng, runs)
         mu = RateVector.from_runs(values, counts)
@@ -317,10 +321,18 @@ class TestPeakSearch:
 
         monkeypatch.setattr(rates, "h_inverse", counted)
         sweep_sharp_constant(mu, [0.5, 1.0, 2.0], math.log(mu.p), 1, 0)
-        assert len(calls) == poisson
+        swept = calls.copy()
+        assert len(swept) == poisson
+        calls.clear()
+        sharp_constant_epsilon(mu, math.log(mu.p), 1.0)
+        assert len(calls) == poisson and 2 * calls[0] == swept[0]
+        if poisson == 1:
+            assert (swept, calls) == ([2 * runs], [runs])
         calls.clear()
         sweep_multinomial_sharp_constant(q0, n, [0.5, 1.0, 2.0], math.log(q0.p), 1, 0, poissonized=True)
         assert len(calls) == multinomial
+        if poisson == 1:
+            assert calls == [3 * runs, 1]
 
 
 class TestPoissonRate:

@@ -12,6 +12,7 @@ import pytest
 from scipy.special import gammaln, logsumexp, pdtrc
 from scipy.stats import poisson
 
+from supgof import divergence
 from supgof import risk as risk_module
 from supgof.maxtest import AcceptanceBox, MultinomialTestConfig, PoissonTestConfig
 from supgof.model import RateVector, SimplexVector
@@ -373,9 +374,9 @@ class TestGroupedPoissonSweep:
             np.testing.assert_allclose([eps, risk.type1, risk.type2], [eps_d, type1, type2], rtol=1e-12, atol=1e-15)
         level, j_star = sharp_constant_epsilon(mu, 3.0, 1.0)
         run_values, run_counts = mu.runs
-        law = _PoissonCells(AcceptanceBox.around(run_values, level, strict=True), run_values, run_counts)
-        priors = [PoissonSpikePrior(mu, j_star, level, xi, math.e) for xi in self.XI]
-        assert _each_of_the_batch(law, priors) == [risk.type2 for risk in res.risks]
+        law = _PoissonCells(AcceptanceBox.around(run_values, level, strict=True), run_values, run_counts, j_star=j_star)
+        spikes = [xi * level for xi in self.XI]  # the spike prior of scale xi on the level
+        assert _each_of_the_batch(law, spikes) == [risk.type2 for risk in res.risks]
         assert res.regime == poisson_rate(mu).regime
         assert res.regime == sweep_sharp_constant(RateVector(mu.rates), [1.0], 3.0, 1, 0).regime
 
@@ -520,11 +521,11 @@ def _whole_table_worst_draw(base, spiked, reduced, counts, m) -> np.ndarray:
     return counts @ base + np.max(spiked - base + np.minimum(top, more - lift), axis=0)
 
 
-def _each_of_the_batch(law, priors) -> list[float]:
-    """``law.bayes`` on the batch ``priors``, checked against each prior as a
+def _each_of_the_batch(law, masses) -> list[float]:
+    """``law.bayes`` on the batch ``masses``, checked against each mass as a
     batch of one, bit for bit."""
-    batch = law.bayes(priors)
-    assert batch == [law.bayes([prior])[0] for prior in priors]
+    batch = law.bayes(masses)
+    assert batch == [law.bayes([mass])[0] for mass in masses]
     return batch
 
 
@@ -562,8 +563,7 @@ class TestGroupedMultinomialSweep:
         ones = np.ones(probs.size, dtype=np.int64)
         box = AcceptanceBox.around(n * probs, n_prime * level, strict=True)
         state = _FixedN(box, n, probs, ones, n * float(probs.sum()), j_star, m)
-        priors = [MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0) for eps in res.epsilons]
-        for risk, type2 in zip(res.risks, _each_of_the_batch(state, priors)):
+        for risk, type2 in zip(res.risks, _each_of_the_batch(state, [n * eps for eps in res.epsilons])):
             np.testing.assert_allclose([risk.type1, risk.type2], [1.0 - state.accept, type2], rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("values, counts", _random_simplex_step_nulls(12, 20_261_022, 10_000))
@@ -576,20 +576,21 @@ class TestGroupedMultinomialSweep:
         box = MultinomialTestConfig.from_eta(q0, n, 0.2).acceptance_box(q0, n)
         run_values, run_counts = q0.runs
         run_box = box[np.cumsum(run_counts) - 1]
-        # The prior at scales c, c / 2 and c / 4, sharing its base, j* and m.
-        priors = [MultinomialSimplexPrior(q0, n, prior.j_star, prior.psi, prior.m, prior.c / k) for k in (1, 2, 4)]
-        runs = _each_of_the_batch(_PoissonCells(run_box, run_values, run_counts, n), priors)[0]
-        dense_law = _PoissonCells(box, q0.probs, np.ones(q0.p, dtype=np.int64), n)
-        dense = _each_of_the_batch(dense_law, priors)[0]
+        # The prior's mass c psi at scales c, c / 2 and c / 4, on its pool.
+        masses = [prior.c / k * prior.psi for k in (1, 2, 4)]
+        assert prior.m >= 1  # some cell gives up the added mass
+        drawn = (1, prior.j_star, prior.m)
+        runs = _each_of_the_batch(_PoissonCells(run_box, run_values, run_counts, n, *drawn), masses)[0]
+        dense_law = _PoissonCells(box, q0.probs, np.ones(q0.p, dtype=np.int64), n, *drawn)
+        dense = _each_of_the_batch(dense_law, masses)[0]
         log_a = dense_law.log_a
         assert runs == pytest.approx(dense, rel=1e-12)
-        if prior.m:
-            pool = slice(1, prior.j_star + 1)
-            shift = prior.c * prior.psi / prior.n
-            b = risk_module._box_mass(box[pool], n * (q0.probs[pool] + shift))
-            log_d = risk_module._box_log_mass(box[pool], n * np.clip(q0.probs[pool] - shift / prior.m, 0.0, None))
-            log_w = _dense_log_mean_subset_products(log_d - log_a[pool], prior.m)
-            assert runs == pytest.approx(np.mean(b * np.exp(log_a.sum() - log_a[pool] + log_w)), rel=1e-12)
+        pool = slice(1, prior.j_star + 1)
+        shift = prior.c * prior.psi / prior.n
+        b = risk_module._box_mass(box[pool], n * (q0.probs[pool] + shift))
+        log_d = risk_module._box_log_mass(box[pool], n * np.clip(q0.probs[pool] - shift / prior.m, 0.0, None))
+        log_w = _dense_log_mean_subset_products(log_d - log_a[pool], prior.m)
+        assert runs == pytest.approx(np.mean(b * np.exp(log_a.sum() - log_a[pool] + log_w)), rel=1e-12)
 
     @pytest.mark.parametrize("cells", [3, 5, 8])
     def test_subset_products_over_runs_match_direct_sum(self, cells):
@@ -677,8 +678,7 @@ class TestGroupedMultinomialSweep:
         outside = _long_double_product((row, count) for row, count in zip(lo_rows, law.outside) if count)
         pool = np.flatnonzero(law.pool)
         for eps, risk in zip(res.epsilons, res.risks):
-            prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * eps, m=m, c=1.0)
-            assert (1.0 - law.accept, law.bayes([prior])[0]) == (risk.type1, risk.type2)
+            assert (1.0 - law.accept, law.bayes([n * eps])[0]) == (risk.type1, risk.type2)
             q = law.values[pool]
             b, d = (_lo_rows(_cell_rows(n * rates, law.lo[pool], law.hi[pool], law.t)) for rates in (q + eps, q - eps / m))
             if pool.size == 1:  # one law for every draw
@@ -723,7 +723,7 @@ class TestPhaseTransitionShape:
             low, high = res.risks[0].total, res.risks[1].total
             assert low - high >= 0.5
 
-    def test_multinomial_exact_lower_bound_versus_high_xi_risk(self):
+    def test_multinomial_exact_lower_bound_versus_high_xi_risk(self, monkeypatch):
         """Exact flattened-TV lower bound at xi=0.5 sits far above xi=2 risks.
 
         The add-one/remove-m prior is flattened to a homoskedastic Poisson
@@ -750,8 +750,9 @@ class TestPhaseTransitionShape:
                 row[j] += spike
                 row[list(subset)] -= removal
                 rows.append(row)
-        mix = poisson_mixture([1.0 / len(rows)] * len(rows), rows, 1e-9)
-        null = poisson_product_dist([nu] * j_star, 1e-9)
+        monkeypatch.setattr(divergence, "DEFAULT_MASS_TOL", 1e-9)
+        mix = poisson_mixture([1.0 / len(rows)] * len(rows), rows)
+        null = poisson_product_dist([nu] * j_star)
         tv = tv_distance(null, mix)
         risk_lower_bound = 1.0 - tv.value - tv.error_bar
         assert risk_lower_bound >= 0.7  # measured 0.762, frozen with margin
@@ -986,11 +987,12 @@ class TestZeroProbabilityPoolBox:
         box = AcceptanceBox.around(mu.rates, 0.0, strict=False)
         assert box.hi[0] < box.lo[0]
         ones = np.ones(1, dtype=np.int64)
-        null = _PoissonCells(box, mu.rates, ones)
+        prior = PoissonSpikePrior.build(mu, 0.5)
+        null = _PoissonCells(box, mu.rates, ones, j_star=prior.j_star)
         risk = null.risk(_PoissonCells(box, np.array([4.0]), ones).accept, 0)
         assert (risk.type1, risk.type2) == (1.0, 0.0)
         with pytest.raises(FloatingPointError, match="coordinate 1 "):
-            null.bayes([PoissonSpikePrior.build(mu, 0.5)])
+            null.bayes([prior.spike])
 
     def test_spike_prior_route(self):
         mu = RateVector([1e300, 1.0])
@@ -1512,9 +1514,8 @@ class TestWindowedProducts:
         assert abs(law.accept - oracle) <= _stated(law.grid, cells, rows.width, point)
         if null != "flat":
             return
-        prior = MultinomialSimplexPrior(q0, n, j_star, psi=n * level, m=m, c=1.0)
-        type2 = law.bayes([prior])[0]
-        shift = prior.c * prior.psi / prior.n
+        type2 = law.bayes([n * level])[0]
+        shift = n * level / n
         q = law.values[law.pool > 0]
         b, d = (_cell_rows(n * rate, law.lo[:1], law.hi[:1], law.t) for rate in (q + shift, q - shift / m))
         rest = p - 2 - m  # the head is outside the pool; one spiked, m reduced

@@ -401,6 +401,65 @@ def test_law_rule_sees_every_spelling():
     assert [_law_kernel_uses(ast.parse(src)) for src in spellings] == [[2], [2], [2], [1], [1], [3], [], [], [], [1]]
 
 
+_PRIOR_CLASSES = {"PoissonSpikePrior", "MultinomialSimplexPrior"}
+# The routes that take a prior and hand its pool and mass to a law.
+_PRIOR_READERS = {"estimate_poisson_risk", "estimate_multinomial_risk"}
+
+
+def _prior_uses(tree: ast.AST) -> list[int]:
+    """Lines that construct a lower-bound prior (a call of
+    ``PoissonSpikePrior`` or ``MultinomialSimplexPrior``, or of a method of
+    one, under any module path), or that load either name outside
+    ``estimate_poisson_risk`` and ``estimate_multinomial_risk``; the import
+    itself loads no name."""
+    readers = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in _PRIOR_READERS
+        for node in ast.walk(fn)
+    }
+
+    def is_prior(node) -> bool:
+        if isinstance(node, ast.Name):
+            return isinstance(node.ctx, ast.Load) and node.id in _PRIOR_CLASSES
+        return isinstance(node, ast.Attribute) and node.attr in _PRIOR_CLASSES
+
+    def constructs(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        return is_prior(node.func) or (isinstance(node.func, ast.Attribute) and is_prior(node.func.value))
+
+    return sorted(
+        {node.lineno for node in ast.walk(tree) if (is_prior(node) and id(node) not in readers) or constructs(node)}
+    )
+
+
+def test_risk_constructs_no_prior():
+    """``risk`` builds each law with a prior's pool and hands it the prior's
+    added masses: no law or sweep constructs a prior, and only the two
+    ``estimate_*`` routes, which take one, read its class."""
+    path = PACKAGE / "risk.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _PRIOR_READERS <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert _prior_uses(tree) == []
+
+
+def test_prior_rule_sees_every_spelling():
+    spellings = [
+        "def sweep(mu, xi):\n    return PoissonSpikePrior(mu, 1, 1.0, xi, 2.7)",
+        "import supgof.priors as pr\nprior = pr.MultinomialSimplexPrior(q0, n, 2, 1.0, 1, 1.0)",
+        "def estimate_poisson_risk(mu, alt):\n    return PoissonSpikePrior.build(mu, 1.0)",
+        "def estimate_multinomial_risk(q0, alt):\n    return MultinomialSimplexPrior(q0, 60, 2, 1.0, 1, 1.0)",
+        "class _PoissonCells:\n    def bayes(self, priors):\n        return isinstance(priors[0], PoissonSpikePrior)",
+        "spike = PoissonSpikePrior\nprior = spike(mu, 1, 1.0, 1.0, 2.7)",
+        "from supgof import priors\npriors.MultinomialSimplexPrior.build(q0, n, 0.5)",
+        "def estimate_poisson_risk(mu, alt):\n    return isinstance(alt, PoissonSpikePrior)",
+        "from .priors import MultinomialSimplexPrior, PoissonSpikePrior",
+        "def estimate_multinomial_risk(q0, alt):\n    return alt.c * alt.psi",
+    ]
+    assert [_prior_uses(ast.parse(src)) for src in spellings] == [[2], [2], [2], [2], [3], [1], [2], [], [], []]
+
+
 _FFT_MODULES = ("numpy.fft", "scipy.fft", "scipy.fftpack")
 _FFT_NAMES = {
     "fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2", "rfft2", "irfft2",
