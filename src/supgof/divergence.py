@@ -424,27 +424,25 @@ def chi_square_enumerated(q_dist: PoissonMixture, p_dist: PoissonMixture) -> Div
 def hypergeometric_overlap_log_pmf(pool: int, m: int) -> np.ndarray:
     """Log-pmf of ``|I ∩ I'|`` for two independent uniform size-m subsets.
 
-    Both subsets are drawn from a pool of ``pool`` elements; computed in
-    log space so it stays finite for very large pools.
+    Both subsets are drawn from a pool of ``pool`` elements, so ``P(k) =
+    C(m, k) C(pool - m, m - k) / C(pool, m)``.  With ``j = m - k`` the pool
+    terms' ratio is ``prod_(r < j) (1 - m / (pool - r)) prod_(j <= r < m)
+    (r + 1) / (pool - r)``: O(m) sums of ``log1p`` and log-ratio terms, each
+    accurate to an ``eps`` at any pool, where ``gammaln`` differences at a
+    pool of 1e15 would cancel all but a few digits.  ``-inf`` where
+    ``C(pool - m, j) = 0``.
     """
     if m < 0 or pool < m:
         raise ValueError("need 0 <= m <= pool")
     if m == 0:
         return np.array([0.0])
-    ks = np.arange(m + 1)
-    with np.errstate(divide="ignore"):
-        log_binom_m_k = gammaln(m + 1) - gammaln(ks + 1) - gammaln(m - ks + 1)
-        rest = pool - m
-        valid = rest >= m - ks
-        log_binom_rest = np.where(
-            valid,
-            gammaln(rest + 1) - gammaln(np.maximum(rest - (m - ks), 0) + 1) - gammaln(m - ks + 1),
-            -np.inf,
-        )
-    log_total = gammaln(pool + 1) - gammaln(m + 1) - gammaln(pool - m + 1)
-    out = log_binom_m_k + log_binom_rest - log_total
-    out[~valid] = -np.inf
-    return out
+    r = np.arange(m, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where C(pool - m, j) = 0
+        kept = np.where(r < pool - m, np.log1p(-m / (pool - r)), -np.inf)  # C(pool - m, j) / C(pool, j)
+    log_kept = np.r_[0.0, np.cumsum(kept)]  # at j = 0..m
+    log_drawn = np.r_[np.cumsum(np.log((r + 1.0) / (pool - r))[::-1])[::-1], 0.0]  # C(pool, j) / C(pool, m)
+    log_choose = np.r_[0.0, np.cumsum(np.log((m - r) / (r + 1.0)))]  # C(m, k) at k = 0..m
+    return log_choose + (log_kept + log_drawn)[::-1]
 
 
 @dataclass(frozen=True)

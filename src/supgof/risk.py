@@ -56,6 +56,9 @@ __all__ = [
 # Fixed-n route: the most terms one row table or pool-product level may hold,
 # and the longest product taken (t + 1 coefficients); past either, AtomBudgetError.
 _MAX_TERMS = 1 << 22
+# Fixed-n Type II: the masses of one bayes call share a worst-draw table, or a
+# pool tree, while it holds at most _BATCH entries (at least one mass each).
+_BATCH = 1 << 18
 # A fixed-n grid keeps both the aliased mass and the dropped frequencies' share
 # of the numerator below _TAIL (see _choose_grid).
 _TAIL = 1e-18
@@ -353,8 +356,8 @@ def _box_cut(box: AcceptanceBox, n: float, counts: np.ndarray) -> int:
     return t
 
 
-def _ratio(numerator, n: float, total_rate: float):
-    """``numerator / P(Poisson(total_rate) = n)``, clipped to [0, 1].
+def _point(n: float, total_rate: float) -> float:
+    """``P(Poisson(total_rate) = n)``, the denominator of every fixed-n probability.
 
     A point probability that is not positive in float64 (a box collapsed
     below the float spacing of a huge ``n``) raises ``FloatingPointError``.
@@ -365,7 +368,7 @@ def _ratio(numerator, n: float, total_rate: float):
             f"P(Poisson({total_rate!r}) = n) is not positive in float64 at n = {n!r}; "
             "the fixed-n probability is undefined"
         )
-    return np.clip(numerator / point, 0.0, 1.0)
+    return point
 
 
 def _weighted(counts, *fields) -> tuple:
@@ -401,11 +404,12 @@ def _bounds(rows: _Rows, theta: np.ndarray, phi: np.ndarray, offset=0) -> _Bound
     at most ``a`` and at most ``|E e^(i omega Y)| + 1 - a = e^(-lam (1 - cos
     omega)) + 1 - a``, and neither grows with ``1 - cos omega``."""
     d = np.arange(-rows.left, rows.table.shape[1] - rows.left)
-    tilts = np.exp(np.multiply.outer(d, np.r_[theta, -theta]))
+    signed = np.concatenate((theta, -theta))
+    tilts = np.exp(np.multiply.outer(d, signed))
     envelope = np.exp(-np.multiply.outer(rows.lam, 2.0 * np.sin(0.5 * phi) ** 2))  # |E e^(i omega Y)|
     trunc = np.minimum(rows.mass[:, None], envelope + np.maximum(1.0 - rows.mass, 0.0)[:, None])
     logs = np.log(np.maximum(np.hstack([rows.table @ tilts, trunc]), 1e-300))  # finite with no mass
-    logs += np.multiply.outer(offset, np.r_[theta, -theta, 0.0 * phi])
+    logs += np.multiply.outer(offset, np.concatenate((signed, 0.0 * phi)))
     return _Bounds(rows.mode - offset, logs)
 
 
@@ -415,19 +419,22 @@ def _worst_draw(base, spiked, reduced, counts: np.ndarray, m: int) -> np.ndarray
     cells of row ``g``).  With ``lift = reduced - base`` and ``top(k)`` the sum
     of its ``k`` largest over the cells, a draw spiking a cell of row ``g``
     reduces at most ``min(top(m), top(m + 1) - lift[g])``: a pool of one row
-    is its one law, exactly.  The columns are taken in blocks of at most
-    2^16 entries, and of at least two columns, whose sums down the rows run
-    in the same order as the whole table's."""
-    rows, cols = base.shape
+    is its one law, exactly.  ``spiked`` and ``reduced`` may hold several
+    laws' columns side by side, each law's as many as ``base``'s, and
+    ``counts @ base`` is taken once for them all.  The columns are taken in
+    blocks of at most 2^16 entries, and of at least two columns, whose sums
+    down the rows run in the same order as the whole table's."""
+    rows, cols = spiked.shape
     out = np.empty(cols)
     for at in np.array_split(np.arange(cols), max(1, min(cols // 2, math.ceil(rows * cols / (1 << 16))))):
-        lift = reduced[:, at] - base[:, at]
+        below = base[:, at % base.shape[1]]
+        lift = reduced[:, at] - below
         order = np.argsort(-lift, axis=0, kind="stable")
         taken, ranked = counts[order], np.take_along_axis(lift, order, axis=0)
         ahead = np.cumsum(taken, axis=0) - taken  # cells ranked above each row's
         top, more = (np.sum(np.clip(k - ahead, 0, taken) * ranked, axis=0) for k in (m, m + 1))
-        out[at] = np.max(spiked[:, at] - base[:, at] + np.minimum(top, more - lift), axis=0)
-    return counts @ base + out
+        out[at] = np.max(spiked[:, at] - below + np.minimum(top, more - lift), axis=0)
+    return np.tile(counts @ base, cols // base.shape[1]) + out
 
 
 class _Grid(NamedTuple):
@@ -584,11 +591,13 @@ class _FixedN:
     ``Phi`` falls like ``exp(-sigma^2 omega^2 / 2)``, so ``K`` is about ``1.5
     N / sigma``: 15 of ``N`` about 2,900 at p = 1e3, n = 1e5.  Type I is one
     product over every group, on a grid (:func:`_choose_grid`) from the null
-    alone, whatever ``j_star``, ``m`` or the cells' order.  Under the prior
-    the outside cells' spectra and bounds are summed once; a pool of one
-    group is one law, ``b d^m a^(j* - 1 - m)``, and any other pool the mean
-    over the draws (:func:`_pool_tree`); either is bounded by its worst draw
-    (:func:`_worst_draw`).
+    alone, whatever ``j_star``, ``m`` or the cells' order; its denominator
+    ``P(Poisson(Lambda) = n)`` is kept as ``point``.  Under the prior the
+    outside cells' spectra and bounds are summed once; a pool of one group is
+    one law, ``b d^m a^(j* - 1 - m)``, and any other pool the mean over the
+    draws (:func:`_pool_tree`); either is bounded by its worst draw
+    (:func:`_worst_draw`).  :meth:`bayes` takes a sweep's masses in one pass,
+    sharing every step whose columns are computed apart (see there).
 
     The probability errs by at most ``(2 _TAIL + rho) / P(Poisson(Lambda) =
     n)``, ``P(Poisson(Lambda) = n) ~ (2 pi n)^(-1/2)``: aliasing, truncation
@@ -623,7 +632,8 @@ class _FixedN:
         self.grid = _choose_grid(null, t, self.theta, self.phi, math.ceil(6.0 * sigma + 8.0))
         self.spectra = _log_spectra(rows.table, rows.left, self.grid)
         numerator = _invert(self.grid, t - int(null.centre), *_weighted(cells, *self.spectra))
-        self.accept = float(_ratio(numerator, n, total))
+        self.point = _point(n, total)
+        self.accept = float(np.clip(numerator / self.point, 0.0, 1.0))
         # What every draw of a prior shares: the outside cells' bounds and spectra.
         self.outside_law, self.outside_spectra = (_weighted(self.outside, *x) for x in (self.bounds, self.spectra))
 
@@ -631,49 +641,89 @@ class _FixedN:
         """Exact Bayes Type II under the simplex prior on this instance's
         pool that adds ``mass`` (in count units) to one pool cell and takes
         ``mass / m`` from ``m`` others, for each of ``masses``; a removal
-        below 0 is clipped at 0, as in :meth:`_PoissonCells.bayes`.  Each
-        mass's draws pick their own grid, so the masses are taken one at a
-        time.  A pool product past ``_MAX_TERMS`` terms in one level (on the
-        null's grid) raises ``AtomBudgetError`` before its rows are built.
-        ``where`` is not used."""
+        below 0 is clipped at 0, as in :meth:`_PoissonCells.bayes`.
+
+        One pass serves every mass, in batches of as many masses as keep
+        their changed rows and bounds (counted at the base rows' widths)
+        within ``_BATCH`` entries (:meth:`_numerators`); every numerator is
+        divided by the one ``P(Poisson(Lambda) = n)`` of the null.  A pool
+        product past ``_MAX_TERMS`` terms in one level (on the null's grid)
+        raises ``AtomBudgetError`` before any row is built.  ``where`` is not
+        used."""
         if self.t < 0 or not len(masses):
             return [0.0] * len(masses)
         pool = np.flatnonzero(self.pool)
         cells = self.pool[pool]
         if pool.size > 1:
             _check_terms(_pool_tree_terms(int(cells.sum()), self.m, self.grid.top + 1), "terms in one pool-product level")
-        return [self._type2(mass / self.n, pool, cells) for mass in masses]
+        step = max(1, _BATCH // (2 * pool.size * (self.bounds.logs.shape[1] + self.rows.table.shape[1])))
+        numerators = [self._numerators(masses[at : at + step], pool, cells) for at in range(0, len(masses), step)]
+        return np.clip(np.concatenate(numerators) / self.point, 0.0, 1.0).tolist()
 
-    def _type2(self, shift: float, pool: np.ndarray, cells: np.ndarray) -> float:
-        """:meth:`bayes` at one mass, which adds ``shift`` to a cell of the
-        groups ``pool`` (``cells`` of each) and takes ``shift / m`` from ``m`` others."""
-        t, m = self.t, self.m
+    def _numerators(self, masses, pool: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """``P(Y in box, sum Y = n)`` under the prior's draws at each of
+        ``masses``, which add ``mass / n`` to a cell of the groups ``pool``
+        (``cells`` of each) and take ``mass / (n m)`` from ``m`` others.
+
+        Each mass keeps its own changed rows, their bounds and spectra, its
+        grid and its inversion: in BLAS a matmul's row depends on how many
+        rows the matrix has, so stacking the masses' rows would move their
+        bits.  What each column computes alone is shared: one worst-draw table
+        with the masses' columns side by side (:func:`_worst_draw`), each
+        grid's base spectra, and one pool tree per grid with the masses'
+        spectra side by side on the frequency axis (its merges are pointwise),
+        as many masses to a tree as keep its levels within ``_BATCH`` terms.
+        So each mass's value is the same bit for bit in any batch."""
+        t, m, n = self.t, self.m, self.n
         q, lo, hi = self.values[pool], np.tile(self.lo[pool], 2), np.tile(self.hi[pool], 2)
-        # The pool's spiked rows, then its reduced rows, in the base rows' boxes.
-        changed = _cell_rows(self.n * np.r_[q + shift, np.clip(q - shift / m, 0.0, None)], lo, hi, t)
-        offsets = changed.mode - np.tile(self.rows.mode[pool], 2)  # the changed rows' modes about the base rows'
-        # The changed rows' bounds, about the base rows' modes, live only in this call: the tree needs the memory.
-        worst = _worst_draw(
-            self.bounds.logs[pool], *np.split(_bounds(changed, self.theta, self.phi, offsets).logs, 2), cells, m
-        )
-        law = _Bounds(self.outside_law[0] + cells @ self.bounds.centre[pool], self.outside_law[1] + worst)
-        grid = _choose_grid(law, t, self.theta, self.phi, self.grid.size)
-        if grid.size == self.grid.size and grid.top <= self.grid.top:  # the null's spectra serve
-            grid = self.grid
-        spectra = self.spectra if grid == self.grid else _log_spectra(self.rows.table, self.rows.left, grid)
-        real, phase = self.outside_spectra if grid == self.grid else _weighted(self.outside, *spectra)
-        moved, turned = _log_spectra(changed.table, changed.left, grid)
-        turned += np.multiply.outer(offsets, np.arange(grid.top + 1)) % grid.size * (2.0 * math.pi / grid.size)
-        if pool.size == 1:  # one law for every draw: one spiked cell, m reduced, the rest at base
-            rest = _weighted(cells - 1 - m, *(x[pool] for x in spectra))
-            real, phase = map(sum, zip((real, phase), rest, _weighted([1, m], moved, turned)))
-        else:  # one leaf per cell: base, spiked and reduced
-            cell = np.repeat(np.arange(pool.size), cells)
-            base = np.exp(spectra[0][pool[cell]] + 1j * spectra[1][pool[cell]])
-            mean = _pool_tree(base, *(np.exp(moved[cell + k] + 1j * turned[cell + k]) for k in (0, pool.size)), m)
-            with np.errstate(divide="ignore"):
-                real, phase = real + np.log(np.abs(mean)), phase + np.angle(mean)
-        return float(_ratio(_invert(grid, t - int(law.centre), real, phase), self.n, self.total))
+        # Each mass's spiked rows, then its reduced rows, in the base rows' boxes.
+        changed = [
+            _cell_rows(n * np.concatenate((q + s, np.clip(q - s / m, 0.0, None))), lo, hi, t)
+            for s in (mass / n for mass in masses)
+        ]
+        modes = np.tile(self.rows.mode[pool], 2)
+        offsets = [rows.mode - modes for rows in changed]  # the changed rows' modes about the base rows'
+        # Their bounds, about the base rows' modes, live only here: the tree needs the memory.
+        logs = [_bounds(rows, self.theta, self.phi, at).logs for rows, at in zip(changed, offsets)]
+        spiked, reduced = (np.hstack([x[half] for x in logs]) for half in (np.s_[: pool.size], np.s_[pool.size :]))
+        del logs
+        worst = _worst_draw(self.bounds.logs[pool], spiked, reduced, cells, m).reshape(len(masses), -1)
+        del spiked, reduced
+        centre = int(self.outside_law[0] + cells @ self.bounds.centre[pool])
+        # Each grid's masses, with their changed rows' log spectra on it (a pool
+        # of one group sums them) or the spectra's values (any other's tree takes them).
+        by_grid = {}
+        for i, (rows, at, bound) in enumerate(zip(changed, offsets, worst)):
+            law = _Bounds(centre, self.outside_law[1] + bound)
+            grid = _choose_grid(law, t, self.theta, self.phi, self.grid.size)
+            if grid.size == self.grid.size and grid.top <= self.grid.top:  # the null's spectra serve
+                grid = self.grid
+            moved, turned = _log_spectra(rows.table, rows.left, grid)
+            turned += np.multiply.outer(at, np.arange(grid.top + 1)) % grid.size * (2.0 * math.pi / grid.size)
+            by_grid.setdefault(grid, []).append((i, (moved, turned) if pool.size == 1 else np.exp(moved + 1j * turned)))
+        del changed, rows, moved, turned  # the tree needs the memory
+        out = np.empty(len(masses))
+        leaf = np.repeat(np.arange(pool.size), cells)  # the pool tree's leaves: one per cell
+        for grid, draws in by_grid.items():
+            spectra = self.spectra if grid == self.grid else _log_spectra(self.rows.table, self.rows.left, grid)
+            real, phase = self.outside_spectra if grid == self.grid else _weighted(self.outside, *spectra)
+            if pool.size == 1:  # one law for every draw: one spiked cell, m reduced, the rest at base
+                rest = _weighted(cells - 1 - m, *(x[pool] for x in spectra))
+                for i, draw in draws:
+                    out[i] = _invert(grid, t - centre, *map(sum, zip((real, phase), rest, _weighted([1, m], *draw))))
+                continue
+            # One leaf per cell (base, spiked and reduced), the masses side by side.
+            trees = max(1, _BATCH // _pool_tree_terms(int(cells.sum()), m, grid.top + 1))
+            for part in (draws[at : at + trees] for at in range(0, len(draws), trees)):
+                mean = _pool_tree(
+                    np.tile(np.exp(spectra[0][pool[leaf]] + 1j * spectra[1][pool[leaf]]), len(part)),
+                    *(np.hstack([draw[leaf + k] for _, draw in part]) for k in (0, pool.size)),
+                    m,
+                )
+                for (i, _), each in zip(part, mean.reshape(len(part), -1)):
+                    with np.errstate(divide="ignore"):
+                        out[i] = _invert(grid, t - centre, real + np.log(np.abs(each)), phase + np.angle(each))
+        return out
 
     def risk(self, type2: float, seed: int) -> RiskEstimate:
         """The exact risk with this law as the null (Type I ``1 - accept``) and ``type2``."""
@@ -851,8 +901,10 @@ def sweep_multinomial_sharp_constant(
     pool and one Type I for the whole grid) but needs the dense cells,
     so past ``DENSE_RATES_CAP`` it raises a ``ValueError`` naming the cap.
     Either law, built with the pool, takes the whole grid's masses in one
-    call: the Poissonized one in one pass over the pool, the fixed-n one a
-    grid per mass.  One peak search finds the level, ``j*`` and the regime.
+    call: the Poissonized one in one pass over the pool, the fixed-n one in
+    one pass that shares its worst-draw table, pool tree and point
+    probability across the masses.  One peak search finds the level, ``j*``
+    and the regime.
     Every row reports 0 trials, a zero ``ci`` and ``seed`` as passed;
     ``trials`` must be at least 1 but is not used.
     """

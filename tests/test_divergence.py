@@ -643,8 +643,34 @@ class TestHypergeometricOverlap:
     def test_large_pool_no_overflow(self):
         log_pmf = hypergeometric_overlap_log_pmf(10**6, 5)
         assert np.isfinite(np.exp(log_pmf)).all()
-        # gammaln at arguments ~1e6 leaves ~1e-9 relative precision.
-        assert np.exp(log_pmf).sum() == pytest.approx(1.0, rel=1e-8)
+        assert np.exp(log_pmf).sum() == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("pool", [10, 10**6, 10**9, 10**12, 10**15])
+    def test_matches_mpmath_at_any_pool(self, pool):
+        """Each log-probability against 40-digit mpmath binomials, to 1e-14 of
+        ``max(1, |log P|)``; ``-inf`` exactly where ``C(pool - m, m - k) = 0``;
+        and the pmf sums to 1."""
+        for m in (1, 2, 5, 7, 30):
+            if m > pool:
+                continue
+            log_pmf = hypergeometric_overlap_log_pmf(pool, m)
+            with mpmath.workdps(40):
+                for k in range(m + 1):
+                    if pool - m < m - k:
+                        assert log_pmf[k] == -np.inf
+                        continue
+                    ways = mpmath.binomial(m, k) * mpmath.binomial(pool - m, m - k) / mpmath.binomial(pool, m)
+                    want = float(mpmath.log(ways))
+                    assert abs(log_pmf[k] - want) <= 1e-14 * max(1.0, abs(want)), (m, k)
+            assert np.exp(log_pmf).sum() == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("j_star", [10**12, 10**15])
+    def test_overlap_mgf_at_least_one_at_large_pools(self, j_star):
+        """An MGF of a nonnegative overlap at ``t > 0`` is at least 1 and, at
+        these pools, within 1e-15 of its binomial bound."""
+        res = multinomial_conditional_chisq_bound(100, 30, 1, j_star, 2)
+        assert res.mgf >= 1.0
+        assert res.mgf == pytest.approx(res.mgf_binomial_bound, rel=1e-15)
 
 
 class TestPoissonConditionalChisqBound:

@@ -1522,3 +1522,94 @@ class TestWindowedProducts:
         factors = [(_lo_rows(rows)[0], rest + 1), (_lo_rows(b)[0], 1), (_lo_rows(d)[0], m)]
         oracle = _coefficient(_long_double_product(factors), law.t) / point
         assert abs(type2 - oracle) <= _stated(grids[-1], [p], rows.width, point)
+
+
+def _benchmark_law(null: str):
+    """The fixed-n sweep's law on the benchmark's flat or het null (p = 1e3,
+    n = 1e5) and its masses ``n eps`` at xi = 0.5, 1 and 2."""
+    p, n = 1000, 100_000
+    het = np.arange(1, p + 1.0) ** -0.5
+    q0 = SimplexVector(np.full(p, 1.0 / p) if null == "flat" else het / het.sum())
+    law, level, _, _ = _sweep_law(q0, n)
+    return law, [n * xi * level for xi in (0.5, 1.0, 2.0)]
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """Call ``risk.<name>`` through a wrapper that records each call's positional arguments."""
+    calls = []
+    kernel = getattr(risk_module, name)
+    monkeypatch.setattr(risk_module, name, lambda *args: calls.append(args) or kernel(*args))
+    return calls
+
+
+class TestOneFixedNPass:
+    """``_FixedN.bayes`` takes every mass of a sweep in one pass: the masses
+    share the worst-draw table, each grid's pool tree and the point
+    probability, and each mass's value is its own, bit for bit."""
+
+    def test_one_pool_tree_and_one_point_per_sweep(self, monkeypatch):
+        """On the benchmark's het null (a pool of 3 groups) the sweep of three
+        masses evaluates ``P(Poisson(Lambda) = n)`` once, building the law, and
+        multiplies one pool tree holding the three masses' frequencies."""
+        points, trees = _counted(monkeypatch, "_point"), _counted(monkeypatch, "_pool_tree")
+        law, masses = _benchmark_law("het")
+        assert len(points) == 1
+        type2 = law.bayes(masses)
+        assert len(points) == 1 and len(trees) == 1
+        assert trees[0][0].shape[1] == 3 * (law.grid.top + 1)
+        assert type2 == [0.5382026209463571, 0.279111096338737, 0.007934638082373303]
+
+    @pytest.mark.parametrize("null", ["flat", "het"])
+    def test_a_mass_on_a_grid_of_its_own(self, null, monkeypatch):
+        """A ``_choose_grid`` that sends the second mass's draws to a grid twice
+        as long leaves the other two masses' values as they were, bit for bit;
+        the batch still equals each mass alone, and the moved mass stays within
+        1e-12 of its value on the null's grid."""
+        law, masses = _benchmark_law(null)
+        plain = law.bayes(masses)
+        seen = []
+        choose = risk_module._choose_grid
+        monkeypatch.setattr(risk_module, "_choose_grid", lambda law, *rest: seen.append(law.logs) or choose(law, *rest))
+        law.bayes(masses[1:2])
+        (own,) = seen
+
+        def choose_own(draw, *rest):
+            grid = choose(draw, *rest)
+            return _Grid(2 * grid.size, min(grid.size, 2 * grid.top)) if np.array_equal(draw.logs, own) else grid
+
+        monkeypatch.setattr(risk_module, "_choose_grid", choose_own)
+        trees, inverted = _counted(monkeypatch, "_pool_tree"), _counted(monkeypatch, "_invert")
+        moved = _each_of_the_batch(law, masses)
+        assert [args[0].size for args in inverted[:3]].count(2 * law.grid.size) == 1
+        assert len(trees) == (0 if null == "flat" else 2 + 3)  # the batch's two grids, then each mass alone
+        assert [moved[0], moved[2]] == [plain[0], plain[2]]
+        assert moved[1] == pytest.approx(plain[1], rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("null", ["flat", "het"])
+    def test_batches_split_by_the_block(self, null, monkeypatch):
+        """With ``_BATCH`` patched small enough to split three masses into
+        batches of two and one, and of one each, every value is the whole
+        batch's, bit for bit."""
+        law, masses = _benchmark_law(null)
+        whole = law.bayes(masses)
+        pool = np.flatnonzero(law.pool)
+        per_mass = 2 * pool.size * (law.bounds.logs.shape[1] + law.rows.table.shape[1])
+        for block in (2 * per_mass, 1):
+            monkeypatch.setattr(risk_module, "_BATCH", block)
+            assert _each_of_the_batch(law, masses) == whole
+
+    def test_no_tree_holds_more_than_the_block(self, monkeypatch):
+        """On the het null's pool no tree call holds more terms than the block
+        or one mass's tree: a block below one mass's tree gives a tree per
+        mass, and a large one a tree for all three."""
+        law, masses = _benchmark_law("het")
+        whole = law.bayes(masses)
+        cells = int(law.pool.sum())
+        one = risk_module._pool_tree_terms(cells, law.m, law.grid.top + 1)
+        for block, calls in ((one - 1, 3), (one, 3), (1 << 18, 1)):
+            monkeypatch.setattr(risk_module, "_BATCH", block)
+            trees = _counted(monkeypatch, "_pool_tree")
+            assert law.bayes(masses) == whole
+            held = [risk_module._pool_tree_terms(cells, law.m, args[0].shape[1]) for args in trees]
+            assert len(trees) == calls and max(held) <= max(block, one)
+            monkeypatch.undo()

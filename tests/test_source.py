@@ -337,7 +337,7 @@ _LAW_KERNELS = {
     "_choose_grid": "_FixedN",
     "_log_spectra": "_FixedN",
     "_invert": "_FixedN",
-    "_ratio": "_FixedN",
+    "_point": "_FixedN",
 }
 
 
@@ -345,7 +345,7 @@ def _law_kernel_uses(tree: ast.AST) -> list[int]:
     """Lines outside the class that owns it that reach a law's kernel: a
     loaded name or an attribute of ``_leave_one_out_type2`` (owned by
     ``_PoissonCells``), ``_choose_grid``, ``_log_spectra``, ``_invert`` or
-    ``_ratio`` (owned by ``_FixedN``), or an import of one."""
+    ``_point`` (owned by ``_FixedN``), or an import of one."""
     owned = {
         name: {
             id(node)
@@ -389,12 +389,12 @@ def test_law_rule_sees_every_spelling():
     spellings = [
         "def estimate(log_a, b, pool):\n    return _leave_one_out_type2(log_a, b, pool, lam, ones, '', None, 0)",
         "import supgof.risk as r\ntype2 = r._leave_one_out_type2(log_a, b, pool)",
-        "def _accept(box, n, lam):\n    return _ratio(_invert(grid, t, *_log_spectra(table, 0, grid)), n, s)",
+        "def _accept(box, n, lam):\n    return _invert(grid, t, *_log_spectra(table, 0, grid)) / _point(n, s)",
         "from .risk import _invert as invert",
-        "normalize = _ratio\naccept = normalize(numerator, n, total)",
+        "normalize = _point\naccept = numerator / normalize(n, total)",
         "class _FixedN:\n    def bayes(self, prior):\n        return _leave_one_out_type2(a, b, pool)",
         "class _PoissonCells:\n    def bayes(self, prior):\n        return _leave_one_out_type2(a, b, pool)",
-        "class _FixedN:\n    def __init__(self):\n        self.accept = _ratio(_invert(self.grid, tau, *spectra), n, s)",
+        "class _FixedN:\n    def __init__(self):\n        self.accept = _invert(self.grid, tau, *spectra) / _point(n, s)",
         "def _invert(grid, tau, real, phase):\n    return np.sum(real)",
         "grid = _choose_grid(law, t, theta, phi)",
     ]
